@@ -44,6 +44,7 @@
 //! than checked.
 
 use crate::event::{Event, EventKind, PlacementActionKind, ResetCause};
+use crate::idtable::{at, IdTable};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -171,13 +172,15 @@ pub struct AuditDelta {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct InvariantAuditor {
-    /// Reconstructed per-object replica presence.
-    state: BTreeMap<u32, BTreeMap<u16, Presence>>,
+    /// Reconstructed replica presence, `state[object][host]`; a row is
+    /// as long as the highest host id mentioned for its object.
+    state: IdTable<Vec<Presence>>,
     /// Directory notifications (counts-resets) of the in-progress
     /// placement epoch, not yet paired with their placement action.
     pending: BTreeMap<u32, Vec<(u64, f64, ResetCause)>>,
-    /// Hosts currently crashed, from fault-transition descriptions.
-    down: BTreeMap<u16, bool>,
+    /// `down[host]`: hosts currently crashed, from fault-transition
+    /// descriptions.
+    down: Vec<bool>,
     violations: Vec<Violation>,
     /// Running count of pairs in `state` that are `Present`.
     present_count: u64,
@@ -212,28 +215,36 @@ impl InvariantAuditor {
         self.presence(object, host) == Presence::Present
     }
 
+    /// Every host the reconstruction currently believes holds a copy
+    /// of `object`, ascending.
+    pub fn present_hosts(&self, object: u32) -> Vec<u16> {
+        let hosts = self.state.get(object).map_or(&[][..], Vec::as_slice);
+        let present = (0u16..).zip(hosts).filter(|(_, &p)| p == Presence::Present);
+        present.map(|(host, _)| host).collect()
+    }
+
     fn presence(&self, object: u32, host: u16) -> Presence {
         self.state
-            .get(&object)
-            .and_then(|hosts| hosts.get(&host))
+            .get(object)
+            .and_then(|hosts| hosts.get(usize::from(host)))
             .copied()
             .unwrap_or(Presence::Unknown)
     }
 
+    /// The `(object, host)` slot, `Unknown` until first mentioned.
+    fn slot(&mut self, object: u32, host: u16) -> &mut Presence {
+        at(self.state.entry(object), host.into())
+    }
+
     fn set_presence(&mut self, object: u32, host: u16, next: Presence) {
-        let slot = self
-            .state
-            .entry(object)
-            .or_default()
-            .entry(host)
-            .or_default();
-        match (*slot, next) {
+        let slot = self.slot(object, host);
+        let was = std::mem::replace(slot, next);
+        match (was, next) {
             (Presence::Present, Presence::Present) => {}
             (Presence::Present, _) => self.present_count -= 1,
             (_, Presence::Present) => self.present_count += 1,
             _ => {}
         }
-        *slot = next;
     }
 
     fn violation(
@@ -281,14 +292,8 @@ impl InvariantAuditor {
                 // down host's copy so a host that recovers before being
                 // declared dead cannot trip a false use-after-drop.
                 ResetCause::Purge => {
-                    let down: Vec<u16> = self
-                        .down
-                        .iter()
-                        .filter(|&(_, &d)| d)
-                        .map(|(&h, _)| h)
-                        .collect();
-                    for host in down {
-                        if self.presence(*object, host) == Presence::Present {
+                    for host in self.present_hosts(*object) {
+                        if self.down.get(usize::from(host)) == Some(&true) {
                             self.set_presence(*object, host, Presence::Unknown);
                         }
                     }
@@ -320,9 +325,7 @@ impl InvariantAuditor {
                 // A request redirected before a drop may complete after
                 // it, so an absent host here is not a violation; only
                 // infer presence for hosts never seen before.
-                if self.presence(*object, *host) == Presence::Unknown {
-                    self.set_presence(*object, *host, Presence::Present);
-                }
+                self.admit_if_unknown(*object, *host);
             }
             EventKind::ReReplication { object, target, .. } => {
                 // The sweep installs directly (directory and host in one
@@ -333,9 +336,9 @@ impl InvariantAuditor {
             }
             EventKind::Fault { desc } => {
                 if let Some(host) = parse_host_transition(desc, "host-crash ") {
-                    self.down.insert(host, true);
+                    *at(&mut self.down, host.into()) = true;
                 } else if let Some(host) = parse_host_transition(desc, "host-recover ") {
-                    self.down.insert(host, false);
+                    *at(&mut self.down, host.into()) = false;
                 }
             }
             EventKind::ProviderUpdate(u) => {
@@ -363,7 +366,7 @@ impl InvariantAuditor {
     /// reconstruction knows that copy was dropped, otherwise admit it
     /// as an (inferred) replica.
     fn check_directory_reference(&mut self, event: &Event, object: u32, host: u16, role: &str) {
-        match self.presence(object, host) {
+        match self.admit_if_unknown(object, host) {
             Presence::Absent => {
                 let detail = format!(
                     "directory offered host {host} as {role} for object {object} \
@@ -377,9 +380,20 @@ impl InvariantAuditor {
                     detail,
                 );
             }
-            Presence::Unknown => self.set_presence(object, host, Presence::Present),
-            Presence::Present => {}
+            Presence::Unknown | Presence::Present => {}
         }
+    }
+
+    /// Marks a never-mentioned `(object, host)` pair present (an
+    /// inferred initial replica) and returns what was known before.
+    fn admit_if_unknown(&mut self, object: u32, host: u16) -> Presence {
+        let slot = self.slot(object, host);
+        let was = *slot;
+        if was == Presence::Unknown {
+            *slot = Presence::Present;
+            self.present_count += 1;
+        }
+        was
     }
 
     fn fold_placement(

@@ -13,64 +13,166 @@ use crate::event::{
     UpdateDeliveredEvent,
 };
 use std::fmt;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
 //
-// All serialization goes through `write!` into a caller-owned `String`
-// (`fmt::Write` on `String` is infallible), so a recorder that reuses
-// its line buffer serializes events with zero heap allocations.
+// One encoder, [`Event::encode_json_line`], appends bytes to a caller-owned
+// `Vec<u8>`: static key fragments, table-driven integers and an exact
+// decimal fast path for floats. It never enters `core::fmt` (bar the float
+// fallback) and never allocates once the buffer's capacity plateaus.
 
-fn push_str_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// `"00"` … `"99"`: [`write_digits`] emits two digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+                                  2021222324252627282930313233343536373839\
+                                  4041424344454647484950515253545556575859\
+                                  6061626364656667686970717273747576777879\
+                                  8081828384858687888990919293949596979899";
+
+/// Exact as `f64` and as `u64`.
+const POW10: [f64; 10] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9];
+
+/// Writes `v` in decimal so its last digit lands at `buf[end - 1]`;
+/// returns the index of its first digit.
+fn write_digits(buf: &mut [u8], end: usize, mut v: u64) -> usize {
+    let mut at = end;
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    at
+}
+
+fn push_u64(out: &mut Vec<u8>, v: u64) {
+    let mut buf = [0u8; 20];
+    let at = write_digits(&mut buf, 20, v);
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Appends `v` exactly as `{v}` (shortest round-trip `Display`) would.
+///
+/// Integers in `[0, 2^53)` print as integers. Otherwise, if
+/// `v == (m as f64) / 10^k` for an integer `m < 10^15` and `k <= 9`, the
+/// decimal `m / 10^k` is printed with trailing zeros trimmed. That is
+/// exact: `m` and `10^k` are representable and division rounds correctly,
+/// so `v` is the double nearest that decimal and the decimal parses back
+/// to `v`; and as every decimal of at most 15 significant digits survives
+/// decimal → double → decimal, no other such decimal — so no shorter one
+/// — maps to `v`. `SimTime` is integer microseconds, so every timestamp,
+/// latency and lag takes this path. Negative values, `-0.0`, values from
+/// `2^53` up and whatever fails the check fall back to `{v}`; non-finite
+/// values are `null`.
+fn push_f64(out: &mut Vec<u8>, v: f64) {
+    if !v.is_finite() {
+        out.extend_from_slice(b"null");
+        return;
+    }
+    if v.is_sign_positive() && v < 9_007_199_254_740_992.0 {
+        let int = v as u64;
+        if int as f64 == v {
+            push_u64(out, int);
+            return;
+        }
+        // The largest k <= 9 that keeps m = v * 10^k below 10^15.
+        let mut k = 9;
+        let mut limit = 1e6;
+        while v >= limit && k > 0 {
+            k -= 1;
+            limit *= 10.0;
+        }
+        let scale = POW10[k];
+        let m = (v * scale + 0.5) as u64;
+        if m < 1_000_000_000_000_000 && m as f64 / scale == v {
+            let mut frac = m - int * scale as u64;
+            while k > 0 && frac.is_multiple_of(10) {
+                frac /= 10;
+                k -= 1;
             }
-            c => out.push(c),
+            // Zero-filled, so a short `frac` is already left-padded.
+            let mut buf = [b'0'; 32];
+            write_digits(&mut buf, 32, frac);
+            let point = 32 - k - 1;
+            buf[point] = b'.';
+            let at = write_digits(&mut buf, point, int);
+            out.extend_from_slice(&buf[at..]);
+            return;
         }
     }
-    out.push('"');
+    let _ = write!(out, "{v}");
+}
+
+fn push_str_escaped(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    for b in s.bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b if b < 0x20 => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(b >> 4)]);
+                out.push(HEX[usize::from(b & 15)]);
+            }
+            // Bytes of multi-byte characters are all >= 0x80.
+            b => out.push(b),
+        }
+    }
+    out.push(b'"');
+}
+
+// Field writers: `key` is the whole static fragment up to the value,
+// e.g. `,"gateway":`.
+
+fn field_u64(out: &mut Vec<u8>, key: &'static str, v: u64) {
+    out.extend_from_slice(key.as_bytes());
+    push_u64(out, v);
+}
+
+fn field_f64(out: &mut Vec<u8>, key: &'static str, v: f64) {
+    out.extend_from_slice(key.as_bytes());
+    push_f64(out, v);
+}
+
+fn field_opt_u64(out: &mut Vec<u8>, key: &'static str, v: Option<u64>) {
+    out.extend_from_slice(key.as_bytes());
+    match v {
+        Some(v) => push_u64(out, v),
+        None => out.extend_from_slice(b"null"),
+    }
+}
+
+/// `None` and non-finite values both serialize as `null`.
+fn field_opt_f64(out: &mut Vec<u8>, key: &'static str, v: Option<f64>) {
+    field_f64(out, key, v.unwrap_or(f64::NAN));
 }
 
 /// Interned tags contain no characters needing escapes, so they skip
 /// the per-character scan.
-fn push_tag(out: &mut String, tag: &'static str) {
-    out.push('"');
-    out.push_str(tag);
-    out.push('"');
+fn field_tag(out: &mut Vec<u8>, key: &'static str, tag: &'static str) {
+    out.extend_from_slice(key.as_bytes());
+    out.push(b'"');
+    out.extend_from_slice(tag.as_bytes());
+    out.push(b'"');
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_opt_u64(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            let _ = write!(out, "{v}");
-        }
-        None => out.push_str("null"),
-    }
-}
-
-fn push_opt_f64(out: &mut String, v: Option<f64>) {
-    match v {
-        Some(v) => push_f64(out, v),
-        None => out.push_str("null"),
-    }
+fn field_bool(out: &mut Vec<u8>, key: &'static str, v: bool) {
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(if v { b"true" } else { b"false" });
 }
 
 impl Event {
@@ -80,57 +182,57 @@ impl Event {
     /// serialize byte-identically. Convenience wrapper around
     /// [`write_json_line`](Self::write_json_line).
     pub fn to_json_line(&self) -> String {
-        let mut o = String::with_capacity(128);
-        self.write_json_line(&mut o);
-        o
+        let mut o = Vec::with_capacity(128);
+        self.encode_json_line(&mut o);
+        String::from_utf8(o).expect("the encoder emits UTF-8")
     }
 
     /// Serializes the event into a caller-owned buffer (appended; no
     /// trailing newline). Reusing the buffer across events makes the
     /// serialization path allocation-free once its capacity plateaus.
     pub fn write_json_line(&self, o: &mut String) {
-        let _ = write!(o, "{{\"seq\":{},\"t\":", self.seq);
-        push_f64(o, self.t);
-        o.push_str(",\"parent\":");
-        push_opt_u64(o, self.parent);
-        let _ = write!(o, ",\"qd\":{},\"type\":\"", self.queue_depth);
-        o.push_str(self.type_name());
-        o.push('"');
+        let mut bytes = std::mem::take(o).into_bytes();
+        self.encode_json_line(&mut bytes);
+        *o = String::from_utf8(bytes).expect("the encoder emits UTF-8");
+    }
+
+    /// The encoder behind every line writer: appends the event as one
+    /// JSON object (no trailing newline) to a byte buffer.
+    pub(crate) fn encode_json_line(&self, o: &mut Vec<u8>) {
+        field_u64(o, "{\"seq\":", self.seq);
+        field_f64(o, ",\"t\":", self.t);
+        field_opt_u64(o, ",\"parent\":", self.parent);
+        field_u64(o, ",\"qd\":", self.queue_depth.into());
+        field_tag(o, ",\"type\":", self.type_name());
         match &self.kind {
             EventKind::RequestArrived { gateway, object } => {
-                let _ = write!(o, ",\"gateway\":{gateway},\"object\":{object}");
+                field_u64(o, ",\"gateway\":", (*gateway).into());
+                field_u64(o, ",\"object\":", (*object).into());
             }
             EventKind::Decision(d) => {
-                let _ = write!(
-                    o,
-                    ",\"object\":{},\"gateway\":{},\"chosen\":{},\"branch\":",
-                    d.object, d.gateway, d.chosen
-                );
-                push_tag(o, d.branch.as_str());
-                o.push_str(",\"constant\":");
-                push_f64(o, d.constant);
-                o.push_str(",\"closest\":");
-                push_opt_u64(o, d.closest.map(u64::from));
-                o.push_str(",\"least\":");
-                push_opt_u64(o, d.least.map(u64::from));
-                o.push_str(",\"unit_closest\":");
-                push_opt_f64(o, d.unit_closest);
-                o.push_str(",\"unit_least\":");
-                push_opt_f64(o, d.unit_least);
-                o.push_str(",\"candidates\":[");
+                field_u64(o, ",\"object\":", d.object.into());
+                field_u64(o, ",\"gateway\":", d.gateway.into());
+                field_u64(o, ",\"chosen\":", d.chosen.into());
+                field_tag(o, ",\"branch\":", d.branch.as_str());
+                field_f64(o, ",\"constant\":", d.constant);
+                field_opt_u64(o, ",\"closest\":", d.closest.map(u64::from));
+                field_opt_u64(o, ",\"least\":", d.least.map(u64::from));
+                field_opt_f64(o, ",\"unit_closest\":", d.unit_closest);
+                field_opt_f64(o, ",\"unit_least\":", d.unit_least);
+                o.extend_from_slice(b",\"candidates\":[");
                 for (i, c) in d.candidates.iter().enumerate() {
-                    if i > 0 {
-                        o.push(',');
-                    }
-                    let _ = write!(
+                    field_u64(
                         o,
-                        "{{\"host\":{},\"rcnt\":{},\"aff\":{},\"unit\":",
-                        c.host, c.rcnt, c.aff
+                        if i == 0 { "{\"host\":" } else { ",{\"host\":" },
+                        c.host.into(),
                     );
-                    push_f64(o, c.unit);
-                    let _ = write!(o, ",\"distance\":{}}}", c.distance);
+                    field_u64(o, ",\"rcnt\":", c.rcnt);
+                    field_u64(o, ",\"aff\":", c.aff.into());
+                    field_f64(o, ",\"unit\":", c.unit);
+                    field_u64(o, ",\"distance\":", c.distance.into());
+                    o.push(b'}');
                 }
-                o.push(']');
+                o.push(b']');
             }
             EventKind::RequestServed {
                 gateway,
@@ -139,47 +241,38 @@ impl Event {
                 latency,
                 hops,
             } => {
-                let _ = write!(
-                    o,
-                    ",\"gateway\":{gateway},\"object\":{object},\"host\":{host},\"latency\":"
-                );
-                push_f64(o, *latency);
-                let _ = write!(o, ",\"hops\":{hops}");
+                field_u64(o, ",\"gateway\":", (*gateway).into());
+                field_u64(o, ",\"object\":", (*object).into());
+                field_u64(o, ",\"host\":", (*host).into());
+                field_f64(o, ",\"latency\":", *latency);
+                field_u64(o, ",\"hops\":", (*hops).into());
             }
             EventKind::RequestFailed {
                 gateway,
                 object,
                 reason,
             } => {
-                let _ = write!(o, ",\"gateway\":{gateway},\"object\":{object},\"reason\":");
-                push_tag(o, reason.as_str());
+                field_u64(o, ",\"gateway\":", (*gateway).into());
+                field_u64(o, ",\"object\":", (*object).into());
+                field_tag(o, ",\"reason\":", reason.as_str());
             }
             EventKind::PlacementAction(p) => {
-                let _ = write!(
-                    o,
-                    ",\"host\":{},\"object\":{},\"action\":",
-                    p.host, p.object
-                );
-                push_tag(o, p.action.as_str());
-                o.push_str(",\"target\":");
-                push_opt_u64(o, p.target.map(u64::from));
-                o.push_str(",\"unit_rate\":");
-                push_f64(o, p.unit_rate);
-                o.push_str(",\"share\":");
-                push_opt_f64(o, p.share);
-                o.push_str(",\"ratio\":");
-                push_opt_f64(o, p.ratio);
-                o.push_str(",\"u\":");
-                push_f64(o, p.deletion_threshold);
-                o.push_str(",\"m\":");
-                push_f64(o, p.replication_threshold);
+                field_u64(o, ",\"host\":", p.host.into());
+                field_u64(o, ",\"object\":", p.object.into());
+                field_tag(o, ",\"action\":", p.action.as_str());
+                field_opt_u64(o, ",\"target\":", p.target.map(u64::from));
+                field_f64(o, ",\"unit_rate\":", p.unit_rate);
+                field_opt_f64(o, ",\"share\":", p.share);
+                field_opt_f64(o, ",\"ratio\":", p.ratio);
+                field_f64(o, ",\"u\":", p.deletion_threshold);
+                field_f64(o, ",\"m\":", p.replication_threshold);
             }
             EventKind::CountsReset { object, cause } => {
-                let _ = write!(o, ",\"object\":{object},\"cause\":");
-                push_tag(o, cause.as_str());
+                field_u64(o, ",\"object\":", (*object).into());
+                field_tag(o, ",\"cause\":", cause.as_str());
             }
             EventKind::Fault { desc } => {
-                o.push_str(",\"desc\":");
+                o.extend_from_slice(b",\"desc\":");
                 push_str_escaped(o, desc);
             }
             EventKind::ReReplication {
@@ -187,28 +280,29 @@ impl Event {
                 target,
                 elapsed,
             } => {
-                let _ = write!(o, ",\"object\":{object},\"target\":{target},\"elapsed\":");
-                push_f64(o, *elapsed);
+                field_u64(o, ",\"object\":", (*object).into());
+                field_u64(o, ",\"target\":", (*target).into());
+                field_f64(o, ",\"elapsed\":", *elapsed);
             }
             EventKind::ProviderUpdate(u) => {
-                let _ = write!(o, ",\"object\":{},\"class\":", u.object);
-                push_tag(o, u.class.as_str());
-                let _ = write!(
-                    o,
-                    ",\"version\":{},\"primary\":{},\"targets\":{},\
-                     \"bytes_hops\":{},\"reassigned\":{}",
-                    u.version, u.primary, u.targets, u.bytes_hops, u.reassigned
-                );
+                field_u64(o, ",\"object\":", u.object.into());
+                field_tag(o, ",\"class\":", u.class.as_str());
+                field_u64(o, ",\"version\":", u.version);
+                field_u64(o, ",\"primary\":", u.primary.into());
+                field_u64(o, ",\"targets\":", u.targets.into());
+                field_u64(o, ",\"bytes_hops\":", u.bytes_hops);
+                field_bool(o, ",\"reassigned\":", u.reassigned);
             }
             EventKind::UpdateDelivered(u) => {
-                let _ = write!(o, ",\"object\":{},\"host\":{},\"class\":", u.object, u.host);
-                push_tag(o, u.class.as_str());
-                let _ = write!(o, ",\"version\":{},\"lag\":", u.version);
-                push_f64(o, u.lag);
-                let _ = write!(o, ",\"wasted\":{}", u.wasted);
+                field_u64(o, ",\"object\":", u.object.into());
+                field_u64(o, ",\"host\":", u.host.into());
+                field_tag(o, ",\"class\":", u.class.as_str());
+                field_u64(o, ",\"version\":", u.version);
+                field_f64(o, ",\"lag\":", u.lag);
+                field_bool(o, ",\"wasted\":", u.wasted);
             }
         }
-        o.push('}');
+        o.push(b'}');
     }
 }
 
@@ -310,6 +404,9 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
 enum Val {
     Null,
     Bool(bool),
+    /// A token of digits only that fits `u64`, kept exact: counters
+    /// above 2^53 must not round through `f64`.
+    Int(u64),
     Num(f64),
     Str(String),
     Arr(Vec<Val>),
@@ -320,13 +417,6 @@ impl Val {
     fn get<'a>(&'a self, key: &str) -> Option<&'a Val> {
         match self {
             Val::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn u64(&self) -> Option<u64> {
-        match self {
-            Val::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Some(*v as u64),
             _ => None,
         }
     }
@@ -408,6 +498,13 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            // Too long for `u64`: still a number, but not an integer
+            // any `u64` field will accept.
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Val::Int(v));
+            }
+        }
         match text.parse::<f64>() {
             Ok(v) => Ok(Val::Num(v)),
             Err(_) => err(format!("bad number {text:?}")),
@@ -524,9 +621,9 @@ fn need<'a>(v: &'a Val, key: &str) -> Result<&'a Val, ParseError> {
 }
 
 fn need_u64(v: &Val, key: &str) -> Result<u64, ParseError> {
-    match need(v, key)?.u64() {
-        Some(n) => Ok(n),
-        None => err(format!("field {key:?} is not an unsigned integer")),
+    match need(v, key)? {
+        Val::Int(n) => Ok(*n),
+        _ => err(format!("field {key:?} is not an unsigned integer")),
     }
 }
 
@@ -540,6 +637,7 @@ fn need_u16(v: &Val, key: &str) -> Result<u16, ParseError> {
 
 fn need_f64(v: &Val, key: &str) -> Result<f64, ParseError> {
     match need(v, key)? {
+        Val::Int(n) => Ok(*n as f64),
         Val::Num(n) => Ok(*n),
         Val::Null => Ok(f64::NAN),
         _ => err(format!("field {key:?} is not a number")),
@@ -553,9 +651,9 @@ fn need_bool(v: &Val, key: &str) -> Result<bool, ParseError> {
     }
 }
 
-fn need_str(v: &Val, key: &str) -> Result<String, ParseError> {
+fn need_str<'a>(v: &'a Val, key: &str) -> Result<&'a str, ParseError> {
     match need(v, key)?.str() {
-        Some(s) => Ok(s.to_string()),
+        Some(s) => Ok(s),
         None => err(format!("field {key:?} is not a string")),
     }
 }
@@ -564,33 +662,22 @@ fn need_str(v: &Val, key: &str) -> Result<String, ParseError> {
 /// vocabulary so a corrupted log fails loudly instead of folding into a
 /// catch-all value.
 fn need_tag<T>(v: &Val, key: &str, parse: fn(&str) -> Option<T>) -> Result<T, ParseError> {
-    let s = match need(v, key)?.str() {
-        Some(s) => s,
-        None => return err(format!("field {key:?} is not a string")),
-    };
+    let s = need_str(v, key)?;
     match parse(s) {
         Some(t) => Ok(t),
         None => err(format!("field {key:?} has unknown tag {s:?}")),
     }
 }
 
-fn opt_u16(v: &Val, key: &str) -> Result<Option<u16>, ParseError> {
+/// A field that may be absent or `null`, otherwise read by `need_*`.
+fn opt<T>(
+    v: &Val,
+    key: &str,
+    need: fn(&Val, &str) -> Result<T, ParseError>,
+) -> Result<Option<T>, ParseError> {
     match v.get(key) {
         None | Some(Val::Null) => Ok(None),
-        Some(f) => match f.u64() {
-            Some(n) => u16::try_from(n)
-                .map(Some)
-                .map_err(|_| ParseError(format!("field {key:?} overflows u16"))),
-            None => err(format!("field {key:?} is not an unsigned integer")),
-        },
-    }
-}
-
-fn opt_f64(v: &Val, key: &str) -> Result<Option<f64>, ParseError> {
-    match v.get(key) {
-        None | Some(Val::Null) => Ok(None),
-        Some(Val::Num(n)) => Ok(Some(*n)),
-        Some(_) => err(format!("field {key:?} is not a number")),
+        Some(_) => need(v, key).map(Some),
     }
 }
 
@@ -608,30 +695,22 @@ impl Event {
 
     /// Builds an event from an already-parsed JSON object.
     fn from_val(root: &Val) -> Result<Self, ParseError> {
-        let root = root.clone();
-        let seq = need_u64(&root, "seq")?;
-        let t = need_f64(&root, "t")?;
-        let parent = match root.get("parent") {
-            None | Some(Val::Null) => None,
-            Some(f) => match f.u64() {
-                Some(n) => Some(n),
-                None => return err("field \"parent\" is not an unsigned integer"),
-            },
-        };
-        let queue_depth = need_u32(&root, "qd")?;
-        let kind_tag = need_str(&root, "type")?;
-        let kind = match kind_tag.as_str() {
+        let seq = need_u64(root, "seq")?;
+        let t = need_f64(root, "t")?;
+        let parent = opt(root, "parent", need_u64)?;
+        let queue_depth = need_u32(root, "qd")?;
+        let kind = match need_str(root, "type")? {
             "request" => EventKind::RequestArrived {
-                gateway: need_u16(&root, "gateway")?,
-                object: need_u32(&root, "object")?,
+                gateway: need_u16(root, "gateway")?,
+                object: need_u32(root, "object")?,
             },
             "decision" => {
-                let raw = match need(&root, "candidates")? {
-                    Val::Arr(items) => items.clone(),
+                let raw = match need(root, "candidates")? {
+                    Val::Arr(items) => items,
                     _ => return err("field \"candidates\" is not an array"),
                 };
                 let mut candidates = Vec::with_capacity(raw.len());
-                for c in &raw {
+                for c in raw {
                     candidates.push(CandidateSnapshot {
                         host: need_u16(c, "host")?,
                         rcnt: need_u64(c, "rcnt")?,
@@ -641,69 +720,69 @@ impl Event {
                     });
                 }
                 EventKind::Decision(DecisionEvent {
-                    object: need_u32(&root, "object")?,
-                    gateway: need_u16(&root, "gateway")?,
-                    chosen: need_u16(&root, "chosen")?,
-                    branch: need_tag(&root, "branch", DecisionBranch::from_tag)?,
-                    constant: need_f64(&root, "constant")?,
-                    closest: opt_u16(&root, "closest")?,
-                    least: opt_u16(&root, "least")?,
-                    unit_closest: opt_f64(&root, "unit_closest")?,
-                    unit_least: opt_f64(&root, "unit_least")?,
+                    object: need_u32(root, "object")?,
+                    gateway: need_u16(root, "gateway")?,
+                    chosen: need_u16(root, "chosen")?,
+                    branch: need_tag(root, "branch", DecisionBranch::from_tag)?,
+                    constant: need_f64(root, "constant")?,
+                    closest: opt(root, "closest", need_u16)?,
+                    least: opt(root, "least", need_u16)?,
+                    unit_closest: opt(root, "unit_closest", need_f64)?,
+                    unit_least: opt(root, "unit_least", need_f64)?,
                     candidates,
                 })
             }
             "served" => EventKind::RequestServed {
-                gateway: need_u16(&root, "gateway")?,
-                object: need_u32(&root, "object")?,
-                host: need_u16(&root, "host")?,
-                latency: need_f64(&root, "latency")?,
-                hops: need_u32(&root, "hops")?,
+                gateway: need_u16(root, "gateway")?,
+                object: need_u32(root, "object")?,
+                host: need_u16(root, "host")?,
+                latency: need_f64(root, "latency")?,
+                hops: need_u32(root, "hops")?,
             },
             "failed" => EventKind::RequestFailed {
-                gateway: need_u16(&root, "gateway")?,
-                object: need_u32(&root, "object")?,
-                reason: need_tag(&root, "reason", FailReason::from_tag)?,
+                gateway: need_u16(root, "gateway")?,
+                object: need_u32(root, "object")?,
+                reason: need_tag(root, "reason", FailReason::from_tag)?,
             },
             "placement" => EventKind::PlacementAction(PlacementActionEvent {
-                host: need_u16(&root, "host")?,
-                object: need_u32(&root, "object")?,
-                action: need_tag(&root, "action", PlacementActionKind::from_tag)?,
-                target: opt_u16(&root, "target")?,
-                unit_rate: need_f64(&root, "unit_rate")?,
-                share: opt_f64(&root, "share")?,
-                ratio: opt_f64(&root, "ratio")?,
-                deletion_threshold: need_f64(&root, "u")?,
-                replication_threshold: need_f64(&root, "m")?,
+                host: need_u16(root, "host")?,
+                object: need_u32(root, "object")?,
+                action: need_tag(root, "action", PlacementActionKind::from_tag)?,
+                target: opt(root, "target", need_u16)?,
+                unit_rate: need_f64(root, "unit_rate")?,
+                share: opt(root, "share", need_f64)?,
+                ratio: opt(root, "ratio", need_f64)?,
+                deletion_threshold: need_f64(root, "u")?,
+                replication_threshold: need_f64(root, "m")?,
             }),
             "counts-reset" => EventKind::CountsReset {
-                object: need_u32(&root, "object")?,
-                cause: need_tag(&root, "cause", ResetCause::from_tag)?,
+                object: need_u32(root, "object")?,
+                cause: need_tag(root, "cause", ResetCause::from_tag)?,
             },
             "fault" => EventKind::Fault {
-                desc: need_str(&root, "desc")?,
+                desc: need_str(root, "desc")?.to_string(),
             },
             "re-replication" => EventKind::ReReplication {
-                object: need_u32(&root, "object")?,
-                target: need_u16(&root, "target")?,
-                elapsed: need_f64(&root, "elapsed")?,
+                object: need_u32(root, "object")?,
+                target: need_u16(root, "target")?,
+                elapsed: need_f64(root, "elapsed")?,
             },
             "provider-update" => EventKind::ProviderUpdate(ProviderUpdateEvent {
-                object: need_u32(&root, "object")?,
-                class: need_tag(&root, "class", ConsistencyClass::from_tag)?,
-                version: need_u64(&root, "version")?,
-                primary: need_u16(&root, "primary")?,
-                targets: need_u16(&root, "targets")?,
-                bytes_hops: need_u64(&root, "bytes_hops")?,
-                reassigned: need_bool(&root, "reassigned")?,
+                object: need_u32(root, "object")?,
+                class: need_tag(root, "class", ConsistencyClass::from_tag)?,
+                version: need_u64(root, "version")?,
+                primary: need_u16(root, "primary")?,
+                targets: need_u16(root, "targets")?,
+                bytes_hops: need_u64(root, "bytes_hops")?,
+                reassigned: need_bool(root, "reassigned")?,
             }),
             "update-delivered" => EventKind::UpdateDelivered(UpdateDeliveredEvent {
-                object: need_u32(&root, "object")?,
-                host: need_u16(&root, "host")?,
-                class: need_tag(&root, "class", ConsistencyClass::from_tag)?,
-                version: need_u64(&root, "version")?,
-                lag: need_f64(&root, "lag")?,
-                wasted: need_bool(&root, "wasted")?,
+                object: need_u32(root, "object")?,
+                host: need_u16(root, "host")?,
+                class: need_tag(root, "class", ConsistencyClass::from_tag)?,
+                version: need_u64(root, "version")?,
+                lag: need_f64(root, "lag")?,
+                wasted: need_bool(root, "wasted")?,
             }),
             other => return err(format!("unknown event type {other:?}")),
         };
@@ -790,6 +869,426 @@ pub fn parse_jsonl_log(text: &str) -> Result<EventLog, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use radar_simcore::SimRng;
+    use std::fmt::Write as _;
+
+    // -----------------------------------------------------------------
+    // The oracle: the `write!`-based writer the encoder replaced, kept
+    // here only so the differential tests below can hold the encoder to
+    // its bytes.
+    // -----------------------------------------------------------------
+
+    fn oracle_f64(out: &mut String, v: f64) {
+        if v.is_finite() {
+            let _ = write!(out, "{v}");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    fn oracle_opt_u64(out: &mut String, v: Option<u64>) {
+        match v {
+            Some(v) => {
+                let _ = write!(out, "{v}");
+            }
+            None => out.push_str("null"),
+        }
+    }
+
+    fn oracle_opt_f64(out: &mut String, v: Option<f64>) {
+        match v {
+            Some(v) => oracle_f64(out, v),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn oracle_str(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn oracle_line(e: &Event) -> String {
+        let mut o = String::new();
+        let _ = write!(o, "{{\"seq\":{},\"t\":", e.seq);
+        oracle_f64(&mut o, e.t);
+        o.push_str(",\"parent\":");
+        oracle_opt_u64(&mut o, e.parent);
+        let _ = write!(
+            o,
+            ",\"qd\":{},\"type\":\"{}\"",
+            e.queue_depth,
+            e.type_name()
+        );
+        match &e.kind {
+            EventKind::RequestArrived { gateway, object } => {
+                let _ = write!(o, ",\"gateway\":{gateway},\"object\":{object}");
+            }
+            EventKind::Decision(d) => {
+                let _ = write!(
+                    o,
+                    ",\"object\":{},\"gateway\":{},\"chosen\":{},\"branch\":\"{}\",\"constant\":",
+                    d.object, d.gateway, d.chosen, d.branch
+                );
+                oracle_f64(&mut o, d.constant);
+                o.push_str(",\"closest\":");
+                oracle_opt_u64(&mut o, d.closest.map(u64::from));
+                o.push_str(",\"least\":");
+                oracle_opt_u64(&mut o, d.least.map(u64::from));
+                o.push_str(",\"unit_closest\":");
+                oracle_opt_f64(&mut o, d.unit_closest);
+                o.push_str(",\"unit_least\":");
+                oracle_opt_f64(&mut o, d.unit_least);
+                o.push_str(",\"candidates\":[");
+                for (i, c) in d.candidates.iter().enumerate() {
+                    if i > 0 {
+                        o.push(',');
+                    }
+                    let _ = write!(
+                        o,
+                        "{{\"host\":{},\"rcnt\":{},\"aff\":{},\"unit\":",
+                        c.host, c.rcnt, c.aff
+                    );
+                    oracle_f64(&mut o, c.unit);
+                    let _ = write!(o, ",\"distance\":{}}}", c.distance);
+                }
+                o.push(']');
+            }
+            EventKind::RequestServed {
+                gateway,
+                object,
+                host,
+                latency,
+                hops,
+            } => {
+                let _ = write!(
+                    o,
+                    ",\"gateway\":{gateway},\"object\":{object},\"host\":{host},\"latency\":"
+                );
+                oracle_f64(&mut o, *latency);
+                let _ = write!(o, ",\"hops\":{hops}");
+            }
+            EventKind::RequestFailed {
+                gateway,
+                object,
+                reason,
+            } => {
+                let _ = write!(
+                    o,
+                    ",\"gateway\":{gateway},\"object\":{object},\"reason\":\"{reason}\""
+                );
+            }
+            EventKind::PlacementAction(p) => {
+                let _ = write!(
+                    o,
+                    ",\"host\":{},\"object\":{},\"action\":\"{}\",\"target\":",
+                    p.host, p.object, p.action
+                );
+                oracle_opt_u64(&mut o, p.target.map(u64::from));
+                o.push_str(",\"unit_rate\":");
+                oracle_f64(&mut o, p.unit_rate);
+                o.push_str(",\"share\":");
+                oracle_opt_f64(&mut o, p.share);
+                o.push_str(",\"ratio\":");
+                oracle_opt_f64(&mut o, p.ratio);
+                o.push_str(",\"u\":");
+                oracle_f64(&mut o, p.deletion_threshold);
+                o.push_str(",\"m\":");
+                oracle_f64(&mut o, p.replication_threshold);
+            }
+            EventKind::CountsReset { object, cause } => {
+                let _ = write!(o, ",\"object\":{object},\"cause\":\"{cause}\"");
+            }
+            EventKind::Fault { desc } => {
+                o.push_str(",\"desc\":");
+                oracle_str(&mut o, desc);
+            }
+            EventKind::ReReplication {
+                object,
+                target,
+                elapsed,
+            } => {
+                let _ = write!(o, ",\"object\":{object},\"target\":{target},\"elapsed\":");
+                oracle_f64(&mut o, *elapsed);
+            }
+            EventKind::ProviderUpdate(u) => {
+                let _ = write!(
+                    o,
+                    ",\"object\":{},\"class\":\"{}\",\"version\":{},\"primary\":{},\
+                     \"targets\":{},\"bytes_hops\":{},\"reassigned\":{}",
+                    u.object, u.class, u.version, u.primary, u.targets, u.bytes_hops, u.reassigned
+                );
+            }
+            EventKind::UpdateDelivered(u) => {
+                let _ = write!(
+                    o,
+                    ",\"object\":{},\"host\":{},\"class\":\"{}\",\"version\":{},\"lag\":",
+                    u.object, u.host, u.class, u.version
+                );
+                oracle_f64(&mut o, u.lag);
+                let _ = write!(o, ",\"wasted\":{}", u.wasted);
+            }
+        }
+        o.push('}');
+        o
+    }
+
+    fn f64_text(v: f64) -> String {
+        let mut out = Vec::new();
+        push_f64(&mut out, v);
+        String::from_utf8(out).unwrap()
+    }
+
+    fn assert_f64_matches_oracle(v: f64) {
+        let mut want = String::new();
+        oracle_f64(&mut want, v);
+        assert_eq!(f64_text(v), want, "bits {:#018x}", v.to_bits());
+    }
+
+    #[test]
+    fn push_f64_matches_display_on_a_million_values() {
+        let mut rng = SimRng::seed_from(0x0b5e_55ed);
+        for _ in 0..180_000 {
+            // What a trace is made of: microsecond-quantised times and
+            // their differences, over a run and over a day.
+            let micros = rng.next_u64() % 3_000_000_000;
+            assert_f64_matches_oracle(micros as f64 / 1e6);
+            assert_f64_matches_oracle((rng.next_u64() % 86_400_000_000) as f64 / 1e6);
+            // Unit counts and rates: ratios of small integers.
+            let n = rng.next_u64() % 100_000;
+            let d = 1 + rng.next_u64() % 64;
+            assert_f64_matches_oracle(n as f64 / d as f64);
+            assert_f64_matches_oracle(n as f64 / 100.0);
+            // Decimals with k digits after the point, k = 1..=12.
+            let k = 1 + rng.index(12) as i32;
+            assert_f64_matches_oracle((rng.next_u64() >> 14) as f64 / 10f64.powi(k));
+            // Anything at all: raw bit patterns (subnormals, NaN and
+            // infinities included), unit samples, integers to 2^63.
+            assert_f64_matches_oracle(f64::from_bits(rng.next_u64()));
+            assert_f64_matches_oracle(rng.unit());
+            assert_f64_matches_oracle((rng.next_u64() >> rng.index(64)) as f64);
+        }
+        for v in [
+            0.0,
+            -0.0,
+            1e21,
+            1e-7,
+            1e-9,
+            0.1 + 0.2,
+            0.3,
+            -2.5,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            999_999_999_999_999.9,
+            1_000_000.000_000_1,
+            999_999.999_999_999_9,
+            123_456.789,
+            0.000_000_001,
+            4_503_599_627_370_495.5,
+        ] {
+            assert_f64_matches_oracle(v);
+        }
+        assert_eq!(f64_text(f64::NAN), "null");
+        assert_eq!(f64_text(12.5), "12.5");
+        assert_eq!(f64_text(0.000_123), "0.000123");
+        assert_eq!(f64_text(-0.0), "-0");
+    }
+
+    #[test]
+    fn push_u64_matches_display() {
+        let mut rng = SimRng::seed_from(7);
+        let mut got = Vec::new();
+        let mut check = |v: u64| {
+            got.clear();
+            push_u64(&mut got, v);
+            assert_eq!(std::str::from_utf8(&got).unwrap(), v.to_string());
+        };
+        for _ in 0..200_000 {
+            check(rng.next_u64() >> rng.index(64));
+        }
+        for v in [0, 9, 10, 99, 100, 101, 12_345, 1 << 53, 1 << 63, u64::MAX] {
+            check(v);
+        }
+    }
+
+    fn every_variant(seq: u64, t: f64, width: usize) -> Vec<Event> {
+        let candidates: Vec<CandidateSnapshot> = (0..width)
+            .map(|i| CandidateSnapshot {
+                host: i as u16,
+                rcnt: seq.wrapping_mul(i as u64 + 1),
+                aff: 1 + i as u32 % 3,
+                unit: (seq % 1000) as f64 / (1 + i % 3) as f64,
+                distance: i as u32 % 9,
+            })
+            .collect();
+        let some = seq.is_multiple_of(2);
+        [
+            EventKind::RequestArrived {
+                gateway: 52,
+                object: 9_999,
+            },
+            EventKind::Decision(DecisionEvent {
+                object: 42,
+                gateway: 7,
+                chosen: 3,
+                branch: DecisionBranch::LeastRequested,
+                constant: 2.0,
+                closest: some.then_some(5),
+                least: some.then_some(3),
+                unit_closest: some.then_some(t / 3.0),
+                unit_least: some.then_some(2.5),
+                candidates,
+            }),
+            EventKind::RequestServed {
+                gateway: 1,
+                object: 2,
+                host: 3,
+                latency: t / 1000.0,
+                hops: 4,
+            },
+            EventKind::RequestFailed {
+                gateway: 1,
+                object: 2,
+                reason: FailReason::CrashedMidService,
+            },
+            EventKind::PlacementAction(PlacementActionEvent {
+                host: 3,
+                object: 42,
+                action: PlacementActionKind::LoadMigrate,
+                target: some.then_some(9),
+                unit_rate: 0.21,
+                share: some.then_some(0.4),
+                ratio: some.then_some(1.0 / 6.0),
+                deletion_threshold: 0.01,
+                replication_threshold: 0.18,
+            }),
+            EventKind::CountsReset {
+                object: 42,
+                cause: ResetCause::Purge,
+            },
+            EventKind::Fault {
+                desc: "link \"3-12\"\t\\ x4 \u{1}\u{1f} caf\u{e9} \u{1F980}\n".into(),
+            },
+            EventKind::ReReplication {
+                object: 42,
+                target: 9,
+                elapsed: 61.5,
+            },
+            EventKind::ProviderUpdate(ProviderUpdateEvent {
+                object: 42,
+                class: ConsistencyClass::Type3,
+                version: u64::MAX,
+                primary: 7,
+                targets: 2,
+                bytes_hops: (1 << 53) + 1,
+                reassigned: some,
+            }),
+            EventKind::UpdateDelivered(UpdateDeliveredEvent {
+                object: 42,
+                host: 11,
+                class: ConsistencyClass::Type1,
+                version: 3,
+                lag: 0.31,
+                wasted: !some,
+            }),
+        ]
+        .into_iter()
+        .map(|kind| Event {
+            seq,
+            parent: some.then_some(seq / 2),
+            t,
+            queue_depth: (seq % 100_000) as u32,
+            kind,
+        })
+        .collect()
+    }
+
+    #[test]
+    fn whole_lines_match_the_oracle_for_every_variant() {
+        let mut rng = SimRng::seed_from(11);
+        let mut buf = String::new();
+        for round in 0..2_000 {
+            let seq = rng.next_u64() >> rng.index(64);
+            let t = (rng.next_u64() % 3_000_000_000) as f64 / 1e6;
+            // Empty, the platform's widest (53 hosts) and in between.
+            let width = [0, 53, 1, 3][round % 4];
+            for event in every_variant(seq, t, width) {
+                let want = oracle_line(&event);
+                assert_eq!(event.to_json_line(), want);
+                buf.clear();
+                event.write_json_line(&mut buf);
+                assert_eq!(buf, want);
+                assert_eq!(Event::from_json_line(&want).expect("parses"), event);
+            }
+        }
+    }
+
+    #[test]
+    fn u64_fields_round_trip_above_2_pow_53() {
+        let rcnt = (1u64 << 53) + 1;
+        let event = Event {
+            seq: u64::MAX,
+            parent: Some(u64::MAX - 1),
+            t: 1.0,
+            queue_depth: 0,
+            kind: EventKind::Decision(DecisionEvent {
+                candidates: vec![CandidateSnapshot {
+                    host: 1,
+                    rcnt,
+                    aff: 1,
+                    unit: rcnt as f64,
+                    distance: 2,
+                }],
+                ..DecisionEvent::default()
+            }),
+        };
+        let line = event.to_json_line();
+        assert!(line.contains("\"rcnt\":9007199254740993"), "{line}");
+        assert_eq!(Event::from_json_line(&line).expect("parses"), event);
+    }
+
+    #[test]
+    fn non_integer_tokens_in_u64_fields_are_named_errors() {
+        let line = |seq: &str| {
+            format!(
+                "{{\"seq\":{seq},\"t\":0,\"parent\":null,\"qd\":0,\
+                 \"type\":\"request\",\"gateway\":0,\"object\":0}}"
+            )
+        };
+        assert!(Event::from_json_line(&line("7")).is_ok());
+        for bad in ["1e300", "1.5", "-1", "5.0", "18446744073709551616"] {
+            let e = Event::from_json_line(&line(bad)).unwrap_err().to_string();
+            assert!(
+                e.contains("\"seq\"") && e.contains("unsigned integer"),
+                "{bad}: {e}"
+            );
+        }
+        // A float field still takes any of them.
+        let t = "{\"seq\":1,\"t\":18446744073709551616,\"parent\":null,\"qd\":0,\
+                 \"type\":\"request\",\"gateway\":0,\"object\":0}";
+        assert_eq!(
+            Event::from_json_line(t).unwrap().t,
+            18_446_744_073_709_551_616.0
+        );
+    }
 
     fn round_trip(event: Event) {
         let line = event.to_json_line();

@@ -22,6 +22,7 @@
 
 use crate::audit::InvariantAuditor;
 use crate::event::{Event, EventKind, PlacementActionKind, ResetCause};
+use crate::idtable::{at, IdTable};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -328,8 +329,10 @@ impl ProtocolHealth {
 pub struct ObjectLedger {
     cfg: LedgerConfig,
     auditor: InvariantAuditor,
-    objects: BTreeMap<u32, ObjectState>,
-    nodes: BTreeMap<u16, NodeChurn>,
+    /// Per-object state; `None` until an event mentions the object.
+    objects: IdTable<Option<ObjectState>>,
+    /// `nodes[node]`; `None` until the node serves or moves bytes.
+    nodes: Vec<Option<NodeChurn>>,
     requests_total: u64,
     served_total: u64,
     relocations_total: u64,
@@ -361,61 +364,39 @@ impl ObjectLedger {
     /// One object's lifecycle timeline, oldest step first (empty for
     /// objects the stream never relocated).
     pub fn timeline(&self, object: u32) -> &[TimelineStep] {
-        self.objects
-            .get(&object)
+        self.state(object)
             .map(|s| s.timeline.as_slice())
             .unwrap_or(&[])
     }
 
     /// Timeline steps discarded for `object` past the capacity cap.
     pub fn timeline_dropped(&self, object: u32) -> u64 {
-        self.objects
-            .get(&object)
-            .map(|s| s.timeline_dropped)
-            .unwrap_or(0)
+        self.state(object).map(|s| s.timeline_dropped).unwrap_or(0)
     }
 
     /// One object's churn counters, if any event mentioned it.
     pub fn object(&self, object: u32) -> Option<ObjectChurn> {
-        self.objects.get(&object).map(|s| s.churn)
+        self.state(object).map(|s| s.churn)
+    }
+
+    fn state(&self, object: u32) -> Option<&ObjectState> {
+        self.objects.get(object)?.as_ref()
     }
 
     /// Hosts `object` is currently reconstructed to have replicas on.
     pub fn replicas_of(&self, object: u32) -> Vec<u16> {
-        let mut hosts: Vec<u16> = self
-            .nodes
-            .keys()
-            .copied()
-            .filter(|&h| self.auditor.is_present(object, h))
-            .collect();
-        // Nodes only enter `self.nodes` once they serve or move bytes;
-        // fall back to the auditor for hosts that merely hold copies.
-        for step in self.timeline(object) {
-            let candidates: [Option<u16>; 2] = match step.change {
-                ReplicaChange::Created { host, .. }
-                | ReplicaChange::ReReplicated { host }
-                | ReplicaChange::AffinityReduced { host }
-                | ReplicaChange::DropRefused { host }
-                | ReplicaChange::Dropped { host } => [Some(host), None],
-                ReplicaChange::Migrated { from, to, .. } => [Some(from), Some(to)],
-                ReplicaChange::Purged => [None, None],
-            };
-            for host in candidates.into_iter().flatten() {
-                if self.auditor.is_present(object, host) && !hosts.contains(&host) {
-                    hosts.push(host);
-                }
-            }
-        }
-        hosts.sort_unstable();
-        hosts
+        self.auditor.present_hosts(object)
     }
 
     /// All per-object churn rows, sorted by bytes moved descending,
     /// then churn events, then object id; truncated to `top` rows
     /// (`usize::MAX` for all).
     pub fn churn_table(&self, top: usize) -> Vec<(u32, ObjectChurn)> {
-        let mut rows: Vec<(u32, ObjectChurn)> =
-            self.objects.iter().map(|(&o, s)| (o, s.churn)).collect();
+        let mut rows: Vec<(u32, ObjectChurn)> = self
+            .objects
+            .iter()
+            .filter_map(|(o, s)| Some((o, s.as_ref()?.churn)))
+            .collect();
         rows.sort_by(|a, b| {
             b.1.bytes_moved
                 .cmp(&a.1.bytes_moved)
@@ -428,7 +409,9 @@ impl ObjectLedger {
 
     /// Per-node relocation/service rows, ascending by node id.
     pub fn node_table(&self) -> Vec<(u16, NodeChurn)> {
-        self.nodes.iter().map(|(&n, &c)| (n, c)).collect()
+        let rows = self.nodes.iter().enumerate();
+        // `nodes` is indexed by `u16` ids: the cast is lossless.
+        rows.filter_map(|(n, c)| Some((n as u16, (*c)?))).collect()
     }
 
     /// Folds one event (must arrive in sequence order, as every
@@ -438,41 +421,44 @@ impl ObjectLedger {
         if event.t > self.t_end {
             self.t_end = event.t;
         }
-        match &event.kind {
-            EventKind::RequestArrived { object, .. } => {
-                self.requests_total += 1;
-                self.objects.entry(*object).or_default().churn.requests += 1;
-            }
-            EventKind::RequestServed { object, host, .. } => {
-                self.served_total += 1;
-                self.objects.entry(*object).or_default().churn.served += 1;
-                self.nodes.entry(*host).or_default().served += 1;
-            }
-            _ => {}
-        }
         let Some(object) = event.object() else {
             return;
         };
+        // One lookup per event; the object's state comes into being
+        // only where something about it is recorded.
+        let slot = self.objects.entry(object);
+        match &event.kind {
+            EventKind::RequestArrived { .. } => {
+                self.requests_total += 1;
+                slot.get_or_insert_with(Default::default).churn.requests += 1;
+            }
+            EventKind::RequestServed { host, .. } => {
+                self.served_total += 1;
+                slot.get_or_insert_with(Default::default).churn.served += 1;
+                node(&mut self.nodes, *host).served += 1;
+            }
+            _ => {}
+        }
         let object_size = self.cfg.object_size;
         let churn_window = self.cfg.churn_window;
 
         // Relocation accounting from the auditor's delta.
         if let Some((target, new_copy)) = delta.created {
-            let state = self.objects.entry(object).or_default();
+            let state = slot.get_or_insert_with(Default::default);
             state.churn.relocations += 1;
             self.relocations_total += 1;
             if new_copy {
                 state.churn.bytes_moved += object_size;
                 state.created_at.insert(target, event.t);
                 self.bytes_moved_total += object_size;
-                self.nodes.entry(target).or_default().bytes_in += object_size;
+                node(&mut self.nodes, target).bytes_in += object_size;
                 if let EventKind::PlacementAction(p) = &event.kind {
-                    self.nodes.entry(p.host).or_default().bytes_out += object_size;
+                    node(&mut self.nodes, p.host).bytes_out += object_size;
                 }
             }
         }
         if let Some((from, to)) = delta.migration {
-            let state = self.objects.entry(object).or_default();
+            let state = slot.get_or_insert_with(Default::default);
             if let Some((prev_from, prev_to, prev_t)) = state.last_migration {
                 if prev_from == to && prev_to == from && event.t - prev_t <= churn_window {
                     state.churn.ping_pong += 1;
@@ -482,7 +468,7 @@ impl ObjectLedger {
             state.last_migration = Some((from, to, event.t));
         }
         if let Some(host) = delta.removed {
-            let state = self.objects.entry(object).or_default();
+            let state = slot.get_or_insert_with(Default::default);
             if let Some(created) = state.created_at.remove(&host) {
                 if event.t - created <= churn_window {
                     state.churn.replicate_drop += 1;
@@ -523,7 +509,7 @@ impl ObjectLedger {
         };
         if let Some(change) = change {
             let cap = self.cfg.timeline_capacity.max(1);
-            let state = self.objects.entry(object).or_default();
+            let state = slot.get_or_insert_with(Default::default);
             if state.timeline.len() >= cap {
                 state.timeline.remove(0);
                 state.timeline_dropped += 1;
@@ -577,6 +563,11 @@ impl ObjectLedger {
                 .collect(),
         }
     }
+}
+
+/// `nodes[id]`, created zeroed on first use.
+fn node(nodes: &mut Vec<Option<NodeChurn>>, id: u16) -> &mut NodeChurn {
+    at(nodes, id.into()).get_or_insert_with(Default::default)
 }
 
 /// A cloneable, thread-safe handle around an [`ObjectLedger`]: attach

@@ -45,6 +45,7 @@ mod audit;
 mod diff;
 mod event;
 mod explain;
+mod idtable;
 pub mod jsonl;
 mod ledger;
 mod metrics;

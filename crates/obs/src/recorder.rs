@@ -10,9 +10,6 @@ use std::sync::{Arc, Mutex};
 /// Default ring capacity used by the CLI and examples.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
-/// How many evicted candidate buffers the recorder keeps for reuse.
-const SPARE_CANDIDATE_BUFFERS: usize = 8;
-
 /// A bounded in-memory flight recorder.
 ///
 /// Events are kept in a ring of fixed total capacity, segregated by
@@ -51,9 +48,12 @@ pub struct Recorder {
     sink_error: Option<String>,
     /// Reused serialization buffer for the streaming sink, so a traced
     /// run serializes events without per-event allocations.
-    line_buf: String,
-    /// Candidate buffers harvested from evicted decision events
-    /// (stored cleared), reused when the next decision is ring-cloned.
+    line_buf: Vec<u8>,
+    /// Candidate buffers of evicted decision events, handed to the next
+    /// decisions stored. A buffer is only allocated while this is
+    /// empty, so buffers here plus decisions in the ring never exceed
+    /// the ring capacity — no separate cap is needed, and once the ring
+    /// is full storing a decision allocates nothing.
     spare_candidates: Vec<Vec<CandidateSnapshot>>,
     /// Reorder-buffer statistics delivered at the end of a sharded run.
     reorder: Option<ReorderStats>,
@@ -82,7 +82,7 @@ impl Recorder {
             evicted: [0; 3],
             sink: None,
             sink_error: None,
-            line_buf: String::new(),
+            line_buf: Vec::new(),
             spare_candidates: Vec::new(),
             reorder: None,
         }
@@ -102,18 +102,35 @@ impl Recorder {
     /// and placement actions last.
     ///
     /// Steady-state recording is allocation-free: the sink line buffer
-    /// is reused, and decision candidate buffers are recycled from
-    /// evicted events instead of freshly cloned.
+    /// is reused, the victim is evicted *before* the newcomer is stored
+    /// so no severity's ring ever holds (or reserves room for) more
+    /// than `capacity` events, and decision candidate buffers are
+    /// recycled from evicted events instead of freshly cloned.
     pub fn record(&mut self, event: &Event) {
-        if let Some(sink) = &mut self.sink {
+        if self.sink.is_some() {
             self.line_buf.clear();
-            event.write_json_line(&mut self.line_buf);
-            self.line_buf.push('\n');
-            if let Err(e) = sink.write_all(self.line_buf.as_bytes()) {
-                if self.sink_error.is_none() {
-                    self.sink_error = Some(e.to_string());
+            event.encode_json_line(&mut self.line_buf);
+            self.line_buf.push(b'\n');
+            self.write_line();
+        }
+        let severity = event.severity() as usize;
+        if self.len() == self.capacity {
+            // The lowest occupied severity, counting the newcomer.
+            let lowest = (0..severity)
+                .find(|&s| !self.rings[s].is_empty())
+                .unwrap_or(severity);
+            self.evicted[lowest] += 1;
+            match self.rings[lowest].pop_front() {
+                Some(Event {
+                    kind: EventKind::Decision(mut d),
+                    ..
+                }) => {
+                    d.candidates.clear();
+                    self.spare_candidates.push(d.candidates);
                 }
-                self.sink = None;
+                Some(_) => {}
+                // Everything resident outranks the newcomer: it goes.
+                None => return,
             }
         }
         let stored = match &event.kind {
@@ -121,36 +138,27 @@ impl Recorder {
                 let mut candidates = self.spare_candidates.pop().unwrap_or_default();
                 candidates.extend_from_slice(&d.candidates);
                 Event {
-                    kind: EventKind::Decision(DecisionEvent {
-                        object: d.object,
-                        gateway: d.gateway,
-                        chosen: d.chosen,
-                        branch: d.branch,
-                        constant: d.constant,
-                        closest: d.closest,
-                        least: d.least,
-                        unit_closest: d.unit_closest,
-                        unit_least: d.unit_least,
-                        candidates,
-                    }),
+                    kind: EventKind::Decision(DecisionEvent { candidates, ..*d }),
                     ..*event
                 }
             }
             _ => event.clone(),
         };
-        self.rings[event.severity() as usize].push_back(stored);
-        if self.len() > self.capacity {
-            for sev in 0..3 {
-                if let Some(victim) = self.rings[sev].pop_front() {
-                    self.evicted[sev] += 1;
-                    if let EventKind::Decision(mut d) = victim.kind {
-                        if self.spare_candidates.len() < SPARE_CANDIDATE_BUFFERS {
-                            d.candidates.clear();
-                            self.spare_candidates.push(d.candidates);
-                        }
-                    }
-                    break;
-                }
+        let ring = &mut self.rings[severity];
+        if ring.len() == ring.capacity() {
+            // Doubling, clipped so the slots never exceed the capacity.
+            ring.reserve_exact(ring.len().max(4).min(self.capacity - ring.len()));
+        }
+        ring.push_back(stored);
+    }
+
+    /// Writes `line_buf` to the sink; the first error is kept and the
+    /// sink dropped.
+    fn write_line(&mut self) {
+        if let Some(sink) = &mut self.sink {
+            if let Err(e) = sink.write_all(&self.line_buf) {
+                self.sink_error.get_or_insert_with(|| e.to_string());
+                self.sink = None;
             }
         }
     }
@@ -162,17 +170,11 @@ impl Recorder {
     /// appends the same trailer.
     pub fn set_reorder_stats(&mut self, stats: ReorderStats) {
         self.reorder = Some(stats);
-        if let Some(sink) = &mut self.sink {
-            self.line_buf.clear();
-            self.line_buf.push_str(&stats.to_json_line());
-            self.line_buf.push('\n');
-            if let Err(e) = sink.write_all(self.line_buf.as_bytes()) {
-                if self.sink_error.is_none() {
-                    self.sink_error = Some(e.to_string());
-                }
-                self.sink = None;
-            }
-        }
+        self.line_buf.clear();
+        self.line_buf
+            .extend_from_slice(stats.to_json_line().as_bytes());
+        self.line_buf.push(b'\n');
+        self.write_line();
     }
 
     /// The reorder-buffer statistics, when a sharded run reported any.
@@ -185,9 +187,7 @@ impl Recorder {
     pub fn finish(&mut self) -> Option<String> {
         if let Some(sink) = &mut self.sink {
             if let Err(e) = sink.flush() {
-                if self.sink_error.is_none() {
-                    self.sink_error = Some(e.to_string());
-                }
+                self.sink_error.get_or_insert_with(|| e.to_string());
             }
         }
         self.sink_error.clone()
@@ -246,11 +246,12 @@ impl Recorder {
     /// records the per-severity losses so downstream tools can report
     /// them (see [`crate::parse_jsonl_log`]).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for e in self.events() {
-            out.push_str(&e.to_json_line());
-            out.push('\n');
+            e.encode_json_line(&mut out);
+            out.push(b'\n');
         }
+        let mut out = String::from_utf8(out).expect("the encoder emits UTF-8");
         if let Some(summary) = self.eviction_summary() {
             out.push_str(&summary.to_json_line());
             out.push('\n');
@@ -450,6 +451,65 @@ mod tests {
             }
         }
         assert_eq!(rec.evicted(), 3);
+    }
+
+    #[test]
+    fn ring_never_reserves_more_slots_than_its_capacity() {
+        let slots = |rec: &Recorder| rec.rings.iter().map(VecDeque::capacity).sum::<usize>();
+        let mut rec = Recorder::new(DEFAULT_CAPACITY);
+        for seq in 1..=200_000 {
+            rec.record(&served(seq));
+            assert!(slots(&rec) <= DEFAULT_CAPACITY + 1, "at seq {seq}");
+        }
+        assert_eq!(rec.len(), DEFAULT_CAPACITY);
+        assert_eq!(rec.evicted(), 200_000 - DEFAULT_CAPACITY as u64);
+        // Not a power of two, and split across severities: each ring
+        // stays within the capacity on its own.
+        let mut rec = Recorder::new(1_000);
+        for seq in 1..=5_000 {
+            rec.record(&if seq % 7 == 0 {
+                fault(seq)
+            } else {
+                served(seq)
+            });
+            let widest = rec.rings.iter().map(VecDeque::capacity).max();
+            assert!(widest <= Some(1_000), "at seq {seq}");
+        }
+        assert_eq!(rec.len(), 1_000);
+    }
+
+    #[test]
+    fn candidate_buffers_never_outnumber_the_ring() {
+        use crate::event::{CandidateSnapshot, DecisionEvent};
+        let decision = |seq: u64| Event {
+            kind: EventKind::Decision(DecisionEvent {
+                candidates: vec![CandidateSnapshot {
+                    host: 1,
+                    rcnt: seq,
+                    aff: 1,
+                    unit: 1.0,
+                    distance: 1,
+                }],
+                ..DecisionEvent::default()
+            }),
+            ..served(seq)
+        };
+        let mut rec = Recorder::new(8);
+        // Decisions fill the ring, served events flush them out (their
+        // buffers go spare), decisions come back and take them again.
+        for seq in 1..=64 {
+            let as_decision = (seq / 8) % 2 == 0;
+            rec.record(&if as_decision {
+                decision(seq)
+            } else {
+                served(seq)
+            });
+            let in_ring = rec
+                .events()
+                .filter(|e| matches!(e.kind, EventKind::Decision(_)))
+                .count();
+            assert!(rec.spare_candidates.len() + in_ring <= 8, "at seq {seq}");
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub trait Observer: Send {
     /// typed [`radar_obs::Event`]s — decision snapshots, placement
     /// explanations, causal parents — when at least one attached
     /// observer returns `true`, so with no recorder the hot path pays
-    /// only a branch.
+    /// only a branch. Asked once, when the observer is attached.
     fn wants_events(&self) -> bool {
         false
     }

@@ -415,8 +415,7 @@ impl Simulation {
     /// [`radar_obs::Event`] feed — decision snapshots, placement
     /// explanations, causal parents.
     pub fn attach_observer(&mut self, observer: Box<dyn Observer>) {
-        self.events.tracing |= observer.wants_events();
-        self.events.observers.push(observer);
+        self.events.attach(observer);
     }
 
     /// Enables event-loop profiling: each handled event is timed and

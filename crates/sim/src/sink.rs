@@ -22,6 +22,9 @@ use crate::observer::Observer;
 /// run.
 pub(crate) struct EventSink {
     pub(crate) observers: Vec<Box<dyn Observer>>,
+    /// Indices into `observers` of those that want the typed event
+    /// feed, fixed when each is attached: emission asks nobody twice.
+    subscribers: Vec<usize>,
     /// Monotonic flight-recorder sequence. Numbers are 1-based so that
     /// 0 can double as "no causal parent" in scheduled events.
     pub(crate) next_seq: u64,
@@ -47,6 +50,7 @@ impl EventSink {
     pub(crate) fn new() -> Self {
         EventSink {
             observers: Vec::new(),
+            subscribers: Vec::new(),
             next_seq: 0,
             tracing: false,
             decision_scratch: DecisionEvent::default(),
@@ -55,6 +59,16 @@ impl EventSink {
             reserved_outstanding: 0,
             reserved_peak: 0,
         }
+    }
+
+    /// Adds an observer; one whose [`Observer::wants_events`] returns
+    /// `true` subscribes to the event feed and switches tracing on.
+    pub(crate) fn attach(&mut self, observer: Box<dyn Observer>) {
+        if observer.wants_events() {
+            self.subscribers.push(self.observers.len());
+            self.tracing = true;
+        }
+        self.observers.push(observer);
     }
 
     /// Switches the sink into reorder mode for the sharded loop. Must be
@@ -111,6 +125,13 @@ impl EventSink {
         })
     }
 
+    /// Hands one event to every subscriber, in attachment order.
+    fn fan_out(observers: &mut [Box<dyn Observer>], subscribers: &[usize], event: &Event) {
+        for &i in subscribers {
+            observers[i].on_event(event);
+        }
+    }
+
     /// Fans one finished event out to subscribed observers, routing
     /// through the reorder buffer when reserved sequence numbers may
     /// still be outstanding.
@@ -118,18 +139,10 @@ impl EventSink {
         if let Some(buf) = &mut self.reorder {
             buf.push(event);
             while let Some(ready) = buf.pop_ready() {
-                for obs in &mut self.observers {
-                    if obs.wants_events() {
-                        obs.on_event(&ready);
-                    }
-                }
+                Self::fan_out(&mut self.observers, &self.subscribers, &ready);
             }
         } else {
-            for obs in &mut self.observers {
-                if obs.wants_events() {
-                    obs.on_event(&event);
-                }
-            }
+            Self::fan_out(&mut self.observers, &self.subscribers, &event);
         }
     }
 
@@ -224,11 +237,7 @@ impl EventSink {
             queue_depth,
             kind: ObsEventKind::Decision(decision),
         };
-        for obs in &mut self.observers {
-            if obs.wants_events() {
-                obs.on_event(&event);
-            }
-        }
+        Self::fan_out(&mut self.observers, &self.subscribers, &event);
         let ObsEventKind::Decision(decision) = event.kind else {
             unreachable!("constructed as a decision above");
         };
