@@ -666,8 +666,8 @@ mod tests {
         let recorder = SharedRecorder::from_recorder(Recorder::new(4_096));
         let mut sim = Simulation::new(scenario, workload);
         sim.attach_observer(Box::new(recorder.clone()));
-        // Warm-up: two full placement rounds, so every scratch buffer,
-        // cache slot, and per-host structure has reached steady state.
+        // Warm-up: two full placement rounds, so every scratch buffer
+        // and per-host structure has reached steady state.
         sim.run_until(250.0);
         let before = recorder.with(|r| r.len() as u64 + r.evicted());
         let (delta, ()) = CountingAlloc::measure(|| sim.run_until(450.0));
@@ -690,6 +690,38 @@ mod tests {
             "steady state allocates too much: {} allocations over \
              {events} events = {per_event:.3} per event",
             delta.allocations
+        );
+    }
+
+    /// Set-up memory follows what is hosted (one directory entry and one
+    /// host-table row per replica), not catalogue × gateways: 100 000
+    /// objects on the 53-node UUNET backbone must bootstrap in well
+    /// under 64 MB of allocator requests. A per-(gateway, object) table
+    /// of even 8-byte slots would alone ask for 42 MB; the candidate
+    /// cache that used to sit here asked for > 250 MB.
+    #[test]
+    fn set_up_memory_does_not_scale_with_objects_times_gateways() {
+        use radar_sim::{Scenario, Simulation};
+        const OBJECTS: u32 = 100_000;
+        let scenario = Scenario::builder()
+            .num_objects(OBJECTS)
+            .node_request_rate(2.0)
+            .duration(100.0)
+            .seed(1)
+            .build()
+            .expect("valid scenario");
+        assert_eq!(scenario.topology.len(), 53, "the UUNET default");
+        let workload = crate::make_workload("zipf", OBJECTS, 1);
+        let (delta, sim) = CountingAlloc::measure(|| {
+            let mut sim = Simulation::new(scenario, workload);
+            sim.run_until(0.0); // bootstrap: initial placement, first timers
+            sim
+        });
+        assert_eq!(sim.redirector().total_replicas(), u64::from(OBJECTS));
+        assert!(
+            delta.bytes < 64 << 20,
+            "set-up requested {:.1} MB from the allocator",
+            delta.bytes as f64 / (1 << 20) as f64
         );
     }
 }

@@ -183,8 +183,8 @@ pub fn render(m: &MetricsObserver, top: usize) -> String {
 }
 
 /// Renders the live per-shard utilization panel from the latest barrier
-/// snapshot: one row per lane with its busy share, dominant stall, and
-/// cache hit rate — a compressed view of `radar perf` for the frame.
+/// snapshot: one row per lane with its busy share and dominant stall —
+/// a compressed view of `radar perf` for the frame.
 pub fn render_shard_panel(p: &ShardProfile) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -216,14 +216,9 @@ pub fn render_shard_panel(p: &ShardProfile) -> String {
             }
             None => "-".to_string(),
         };
-        let cache = if lane.cache_hits + lane.cache_misses == 0 {
-            "-".to_string()
-        } else {
-            format!("{:.1}%", 100.0 * lane.cache_hit_rate())
-        };
         let _ = writeln!(
             out,
-            "  {label:<10} {} {busy_pct:>5.1}% busy · top stall {stall} · cache {cache}",
+            "  {label:<10} {} {busy_pct:>5.1}% busy · top stall {stall}",
             bar(busy_pct, 100.0)
         );
     }
@@ -424,8 +419,6 @@ mod tests {
         let mut w = radar_obs::LaneProfile::default();
         w.add_span(SpanKind::Busy, 100_000);
         w.add_span(SpanKind::Idle, 850_000);
-        w.cache_hits = 9;
-        w.cache_misses = 1;
         p.workers = vec![w, w];
         p.handoff_ns.record(58_000);
         let panel = render_shard_panel(&p);
@@ -434,7 +427,6 @@ mod tests {
         assert!(panel.contains("worker-1"), "{panel}");
         assert!(panel.contains("channel-wait 65.0%"), "{panel}");
         assert!(panel.contains("idle 85.0%"), "{panel}");
-        assert!(panel.contains("cache 90.0%"), "{panel}");
         assert!(panel.contains("hand-off p50"), "{panel}");
     }
 

@@ -256,10 +256,21 @@ fn parse_lane(v: &Value) -> Result<(String, LaneProfile), String> {
         .and_then(Value::as_str)
         .ok_or("lane entry is missing its `lane` label")?
         .to_string();
+    // A lane written by an older build (candidate-cache tallies) or a
+    // newer one must not be half-read as if it were this schema.
+    if let Value::Obj(members) = v {
+        if let Some((name, _)) = members
+            .iter()
+            .find(|(name, _)| !matches!(name.as_str(), "lane" | "spans_ns" | "items"))
+        {
+            return Err(format!(
+                "lane {label}: unknown field {name:?} (profile written by a different \
+                 version; regenerate it)"
+            ));
+        }
+    }
     let mut lane = LaneProfile {
         items: need_u64(v, "items")?,
-        cache_hits: need_u64(v, "cache_hits")?,
-        cache_misses: need_u64(v, "cache_misses")?,
         ..LaneProfile::default()
     };
     let spans = v
@@ -343,13 +354,10 @@ mod tests {
         p.sequencer.add_span(SpanKind::Busy, 300_000);
         p.sequencer.add_span(SpanKind::ChannelWait, 690_000);
         p.sequencer.items = 500;
-        p.sequencer.cache_hits = 10;
         let mut w = LaneProfile::default();
         w.add_span(SpanKind::Busy, 100_000);
         w.add_span(SpanKind::Idle, 890_000);
         w.items = 200;
-        w.cache_hits = 150;
-        w.cache_misses = 50;
         p.workers = vec![w, w];
         for _ in 0..400 {
             p.handoff_ns.record(58_000);
@@ -384,6 +392,23 @@ mod tests {
         assert!(out.contains("channel-wait"), "{out}");
         assert!(out.contains("hand-off latency"), "{out}");
         assert!(out.contains("placement 4"), "{out}");
+    }
+
+    #[test]
+    fn lane_from_the_candidate_cache_schema_is_a_named_error() {
+        // A BENCH_profile.json written before the candidate cache was
+        // removed carries two tallies per lane; reading it as the
+        // current schema would silently drop them.
+        let json = format!(
+            "{{\"shard_profile\": {}}}",
+            radar_sim::shard_profile_json(&sample_profile()).pretty()
+        )
+        .replace("\"items\": 200", "\"items\": 200, \"cache_hits\": 150");
+        let path = write_temp("old-schema.json", &json);
+        let err = command(&[path.to_str().unwrap()]).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("worker-0"), "{err}");
+        assert!(err.contains("unknown field \"cache_hits\""), "{err}");
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //!
 //! Each object carries a monotonic [`version`](Directory::version),
 //! bumped on every membership or affinity change (not on count resets
-//! or request-count increments). Downstream caches — the simulator's
-//! redirect engine keys its per-(gateway, object) candidate cache on it
-//! — stay valid exactly as long as the replica set is unchanged.
+//! or request-count increments). Anything derived from the replica set
+//! alone — the sharded event loop memoises each object's minimum
+//! redirector→replica delay on it — stays valid exactly as long as the
+//! version is unchanged.
 
 use radar_simnet::NodeId;
 
@@ -64,7 +65,7 @@ impl ReplicaSet {
 /// The distributed directory of replica locations: per-object replica
 /// sets with request counts and affinities, membership notifications,
 /// batched placement-epoch updates, and per-object versions for
-/// downstream caches.
+/// downstream memoisation.
 ///
 /// See the module docs for the layering rationale; [`crate::Redirector`]
 /// wraps a `Directory` and adds the Fig. 2 decision rule.
@@ -152,8 +153,8 @@ impl Directory {
 
     /// The object's membership/affinity version: bumped on every change
     /// to which hosts hold the object or with what affinity, never on
-    /// request-count traffic. Caches keyed on it stay valid exactly as
-    /// long as the candidate replica set is unchanged.
+    /// request-count traffic. Values memoised on it stay valid exactly
+    /// as long as the replica set is unchanged.
     pub fn version(&self, object: ObjectId) -> u64 {
         self.versions[object.index()]
     }
@@ -166,7 +167,7 @@ impl Directory {
     /// The object's provider-update version (§5): how many provider
     /// updates have been issued against its primary copy. Independent of
     /// the membership [`version`](Self::version) — replica churn never
-    /// bumps it, and it never invalidates candidate caches.
+    /// bumps it, and it never bumps the membership version.
     pub fn update_version(&self, object: ObjectId) -> u64 {
         self.update_versions[object.index()]
     }
@@ -450,9 +451,9 @@ impl Directory {
 /// are as balanced as a modulo hash while keeping every shard's state a
 /// single `split_off`/`append` away from the parent vectors.
 ///
-/// Every consumer of the partition (directory, redirect-engine cache,
-/// the sharded event loop's dispatch table) derives it from this one
-/// function, so the slices can never disagree.
+/// Every consumer of the partition (the directory and the sharded
+/// event loop's dispatch table) derives it from this one function, so
+/// the slices can never disagree.
 ///
 /// # Panics
 ///
@@ -829,7 +830,7 @@ mod tests {
         assert_eq!(d.bump_update_version(x()), 2);
         assert_eq!(d.update_version(x()), 2);
         // Membership churn leaves the update version alone, and vice
-        // versa: bumping never invalidates candidate caches.
+        // versa.
         let membership = d.version(x());
         d.notify_created(x(), node(1));
         assert_eq!(d.update_version(x()), 2);

@@ -1,8 +1,6 @@
 //! Per-host protocol state: hosted objects, access counts, affinities,
 //! and windowed load measurement.
 
-use std::collections::BTreeMap;
-
 use radar_simnet::NodeId;
 
 use crate::{LoadEstimator, ObjectId, Params};
@@ -106,7 +104,48 @@ pub struct HostState {
     /// (`None` = unbounded). The paper's §2.1 storage-load component,
     /// reduced to its admission effect: a full host refuses new copies.
     storage_limit: Option<usize>,
-    objects: BTreeMap<ObjectId, ObjectState>,
+    /// Hosted object ids, ascending (the deterministic placement
+    /// iteration order); `states[i]` is the state of `ids[i]`. Lookup is
+    /// a binary search over contiguous `u32`s.
+    ids: Vec<ObjectId>,
+    states: Vec<ObjectState>,
+    active: ActivityLists,
+}
+
+/// Which objects were requested lately, so [`HostState::advance`] and
+/// [`HostState::reset_access_counts`] touch those instead of every
+/// hosted object. The lists hold ids, never indices, and may name an id
+/// twice or one that was since dropped (or dropped and re-accepted with
+/// fresh state): consumers skip ids no longer hosted and act only where
+/// the state still asks for it.
+#[derive(Debug, Clone, Default)]
+struct ActivityLists {
+    /// Objects serviced in the current window (`window_serviced > 0`).
+    serviced: Vec<ObjectId>,
+    /// Objects whose `rate` the last completed window set non-zero.
+    rated: Vec<ObjectId>,
+    /// Objects with a non-empty `access_counts` since the last reset.
+    counted: Vec<ObjectId>,
+}
+
+/// Always equal: the lists are bookkeeping whose order and duplicates
+/// depend on the request interleaving, not on what the host holds, so
+/// comparing two hosts compares protocol state only.
+impl PartialEq for ActivityLists {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// The state of `object` in the parallel `ids`/`states` table. A free
+/// function over the two fields so callers can hold an activity list
+/// borrowed at the same time.
+fn state_mut<'a>(
+    ids: &[ObjectId],
+    states: &'a mut [ObjectState],
+    object: ObjectId,
+) -> Option<&'a mut ObjectState> {
+    ids.binary_search(&object).ok().map(|i| &mut states[i])
 }
 
 impl HostState {
@@ -121,7 +160,9 @@ impl HostState {
             window_total: 0,
             last_placement_run: 0.0,
             storage_limit: None,
-            objects: BTreeMap::new(),
+            ids: Vec::new(),
+            states: Vec::new(),
+            active: ActivityLists::default(),
         }
     }
 
@@ -148,7 +189,7 @@ impl HostState {
     /// `true` if a new physical copy would exceed the storage limit.
     pub fn storage_full(&self) -> bool {
         self.storage_limit
-            .is_some_and(|limit| self.objects.len() >= limit)
+            .is_some_and(|limit| self.ids.len() >= limit)
     }
 
     /// This host's node id.
@@ -173,35 +214,53 @@ impl HostState {
 
     /// Number of distinct objects hosted.
     pub fn object_count(&self) -> usize {
-        self.objects.len()
+        self.ids.len()
     }
 
     /// Sum of affinities over all hosted objects (logical replicas held).
     pub fn total_affinity(&self) -> u64 {
-        self.objects.values().map(|o| o.aff as u64).sum()
+        self.states.iter().map(|o| o.aff as u64).sum()
     }
 
     /// `true` if this host has a replica of `object`.
     pub fn has_object(&self, object: ObjectId) -> bool {
-        self.objects.contains_key(&object)
+        self.ids.binary_search(&object).is_ok()
     }
 
     /// The state of `object` on this host, if present.
     pub fn object(&self, object: ObjectId) -> Option<&ObjectState> {
-        self.objects.get(&object)
+        self.ids
+            .binary_search(&object)
+            .ok()
+            .map(|i| &self.states[i])
+    }
+
+    /// The `index`-th hosted object in ascending id order — the placement
+    /// scan's cursor access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= object_count()`.
+    pub fn object_at(&self, index: usize) -> (ObjectId, &ObjectState) {
+        (self.ids[index], &self.states[index])
+    }
+
+    /// Iterates the hosted objects in ascending id order.
+    pub fn objects(&self) -> impl Iterator<Item = (ObjectId, &ObjectState)> + '_ {
+        self.ids.iter().copied().zip(&self.states)
     }
 
     /// Ids of all hosted objects, ascending (deterministic placement
     /// iteration order).
     pub fn object_ids(&self) -> Vec<ObjectId> {
-        self.objects.keys().copied().collect()
+        self.ids.clone()
     }
 
     /// Snapshots the hosted object ids (ascending) into a caller-owned
     /// buffer, so hot placement paths reuse one allocation across runs.
     pub fn collect_object_ids(&self, out: &mut Vec<ObjectId>) {
         out.clear();
-        out.extend(self.objects.keys().copied());
+        out.extend_from_slice(&self.ids);
     }
 
     // ---- measurement ----------------------------------------------------
@@ -209,14 +268,27 @@ impl HostState {
     /// Rolls the measurement clock forward to `now`, completing any
     /// measurement intervals that have fully elapsed. Each completed
     /// interval installs per-object rates and the host-level measured
-    /// load.
+    /// load. Only objects serviced in the completed window or rated by
+    /// the one before it are touched.
     pub fn advance(&mut self, now: f64) {
         let interval = self.params.measurement_interval;
         while now >= self.window_start + interval {
             let total_rate = self.window_total as f64 / interval;
-            for obj in self.objects.values_mut() {
-                obj.rate = obj.window_serviced as f64 / interval;
-                obj.window_serviced = 0;
+            for id in self.active.rated.drain(..) {
+                if let Some(obj) = state_mut(&self.ids, &mut self.states, id) {
+                    obj.rate = 0.0;
+                }
+            }
+            for id in self.active.serviced.drain(..) {
+                // A duplicate, or an id dropped and re-accepted since it
+                // was listed, finds nothing serviced and is skipped.
+                if let Some(obj) = state_mut(&self.ids, &mut self.states, id) {
+                    if obj.window_serviced > 0 {
+                        obj.rate = obj.window_serviced as f64 / interval;
+                        obj.window_serviced = 0;
+                        self.active.rated.push(id);
+                    }
+                }
             }
             self.load.complete_window(total_rate, self.window_start);
             self.window_total = 0;
@@ -232,7 +304,10 @@ impl HostState {
     /// system a request can race with a migration; the replica-set subset
     /// invariant makes this window tiny but not empty.
     pub fn record_access(&mut self, object: ObjectId, preference_path: &[NodeId]) {
-        if let Some(obj) = self.objects.get_mut(&object) {
+        if let Some(obj) = state_mut(&self.ids, &mut self.states, object) {
+            if obj.access_counts.is_empty() && !preference_path.is_empty() {
+                self.active.counted.push(object);
+            }
             for &p in preference_path {
                 match obj.access_counts.iter_mut().find(|&&mut (q, _)| q == p) {
                     Some(&mut (_, ref mut c)) => *c += 1,
@@ -247,7 +322,10 @@ impl HostState {
     pub fn record_serviced(&mut self, now: f64, object: ObjectId) {
         self.advance(now);
         self.window_total += 1;
-        if let Some(obj) = self.objects.get_mut(&object) {
+        if let Some(obj) = state_mut(&self.ids, &mut self.states, object) {
+            if obj.window_serviced == 0 {
+                self.active.serviced.push(object);
+            }
             obj.window_serviced += 1;
         }
     }
@@ -256,11 +334,13 @@ impl HostState {
     /// placement run ("since the last execution of the replica placement
     /// algorithm").
     pub fn reset_access_counts(&mut self) {
-        for obj in self.objects.values_mut() {
-            // `Vec::clear` keeps the capacity: the next window's
-            // `record_access` refills in place, so the per-epoch
-            // reset/refill cycle performs no heap traffic.
-            obj.access_counts.clear();
+        for id in self.active.counted.drain(..) {
+            if let Some(obj) = state_mut(&self.ids, &mut self.states, id) {
+                // `Vec::clear` keeps the capacity: the next window's
+                // `record_access` refills in place, so the per-epoch
+                // reset/refill cycle performs no heap traffic.
+                obj.access_counts.clear();
+            }
         }
     }
 
@@ -316,8 +396,20 @@ impl HostState {
     /// no load-estimate effects). If the object is already present its
     /// affinity is incremented.
     pub fn install_object(&mut self, object: ObjectId) {
-        let obj = self.objects.entry(object).or_default();
-        obj.aff += 1;
+        self.entry(object).0.aff += 1;
+    }
+
+    /// The state of `object`, inserted with defaults (affinity 0) at its
+    /// sorted position when absent; the flag says whether it was.
+    fn entry(&mut self, object: ObjectId) -> (&mut ObjectState, bool) {
+        match self.ids.binary_search(&object) {
+            Ok(i) => (&mut self.states[i], false),
+            Err(i) => {
+                self.ids.insert(i, object);
+                self.states.insert(i, ObjectState::default());
+                (&mut self.states[i], true)
+            }
+        }
     }
 
     /// Accepts an object via `CreateObj` at time `now`, applying the
@@ -325,8 +417,7 @@ impl HostState {
     /// `true` if a new physical copy was created (data transfer needed),
     /// `false` if this was an affinity increment.
     pub fn accept_object(&mut self, now: f64, object: ObjectId, unit_load: f64) -> bool {
-        let new_copy = !self.objects.contains_key(&object);
-        let obj = self.objects.entry(object).or_default();
+        let (obj, new_copy) = self.entry(object);
         obj.aff += 1;
         obj.acquired_at = now;
         self.load.note_acquired(now, 4.0 * unit_load);
@@ -342,9 +433,7 @@ impl HostState {
     ///
     /// Panics if the object is missing or its affinity is 1.
     pub fn reduce_affinity(&mut self, object: ObjectId) -> u32 {
-        let obj = self
-            .objects
-            .get_mut(&object)
+        let obj = state_mut(&self.ids, &mut self.states, object)
             .unwrap_or_else(|| panic!("reduce_affinity: {object} not hosted"));
         assert!(
             obj.aff >= 2,
@@ -361,8 +450,12 @@ impl HostState {
     ///
     /// Panics if the object is not hosted.
     pub fn drop_object(&mut self, object: ObjectId) {
-        let removed = self.objects.remove(&object);
-        assert!(removed.is_some(), "drop_object: {object} not hosted");
+        let i = self
+            .ids
+            .binary_search(&object)
+            .unwrap_or_else(|_| panic!("drop_object: {object} not hosted"));
+        self.ids.remove(i);
+        self.states.remove(i);
     }
 }
 
@@ -542,6 +635,191 @@ mod tests {
     fn zero_storage_limit_rejected() {
         let mut h = host();
         h.set_storage_limit(0);
+    }
+
+    /// The previous `HostState`: a `BTreeMap` of objects, every one of
+    /// them visited by `advance` and `reset_access_counts`. Kept as the
+    /// oracle for the dense table and its activity lists.
+    struct ModelHost {
+        interval: f64,
+        load: LoadEstimator,
+        window_start: f64,
+        window_total: u64,
+        objects: std::collections::BTreeMap<ObjectId, ObjectState>,
+    }
+
+    impl ModelHost {
+        fn advance(&mut self, now: f64) {
+            while now >= self.window_start + self.interval {
+                let total_rate = self.window_total as f64 / self.interval;
+                for obj in self.objects.values_mut() {
+                    obj.rate = obj.window_serviced as f64 / self.interval;
+                    obj.window_serviced = 0;
+                }
+                self.load.complete_window(total_rate, self.window_start);
+                self.window_total = 0;
+                self.window_start += self.interval;
+            }
+        }
+
+        fn record_access(&mut self, object: ObjectId, path: &[NodeId]) {
+            if let Some(obj) = self.objects.get_mut(&object) {
+                for &p in path {
+                    match obj.access_counts.iter_mut().find(|&&mut (q, _)| q == p) {
+                        Some(&mut (_, ref mut c)) => *c += 1,
+                        None => obj.access_counts.push((p, 1)),
+                    }
+                }
+            }
+        }
+
+        fn record_serviced(&mut self, now: f64, object: ObjectId) {
+            self.advance(now);
+            self.window_total += 1;
+            if let Some(obj) = self.objects.get_mut(&object) {
+                obj.window_serviced += 1;
+            }
+        }
+
+        fn accept_object(&mut self, now: f64, object: ObjectId, unit_load: f64) -> bool {
+            let new_copy = !self.objects.contains_key(&object);
+            let obj = self.objects.entry(object).or_default();
+            obj.aff += 1;
+            obj.acquired_at = now;
+            self.load.note_acquired(now, 4.0 * unit_load);
+            new_copy
+        }
+    }
+
+    /// Every observable of `host` against the model's.
+    fn assert_matches_model(host: &HostState, model: &ModelHost, nodes: u16, step: usize) {
+        assert_eq!(
+            host.object_ids(),
+            model.objects.keys().copied().collect::<Vec<_>>(),
+            "step {step}"
+        );
+        for (id, want) in &model.objects {
+            let got = host.object(*id).expect("hosted in both");
+            assert_eq!(got.aff(), want.aff, "step {step}: aff of {id}");
+            assert_eq!(got.rate(), want.rate, "step {step}: rate of {id}");
+            assert_eq!(got.unit_load(), want.unit_load(), "step {step}: {id}");
+            assert_eq!(got.acquired_at(), want.acquired_at, "step {step}: {id}");
+            for p in (0..nodes).map(NodeId::new) {
+                assert_eq!(got.count(p), want.count(p), "step {step}: cnt({p}, {id})");
+            }
+        }
+        assert_eq!(host.measured_load(), model.load.measured(), "step {step}");
+        assert_eq!(host.load_upper(), model.load.upper(), "step {step}");
+        assert_eq!(host.load_lower(), model.load.lower(), "step {step}");
+    }
+
+    #[test]
+    fn dense_table_matches_the_tree_map_model() {
+        use radar_simcore::SimRng;
+        const IDS: usize = 24;
+        const NODES: u16 = 6;
+        const STEPS: usize = 12_000;
+        let mut steps_run = 0;
+        let mut reaccepted_in_window = 0;
+        for seed in 0..10u64 {
+            let mut rng = SimRng::seed_from(0xD3_5E00 + seed);
+            let mut host = host();
+            let mut model = ModelHost {
+                interval: host.params().measurement_interval,
+                load: LoadEstimator::new(),
+                window_start: 0.0,
+                window_total: 0,
+                objects: Default::default(),
+            };
+            let mut now = 0.0f64;
+            for step in 0..STEPS {
+                let id = x(rng.index(IDS) as u32);
+                match rng.index(16) {
+                    0 => {
+                        host.install_object(id);
+                        model.objects.entry(id).or_default().aff += 1;
+                    }
+                    1 | 2 => {
+                        let unit_load = rng.index(4) as f64 * 0.25;
+                        assert_eq!(
+                            host.accept_object(now, id, unit_load),
+                            model.accept_object(now, id, unit_load)
+                        );
+                    }
+                    3 => {
+                        if model.objects.get(&id).is_some_and(|o| o.aff >= 2) {
+                            host.reduce_affinity(id);
+                            model.objects.get_mut(&id).expect("checked").aff -= 1;
+                        }
+                    }
+                    4 | 5 => {
+                        if model.objects.remove(&id).is_some() {
+                            host.drop_object(id);
+                            // Half of the drops come straight back, inside
+                            // the window that listed the old replica.
+                            if rng.chance(0.5) {
+                                host.accept_object(now, id, 0.5);
+                                model.accept_object(now, id, 0.5);
+                                reaccepted_in_window += 1;
+                            }
+                        }
+                    }
+                    6..=9 => {
+                        let len = rng.index(4);
+                        let path: Vec<NodeId> = (0..len)
+                            .map(|_| NodeId::new(rng.index(NODES as usize) as u16))
+                            .collect();
+                        host.record_access(id, &path);
+                        model.record_access(id, &path);
+                    }
+                    10..=13 => {
+                        host.record_serviced(now, id);
+                        model.record_serviced(now, id);
+                    }
+                    14 => {
+                        // Stay in the window, finish it, or skip several.
+                        now += [0.0, 0.5, 7.0, 20.0, 45.0, 130.0][rng.index(6)];
+                        host.advance(now);
+                        model.advance(now);
+                    }
+                    _ => {
+                        host.reset_access_counts();
+                        for obj in model.objects.values_mut() {
+                            obj.access_counts.clear();
+                        }
+                    }
+                }
+                assert_matches_model(&host, &model, NODES, step);
+                steps_run += 1;
+            }
+        }
+        assert!(steps_run >= 100_000 && reaccepted_in_window > 1_000);
+    }
+
+    #[test]
+    fn equality_ignores_activity_list_order() {
+        let path = [NodeId::new(0), NodeId::new(2)];
+        let build = |order: [u32; 3]| {
+            let mut h = host();
+            for i in 1..=3 {
+                h.install_object(x(i));
+            }
+            for i in order {
+                h.record_access(x(i), &path);
+                h.record_serviced(1.0, x(i));
+            }
+            // A stale listing: served, dropped, re-accepted.
+            h.drop_object(x(order[0]));
+            h.accept_object(2.0, x(order[0]), 0.0);
+            h.record_access(x(order[0]), &path);
+            h.record_serviced(3.0, x(order[0]));
+            h
+        };
+        let (a, mut b) = (build([1, 2, 3]), build([1, 3, 2]));
+        assert_ne!(a.active.serviced, b.active.serviced, "the lists do differ");
+        assert_eq!(a, b);
+        b.record_serviced(4.0, x(2));
+        assert_ne!(a, b, "protocol state is still compared");
     }
 
     #[test]

@@ -82,8 +82,9 @@ pub trait PlacementEnv {
 /// high-water capacity.
 #[derive(Debug, Clone, Default)]
 pub struct PlacementScratch {
-    /// Snapshot of the host's object ids (the host table is mutated
-    /// while iterating).
+    /// Object-id snapshot buffer for custom policies that mutate the
+    /// host table while iterating (the paper's own pass walks the table
+    /// by cursor instead).
     object_ids: Vec<ObjectId>,
     /// Qualified-candidate buffer for the geo phases:
     /// `(hop distance from the deciding host, candidate, share)`.
@@ -228,18 +229,15 @@ enum ReduceOutcome {
     Refused,
 }
 
-/// `ReduceAffinity(x_s)` (paper Fig. 3): decrement the affinity, or —
-/// when it would reach zero — ask the redirector for permission to drop
-/// the replica.
+/// `ReduceAffinity(x_s)` (paper Fig. 3): decrement the affinity `aff`
+/// the caller just read, or — when it would reach zero — ask the
+/// redirector for permission to drop the replica.
 fn reduce_affinity(
     host: &mut HostState,
     object: ObjectId,
+    aff: u32,
     env: &mut dyn PlacementEnv,
 ) -> ReduceOutcome {
-    let aff = host
-        .object(object)
-        .expect("reduce_affinity on hosted object")
-        .aff();
     if aff > 1 {
         let new_aff = host.reduce_affinity(object);
         env.notify_affinity(object, host.node(), new_aff);
@@ -340,14 +338,14 @@ pub fn run_placement_into(
     }
     out.offloading_mode = host.is_offloading();
 
-    host.collect_object_ids(&mut scratch.object_ids);
-    for i in 0..scratch.object_ids.len() {
-        let x = scratch.object_ids[i];
-        // One map lookup per object: the borrow is reused by the geo-
-        // migration candidate scan below (it ends before the first
-        // `&mut host` use, so the deletion/migration mutations borrow-
-        // check against a fresh `host`).
-        let o = host.object(x).expect("object_ids() returns hosted objects");
+    // Walk the table by cursor. `create_obj` lands on other hosts, so
+    // only the object under the cursor can leave this host's table
+    // during its own iteration; the next object then slides into its
+    // slot and the cursor stays put.
+    let mut cursor = 0;
+    while cursor < host.object_count() {
+        let (x, o) = host.object_at(cursor);
+        cursor += 1;
         let (aff, cnt_s, unit_load, acquired_at) =
             (o.aff(), o.count(s), o.unit_load(), o.acquired_at());
         // A replica acquired since the last run has only partial-window
@@ -361,8 +359,9 @@ pub fn run_placement_into(
         // 1. Deletion: below-u affinity units are dropped; such an object
         //    is not otherwise relocated this round.
         if unit_rate < params.deletion_threshold {
-            let action = match reduce_affinity(host, x, env) {
+            let action = match reduce_affinity(host, x, aff, env) {
                 ReduceOutcome::Dropped => {
+                    cursor -= 1;
                     out.drops.push(x);
                     PlacementAction::Drop
                 }
@@ -405,8 +404,9 @@ pub fn run_placement_into(
                     unit_load,
                 };
                 if env.create_obj(p, req).is_accepted() {
-                    match reduce_affinity(host, x, env) {
-                        ReduceOutcome::Dropped | ReduceOutcome::Reduced => {}
+                    match reduce_affinity(host, x, aff, env) {
+                        ReduceOutcome::Dropped => cursor -= 1,
+                        ReduceOutcome::Reduced => {}
                         ReduceOutcome::Refused => unreachable!(
                             "drop after migration cannot be the last replica: \
                              the recipient's copy was just registered"
@@ -431,8 +431,9 @@ pub fn run_placement_into(
 
         // 3. Geo-replication: hot objects (> m) that were not migrated.
         if !migrated && unit_rate > params.replication_threshold && env.may_replicate(x) {
-            // Fresh borrow: a migration attempt may have mutated `host`.
-            let o = host.object(x).expect("object survives a refused migration");
+            // Fresh borrow (the migration loop took `host` mutably); no
+            // migration succeeded, so `x` still sits under the cursor.
+            let (_, o) = host.object_at(cursor - 1);
             qualified_candidates(
                 o,
                 s,
@@ -541,9 +542,8 @@ fn offload(
 
     // Objects with the highest foreign-request share first: these gain
     // (or lose least) proximity when moved.
-    host.collect_object_ids(&mut scratch.object_ids);
     scratch.offload_objects.clear();
-    for &x in &scratch.object_ids {
+    for (x, o) in host.objects() {
         // Same partial-window rule as the geo phase (never shed a
         // replica acquired since the last placement run), and don't
         // double-move objects the geo phase just relocated
@@ -551,7 +551,6 @@ fn offload(
         if scratch.moved.binary_search(&x).is_ok() {
             continue;
         }
-        let o = host.object(x).expect("hosted");
         if o.acquired_at() > host.last_placement_run() {
             continue;
         }
@@ -611,7 +610,7 @@ fn offload(
             if env.create_obj(recipient, req).is_accepted() {
                 host.note_shed(now, bounds::migration_source_decrease(rate, aff));
                 recipient_load += bounds::target_increase(rate, aff);
-                match reduce_affinity(host, x, env) {
+                match reduce_affinity(host, x, aff, env) {
                     ReduceOutcome::Dropped | ReduceOutcome::Reduced => {}
                     ReduceOutcome::Refused => {
                         unreachable!("drop after migration cannot be the last replica")

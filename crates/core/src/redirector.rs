@@ -286,18 +286,17 @@ impl Redirector {
     }
 
     /// Fig. 2 over a pre-filtered candidate list — the entry point for
-    /// redirect engines that cache candidates across requests. Each
+    /// redirect engines that build the list themselves. Each
     /// candidate is `(entry_index, distance)`: the replica's index in
     /// [`replicas`](Self::replicas) and its precomputed hop distance to
     /// the requesting gateway. The caller guarantees the list matches the
-    /// object's *current* replica set (cache keyed on
-    /// [`Directory::version`]); usability filtering has already happened.
+    /// object's *current* replica set; usability filtering has already
+    /// happened.
     ///
     /// `closest` optionally names the entry index of the closest
     /// candidate `p` (minimum `(distance, host)`). Unlike request
     /// counts, `p` is a pure function of the candidate list, so callers
-    /// caching the list can precompute it once and skip the per-request
-    /// scan; `None` scans here.
+    /// can note it while building the list; `None` scans for it here.
     ///
     /// Identical decision semantics and side effects to the other
     /// variants: the winner's request count increments. Returns `None`
@@ -306,7 +305,7 @@ impl Redirector {
     /// # Panics
     ///
     /// Panics if an entry index is out of range for the replica set —
-    /// the symptom of a stale cache.
+    /// the symptom of a list built for another replica set.
     pub fn choose_among(
         &mut self,
         object: ObjectId,
@@ -872,10 +871,10 @@ mod tests {
 
     #[test]
     fn choose_among_matches_choose_inner() {
-        // Feeding the cached-candidate entry point the same (index,
+        // Feeding the pre-filtered entry point the same (index,
         // distance) pairs choose_inner would build must reproduce the
-        // decision stream exactly — the correctness contract the redirect
-        // engine's candidate cache relies on.
+        // decision stream exactly — the correctness contract the
+        // simulator's redirect engine relies on.
         let (mut r1, routes) = setup();
         let mut r2 = r1.clone();
         for i in 0..200 {

@@ -13,11 +13,18 @@
 //! Demand scripts are drawn from a seeded [`SimRng`] stream so every
 //! fuzz case is deterministic and reproducible.
 
-use radar_core::placement::{handle_create_obj, run_placement, PlacementEnv};
-use radar_core::{CreateObjRequest, CreateObjResponse, HostState, ObjectId, Params, Redirector};
+use radar_core::placement::{
+    handle_create_obj, run_placement, PlacementAction, PlacementDecision, PlacementEnv,
+    PlacementOutcome,
+};
+use radar_core::{
+    bounds, CreateObjRequest, CreateObjResponse, HostState, ObjectId, Params, Redirector,
+    RelocationKind,
+};
 use radar_simcore::SimRng;
 use radar_simnet::{builders, NodeId, RoutingTable, Topology};
 
+#[derive(Clone)]
 struct MiniPlatform {
     routes: RoutingTable,
     hosts: Vec<HostState>,
@@ -72,6 +79,16 @@ impl MiniPlatform {
 
     /// Runs one placement epoch (each host once, in node order).
     fn placement_epoch(&mut self) {
+        self.placement_epoch_with(run_placement);
+    }
+
+    /// [`placement_epoch`](Self::placement_epoch) with the placement
+    /// pass given by the caller; returns every host's outcome.
+    fn placement_epoch_with(
+        &mut self,
+        pass: fn(&mut HostState, f64, &mut dyn PlacementEnv) -> PlacementOutcome,
+    ) -> Vec<PlacementOutcome> {
+        let mut outcomes = Vec::new();
         self.now += self.params.placement_period;
         for i in 0..self.hosts.len() {
             let node = NodeId::new(i as u16);
@@ -86,10 +103,11 @@ impl MiniPlatform {
                     refusal_mask: self.refusal_mask,
                     calls: 0,
                 };
-                run_placement(&mut host, self.now, &mut env);
+                outcomes.push(pass(&mut host, self.now, &mut env));
             }
             self.hosts[i] = host;
         }
+        outcomes
     }
 
     /// The structural invariants that must hold between epochs.
@@ -307,4 +325,268 @@ fn idle_epochs_converge_to_single_replicas() {
             assert_eq!(platform.redirector.total_affinity(object), 1);
         }
     }
+}
+
+/// `ReduceAffinity` of the snapshot walk: looks the affinity up itself.
+fn snapshot_reduce(host: &mut HostState, x: ObjectId, env: &mut dyn PlacementEnv) -> Option<bool> {
+    if host.object(x).expect("hosted").aff() > 1 {
+        let aff = host.reduce_affinity(x);
+        env.notify_affinity(x, host.node(), aff);
+        Some(false)
+    } else if env.request_drop(x, host.node()) {
+        host.drop_object(x);
+        Some(true)
+    } else {
+        None
+    }
+}
+
+/// Candidates `p ≠ s` with a count share above `ratio`, farthest first.
+fn snapshot_candidates(
+    host: &HostState,
+    x: ObjectId,
+    cnt_s: u64,
+    ratio: f64,
+    env: &dyn PlacementEnv,
+) -> Vec<(NodeId, f64)> {
+    let s = host.node();
+    let mut out: Vec<(u32, NodeId, f64)> = host
+        .object(x)
+        .expect("hosted")
+        .counts()
+        .map(|(p, c)| (p, c as f64 / cnt_s as f64))
+        .filter(|&(p, share)| p != s && share > ratio)
+        .map(|(p, share)| (env.distance(s, p), p, share))
+        .collect();
+    out.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    out.into_iter().map(|(_, p, share)| (p, share)).collect()
+}
+
+/// Figs. 3 and 5 as they were walked before the cursor scan: snapshot
+/// the hosted ids, then look every object up by id — once to judge it,
+/// again after each mutation. Kept as the oracle for
+/// [`run_placement`]; it shares only `HostState`'s public methods and
+/// the Theorem bounds with it.
+fn snapshot_walk_placement(
+    host: &mut HostState,
+    now: f64,
+    env: &mut dyn PlacementEnv,
+) -> PlacementOutcome {
+    let mut out = PlacementOutcome::default();
+    host.advance(now);
+    let params = *host.params();
+    let s = host.node();
+    let load = host.load_lower();
+    if load > params.high_watermark {
+        host.set_offloading(true);
+    }
+    if load < params.low_watermark {
+        host.set_offloading(false);
+    }
+    out.offloading_mode = host.is_offloading();
+    let decision = |object, action, target, unit_rate, share, ratio| PlacementDecision {
+        object,
+        action,
+        target,
+        unit_rate,
+        share,
+        ratio,
+        deletion_threshold: params.deletion_threshold,
+        replication_threshold: params.replication_threshold,
+    };
+
+    for x in host.object_ids() {
+        let o = host.object(x).expect("snapshot ids are hosted");
+        let (aff, cnt_s, unit_load) = (o.aff(), o.count(s), o.unit_load());
+        if o.acquired_at() > host.last_placement_run() {
+            continue;
+        }
+        let unit_rate = cnt_s as f64 / aff as f64 / params.placement_period;
+        if unit_rate < params.deletion_threshold {
+            let action = match snapshot_reduce(host, x, env) {
+                Some(true) => {
+                    out.drops.push(x);
+                    PlacementAction::Drop
+                }
+                Some(false) => {
+                    out.affinity_reductions.push(x);
+                    PlacementAction::AffinityReduce
+                }
+                None => PlacementAction::DropRefused,
+            };
+            out.decisions
+                .push(decision(x, action, None, unit_rate, None, None));
+            continue;
+        }
+        let mut migrated = false;
+        if cnt_s > 0 {
+            for (p, share) in snapshot_candidates(host, x, cnt_s, params.migration_ratio, env) {
+                let req = CreateObjRequest {
+                    kind: RelocationKind::Migrate,
+                    object: x,
+                    source: s,
+                    unit_load,
+                };
+                if env.create_obj(p, req).is_accepted() {
+                    snapshot_reduce(host, x, env).expect("the recipient holds a copy");
+                    out.geo_migrations.push((x, p));
+                    out.decisions.push(decision(
+                        x,
+                        PlacementAction::GeoMigrate,
+                        Some(p),
+                        unit_rate,
+                        Some(share),
+                        Some(params.migration_ratio),
+                    ));
+                    migrated = true;
+                    break;
+                }
+            }
+        }
+        if !migrated && unit_rate > params.replication_threshold && env.may_replicate(x) {
+            for (p, share) in snapshot_candidates(host, x, cnt_s, params.replication_ratio, env) {
+                let req = CreateObjRequest {
+                    kind: RelocationKind::Replicate,
+                    object: x,
+                    source: s,
+                    unit_load,
+                };
+                if env.create_obj(p, req).is_accepted() {
+                    out.geo_replications.push((x, p));
+                    out.decisions.push(decision(
+                        x,
+                        PlacementAction::GeoReplicate,
+                        Some(p),
+                        unit_rate,
+                        Some(share),
+                        Some(params.replication_ratio),
+                    ));
+                    break;
+                }
+            }
+        }
+    }
+
+    if host.is_offloading() {
+        if let Some((recipient, mut recipient_load)) = env.find_offload_recipient(s) {
+            let moved: Vec<ObjectId> = out
+                .geo_migrations
+                .iter()
+                .chain(&out.geo_replications)
+                .map(|&(x, _)| x)
+                .collect();
+            let mut order: Vec<(ObjectId, f64)> = Vec::new();
+            for x in host.object_ids() {
+                let o = host.object(x).expect("hosted");
+                if moved.contains(&x) || o.acquired_at() > host.last_placement_run() {
+                    continue;
+                }
+                let cnt_s = o.count(s);
+                let foreign = o
+                    .counts()
+                    .filter(|&(p, _)| p != s && cnt_s > 0)
+                    .map(|(_, c)| c as f64 / cnt_s as f64)
+                    .fold(0.0, f64::max);
+                order.push((x, foreign));
+            }
+            order.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+            for (x, foreign) in order {
+                if host.load_lower() <= params.low_watermark
+                    || recipient_load >= params.low_watermark
+                {
+                    break;
+                }
+                let o = host.object(x).expect("hosted");
+                let (aff, rate, unit_load, cnt_s) = (o.aff(), o.rate(), o.unit_load(), o.count(s));
+                let unit_rate = cnt_s as f64 / aff as f64 / params.placement_period;
+                let hot = unit_rate > params.replication_threshold;
+                if hot && !env.may_replicate(x) {
+                    continue;
+                }
+                let req = CreateObjRequest {
+                    kind: if hot {
+                        RelocationKind::Replicate
+                    } else {
+                        RelocationKind::Migrate
+                    },
+                    object: x,
+                    source: s,
+                    unit_load,
+                };
+                if !env.create_obj(recipient, req).is_accepted() {
+                    break;
+                }
+                recipient_load += bounds::target_increase(rate, aff);
+                let action = if hot {
+                    host.note_shed(now, bounds::replication_source_decrease(rate));
+                    out.offload_replications.push((x, recipient));
+                    PlacementAction::LoadReplicate
+                } else {
+                    host.note_shed(now, bounds::migration_source_decrease(rate, aff));
+                    snapshot_reduce(host, x, env).expect("the recipient holds a copy");
+                    out.offload_migrations.push((x, recipient));
+                    PlacementAction::LoadMigrate
+                };
+                out.decisions.push(decision(
+                    x,
+                    action,
+                    Some(recipient),
+                    unit_rate,
+                    Some(foreign),
+                    None,
+                ));
+            }
+        }
+    }
+    host.reset_access_counts();
+    host.mark_placement_run(now);
+    out
+}
+
+#[test]
+fn cursor_walk_matches_the_snapshot_walk() {
+    // Two copies of one platform under the same demand: one runs the
+    // cursor scan, the other the snapshot walk above. Outcomes, host
+    // tables and the redirector must agree after every epoch — and the
+    // scripts must reach single placement runs that drop, geo-migrate
+    // and offload at once, where the table shrinks under the cursor.
+    let mut rng = SimRng::seed_from(0xF022_0005);
+    let (mut all_three, mut drops, mut reductions) = (0, 0, 0);
+    for case in 0..48 {
+        let params = Params::builder()
+            .watermarks(0.6, 1.2)
+            .build()
+            .expect("valid params");
+        let mut cursor = MiniPlatform::new(builders::grid(3, 3), 40, params);
+        cursor.refusal_mask = [0, 0, 3, 5][case % 4];
+        let mut snapshot = cursor.clone();
+        for script in &epochs(&mut rng, 40, 9, 10) {
+            for &(obj, gw, count) in script {
+                cursor.drive_requests(ObjectId::new(obj), NodeId::new(gw), count);
+                snapshot.drive_requests(ObjectId::new(obj), NodeId::new(gw), count);
+            }
+            let got = cursor.placement_epoch_with(run_placement);
+            let want = snapshot.placement_epoch_with(snapshot_walk_placement);
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(cursor.hosts, snapshot.hosts, "case {case}");
+            assert_eq!(cursor.redirector, snapshot.redirector, "case {case}");
+            cursor.check_invariants();
+            for o in &got {
+                drops += o.drops.len();
+                reductions += o.affinity_reductions.len();
+                let offloaded = o.offload_migrations.len() + o.offload_replications.len();
+                if !o.drops.is_empty() && !o.geo_migrations.is_empty() && offloaded > 0 {
+                    all_three += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        drops > 100 && reductions > 0,
+        "{drops} drops, {reductions} reductions"
+    );
+    assert!(
+        all_three > 0,
+        "no run dropped, migrated and offloaded at once"
+    );
 }

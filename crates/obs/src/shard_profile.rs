@@ -5,8 +5,8 @@
 //! between a sequencer thread and `N` decision workers. When profiling
 //! is enabled, every thread keeps a [`LaneProfile`]: monotonic-clock
 //! span accounting partitioned into the five [`SpanKind`] categories
-//! (busy / channel-wait / barrier-drain / reunite-resplit / idle), plus
-//! candidate-cache hit/miss tallies. The sequencer additionally keeps
+//! (busy / channel-wait / barrier-drain / reunite-resplit / idle) and a
+//! count of items processed. The sequencer additionally keeps
 //! log2-bucketed [`Log2Histogram`]s of per-decision hand-off latency
 //! and per-message batch size, and counts epoch barriers by
 //! [`BarrierCause`]. Everything is fixed-size — no allocation on the
@@ -233,8 +233,8 @@ impl Log2Histogram {
     }
 }
 
-/// Span accounting plus cache tallies for one sharded-loop thread
-/// (the sequencer or one worker).
+/// Span accounting for one sharded-loop thread (the sequencer or one
+/// worker).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneProfile {
     /// Nanoseconds attributed to each [`SpanKind`], indexed by the
@@ -243,10 +243,6 @@ pub struct LaneProfile {
     /// Work items processed by this lane (decisions for workers,
     /// dispatched events for the sequencer).
     pub items: u64,
-    /// Candidate-cache hits observed by this lane.
-    pub cache_hits: u64,
-    /// Candidate-cache misses observed by this lane.
-    pub cache_misses: u64,
 }
 
 impl LaneProfile {
@@ -268,16 +264,6 @@ impl LaneProfile {
             .fold(0u64, |acc, ns| acc.saturating_add(*ns))
     }
 
-    /// Candidate-cache hit rate in `0.0..=1.0` (0 when unused).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Folds another lane into this one (used when a worker restarts
     /// across barriers and for whole-run aggregation).
     pub fn merge(&mut self, other: &LaneProfile) {
@@ -285,8 +271,6 @@ impl LaneProfile {
             *dst = dst.saturating_add(*src);
         }
         self.items = self.items.saturating_add(other.items);
-        self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
-        self.cache_misses = self.cache_misses.saturating_add(other.cache_misses);
     }
 }
 
@@ -298,8 +282,7 @@ pub struct ShardProfile {
     pub shards: usize,
     /// Wall-clock duration of the run, sequencer-side, in nanoseconds.
     pub wall_ns: u64,
-    /// The sequencer thread's lane (its cache tallies are the
-    /// unsharded `RedirectEngine`'s, exercised during serial stretches).
+    /// The sequencer thread's lane.
     pub sequencer: LaneProfile,
     /// One lane per worker shard, in shard order.
     pub workers: Vec<LaneProfile>,
@@ -365,16 +348,8 @@ impl ShardProfile {
             fmt_ns(self.wall_ns as f64)
         ));
         out.push_str(&format!(
-            "  {:<10} {:>7} {:>12} {:>13} {:>9} {:>9} {:>9} {:>9} {:>7}\n",
-            "lane",
-            "busy",
-            "chan-wait",
-            "barrier-drain",
-            "reunite",
-            "idle",
-            "coverage",
-            "items",
-            "cache%"
+            "  {:<10} {:>7} {:>12} {:>13} {:>9} {:>9} {:>9} {:>9}\n",
+            "lane", "busy", "chan-wait", "barrier-drain", "reunite", "idle", "coverage", "items"
         ));
         for (label, lane) in self.lanes() {
             let pct = |k: SpanKind| {
@@ -384,13 +359,8 @@ impl ShardProfile {
                     100.0 * lane.span_ns(k) as f64 / self.wall_ns as f64
                 }
             };
-            let cache = if lane.cache_hits + lane.cache_misses == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}", 100.0 * lane.cache_hit_rate())
-            };
             out.push_str(&format!(
-                "  {:<10} {:>6.1}% {:>11.1}% {:>12.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>9} {:>7}\n",
+                "  {:<10} {:>6.1}% {:>11.1}% {:>12.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>9}\n",
                 label,
                 pct(SpanKind::Busy),
                 pct(SpanKind::ChannelWait),
@@ -398,8 +368,7 @@ impl ShardProfile {
                 pct(SpanKind::Reunite),
                 pct(SpanKind::Idle),
                 100.0 * self.coverage(lane),
-                lane.items,
-                cache
+                lane.items
             ));
         }
         // Top stalls: every non-busy span on every lane, largest first.
@@ -556,10 +525,7 @@ mod tests {
         lane.add_span(SpanKind::Busy, 100);
         lane.add_span(SpanKind::ChannelWait, 900);
         lane.items = 5;
-        lane.cache_hits = 3;
-        lane.cache_misses = 1;
         assert_eq!(lane.total_ns(), 1000);
-        assert!((lane.cache_hit_rate() - 0.75).abs() < 1e-9);
         let mut sum = LaneProfile::default();
         sum.merge(&lane);
         sum.merge(&lane);

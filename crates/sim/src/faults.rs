@@ -521,12 +521,21 @@ impl FaultSpec {
 
 /// Live fault state derived by replaying compiled transitions:
 /// reference-counted down states (overlapping windows compose) and
-/// multiplicative per-link delay factors.
+/// multiplicative per-link delay factors. The three `num_*` counts are
+/// kept current by [`apply`](Self::apply), so the per-request questions
+/// ([`all_up`](Self::all_up), [`any_link_degraded`](Self::any_link_degraded))
+/// are O(1) reads instead of map walks.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     host_down: Vec<u32>,
     link_down: BTreeMap<(u16, u16), u32>,
     link_factor: BTreeMap<(u16, u16), Vec<f64>>,
+    /// Hosts with a non-zero down count.
+    num_hosts_down: u32,
+    /// Links with a non-zero down count.
+    num_links_down: u32,
+    /// Links with a non-empty factor stack.
+    num_links_degraded: u32,
 }
 
 fn norm(a: u16, b: u16) -> (u16, u16) {
@@ -543,6 +552,9 @@ impl FaultState {
             host_down: vec![0; num_nodes],
             link_down: BTreeMap::new(),
             link_factor: BTreeMap::new(),
+            num_hosts_down: 0,
+            num_links_down: 0,
+            num_links_degraded: 0,
         }
     }
 
@@ -551,33 +563,42 @@ impl FaultState {
     pub(crate) fn apply(&mut self, kind: TransitionKind) -> bool {
         match kind {
             TransitionKind::HostCrash(h) => {
-                self.host_down[h as usize] += 1;
+                let count = &mut self.host_down[h as usize];
+                *count += 1;
+                self.num_hosts_down += u32::from(*count == 1);
                 false
             }
             TransitionKind::HostRecover(h) => {
                 let count = &mut self.host_down[h as usize];
+                self.num_hosts_down -= u32::from(*count == 1);
                 *count = count.saturating_sub(1);
                 false
             }
             TransitionKind::LinkFail(a, b) => {
                 let count = self.link_down.entry(norm(a, b)).or_insert(0);
                 *count += 1;
-                *count == 1
+                let failed = *count == 1;
+                self.num_links_down += u32::from(failed);
+                failed
             }
             TransitionKind::LinkHeal(a, b) => {
                 let count = self.link_down.entry(norm(a, b)).or_insert(0);
-                let was_down = *count > 0;
+                let healed = *count == 1;
                 *count = count.saturating_sub(1);
-                was_down && *count == 0
+                self.num_links_down -= u32::from(healed);
+                healed
             }
             TransitionKind::LinkDegrade(a, b, factor) => {
-                self.link_factor.entry(norm(a, b)).or_default().push(factor);
+                let stack = self.link_factor.entry(norm(a, b)).or_default();
+                self.num_links_degraded += u32::from(stack.is_empty());
+                stack.push(factor);
                 false
             }
             TransitionKind::LinkRestore(a, b, factor) => {
                 if let Some(stack) = self.link_factor.get_mut(&norm(a, b)) {
                     if let Some(pos) = stack.iter().position(|&f| f == factor) {
                         stack.remove(pos);
+                        self.num_links_degraded -= u32::from(stack.is_empty());
                     }
                 }
                 false
@@ -608,7 +629,14 @@ impl FaultState {
 
     /// `true` when any link currently carries a degradation factor.
     pub(crate) fn any_link_degraded(&self) -> bool {
-        self.link_factor.values().any(|stack| !stack.is_empty())
+        self.num_links_degraded > 0
+    }
+
+    /// `true` when every host and every link is up. Topologies are
+    /// validated connected, so every replica is then usable from
+    /// everywhere and the redirect layer skips its per-replica filter.
+    pub(crate) fn all_up(&self) -> bool {
+        self.num_hosts_down == 0 && self.num_links_down == 0
     }
 
     /// `true` when no fault of any kind is active: every host up, every
@@ -617,9 +645,7 @@ impl FaultState {
     /// windows; while any fault holds, it falls back to the serial loop
     /// (see `crate::shard`).
     pub(crate) fn all_clear(&self) -> bool {
-        self.host_down.iter().all(|&c| c == 0)
-            && self.link_down.values().all(|&c| c == 0)
-            && self.link_factor.values().all(|stack| stack.is_empty())
+        self.all_up() && !self.any_link_degraded()
     }
 }
 
@@ -700,6 +726,57 @@ mod tests {
         state.apply(TransitionKind::LinkRestore(0, 1, 3.0));
         assert_eq!(state.link_factor(0, 1), 1.0);
         assert!(!state.any_link_degraded());
+    }
+
+    #[test]
+    fn live_counts_return_to_clear_after_repeated_windows() {
+        // Two links, each degraded and restored twice (with overlap on
+        // the first), interleaved with a host and a link outage: the
+        // O(1) flags must agree with a walk of the maps at every step,
+        // and `link_factor` must read as before.
+        use TransitionKind::*;
+        let walk_degraded = |s: &FaultState| s.link_factor.values().any(|stack| !stack.is_empty());
+        let walk_all_up = |s: &FaultState| {
+            s.host_down.iter().all(|&c| c == 0) && s.link_down.values().all(|&c| c == 0)
+        };
+        let mut state = FaultState::new(4);
+        let steps = [
+            (LinkDegrade(0, 1, 2.0), 2.0, 1.0),
+            (LinkDegrade(1, 0, 3.0), 6.0, 1.0),
+            (LinkDegrade(2, 3, 4.0), 6.0, 4.0),
+            (HostCrash(2), 6.0, 4.0),
+            (LinkRestore(0, 1, 2.0), 3.0, 4.0),
+            (LinkRestore(0, 1, 3.0), 1.0, 4.0),
+            (LinkFail(0, 1), 1.0, 4.0),
+            (LinkRestore(2, 3, 4.0), 1.0, 1.0),
+            (HostRecover(2), 1.0, 1.0),
+            (LinkHeal(0, 1), 1.0, 1.0),
+            (LinkDegrade(0, 1, 5.0), 5.0, 1.0),
+            (LinkDegrade(3, 2, 1.5), 5.0, 1.5),
+            (LinkRestore(1, 0, 5.0), 1.0, 1.5),
+            (LinkRestore(2, 3, 9.0), 1.0, 1.5), // no such factor: no-op
+            (LinkRestore(2, 3, 1.5), 1.0, 1.0),
+        ];
+        for (kind, f01, f23) in steps {
+            state.apply(kind);
+            assert_eq!(state.link_factor(0, 1), f01, "after {kind:?}");
+            assert_eq!(state.link_factor(2, 3), f23, "after {kind:?}");
+            assert_eq!(state.any_link_degraded(), walk_degraded(&state), "{kind:?}");
+            assert_eq!(state.all_up(), walk_all_up(&state), "after {kind:?}");
+        }
+        assert!(state.all_clear());
+        assert_eq!(
+            (
+                state.num_hosts_down,
+                state.num_links_down,
+                state.num_links_degraded
+            ),
+            (0, 0, 0)
+        );
+        // Unpaired recoveries saturate instead of underflowing.
+        state.apply(HostRecover(1));
+        state.apply(LinkHeal(0, 1));
+        assert!(state.all_clear());
     }
 
     #[test]

@@ -36,10 +36,6 @@ impl Simulation {
         let transition = self.fault_schedule[index];
         let now = t.as_secs();
         let routes_dirty = self.fault_state.apply(transition.kind);
-        // Any transition can change replica usability (crashes most of
-        // all); bumping unconditionally keeps the redirect engine's
-        // invalidation rule trivially safe.
-        self.fault_gen += 1;
         self.metrics.faults_injected += 1;
         if self.events.tracing {
             let qd = self.depth();

@@ -172,8 +172,6 @@ fn lane_json(label: &str, lane: &LaneProfile) -> Json {
             ),
         ),
         ("items".into(), uint(lane.items)),
-        ("cache_hits".into(), uint(lane.cache_hits)),
-        ("cache_misses".into(), uint(lane.cache_misses)),
     ])
 }
 

@@ -4,7 +4,7 @@
 //! All routing questions (distances, preference paths, reachability) go
 //! through the platform's [`radar_simnet::RoutingView`]; replica
 //! decisions go through the [`crate::redirect::RedirectEngine`] when
-//! the selection policy supports candidate caching, and the pluggable
+//! the selection policy delegates to Fig. 2, and the pluggable
 //! [`crate::selection::SelectionPolicy`] surface otherwise.
 
 use radar_core::{ChoiceBranch, ChoiceExplanation, ObjectId};
@@ -261,14 +261,10 @@ impl Simulation {
         // When tracing, the chosen path fills `explain_scratch` in place
         // and sets this flag — no per-request explanation allocation.
         let mut explained = false;
-        let chosen = if self.selection.supports_candidate_cache() {
+        let chosen = if self.selection.delegates_to_fig2() {
             // The engine applies the same usability filter and distance
-            // source as the policy path below, but reuses the candidate
-            // list across requests (invalidated by directory, routing,
-            // and fault generations). Each decision also tallies the
-            // engine's hit/miss counters; under `--profile` a sharded
-            // run credits this serial-window traffic to the sequencer
-            // lane of the shard profile.
+            // source as the policy path below, into one reused buffer
+            // and without the trait's dynamic calls.
             let explanation = if self.events.tracing {
                 explained = true;
                 Some(&mut self.explain_scratch)
@@ -282,7 +278,6 @@ impl Simulation {
                 &mut self.redirector,
                 &self.view,
                 &self.fault_state,
-                self.fault_gen,
                 explanation,
             );
             if pick.is_none() {

@@ -7,8 +7,8 @@
 //!   paths, and reachability over the live links);
 //! * directory — [`radar_core::Directory`] behind the [`Redirector`]
 //!   (replica sets, affinities, request counts, batched epoch updates);
-//! * redirect — [`crate::redirect::RedirectEngine`] (the Fig. 2
-//!   decision with a per-(gateway, object) candidate cache);
+//! * redirect — [`crate::redirect::RedirectEngine`] (the usable-replica
+//!   filter feeding the Fig. 2 decision);
 //! * request lifecycle — `lifecycle.rs` (arrival → redirect → service
 //!   → delivery handlers);
 //! * placement — `env.rs` (the [`radar_core::placement::PlacementEnv`]
@@ -139,8 +139,8 @@ pub struct Simulation {
     pub(crate) hosts: Vec<HostState>,
     pub(crate) servers: Vec<FifoServer>,
     pub(crate) redirector: Redirector,
-    /// Decision layer: Fig. 2 with a per-(gateway, object) candidate
-    /// cache (engaged when the selection policy supports it).
+    /// Decision layer: Fig. 2 over the usable replicas (engaged when
+    /// the selection policy delegates to it).
     pub(crate) redirect: RedirectEngine,
     pub(crate) catalog: Catalog,
     pub(crate) metrics: Metrics,
@@ -182,8 +182,9 @@ pub struct Simulation {
     pub(crate) object_ledger: Option<SharedObjectLedger>,
     /// The load-report board (§4.2.2 / the TR's recipient discovery):
     /// "hosts periodically exchange load reports, so that each host
-    /// knows a few probable candidates." Each entry is the host's last
-    /// *published* upper-estimate load and its publication time; offload
+    /// knows a few probable candidates." Each entry is `(time, load)`:
+    /// when the host last published and the upper-estimate load it
+    /// published; offload
     /// recipient discovery reads these possibly-stale reports, while
     /// `CreateObj` admission remains authoritative at the recipient.
     pub(crate) load_reports: Vec<(f64, f64)>,
@@ -196,10 +197,6 @@ pub struct Simulation {
     pub(crate) fault_schedule: Vec<FaultTransition>,
     /// Live fault state replayed from the schedule.
     pub(crate) fault_state: FaultState,
-    /// Bumped on every applied fault transition; part of the redirect
-    /// engine's cache key (host liveness changes replica usability
-    /// without touching routing).
-    pub(crate) fault_gen: u32,
     /// Per-host crash epoch. Completions carry the epoch they entered
     /// service under, so work queued before a crash is seen as lost.
     pub(crate) host_epoch: Vec<u32>,
@@ -302,7 +299,6 @@ impl Simulation {
             .collect();
         let redirector =
             Redirector::new(scenario.num_objects, scenario.params.distribution_constant);
-        let redirect = RedirectEngine::new(scenario.num_objects, n);
         let catalog = scenario.catalog.clone().unwrap_or_else(|| {
             Catalog::uniform(scenario.num_objects, scenario.object_size, n as u16)
         });
@@ -335,7 +331,7 @@ impl Simulation {
             hosts,
             servers,
             redirector,
-            redirect,
+            redirect: RedirectEngine::default(),
             catalog,
             metrics,
             rng,
@@ -354,7 +350,6 @@ impl Simulation {
             recorded: None,
             fault_schedule,
             fault_state: FaultState::new(n),
-            fault_gen: 0,
             host_epoch: vec![0; n],
             declared_dead: vec![false; n],
             below_min_since: BTreeMap::new(),
@@ -431,10 +426,10 @@ impl Simulation {
     /// Enables per-shard telemetry for [`Simulation::run_sharded`]:
     /// span accounting (busy / channel-wait /
     /// barrier-drain / reunite / idle) on the sequencer and every
-    /// worker, hand-off latency and batch-size histograms, barrier
-    /// counters by cause, and candidate-cache hit/miss tallies. The
-    /// returned handle yields live snapshots (published at every epoch
-    /// barrier) for dashboards; the completed profile lands in
+    /// worker, hand-off latency and batch-size histograms, and barrier
+    /// counters by cause. The returned handle yields live snapshots
+    /// (published at every epoch barrier) for dashboards; the completed
+    /// profile lands in
     /// [`RunReport::shard_profile`]. Like loop profiling, all numbers
     /// stay out of the deterministic event stream. Serial runs (and
     /// `run_sharded(1)`'s serial fallback) collect nothing.

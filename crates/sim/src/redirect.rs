@@ -1,97 +1,65 @@
 //! The redirect engine: the per-request decision layer between the
-//! event loop and the [`Redirector`], with a per-(gateway, object)
-//! candidate cache.
+//! event loop and the [`Redirector`].
 //!
-//! Every redirect must (1) filter the object's replicas down to the
+//! Every redirect (1) filters the object's replicas down to the
 //! *usable* ones — host up, redirector→host and host→gateway routes
-//! intact — with their hop distances to the gateway, then (2) run the
-//! Fig. 2 decision over that list. Step (2) is inherently per-request
-//! (the winner's request count increments every choice), but step (1)
-//! only changes when the replica set, the routing state, or the fault
-//! state changes. [`RedirectEngine`] caches step (1) per
-//! (gateway, object) slot, keyed on:
-//!
-//! * the object's [`Directory` version](radar_core::Directory::version)
-//!   — bumped on every membership/affinity change, including the
-//!   mid-redirect primary-fallback `install`;
-//! * the [`RoutingView` generation](radar_simnet::RoutingView::generation)
-//!   — bumped on every effective link up/down transition;
-//! * the platform's fault generation — bumped on every fault transition
-//!   (host crashes and recoveries change the `usable` filter without
-//!   touching routing).
-//!
-//! A hit skips the per-replica liveness and path checks, the distance
-//! lookups, and the candidate-vector allocation the uncached path pays
-//! on every request. The decision itself is *never* cached: cached
-//! candidates feed [`Redirector::choose_among`], which runs the same
-//! Fig. 2 arithmetic as the uncached path — decisions are bit-identical
-//! either way.
+//! intact — with their hop distances to the gateway, noting the closest
+//! on the way, then (2) runs the Fig. 2 decision over that list
+//! ([`Redirector::choose_among_into`]). An object has a handful of
+//! replicas, so step (1) is a few array reads; the engine keeps nothing
+//! between requests but the list's allocation, and its memory does not
+//! grow with the catalogue or the number of gateways. While every host
+//! and every link is up ([`FaultState::all_up`]) the filter is vacuous —
+//! topologies are validated connected — and only the distance lookups
+//! remain.
 
-use radar_core::{ChoiceExplanation, ObjectId, Redirector};
+use radar_core::{ChoiceExplanation, ObjectId, Redirector, RedirectorShard, ReplicaInfo};
 use radar_simnet::{NodeId, RoutingView};
 
 use crate::faults::FaultState;
+use crate::shard::NetSnapshot;
 
-/// One cached usable-candidate list with the state versions it was
-/// computed under.
-struct CacheSlot {
-    dir_version: u64,
-    routing_gen: u64,
-    fault_gen: u32,
-    /// `(entry_index, distance)` pairs in replica-set order — exactly
-    /// what the uncached filter would build.
-    candidates: Vec<(u32, u32)>,
-    /// Entry index of the closest candidate `p` (minimum
-    /// `(distance, host)`). Fig. 2's `p` is a pure function of the
-    /// candidate list — unlike `q`, it never depends on request counts —
-    /// so it is computed once per slot fill instead of once per request.
-    /// Unused (zero) when `candidates` is empty.
-    closest: u32,
-}
-
-/// Per-(gateway, object) candidate cache over the Fig. 2 decision rule.
-/// See the module docs for the invalidation contract.
+/// The Fig. 2 decision over the currently usable replicas. One engine
+/// serves every request of its thread: the platform owns one for the
+/// serial loop, each shard worker owns one for its object range.
+#[derive(Default)]
 pub(crate) struct RedirectEngine {
-    /// Flat slot table indexed `object * num_nodes + gateway`.
-    slots: Vec<Option<CacheSlot>>,
-    num_nodes: usize,
-    /// Decisions served from a fresh slot since the last
-    /// [`take_cache_stats`](Self::take_cache_stats).
-    hits: u64,
-    /// Decisions that had to (re)fill their slot since the last
-    /// [`take_cache_stats`](Self::take_cache_stats).
-    misses: u64,
+    /// `(entry_index, distance)` of the usable replicas of the request
+    /// being decided, in replica-set order; refilled per request.
+    candidates: Vec<(u32, u32)>,
 }
 
 impl RedirectEngine {
-    pub(crate) fn new(num_objects: u32, num_nodes: usize) -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(num_objects as usize * num_nodes, || None);
-        Self {
-            slots,
-            num_nodes,
-            hits: 0,
-            misses: 0,
+    /// Refills the candidate list from `replicas` and returns the entry
+    /// index of the closest candidate `p` (minimum `(distance, host)`;
+    /// zero and unused when nothing is usable).
+    fn fill(
+        &mut self,
+        replicas: &[ReplicaInfo],
+        usable: impl Fn(NodeId) -> bool,
+        distance: impl Fn(NodeId) -> u32,
+    ) -> u32 {
+        self.candidates.clear();
+        let mut closest = 0u32;
+        let mut best = (u32::MAX, NodeId::new(u16::MAX));
+        for (i, e) in replicas.iter().enumerate() {
+            if usable(e.host) {
+                let dist = distance(e.host);
+                self.candidates.push((i as u32, dist));
+                if (dist, e.host) < best {
+                    best = (dist, e.host);
+                    closest = i as u32;
+                }
+            }
         }
-    }
-
-    /// Reads and resets the candidate-cache hit/miss tally (profiling
-    /// harvests it per lane; the counters themselves are always on —
-    /// two branch-free increments against a 150 ns+ decision).
-    pub(crate) fn take_cache_stats(&mut self) -> (u64, u64) {
-        (
-            std::mem::take(&mut self.hits),
-            std::mem::take(&mut self.misses),
-        )
+        closest
     }
 
     /// Chooses the replica of `object` serving a request entering at
-    /// `gateway`, through redirector node `rnode`. Reuses the cached
-    /// candidate list when every version key matches; rebuilds it (with
-    /// the same filter and distance source as the uncached path)
-    /// otherwise. Passing `explanation` requests the Fig. 2 decision
-    /// snapshot for the flight recorder, filled into the caller's
-    /// scratch so tracing allocates nothing per request.
+    /// `gateway`, through redirector node `rnode`. Passing `explanation`
+    /// requests the Fig. 2 decision snapshot for the flight recorder,
+    /// filled into the caller's scratch so tracing allocates nothing per
+    /// request.
     ///
     /// Returns `None` when no usable replica exists — the platform then
     /// runs its primary-fallback path.
@@ -104,236 +72,183 @@ impl RedirectEngine {
         redirector: &mut Redirector,
         view: &RoutingView,
         fault_state: &FaultState,
-        fault_gen: u32,
         explanation: Option<&mut ChoiceExplanation>,
     ) -> Option<NodeId> {
-        let slot = &mut self.slots[object.index() * self.num_nodes + gateway.index()];
-        let dir_version = redirector.directory().version(object);
-        let routing_gen = view.generation();
-        let fresh = matches!(
-            slot,
-            Some(s) if s.dir_version == dir_version
-                && s.routing_gen == routing_gen
-                && s.fault_gen == fault_gen
+        // A replica is usable when its host is up and traffic can flow
+        // redirector → host and host → gateway.
+        let reachable = |h: NodeId| {
+            fault_state.host_up(h.index() as u16)
+                && !view.path(rnode, h).is_empty()
+                && !view.path(h, gateway).is_empty()
+        };
+        let all_up = fault_state.all_up();
+        let closest = self.fill(
+            redirector.replicas(object),
+            |h| {
+                debug_assert!(!all_up || reachable(h), "all up, yet {h} is unusable");
+                all_up || reachable(h)
+            },
+            |h| view.distance(h, gateway),
         );
-        if fresh {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        if !fresh {
-            // A replica is usable when its host is up and traffic can
-            // flow redirector → host and host → gateway (the same
-            // predicate the uncached filter applies). The closest
-            // candidate is identified in the same pass. A stale slot
-            // donates its vector, so steady-state invalidations (after
-            // placement actions) refill in place instead of allocating.
-            let mut candidates = match slot.take() {
-                Some(stale) => {
-                    let mut v = stale.candidates;
-                    v.clear();
-                    v
-                }
-                None => Vec::new(),
-            };
-            let mut closest = 0u32;
-            let mut best = (u32::MAX, NodeId::new(u16::MAX));
-            for (i, e) in redirector.replicas(object).iter().enumerate() {
-                if fault_state.host_up(e.host.index() as u16)
-                    && !view.path(rnode, e.host).is_empty()
-                    && !view.path(e.host, gateway).is_empty()
-                {
-                    let dist = view.distance(e.host, gateway);
-                    candidates.push((i as u32, dist));
-                    if (dist, e.host) < best {
-                        best = (dist, e.host);
-                        closest = i as u32;
-                    }
-                }
-            }
-            *slot = Some(CacheSlot {
-                dir_version,
-                routing_gen,
-                fault_gen,
-                candidates,
-                closest,
-            });
-        }
-        let slot = slot.as_ref().expect("slot filled above");
-        redirector.choose_among_into(object, &slot.candidates, Some(slot.closest), explanation)
+        redirector.choose_among_into(object, &self.candidates, Some(closest), explanation)
     }
 
-    /// Splits the cache into `num_shards` contiguous object-range shards
-    /// (the same partition as [`radar_core::shard_ranges`]), each owning
-    /// its objects' slots so worker threads can serve cache hits without
-    /// synchronization. The parent keeps an empty table and must not
-    /// serve decisions until [`absorb_shards`](Self::absorb_shards)
-    /// reunites the slots.
-    pub(crate) fn split_shards(&mut self, num_shards: usize) -> Vec<EngineShard> {
-        let num_objects = (self.slots.len() / self.num_nodes.max(1)) as u32;
-        let ranges = radar_core::shard_ranges(num_objects, num_shards);
-        let mut rest = std::mem::take(&mut self.slots);
-        let mut shards: Vec<EngineShard> = Vec::with_capacity(num_shards);
-        for s in (0..num_shards).rev() {
-            let (start, _) = ranges[s];
-            let slots = rest.split_off(start as usize * self.num_nodes);
-            shards.push(EngineShard {
-                base: start,
-                num_nodes: self.num_nodes,
-                slots,
-                hits: 0,
-                misses: 0,
-            });
-        }
-        shards.reverse();
-        debug_assert!(rest.is_empty());
-        shards
-    }
-
-    /// Reunites shards produced by [`split_shards`](Self::split_shards),
-    /// in the same order.
-    pub(crate) fn absorb_shards(&mut self, shards: Vec<EngineShard>) {
-        debug_assert!(self.slots.is_empty(), "absorb into a split engine only");
-        for shard in shards {
-            debug_assert_eq!(shard.base as usize * self.num_nodes, self.slots.len());
-            self.slots.extend(shard.slots);
-        }
-    }
-}
-
-/// One worker thread's slice of the [`RedirectEngine`] candidate cache:
-/// the slots for a contiguous object range. Decisions made through a
-/// shard are bit-identical to the unsplit engine's — same filter output,
-/// same Fig. 2 arithmetic — because inside a parallel window (no faults,
-/// full connectivity) the usability filter passes every replica.
-pub(crate) struct EngineShard {
-    /// First object id this shard owns.
-    base: u32,
-    num_nodes: usize,
-    /// Slot table indexed `(object - base) * num_nodes + gateway`.
-    slots: Vec<Option<CacheSlot>>,
-    /// Decisions served from a fresh slot since the last harvest.
-    hits: u64,
-    /// Decisions that had to (re)fill their slot since the last harvest.
-    misses: u64,
-}
-
-impl EngineShard {
-    /// Reads and resets this shard's cache hit/miss tally. Workers
-    /// harvest at every `Collect`, before the shard is sent back and
-    /// absorbed, so no tally is ever double-counted.
-    pub(crate) fn take_cache_stats(&mut self) -> (u64, u64) {
-        (
-            std::mem::take(&mut self.hits),
-            std::mem::take(&mut self.misses),
-        )
-    }
-
-    /// The shard-local Fig. 2 decision. Mirrors
-    /// [`RedirectEngine::choose`] except that the usable-replica filter
-    /// is vacuous: the sharded loop only defers redirects while every
-    /// host is up and every route intact (see `crate::shard`), so every
-    /// replica is usable and only the distance lookup remains. Candidate
-    /// lists and the cached closest replica are therefore identical to
-    /// what the serial engine would build at the same point in the event
-    /// order.
-    pub(crate) fn choose(
+    /// The shard-local Fig. 2 decision. The sharded loop only defers
+    /// redirects while every host is up and every route intact (see
+    /// `crate::shard`), so every replica is usable and the candidate
+    /// list equals what [`choose`](Self::choose) would build at the same
+    /// point in the event order.
+    pub(crate) fn choose_in_shard(
         &mut self,
         object: ObjectId,
         gateway: NodeId,
-        shard: &mut radar_core::RedirectorShard,
-        net: &crate::shard::NetSnapshot,
+        shard: &mut RedirectorShard,
+        net: &NetSnapshot,
         explanation: Option<&mut ChoiceExplanation>,
     ) -> Option<NodeId> {
-        let idx = (object.index() - self.base as usize) * self.num_nodes + gateway.index();
-        let slot = &mut self.slots[idx];
-        let dir_version = shard.version(object);
-        let fresh = matches!(
-            slot,
-            Some(s) if s.dir_version == dir_version
-                && s.routing_gen == net.routing_gen()
-                && s.fault_gen == net.fault_gen()
+        let closest = self.fill(
+            shard.replicas(object),
+            |_| true,
+            |h| net.distance(h, gateway),
         );
-        if fresh {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        if !fresh {
-            let mut candidates = match slot.take() {
-                Some(stale) => {
-                    let mut v = stale.candidates;
-                    v.clear();
-                    v
-                }
-                None => Vec::new(),
-            };
-            let mut closest = 0u32;
-            let mut best = (u32::MAX, NodeId::new(u16::MAX));
-            for (i, e) in shard.replicas(object).iter().enumerate() {
-                let dist = net.distance(e.host, gateway);
-                candidates.push((i as u32, dist));
-                if (dist, e.host) < best {
-                    best = (dist, e.host);
-                    closest = i as u32;
-                }
-            }
-            *slot = Some(CacheSlot {
-                dir_version,
-                routing_gen: net.routing_gen(),
-                fault_gen: net.fault_gen(),
-                candidates,
-                closest,
-            });
-        }
-        let slot = slot.as_ref().expect("slot filled above");
-        shard.choose_among_into(object, &slot.candidates, Some(slot.closest), explanation)
+        shard.choose_among_into(object, &self.candidates, Some(closest), explanation)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::TransitionKind;
+    use radar_simcore::SimRng;
     use radar_simnet::builders;
 
     fn x() -> ObjectId {
         ObjectId::new(0)
     }
 
-    #[test]
-    fn cached_decisions_match_uncached_stream() {
-        let view = RoutingView::new(builders::uunet());
-        let fault_state = FaultState::new(view.topology().len());
-        let mut cached = Redirector::new(1, 2.0);
-        cached.install(x(), NodeId::new(3));
-        cached.install(x(), NodeId::new(40));
-        let mut plain = cached.clone();
-        let mut engine = RedirectEngine::new(1, view.topology().len());
-        let rnode = view.table().centroid();
-        for i in 0..300u16 {
-            let gw = NodeId::new(i % view.topology().len() as u16);
-            let expect = plain.choose_replica_filtered(x(), gw, view.table(), &|_| true);
-            let got = engine.choose(x(), gw, rnode, &mut cached, &view, &fault_state, 0, None);
-            assert_eq!(got, expect, "request {i}");
+    /// Applies `kind` to the fault state and, like the platform's fault
+    /// handler, mirrors effective link transitions into the view.
+    fn apply(fault_state: &mut FaultState, view: &mut RoutingView, kind: TransitionKind) {
+        let routes_dirty = fault_state.apply(kind);
+        match kind {
+            TransitionKind::LinkFail(a, b) if routes_dirty => {
+                view.set_link(NodeId::new(a), NodeId::new(b), false);
+            }
+            TransitionKind::LinkHeal(a, b) if routes_dirty => {
+                view.set_link(NodeId::new(a), NodeId::new(b), true);
+            }
+            _ => {}
         }
-        assert_eq!(cached, plain, "identical bookkeeping after the stream");
     }
 
     #[test]
-    fn membership_change_invalidates_the_slot() {
+    fn decisions_match_the_filtered_redirector_under_random_faults() {
+        // The engine against `Redirector::choose_replica_filtered` on a
+        // cloned redirector, over random host and link outages that
+        // start all-up, pass through overlapping faults (including
+        // states where no replica is usable) and return to all-up.
+        let mut rng = SimRng::seed_from(0x5eed_0013);
+        let mut view = RoutingView::new(builders::uunet());
+        let n = view.topology().len() as u16;
+        let links: Vec<(u16, u16)> = view
+            .topology()
+            .links()
+            .iter()
+            .map(|&(a, b)| (a.index() as u16, b.index() as u16))
+            .collect();
+        let mut fault_state = FaultState::new(n as usize);
+        let objects = 8u32;
+        let mut engine_side = Redirector::new(objects, 2.0);
+        for i in 0..objects {
+            for _ in 0..1 + rng.index(4) {
+                engine_side.install(ObjectId::new(i), NodeId::new(rng.index(n as usize) as u16));
+            }
+        }
+        let mut oracle_side = engine_side.clone();
+        let mut engine = RedirectEngine::default();
+        let rnode = view.table().centroid();
+        let mut active: Vec<TransitionKind> = Vec::new();
+        let (mut empty_sets, mut all_up_rounds, mut faulted_rounds) = (0, 0, 0);
+        for round in 0..400 {
+            // Rounds 0..150 open faults more often than they close them,
+            // 150..300 mostly close, and the tail closes whatever is left.
+            let open = match round {
+                0..=149 => rng.chance(0.6),
+                150..=299 => rng.chance(0.3),
+                _ => false,
+            };
+            if open {
+                let kind = if rng.chance(0.5) {
+                    // Crash a host that holds a replica half of the time.
+                    let o = ObjectId::new(rng.index(objects as usize) as u32);
+                    let replicas = engine_side.replicas(o);
+                    if rng.chance(0.5) && !replicas.is_empty() {
+                        let host = replicas[rng.index(replicas.len())].host;
+                        TransitionKind::HostCrash(host.index() as u16)
+                    } else {
+                        TransitionKind::HostCrash(rng.index(n as usize) as u16)
+                    }
+                } else {
+                    let (a, b) = links[rng.index(links.len())];
+                    TransitionKind::LinkFail(a, b)
+                };
+                apply(&mut fault_state, &mut view, kind);
+                active.push(kind);
+            } else if !active.is_empty() {
+                let closing = match active.swap_remove(rng.index(active.len())) {
+                    TransitionKind::HostCrash(h) => TransitionKind::HostRecover(h),
+                    TransitionKind::LinkFail(a, b) => TransitionKind::LinkHeal(a, b),
+                    other => unreachable!("only outages are opened: {other:?}"),
+                };
+                apply(&mut fault_state, &mut view, closing);
+            }
+            assert_eq!(fault_state.all_up(), active.is_empty(), "round {round}");
+            if active.is_empty() {
+                all_up_rounds += 1;
+            } else {
+                faulted_rounds += 1;
+            }
+            for _ in 0..40 {
+                let object = ObjectId::new(rng.index(objects as usize) as u32);
+                let gw = NodeId::new(rng.index(n as usize) as u16);
+                let usable = |h: NodeId| {
+                    fault_state.host_up(h.index() as u16)
+                        && !view.path(rnode, h).is_empty()
+                        && !view.path(h, gw).is_empty()
+                };
+                let expect = oracle_side.choose_replica_filtered(object, gw, view.table(), &usable);
+                let got = engine.choose(
+                    object,
+                    gw,
+                    rnode,
+                    &mut engine_side,
+                    &view,
+                    &fault_state,
+                    None,
+                );
+                assert_eq!(got, expect, "round {round}, {object} from {gw}");
+                empty_sets += u32::from(got.is_none());
+            }
+        }
+        assert_eq!(engine_side, oracle_side, "identical request counts");
+        assert!(fault_state.all_up() && all_up_rounds > 50 && faulted_rounds > 200);
+        assert!(empty_sets > 0, "no round left an object without a replica");
+    }
+
+    #[test]
+    fn membership_change_is_seen_by_the_next_request() {
         let view = RoutingView::new(builders::star(5));
         let fault_state = FaultState::new(view.topology().len());
         let mut r = Redirector::new(1, 2.0);
         r.install(x(), NodeId::new(1));
-        let mut engine = RedirectEngine::new(1, view.topology().len());
+        let mut engine = RedirectEngine::default();
         let gw = NodeId::new(2);
         let rnode = NodeId::new(0);
-        let first = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, 0, None);
+        let first = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(first, Some(NodeId::new(1)));
-        // A new much-closer replica must be seen immediately.
         r.notify_created(x(), gw);
-        let second = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, 0, None);
-        assert_eq!(second, Some(gw), "stale cache would still pick node 1");
+        let second = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
+        assert_eq!(second, Some(gw), "the new, much closer replica wins");
     }
 
     #[test]
@@ -343,25 +258,23 @@ mod tests {
         // bookkeeping exactly — that is the sharded loop's whole claim.
         let view = RoutingView::new(builders::uunet());
         let fault_state = FaultState::new(view.topology().len());
-        let net = crate::shard::NetSnapshot::from_view(&view, 0);
+        let net = NetSnapshot::from_view(&view);
         let mut serial = Redirector::new(4, 2.0);
         for i in 0..4 {
             serial.install(ObjectId::new(i), NodeId::new(3));
             serial.install(ObjectId::new(i), NodeId::new(40));
         }
         let mut sharded = serial.clone();
-        let mut engine = RedirectEngine::new(4, view.topology().len());
-        let mut split_engine = RedirectEngine::new(4, view.topology().len());
+        let mut engine = RedirectEngine::default();
+        let mut worker_engines = [RedirectEngine::default(), RedirectEngine::default()];
         let mut dir_shards = sharded.split_shards(2);
-        let mut engine_shards = split_engine.split_shards(2);
         let rnode = view.table().centroid();
         for i in 0..600u16 {
             let object = ObjectId::new(u32::from(i) % 4);
             let gw = NodeId::new(i % view.topology().len() as u16);
-            let expect =
-                engine.choose(object, gw, rnode, &mut serial, &view, &fault_state, 0, None);
+            let expect = engine.choose(object, gw, rnode, &mut serial, &view, &fault_state, None);
             let s = (object.index() * 2) / 4;
-            let got = engine_shards[s].choose(object, gw, &mut dir_shards[s], &net, None);
+            let got = worker_engines[s].choose_in_shard(object, gw, &mut dir_shards[s], &net, None);
             assert_eq!(got, expect, "request {i}");
         }
         sharded.absorb_shards(dir_shards);
@@ -369,41 +282,19 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_tally_hits_and_misses_and_reset_on_take() {
-        let view = RoutingView::new(builders::star(5));
-        let fault_state = FaultState::new(view.topology().len());
-        let mut r = Redirector::new(1, 2.0);
-        r.install(x(), NodeId::new(1));
-        let mut engine = RedirectEngine::new(1, view.topology().len());
-        let gw = NodeId::new(2);
-        let rnode = NodeId::new(0);
-        engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, 0, None);
-        engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, 0, None);
-        engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, 0, None);
-        assert_eq!(engine.take_cache_stats(), (2, 1), "fill, then two hits");
-        assert_eq!(engine.take_cache_stats(), (0, 0), "take resets");
-        // Invalidation shows up as a fresh miss.
-        r.notify_created(x(), gw);
-        engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, 0, None);
-        assert_eq!(engine.take_cache_stats(), (0, 1));
-    }
-
-    #[test]
-    fn fault_generation_invalidates_the_slot() {
+    fn a_crashed_host_is_filtered_out() {
         let view = RoutingView::new(builders::star(5));
         let mut fault_state = FaultState::new(view.topology().len());
         let mut r = Redirector::new(1, 2.0);
         r.install(x(), NodeId::new(1));
         r.install(x(), NodeId::new(3));
-        let mut engine = RedirectEngine::new(1, view.topology().len());
+        let mut engine = RedirectEngine::default();
         let gw = NodeId::new(1);
         let rnode = NodeId::new(0);
-        let first = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, 0, None);
+        let first = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(first, Some(NodeId::new(1)), "local replica wins");
-        // Crash the local replica's host: with a bumped fault
-        // generation the filter re-runs and only node 3 remains.
-        fault_state.apply(crate::faults::TransitionKind::HostCrash(1));
-        let second = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, 1, None);
+        fault_state.apply(TransitionKind::HostCrash(1));
+        let second = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(second, Some(NodeId::new(3)));
     }
 }

@@ -67,13 +67,13 @@ pub trait SelectionPolicy: Send {
     /// Policy name for reports.
     fn name(&self) -> &str;
 
-    /// `true` when the policy's decisions are a pure function of the
-    /// usable candidate set — i.e. it delegates to the redirector's
-    /// Fig. 2 rule — so the platform may route requests through its
-    /// candidate-caching redirect engine instead of this trait. Stateful
-    /// policies (round-robin cursors, randomized picks) must leave this
-    /// `false`.
-    fn supports_candidate_cache(&self) -> bool {
+    /// `true` when the policy is the redirector's Fig. 2 rule over the
+    /// usable replicas and nothing else, so the platform may decide
+    /// through its redirect engine (and, under `--shards`, on worker
+    /// threads) instead of this trait. Policies with state or decisions
+    /// of their own (round-robin cursors, randomized picks) must leave
+    /// this `false`.
+    fn delegates_to_fig2(&self) -> bool {
         false
     }
 }
@@ -130,7 +130,7 @@ impl SelectionPolicy for RadarSelection {
         "radar"
     }
 
-    fn supports_candidate_cache(&self) -> bool {
+    fn delegates_to_fig2(&self) -> bool {
         true
     }
 }

@@ -4,8 +4,8 @@
 //! threads by the same hash partition the paper uses for redirectors
 //! (§2 — contiguous object-id ranges, [`radar_core::shard_ranges`]).
 //! Each worker owns its slice of the directory
-//! ([`radar_core::RedirectorShard`]) and of the redirect engine's
-//! candidate cache ([`crate::redirect::EngineShard`]); the main thread
+//! ([`radar_core::RedirectorShard`]) for the length of a window and a
+//! [`RedirectEngine`] of its own for the whole run; the main thread
 //! keeps sequencing the event queue and handles everything except the
 //! hot redirect decision, which it *defers* to the owning shard.
 //!
@@ -106,23 +106,21 @@ use radar_simnet::{NodeId, RoutingView};
 
 use crate::lifecycle::fill_decision;
 use crate::platform::{Event, Simulation};
-use crate::redirect::EngineShard;
+use crate::redirect::RedirectEngine;
 use crate::report::RunReport;
 
-/// Read-only network facts a worker needs to fill candidate-cache slots:
-/// the full hop-distance matrix plus the generation counters that key
-/// cache freshness. Captured once per parallel window (distances cannot
-/// change inside one — the window ends at any fault transition).
+/// The read-only network fact a worker needs to build candidate lists:
+/// the full hop-distance matrix. Captured once per parallel window
+/// (distances cannot change inside one — the window ends at any fault
+/// transition).
 pub(crate) struct NetSnapshot {
     num_nodes: usize,
     /// Row-major `num_nodes × num_nodes` hop distances.
     distances: Vec<u32>,
-    routing_gen: u64,
-    fault_gen: u32,
 }
 
 impl NetSnapshot {
-    pub(crate) fn from_view(view: &RoutingView, fault_gen: u32) -> Self {
+    pub(crate) fn from_view(view: &RoutingView) -> Self {
         let n = view.topology().len();
         let mut distances = vec![0u32; n * n];
         for a in 0..n {
@@ -133,8 +131,6 @@ impl NetSnapshot {
         NetSnapshot {
             num_nodes: n,
             distances,
-            routing_gen: view.generation(),
-            fault_gen,
         }
     }
 
@@ -142,14 +138,6 @@ impl NetSnapshot {
     /// capture time.
     pub(crate) fn distance(&self, from: NodeId, to: NodeId) -> u32 {
         self.distances[from.index() * self.num_nodes + to.index()]
-    }
-
-    pub(crate) fn routing_gen(&self) -> u64 {
-        self.routing_gen
-    }
-
-    pub(crate) fn fault_gen(&self) -> u32 {
-        self.fault_gen
     }
 }
 
@@ -171,15 +159,9 @@ struct WorkOutcome {
     explanation: Option<Box<ChoiceExplanation>>,
 }
 
-/// Everything a worker owns between a split and the next barrier.
-struct ShardState {
-    redirector: RedirectorShard,
-    engine: EngineShard,
-}
-
 enum ToShard {
-    /// Install this window's state (sent at each split).
-    State(Box<ShardState>, Arc<NetSnapshot>),
+    /// Install this window's directory slice (sent at each split).
+    State(Box<RedirectorShard>, Arc<NetSnapshot>),
     /// Decide a whole batch of redirects. The second vector is an empty
     /// reply buffer riding along so the worker answers without
     /// allocating; its capacity cycles sequencer → worker → sequencer.
@@ -194,7 +176,7 @@ enum FromShard {
     Outcomes(Vec<WorkOutcome>, Vec<WorkItem>),
     State {
         shard: usize,
-        state: Box<ShardState>,
+        state: Box<RedirectorShard>,
         /// Cumulative worker telemetry, piggybacked on every collect
         /// when profiling is on (`None` otherwise).
         lane: Option<LaneProfile>,
@@ -339,7 +321,8 @@ fn worker_loop(
     mut tx: spsc::Sender<FromShard>,
     profiled: bool,
 ) {
-    let mut state: Option<(Box<ShardState>, Arc<NetSnapshot>)> = None;
+    let mut state: Option<(Box<RedirectorShard>, Arc<NetSnapshot>)> = None;
+    let mut engine = RedirectEngine::default();
     // Worker span accounting: time waiting on the ring is `Idle`,
     // deciding a batch is `Busy`, installing/returning window state is
     // `Reunite`. The lane is cumulative for the whole run and a copy
@@ -370,12 +353,11 @@ fn worker_loop(
                 for item in items.drain(..) {
                     let mut explanation =
                         item.explain.then(|| Box::new(ChoiceExplanation::default()));
-                    let host = s
-                        .engine
-                        .choose(
+                    let host = engine
+                        .choose_in_shard(
                             item.object,
                             item.gateway,
-                            &mut s.redirector,
+                            s,
                             net,
                             explanation.as_deref_mut(),
                         )
@@ -397,14 +379,8 @@ fn worker_loop(
                 }
             }
             ToShard::Collect => {
-                let (mut s, _) = state.take().expect("state installed before collect");
-                // Harvest the engine shard's cache tally before the
-                // shard is sent back and absorbed, so it is counted
-                // exactly once — on this worker's lane.
+                let (s, _) = state.take().expect("state installed before collect");
                 let lane = prof.as_mut().map(|p| {
-                    let (hits, misses) = s.engine.take_cache_stats();
-                    p.lane.cache_hits += hits;
-                    p.lane.cache_misses += misses;
                     p.clock.charge(&mut p.lane, SpanKind::Reunite);
                     p.lane
                 });
@@ -561,8 +537,8 @@ impl ShardRuntime {
         }
     }
 
-    /// Splits directory + engine state across the workers for a new
-    /// parallel window.
+    /// Splits the directory across the workers for a new parallel
+    /// window.
     fn split(&mut self, sim: &mut Simulation) {
         debug_assert!(!self.split);
         if let Some(p) = &mut self.prof {
@@ -570,17 +546,10 @@ impl ShardRuntime {
             p.clock.charge(&mut p.lane, SpanKind::Busy);
         }
         self.rebuild_bounds(sim);
-        let net = Arc::new(NetSnapshot::from_view(&sim.view, sim.fault_gen));
+        let net = Arc::new(NetSnapshot::from_view(&sim.view));
         let dirs = sim.redirector.split_shards(self.to_workers.len());
-        let engines = sim.redirect.split_shards(self.to_workers.len());
-        for (s, (redirector, engine)) in dirs.into_iter().zip(engines).enumerate() {
-            self.send_state(
-                s,
-                ToShard::State(
-                    Box::new(ShardState { redirector, engine }),
-                    Arc::clone(&net),
-                ),
-            );
+        for (s, redirector) in dirs.into_iter().enumerate() {
+            self.send_state(s, ToShard::State(Box::new(redirector), Arc::clone(&net)));
         }
         self.split = true;
         if let Some(p) = &mut self.prof {
@@ -915,7 +884,7 @@ impl ShardRuntime {
     }
 
     /// Epoch barrier: flush every pending redirect, recall every shard's
-    /// state, and reunite it with the parent directory and engine. On
+    /// state, and reunite it with the parent directory. On
     /// return the sequencer may run any handler on fully-consistent
     /// state.
     ///
@@ -943,7 +912,7 @@ impl ShardRuntime {
         for s in 0..self.to_workers.len() {
             self.send_state(s, ToShard::Collect);
         }
-        let mut states: Vec<Option<Box<ShardState>>> =
+        let mut states: Vec<Option<Box<RedirectorShard>>> =
             (0..self.to_workers.len()).map(|_| None).collect();
         let mut collected = 0;
         while collected < states.len() {
@@ -978,15 +947,11 @@ impl ShardRuntime {
             p.clock.charge(&mut p.lane, SpanKind::BarrierDrain);
             p.wait_kind = SpanKind::ChannelWait;
         }
-        let mut dirs = Vec::with_capacity(states.len());
-        let mut engines = Vec::with_capacity(states.len());
-        for state in states {
-            let state = state.expect("collected above");
-            dirs.push(state.redirector);
-            engines.push(state.engine);
-        }
+        let dirs = states
+            .into_iter()
+            .map(|state| *state.expect("collected above"))
+            .collect();
         sim.redirector.absorb_shards(dirs);
-        sim.redirect.absorb_shards(engines);
         self.split = false;
         if let Some(p) = &mut self.prof {
             p.clock.charge(&mut p.lane, SpanKind::Reunite);
@@ -1082,8 +1047,8 @@ impl Simulation {
     /// The run is deterministic for any fixed shard count, and its
     /// observable outputs — the flight-recorder stream, the metrics, the
     /// final report — are byte-identical to [`run`](Simulation::run).
-    /// `--shards 1`, selection policies without candidate caching, and
-    /// partially-run simulations delegate to the serial loop outright.
+    /// `--shards 1`, selection policies that do not delegate to Fig. 2,
+    /// and partially-run simulations delegate to the serial loop outright.
     /// See the module docs of `shard.rs` for the design.
     ///
     /// Event-loop profiling ([`Simulation::enable_loop_profile`]) covers
@@ -1103,9 +1068,10 @@ impl Simulation {
     pub fn run_sharded(mut self, shards: usize) -> RunReport {
         assert!(shards >= 1, "at least one shard is required");
         // The serial loop IS the single-shard loop; it is also the only
-        // correct loop for policies that bypass the candidate cache and
-        // for simulations that already emitted events serially.
-        if shards == 1 || !self.selection.supports_candidate_cache() || self.events.next_seq != 0 {
+        // correct loop for policies with decisions of their own (workers
+        // run Fig. 2) and for simulations that already emitted events
+        // serially.
+        if shards == 1 || !self.selection.delegates_to_fig2() || self.events.next_seq != 0 {
             self.run_until(self.scenario.duration);
             return self.finish();
         }
@@ -1210,12 +1176,8 @@ impl Simulation {
             runtime.barrier(&mut self, None);
         }
         if let Some(mut p) = runtime.prof.take() {
-            // Close the final span and claim serial-window cache traffic
-            // (the parent engine's own tally) for the sequencer lane.
+            // Close the final span.
             p.clock.charge(&mut p.lane, SpanKind::Busy);
-            let (hits, misses) = self.redirect.take_cache_stats();
-            p.lane.cache_hits += hits;
-            p.lane.cache_misses += misses;
             let profile = p.assemble(shards);
             if let Some(live) = &runtime.live {
                 live.publish(profile.clone());
@@ -1236,7 +1198,7 @@ mod tests {
     #[test]
     fn snapshot_mirrors_the_routing_view() {
         let view = RoutingView::new(builders::uunet());
-        let net = NetSnapshot::from_view(&view, 7);
+        let net = NetSnapshot::from_view(&view);
         let n = view.topology().len();
         for a in 0..n {
             for b in 0..n {
@@ -1244,7 +1206,5 @@ mod tests {
                 assert_eq!(net.distance(a, b), view.distance(a, b));
             }
         }
-        assert_eq!(net.routing_gen(), view.generation());
-        assert_eq!(net.fault_gen(), 7);
     }
 }

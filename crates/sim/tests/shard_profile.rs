@@ -74,14 +74,6 @@ fn profiled_sharded_run_attributes_wall_clock_to_named_spans() {
     assert!(profile.barriers[BarrierCause::ProviderUpdate as usize] >= 1);
     assert_eq!(profile.barriers[BarrierCause::Fault as usize], 0);
 
-    // Workers fill their candidate caches on first touch, then hit.
-    let (hits, misses): (u64, u64) = profile
-        .workers
-        .iter()
-        .fold((0, 0), |(h, m), w| (h + w.cache_hits, m + w.cache_misses));
-    assert!(misses > 0, "cold caches must record misses");
-    assert!(hits > misses, "a Zipf workload must mostly hit the cache");
-
     // The live handle saw the final snapshot too.
     let snapshot = live.snapshot().expect("published at the final barrier");
     assert_eq!(snapshot.shards, 2);

@@ -35,8 +35,6 @@
 //! provably identical, so the incremental view always equals a full
 //! rebuild (property-tested in `tests/routing_view_incremental.rs`).
 
-use std::collections::HashMap;
-
 use crate::routing::bfs_to_destination;
 use crate::{NodeId, RoutingTable, Topology};
 
@@ -65,12 +63,16 @@ pub struct RoutingView {
     paths: Vec<Vec<Vec<NodeId>>>,
     /// Liveness per link id (parallel to `topology.links()`).
     link_up: Vec<bool>,
-    /// Link id for each normalized `(min, max)` endpoint pair.
-    link_index: HashMap<(u16, u16), usize>,
+    /// Row-major `n × n` link ids (both orientations filled);
+    /// [`NO_LINK`] for non-adjacent pairs.
+    link_index: Vec<u32>,
     /// Bumped on every effective link transition; caches keyed on the
     /// generation stay valid exactly as long as routing is unchanged.
     generation: u64,
 }
+
+/// `link_index` entry of a node pair with no link between them.
+const NO_LINK: u32 = u32::MAX;
 
 impl RoutingView {
     /// Builds the view over `topology` with every link up.
@@ -85,12 +87,11 @@ impl RoutingView {
             }
             paths.push(row);
         }
-        let link_index = topology
-            .links()
-            .iter()
-            .enumerate()
-            .map(|(i, &(a, b))| ((a.index() as u16, b.index() as u16), i))
-            .collect();
+        let mut link_index = vec![NO_LINK; n * n];
+        for (i, &(a, b)) in topology.links().iter().enumerate() {
+            link_index[a.index() * n + b.index()] = i as u32;
+            link_index[b.index() * n + a.index()] = i as u32;
+        }
         Self {
             link_up: vec![true; topology.links().len()],
             topology,
@@ -149,8 +150,10 @@ impl RoutingView {
     /// The dense link id of the `a`–`b` link (its index in
     /// [`Topology::links`]), or `None` when the nodes are not adjacent.
     pub fn link_id(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        let (x, y) = (a.index() as u16, b.index() as u16);
-        self.link_index.get(&(x.min(y), x.max(y))).copied()
+        let n = self.topology.len();
+        debug_assert!(a.index() < n && b.index() < n, "node outside the topology");
+        let id = self.link_index[a.index() * n + b.index()];
+        (id != NO_LINK).then_some(id as usize)
     }
 
     /// Applies a link up/down transition and incrementally rebuilds the
@@ -177,10 +180,8 @@ impl RoutingView {
             ref mut paths,
             ..
         } = *self;
-        let mask = |x: NodeId, y: NodeId| {
-            let (i, j) = (x.index() as u16, y.index() as u16);
-            link_up[link_index[&(i.min(j), i.max(j))]]
-        };
+        let n = topology.len();
+        let mask = |x: NodeId, y: NodeId| link_up[link_index[x.index() * n + y.index()] as usize];
         for (d, dest_paths) in paths.iter_mut().enumerate() {
             // Pre-event depths: `table.dist` still holds the old BFS for
             // this destination at this point.
