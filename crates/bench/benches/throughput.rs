@@ -12,31 +12,18 @@
 //!   by [`radar_bench::timing::CountingAlloc`] (deterministic for a
 //!   fixed seed, so it gates exactly).
 //!
-//! The same workload is then replayed through the sharded event loop
-//! (`Simulation::run_sharded`) at 1, 2, and 4 shards, and the per-shard
-//! events/sec recorded as the `"scaling"` section of the baseline —
-//! the parallel-scaling curve `EXPERIMENTS.md` reads from.
-//!
 //! Before overwriting the committed baseline, the previous numbers are
 //! read back and the run **fails** (exit 1) when events/sec regressed
-//! by more than 10% (at the serial row or at any recorded shard count)
-//! or allocations/event grew by more than 10% — the regression gate
-//! `scripts/check.sh` and CI rely on.
+//! by more than 10% or allocations/event grew by more than 10% — the
+//! regression gate `scripts/check.sh` and CI rely on.
 //!
-//! After the gate, one extra *profiled* run per scaling shard count
-//! captures the shard telemetry (`Simulation::enable_shard_profile`) as
-//! `BENCH_profile.json` — stall attribution for the exact runs the
-//! scaling curve times. The profiled runs are excluded from the timed
-//! repetitions, so profiling never perturbs the gated numbers.
-//!
-//! With `--test`, a miniature run executes once per mode (serial and
-//! 2-shard) as a smoke test and nothing is written or gated.
+//! With `--test`, a miniature run executes once as a smoke test and
+//! nothing is written or gated.
 
 use std::time::{Duration, Instant};
 
 use radar_bench::timing::{
-    throughput_baseline_json, throughput_gate_with_scaling, CountingAlloc, ScalingRow,
-    ThroughputRow,
+    throughput_baseline_json, throughput_gate, CountingAlloc, ThroughputRow,
 };
 use radar_sim::obs::{Recorder, SharedRecorder};
 use radar_sim::{Scenario, Simulation};
@@ -46,12 +33,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Fixed seed shared by every baseline run (same as the golden log).
 const SEED: u64 = 42;
-/// Same object count and seed as the `loop_profile` baseline, but a
-/// hotter request rate: at 0.5 req/s the simulated inter-arrival gap
-/// dwarfs every propagation bound, so consecutive redirects can never
-/// share a hand-off batch and the batching telemetry measures nothing.
-/// 8 req/s keeps several decisions in flight per commit window, which
-/// is the regime the batched hand-off (and its p50 gate) exists for.
+/// Same object count and seed as the `loop_profile` baseline, at a
+/// hotter request rate so several requests are in flight at once.
 const OBJECTS: u32 = 64;
 const RATE: f64 = 8.0;
 const DURATION: f64 = 600.0;
@@ -62,23 +45,9 @@ const RING: usize = 4_096;
 /// Tolerated regression before the gate fails, as a fraction.
 const TOLERANCE: f64 = 0.10;
 
-/// Multi-shard counts the scaling curve measures. The 1-shard point is
-/// not re-measured: `run_sharded(1)` delegates to the serial loop, so
-/// its row is the serial baseline number itself (re-timing the same
-/// code path would only add a second noisy sample of one quantity).
-const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
-/// Repetitions per scaling point — lighter than the serial baseline's
-/// [`REPS`] because three shard counts multiply the cost (and the
-/// multi-shard runs are wall-clock-expensive: they pay a channel round
-/// trip per deferred decision).
-const SCALING_REPS: usize = 8;
-
 /// One traced run: returns events emitted, wall time, and allocator
-/// calls over the run. `shards == 0` runs the serial loop
-/// (`Simulation::run`); any other count goes through
-/// `Simulation::run_sharded`. (Allocator calls are counted process-wide,
-/// so the number covers shard worker threads too.)
-fn traced_run(objects: u32, rate: f64, duration: f64, shards: usize) -> (u64, Duration, u64) {
+/// calls over the run.
+fn traced_run(objects: u32, rate: f64, duration: f64) -> (u64, Duration, u64) {
     let scenario = Scenario::builder()
         .num_objects(objects)
         .node_request_rate(rate)
@@ -92,123 +61,35 @@ fn traced_run(objects: u32, rate: f64, duration: f64, shards: usize) -> (u64, Du
     sim.attach_observer(Box::new(recorder.clone()));
     let allocs_before = CountingAlloc::allocations();
     let start = Instant::now();
-    if shards == 0 {
-        let _ = sim.run();
-    } else {
-        let _ = sim.run_sharded(shards);
-    }
+    let _ = sim.run();
     let wall = start.elapsed();
     let allocs = CountingAlloc::allocations() - allocs_before;
     let events = recorder.with(|r| r.len() as u64 + r.evicted());
     (events, wall, allocs)
 }
 
-/// Best (minimum) wall time of `reps` identical runs at a given shard
-/// count. The run is deterministic per seed, so the true cost is a
-/// constant and scheduler noise is strictly additive: the minimum is
-/// the stable estimator of that constant, where a median still carries
-/// whatever noise hit the middle repetition (double-digit percent for
-/// the ~20 ms serial run on a shared machine, enough to trip a 10%
-/// gate on jitter alone).
-fn best_wall(objects: u32, rate: f64, duration: f64, shards: usize, reps: usize) -> Duration {
-    (0..reps)
-        .map(|_| traced_run(objects, rate, duration, shards).1)
-        .min()
-        .expect("at least one repetition")
-}
-
-/// One profiled (untimed) run at `shards`, returning its shard profile.
-/// Runs after the gate so the telemetry describes the same build and
-/// scenario the baselines measure without contaminating their timings.
-fn profiled_run(
-    objects: u32,
-    rate: f64,
-    duration: f64,
-    shards: usize,
-) -> radar_sim::obs::ShardProfile {
-    let scenario = Scenario::builder()
-        .num_objects(objects)
-        .node_request_rate(rate)
-        .duration(duration)
-        .seed(SEED)
-        .build()
-        .expect("valid scenario");
-    let workload = radar_bench::make_workload("zipf", objects, SEED);
-    let recorder = SharedRecorder::from_recorder(Recorder::new(RING));
-    let mut sim = Simulation::new(scenario, workload);
-    sim.attach_observer(Box::new(recorder.clone()));
-    sim.enable_shard_profile();
-    let report = sim.run_sharded(shards);
-    report
-        .shard_profile
-        .expect("multi-shard profiled run collects a profile")
-}
-
-/// Serializes the profiled scaling runs as `BENCH_profile.json`:
-/// `{"config": {...}, "profiles": [...]}` with one profile per shard
-/// count, in [`SHARD_COUNTS`] order (readable via `radar perf`).
-fn profile_artifact_json(
-    config: &[(&str, String)],
-    profiles: &[radar_sim::obs::ShardProfile],
-) -> String {
-    let config_obj = radar_sim::Json::Obj(
-        config
-            .iter()
-            .map(|(k, v)| {
-                let value = v
-                    .parse::<f64>()
-                    .map(radar_sim::Json::Num)
-                    .unwrap_or_else(|_| radar_sim::Json::Str(v.clone()));
-                ((*k).to_string(), value)
-            })
-            .collect(),
-    );
-    let doc = radar_sim::Json::Obj(vec![
-        ("config".to_string(), config_obj),
-        (
-            "profiles".to_string(),
-            radar_sim::Json::Arr(profiles.iter().map(radar_sim::shard_profile_json).collect()),
-        ),
-    ]);
-    let mut out = doc.pretty();
-    out.push('\n');
-    out
-}
-
 fn main() {
     let test_only = std::env::args().any(|a| a == "--test");
     if test_only {
-        let (events, _, allocs) = traced_run(16, 0.05, 60.0, 0);
+        let (events, _, allocs) = traced_run(16, 0.05, 60.0);
         assert!(events > 0, "traced run emitted no events");
         assert!(allocs > 0, "counting allocator observed nothing");
-        let (sharded_events, _, _) = traced_run(16, 0.05, 60.0, 2);
-        assert_eq!(
-            sharded_events, events,
-            "2-shard smoke run emitted a different event count"
-        );
-        let profile = profiled_run(16, 0.05, 60.0, 2);
-        assert!(
-            profile.min_coverage() > 0.9,
-            "profiled smoke run left wall-clock unattributed"
-        );
-        let artifact = profile_artifact_json(&[("objects", "16".to_string())], &[profile]);
-        assert!(
-            artifact.contains("\"profiles\""),
-            "profile artifact missing profiles array"
-        );
         println!("{:<44} ok (smoke)", "throughput/baseline");
         return;
     }
 
     // The run is deterministic per seed: events and allocations are
     // identical across repetitions, only wall time varies — and varies
-    // only upward, by scheduler noise. Use the best (minimum) wall
-    // time; see `best_wall` for why the median is too jittery to gate.
+    // only upward, by scheduler noise. The minimum is the stable
+    // estimator of the run's constant cost; a median still carries
+    // whatever noise hit the middle repetition (double-digit percent
+    // for a ~20 ms run on a shared machine, enough to trip a 10% gate
+    // on jitter alone).
     let mut events = 0u64;
     let mut allocs = u64::MAX;
     let mut best = Duration::MAX;
     for _ in 0..REPS {
-        let (e, wall, a) = traced_run(OBJECTS, RATE, DURATION, 0);
+        let (e, wall, a) = traced_run(OBJECTS, RATE, DURATION);
         events = e;
         allocs = allocs.min(a);
         best = best.min(wall);
@@ -220,27 +101,6 @@ fn main() {
         allocations_per_event: allocs as f64 / events as f64,
     };
 
-    // The scaling curve: the same workload through the sharded loop at
-    // each recorded shard count. Event counts are identical across all
-    // of them (the sharded loop is byte-equivalent to serial), so
-    // events/sec differences are pure wall-time differences. The
-    // 1-shard point is the serial measurement itself (see SHARD_COUNTS).
-    let mut scaling = vec![ScalingRow {
-        shards: 1,
-        events_per_sec: row.events_per_sec,
-    }];
-    scaling.extend(SHARD_COUNTS.iter().map(|&shards| {
-        let wall = best_wall(OBJECTS, RATE, DURATION, shards, SCALING_REPS);
-        ScalingRow {
-            shards,
-            events_per_sec: events as f64 / wall.as_secs_f64(),
-        }
-    }));
-
-    // Logical cores of the measuring host: the scaling rows (and the
-    // derived speedup/efficiency fields) are meaningless without it —
-    // on a single-core runner even a perfect sharded loop cannot beat
-    // serial, it can only stay close.
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -251,10 +111,9 @@ fn main() {
         ("seed", SEED.to_string()),
         ("ring", RING.to_string()),
         ("repetitions", REPS.to_string()),
-        ("scaling_repetitions", SCALING_REPS.to_string()),
         ("host_cores", host_cores.to_string()),
     ];
-    let json = throughput_baseline_json(&config, &row, &scaling);
+    let json = throughput_baseline_json(&config, &row);
 
     // CARGO_MANIFEST_DIR is crates/bench; the baseline lives at the
     // workspace root next to BENCH_loop.json.
@@ -262,26 +121,12 @@ fn main() {
         .join("../..")
         .join("BENCH_throughput.json");
     let verdict = match std::fs::read_to_string(&path) {
-        Ok(previous) => throughput_gate_with_scaling(&previous, &row, &scaling, TOLERANCE),
+        Ok(previous) => throughput_gate(&previous, &row, TOLERANCE),
         Err(_) => Ok(()), // first baseline: nothing to gate against
     };
     if verdict.is_ok() {
         std::fs::write(&path, &json).expect("write BENCH_throughput.json");
         println!("wrote {}", path.display());
-
-        // One profiled run per scaling shard count, after the timed
-        // repetitions so the telemetry overhead can't touch the gated
-        // numbers. The artifact is `radar perf`-readable.
-        let profiles: Vec<_> = SHARD_COUNTS
-            .iter()
-            .map(|&shards| profiled_run(OBJECTS, RATE, DURATION, shards))
-            .collect();
-        let profile_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_profile.json");
-        std::fs::write(&profile_path, profile_artifact_json(&config, &profiles))
-            .expect("write BENCH_profile.json");
-        println!("wrote {}", profile_path.display());
     }
     print!("{json}");
     if let Err(msg) = verdict {

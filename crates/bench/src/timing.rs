@@ -138,9 +138,8 @@ impl CountingAlloc {
     }
 }
 
-// One of the workspace's two sanctioned `unsafe` sites (next to the
-// SPSC ring in `radar_simcore::spsc`): a `GlobalAlloc` impl is an
-// unsafe trait, and this one only counts and delegates.
+// The workspace's one sanctioned `unsafe` site: a `GlobalAlloc` impl
+// is an unsafe trait, and this one only counts and delegates.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -228,44 +227,10 @@ pub struct ThroughputRow {
     pub allocations_per_event: f64,
 }
 
-/// One point of the per-shard-count scaling curve appended to
-/// `BENCH_throughput.json`: the same seed-42 workload replayed through
-/// [`run_sharded`](../radar_sim/struct.Simulation.html#method.run_sharded)
-/// at a fixed shard count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingRow {
-    /// Worker shards the run was split across (1 = the serial loop).
-    pub shards: usize,
-    /// Events emitted per wall-clock second at this shard count.
-    pub events_per_sec: f64,
-}
-
-impl ScalingRow {
-    /// The JSON key this row is recorded and gated under, e.g.
-    /// `shard2_events_per_sec`. Each shard count gets a distinct key so
-    /// [`json_number`]'s first-occurrence lookup addresses each row
-    /// unambiguously (and never collides with the serial
-    /// `events_per_sec`, which keeps its leading quote in the needle).
-    pub fn key(&self) -> String {
-        format!("shard{}_events_per_sec", self.shards)
-    }
-}
-
 /// Serializes the end-to-end throughput baseline as the
 /// `BENCH_throughput.json` document, in the same hand-rolled fixed-key
-/// style as [`loop_baseline_json`]. A non-empty `scaling` slice appends
-/// a `"scaling"` section with one `shardN_events_per_sec` entry per
-/// recorded shard count, and for every multi-shard count two derived
-/// fields: `shardN_speedup_vs_serial` (that row's events/sec over the
-/// 1-shard row's — the serial loop measured under identical
-/// conditions) and `shardN_parallel_efficiency` (speedup over N, the
-/// fraction of perfect linear scaling). Derived fields are documentary:
-/// the regression gate reads only the `shardN_events_per_sec` keys.
-pub fn throughput_baseline_json(
-    config: &[(&str, String)],
-    row: &ThroughputRow,
-    scaling: &[ScalingRow],
-) -> String {
+/// style as [`loop_baseline_json`].
+pub fn throughput_baseline_json(config: &[(&str, String)], row: &ThroughputRow) -> String {
     let mut out = String::from("{\n  \"config\": {");
     for (i, (key, value)) in config.iter().enumerate() {
         if i > 0 {
@@ -284,33 +249,6 @@ pub fn throughput_baseline_json(
         "    \"allocations_per_event\": {:.4}\n",
         row.allocations_per_event
     ));
-    if scaling.is_empty() {
-        out.push_str("  }\n}\n");
-        return out;
-    }
-    out.push_str("  },\n  \"scaling\": {\n");
-    let serial_eps = scaling
-        .iter()
-        .find(|p| p.shards == 1)
-        .map(|p| p.events_per_sec)
-        .unwrap_or(row.events_per_sec);
-    for (i, point) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {:.1}",
-            point.key(),
-            point.events_per_sec
-        ));
-        if point.shards != 1 && serial_eps > 0.0 {
-            let speedup = point.events_per_sec / serial_eps;
-            out.push_str(&format!(
-                ",\n    \"shard{n}_speedup_vs_serial\": {speedup:.4},\n    \
-                 \"shard{n}_parallel_efficiency\": {:.4}",
-                speedup / point.shards as f64,
-                n = point.shards
-            ));
-        }
-        out.push_str(if i + 1 < scaling.len() { ",\n" } else { "\n" });
-    }
     out.push_str("  }\n}\n");
     out
 }
@@ -322,44 +260,6 @@ pub fn throughput_baseline_json(
 /// gate behind the `throughput` bench, `scripts/check.sh`, and CI.
 /// A baseline missing either number gates nothing.
 pub fn throughput_gate(previous: &str, row: &ThroughputRow, tolerance: f64) -> Result<(), String> {
-    throughput_gate_with_scaling(previous, row, &[], tolerance)
-}
-
-/// Like [`throughput_gate`], but additionally checks every point of the
-/// per-shard-count scaling curve: each fresh `shardN_events_per_sec`
-/// must stay within `tolerance` of the committed value under the same
-/// key. Shard counts absent from the baseline (or a baseline with no
-/// scaling section at all) gate nothing, so the curve can grow new
-/// points without a flag day.
-pub fn throughput_gate_with_scaling(
-    previous: &str,
-    row: &ThroughputRow,
-    scaling: &[ScalingRow],
-    tolerance: f64,
-) -> Result<(), String> {
-    for point in scaling {
-        let key = point.key();
-        if let Some(old_eps) = json_number(previous, &key) {
-            if point.events_per_sec < old_eps * (1.0 - tolerance) {
-                return Err(format!(
-                    "scaling regression at {} shards: {:.1} events/sec is more \
-                     than {:.0}% below the baseline {:.1}",
-                    point.shards,
-                    point.events_per_sec,
-                    tolerance * 100.0,
-                    old_eps
-                ));
-            }
-        }
-    }
-    throughput_gate_serial(previous, row, tolerance)
-}
-
-fn throughput_gate_serial(
-    previous: &str,
-    row: &ThroughputRow,
-    tolerance: f64,
-) -> Result<(), String> {
     if let Some(old_eps) = json_number(previous, "events_per_sec") {
         if row.events_per_sec < old_eps * (1.0 - tolerance) {
             return Err(format!(
@@ -447,7 +347,7 @@ mod tests {
             allocations: 50,
             allocations_per_event: 0.05,
         };
-        let same = throughput_baseline_json(&[], &row, &[]);
+        let same = throughput_baseline_json(&[], &row);
         assert!(throughput_gate(&same, &row, 0.1).is_ok());
         let mut slower = row.clone();
         slower.events_per_sec = 700.0; // >10% below 900
@@ -460,44 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_gate_trips_per_shard_count() {
-        let row = ThroughputRow {
-            events: 1_000,
-            events_per_sec: 900.0,
-            allocations: 50,
-            allocations_per_event: 0.05,
-        };
-        let curve = [
-            ScalingRow {
-                shards: 1,
-                events_per_sec: 900.0,
-            },
-            ScalingRow {
-                shards: 2,
-                events_per_sec: 500.0,
-            },
-        ];
-        let baseline = throughput_baseline_json(&[], &row, &curve);
-        // Fresh numbers equal to the baseline pass.
-        assert!(throughput_gate_with_scaling(&baseline, &row, &curve, 0.1).is_ok());
-        // A regression at one shard count trips even when the serial
-        // number and the other shard counts are healthy.
-        let mut slower = curve.to_vec();
-        slower[1].events_per_sec = 400.0; // >10% below 500
-        let err = throughput_gate_with_scaling(&baseline, &row, &slower, 0.1).unwrap_err();
-        assert!(err.contains("2 shards"), "{err}");
-        // A shard count the baseline never recorded gates nothing.
-        let novel = [ScalingRow {
-            shards: 8,
-            events_per_sec: 1.0,
-        }];
-        assert!(throughput_gate_with_scaling(&baseline, &row, &novel, 0.1).is_ok());
-        // A baseline without a scaling section gates only the serial row.
-        let bare = throughput_baseline_json(&[], &row, &[]);
-        assert!(throughput_gate_with_scaling(&bare, &row, &slower, 0.1).is_ok());
-    }
-
-    #[test]
     fn throughput_baseline_json_round_trips() {
         let row = ThroughputRow {
             events: 16934,
@@ -505,73 +367,13 @@ mod tests {
             allocations: 420,
             allocations_per_event: 0.0248,
         };
-        let json = throughput_baseline_json(&[("seed", "42".into())], &row, &[]);
+        let json = throughput_baseline_json(&[("seed", "42".into())], &row);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json_number(&json, "events"), Some(16934.0));
         assert_eq!(json_number(&json, "events_per_sec"), Some(1_234_567.8));
         assert_eq!(json_number(&json, "allocations_per_event"), Some(0.0248));
         assert_eq!(json_number(&json, "missing"), None);
         assert_eq!(json_number("{\"x\": nope}", "x"), None);
-    }
-
-    #[test]
-    fn throughput_baseline_json_with_scaling_round_trips() {
-        let row = ThroughputRow {
-            events: 100,
-            events_per_sec: 1_000.0,
-            allocations: 10,
-            allocations_per_event: 0.1,
-        };
-        let curve = [
-            ScalingRow {
-                shards: 1,
-                events_per_sec: 1_000.0,
-            },
-            ScalingRow {
-                shards: 4,
-                events_per_sec: 1_600.5,
-            },
-        ];
-        let json = throughput_baseline_json(&[], &row, &curve);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"scaling\""), "{json}");
-        // The serial key still resolves to the throughput section (the
-        // shardN_ keys do not shadow it: the needle's leading quote
-        // rules out substring hits inside them).
-        assert_eq!(json_number(&json, "events_per_sec"), Some(1_000.0));
-        assert_eq!(json_number(&json, "shard1_events_per_sec"), Some(1_000.0));
-        assert_eq!(json_number(&json, "shard4_events_per_sec"), Some(1_600.5));
-        assert_eq!(json_number(&json, "shard2_events_per_sec"), None);
-    }
-
-    #[test]
-    fn scaling_section_derives_speedup_and_efficiency() {
-        let row = ThroughputRow {
-            events: 100,
-            events_per_sec: 999.0, // NOT the serial reference: shard1 is
-            allocations: 10,
-            allocations_per_event: 0.1,
-        };
-        let curve = [
-            ScalingRow {
-                shards: 1,
-                events_per_sec: 1_000.0,
-            },
-            ScalingRow {
-                shards: 4,
-                events_per_sec: 2_000.0,
-            },
-        ];
-        let json = throughput_baseline_json(&[], &row, &curve);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // 2000/1000 = 2× on 4 shards = 50% of linear.
-        assert_eq!(json_number(&json, "shard4_speedup_vs_serial"), Some(2.0));
-        assert_eq!(json_number(&json, "shard4_parallel_efficiency"), Some(0.5));
-        // The serial row itself carries no derived fields.
-        assert!(!json.contains("shard1_speedup_vs_serial"), "{json}");
-        // Derived keys must not confuse the per-shard gate lookups.
-        assert_eq!(json_number(&json, "shard4_events_per_sec"), Some(2_000.0));
-        assert!(throughput_gate_with_scaling(&json, &row, &curve, 0.1).is_ok());
     }
 
     #[test]

@@ -11,10 +11,7 @@
 use std::fmt::Write as _;
 use std::io::{IsTerminal, Write as _};
 
-use radar_obs::{
-    MetricsObserver, ProtocolHealth, ShardProfile, SharedMetrics, SharedObjectLedger,
-    SharedShardProfile, SpanKind,
-};
+use radar_obs::{MetricsObserver, ProtocolHealth, SharedMetrics, SharedObjectLedger};
 use radar_sim::Observer;
 
 /// Width of the host-load bars, in characters.
@@ -182,58 +179,6 @@ pub fn render(m: &MetricsObserver, top: usize) -> String {
     out
 }
 
-/// Renders the live per-shard utilization panel from the latest barrier
-/// snapshot: one row per lane with its busy share and dominant stall —
-/// a compressed view of `radar perf` for the frame.
-pub fn render_shard_panel(p: &ShardProfile) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "\nshard utilization ({} worker shard(s), {} barrier(s)):",
-        p.shards,
-        p.total_barriers()
-    );
-    for (label, lane) in p.lanes() {
-        let busy_pct = if p.wall_ns == 0 {
-            0.0
-        } else {
-            100.0 * lane.span_ns(SpanKind::Busy) as f64 / p.wall_ns as f64
-        };
-        // The lane's dominant non-busy category is its headline stall.
-        let stall = SpanKind::ALL
-            .into_iter()
-            .filter(|&k| k != SpanKind::Busy)
-            .max_by_key(|&k| lane.span_ns(k))
-            .filter(|&k| lane.span_ns(k) > 0);
-        let stall = match stall {
-            Some(kind) => {
-                let pct = if p.wall_ns == 0 {
-                    0.0
-                } else {
-                    100.0 * lane.span_ns(kind) as f64 / p.wall_ns as f64
-                };
-                format!("{} {pct:.1}%", kind.as_str())
-            }
-            None => "-".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "  {label:<10} {} {busy_pct:>5.1}% busy · top stall {stall}",
-            bar(busy_pct, 100.0)
-        );
-    }
-    if p.handoff_ns.count() > 0 {
-        let _ = writeln!(
-            out,
-            "  hand-off p50 ≤{:.1} µs · p99 ≤{:.1} µs ({} decisions)",
-            p.handoff_ns.percentile(0.50).unwrap_or(0) as f64 / 1e3,
-            p.handoff_ns.percentile(0.99).unwrap_or(0) as f64 / 1e3,
-            p.handoff_ns.count()
-        );
-    }
-    out
-}
-
 /// Renders the live protocol-health panel from a ledger snapshot:
 /// active replicas, churn counters, relocation cost per served
 /// request, and the invariant-audit badge.
@@ -274,9 +219,6 @@ pub struct LiveDashboard {
     top: usize,
     live: bool,
     last_frame: Option<std::time::Instant>,
-    /// Shard-telemetry snapshots (published by the sequencer at each
-    /// epoch barrier) appended to every frame when profiling is on.
-    shard_profile: Option<SharedShardProfile>,
     /// Live protocol-health snapshots appended to every frame when the
     /// object ledger is on.
     ledger: Option<SharedObjectLedger>,
@@ -291,15 +233,8 @@ impl LiveDashboard {
             top,
             live: std::io::stderr().is_terminal(),
             last_frame: None,
-            shard_profile: None,
             ledger: None,
         }
-    }
-
-    /// Adds a live per-shard utilization panel fed from `live`.
-    pub fn with_shard_profile(mut self, live: SharedShardProfile) -> Self {
-        self.shard_profile = Some(live);
-        self
     }
 
     /// Adds a live protocol-health panel fed from `ledger`.
@@ -320,9 +255,6 @@ impl LiveDashboard {
         let mut frame = self.metrics.with(|m| render(m, self.top));
         if let Some(ledger) = &self.ledger {
             frame.push_str(&render_protocol_panel(&ledger.health()));
-        }
-        if let Some(snapshot) = self.shard_profile.as_ref().and_then(|p| p.snapshot()) {
-            frame.push_str(&render_shard_panel(&snapshot));
         }
         let mut err = std::io::stderr().lock();
         // Home the cursor and clear to end-of-screen between frames.
@@ -405,29 +337,6 @@ mod tests {
         assert_eq!(bar(0.5, 1.0).chars().filter(|&c| c == '#').count(), 14);
         assert_eq!(bar(0.0, 1.0).chars().filter(|&c| c == '#').count(), 0);
         assert_eq!(bar(1.0, 0.0).chars().filter(|&c| c == '#').count(), 0);
-    }
-
-    #[test]
-    fn shard_panel_shows_lanes_stalls_and_handoff() {
-        let mut p = ShardProfile {
-            shards: 2,
-            wall_ns: 1_000_000,
-            ..Default::default()
-        };
-        p.sequencer.add_span(SpanKind::Busy, 300_000);
-        p.sequencer.add_span(SpanKind::ChannelWait, 650_000);
-        let mut w = radar_obs::LaneProfile::default();
-        w.add_span(SpanKind::Busy, 100_000);
-        w.add_span(SpanKind::Idle, 850_000);
-        p.workers = vec![w, w];
-        p.handoff_ns.record(58_000);
-        let panel = render_shard_panel(&p);
-        assert!(panel.contains("shard utilization"), "{panel}");
-        assert!(panel.contains("sequencer"), "{panel}");
-        assert!(panel.contains("worker-1"), "{panel}");
-        assert!(panel.contains("channel-wait 65.0%"), "{panel}");
-        assert!(panel.contains("idle 85.0%"), "{panel}");
-        assert!(panel.contains("hand-off p50"), "{panel}");
     }
 
     #[test]

@@ -263,37 +263,6 @@ fn eviction_banner(log: &EventLog) -> Option<String> {
     Some(out)
 }
 
-/// Renders the reorder-buffer section for a log carrying a sharded-run
-/// reorder trailer: how hard the deterministic sequencing had to work
-/// to keep the log in order. `None` for serial logs (no trailer).
-/// Shared by `summary` and `watch`.
-fn reorder_banner(log: &EventLog) -> Option<String> {
-    let r = log.reorder.as_ref()?;
-    let mut out = String::new();
-    let _ = writeln!(out, "reorder buffer (sharded run)");
-    let _ = writeln!(
-        out,
-        "  reserved seqs {:>9}   (decisions deferred to worker shards)",
-        r.reserved
-    );
-    let _ = writeln!(
-        out,
-        "  max in-flight {:>9}   (reserved but not yet committed)",
-        r.max_in_flight
-    );
-    let _ = writeln!(
-        out,
-        "  max held      {:>9}   (events buffered awaiting sequence order)",
-        r.max_held
-    );
-    let _ = writeln!(
-        out,
-        "  drains        {:>9}   (out-of-order episodes fully released)",
-        r.drains
-    );
-    Some(out)
-}
-
 fn watch(args: &[&str]) -> Result<String, String> {
     const OPTIONS: &[&str] = &["top", "object-size", "bin", "interval", "duration"];
     let parsed = Parsed::parse(args, OPTIONS, &["help"]).map_err(|e| e.to_string())?;
@@ -350,13 +319,8 @@ fn watch(args: &[&str]) -> Result<String, String> {
     m.finalize(t_end);
     let mut out = dashboard::render(&m, top);
     // A log missing events renders a misleading dashboard — surface the
-    // recorder's eviction trailer here, not only in `summary`; same for
-    // a sharded run's reorder trailer.
+    // recorder's eviction trailer here, not only in `summary`.
     if let Some(banner) = eviction_banner(&log) {
-        out.push('\n');
-        out.push_str(&banner);
-    }
-    if let Some(banner) = reorder_banner(&log) {
         out.push('\n');
         out.push_str(&banner);
     }
@@ -428,7 +392,6 @@ fn summary(args: &[&str]) -> Result<String, String> {
         .map_err(|e| e.to_string())?;
     let log = load_log(&path)?;
     let banner = eviction_banner(&log);
-    let reorder = reorder_banner(&log);
     let events = log.events;
     if events.is_empty() {
         return Ok("no events\n".to_string());
@@ -530,12 +493,6 @@ fn summary(args: &[&str]) -> Result<String, String> {
             let _ = writeln!(out, "  host {host:<8} {count:>9}");
         }
     }
-    // Multi-shard runs append a reorder trailer: how hard the
-    // deterministic sequencing had to work to keep this log in order.
-    if let Some(banner) = reorder {
-        out.push('\n');
-        out.push_str(&banner);
-    }
     Ok(out)
 }
 
@@ -552,12 +509,11 @@ fn help() -> String {
      \x20                                           produced it, plus its causal chain\n\
      \x20 radar events summary FILE [--top N]       per-type counts, rates, queue\n\
      \x20                                           depths, busiest objects/hosts,\n\
-     \x20                                           ring-eviction losses, and (for\n\
-     \x20                                           sharded runs) reorder-buffer stats\n\
+     \x20                                           and ring-eviction losses\n\
      \x20 radar events watch FILE [--top N]         replay the log through the\n\
      \x20                                           streaming metrics fold and render\n\
      \x20                                           the dashboard (animated on a TTY),\n\
-     \x20                                           plus any eviction/reorder trailers\n\
+     \x20                                           plus any eviction trailer\n\
      \x20         [--object-size B] [--bin S] [--interval S] [--duration S]\n\
      \x20                                           match the run's scenario so\n\
      \x20                                           aggregates line up with the report\n\
@@ -735,27 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn watch_renders_reorder_trailer_like_summary() {
-        let mut text = String::new();
-        for e in [served(1, None, 1.0, 7), served(2, None, 2.0, 7)] {
-            text.push_str(&e.to_json_line());
-            text.push('\n');
-        }
-        text.push_str(
-            "{\"type\":\"reorder\",\"reserved\":12,\"max_in_flight\":3,\
-             \"max_held\":2,\"drains\":5}\n",
-        );
-        let path = tempdir::path("events-watch-reorder");
-        std::fs::write(&path, text).unwrap();
-        let s = path.to_string_lossy().into_owned();
-        let _guard = tempdir::TempPath(path);
-        let out = watch(&[s.as_str()]).unwrap();
-        assert!(out.contains("RaDaR dashboard"), "{out}");
-        assert!(out.contains("reorder buffer (sharded run)"), "{out}");
-        assert!(out.contains("reserved seqs        12"), "{out}");
-    }
-
-    #[test]
     fn diff_reports_identical_and_divergent_logs() {
         let a: Vec<Event> = (1..=5).map(|i| served(i, None, i as f64, 7)).collect();
         let mut b = a.clone();
@@ -810,33 +745,6 @@ mod tests {
         let (_guard, path) = write_log(&events);
         let out = summary(&[path.as_str()]).unwrap();
         assert!(out.contains("7 events inferred lost"), "{out}");
-    }
-
-    #[test]
-    fn summary_reports_reorder_trailer_for_sharded_logs() {
-        let mut text = String::new();
-        for e in [served(1, None, 1.0, 7), served(2, None, 2.0, 7)] {
-            text.push_str(&e.to_json_line());
-            text.push('\n');
-        }
-        text.push_str(
-            "{\"type\":\"reorder\",\"reserved\":120,\"max_in_flight\":6,\
-             \"max_held\":4,\"drains\":17}\n",
-        );
-        let path = tempdir::path("events-reorder-trailer");
-        std::fs::write(&path, text).unwrap();
-        let s = path.to_string_lossy().into_owned();
-        let _guard = tempdir::TempPath(path);
-        let out = summary(&[s.as_str()]).unwrap();
-        assert!(out.contains("reorder buffer (sharded run)"), "{out}");
-        assert!(out.contains("reserved seqs       120"), "{out}");
-        assert!(out.contains("max in-flight         6"), "{out}");
-        assert!(out.contains("max held              4"), "{out}");
-        assert!(out.contains("drains               17"), "{out}");
-        // Serial logs have no trailer and no section.
-        let (_g2, p2) = write_log(&[served(1, None, 1.0, 7)]);
-        let serial = summary(&[p2.as_str()]).unwrap();
-        assert!(!serial.contains("reorder buffer"), "{serial}");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! radar events <tail|filter|explain|summary|watch> … FILE
 //! radar events diff A B
 //! radar objects <timeline|churn|audit> … FILE
-//! radar perf FILE [--top N] [--check-coverage PCT]
 //! ```
 
 #![forbid(unsafe_code)]
@@ -21,7 +20,6 @@ mod dashboard;
 mod events;
 pub mod json;
 mod objects;
-mod perf;
 mod render;
 mod simulate;
 mod topology;
@@ -45,7 +43,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
         Some("trace") => tracecmd::command(&args.collect::<Vec<_>>()),
         Some("events") => events::command(&args.collect::<Vec<_>>()),
         Some("objects") => objects::command(&args.collect::<Vec<_>>()),
-        Some("perf") => perf::command(&args.collect::<Vec<_>>()),
         Some("--help") | Some("-h") | None => Ok(usage()),
         Some(other) => Err(format!("unknown command {other:?}\n\n{}", usage())),
     }
@@ -64,8 +61,6 @@ pub fn usage() -> String {
      \x20                                 watch | diff)\n\
      \x20 radar objects <SUBCOMMAND> …    protocol-level behaviour of an event log\n\
      \x20                                 (timeline | churn | audit)\n\
-     \x20 radar perf FILE                 render shard-profile telemetry from a\n\
-     \x20                                 profiled run or bench artifact\n\
      \n\
      Run `radar simulate --help` (etc.) for per-command options.\n"
         .to_string()

@@ -11,7 +11,7 @@ use radar_sim::{
 use radar_simnet::Topology;
 use radar_workload::{HotPages, HotSites, Regional, Uniform, Workload, ZipfReeds};
 
-use crate::args::Parsed;
+use crate::args::{ArgError, Parsed};
 use crate::render;
 
 const OPTIONS: &[&str] = &[
@@ -32,7 +32,6 @@ const OPTIONS: &[&str] = &[
     "record-trace",
     "faults",
     "events",
-    "shards",
     "out",
 ];
 const SWITCHES: &[&str] = &["static", "json", "dashboard", "profile", "ledger", "help"];
@@ -105,11 +104,8 @@ pub struct SimulateArgs {
     /// Stream flight-recorder events (JSONL) here and enable event-loop
     /// profiling.
     pub events_to: Option<String>,
-    /// Worker shards for the parallel event loop (1 = serial loop).
-    pub shards: usize,
-    /// Collect per-shard performance telemetry (span accounting,
-    /// hand-off histograms, barrier counters) for the report's
-    /// `shard_profile` section and the dashboard's shard panel.
+    /// Profile the event loop (per-handler wall time and queue depth)
+    /// for the text output, as `--events` also does.
     pub profile: bool,
     /// Enable the protocol-health ledger (per-object timelines, churn
     /// attribution, invariant audit) for the report's
@@ -133,7 +129,10 @@ impl SimulateArgs {
     /// Returns a message for malformed flags, unreadable files, or
     /// invalid scenario combinations.
     pub fn parse(args: &[&str]) -> Result<Self, String> {
-        let parsed = Parsed::parse(args, OPTIONS, SWITCHES).map_err(|e| e.to_string())?;
+        let parsed = Parsed::parse(args, OPTIONS, SWITCHES).map_err(|e| match e {
+            ArgError::Unknown(_) => format!("{e}\n\n{}", help()),
+            e => e.to_string(),
+        })?;
         if parsed.has("help") {
             return Err(help());
         }
@@ -160,12 +159,6 @@ impl SimulateArgs {
         let update_rate = parsed
             .get_parsed("update-rate", 0.0f64, "updates/second")
             .map_err(|e| e.to_string())?;
-        let shards = parsed
-            .get_parsed("shards", 1usize, "a shard count")
-            .map_err(|e| e.to_string())?;
-        if shards == 0 {
-            return Err("--shards expects at least 1".to_string());
-        }
 
         let mut builder = Scenario::builder()
             .num_objects(objects)
@@ -270,7 +263,6 @@ impl SimulateArgs {
             replay,
             record_trace_to: parsed.get("record-trace").map(str::to_string),
             events_to: parsed.get("events").map(str::to_string),
-            shards,
             profile: parsed.has("profile"),
             ledger: parsed.has("ledger"),
             dashboard: parsed.has("dashboard"),
@@ -324,15 +316,9 @@ impl SimulateArgs {
                 Some((path.clone(), shared))
             }
         };
-        let shard_profile = if self.profile {
-            // Loop profiling is compiled in regardless; --profile adds
-            // the per-shard span/stall telemetry and, without --events,
-            // still turns on the loop profile for the text output.
+        if self.profile {
             sim.enable_loop_profile();
-            Some(sim.enable_shard_profile())
-        } else {
-            None
-        };
+        }
         // The dashboard's protocol panel reads live ledger snapshots,
         // so --dashboard implies the ledger.
         let ledger = if self.ledger || self.dashboard {
@@ -351,11 +337,6 @@ impl SimulateArgs {
             };
             let shared = radar_sim::obs::SharedMetrics::new(cfg);
             let mut dash = crate::dashboard::LiveDashboard::new(shared.clone(), DASHBOARD_TOP);
-            if let Some(live) = &shard_profile {
-                // Live frames gain a per-shard utilization column,
-                // refreshed from the snapshot each barrier publishes.
-                dash = dash.with_shard_profile(live.clone());
-            }
             if let Some(ledger) = &ledger {
                 dash = dash.with_ledger(ledger.clone());
             }
@@ -365,7 +346,7 @@ impl SimulateArgs {
             None
         };
         let duration = self.scenario.duration;
-        let report = sim.run_sharded(self.shards);
+        let report = sim.run();
         if let Some((path, shared)) = &events {
             if let Some(err) = shared.finish() {
                 return Err(format!("error writing events file {path}: {err}"));
@@ -422,10 +403,6 @@ pub(crate) fn command(args: &[&str]) -> Result<String, String> {
             body.push('\n');
             body.push_str(&profile.to_string());
         }
-        if let Some(profile) = &report.shard_profile {
-            body.push('\n');
-            body.push_str(&profile.render(DASHBOARD_TOP));
-        }
         if let Some(health) = &report.protocol_health {
             body.push('\n');
             body.push_str(&health.render());
@@ -471,12 +448,8 @@ fn help() -> String {
      \x20 --record-trace FILE capture this run's arrivals for later replay\n\
      \x20 --events FILE       stream flight-recorder events (JSONL) to FILE and\n\
      \x20                     profile the event loop (see `radar events --help`)\n\
-     \x20 --shards N          run the event loop on N worker shards (default 1);\n\
-     \x20                     any fixed N reproduces the same seeded outputs\n\
-     \x20 --profile           collect per-shard telemetry (span accounting, hand-off\n\
-     \x20                     histograms, barrier counts): a `shard_profile` report\n\
-     \x20                     section, a text table, and a dashboard panel — wall-clock\n\
-     \x20                     numbers only, the event stream stays untouched\n\
+     \x20 --profile           profile the event loop (per-handler wall time and queue\n\
+     \x20                     depth in the text output) without writing an events file\n\
      \x20 --ledger            reconstruct per-object replica timelines, churn and\n\
      \x20                     relocation-cost attribution, and run the replica-set\n\
      \x20                     invariant audit: a `protocol_health` report section\n\

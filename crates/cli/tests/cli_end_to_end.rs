@@ -13,6 +13,12 @@ fn help_paths() {
     assert!(out.contains("USAGE"));
     let err = run(&args(&["bogus"])).unwrap_err();
     assert!(err.contains("unknown command"));
+    // Removed surface fails like any other unknown name, listing what
+    // exists.
+    let err = run(&args(&["perf", "BENCH_profile.json"])).unwrap_err();
+    assert!(err.contains("unknown command \"perf\"") && err.contains("radar simulate"));
+    let err = run(&args(&["simulate", "--shards", "2"])).unwrap_err();
+    assert!(err.contains("unknown argument \"--shards\"") && err.contains("--seed N"));
     let out = run(&args(&[])).unwrap();
     assert!(out.contains("radar simulate"));
 }

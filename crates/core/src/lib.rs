@@ -75,11 +75,9 @@ mod redirector;
 mod types;
 
 pub use catalog::{Catalog, ConsistencyMix, ObjectKind};
-pub use directory::{shard_ranges, Directory, DirectoryShard};
+pub use directory::Directory;
 pub use host::{HostState, ObjectState};
 pub use load::LoadEstimator;
 pub use params::{Params, ParamsBuilder, ParamsError};
-pub use redirector::{
-    ChoiceBranch, ChoiceCandidate, ChoiceExplanation, Redirector, RedirectorShard, ReplicaInfo,
-};
+pub use redirector::{ChoiceBranch, ChoiceCandidate, ChoiceExplanation, Redirector, ReplicaInfo};
 pub use types::{CreateObjRequest, CreateObjResponse, ObjectId, PlacementReason, RelocationKind};

@@ -3,7 +3,7 @@
 
 use radar_simnet::{NodeId, RoutingTable};
 
-use crate::directory::{Directory, DirectoryShard, ReplicaSet};
+use crate::directory::Directory;
 use crate::ObjectId;
 
 /// Per-replica bookkeeping the redirector keeps (paper §3): the request
@@ -383,13 +383,59 @@ impl Redirector {
         closest: Option<u32>,
         explanation: Option<&mut ChoiceExplanation>,
     ) -> Option<NodeId> {
-        decide_in(
-            self.directory.set_mut(object),
-            self.constant,
-            candidates,
-            closest,
-            explanation,
-        )
+        let constant = self.constant;
+        let set = self.directory.set_mut(object);
+        if candidates.is_empty() {
+            return None;
+        }
+        // p: closest usable replica to the gateway (precomputed by
+        // caching callers — it does not depend on request counts).
+        let p_idx = closest.unwrap_or_else(|| {
+            candidates
+                .iter()
+                .min_by_key(|&&(i, dist)| (dist, set.entries[i as usize].host))
+                .expect("non-empty candidate set")
+                .0
+        });
+        // q: usable replica with the smallest unit request count.
+        let &(q_idx, _) = candidates
+            .iter()
+            .min_by(|&&(a, _), &&(b, _)| {
+                let (ea, eb) = (&set.entries[a as usize], &set.entries[b as usize]);
+                ea.unit_rcnt()
+                    .partial_cmp(&eb.unit_rcnt())
+                    .expect("unit request counts are finite")
+                    .then(ea.host.cmp(&eb.host))
+            })
+            .expect("non-empty candidate set");
+        let ratio1 = set.entries[p_idx as usize].unit_rcnt();
+        let ratio2 = set.entries[q_idx as usize].unit_rcnt();
+        let (chosen, branch) = if ratio1 / constant > ratio2 {
+            (q_idx as usize, ChoiceBranch::LeastRequested)
+        } else {
+            (p_idx as usize, ChoiceBranch::Closest)
+        };
+        if let Some(out) = explanation {
+            out.chosen = set.entries[chosen].host;
+            out.branch = branch;
+            out.constant = constant;
+            out.closest = set.entries[p_idx as usize].host;
+            out.least = set.entries[q_idx as usize].host;
+            out.unit_closest = ratio1;
+            out.unit_least = ratio2;
+            out.candidates.clear();
+            out.candidates.extend(candidates.iter().map(|&(i, dist)| {
+                let e = &set.entries[i as usize];
+                ChoiceCandidate {
+                    host: e.host,
+                    rcnt: e.rcnt,
+                    aff: e.aff,
+                    distance: dist,
+                }
+            }));
+        }
+        set.entries[chosen].rcnt += 1;
+        Some(set.entries[chosen].host)
     }
 
     /// Force-removes every replica hosted on `host` — crash recovery;
@@ -416,216 +462,6 @@ impl Redirector {
     /// approved.
     pub fn request_drop(&mut self, object: ObjectId, host: NodeId) -> bool {
         self.directory.request_drop(object, host)
-    }
-
-    /// Splits the redirector's directory into `num_shards` contiguous
-    /// object-range shards, each paired with the distribution constant so
-    /// it can run Fig. 2 decisions independently; see
-    /// [`Directory::split_shards`] for the partition contract. The parent
-    /// keeps its aggregate counters and must not serve decisions until
-    /// [`absorb_shards`](Self::absorb_shards) reunites the state.
-    pub fn split_shards(&mut self, num_shards: usize) -> Vec<RedirectorShard> {
-        let constant = self.constant;
-        self.directory
-            .split_shards(num_shards)
-            .into_iter()
-            .map(|shard| RedirectorShard { shard, constant })
-            .collect()
-    }
-
-    /// Reunites shards produced by [`split_shards`](Self::split_shards);
-    /// see [`Directory::absorb_shards`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Directory::absorb_shards`].
-    pub fn absorb_shards(&mut self, shards: Vec<RedirectorShard>) {
-        self.directory
-            .absorb_shards(shards.into_iter().map(|s| s.shard).collect());
-    }
-}
-
-/// The single Fig. 2 code path shared by [`Redirector`] and
-/// [`RedirectorShard`]: identify `p` (closest) and `q` (least unit
-/// request count) among `candidates`, pick the branch, increment the
-/// winner. When `explanation` is `Some`, the snapshot is written into it
-/// in place (candidate buffer cleared and refilled) so tracing callers
-/// reuse one allocation across requests.
-fn decide_in(
-    set: &mut ReplicaSet,
-    constant: f64,
-    candidates: &[(u32, u32)],
-    closest: Option<u32>,
-    explanation: Option<&mut ChoiceExplanation>,
-) -> Option<NodeId> {
-    if candidates.is_empty() {
-        return None;
-    }
-    // p: closest usable replica to the gateway (precomputed by
-    // caching callers — it does not depend on request counts).
-    let p_idx = closest.unwrap_or_else(|| {
-        candidates
-            .iter()
-            .min_by_key(|&&(i, dist)| (dist, set.entries[i as usize].host))
-            .expect("non-empty candidate set")
-            .0
-    });
-    // q: usable replica with the smallest unit request count.
-    let &(q_idx, _) = candidates
-        .iter()
-        .min_by(|&&(a, _), &&(b, _)| {
-            let (ea, eb) = (&set.entries[a as usize], &set.entries[b as usize]);
-            ea.unit_rcnt()
-                .partial_cmp(&eb.unit_rcnt())
-                .expect("unit request counts are finite")
-                .then(ea.host.cmp(&eb.host))
-        })
-        .expect("non-empty candidate set");
-    let ratio1 = set.entries[p_idx as usize].unit_rcnt();
-    let ratio2 = set.entries[q_idx as usize].unit_rcnt();
-    let (chosen, branch) = if ratio1 / constant > ratio2 {
-        (q_idx as usize, ChoiceBranch::LeastRequested)
-    } else {
-        (p_idx as usize, ChoiceBranch::Closest)
-    };
-    if let Some(out) = explanation {
-        out.chosen = set.entries[chosen].host;
-        out.branch = branch;
-        out.constant = constant;
-        out.closest = set.entries[p_idx as usize].host;
-        out.least = set.entries[q_idx as usize].host;
-        out.unit_closest = ratio1;
-        out.unit_least = ratio2;
-        out.candidates.clear();
-        out.candidates.extend(candidates.iter().map(|&(i, dist)| {
-            let e = &set.entries[i as usize];
-            ChoiceCandidate {
-                host: e.host,
-                rcnt: e.rcnt,
-                aff: e.aff,
-                distance: dist,
-            }
-        }));
-    }
-    set.entries[chosen].rcnt += 1;
-    Some(set.entries[chosen].host)
-}
-
-/// One shard of a [`Redirector`]: a contiguous object slice of its
-/// [`Directory`] plus the distribution constant, able to run Fig. 2
-/// decisions and process membership notifications for its own objects
-/// with no access to any other shard's state.
-///
-/// Produced by [`Redirector::split_shards`] and reunited by
-/// [`Redirector::absorb_shards`]. The sharded simulator moves these
-/// values onto worker threads between epoch barriers; because each holds
-/// *ownership* of its slice (not a view), cross-shard interference is
-/// ruled out by construction.
-///
-/// Decision semantics are bit-identical to the parent: the shard calls
-/// the same decision code path ([`Redirector::choose_among_into`]'s
-/// backing function) over the same [`ReplicaInfo`] entries, so a
-/// decision made on a shard and the same decision made on the unsplit
-/// redirector produce the same winner and the same count increments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RedirectorShard {
-    shard: DirectoryShard,
-    constant: f64,
-}
-
-impl RedirectorShard {
-    /// The first object id this shard owns.
-    pub fn base(&self) -> u32 {
-        self.shard.base()
-    }
-
-    /// Number of objects this shard owns.
-    pub fn len(&self) -> usize {
-        self.shard.len()
-    }
-
-    /// `true` if the shard owns no objects (possible when there are more
-    /// shards than objects).
-    pub fn is_empty(&self) -> bool {
-        self.shard.is_empty()
-    }
-
-    /// `true` if `object` belongs to this shard's range.
-    pub fn contains(&self, object: ObjectId) -> bool {
-        self.shard.contains(object)
-    }
-
-    /// The current replicas of `object` (sorted by host id).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object` is outside the shard's range.
-    pub fn replicas(&self, object: ObjectId) -> &[ReplicaInfo] {
-        self.shard.replicas(object)
-    }
-
-    /// The object's membership/affinity version; see
-    /// [`Directory::version`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object` is outside the shard's range.
-    pub fn version(&self, object: ObjectId) -> u64 {
-        self.shard.version(object)
-    }
-
-    /// Installs a replica without a count reset; see
-    /// [`Directory::install`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object` is outside the shard's range.
-    pub fn install(&mut self, object: ObjectId, host: NodeId) {
-        self.shard.install(object, host);
-    }
-
-    /// Creation notification (sent *after* the copy exists); see
-    /// [`Directory::notify_created`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object` is outside the shard's range.
-    pub fn notify_created(&mut self, object: ObjectId, host: NodeId) {
-        self.shard.notify_created(object, host);
-    }
-
-    /// Drop arbitration (removal happens *before* the host deletes); see
-    /// [`Directory::request_drop`]. Returns `true` if approved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object` is outside the shard's range.
-    pub fn request_drop(&mut self, object: ObjectId, host: NodeId) -> bool {
-        self.shard.request_drop(object, host)
-    }
-
-    /// Fig. 2 over a pre-filtered candidate list, exactly like
-    /// [`Redirector::choose_among_into`] but against this shard's slice
-    /// of the directory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object` is outside the shard's range or an entry index
-    /// is stale.
-    pub fn choose_among_into(
-        &mut self,
-        object: ObjectId,
-        candidates: &[(u32, u32)],
-        closest: Option<u32>,
-        explanation: Option<&mut ChoiceExplanation>,
-    ) -> Option<NodeId> {
-        decide_in(
-            self.shard.set_mut(object),
-            self.constant,
-            candidates,
-            closest,
-            explanation,
-        )
     }
 }
 
@@ -932,17 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn version_visible_through_directory_accessor() {
-        let (mut r, routes) = setup();
-        let v = r.directory().version(x());
-        // Decisions increment counts but never the version.
-        r.choose_replica(x(), NodeId::new(0), &routes);
-        assert_eq!(r.directory().version(x()), v);
-        r.notify_created(x(), NodeId::new(0));
-        assert!(r.directory().version(x()) > v);
-    }
-
-    #[test]
     fn batch_passthrough_defers_resets() {
         let (mut r, routes) = setup();
         for _ in 0..30 {
@@ -962,52 +787,5 @@ mod tests {
     #[should_panic(expected = "distribution constant")]
     fn constant_of_one_rejected() {
         let _ = Redirector::new(1, 1.0);
-    }
-
-    #[test]
-    fn sharded_decisions_match_unsharded() {
-        // Split the redirector, replay the same decision stream through
-        // the shards' choose_among_into, absorb, and require state
-        // identical to the unsplit redirector that made the same
-        // decisions — the contract the parallel event loop rests on.
-        let topo = builders::star(6);
-        let routes = topo.routes();
-        let build = || {
-            let mut r = Redirector::new(9, 2.0);
-            for i in 0..9u32 {
-                r.install(ObjectId::new(i), NodeId::new((i % 5 + 1) as u16));
-                r.install(ObjectId::new(i), NodeId::new(((i + 2) % 5 + 1) as u16));
-            }
-            r
-        };
-        let mut serial = build();
-        let mut parent = build();
-        let mut shards = parent.split_shards(4);
-        for step in 0..300u32 {
-            let object = ObjectId::new(step % 9);
-            let gw = NodeId::new((step % 5 + 1) as u16);
-            let cands: Vec<(u32, u32)> = serial
-                .replicas(object)
-                .iter()
-                .enumerate()
-                .map(|(j, e)| (j as u32, routes.distance(e.host, gw)))
-                .collect();
-            let want = serial.choose_among_into(object, &cands, None, None);
-            let shard = shards
-                .iter_mut()
-                .find(|s| s.contains(object))
-                .expect("covered");
-            let mut expl = ChoiceExplanation::default();
-            let got = shard.choose_among_into(object, &cands, None, Some(&mut expl));
-            assert_eq!(want, got);
-            assert_eq!(expl.chosen, got.unwrap());
-        }
-        // Membership traffic through the shards, then reunite.
-        let o = ObjectId::new(4);
-        let shard = shards.iter_mut().find(|s| s.contains(o)).expect("covered");
-        shard.notify_created(o, NodeId::new(0));
-        serial.notify_created(o, NodeId::new(0));
-        parent.absorb_shards(shards);
-        assert_eq!(parent, serial);
     }
 }

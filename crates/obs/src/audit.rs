@@ -139,10 +139,10 @@ pub struct AuditDelta {
 /// Streaming replica-set invariant auditor.
 ///
 /// Fold events in sequence order via [`fold`](Self::fold) — the order
-/// every observer and every written JSONL log already has, serial or
-/// sharded — and read accumulated [`violations`](Self::violations) at
-/// any point. The fold is an online check: each violation is detected
-/// at the event that exposes it.
+/// every observer and every written JSONL log already has — and read
+/// accumulated [`violations`](Self::violations) at any point. The fold
+/// is an online check: each violation is detected at the event that
+/// exposes it.
 ///
 /// ```
 /// use radar_obs::{Event, EventKind, InvariantAuditor, PlacementActionEvent,

@@ -335,48 +335,14 @@ impl EvictionSummary {
     }
 }
 
-/// Reorder-buffer statistics from a sharded run, serialized as an
-/// optional `{"type":"reorder",…}` trailer line of a JSONL document.
-///
-/// These are *operational* metadata, like wall-clock time: the event
-/// stream itself is byte-identical to a serial run's, but how hard the
-/// [`crate::EventReorderBuffer`] had to work to make it so depends on
-/// thread timing. Serial runs never write this trailer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReorderStats {
-    /// Total recorder sequence numbers reserved for deferred decisions.
-    pub reserved: u64,
-    /// Peak count of reserved seqs outstanding at once.
-    pub max_in_flight: u64,
-    /// High-water mark of events held by the reorder buffer.
-    pub max_held: u64,
-    /// Completed reorder episodes (buffer drained after holding an
-    /// out-of-order event).
-    pub drains: u64,
-}
-
-impl ReorderStats {
-    /// Serializes the trailer as one JSON object (no trailing newline),
-    /// with the same fixed key order every time.
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"type\":\"reorder\",\"reserved\":{},\"max_in_flight\":{},\"max_held\":{},\"drains\":{}}}",
-            self.reserved, self.max_in_flight, self.max_held, self.drains
-        )
-    }
-}
-
 /// A parsed JSONL document: the events plus the eviction trailer, when
-/// the recorder ring lost anything before the log was written, and the
-/// reorder trailer, when the run was sharded.
+/// the recorder ring lost anything before the log was written.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventLog {
     /// The recorded events, in file order.
     pub events: Vec<Event>,
     /// The `{"type":"evictions",…}` trailer, if present.
     pub evictions: Option<EvictionSummary>,
-    /// The `{"type":"reorder",…}` trailer, if present (sharded runs).
-    pub reorder: Option<ReorderStats>,
 }
 
 // ---------------------------------------------------------------------------
@@ -830,40 +796,23 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
 pub fn parse_jsonl_log(text: &str) -> Result<EventLog, ParseError> {
     let mut events = Vec::new();
     let mut evictions = None;
-    let mut reorder = None;
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let at = |e: ParseError| ParseError(format!("line {}: {e}", i + 1));
         let root = parse_root(line).map_err(at)?;
-        match root.get("type").and_then(Val::str) {
-            Some("evictions") => {
-                evictions = Some(EvictionSummary {
-                    routine: need_u64(&root, "routine").map_err(at)?,
-                    notable: need_u64(&root, "notable").map_err(at)?,
-                    critical: need_u64(&root, "critical").map_err(at)?,
-                });
-                continue;
-            }
-            Some("reorder") => {
-                reorder = Some(ReorderStats {
-                    reserved: need_u64(&root, "reserved").map_err(at)?,
-                    max_in_flight: need_u64(&root, "max_in_flight").map_err(at)?,
-                    max_held: need_u64(&root, "max_held").map_err(at)?,
-                    drains: need_u64(&root, "drains").map_err(at)?,
-                });
-                continue;
-            }
-            _ => {}
+        if root.get("type").and_then(Val::str) == Some("evictions") {
+            evictions = Some(EvictionSummary {
+                routine: need_u64(&root, "routine").map_err(at)?,
+                notable: need_u64(&root, "notable").map_err(at)?,
+                critical: need_u64(&root, "critical").map_err(at)?,
+            });
+            continue;
         }
         events.push(Event::from_val(&root).map_err(at)?);
     }
-    Ok(EventLog {
-        events,
-        evictions,
-        reorder,
-    })
+    Ok(EventLog { events, evictions })
 }
 
 #[cfg(test)]
@@ -1494,40 +1443,6 @@ mod tests {
     }
 
     #[test]
-    fn reorder_trailer_round_trips_through_parse_jsonl_log() {
-        let event = Event {
-            seq: 1,
-            parent: None,
-            t: 0.5,
-            queue_depth: 2,
-            kind: EventKind::RequestArrived {
-                gateway: 3,
-                object: 9,
-            },
-        };
-        let stats = ReorderStats {
-            reserved: 4210,
-            max_in_flight: 7,
-            max_held: 12,
-            drains: 905,
-        };
-        assert_eq!(
-            stats.to_json_line(),
-            "{\"type\":\"reorder\",\"reserved\":4210,\
-             \"max_in_flight\":7,\"max_held\":12,\"drains\":905}"
-        );
-        let text = format!("{}\n{}\n", event.to_json_line(), stats.to_json_line());
-        let log = parse_jsonl_log(&text).expect("parses");
-        assert_eq!(log.events.len(), 1);
-        assert_eq!(log.reorder, Some(stats));
-        // parse_jsonl tolerates (and discards) the trailer.
-        assert_eq!(parse_jsonl(&text).expect("parses").len(), 1);
-        // A serial log (no trailer) reports None.
-        let bare = parse_jsonl_log(&format!("{}\n", event.to_json_line())).unwrap();
-        assert_eq!(bare.reorder, None);
-    }
-
-    #[test]
     fn parse_jsonl_reports_line_numbers() {
         let good = Event {
             seq: 1,
@@ -1544,5 +1459,12 @@ mod tests {
         let e = parse_jsonl(&text).unwrap_err();
         assert!(e.to_string().contains("line 3"), "{e}");
         assert_eq!(parse_jsonl(&format!("{good}\n{good}\n")).unwrap().len(), 2);
+        // The only trailer is `evictions`; any other non-event line —
+        // here a trailer type old logs can end with — is an error
+        // naming its line, never skipped.
+        let trailer =
+            r#"{"type":"reorder","reserved":4210,"max_in_flight":7,"max_held":12,"drains":905}"#;
+        let e = parse_jsonl_log(&format!("{good}\n{trailer}\n")).unwrap_err();
+        assert!(e.to_string().contains("line 2"), "{e}");
     }
 }

@@ -51,8 +51,6 @@ mod ledger;
 mod metrics;
 mod profile;
 mod recorder;
-mod reorder;
-mod shard_profile;
 
 pub use audit::{AuditDelta, InvariantAuditor, Violation, ViolationKind};
 pub use diff::{diff_events, DiffOutcome};
@@ -61,9 +59,7 @@ pub use event::{
     FailReason, PlacementActionEvent, PlacementActionKind, ProviderUpdateEvent, ResetCause,
     Severity, UpdateDeliveredEvent, EVENT_TYPES,
 };
-pub use jsonl::{
-    parse_jsonl, parse_jsonl_log, EventLog, EvictionSummary, ParseError, ReorderStats,
-};
+pub use jsonl::{parse_jsonl, parse_jsonl_log, EventLog, EvictionSummary, ParseError};
 pub use ledger::{
     LedgerConfig, NodeChurn, ObjectChurn, ObjectLedger, ProtocolHealth, ReplicaChange,
     SharedObjectLedger, TimelineStep,
@@ -71,8 +67,3 @@ pub use ledger::{
 pub use metrics::{MetricsConfig, MetricsObserver, ObjectCounters, SharedMetrics};
 pub use profile::{HandlerStats, LoopProfile};
 pub use recorder::{Recorder, SharedRecorder, DEFAULT_CAPACITY};
-pub use reorder::EventReorderBuffer;
-pub use shard_profile::{
-    BarrierCause, LaneProfile, Log2Histogram, ShardProfile, SharedShardProfile, SpanKind,
-    LOG2_BUCKETS,
-};

@@ -114,9 +114,8 @@ impl LoopProfile {
     }
 }
 
-/// Human-readable duration formatting shared by the loop and shard
-/// profile renderers.
-pub(crate) fn fmt_ns(ns: f64) -> String {
+/// Human-readable duration formatting.
+fn fmt_ns(ns: f64) -> String {
     if ns >= 1e6 {
         format!("{:.2} ms", ns / 1e6)
     } else if ns >= 1e3 {

@@ -2,7 +2,7 @@
 //! (post-run inspectable) wrapper.
 
 use crate::event::{CandidateSnapshot, DecisionEvent, Event, EventKind, Severity};
-use crate::jsonl::{EvictionSummary, ReorderStats};
+use crate::jsonl::EvictionSummary;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -55,8 +55,6 @@ pub struct Recorder {
     /// the ring capacity — no separate cap is needed, and once the ring
     /// is full storing a decision allocates nothing.
     spare_candidates: Vec<Vec<CandidateSnapshot>>,
-    /// Reorder-buffer statistics delivered at the end of a sharded run.
-    reorder: Option<ReorderStats>,
 }
 
 impl std::fmt::Debug for Recorder {
@@ -84,7 +82,6 @@ impl Recorder {
             sink_error: None,
             line_buf: Vec::new(),
             spare_candidates: Vec::new(),
-            reorder: None,
         }
     }
 
@@ -107,11 +104,15 @@ impl Recorder {
     /// than `capacity` events, and decision candidate buffers are
     /// recycled from evicted events instead of freshly cloned.
     pub fn record(&mut self, event: &Event) {
-        if self.sink.is_some() {
+        if let Some(sink) = &mut self.sink {
             self.line_buf.clear();
             event.encode_json_line(&mut self.line_buf);
             self.line_buf.push(b'\n');
-            self.write_line();
+            // The first error is kept and the sink dropped.
+            if let Err(e) = sink.write_all(&self.line_buf) {
+                self.sink_error.get_or_insert_with(|| e.to_string());
+                self.sink = None;
+            }
         }
         let severity = event.severity() as usize;
         if self.len() == self.capacity {
@@ -150,36 +151,6 @@ impl Recorder {
             ring.reserve_exact(ring.len().max(4).min(self.capacity - ring.len()));
         }
         ring.push_back(stored);
-    }
-
-    /// Writes `line_buf` to the sink; the first error is kept and the
-    /// sink dropped.
-    fn write_line(&mut self) {
-        if let Some(sink) = &mut self.sink {
-            if let Err(e) = sink.write_all(&self.line_buf) {
-                self.sink_error.get_or_insert_with(|| e.to_string());
-                self.sink = None;
-            }
-        }
-    }
-
-    /// Stores the reorder-buffer statistics of a sharded run, called
-    /// once at the end of the run (see `Observer::on_reorder_stats`).
-    /// A streaming sink gets the `{"type":"reorder",…}` trailer line
-    /// immediately, so `--events` files carry it; [`Self::to_jsonl`]
-    /// appends the same trailer.
-    pub fn set_reorder_stats(&mut self, stats: ReorderStats) {
-        self.reorder = Some(stats);
-        self.line_buf.clear();
-        self.line_buf
-            .extend_from_slice(stats.to_json_line().as_bytes());
-        self.line_buf.push(b'\n');
-        self.write_line();
-    }
-
-    /// The reorder-buffer statistics, when a sharded run reported any.
-    pub fn reorder_stats(&self) -> Option<ReorderStats> {
-        self.reorder
     }
 
     /// Flushes the sink, if any. Returns the first write error the
@@ -256,10 +227,6 @@ impl Recorder {
             out.push_str(&summary.to_json_line());
             out.push('\n');
         }
-        if let Some(stats) = self.reorder {
-            out.push_str(&stats.to_json_line());
-            out.push('\n');
-        }
         out
     }
 }
@@ -307,14 +274,6 @@ impl SharedRecorder {
     /// Flushes the sink, if any, returning the first sink error.
     pub fn finish(&self) -> Option<String> {
         self.0.lock().expect("recorder lock").finish()
-    }
-
-    /// Stores the reorder-buffer statistics of a sharded run.
-    pub fn set_reorder_stats(&self, stats: ReorderStats) {
-        self.0
-            .lock()
-            .expect("recorder lock")
-            .set_reorder_stats(stats);
     }
 }
 

@@ -638,15 +638,6 @@ impl FaultState {
     pub(crate) fn all_up(&self) -> bool {
         self.num_hosts_down == 0 && self.num_links_down == 0
     }
-
-    /// `true` when no fault of any kind is active: every host up, every
-    /// link carrying traffic, no degradation factor applied. The sharded
-    /// event loop only runs its parallel fast path inside all-clear
-    /// windows; while any fault holds, it falls back to the serial loop
-    /// (see `crate::shard`).
-    pub(crate) fn all_clear(&self) -> bool {
-        self.all_up() && !self.any_link_degraded()
-    }
 }
 
 #[cfg(test)]
@@ -764,7 +755,6 @@ mod tests {
             assert_eq!(state.any_link_degraded(), walk_degraded(&state), "{kind:?}");
             assert_eq!(state.all_up(), walk_all_up(&state), "after {kind:?}");
         }
-        assert!(state.all_clear());
         assert_eq!(
             (
                 state.num_hosts_down,
@@ -776,25 +766,7 @@ mod tests {
         // Unpaired recoveries saturate instead of underflowing.
         state.apply(HostRecover(1));
         state.apply(LinkHeal(0, 1));
-        assert!(state.all_clear());
-    }
-
-    #[test]
-    fn all_clear_tracks_every_fault_kind() {
-        let mut state = FaultState::new(3);
-        assert!(state.all_clear());
-        state.apply(TransitionKind::HostCrash(1));
-        assert!(!state.all_clear());
-        state.apply(TransitionKind::HostRecover(1));
-        assert!(state.all_clear());
-        state.apply(TransitionKind::LinkFail(0, 2));
-        assert!(!state.all_clear());
-        state.apply(TransitionKind::LinkHeal(0, 2));
-        assert!(state.all_clear());
-        state.apply(TransitionKind::LinkDegrade(0, 1, 2.0));
-        assert!(!state.all_clear());
-        state.apply(TransitionKind::LinkRestore(0, 1, 2.0));
-        assert!(state.all_clear());
+        assert!(state.all_up() && !state.any_link_degraded());
     }
 
     #[test]

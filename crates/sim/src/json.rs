@@ -6,7 +6,7 @@
 //! shortest-roundtrip `f64` formatting; non-finite values become `null`.
 
 use crate::report::RunReport;
-use radar_obs::{BarrierCause, LaneProfile, Log2Histogram, ProtocolHealth, ShardProfile, SpanKind};
+use radar_obs::ProtocolHealth;
 
 /// A JSON document: the minimal tree the report emitter needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,66 +140,6 @@ fn timeseries(ts: &radar_stats::TimeSeries) -> Json {
         (
             "counts".into(),
             Json::Arr(ts.counts().iter().map(|&c| uint(c)).collect()),
-        ),
-    ])
-}
-
-fn histogram_json(h: &Log2Histogram) -> Json {
-    // Trailing zero buckets are trimmed; `radar perf` re-pads.
-    let buckets = h.buckets();
-    let last = buckets.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
-    Json::Obj(vec![
-        ("count".into(), uint(h.count())),
-        ("sum".into(), uint(h.sum())),
-        ("max".into(), uint(h.max())),
-        (
-            "buckets".into(),
-            Json::Arr(buckets[..last].iter().map(|&c| uint(c)).collect()),
-        ),
-    ])
-}
-
-fn lane_json(label: &str, lane: &LaneProfile) -> Json {
-    Json::Obj(vec![
-        ("lane".into(), Json::Str(label.to_string())),
-        (
-            "spans_ns".into(),
-            Json::Obj(
-                SpanKind::ALL
-                    .iter()
-                    .map(|&k| (k.as_str().to_string(), uint(lane.span_ns(k))))
-                    .collect(),
-            ),
-        ),
-        ("items".into(), uint(lane.items)),
-    ])
-}
-
-/// Serializes a [`ShardProfile`] as the `shard_profile` report section
-/// (also reused verbatim by the throughput bench's `BENCH_profile.json`
-/// artifact, which is why it is public).
-pub fn shard_profile_json(p: &ShardProfile) -> Json {
-    Json::Obj(vec![
-        ("shards".into(), uint(p.shards as u64)),
-        ("wall_ns".into(), uint(p.wall_ns)),
-        (
-            "lanes".into(),
-            Json::Arr(
-                p.lanes()
-                    .map(|(label, lane)| lane_json(&label, lane))
-                    .collect(),
-            ),
-        ),
-        ("handoff_ns".into(), histogram_json(&p.handoff_ns)),
-        ("batch_items".into(), histogram_json(&p.batch_items)),
-        (
-            "barriers".into(),
-            Json::Obj(
-                BarrierCause::ALL
-                    .iter()
-                    .map(|&c| (c.as_str().to_string(), uint(p.barriers[c as usize])))
-                    .collect(),
-            ),
         ),
     ])
 }
@@ -446,14 +386,8 @@ impl RunReport {
             "primary_reassignments".into(),
             uint(self.primary_reassignments),
         ));
-        // Wall-clock-bearing and only present when profiling was
-        // explicitly enabled: unprofiled reports stay byte-identical,
-        // which the sharded-equivalence suite and the CLI report diff
-        // in check.sh both rely on.
-        if let Some(profile) = &self.shard_profile {
-            fields.push(("shard_profile".into(), shard_profile_json(profile)));
-        }
-        // Same opt-in rule: only ledger-enabled runs carry the section.
+        // Opt-in: only ledger-enabled runs carry the section, so reports
+        // from runs without the ledger stay byte-identical.
         if let Some(health) = &self.protocol_health {
             fields.push(("protocol_health".into(), protocol_health_json(health)));
         }

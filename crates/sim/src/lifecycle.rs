@@ -28,12 +28,10 @@ fn fail_reason_tag(reason: FailureReason) -> FailReason {
 }
 
 /// Fills a flight-recorder [`DecisionEvent`] from a redirect outcome.
-/// Shared between the serial redirect handler and the sharded
-/// sequencer's deferred commits, so both produce byte-identical decision
-/// records. `explanation` is `Some` when the Fig. 2 branch data was
-/// captured; otherwise the branch collapses to `PrimaryFallback` or
-/// `Policy` per `fallback_used`.
-pub(crate) fn fill_decision(
+/// `explanation` is `Some` when the Fig. 2 branch data was captured;
+/// otherwise the branch collapses to `PrimaryFallback` or `Policy` per
+/// `fallback_used`.
+fn fill_decision(
     d: &mut DecisionEvent,
     object: ObjectId,
     gateway: NodeId,

@@ -141,15 +141,6 @@ pub trait Observer: Send {
     fn on_loop_profile(&mut self, profile: &radar_obs::LoopProfile) {
         let _ = profile;
     }
-
-    /// A sharded run finished; called once at finalization with the
-    /// reorder-machinery statistics (reserved sequence numbers, buffer
-    /// high-water marks). Never called for serial runs — the stats are
-    /// operational metadata, like wall clock, and stay out of the
-    /// deterministic event stream.
-    fn on_reorder_stats(&mut self, stats: &radar_obs::ReorderStats) {
-        let _ = stats;
-    }
 }
 
 /// A [`radar_obs::Recorder`] is an observer: it subscribes to the event
@@ -163,10 +154,6 @@ impl Observer for radar_obs::Recorder {
     fn on_event(&mut self, event: &radar_obs::Event) {
         self.record(event);
     }
-
-    fn on_reorder_stats(&mut self, stats: &radar_obs::ReorderStats) {
-        self.set_reorder_stats(*stats);
-    }
 }
 
 /// A [`radar_obs::SharedRecorder`] is an observer too — attach one
@@ -179,10 +166,6 @@ impl Observer for radar_obs::SharedRecorder {
 
     fn on_event(&mut self, event: &radar_obs::Event) {
         self.record(event);
-    }
-
-    fn on_reorder_stats(&mut self, stats: &radar_obs::ReorderStats) {
-        self.set_reorder_stats(*stats);
     }
 }
 

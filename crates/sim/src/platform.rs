@@ -17,7 +17,7 @@
 //!   re-replication).
 
 use radar_core::{Catalog, HostState, ObjectId, Redirector};
-use radar_obs::{LedgerConfig, LoopProfile, ShardProfile, SharedObjectLedger, SharedShardProfile};
+use radar_obs::{LedgerConfig, LoopProfile, SharedObjectLedger};
 use radar_simcore::{EventQueue, FifoServer, SimRng, SimTime};
 use radar_simnet::{NodeId, RoutingView};
 use radar_workload::{ArrivalProcess, Workload};
@@ -150,35 +150,14 @@ pub struct Simulation {
     pub(crate) arrivals: Vec<ArrivalProcess>,
     /// Whether bootstrap (initial placement + first events) has run.
     pub(crate) started: bool,
-    /// Redirects handed to worker shards but not yet committed back into
-    /// the queue: each will push exactly one `ArriveAtHost`. Always 0 in
-    /// the serial loop; the sharded sequencer keeps it current so
-    /// [`depth`](Self::depth) reports the queue depth a serial run would
-    /// see at the same point in the event order.
-    pub(crate) pending_push_estimate: u32,
-    /// Upper bound on how many consecutive deferred redirects the
-    /// sharded sequencer coalesces into one hand-off run. `None` (the
-    /// default) lets runs grow as far as the determinism floor allows;
-    /// `Some(1)` forces the pre-batching one-item-per-message behavior
-    /// (the equivalence tests pin both against serial).
-    pub(crate) shard_batch_cap: Option<usize>,
     /// Attached observers plus the flight-recorder state.
     pub(crate) events: EventSink,
     /// Event-loop profiling accumulator; `None` until
     /// [`enable_loop_profile`](Simulation::enable_loop_profile).
     profile: Option<LoopProfile>,
-    /// Live per-shard telemetry handle; `None` until
-    /// [`enable_shard_profile`](Simulation::enable_shard_profile). The
-    /// sharded loop publishes snapshots here at every epoch barrier so
-    /// a dashboard can render stall attribution mid-run.
-    pub(crate) shard_profile_live: Option<SharedShardProfile>,
-    /// Completed per-shard telemetry, moved into
-    /// [`RunReport::shard_profile`] at finalization.
-    pub(crate) shard_profile: Option<ShardProfile>,
     /// Protocol-health ledger handle; `None` until
     /// [`enable_object_ledger`](Simulation::enable_object_ledger). The
-    /// ledger folds the same ordered event feed every observer sees, so
-    /// it works identically in serial and sharded runs.
+    /// ledger folds the same ordered event feed every observer sees.
     pub(crate) object_ledger: Option<SharedObjectLedger>,
     /// The load-report board (§4.2.2 / the TR's recipient discovery):
     /// "hosts periodically exchange load reports, so that each host
@@ -338,12 +317,8 @@ impl Simulation {
             queue: EventQueue::new(),
             arrivals,
             started: false,
-            pending_push_estimate: 0,
-            shard_batch_cap: None,
             events: EventSink::new(),
             profile: None,
-            shard_profile_live: None,
-            shard_profile: None,
             object_ledger: None,
             load_reports: vec![(0.0, 0.0); n],
             replay: None,
@@ -423,33 +398,6 @@ impl Simulation {
         self.profile = Some(LoopProfile::new());
     }
 
-    /// Enables per-shard telemetry for [`Simulation::run_sharded`]:
-    /// span accounting (busy / channel-wait /
-    /// barrier-drain / reunite / idle) on the sequencer and every
-    /// worker, hand-off latency and batch-size histograms, and barrier
-    /// counters by cause. The returned handle yields live snapshots
-    /// (published at every epoch barrier) for dashboards; the completed
-    /// profile lands in
-    /// [`RunReport::shard_profile`]. Like loop profiling, all numbers
-    /// stay out of the deterministic event stream. Serial runs (and
-    /// `run_sharded(1)`'s serial fallback) collect nothing.
-    pub fn enable_shard_profile(&mut self) -> SharedShardProfile {
-        let live = SharedShardProfile::new();
-        self.shard_profile_live = Some(live.clone());
-        live
-    }
-
-    /// Caps how many consecutive deferred redirects
-    /// [`run_sharded`](Simulation::run_sharded) coalesces into one
-    /// batched hand-off. `None` (the default) leaves runs bounded only
-    /// by the determinism floor; `Some(1)` reproduces the pre-batching
-    /// one-item-per-message hand-off. Any cap yields byte-identical
-    /// outputs — the cap trades hand-off amortization against worker
-    /// wake-up latency, nothing observable.
-    pub fn set_shard_batch_cap(&mut self, cap: Option<usize>) {
-        self.shard_batch_cap = cap;
-    }
-
     /// Enables the protocol-health ledger: a
     /// [`radar_obs::ObjectLedger`] is attached as an observer, folding
     /// the flight-recorder feed into per-object replica timelines, an
@@ -514,10 +462,8 @@ impl Simulation {
     }
 
     /// Handles one popped event, timing it into the loop profile when
-    /// profiling is on. Shared by the serial loop and the sharded
-    /// sequencer's inline-handling paths, so `--profile` attributes
-    /// per-handler wall time identically in both modes.
-    pub(crate) fn dispatch(&mut self, t: SimTime, ev: Event) {
+    /// profiling is on.
+    fn dispatch(&mut self, t: SimTime, ev: Event) {
         if self.profile.is_some() {
             let label = ev.label();
             let depth = self.queue.len() as u32;
@@ -557,7 +503,7 @@ impl Simulation {
         self.finalize()
     }
 
-    pub(crate) fn bootstrap(&mut self) {
+    fn bootstrap(&mut self) {
         // Initial object placement.
         match self.scenario.initial_placement.clone() {
             InitialPlacement::RoundRobin => {
@@ -640,17 +586,12 @@ impl Simulation {
         self.hosts[node.index()].install_object(object);
     }
 
-    /// Recorder-visible queue depth: the scheduled events plus the
-    /// `ArriveAtHost` pushes owed by redirects still in flight on worker
-    /// shards. Equals `queue.len()` in the serial loop, and is invariant
-    /// to commit timing in the sharded loop (each commit pushes one event
-    /// and decrements the estimate), so emitted `queue_depth` values
-    /// match the serial run exactly.
+    /// Recorder-visible queue depth: the scheduled events.
     pub(crate) fn depth(&self) -> u32 {
-        self.queue.len() as u32 + self.pending_push_estimate
+        self.queue.len() as u32
     }
 
-    pub(crate) fn handle(&mut self, t: SimTime, ev: Event) {
+    fn handle(&mut self, t: SimTime, ev: Event) {
         match ev {
             Event::Arrival { gateway } => self.on_arrival(t, gateway),
             Event::Redirect {
@@ -745,11 +686,6 @@ impl Simulation {
                 obs.on_loop_profile(profile);
             }
         }
-        if let Some(stats) = self.events.reorder_stats() {
-            for obs in &mut self.events.observers {
-                obs.on_reorder_stats(&stats);
-            }
-        }
         let mut report = RunReport::from_metrics(
             self.metrics,
             self.workload.name().to_string(),
@@ -764,7 +700,6 @@ impl Simulation {
             .recorded
             .map(|entries| entries.into_iter().collect::<Trace>());
         report.loop_profile = profile;
-        report.shard_profile = self.shard_profile;
         if let Some(ledger) = &self.object_ledger {
             ledger.finalize(end);
             report.protocol_health = Some(ledger.health());

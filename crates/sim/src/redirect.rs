@@ -13,15 +13,13 @@
 //! topologies are validated connected — and only the distance lookups
 //! remain.
 
-use radar_core::{ChoiceExplanation, ObjectId, Redirector, RedirectorShard, ReplicaInfo};
+use radar_core::{ChoiceExplanation, ObjectId, Redirector};
 use radar_simnet::{NodeId, RoutingView};
 
 use crate::faults::FaultState;
-use crate::shard::NetSnapshot;
 
-/// The Fig. 2 decision over the currently usable replicas. One engine
-/// serves every request of its thread: the platform owns one for the
-/// serial loop, each shard worker owns one for its object range.
+/// The Fig. 2 decision over the currently usable replicas; one engine
+/// serves every request.
 #[derive(Default)]
 pub(crate) struct RedirectEngine {
     /// `(entry_index, distance)` of the usable replicas of the request
@@ -30,31 +28,6 @@ pub(crate) struct RedirectEngine {
 }
 
 impl RedirectEngine {
-    /// Refills the candidate list from `replicas` and returns the entry
-    /// index of the closest candidate `p` (minimum `(distance, host)`;
-    /// zero and unused when nothing is usable).
-    fn fill(
-        &mut self,
-        replicas: &[ReplicaInfo],
-        usable: impl Fn(NodeId) -> bool,
-        distance: impl Fn(NodeId) -> u32,
-    ) -> u32 {
-        self.candidates.clear();
-        let mut closest = 0u32;
-        let mut best = (u32::MAX, NodeId::new(u16::MAX));
-        for (i, e) in replicas.iter().enumerate() {
-            if usable(e.host) {
-                let dist = distance(e.host);
-                self.candidates.push((i as u32, dist));
-                if (dist, e.host) < best {
-                    best = (dist, e.host);
-                    closest = i as u32;
-                }
-            }
-        }
-        closest
-    }
-
     /// Chooses the replica of `object` serving a request entering at
     /// `gateway`, through redirector node `rnode`. Passing `explanation`
     /// requests the Fig. 2 decision snapshot for the flight recorder,
@@ -82,36 +55,27 @@ impl RedirectEngine {
                 && !view.path(h, gateway).is_empty()
         };
         let all_up = fault_state.all_up();
-        let closest = self.fill(
-            redirector.replicas(object),
-            |h| {
-                debug_assert!(!all_up || reachable(h), "all up, yet {h} is unusable");
-                all_up || reachable(h)
-            },
-            |h| view.distance(h, gateway),
-        );
+        // The closest candidate `p`: minimum `(distance, host)`; zero and
+        // unused when nothing is usable.
+        self.candidates.clear();
+        let mut closest = 0u32;
+        let mut best = (u32::MAX, NodeId::new(u16::MAX));
+        for (i, e) in redirector.replicas(object).iter().enumerate() {
+            debug_assert!(
+                !all_up || reachable(e.host),
+                "all up, yet {} is unusable",
+                e.host
+            );
+            if all_up || reachable(e.host) {
+                let dist = view.distance(e.host, gateway);
+                self.candidates.push((i as u32, dist));
+                if (dist, e.host) < best {
+                    best = (dist, e.host);
+                    closest = i as u32;
+                }
+            }
+        }
         redirector.choose_among_into(object, &self.candidates, Some(closest), explanation)
-    }
-
-    /// The shard-local Fig. 2 decision. The sharded loop only defers
-    /// redirects while every host is up and every route intact (see
-    /// `crate::shard`), so every replica is usable and the candidate
-    /// list equals what [`choose`](Self::choose) would build at the same
-    /// point in the event order.
-    pub(crate) fn choose_in_shard(
-        &mut self,
-        object: ObjectId,
-        gateway: NodeId,
-        shard: &mut RedirectorShard,
-        net: &NetSnapshot,
-        explanation: Option<&mut ChoiceExplanation>,
-    ) -> Option<NodeId> {
-        let closest = self.fill(
-            shard.replicas(object),
-            |_| true,
-            |h| net.distance(h, gateway),
-        );
-        shard.choose_among_into(object, &self.candidates, Some(closest), explanation)
     }
 }
 
@@ -249,36 +213,6 @@ mod tests {
         r.notify_created(x(), gw);
         let second = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(second, Some(gw), "the new, much closer replica wins");
-    }
-
-    #[test]
-    fn shard_decisions_match_the_unsplit_engine() {
-        // Inside a parallel window (no faults, full connectivity) a
-        // shard must reproduce the serial engine's decision stream and
-        // bookkeeping exactly — that is the sharded loop's whole claim.
-        let view = RoutingView::new(builders::uunet());
-        let fault_state = FaultState::new(view.topology().len());
-        let net = NetSnapshot::from_view(&view);
-        let mut serial = Redirector::new(4, 2.0);
-        for i in 0..4 {
-            serial.install(ObjectId::new(i), NodeId::new(3));
-            serial.install(ObjectId::new(i), NodeId::new(40));
-        }
-        let mut sharded = serial.clone();
-        let mut engine = RedirectEngine::default();
-        let mut worker_engines = [RedirectEngine::default(), RedirectEngine::default()];
-        let mut dir_shards = sharded.split_shards(2);
-        let rnode = view.table().centroid();
-        for i in 0..600u16 {
-            let object = ObjectId::new(u32::from(i) % 4);
-            let gw = NodeId::new(i % view.topology().len() as u16);
-            let expect = engine.choose(object, gw, rnode, &mut serial, &view, &fault_state, None);
-            let s = (object.index() * 2) / 4;
-            let got = worker_engines[s].choose_in_shard(object, gw, &mut dir_shards[s], &net, None);
-            assert_eq!(got, expect, "request {i}");
-        }
-        sharded.absorb_shards(dir_shards);
-        assert_eq!(sharded, serial, "identical bookkeeping after the stream");
     }
 
     #[test]

@@ -139,14 +139,9 @@ pub struct RunReport {
     /// host wall-clock measurements, so it is deliberately excluded
     /// from the JSON report to keep that output deterministic.
     pub loop_profile: Option<radar_obs::LoopProfile>,
-    /// Per-shard telemetry of a sharded run (stall attribution,
-    /// hand-off histograms, barrier counts), when
-    /// [`crate::Simulation::enable_shard_profile`] was on. Unlike
-    /// [`loop_profile`](Self::loop_profile) this *is* serialized into
-    /// the JSON report — as an explicitly opt-in, wall-clock-bearing
-    /// `shard_profile` section that `radar perf` consumes. Reports
-    /// from unprofiled runs stay byte-identical.
-    pub shard_profile: Option<radar_obs::ShardProfile>,
+    /// Always `None`; kept only because `benchmark/src/rep.rs` assigns it
+    /// (ROADMAP: drop it with the next `benchmark/` change).
+    pub shard_profile: Option<std::convert::Infallible>,
     /// Protocol-health summary (replica churn, relocation cost, and
     /// invariant-audit verdict), when
     /// [`crate::Simulation::enable_object_ledger`] was on. Serialized

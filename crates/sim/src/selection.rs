@@ -69,10 +69,9 @@ pub trait SelectionPolicy: Send {
 
     /// `true` when the policy is the redirector's Fig. 2 rule over the
     /// usable replicas and nothing else, so the platform may decide
-    /// through its redirect engine (and, under `--shards`, on worker
-    /// threads) instead of this trait. Policies with state or decisions
-    /// of their own (round-robin cursors, randomized picks) must leave
-    /// this `false`.
+    /// through its redirect engine instead of this trait. Policies with
+    /// state or decisions of their own (round-robin cursors, randomized
+    /// picks) must leave this `false`.
     fn delegates_to_fig2(&self) -> bool {
         false
     }

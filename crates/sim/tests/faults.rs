@@ -3,28 +3,11 @@
 //! seed-deterministic, and declared-dead hosts must have their objects
 //! re-replicated onto live hosts.
 
-use radar_sim::{
-    FaultSpec, FaultTransition, Observer, RequestRecord, RunReport, Scenario, Simulation,
-};
+use radar_sim::{FaultSpec, FaultTransition, Observer, RequestRecord, Scenario, Simulation};
 use radar_workload::ZipfReeds;
 use std::sync::{Arc, Mutex};
 
 const OBJECTS: u32 = 200;
-
-/// Runs a simulation to completion, honouring `RADAR_TEST_SHARDS`: CI
-/// re-runs this whole suite with `RADAR_TEST_SHARDS=2` so every fault
-/// scenario is also exercised through the sharded event loop (whose
-/// output is byte-equivalent to serial, so the assertions are
-/// unchanged). Unset or `1`, the serial loop runs as before.
-fn run_to_report(sim: Simulation) -> RunReport {
-    match std::env::var("RADAR_TEST_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(shards) if shards > 1 => sim.run_sharded(shards),
-        _ => sim.run(),
-    }
-}
 
 /// host 5 crashes at t=100 and recovers at t=300; host 12 crashes at
 /// t=200 and never comes back (declared dead 30 s later). The catalog
@@ -84,7 +67,7 @@ fn no_request_is_served_by_a_crashed_host() {
     let recorder = SharedRecorder::default();
     let mut sim = Simulation::new(faulted_scenario(), Box::new(ZipfReeds::new(OBJECTS)));
     sim.attach_observer(Box::new(recorder.clone()));
-    let report = run_to_report(sim);
+    let report = sim.run();
 
     let state = recorder.0.lock().unwrap();
     assert!(!state.served.is_empty(), "run served no requests at all");
@@ -120,21 +103,16 @@ fn no_request_is_served_by_a_crashed_host() {
 #[test]
 fn faulted_runs_are_seed_deterministic() {
     let run = || {
-        run_to_report(Simulation::new(
-            faulted_scenario(),
-            Box::new(ZipfReeds::new(OBJECTS)),
-        ))
-        .to_json_pretty()
+        Simulation::new(faulted_scenario(), Box::new(ZipfReeds::new(OBJECTS)))
+            .run()
+            .to_json_pretty()
     };
     assert_eq!(run(), run(), "same seed and faults must reproduce exactly");
 }
 
 #[test]
 fn declared_dead_hosts_lose_their_replicas_to_live_hosts() {
-    let report = run_to_report(Simulation::new(
-        faulted_scenario(),
-        Box::new(ZipfReeds::new(OBJECTS)),
-    ));
+    let report = Simulation::new(faulted_scenario(), Box::new(ZipfReeds::new(OBJECTS))).run();
     assert_eq!(report.final_replicas.len(), OBJECTS as usize);
     for (object, replicas) in report.final_replicas.iter().enumerate() {
         assert!(
@@ -160,15 +138,17 @@ fn empty_fault_spec_is_bit_identical_to_no_faults() {
         .node_request_rate(2.0)
         .duration(300.0)
         .seed(7);
-    let plain = run_to_report(Simulation::new(
+    let plain = Simulation::new(
         base.clone().build().expect("valid scenario"),
         Box::new(ZipfReeds::new(OBJECTS)),
-    ));
-    let with_empty = run_to_report(Simulation::new(
+    )
+    .run();
+    let with_empty = Simulation::new(
         base.faults(FaultSpec::new())
             .build()
             .expect("valid scenario"),
         Box::new(ZipfReeds::new(OBJECTS)),
-    ));
+    )
+    .run();
     assert_eq!(plain.to_json_pretty(), with_empty.to_json_pretty());
 }

@@ -109,54 +109,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Scheduled { time, seq, payload });
     }
 
-    /// Reserves the next insertion sequence number without scheduling
-    /// anything.
-    ///
-    /// A reserved number can later be attached to an event via
-    /// [`schedule_reserved`](Self::schedule_reserved). This lets a caller
-    /// that *defers* work (e.g. a parallel decision stage) pin down, at
-    /// defer time, exactly where the eventual event will sort among
-    /// simultaneous events — so the deferred schedule is indistinguishable
-    /// from having scheduled immediately. Unused reservations are harmless:
-    /// sequence numbers only break ties, so gaps never reorder anything.
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Reserves `count` consecutive insertion sequence numbers and
-    /// returns the first of the run.
-    ///
-    /// Equivalent to `count` calls of [`reserve_seq`](Self::reserve_seq)
-    /// with nothing scheduled in between: the reserved numbers are
-    /// `first..first + count`. A batching caller (e.g. the sharded event
-    /// loop deferring a whole run of decisions at once) uses this to pin
-    /// every item of the run with one reservation instead of `count`.
-    pub fn reserve_seqs(&mut self, count: u64) -> u64 {
-        let first = self.next_seq;
-        self.next_seq += count;
-        first
-    }
-
-    /// Schedules `payload` at `time` under a sequence number previously
-    /// obtained from [`reserve_seq`](Self::reserve_seq).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than [`now`](Self::now), or if `seq`
-    /// was never reserved (i.e. is not below the current sequence
-    /// counter).
-    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, payload: E) {
-        assert!(
-            time >= self.now,
-            "cannot schedule event at {time} before current time {}",
-            self.now
-        );
-        assert!(seq < self.next_seq, "sequence {seq} was never reserved");
-        self.heap.push(Scheduled { time, seq, payload });
-    }
-
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the simulation has run dry.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -169,20 +121,6 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|ev| ev.time)
-    }
-
-    /// Full ordering key `(time, seq)` of the next event without removing
-    /// it. Useful for callers that compare the queue head against deferred
-    /// work holding [reserved](Self::reserve_seq) sequence numbers.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|ev| (ev.time, ev.seq))
-    }
-
-    /// Payload of the next event without removing it. Lets a dispatcher
-    /// inspect the head (e.g. to decide whether it can be coalesced into
-    /// a batch) before committing to the pop.
-    pub fn peek(&self) -> Option<&E> {
-        self.heap.peek().map(|ev| &ev.payload)
     }
 
     /// Number of pending events.
@@ -263,74 +201,6 @@ mod tests {
         q.schedule(SimTime::from_secs(1.0), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
-    }
-
-    #[test]
-    fn reserved_seq_orders_like_immediate_schedule() {
-        // Reserving a sequence at defer time and scheduling later must
-        // sort exactly where an immediate schedule would have.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1.0);
-        q.schedule(t, "a"); // seq 0
-        let held = q.reserve_seq(); // seq 1
-        q.schedule(t, "c"); // seq 2
-        q.schedule_reserved(t, held, "b");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn unused_reservations_leave_gaps_harmlessly() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1.0), "x"); // seq 0
-        let _dropped = q.reserve_seq(); // seq 1, never scheduled
-        q.schedule(SimTime::from_secs(1.0), "y"); // seq 2
-        assert_eq!(q.pop().unwrap().1, "x");
-        assert_eq!(q.pop().unwrap().1, "y");
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "never reserved")]
-    fn scheduling_unreserved_seq_panics() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.schedule_reserved(SimTime::from_secs(1.0), 7, ());
-    }
-
-    #[test]
-    fn reserve_seqs_matches_repeated_reserve_seq() {
-        // A block reservation must pin items exactly where per-item
-        // reservations would have.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1.0);
-        q.schedule(t, "a"); // seq 0
-        let first = q.reserve_seqs(3); // seqs 1, 2, 3
-        assert_eq!(first, 1);
-        q.schedule(t, "e"); // seq 4
-        q.schedule_reserved(t, first + 2, "d");
-        q.schedule_reserved(t, first, "b");
-        q.schedule_reserved(t, first + 1, "c");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c", "d", "e"]);
-    }
-
-    #[test]
-    fn peek_exposes_head_payload() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek(), None);
-        q.schedule(SimTime::from_secs(2.0), "late");
-        q.schedule(SimTime::from_secs(1.0), "early");
-        assert_eq!(q.peek(), Some(&"early"));
-        assert_eq!(q.len(), 2, "peek must not consume");
-    }
-
-    #[test]
-    fn peek_key_exposes_time_and_seq() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_key(), None);
-        q.schedule(SimTime::from_secs(2.0), "late"); // seq 0
-        q.schedule(SimTime::from_secs(1.0), "early"); // seq 1
-        assert_eq!(q.peek_key(), Some((SimTime::from_secs(1.0), 1)));
     }
 
     #[test]

@@ -17,9 +17,6 @@
 //!   (20 s) ticks.
 //! * [`SimRng`] — a seeded `rand` wrapper so every experiment is
 //!   reproducible from a single `u64` seed.
-//! * [`spsc`] — bounded lock-free single-producer/single-consumer rings
-//!   with adaptive spin-then-park waiting, the transport under the
-//!   sharded event loop's sequencer↔worker hand-off.
 //!
 //! # Examples
 //!
@@ -45,16 +42,12 @@
 //! assert_eq!(order, vec![(0.5, 0), (1.0, 1)]);
 //! ```
 
-// `deny` rather than `forbid`: the `spsc` module carries the crate's
-// one sanctioned `unsafe` site (the lock-free ring's slot array) behind
-// a module-level allow with per-block safety comments.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod event;
 mod rng;
 mod server;
-pub mod spsc;
 mod time;
 mod timer;
 

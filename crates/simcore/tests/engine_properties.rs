@@ -72,7 +72,7 @@ fn fifo_server_conserves_work() {
         for &gap in &gaps {
             t += SimDuration::from_micros(gap);
             let out = server.offer(t);
-            // FIFO: completions never reorder.
+            // FIFO: completions never overtake one another.
             assert!(out.completion > last_completion);
             // Service starts no earlier than arrival and no earlier than
             // the previous completion.

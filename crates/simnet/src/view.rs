@@ -1,5 +1,5 @@
 //! An incrementally maintained view of routing state: distances, paths,
-//! and link liveness, with a generation counter for downstream caches.
+//! and link liveness.
 //!
 //! [`RoutingView`] is the routing layer of the simulator's layered
 //! engine: it owns a [`Topology`], the live [`RoutingTable`] over the
@@ -39,7 +39,7 @@ use crate::routing::bfs_to_destination;
 use crate::{NodeId, RoutingTable, Topology};
 
 /// Incrementally maintained routing state over a [`Topology`] with
-/// per-link liveness, materialized paths, and a generation counter.
+/// per-link liveness and materialized paths.
 ///
 /// # Examples
 ///
@@ -49,10 +49,8 @@ use crate::{NodeId, RoutingTable, Topology};
 /// let mut view = RoutingView::new(builders::ring(4));
 /// let (a, b) = (NodeId::new(0), NodeId::new(1));
 /// assert_eq!(view.distance(a, b), 1);
-/// let g0 = view.generation();
-/// view.set_link(a, b, false);
+/// assert!(view.set_link(a, b, false));
 /// assert_eq!(view.distance(a, b), 3); // the long way around
-/// assert!(view.generation() > g0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RoutingView {
@@ -66,9 +64,6 @@ pub struct RoutingView {
     /// Row-major `n × n` link ids (both orientations filled);
     /// [`NO_LINK`] for non-adjacent pairs.
     link_index: Vec<u32>,
-    /// Bumped on every effective link transition; caches keyed on the
-    /// generation stay valid exactly as long as routing is unchanged.
-    generation: u64,
 }
 
 /// `link_index` entry of a node pair with no link between them.
@@ -98,7 +93,6 @@ impl RoutingView {
             table,
             paths,
             link_index,
-            generation: 0,
         }
     }
 
@@ -110,13 +104,6 @@ impl RoutingView {
     /// The live routing table over the currently-up links.
     pub fn table(&self) -> &RoutingTable {
         &self.table
-    }
-
-    /// Monotonic counter, bumped whenever a link transition changes the
-    /// routing state. Equal generations guarantee identical distances,
-    /// paths, and reachability.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Hop distance between two nodes over the currently-up links
@@ -158,8 +145,7 @@ impl RoutingView {
 
     /// Applies a link up/down transition and incrementally rebuilds the
     /// affected destinations (see the module docs for why the dirty set
-    /// is exact). Returns `true` when the transition changed anything
-    /// (and hence bumped [`generation`](Self::generation)).
+    /// is exact). Returns `true` when the transition changed anything.
     ///
     /// # Panics
     ///
@@ -170,7 +156,6 @@ impl RoutingView {
             return false;
         }
         self.link_up[id] = up;
-        self.generation += 1;
 
         let RoutingView {
             ref topology,
@@ -225,7 +210,6 @@ mod tests {
         let topo = builders::uunet();
         let view = RoutingView::new(topo.clone());
         assert_eq!(*view.table(), topo.routes());
-        assert_eq!(view.generation(), 0);
         for a in topo.nodes() {
             for b in topo.nodes() {
                 assert_eq!(view.path(a, b), topo.routes().path(a, b).as_slice());
@@ -234,10 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn link_down_reroutes_and_bumps_generation() {
+    fn link_down_reroutes() {
         let mut view = RoutingView::new(builders::ring(4));
         assert!(view.set_link(node(0), node(1), false));
-        assert_eq!(view.generation(), 1);
         assert_eq!(view.distance(node(0), node(1)), 3);
         assert_eq!(
             view.path(node(0), node(1)),
@@ -250,10 +233,8 @@ mod tests {
     fn redundant_transition_is_a_no_op() {
         let mut view = RoutingView::new(builders::ring(4));
         assert!(!view.set_link(node(0), node(1), true), "already up");
-        assert_eq!(view.generation(), 0);
         assert!(view.set_link(node(0), node(1), false));
         assert!(!view.set_link(node(0), node(1), false), "already down");
-        assert_eq!(view.generation(), 1);
     }
 
     #[test]

@@ -21,27 +21,20 @@ echo "== throughput baseline + regression gate (BENCH_throughput.json) =="
 # Fails on >10% events/sec regression or >10% allocations/event growth
 # against the committed baseline, then refreshes it.
 cargo bench -q -p radar-bench --bench throughput
-echo "== batched hand-off gate (BENCH_profile.json) =="
-# The bench's profiled scaling runs must show a real batched transport:
-# every profile records hand-offs and the 2-shard profile's batch-size
-# p50 stays at ≥ 2 items per message (1 would mean the hand-off path
-# degenerated back to one message per decision).
-cargo run -q -p radar-cli --bin radar -- perf BENCH_profile.json \
-  --check-batch-p50 2
-echo "== golden event-log regression diff (serial, --shards 1) =="
+echo "== golden event-log regression diff =="
 ./scripts/golden-diff.sh
-echo "== replica-set invariant audit (golden log + faulted 2-shard run) =="
+echo "== replica-set invariant audit (golden log + faulted run) =="
 # The paper's correctness contract (notify after create, before
 # delete) must hold on the committed golden log and on a faulted
-# sharded run — crashes, purges and re-replication are exactly where
-# an unnotified drop would slip through. Exit code 2 names the seqs.
+# run — crashes, purges and re-replication are exactly where an
+# unnotified drop would slip through. Exit code 2 names the seqs.
 mkdir -p target
 cargo run -q -p radar-cli --bin radar -- objects audit \
   tests/golden/events-seed42.jsonl
 printf 'min-replicas 2\ndeclare-dead-after 30\nhost-down 5 60 180\nhost-down 12 120\n' \
   > target/audit-faults.txt
 cargo run -q -p radar-cli --bin radar -- simulate \
-  --objects 16 --rate 0.05 --duration 150 --seed 42 --shards 2 \
+  --objects 16 --rate 0.05 --duration 150 --seed 42 \
   --faults target/audit-faults.txt --events target/audit-faulted.jsonl \
   >/dev/null
 cargo run -q -p radar-cli --bin radar -- objects audit target/audit-faulted.jsonl
@@ -69,32 +62,6 @@ cargo run -q -p radar-cli --bin radar -- simulate \
 { echo '{'; sed -n '/^  "protocol_health": {$/,$p' target/report-ledger.json; } \
   > BENCH_protocol_health.json
 echo "wrote BENCH_protocol_health.json"
-echo "== sharded end-state equivalence (2 shards vs 1) =="
-# The sharded loop promises byte-identical observable output for any
-# fixed shard count; spot-check it end to end through the CLI by
-# comparing the full JSON reports of a 1-shard and a 2-shard run.
-mkdir -p target
-cargo run -q -p radar-cli --bin radar -- simulate \
-  --objects 16 --rate 0.05 --duration 150 --seed 42 --shards 1 --json \
-  > target/report-shards1.json
-cargo run -q -p radar-cli --bin radar -- simulate \
-  --objects 16 --rate 0.05 --duration 150 --seed 42 --shards 2 --json \
-  > target/report-shards2.json
-diff target/report-shards1.json target/report-shards2.json \
-  || { echo "FAIL: 2-shard report diverged from 1-shard"; exit 1; }
-echo "reports identical"
-echo "== shard-profile coverage + batch gate (--profile + radar perf) =="
-# A profiled sharded run must attribute at least 95% of every lane's
-# wall-clock to named spans (busy / waits / barrier / reunite / idle)
-# and show a batched hand-off (p50 ≥ 2 items/message). The smoke rate
-# is 2 req/s rather than the golden log's 0.05: at 0.05 the simulated
-# inter-arrival gap dwarfs every propagation bound, so no two redirects
-# can ever share a batch and the batch gate would measure nothing.
-cargo run -q -p radar-cli --bin radar -- simulate \
-  --objects 16 --rate 2 --duration 150 --seed 42 --shards 2 --profile \
-  --json > target/report-profiled.json
-cargo run -q -p radar-cli --bin radar -- perf target/report-profiled.json \
-  --check-coverage 95 --check-batch-p50 2
 echo "== placement-policy sweep (BENCH_policies.json) =="
 # Regenerates the placement-policy × consistency-mix head-to-head at
 # the unit-test scale and gates on its shape: every placement policy

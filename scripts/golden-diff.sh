@@ -15,12 +15,9 @@ FRESH=target/golden-fresh.jsonl
 
 run_scenario() {
   # Keep in sync with tests/golden/README.md and
-  # crates/cli/tests/golden_diff.rs. Pinned to --shards 1: the golden
-  # log is defined by the serial event loop (multi-shard equivalence is
-  # covered separately by check.sh's end-state check and the
-  # sharded_equivalence integration tests).
+  # crates/cli/tests/golden_diff.rs.
   cargo run -q -p radar-cli --bin radar -- simulate \
-    --objects 16 --rate 0.05 --duration 150 --seed 42 --shards 1 \
+    --objects 16 --rate 0.05 --duration 150 --seed 42 \
     --events "$1" >/dev/null
 }
 

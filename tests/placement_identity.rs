@@ -44,7 +44,7 @@ fn params(low: f64, high: f64) -> Params {
 }
 
 fn digest(report: &RunReport) -> u64 {
-    assert!(report.loop_profile.is_none() && report.shard_profile.is_none());
+    assert!(report.loop_profile.is_none());
     fnv1a64(report.to_json_pretty().as_bytes())
 }
 
