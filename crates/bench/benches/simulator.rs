@@ -38,6 +38,40 @@ fn bench_event_queue(b: &mut Bench) {
         }
         black_box(acc);
     });
+    // The hold model — pop the earliest event, schedule it again later —
+    // at the queue depths of a shallow and of a saturated run. A
+    // multiplicative generator spreads the increments over 0–2·mean so a
+    // re-inserted event lands about `depth` positions back.
+    for (name, depth) in [("hold_d512", 512u64), ("hold_d64k", 65_536)] {
+        let mut q = EventQueue::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut increment = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            SimDuration::from_micros((state >> 33) % (2 * 118 * depth))
+        };
+        for i in 0..depth {
+            q.schedule(SimTime::ZERO + increment(), i);
+        }
+        b.bench(&format!("event_queue/{name}"), || {
+            let (t, v) = q.pop().expect("depth stays constant");
+            q.schedule(t + increment(), v);
+        });
+    }
+    // 200 000 events on one microsecond, then drained: quadratic under
+    // any design that scans a slot per pop.
+    b.bench("event_queue/flood_200k_one_us", || {
+        let mut q = EventQueue::new();
+        for i in 0..200_000u64 {
+            q.schedule(SimTime::from_micros(1_000_003), i);
+        }
+        let mut acc = 0u64;
+        while let Some((_, v)) = q.pop() {
+            acc = acc.wrapping_add(v);
+        }
+        black_box(acc);
+    });
 }
 
 /// FIFO-server arithmetic, the per-request service-time computation.

@@ -124,6 +124,32 @@ fn simulate_rejects_bad_flags() {
         .contains("unknown policy"));
 }
 
+/// Times and periods beyond the microsecond clock are a named error
+/// from the binary itself: exit 2, the flag's name, no panic.
+#[test]
+fn simulate_rejects_spans_beyond_the_clock() {
+    for (flags, field) in [
+        (&["--duration", "1e19"][..], "duration"),
+        (&["--duration", "10", "--rate", "1e-300"][..], "rate"),
+        (
+            &["--duration", "10", "--update-rate", "1e-300"][..],
+            "update_rate",
+        ),
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_radar"))
+            .args(["simulate", "--objects", "100"])
+            .args(flags)
+            .output()
+            .expect("radar runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(
+            stderr.contains(field) && stderr.contains("2^53") && !stderr.contains("panicked"),
+            "{flags:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn simulate_with_custom_topology_and_baseline_policy() {
     let topo_path = std::env::temp_dir().join("radar-cli-topo.spec");

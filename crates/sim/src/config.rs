@@ -57,6 +57,11 @@ pub enum PlacementMode {
     Static,
 }
 
+/// The longest span the clock takes, in seconds: 2^53 µs (about 285
+/// years). Up to here `f64` seconds still resolve every microsecond,
+/// and any `now + delay` the loop forms is far inside the `u64` clock.
+pub(crate) const MAX_CLOCK_SECS: f64 = (1u64 << 53) as f64 / 1e6;
+
 /// Where objects start.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InitialPlacement {
@@ -79,6 +84,15 @@ pub enum ScenarioError {
         /// Name of the offending field.
         field: &'static str,
         /// The rejected value.
+        value: f64,
+    },
+    /// A time or delay is beyond what the microsecond clock resolves
+    /// (2^53 µs, about 285 years).
+    BeyondClock {
+        /// Name of the offending field (`1/rate` for a rate whose period
+        /// is too long).
+        field: &'static str,
+        /// The rejected span in seconds.
         value: f64,
     },
     /// No objects configured.
@@ -107,6 +121,11 @@ impl fmt::Display for ScenarioError {
             ScenarioError::NonPositive { field, value } => {
                 write!(f, "{field} must be positive and finite, got {value}")
             }
+            ScenarioError::BeyondClock { field, value } => write!(
+                f,
+                "{field} is {value:e} s; the simulation clock takes at most \
+                 {MAX_CLOCK_SECS} s (2^53 µs, about 285 years)"
+            ),
             ScenarioError::NoObjects => f.write_str("scenario needs at least one object"),
             ScenarioError::BadExplicitPlacement { detail } => {
                 write!(f, "bad explicit placement: {detail}")
@@ -437,7 +456,8 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// Returns [`ScenarioError`] on non-positive rates/durations, an
-    /// empty object space, or malformed explicit placement.
+    /// empty object space, malformed explicit placement, or a time or
+    /// period beyond the clock (2^53 µs).
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         if self.num_objects == 0 {
             return Err(ScenarioError::NoObjects);
@@ -550,6 +570,50 @@ impl ScenarioBuilder {
             .map(|&(a, b)| (a.index() as u16, b.index() as u16))
             .collect();
         self.faults.validate(topology.len(), &links)?;
+        // Every span the loop adds to the clock, in seconds. Routes have
+        // fewer hops than the topology has nodes.
+        let hops = topology.len() as f64;
+        let update_period = (self.update_rate > 0.0).then(|| 1.0 / self.update_rate);
+        let spans = [
+            ("duration", self.duration),
+            ("placement_period", self.params.placement_period),
+            ("measurement_interval", self.params.measurement_interval),
+            ("1/node_request_rate", 1.0 / self.node_request_rate),
+            ("1/server_capacity", 1.0 / self.server_capacity),
+            (
+                "hop_delay across the topology",
+                hops * self.network.hop_delay,
+            ),
+            (
+                "object_size/link_bandwidth across the topology",
+                hops * self.object_size as f64 / self.network.link_bandwidth,
+            ),
+            ("declare-dead-after", self.faults.declare_dead_after()),
+        ]
+        .into_iter()
+        .chain(update_period.map(|period| ("1/update_rate", period)))
+        .chain(
+            self.node_request_rates
+                .iter()
+                .flatten()
+                .map(|r| ("1/node_request_rates", 1.0 / r)),
+        )
+        .chain(
+            self.node_capacities
+                .iter()
+                .flatten()
+                .map(|c| ("1/node_capacities", 1.0 / c)),
+        )
+        .chain(self.faults.faults().iter().flat_map(|fault| {
+            let (from, until) = fault.window();
+            std::iter::once(("fault window start", from))
+                .chain(until.map(|until| ("fault window end", until)))
+        }));
+        for (field, value) in spans {
+            if value > MAX_CLOCK_SECS {
+                return Err(ScenarioError::BeyondClock { field, value });
+            }
+        }
         let tracked_host = self.tracked_host.min(topology.len() as u16 - 1);
         let num_redirectors = self.num_redirectors.min(topology.len() as u16);
         let metric_bin = match self.metric_bin {
@@ -643,6 +707,57 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn spans_beyond_the_clock_rejected_by_name() {
+        let beyond = |builder: ScenarioBuilder| match builder.build().unwrap_err() {
+            ScenarioError::BeyondClock { field, .. } => field,
+            other => panic!("expected BeyondClock, got {other}"),
+        };
+        let b = Scenario::builder;
+        assert_eq!(beyond(b().duration(1e19)), "duration");
+        assert_eq!(beyond(b().duration(MAX_CLOCK_SECS * 1.01)), "duration");
+        assert!(b().duration(MAX_CLOCK_SECS).build().is_ok());
+        assert_eq!(beyond(b().node_request_rate(1e-300)), "1/node_request_rate");
+        let mut rates = vec![40.0; 53];
+        rates[7] = 1e-11;
+        assert_eq!(
+            beyond(b().node_request_rates(rates.clone())),
+            "1/node_request_rates"
+        );
+        assert_eq!(beyond(b().node_capacities(rates)), "1/node_capacities");
+        assert_eq!(beyond(b().server_capacity(1e-10)), "1/server_capacity");
+        assert_eq!(beyond(b().update_rate(1e-10)), "1/update_rate");
+        assert!(b().update_rate(0.0).build().is_ok());
+        let params = |period, interval| Params {
+            placement_period: period,
+            measurement_interval: interval,
+            ..Params::paper()
+        };
+        assert_eq!(beyond(b().params(params(1e10, 20.0))), "placement_period");
+        assert_eq!(
+            beyond(b().params(params(100.0, 1e10))),
+            "measurement_interval"
+        );
+        let faults = FaultSpec::new;
+        assert_eq!(
+            beyond(b().faults(faults().with_declare_dead_after(1e10))),
+            "declare-dead-after"
+        );
+        assert_eq!(
+            beyond(b().faults(faults().host_down(3, 1e10, None))),
+            "fault window start"
+        );
+        assert_eq!(
+            beyond(b().faults(faults().host_down(3, 1.0, Some(1e10)))),
+            "fault window end"
+        );
+        let err = b().duration(1e19).build().unwrap_err().to_string();
+        assert!(
+            err.contains("duration is 1e19 s") && err.contains("9007199254.740992 s (2^53 µs"),
+            "{err}"
+        );
     }
 
     #[test]

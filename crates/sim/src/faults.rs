@@ -74,7 +74,7 @@ pub enum Fault {
 }
 
 impl Fault {
-    fn window(&self) -> (f64, Option<f64>) {
+    pub(crate) fn window(&self) -> (f64, Option<f64>) {
         match *self {
             Fault::HostDown { from, until, .. }
             | Fault::LinkDown { from, until, .. }

@@ -14,6 +14,7 @@ use radar_obs::{
 use radar_simcore::{SimDuration, SimTime};
 use radar_simnet::NodeId;
 
+use crate::config::MAX_CLOCK_SECS;
 use crate::observer::{FailureReason, RequestRecord};
 use crate::platform::{Event, Simulation};
 use crate::trace::TraceEntry;
@@ -85,15 +86,15 @@ impl Simulation {
     }
 
     /// Propagation-only delay over the current route, honoring per-link
-    /// degradation factors. Callers must have checked [`connected`](Self::connected).
-    pub(crate) fn propagation(&self, from: NodeId, to: NodeId) -> f64 {
+    /// degradation factors (a degraded route slower than the clock's
+    /// range arrives at its end, after any run). Callers must have
+    /// checked [`connected`](Self::connected).
+    pub(crate) fn propagation(&self, from: NodeId, to: NodeId) -> SimDuration {
         if !self.fault_state.any_link_degraded() {
-            return self
-                .scenario
-                .network
-                .propagation_time(self.view.distance(from, to));
+            return self.propagation_by_hops[self.view.distance(from, to) as usize];
         }
-        self.scenario.network.hop_delay * self.weighted_hops(from, to)
+        let secs = self.scenario.network.hop_delay * self.weighted_hops(from, to);
+        SimDuration::from_secs(secs.min(MAX_CLOCK_SECS))
     }
 
     /// Store-and-forward transfer time over the current route. Degraded
@@ -104,8 +105,9 @@ impl Simulation {
         if !self.fault_state.any_link_degraded() {
             return self.scenario.network.transfer_time(bytes, hops);
         }
-        self.scenario.network.hop_delay * self.weighted_hops(from, to)
-            + hops as f64 * (bytes as f64 / self.scenario.network.link_bandwidth)
+        let secs = self.scenario.network.hop_delay * self.weighted_hops(from, to)
+            + hops as f64 * (bytes as f64 / self.scenario.network.link_bandwidth);
+        secs.min(MAX_CLOCK_SECS)
     }
 
     /// Sum of per-link delay factors along the current route (equals the
@@ -161,9 +163,10 @@ impl Simulation {
 
     pub(crate) fn on_arrival(&mut self, t: SimTime, gateway: NodeId) {
         // Next arrival of this stream.
-        let gap = self.arrivals[gateway.index()].next_interarrival(&mut self.rng);
-        self.queue
-            .schedule(t + SimDuration::from_secs(gap), Event::Arrival { gateway });
+        let gap = self.arrival_gaps[gateway.index()].unwrap_or_else(|| {
+            SimDuration::from_secs(self.arrivals[gateway.index()].next_interarrival(&mut self.rng))
+        });
+        self.queue.schedule(t + gap, Event::Arrival { gateway });
 
         let object = self.workload.choose(t.as_secs(), gateway, &mut self.rng);
         if let Some(recorded) = &mut self.recorded {
@@ -183,7 +186,7 @@ impl Simulation {
         }
         let delay = self.propagation(gateway, rnode);
         self.queue.schedule(
-            t + SimDuration::from_secs(delay),
+            t + delay,
             Event::Redirect {
                 object,
                 gateway,
@@ -236,7 +239,7 @@ impl Simulation {
         }
         let delay = self.propagation(gateway, rnode);
         self.queue.schedule(
-            t + SimDuration::from_secs(delay),
+            t + delay,
             Event::Redirect {
                 object,
                 gateway,
@@ -374,7 +377,7 @@ impl Simulation {
         };
         let delay = self.propagation(rnode, host);
         self.queue.schedule(
-            t + SimDuration::from_secs(delay),
+            t + delay,
             Event::ArriveAtHost {
                 object,
                 gateway,

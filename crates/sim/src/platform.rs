@@ -18,7 +18,7 @@
 
 use radar_core::{Catalog, HostState, ObjectId, Redirector};
 use radar_obs::{LedgerConfig, LoopProfile, SharedObjectLedger};
-use radar_simcore::{EventQueue, FifoServer, SimRng, SimTime};
+use radar_simcore::{EventQueue, FifoServer, SimDuration, SimRng, SimTime};
 use radar_simnet::{NodeId, RoutingView};
 use radar_workload::{ArrivalProcess, Workload};
 
@@ -148,6 +148,12 @@ pub struct Simulation {
     pub(crate) queue: EventQueue<Event>,
     /// One arrival process per gateway.
     pub(crate) arrivals: Vec<ArrivalProcess>,
+    /// The constant inter-arrival gap of each deterministic gateway
+    /// (`None`: the gap is drawn per arrival).
+    pub(crate) arrival_gaps: Vec<Option<SimDuration>>,
+    /// Propagation delay by hop count over undegraded links, so the
+    /// per-request path converts no seconds to microseconds.
+    pub(crate) propagation_by_hops: Vec<SimDuration>,
     /// Whether bootstrap (initial placement + first events) has run.
     pub(crate) started: bool,
     /// Attached observers plus the flight-recorder state.
@@ -286,7 +292,7 @@ impl Simulation {
         metrics.redirector_requests = vec![0; n];
         let rng = SimRng::seed_from(scenario.seed);
         let fault_schedule = scenario.faults.transitions(scenario.duration);
-        let arrivals = (0..n)
+        let arrivals: Vec<ArrivalProcess> = (0..n)
             .map(|i| {
                 let rate = scenario
                     .node_request_rates
@@ -298,6 +304,17 @@ impl Simulation {
                     ArrivalProcess::Deterministic { rate }
                 }
             })
+            .collect();
+        let arrival_gaps = arrivals
+            .iter()
+            .map(|process| match process {
+                ArrivalProcess::Deterministic { rate } => Some(SimDuration::from_secs(1.0 / rate)),
+                ArrivalProcess::Poisson { .. } => None,
+            })
+            .collect();
+        // A route over `n` nodes has fewer than `n` hops.
+        let propagation_by_hops = (0..=n as u32)
+            .map(|hops| SimDuration::from_secs(scenario.network.propagation_time(hops)))
             .collect();
         Self {
             scenario,
@@ -316,6 +333,8 @@ impl Simulation {
             rng,
             queue: EventQueue::new(),
             arrivals,
+            arrival_gaps,
+            propagation_by_hops,
             started: false,
             events: EventSink::new(),
             profile: None,
@@ -452,11 +471,7 @@ impl Simulation {
             self.started = true;
         }
         let end = SimTime::from_secs(t.min(self.scenario.duration).max(0.0));
-        while let Some(next) = self.queue.peek_time() {
-            if next > end {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event exists");
+        while let Some((t, ev)) = self.queue.pop_through(end) {
             self.dispatch(t, ev);
         }
     }
@@ -720,5 +735,42 @@ impl Workload for NullWorkload {
 
     fn name(&self) -> &str {
         "replay"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::NetworkParams;
+    use radar_workload::ZipfReeds;
+
+    #[test]
+    fn delay_tables_equal_the_per_request_conversions() {
+        let network = NetworkParams {
+            hop_delay: 0.012_345_6,
+            ..NetworkParams::paper()
+        };
+        let scenario = Scenario::builder()
+            .num_objects(10)
+            .node_request_rate(7.0)
+            .network(network)
+            .build()
+            .expect("valid");
+        let sim = Simulation::new(scenario, Box::new(ZipfReeds::new(10)));
+        let n = sim.hosts.len();
+        assert_eq!(sim.propagation_by_hops.len(), n + 1);
+        for hops in 0..=n {
+            assert_eq!(
+                sim.propagation_by_hops[hops],
+                SimDuration::from_secs(network.propagation_time(hops as u32))
+            );
+        }
+        let mut rng = SimRng::seed_from(1);
+        for (gap, process) in sim.arrival_gaps.iter().zip(&sim.arrivals) {
+            assert_eq!(
+                *gap,
+                Some(SimDuration::from_secs(process.next_interarrival(&mut rng)))
+            );
+        }
     }
 }

@@ -1,42 +1,30 @@
 //! Future-event list with deterministic ordering.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use crate::SimTime;
 
-/// A single scheduled entry in the heap. Ordering is by time, then by
-/// insertion sequence number, so simultaneous events dequeue in the order
-/// they were scheduled (FIFO tie-break) — the property that makes runs
-/// reproducible.
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
+/// One wheel level per byte of the `u64` microsecond clock.
+const LEVELS: usize = 8;
+/// One slot per value of that byte; a level-0 slot is one microsecond.
+const SLOTS: usize = 256;
+/// Occupancy words per level.
+const WORDS: usize = SLOTS / 64;
+/// End-of-list link.
+const NIL: u32 = u32::MAX;
+
+/// First and last node of one slot's FIFO list; meaningful only while
+/// the slot's occupancy bit is set.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse to pop the earliest event.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+/// One slab entry: a pending event linked into its slot's list, or —
+/// with `payload` taken — a link of the free list.
+struct Node<E> {
+    time: u64,
+    next: u32,
+    payload: Option<E>,
 }
 
 /// The future-event list of a discrete-event simulation.
@@ -50,6 +38,32 @@ impl<E> Ord for Scheduled<E> {
 /// into the past is rejected (a scheduling bug would otherwise silently
 /// corrupt causality).
 ///
+/// # Structure
+///
+/// A hierarchical timing wheel keyed on the clock itself: eight levels
+/// of 256 slots, one level per byte of the `u64` microsecond clock. An
+/// event is filed at the level of the highest byte in which its time
+/// differs from `now` (level 0 if it is due now), in the slot named by
+/// that byte of its time. Each slot is a FIFO list threaded by `u32`
+/// links through one slab of nodes, so [`schedule`](Self::schedule) is a
+/// tail append and a level-0 pop takes a list head: neither compares
+/// events nor depends on how many are pending. When level 0 runs dry,
+/// `pop` takes the earliest occupied slot of the lowest occupied level —
+/// every event in it precedes every event elsewhere — advances `now` to
+/// the earliest time in it and re-files its events, in list order,
+/// relative to the new `now`; each lands on a lower level, so an event
+/// is re-filed at most once per level.
+///
+/// **Equal times share a slot.** An event at level *k* ≥ 1 agrees with
+/// `now` on every byte above *k* and exceeds it in byte *k*, and stays so
+/// until its own slot is re-filed (`now` only changes byte *k* by
+/// re-filing a level-*k* slot, the earliest one first). So the level and
+/// slot of a pending event are a function of its time and `now` alone:
+/// two events for the same instant are always in the same list, however
+/// far apart they were scheduled. Tail append plus in-order re-filing is
+/// therefore scheduling order, which is why no sequence number is stored
+/// and nothing is ever compared.
+///
 /// # Examples
 ///
 /// ```
@@ -60,20 +74,25 @@ impl<E> Ord for Scheduled<E> {
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "sooner")));
 /// assert_eq!(q.now(), SimTime::from_secs(1.0));
 /// ```
-#[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
+    /// Pending events and free entries; sized by the peak backlog.
+    nodes: Vec<Node<E>>,
+    /// Head of the free list through `nodes`.
+    free: u32,
+    /// Slot `s` of level `l` is entry `l * SLOTS + s`.
+    slots: Box<[Slot; LEVELS * SLOTS]>,
+    /// One bit per slot, in the same order.
+    occupied: [u64; LEVELS * WORDS],
+    len: usize,
     now: SimTime,
 }
 
-impl<E: std::fmt::Debug> std::fmt::Debug for Scheduled<E> {
+impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduled")
-            .field("time", &self.time)
-            .field("seq", &self.seq)
-            .field("payload", &self.payload)
-            .finish()
+        f.debug_struct("EventQueue")
+            .field("now", &self.now)
+            .field("len", &self.len)
+            .finish_non_exhaustive()
     }
 }
 
@@ -81,8 +100,16 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            slots: Box::new(
+                [Slot {
+                    head: NIL,
+                    tail: NIL,
+                }; LEVELS * SLOTS],
+            ),
+            occupied: [0; LEVELS * WORDS],
+            len: 0,
             now: SimTime::ZERO,
         }
     }
@@ -104,33 +131,117 @@ impl<E> EventQueue<E> {
             "cannot schedule event at {time} before current time {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, payload });
+        let node = Node {
+            time: time.as_micros(),
+            next: NIL,
+            payload: Some(payload),
+        };
+        let index = if self.free == NIL {
+            assert!(self.nodes.len() < NIL as usize, "too many pending events");
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let index = self.free;
+            self.free = std::mem::replace(&mut self.nodes[index as usize], node).next;
+            index
+        };
+        self.file(index);
+        self.len += 1;
+    }
+
+    /// Appends node `index` to the slot its time names relative to `now`.
+    fn file(&mut self, index: u32) {
+        let node = &mut self.nodes[index as usize];
+        node.next = NIL;
+        let time = node.time;
+        let level = (63 - ((time ^ self.now.as_micros()) | 1).leading_zeros() as usize) / 8;
+        let slot = level * SLOTS + (time >> (8 * level)) as usize % SLOTS;
+        let bit = 1 << (slot % 64);
+        if self.occupied[slot / 64] & bit == 0 {
+            self.occupied[slot / 64] |= bit;
+            self.slots[slot].head = index;
+        } else {
+            self.nodes[self.slots[slot].tail as usize].next = index;
+        }
+        self.slots[slot].tail = index;
+    }
+
+    /// The slot holding the earliest event, and that event's time. On
+    /// level 0 the slot is the time; above it the slot's list is walked.
+    fn earliest(&self) -> Option<(usize, u64)> {
+        let word = self.occupied.iter().position(|&bits| bits != 0)?;
+        let slot = word * 64 + self.occupied[word].trailing_zeros() as usize;
+        if slot < SLOTS {
+            return Some((slot, (self.now.as_micros() & !0xff) | slot as u64));
+        }
+        let mut at = self.slots[slot].head;
+        let mut min = u64::MAX;
+        while at != NIL {
+            let node = &self.nodes[at as usize];
+            min = min.min(node.time);
+            at = node.next;
+        }
+        Some((slot, min))
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the simulation has run dry.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let ev = self.heap.pop()?;
-        debug_assert!(ev.time >= self.now, "event queue emitted out of order");
-        self.now = ev.time;
-        Some((ev.time, ev.payload))
+        self.pop_through(SimTime::MAX)
+    }
+
+    /// [`pop`](Self::pop), unless the earliest event is later than
+    /// `limit`: then `None`, and neither the clock nor the queue moves —
+    /// anything from [`now`](Self::now) on can still be scheduled.
+    pub fn pop_through(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let (mut slot, time) = self.earliest()?;
+        if time > limit.as_micros() {
+            return None;
+        }
+        debug_assert!(
+            time >= self.now.as_micros(),
+            "event queue emitted out of order"
+        );
+        self.now = SimTime::from_micros(time);
+        if slot >= SLOTS {
+            // Level 0 ran dry: re-file the earliest upper slot around the
+            // new `now`. Its earliest events land on level 0, in order.
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            let mut at = self.slots[slot].head;
+            while at != NIL {
+                let next = self.nodes[at as usize].next;
+                self.file(at);
+                at = next;
+            }
+            slot = (time % SLOTS as u64) as usize;
+        }
+        let index = self.slots[slot].head;
+        let node = &mut self.nodes[index as usize];
+        let payload = node.payload.take().expect("a filed node holds its event");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = index;
+        if next == NIL {
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+        } else {
+            self.slots[slot].head = next;
+        }
+        self.len -= 1;
+        Some((self.now, payload))
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|ev| ev.time)
+        self.earliest().map(|(_, time)| SimTime::from_micros(time))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 }
 

@@ -7,14 +7,15 @@
 //! * [`SimTime`] / [`SimDuration`] — an integer microsecond clock. Using
 //!   integers (not `f64`) keeps event ordering exact and runs perfectly
 //!   reproducible across platforms.
-//! * [`EventQueue`] — a binary-heap future-event list with FIFO
-//!   tie-breaking for simultaneous events, the classic DES core.
+//! * [`EventQueue`] — the future-event list: a byte-radix timing wheel
+//!   over the integer clock (8 levels × 256 slots, FIFO lists through
+//!   one slab). Scheduling and popping cost the same however many
+//!   events are pending, and simultaneous events come out in scheduling
+//!   order because equal times always share a slot.
 //! * [`FifoServer`] — the paper's host service model: "Each node services
 //!   requests one by one in first-come-first-serve order" with a fixed
 //!   per-request service time (capacity 200 req/s ⇒ 5 ms). Implemented
 //!   with busy-until arithmetic so no extra events are needed per request.
-//! * [`PeriodicTimer`] — placement-decision (100 s) and load-measurement
-//!   (20 s) ticks.
 //! * [`SimRng`] — a seeded `rand` wrapper so every experiment is
 //!   reproducible from a single `u64` seed.
 //!
@@ -49,10 +50,8 @@ mod event;
 mod rng;
 mod server;
 mod time;
-mod timer;
 
 pub use event::EventQueue;
 pub use rng::SimRng;
 pub use server::{FifoServer, ServiceOutcome};
 pub use time::{SimDuration, SimTime};
-pub use timer::PeriodicTimer;

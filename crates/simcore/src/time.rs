@@ -146,14 +146,25 @@ fn secs_to_micros(secs: f64) -> u64 {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    /// The time `rhs` later.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sum is beyond [`SimTime::MAX`]. Scenario validation
+    /// keeps every time and delay below 2^53 µs, so the event loop never
+    /// gets near.
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(
+            self.0
+                .checked_add(rhs.0)
+                .expect("scenario validation bounds the clock"),
+        )
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 

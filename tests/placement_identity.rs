@@ -15,13 +15,10 @@ use radar::simcore::SimRng;
 use radar::simnet::builders;
 use radar::workload::{HotSites, ZipfReeds};
 
-const OBJECTS: u32 = 600;
+mod common;
+use common::fnv1a64;
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+const OBJECTS: u32 = 600;
 
 /// 600 objects on UUNET for 90 s; a 20 s placement period puts every
 /// host through three or four placement runs.

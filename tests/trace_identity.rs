@@ -11,29 +11,11 @@ use radar::core::{Catalog, ConsistencyMix, Params};
 use radar::obs::{Recorder, SharedRecorder, DEFAULT_CAPACITY};
 use radar::sim::{FaultSpec, Scenario, ScenarioBuilder, Simulation};
 use radar::workload::ZipfReeds;
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+
+mod common;
+use common::HashSink;
 
 const OBJECTS: u32 = 200;
-
-/// Hashes and counts what the recorder streams, keeping nothing.
-#[derive(Clone)]
-struct HashSink(Arc<Mutex<(u64, u64)>>);
-
-impl Write for HashSink {
-    fn write(&mut self, chunk: &[u8]) -> std::io::Result<usize> {
-        let mut state = self.0.lock().expect("sink lock");
-        for &b in chunk {
-            state.0 = (state.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        state.1 += chunk.len() as u64;
-        Ok(chunk.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
 
 /// 200 objects for 30 s; a 10 s placement period puts three placement
 /// rounds (actions, counts resets) inside the window.
@@ -54,7 +36,7 @@ fn scenario() -> ScenarioBuilder {
 /// Runs `scenario` traced; returns (FNV-1a-64 of the JSONL, its length
 /// in bytes, replica-set-invariant violations).
 fn traced(scenario: Scenario) -> (u64, u64, u64) {
-    let sink = HashSink(Arc::new(Mutex::new((0xcbf2_9ce4_8422_2325, 0))));
+    let sink = HashSink::new();
     let recorder = SharedRecorder::from_recorder(
         Recorder::new(DEFAULT_CAPACITY).with_sink(Box::new(sink.clone())),
     );
@@ -64,7 +46,7 @@ fn traced(scenario: Scenario) -> (u64, u64, u64) {
     let report = sim.run();
     assert_eq!(recorder.finish(), None, "sink error");
     let health = report.protocol_health.expect("ledger was enabled");
-    let (hash, bytes) = *sink.0.lock().expect("sink lock");
+    let (hash, bytes) = sink.digest();
     (hash, bytes, health.violations)
 }
 
