@@ -418,7 +418,8 @@ pub fn updates(h: &mut Harness) -> String {
 pub fn policies(h: &mut Harness) -> String {
     use radar_baselines::{AvailabilityPlacement, ClusterPlacement};
     use radar_core::{Catalog, ConsistencyMix};
-    use radar_sim::{Json, PlacementPolicy, RadarPlacement, RadarSelection};
+    use radar_sim::obs::json::Value;
+    use radar_sim::{PlacementPolicy, RadarPlacement, RadarSelection};
 
     let workload = "zipf";
     // Aggregate provider-update rate for the update-bearing mixes; zero
@@ -471,40 +472,40 @@ pub fn policies(h: &mut Harness) -> String {
                 },
                 format!("{:.2}", update_traffic / 1e6),
             ]);
-            runs.push(Json::Obj(vec![
-                ("placement".into(), Json::Str(r.placement_policy.clone())),
-                ("mix".into(), Json::Str(mix.name().into())),
+            runs.push(Value::Obj(vec![
+                ("placement".into(), Value::Str(r.placement_policy.clone())),
+                ("mix".into(), Value::Str(mix.name().into())),
                 (
                     "eq_bandwidth_mb_hops_per_s".into(),
-                    Json::Num(r.equilibrium_bandwidth_rate() / 1e6),
+                    Value::Num(r.equilibrium_bandwidth_rate() / 1e6),
                 ),
                 (
                     "peak_load_final_quarter".into(),
-                    Json::Num(r.peak_load_after(warmup)),
+                    Value::Num(r.peak_load_after(warmup)),
                 ),
                 (
                     "avg_replicas".into(),
-                    Json::Num(r.equilibrium_avg_replicas()),
+                    Value::Num(r.equilibrium_avg_replicas()),
                 ),
                 (
                     "peak_relocation_overhead_pct".into(),
-                    Json::Num(peak_overhead),
+                    Value::Num(peak_overhead),
                 ),
-                ("relocations".into(), Json::UInt(r.relocations())),
-                ("updates".into(), Json::UInt(r.updates_propagated)),
+                ("relocations".into(), Value::UInt(r.relocations())),
+                ("updates".into(), Value::UInt(r.updates_propagated)),
                 (
                     "update_traffic_mb_hops".into(),
-                    Json::Num(update_traffic / 1e6),
+                    Value::Num(update_traffic / 1e6),
                 ),
                 (
                     "staleness_t1_mean_s".into(),
-                    Json::Num(r.update_lag_type1.mean),
+                    Value::Num(r.update_lag_type1.mean),
                 ),
                 (
                     "staleness_t1_max_s".into(),
-                    Json::Num(r.update_lag_type1.max),
+                    Value::Num(r.update_lag_type1.max),
                 ),
-                ("wasted_deliveries".into(), Json::UInt(r.wasted_deliveries)),
+                ("wasted_deliveries".into(), Value::UInt(r.wasted_deliveries)),
             ]));
         }
     }
@@ -521,23 +522,26 @@ pub fn policies(h: &mut Harness) -> String {
     out.push_str(&format_table(&headers, &rows));
     write_csv(&h.cfg, "policies", &headers, &rows);
 
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::Str("radar-bench-policies-v1".into())),
+    let doc = Value::Obj(vec![
+        (
+            "schema".into(),
+            Value::Str("radar-bench-policies-v1".into()),
+        ),
         (
             "config".into(),
-            Json::Obj(vec![
-                ("objects".into(), Json::UInt(h.cfg.num_objects as u64)),
-                ("rate".into(), Json::Num(h.cfg.node_rate)),
-                ("duration".into(), Json::Num(h.cfg.duration)),
-                ("seed".into(), Json::UInt(h.cfg.seed)),
-                ("workload".into(), Json::Str(workload.into())),
-                ("update_rate".into(), Json::Num(update_rate)),
+            Value::Obj(vec![
+                ("objects".into(), Value::UInt(h.cfg.num_objects as u64)),
+                ("rate".into(), Value::Num(h.cfg.node_rate)),
+                ("duration".into(), Value::Num(h.cfg.duration)),
+                ("seed".into(), Value::UInt(h.cfg.seed)),
+                ("workload".into(), Value::Str(workload.into())),
+                ("update_rate".into(), Value::Num(update_rate)),
             ]),
         ),
-        ("runs".into(), Json::Arr(runs)),
+        ("runs".into(), Value::Arr(runs)),
     ]);
     // CARGO_MANIFEST_DIR is crates/bench; the artifact lives at the
-    // workspace root next to BENCH_loop.json.
+    // workspace root next to BENCH_protocol_health.json.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_policies.json");

@@ -93,7 +93,7 @@ thread_local! {
 }
 
 /// A counting wrapper over the system allocator, for allocation-budget
-/// tests and the `throughput` bench. Install it with
+/// tests and the repo benchmark's traced binary. Install it with
 /// `#[global_allocator]`; it delegates every call to [`System`] and
 /// only bumps two counters, so instrumented binaries behave identically
 /// apart from the bookkeeping.
@@ -173,208 +173,9 @@ fn report(name: &str, elapsed: Duration, iters: u64, test_only: bool) {
     }
 }
 
-/// One per-event-type row of the loop-profile baseline written to
-/// `BENCH_loop.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoopRow {
-    /// Event-loop handler label (e.g. `redirect`, `placement`).
-    pub label: String,
-    /// Events dispatched with this label over the profiled run.
-    pub count: u64,
-    /// Mean handler wall time per dispatch, in nanoseconds.
-    pub mean_ns: f64,
-    /// Slowest single dispatch, in nanoseconds.
-    pub max_ns: u64,
-}
-
-/// Serializes the loop-profile baseline as the `BENCH_loop.json`
-/// document: the generating configuration plus one object per handler
-/// label with `count`/`mean_ns`/`max_ns`.
-///
-/// The JSON is hand-rolled (this workspace takes no external
-/// dependencies) and emitted with keys in a fixed order so successive
-/// baselines diff cleanly.
-pub fn loop_baseline_json(config: &[(&str, String)], rows: &[LoopRow]) -> String {
-    let mut out = String::from("{\n  \"config\": {");
-    for (i, (key, value)) in config.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{key}\": {value}"));
-    }
-    out.push_str("},\n  \"handlers\": {\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"count\": {}, \"mean_ns\": {:.1}, \"max_ns\": {}}}",
-            row.label, row.count, row.mean_ns, row.max_ns
-        ));
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// The whole-run measurement written to `BENCH_throughput.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThroughputRow {
-    /// Flight-recorder events the traced run emitted.
-    pub events: u64,
-    /// Events emitted per wall-clock second (best of the repetitions).
-    pub events_per_sec: f64,
-    /// Allocator calls over the whole run (deterministic per seed).
-    pub allocations: u64,
-    /// Allocator calls per emitted event.
-    pub allocations_per_event: f64,
-}
-
-/// Serializes the end-to-end throughput baseline as the
-/// `BENCH_throughput.json` document, in the same hand-rolled fixed-key
-/// style as [`loop_baseline_json`].
-pub fn throughput_baseline_json(config: &[(&str, String)], row: &ThroughputRow) -> String {
-    let mut out = String::from("{\n  \"config\": {");
-    for (i, (key, value)) in config.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{key}\": {value}"));
-    }
-    out.push_str("},\n  \"throughput\": {\n");
-    out.push_str(&format!("    \"events\": {},\n", row.events));
-    out.push_str(&format!(
-        "    \"events_per_sec\": {:.1},\n",
-        row.events_per_sec
-    ));
-    out.push_str(&format!("    \"allocations\": {},\n", row.allocations));
-    out.push_str(&format!(
-        "    \"allocations_per_event\": {:.4}\n",
-        row.allocations_per_event
-    ));
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Compares a fresh throughput measurement against the committed
-/// `BENCH_throughput.json` document. Returns an error message when
-/// events/sec regressed by more than `tolerance` (a fraction, e.g. 0.1
-/// for 10%) or allocations/event grew by more than it — the regression
-/// gate behind the `throughput` bench, `scripts/check.sh`, and CI.
-/// A baseline missing either number gates nothing.
-pub fn throughput_gate(previous: &str, row: &ThroughputRow, tolerance: f64) -> Result<(), String> {
-    if let Some(old_eps) = json_number(previous, "events_per_sec") {
-        if row.events_per_sec < old_eps * (1.0 - tolerance) {
-            return Err(format!(
-                "throughput regression: {:.1} events/sec is more than {:.0}% below \
-                 the baseline {:.1}",
-                row.events_per_sec,
-                tolerance * 100.0,
-                old_eps
-            ));
-        }
-    }
-    if let Some(old_ape) = json_number(previous, "allocations_per_event") {
-        if row.allocations_per_event > old_ape * (1.0 + tolerance) + 1e-9 {
-            return Err(format!(
-                "allocation regression: {:.4} allocations/event is more than {:.0}% above \
-                 the baseline {:.4}",
-                row.allocations_per_event,
-                tolerance * 100.0,
-                old_ape
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Extracts the number following `"key":` in a JSON document produced
-/// by the baseline serializers above — enough of a parser for the
-/// regression gates, which only read back their own output.
-pub fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn loop_baseline_json_is_well_formed() {
-        let rows = vec![
-            LoopRow {
-                label: "placement".into(),
-                count: 26,
-                mean_ns: 5220.4,
-                max_ns: 51650,
-            },
-            LoopRow {
-                label: "redirect".into(),
-                count: 398,
-                mean_ns: 3340.0,
-                max_ns: 33760,
-            },
-        ];
-        let json = loop_baseline_json(&[("seed", "42".into()), ("objects", "64".into())], &rows);
-        assert!(json.contains("\"seed\": 42"), "{json}");
-        assert!(json.contains("\"redirect\": {\"count\": 398"), "{json}");
-        assert!(json.contains("\"mean_ns\": 5220.4"), "{json}");
-        // Balanced braces and a trailing newline keep the file friendly
-        // to line-oriented diffing.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert!(json.ends_with("}\n"), "{json}");
-    }
-
-    #[test]
-    fn loop_baseline_json_handles_empty_rows() {
-        let json = loop_baseline_json(&[], &[]);
-        assert!(json.contains("\"handlers\""), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn throughput_gate_accepts_equal_and_trips_on_regression() {
-        let row = ThroughputRow {
-            events: 1_000,
-            events_per_sec: 900.0,
-            allocations: 50,
-            allocations_per_event: 0.05,
-        };
-        let same = throughput_baseline_json(&[], &row);
-        assert!(throughput_gate(&same, &row, 0.1).is_ok());
-        let mut slower = row.clone();
-        slower.events_per_sec = 700.0; // >10% below 900
-        assert!(throughput_gate(&same, &slower, 0.1).is_err());
-        let mut leakier = row.clone();
-        leakier.allocations_per_event = 0.06; // >10% above 0.05
-        assert!(throughput_gate(&same, &leakier, 0.1).is_err());
-        // Garbage baselines gate nothing.
-        assert!(throughput_gate("not json", &slower, 0.1).is_ok());
-    }
-
-    #[test]
-    fn throughput_baseline_json_round_trips() {
-        let row = ThroughputRow {
-            events: 16934,
-            events_per_sec: 1_234_567.8,
-            allocations: 420,
-            allocations_per_event: 0.0248,
-        };
-        let json = throughput_baseline_json(&[("seed", "42".into())], &row);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json_number(&json, "events"), Some(16934.0));
-        assert_eq!(json_number(&json, "events_per_sec"), Some(1_234_567.8));
-        assert_eq!(json_number(&json, "allocations_per_event"), Some(0.0248));
-        assert_eq!(json_number(&json, "missing"), None);
-        assert_eq!(json_number("{\"x\": nope}", "x"), None);
-    }
 
     #[test]
     fn counting_allocator_sees_boxed_allocations() {

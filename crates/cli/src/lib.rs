@@ -18,7 +18,6 @@
 mod args;
 mod dashboard;
 mod events;
-pub mod json;
 mod objects;
 mod render;
 mod simulate;
@@ -26,6 +25,9 @@ mod topology;
 mod tracecmd;
 
 pub use args::{ArgError, Parsed};
+/// The workspace's JSON value, reader and printer, under the path scripts
+/// and the repo benchmark import it by (`radar_cli::json::Value`).
+pub use radar_obs::json;
 pub use simulate::{SimulateArgs, WorkloadKind};
 
 /// Executes a full command line (excluding the program name); returns

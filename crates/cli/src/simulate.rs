@@ -223,7 +223,12 @@ impl SimulateArgs {
             Some(path) => {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read trace {path}: {e}"))?;
-                Some(Trace::from_text(&text).map_err(|e| e.to_string())?)
+                let located = |e: radar_sim::TraceError| format!("{path}: {}", e.located_in(&text));
+                let trace = Trace::from_text(&text).map_err(located)?;
+                trace
+                    .check_ids(scenario.topology.len() as u32, scenario.num_objects)
+                    .map_err(located)?;
+                Some(trace)
             }
         };
         let workload = if replay.is_some() {
@@ -277,7 +282,8 @@ impl SimulateArgs {
         let objects = self.scenario.num_objects;
         let nodes = self.scenario.num_nodes();
         let mut sim = match (&self.replay, self.workload) {
-            (Some(trace), _) => Simulation::replay(self.scenario.clone(), trace.clone()),
+            (Some(trace), _) => Simulation::replay(self.scenario.clone(), trace.clone())
+                .map_err(|e| format!("--replay: {e}"))?,
             (None, Some(kind)) => {
                 let workload = kind.build(objects, nodes, seed, &self.scenario.topology);
                 let policy: Box<dyn SelectionPolicy + Send> = match self.policy.as_str() {

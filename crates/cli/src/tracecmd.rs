@@ -36,7 +36,7 @@ pub(crate) fn command(args: &[&str]) -> Result<String, String> {
 fn load(path: &str) -> Result<Trace, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
-    Trace::from_text(&text).map_err(|e| format!("{path}: {e}"))
+    Trace::from_text(&text).map_err(|e| format!("{path}: {}", e.located_in(&text)))
 }
 
 /// Rows listed per share table before the remainder is folded into a

@@ -1,0 +1,110 @@
+//! Inputs that used to hang or abort the `radar` binary: each must end in
+//! exit code 2 with a message naming the flag or the line, quickly, and
+//! without a panic or a stack overflow. The tests drive the binary itself
+//! — a stack overflow aborts the process, which no in-process test could
+//! report.
+
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(stem: &str, content: &str) -> Self {
+        let path =
+            std::env::temp_dir().join(format!("radar-hostile-{stem}-{}", std::process::id()));
+        std::fs::write(&path, content).expect("temp file writable");
+        Self(path)
+    }
+
+    fn path(&self) -> &str {
+        self.0.to_str().expect("utf-8 temp path")
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Runs `radar ARGS`, killing it after five seconds; returns stderr after
+/// asserting exit code 2 and the absence of a panic or stack overflow.
+fn rejected(args: &[&str]) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_radar"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("radar runs");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while child.try_wait().expect("child is waitable").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("hung child is killable");
+            panic!("radar {args:?} did not finish within 5 s");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // The messages are a few hundred bytes, far below the pipe buffer,
+    // so reading after exit cannot have blocked the child.
+    let output = child.wait_with_output().expect("child output readable");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("overflowed its stack"),
+        "{args:?}: {stderr}"
+    );
+    stderr
+}
+
+#[test]
+fn deeply_nested_log_lines_are_a_named_error_not_a_stack_overflow() {
+    let good = r#"{"seq":1,"t":0,"parent":null,"qd":0,"type":"request","gateway":0,"object":0}"#;
+    for (stem, hostile) in [
+        ("brackets", "[".repeat(300_000)),
+        ("objects", "{\"a\":".repeat(200_000)),
+    ] {
+        let log = TempFile::new(stem, &format!("{good}\n{hostile}\n"));
+        for command in [["events", "summary"], ["objects", "audit"]] {
+            let stderr = rejected(&[command[0], command[1], log.path()]);
+            assert!(
+                stderr.contains("line 2") && stderr.contains("nesting deeper than 64 levels"),
+                "{command:?} on {stem}: {stderr}"
+            );
+        }
+    }
+}
+
+const SIMULATE: [&str; 5] = ["simulate", "--objects", "100", "--duration", "5"];
+
+#[test]
+fn a_rate_whose_period_rounds_to_zero_microseconds_is_rejected() {
+    for (flag, rate, field) in [
+        ("--rate", "3e6", "1/node_request_rate"),
+        ("--update-rate", "1e7", "1/update_rate"),
+    ] {
+        let stderr = rejected(&[&SIMULATE[..], &[flag, rate]].concat());
+        assert!(
+            stderr.contains(field) && stderr.contains("1 µs"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn replay_names_the_trace_line_of_a_time_beyond_the_clock_or_a_foreign_id() {
+    for (stem, bad_line, what) in [
+        ("time", "1e300 0 0", "2^53"),
+        ("gateway", "2 99 0", "gateway 99 is out of range"),
+        ("object", "2 0 100", "object 100 is out of range"),
+    ] {
+        // The comment and the blank line count: the bad entry is on line 4.
+        let trace = TempFile::new(stem, &format!("# t gateway object\n1 0 0\n\n{bad_line}\n"));
+        let stderr = rejected(&[&SIMULATE[..], &["--replay", trace.path()]].concat());
+        assert!(
+            stderr.contains("line 4") && stderr.contains(what),
+            "{stem}: {stderr}"
+        );
+    }
+}

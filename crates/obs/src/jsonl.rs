@@ -1,139 +1,27 @@
 //! JSONL (one JSON object per line) serialization of [`Event`]s.
 //!
-//! The writer emits keys in a fixed order and uses Rust's shortest-
-//! roundtrip `f64` formatting, so a seeded run produces byte-identical
-//! output across invocations. The reader is a minimal, dependency-free
-//! JSON parser covering exactly the grammar the writer emits (which is
-//! full RFC 8259 minus nothing we use: objects, arrays, strings with
-//! escapes, numbers, booleans, null).
+//! The writer emits keys in a fixed order through the scalar encoders of
+//! [`crate::json`] (shortest-roundtrip `f64` text), so a seeded run
+//! produces byte-identical output across invocations. The reader parses
+//! each line with [`Value::parse`] and picks the event's fields out of
+//! the tree, naming the field (and, for a whole log, the line) that is
+//! missing or malformed.
 
 use crate::event::{
     CandidateSnapshot, ConsistencyClass, DecisionBranch, DecisionEvent, Event, EventKind,
     FailReason, PlacementActionEvent, PlacementActionKind, ProviderUpdateEvent, ResetCause,
     UpdateDeliveredEvent,
 };
-use std::fmt;
-use std::io::Write as _;
+use crate::json::{push_f64, push_str_escaped, push_u64, ParseError, Value};
 
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
 //
 // One encoder, [`Event::encode_json_line`], appends bytes to a caller-owned
-// `Vec<u8>`: static key fragments, table-driven integers and an exact
-// decimal fast path for floats. It never enters `core::fmt` (bar the float
-// fallback) and never allocates once the buffer's capacity plateaus.
-
-/// `"00"` … `"99"`: [`write_digits`] emits two digits per division.
-const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
-                                  2021222324252627282930313233343536373839\
-                                  4041424344454647484950515253545556575859\
-                                  6061626364656667686970717273747576777879\
-                                  8081828384858687888990919293949596979899";
-
-/// Exact as `f64` and as `u64`.
-const POW10: [f64; 10] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9];
-
-/// Writes `v` in decimal so its last digit lands at `buf[end - 1]`;
-/// returns the index of its first digit.
-fn write_digits(buf: &mut [u8], end: usize, mut v: u64) -> usize {
-    let mut at = end;
-    while v >= 100 {
-        let pair = (v % 100) as usize * 2;
-        v /= 100;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    if v >= 10 {
-        let pair = v as usize * 2;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        at -= 1;
-        buf[at] = b'0' + v as u8;
-    }
-    at
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    let mut buf = [0u8; 20];
-    let at = write_digits(&mut buf, 20, v);
-    out.extend_from_slice(&buf[at..]);
-}
-
-/// Appends `v` exactly as `{v}` (shortest round-trip `Display`) would.
-///
-/// Integers in `[0, 2^53)` print as integers. Otherwise, if
-/// `v == (m as f64) / 10^k` for an integer `m < 10^15` and `k <= 9`, the
-/// decimal `m / 10^k` is printed with trailing zeros trimmed. That is
-/// exact: `m` and `10^k` are representable and division rounds correctly,
-/// so `v` is the double nearest that decimal and the decimal parses back
-/// to `v`; and as every decimal of at most 15 significant digits survives
-/// decimal → double → decimal, no other such decimal — so no shorter one
-/// — maps to `v`. `SimTime` is integer microseconds, so every timestamp,
-/// latency and lag takes this path. Negative values, `-0.0`, values from
-/// `2^53` up and whatever fails the check fall back to `{v}`; non-finite
-/// values are `null`.
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    if !v.is_finite() {
-        out.extend_from_slice(b"null");
-        return;
-    }
-    if v.is_sign_positive() && v < 9_007_199_254_740_992.0 {
-        let int = v as u64;
-        if int as f64 == v {
-            push_u64(out, int);
-            return;
-        }
-        // The largest k <= 9 that keeps m = v * 10^k below 10^15.
-        let mut k = 9;
-        let mut limit = 1e6;
-        while v >= limit && k > 0 {
-            k -= 1;
-            limit *= 10.0;
-        }
-        let scale = POW10[k];
-        let m = (v * scale + 0.5) as u64;
-        if m < 1_000_000_000_000_000 && m as f64 / scale == v {
-            let mut frac = m - int * scale as u64;
-            while k > 0 && frac.is_multiple_of(10) {
-                frac /= 10;
-                k -= 1;
-            }
-            // Zero-filled, so a short `frac` is already left-padded.
-            let mut buf = [b'0'; 32];
-            write_digits(&mut buf, 32, frac);
-            let point = 32 - k - 1;
-            buf[point] = b'.';
-            let at = write_digits(&mut buf, point, int);
-            out.extend_from_slice(&buf[at..]);
-            return;
-        }
-    }
-    let _ = write!(out, "{v}");
-}
-
-fn push_str_escaped(out: &mut Vec<u8>, s: &str) {
-    out.push(b'"');
-    for b in s.bytes() {
-        match b {
-            b'"' => out.extend_from_slice(b"\\\""),
-            b'\\' => out.extend_from_slice(b"\\\\"),
-            b'\n' => out.extend_from_slice(b"\\n"),
-            b'\r' => out.extend_from_slice(b"\\r"),
-            b'\t' => out.extend_from_slice(b"\\t"),
-            b if b < 0x20 => {
-                const HEX: &[u8; 16] = b"0123456789abcdef";
-                out.extend_from_slice(b"\\u00");
-                out.push(HEX[usize::from(b >> 4)]);
-                out.push(HEX[usize::from(b & 15)]);
-            }
-            // Bytes of multi-byte characters are all >= 0x80.
-            b => out.push(b),
-        }
-    }
-    out.push(b'"');
-}
+// `Vec<u8>`: static key fragments plus the scalar encoders of `crate::json`.
+// It never enters `core::fmt` (bar the float fallback), never builds a tree
+// and never allocates once the buffer's capacity plateaus.
 
 // Field writers: `key` is the whole static fragment up to the value,
 // e.g. `,"gateway":`.
@@ -328,10 +216,13 @@ impl EvictionSummary {
     /// Serializes the trailer as one JSON object (no trailing newline),
     /// with the same fixed key order every time.
     pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"type\":\"evictions\",\"routine\":{},\"notable\":{},\"critical\":{}}}",
-            self.routine, self.notable, self.critical
-        )
+        Value::Obj(vec![
+            ("type".into(), Value::Str("evictions".into())),
+            ("routine".into(), Value::UInt(self.routine)),
+            ("notable".into(), Value::UInt(self.notable)),
+            ("critical".into(), Value::UInt(self.critical)),
+        ])
+        .to_string()
     }
 }
 
@@ -349,276 +240,50 @@ pub struct EventLog {
 // Parsing
 // ---------------------------------------------------------------------------
 
-/// Error from parsing a JSONL event line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParseError(String);
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
 fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError(msg.into()))
 }
 
-/// Minimal JSON document model for the reader side.
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Null,
-    Bool(bool),
-    /// A token of digits only that fits `u64`, kept exact: counters
-    /// above 2^53 must not round through `f64`.
-    Int(u64),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Val>),
-    Obj(Vec<(String, Val)>),
-}
-
-impl Val {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Val> {
-        match self {
-            Val::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Val::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Val, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b't') => self.literal("true", Val::Bool(true)),
-            Some(b'f') => self.literal("false", Val::Bool(false)),
-            Some(b'n') => self.literal("null", Val::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: Val) -> Result<Val, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(val)
-        } else {
-            err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Val, ParseError> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        if text.bytes().all(|b| b.is_ascii_digit()) {
-            // Too long for `u64`: still a number, but not an integer
-            // any `u64` field will accept.
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Val::Int(v));
-            }
-        }
-        match text.parse::<f64>() {
-            Ok(v) => Ok(Val::Num(v)),
-            Err(_) => err(format!("bad number {text:?}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            match hex {
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return err("bad \\u escape"),
-                            }
-                        }
-                        _ => return err("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| ParseError("invalid utf-8".into()))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Val, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Val::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Val::Arr(items));
-                }
-                _ => return err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Val, ParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Val::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Val::Obj(fields));
-                }
-                _ => return err("expected ',' or '}'"),
-            }
-        }
-    }
-}
-
-fn need<'a>(v: &'a Val, key: &str) -> Result<&'a Val, ParseError> {
+fn need<'a>(v: &'a Value, key: &str) -> Result<&'a Value, ParseError> {
     match v.get(key) {
         Some(f) => Ok(f),
         None => err(format!("missing field {key:?}")),
     }
 }
 
-fn need_u64(v: &Val, key: &str) -> Result<u64, ParseError> {
+fn need_u64(v: &Value, key: &str) -> Result<u64, ParseError> {
     match need(v, key)? {
-        Val::Int(n) => Ok(*n),
+        Value::UInt(n) => Ok(*n),
         _ => err(format!("field {key:?} is not an unsigned integer")),
     }
 }
 
-fn need_u32(v: &Val, key: &str) -> Result<u32, ParseError> {
+fn need_u32(v: &Value, key: &str) -> Result<u32, ParseError> {
     u32::try_from(need_u64(v, key)?).map_err(|_| ParseError(format!("field {key:?} overflows u32")))
 }
 
-fn need_u16(v: &Val, key: &str) -> Result<u16, ParseError> {
+fn need_u16(v: &Value, key: &str) -> Result<u16, ParseError> {
     u16::try_from(need_u64(v, key)?).map_err(|_| ParseError(format!("field {key:?} overflows u16")))
 }
 
-fn need_f64(v: &Val, key: &str) -> Result<f64, ParseError> {
+fn need_f64(v: &Value, key: &str) -> Result<f64, ParseError> {
     match need(v, key)? {
-        Val::Int(n) => Ok(*n as f64),
-        Val::Num(n) => Ok(*n),
-        Val::Null => Ok(f64::NAN),
+        Value::UInt(n) => Ok(*n as f64),
+        Value::Num(n) => Ok(*n),
+        Value::Null => Ok(f64::NAN),
         _ => err(format!("field {key:?} is not a number")),
     }
 }
 
-fn need_bool(v: &Val, key: &str) -> Result<bool, ParseError> {
+fn need_bool(v: &Value, key: &str) -> Result<bool, ParseError> {
     match need(v, key)? {
-        Val::Bool(b) => Ok(*b),
+        Value::Bool(b) => Ok(*b),
         _ => err(format!("field {key:?} is not a boolean")),
     }
 }
 
-fn need_str<'a>(v: &'a Val, key: &str) -> Result<&'a str, ParseError> {
-    match need(v, key)?.str() {
+fn need_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, ParseError> {
+    match need(v, key)?.as_str() {
         Some(s) => Ok(s),
         None => err(format!("field {key:?} is not a string")),
     }
@@ -627,7 +292,7 @@ fn need_str<'a>(v: &'a Val, key: &str) -> Result<&'a str, ParseError> {
 /// Decodes an interned-tag field, rejecting tags outside the closed
 /// vocabulary so a corrupted log fails loudly instead of folding into a
 /// catch-all value.
-fn need_tag<T>(v: &Val, key: &str, parse: fn(&str) -> Option<T>) -> Result<T, ParseError> {
+fn need_tag<T>(v: &Value, key: &str, parse: fn(&str) -> Option<T>) -> Result<T, ParseError> {
     let s = need_str(v, key)?;
     match parse(s) {
         Some(t) => Ok(t),
@@ -637,12 +302,12 @@ fn need_tag<T>(v: &Val, key: &str, parse: fn(&str) -> Option<T>) -> Result<T, Pa
 
 /// A field that may be absent or `null`, otherwise read by `need_*`.
 fn opt<T>(
-    v: &Val,
+    v: &Value,
     key: &str,
-    need: fn(&Val, &str) -> Result<T, ParseError>,
+    need: fn(&Value, &str) -> Result<T, ParseError>,
 ) -> Result<Option<T>, ParseError> {
     match v.get(key) {
-        None | Some(Val::Null) => Ok(None),
+        None | Some(Value::Null) => Ok(None),
         Some(_) => need(v, key).map(Some),
     }
 }
@@ -656,11 +321,11 @@ impl Event {
     /// Returns a [`ParseError`] describing the first malformed or
     /// missing field.
     pub fn from_json_line(line: &str) -> Result<Self, ParseError> {
-        Self::from_val(&parse_root(line)?)
+        Self::from_value(&Value::parse(line)?)
     }
 
     /// Builds an event from an already-parsed JSON object.
-    fn from_val(root: &Val) -> Result<Self, ParseError> {
+    fn from_value(root: &Value) -> Result<Self, ParseError> {
         let seq = need_u64(root, "seq")?;
         let t = need_f64(root, "t")?;
         let parent = opt(root, "parent", need_u64)?;
@@ -672,7 +337,7 @@ impl Event {
             },
             "decision" => {
                 let raw = match need(root, "candidates")? {
-                    Val::Arr(items) => items,
+                    Value::Arr(items) => items,
                     _ => return err("field \"candidates\" is not an array"),
                 };
                 let mut candidates = Vec::with_capacity(raw.len());
@@ -762,18 +427,6 @@ impl Event {
     }
 }
 
-/// Parses one line into the JSON document model, rejecting trailing
-/// garbage.
-fn parse_root(line: &str) -> Result<Val, ParseError> {
-    let mut p = Parser::new(line);
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != line.len() {
-        return err("trailing garbage after JSON object");
-    }
-    Ok(root)
-}
-
 /// Parses a whole JSONL document (blank lines skipped), reporting the
 /// first error with its 1-based line number. An `evictions` trailer
 /// line, if present, is parsed and discarded; use [`parse_jsonl_log`]
@@ -801,8 +454,8 @@ pub fn parse_jsonl_log(text: &str) -> Result<EventLog, ParseError> {
             continue;
         }
         let at = |e: ParseError| ParseError(format!("line {}: {e}", i + 1));
-        let root = parse_root(line).map_err(at)?;
-        if root.get("type").and_then(Val::str) == Some("evictions") {
+        let root = Value::parse(line).map_err(at)?;
+        if root.get("type").and_then(Value::as_str) == Some("evictions") {
             evictions = Some(EvictionSummary {
                 routine: need_u64(&root, "routine").map_err(at)?,
                 notable: need_u64(&root, "notable").map_err(at)?,
@@ -810,7 +463,7 @@ pub fn parse_jsonl_log(text: &str) -> Result<EventLog, ParseError> {
             });
             continue;
         }
-        events.push(Event::from_val(&root).map_err(at)?);
+        events.push(Event::from_value(&root).map_err(at)?);
     }
     Ok(EventLog { events, evictions })
 }
@@ -992,90 +645,6 @@ mod tests {
         }
         o.push('}');
         o
-    }
-
-    fn f64_text(v: f64) -> String {
-        let mut out = Vec::new();
-        push_f64(&mut out, v);
-        String::from_utf8(out).unwrap()
-    }
-
-    fn assert_f64_matches_oracle(v: f64) {
-        let mut want = String::new();
-        oracle_f64(&mut want, v);
-        assert_eq!(f64_text(v), want, "bits {:#018x}", v.to_bits());
-    }
-
-    #[test]
-    fn push_f64_matches_display_on_a_million_values() {
-        let mut rng = SimRng::seed_from(0x0b5e_55ed);
-        for _ in 0..180_000 {
-            // What a trace is made of: microsecond-quantised times and
-            // their differences, over a run and over a day.
-            let micros = rng.next_u64() % 3_000_000_000;
-            assert_f64_matches_oracle(micros as f64 / 1e6);
-            assert_f64_matches_oracle((rng.next_u64() % 86_400_000_000) as f64 / 1e6);
-            // Unit counts and rates: ratios of small integers.
-            let n = rng.next_u64() % 100_000;
-            let d = 1 + rng.next_u64() % 64;
-            assert_f64_matches_oracle(n as f64 / d as f64);
-            assert_f64_matches_oracle(n as f64 / 100.0);
-            // Decimals with k digits after the point, k = 1..=12.
-            let k = 1 + rng.index(12) as i32;
-            assert_f64_matches_oracle((rng.next_u64() >> 14) as f64 / 10f64.powi(k));
-            // Anything at all: raw bit patterns (subnormals, NaN and
-            // infinities included), unit samples, integers to 2^63.
-            assert_f64_matches_oracle(f64::from_bits(rng.next_u64()));
-            assert_f64_matches_oracle(rng.unit());
-            assert_f64_matches_oracle((rng.next_u64() >> rng.index(64)) as f64);
-        }
-        for v in [
-            0.0,
-            -0.0,
-            1e21,
-            1e-7,
-            1e-9,
-            0.1 + 0.2,
-            0.3,
-            -2.5,
-            5e-324,
-            f64::MIN_POSITIVE,
-            f64::MAX,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            9_007_199_254_740_991.0,
-            9_007_199_254_740_992.0,
-            999_999_999_999_999.9,
-            1_000_000.000_000_1,
-            999_999.999_999_999_9,
-            123_456.789,
-            0.000_000_001,
-            4_503_599_627_370_495.5,
-        ] {
-            assert_f64_matches_oracle(v);
-        }
-        assert_eq!(f64_text(f64::NAN), "null");
-        assert_eq!(f64_text(12.5), "12.5");
-        assert_eq!(f64_text(0.000_123), "0.000123");
-        assert_eq!(f64_text(-0.0), "-0");
-    }
-
-    #[test]
-    fn push_u64_matches_display() {
-        let mut rng = SimRng::seed_from(7);
-        let mut got = Vec::new();
-        let mut check = |v: u64| {
-            got.clear();
-            push_u64(&mut got, v);
-            assert_eq!(std::str::from_utf8(&got).unwrap(), v.to_string());
-        };
-        for _ in 0..200_000 {
-            check(rng.next_u64() >> rng.index(64));
-        }
-        for v in [0, 9, 10, 99, 100, 101, 12_345, 1 << 53, 1 << 63, u64::MAX] {
-            check(v);
-        }
     }
 
     fn every_variant(seq: u64, t: f64, width: usize) -> Vec<Event> {

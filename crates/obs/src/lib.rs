@@ -12,9 +12,9 @@
 //!
 //! Design rules:
 //!
-//! - **Dependency-free.** Serialization and parsing are implemented
-//!   here (see [`jsonl`]); event logs can be read without the
-//!   simulator.
+//! - **Dependency-free.** [`json`] is the workspace's one JSON value,
+//!   reader and printer; [`jsonl`] maps events onto it, so event logs
+//!   can be read without the simulator.
 //! - **Deterministic.** Events carry sim time, sequence numbers,
 //!   causal parents, and queue depth — never wall clock — so two
 //!   identical seeded runs serialize byte-identically. Wall-clock
@@ -46,6 +46,7 @@ mod diff;
 mod event;
 mod explain;
 mod idtable;
+pub mod json;
 pub mod jsonl;
 mod ledger;
 mod metrics;
@@ -59,7 +60,8 @@ pub use event::{
     FailReason, PlacementActionEvent, PlacementActionKind, ProviderUpdateEvent, ResetCause,
     Severity, UpdateDeliveredEvent, EVENT_TYPES,
 };
-pub use jsonl::{parse_jsonl, parse_jsonl_log, EventLog, EvictionSummary, ParseError};
+pub use json::ParseError;
+pub use jsonl::{parse_jsonl, parse_jsonl_log, EventLog, EvictionSummary};
 pub use ledger::{
     LedgerConfig, NodeChurn, ObjectChurn, ObjectLedger, ProtocolHealth, ReplicaChange,
     SharedObjectLedger, TimelineStep,

@@ -95,6 +95,14 @@ pub enum ScenarioError {
         /// The rejected span in seconds.
         value: f64,
     },
+    /// A rate is so high that its period rounds to zero microseconds:
+    /// the event would reschedule itself at the same instant forever.
+    BelowClock {
+        /// Name of the offending period (`1/rate`).
+        field: &'static str,
+        /// The rejected period in seconds.
+        value: f64,
+    },
     /// No objects configured.
     NoObjects,
     /// Explicit placement list has the wrong length or an empty entry.
@@ -125,6 +133,11 @@ impl fmt::Display for ScenarioError {
                 f,
                 "{field} is {value:e} s; the simulation clock takes at most \
                  {MAX_CLOCK_SECS} s (2^53 µs, about 285 years)"
+            ),
+            ScenarioError::BelowClock { field, value } => write!(
+                f,
+                "{field} is {value:e} s; the simulation clock resolves 1 µs, so a \
+                 period below 0.5 µs (a rate above 2e6 /s) is a zero gap"
             ),
             ScenarioError::NoObjects => f.write_str("scenario needs at least one object"),
             ScenarioError::BadExplicitPlacement { detail } => {
@@ -574,21 +587,9 @@ impl ScenarioBuilder {
         // fewer hops than the topology has nodes.
         let hops = topology.len() as f64;
         let update_period = (self.update_rate > 0.0).then(|| 1.0 / self.update_rate);
-        let spans = [
-            ("duration", self.duration),
-            ("placement_period", self.params.placement_period),
-            ("measurement_interval", self.params.measurement_interval),
+        let periods: Vec<(&'static str, f64)> = [
             ("1/node_request_rate", 1.0 / self.node_request_rate),
             ("1/server_capacity", 1.0 / self.server_capacity),
-            (
-                "hop_delay across the topology",
-                hops * self.network.hop_delay,
-            ),
-            (
-                "object_size/link_bandwidth across the topology",
-                hops * self.object_size as f64 / self.network.link_bandwidth,
-            ),
-            ("declare-dead-after", self.faults.declare_dead_after()),
         ]
         .into_iter()
         .chain(update_period.map(|period| ("1/update_rate", period)))
@@ -604,6 +605,27 @@ impl ScenarioBuilder {
                 .flatten()
                 .map(|c| ("1/node_capacities", 1.0 / c)),
         )
+        .collect();
+        // `SimDuration::from_secs` rounds to the nearest microsecond.
+        if let Some(&(field, value)) = periods.iter().find(|(_, period)| period * 1e6 < 0.5) {
+            return Err(ScenarioError::BelowClock { field, value });
+        }
+        let spans = [
+            ("duration", self.duration),
+            ("placement_period", self.params.placement_period),
+            ("measurement_interval", self.params.measurement_interval),
+            (
+                "hop_delay across the topology",
+                hops * self.network.hop_delay,
+            ),
+            (
+                "object_size/link_bandwidth across the topology",
+                hops * self.object_size as f64 / self.network.link_bandwidth,
+            ),
+            ("declare-dead-after", self.faults.declare_dead_after()),
+        ]
+        .into_iter()
+        .chain(periods)
         .chain(self.faults.faults().iter().flat_map(|fault| {
             let (from, until) = fault.window();
             std::iter::once(("fault window start", from))
@@ -756,6 +778,32 @@ mod tests {
         let err = b().duration(1e19).build().unwrap_err().to_string();
         assert!(
             err.contains("duration is 1e19 s") && err.contains("9007199254.740992 s (2^53 µs"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn periods_that_round_to_zero_microseconds_rejected_by_name() {
+        let below = |builder: ScenarioBuilder| match builder.build().unwrap_err() {
+            ScenarioError::BelowClock { field, .. } => field,
+            other => panic!("expected BelowClock, got {other}"),
+        };
+        let b = Scenario::builder;
+        assert_eq!(below(b().node_request_rate(3e6)), "1/node_request_rate");
+        let mut rates = vec![40.0; 53];
+        rates[7] = 2.1e6;
+        assert_eq!(
+            below(b().node_request_rates(rates.clone())),
+            "1/node_request_rates"
+        );
+        assert_eq!(below(b().node_capacities(rates)), "1/node_capacities");
+        assert_eq!(below(b().server_capacity(1e9)), "1/server_capacity");
+        assert_eq!(below(b().update_rate(1e7)), "1/update_rate");
+        // 0.5 µs rounds up to one tick.
+        assert!(b().node_request_rate(2e6).build().is_ok());
+        let err = b().node_request_rate(4e6).build().unwrap_err().to_string();
+        assert!(
+            err.contains("1/node_request_rate is 2.5e-7 s") && err.contains("1 µs"),
             "{err}"
         );
     }

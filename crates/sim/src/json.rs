@@ -1,127 +1,23 @@
-//! A dependency-free JSON emitter for [`RunReport`].
+//! The [`RunReport`] → JSON mapping.
 //!
-//! The workspace builds fully offline, so report serialization is
-//! hand-rolled: a tiny [`Json`] document model plus a pretty printer that
-//! matches the conventional two-space-indent layout. Numbers use Rust's
-//! shortest-roundtrip `f64` formatting; non-finite values become `null`.
+//! Builds a [`Value`] tree (the workspace's one JSON model, in
+//! [`radar_obs::json`]) in the report's field order and prints it in
+//! the two-space-indent layout. Non-finite numbers print as `null`.
 
 use crate::report::RunReport;
+use radar_obs::json::Value;
 use radar_obs::ProtocolHealth;
 
-/// A JSON document: the minimal tree the report emitter needs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A finite number (non-finite values print as `null`).
-    Num(f64),
-    /// An unsigned integer, printed without a decimal point.
-    UInt(u64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
+fn num(v: f64) -> Value {
+    Value::Num(v)
 }
 
-impl Json {
-    /// Renders with two-space indentation (serde_json "pretty" layout).
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::UInt(v) => out.push_str(&format!("{v}")),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
-        }
-    }
+fn uint(v: u64) -> Value {
+    Value::UInt(v)
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn num(v: f64) -> Json {
-    Json::Num(v)
-}
-
-fn uint(v: u64) -> Json {
-    Json::UInt(v)
-}
-
-fn summary(s: &radar_stats::Summary) -> Json {
-    Json::Obj(vec![
+fn summary(s: &radar_stats::Summary) -> Value {
+    Value::Obj(vec![
         ("count".into(), uint(s.count)),
         ("mean".into(), num(s.mean)),
         ("std_dev".into(), num(s.std_dev)),
@@ -130,25 +26,24 @@ fn summary(s: &radar_stats::Summary) -> Json {
     ])
 }
 
-fn timeseries(ts: &radar_stats::TimeSeries) -> Json {
-    Json::Obj(vec![
+fn timeseries(ts: &radar_stats::TimeSeries) -> Value {
+    Value::Obj(vec![
         ("bin_width".into(), num(ts.spec().width())),
         (
             "sums".into(),
-            Json::Arr(ts.sums().iter().map(|&v| num(v)).collect()),
+            Value::Arr(ts.sums().iter().map(|&v| num(v)).collect()),
         ),
         (
             "counts".into(),
-            Json::Arr(ts.counts().iter().map(|&c| uint(c)).collect()),
+            Value::Arr(ts.counts().iter().map(|&c| uint(c)).collect()),
         ),
     ])
 }
 
 /// Serializes a [`ProtocolHealth`] snapshot as the `protocol_health`
-/// report section (also reused by the check-suite's deterministic
-/// `BENCH_protocol_health.json` artifact, which is why it is public).
-pub fn protocol_health_json(h: &ProtocolHealth) -> Json {
-    Json::Obj(vec![
+/// report section (the content of `BENCH_protocol_health.json`).
+pub fn protocol_health_json(h: &ProtocolHealth) -> Value {
+    Value::Obj(vec![
         ("events_seen".into(), uint(h.events_seen)),
         ("active_replicas".into(), uint(h.active_replicas)),
         ("requests".into(), uint(h.requests)),
@@ -162,15 +57,15 @@ pub fn protocol_health_json(h: &ProtocolHealth) -> Json {
         ("violations".into(), uint(h.violations)),
         (
             "violation_seqs".into(),
-            Json::Arr(h.violation_seqs.iter().map(|&s| uint(s)).collect()),
+            Value::Arr(h.violation_seqs.iter().map(|&s| uint(s)).collect()),
         ),
         (
             "top_objects".into(),
-            Json::Arr(
+            Value::Arr(
                 h.top_objects
                     .iter()
                     .map(|&(object, c)| {
-                        Json::Obj(vec![
+                        Value::Obj(vec![
                             ("object".into(), uint(object as u64)),
                             ("requests".into(), uint(c.requests)),
                             ("served".into(), uint(c.served)),
@@ -192,16 +87,16 @@ impl RunReport {
     /// The layout is stable: object keys follow the struct's field order,
     /// so two runs with identical results produce byte-identical output.
     pub fn to_json_pretty(&self) -> String {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("workload".into(), Json::Str(self.workload.clone())),
-            ("policy".into(), Json::Str(self.policy.clone())),
+        let mut fields: Vec<(String, Value)> = vec![
+            ("workload".into(), Value::Str(self.workload.clone())),
+            ("policy".into(), Value::Str(self.policy.clone())),
             (
                 "placement_policy".into(),
-                Json::Str(self.placement_policy.clone()),
+                Value::Str(self.placement_policy.clone()),
             ),
             (
                 "dynamic_placement".into(),
-                Json::Bool(self.dynamic_placement),
+                Value::Bool(self.dynamic_placement),
             ),
             ("duration".into(), num(self.duration)),
             ("total_requests".into(), uint(self.total_requests)),
@@ -234,11 +129,11 @@ impl RunReport {
             ("max_load".into(), timeseries(&self.max_load)),
             (
                 "load_estimates".into(),
-                Json::Arr(
+                Value::Arr(
                     self.load_estimates
                         .iter()
                         .map(|s| {
-                            Json::Obj(vec![
+                            Value::Obj(vec![
                                 ("t".into(), num(s.t)),
                                 ("actual".into(), num(s.actual)),
                                 ("upper".into(), num(s.upper)),
@@ -250,11 +145,11 @@ impl RunReport {
             ),
             (
                 "replica_series".into(),
-                Json::Arr(
+                Value::Arr(
                     self.replica_series
                         .iter()
                         .map(|c| {
-                            Json::Obj(vec![
+                            Value::Obj(vec![
                                 ("t".into(), num(c.t)),
                                 ("avg_replicas".into(), num(c.avg_replicas)),
                             ])
@@ -273,15 +168,15 @@ impl RunReport {
             ("affinity_reductions".into(), uint(self.affinity_reductions)),
             (
                 "final_replicas".into(),
-                Json::Arr(
+                Value::Arr(
                     self.final_replicas
                         .iter()
                         .map(|replicas| {
-                            Json::Arr(
+                            Value::Arr(
                                 replicas
                                     .iter()
                                     .map(|&(node, aff)| {
-                                        Json::Arr(vec![uint(node as u64), uint(aff as u64)])
+                                        Value::Arr(vec![uint(node as u64), uint(aff as u64)])
                                     })
                                     .collect(),
                             )
@@ -291,19 +186,19 @@ impl RunReport {
             ),
             (
                 "relocation_log".into(),
-                Json::Arr(
+                Value::Arr(
                     self.relocation_log
                         .iter()
                         .map(|e| {
-                            Json::Obj(vec![
+                            Value::Obj(vec![
                                 ("t".into(), num(e.t)),
                                 ("host".into(), uint(e.host as u64)),
                                 ("object".into(), uint(e.object as u64)),
                                 (
                                     "target".into(),
-                                    e.target.map(|n| uint(n as u64)).unwrap_or(Json::Null),
+                                    e.target.map(|n| uint(n as u64)).unwrap_or(Value::Null),
                                 ),
-                                ("action".into(), Json::Str(format!("{:?}", e.action))),
+                                ("action".into(), Value::Str(format!("{:?}", e.action))),
                             ])
                         })
                         .collect(),
@@ -311,11 +206,11 @@ impl RunReport {
             ),
             (
                 "max_load_host".into(),
-                Json::Arr(
+                Value::Arr(
                     self.max_load_host
                         .iter()
                         .map(|&(t, host, load)| {
-                            Json::Arr(vec![num(t), uint(host as u64), num(load)])
+                            Value::Arr(vec![num(t), uint(host as u64), num(load)])
                         })
                         .collect(),
                 ),
@@ -323,13 +218,13 @@ impl RunReport {
             (
                 "trace".into(),
                 match &self.trace {
-                    None => Json::Null,
-                    Some(trace) => Json::Arr(
+                    None => Value::Null,
+                    Some(trace) => Value::Arr(
                         trace
                             .entries()
                             .iter()
                             .map(|e| {
-                                Json::Arr(vec![
+                                Value::Arr(vec![
                                     num(e.t),
                                     uint(e.gateway as u64),
                                     uint(e.object as u64),
@@ -341,7 +236,7 @@ impl RunReport {
             ),
             (
                 "redirector_requests".into(),
-                Json::Obj(
+                Value::Obj(
                     self.redirector_requests
                         .iter()
                         .map(|(&node, &count)| (node.to_string(), uint(count)))
@@ -350,21 +245,21 @@ impl RunReport {
             ),
             (
                 "link_traffic".into(),
-                Json::Arr(
+                Value::Arr(
                     self.link_traffic
                         .iter()
                         .map(|&((a, b), bytes)| {
-                            Json::Arr(vec![uint(a as u64), uint(b as u64), num(bytes)])
+                            Value::Arr(vec![uint(a as u64), uint(b as u64), num(bytes)])
                         })
                         .collect(),
                 ),
             ),
             (
                 "region_matrix".into(),
-                Json::Arr(
+                Value::Arr(
                     self.region_matrix
                         .iter()
-                        .map(|row| Json::Arr(row.iter().map(|&v| num(v)).collect()))
+                        .map(|row| Value::Arr(row.iter().map(|&v| num(v)).collect()))
                         .collect(),
                 ),
             ),
@@ -374,7 +269,7 @@ impl RunReport {
             ("updates_propagated".into(), uint(self.updates_propagated)),
             (
                 "updates_by_class".into(),
-                Json::Arr(self.updates_by_class.iter().map(|&c| uint(c)).collect()),
+                Value::Arr(self.updates_by_class.iter().map(|&c| uint(c)).collect()),
             ),
             ("update_deliveries".into(), uint(self.update_deliveries)),
             ("wasted_deliveries".into(), uint(self.wasted_deliveries)),
@@ -391,33 +286,6 @@ impl RunReport {
         if let Some(health) = &self.protocol_health {
             fields.push(("protocol_health".into(), protocol_health_json(health)));
         }
-        Json::Obj(fields).pretty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn escapes_and_layout() {
-        let doc = Json::Obj(vec![
-            ("a\"b".into(), Json::Str("x\ny".into())),
-            ("n".into(), Json::Num(1.5)),
-            ("i".into(), Json::UInt(7)),
-            ("z".into(), Json::Arr(vec![Json::Null, Json::Bool(true)])),
-            ("empty".into(), Json::Arr(vec![])),
-        ]);
-        let s = doc.pretty();
-        assert!(s.contains("\"a\\\"b\": \"x\\ny\""));
-        assert!(s.contains("\"n\": 1.5"));
-        assert!(s.contains("\"i\": 7"));
-        assert!(s.contains("\"empty\": []"));
-    }
-
-    #[test]
-    fn non_finite_numbers_become_null() {
-        assert_eq!(Json::Num(f64::NAN).pretty(), "null");
-        assert_eq!(Json::Num(f64::INFINITY).pretty(), "null");
+        Value::Obj(fields).pretty()
     }
 }

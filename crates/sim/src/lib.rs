@@ -76,7 +76,7 @@ pub use config::{
     InitialPlacement, NetworkParams, PlacementMode, Scenario, ScenarioBuilder, ScenarioError,
 };
 pub use faults::{Fault, FaultError, FaultSpec, FaultTransition, TransitionKind};
-pub use json::{protocol_health_json, Json};
+pub use json::protocol_health_json;
 pub use metrics::{LoadEstimateSample, Metrics, RelocationAction, RelocationEvent};
 pub use observer::{FailureReason, Observer, RequestRecord};
 pub use placement_policy::{PlacementPolicy, RadarPlacement};

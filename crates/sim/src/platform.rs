@@ -33,7 +33,7 @@ use crate::redirect::RedirectEngine;
 use crate::report::RunReport;
 use crate::selection::{RadarSelection, SelectionPolicy};
 use crate::sink::EventSink;
-use crate::trace::{Trace, TraceEntry};
+use crate::trace::{Trace, TraceEntry, TraceError};
 
 /// Simulation events. Per client request: `Arrival` → `Redirect` →
 /// `ArriveAtHost` → `ServiceComplete` (delivery statistics are computed
@@ -363,29 +363,19 @@ impl Simulation {
     /// ignored; object ids in the trace must be within
     /// `scenario.num_objects` and gateways within the topology.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the trace references an out-of-range gateway or object.
-    pub fn replay(scenario: Scenario, trace: Trace) -> Self {
-        for (i, e) in trace.entries().iter().enumerate() {
-            assert!(
-                (e.gateway as usize) < scenario.topology.len(),
-                "trace entry {i}: gateway {} out of range",
-                e.gateway
-            );
-            assert!(
-                e.object < scenario.num_objects,
-                "trace entry {i}: object {} out of range",
-                e.object
-            );
-        }
+    /// Returns [`TraceError::OutOfRange`] naming the first entry whose
+    /// gateway or object the scenario does not have.
+    pub fn replay(scenario: Scenario, trace: Trace) -> Result<Self, TraceError> {
+        trace.check_ids(scenario.topology.len() as u32, scenario.num_objects)?;
         let mut sim = Self::with_selection(
             scenario,
             Box::new(NullWorkload),
             Box::new(RadarSelection::new()),
         );
         sim.replay = Some(trace);
-        sim
+        Ok(sim)
     }
 
     /// Enables arrival capture: the finished report's

@@ -8,6 +8,7 @@
 //! policies on byte-identical demand, or to re-run a production day
 //! against candidate parameters.
 
+use crate::config::MAX_CLOCK_SECS;
 use std::fmt;
 
 /// One request arrival.
@@ -36,13 +37,51 @@ pub enum TraceError {
         /// Index of the first out-of-order entry.
         index: usize,
     },
-    /// A timestamp was negative or not finite.
+    /// A timestamp was negative, not finite or beyond the microsecond
+    /// clock (2^53 µs).
     BadTime {
         /// Index of the offending entry.
         index: usize,
         /// The rejected value.
         t: f64,
     },
+    /// An entry names a gateway or object the replaying scenario does
+    /// not have.
+    OutOfRange {
+        /// Index of the offending entry.
+        index: usize,
+        /// `"gateway"` or `"object"`.
+        field: &'static str,
+        /// The rejected id.
+        value: u32,
+        /// How many the scenario has (valid ids are below it).
+        count: u32,
+    },
+}
+
+impl TraceError {
+    /// The error as a message naming the 1-based line of `text` — the
+    /// text the trace was parsed from — that holds the offending entry.
+    pub fn located_in(&self, text: &str) -> String {
+        let index = match *self {
+            TraceError::Malformed { .. } => return self.to_string(),
+            TraceError::Unsorted { index }
+            | TraceError::BadTime { index, .. }
+            | TraceError::OutOfRange { index, .. } => index,
+        };
+        let line = text
+            .lines()
+            .enumerate()
+            .filter(|(_, raw)| !content_of(raw).is_empty())
+            .nth(index)
+            .map_or(0, |(i, _)| i + 1);
+        format!("line {line}: {self}")
+    }
+}
+
+/// A trace line without its `#` comment and surrounding blanks.
+fn content_of(raw: &str) -> &str {
+    raw.split('#').next().unwrap_or("").trim()
 }
 
 impl fmt::Display for TraceError {
@@ -60,9 +99,19 @@ impl fmt::Display for TraceError {
             TraceError::BadTime { index, t } => {
                 write!(
                     f,
-                    "entry {index}: time must be finite and non-negative, got {t}"
+                    "entry {index}: time must be finite, non-negative and at most \
+                     {MAX_CLOCK_SECS} s (2^53 µs), got {t:e}"
                 )
             }
+            TraceError::OutOfRange {
+                index,
+                field,
+                value,
+                count,
+            } => write!(
+                f,
+                "entry {index}: {field} {value} is out of range, the scenario has {count}"
+            ),
         }
     }
 }
@@ -90,10 +139,11 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] on unsorted or invalid timestamps.
+    /// Returns [`TraceError`] on unsorted timestamps and on ones that
+    /// are negative, not finite or beyond the 2^53 µs clock.
     pub fn new(entries: Vec<TraceEntry>) -> Result<Self, TraceError> {
         for (index, e) in entries.iter().enumerate() {
-            if !(e.t.is_finite() && e.t >= 0.0) {
+            if !(0.0..=MAX_CLOCK_SECS).contains(&e.t) {
                 return Err(TraceError::BadTime { index, t: e.t });
             }
             if index > 0 && e.t < entries[index - 1].t {
@@ -114,7 +164,7 @@ impl Trace {
         let mut entries = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line = i + 1;
-            let content = raw.split('#').next().unwrap_or("").trim();
+            let content = content_of(raw);
             if content.is_empty() {
                 continue;
             }
@@ -139,6 +189,32 @@ impl Trace {
             }
         }
         Self::new(entries)
+    }
+
+    /// Checks every entry's ids against a scenario with `gateways` nodes
+    /// and `objects` objects; [`crate::Simulation::replay`] does this
+    /// before it accepts a trace.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::OutOfRange`] naming the first foreign id.
+    pub fn check_ids(&self, gateways: u32, objects: u32) -> Result<(), TraceError> {
+        for (index, e) in self.entries.iter().enumerate() {
+            for (field, value, count) in [
+                ("gateway", u32::from(e.gateway), gateways),
+                ("object", e.object, objects),
+            ] {
+                if value >= count {
+                    return Err(TraceError::OutOfRange {
+                        index,
+                        field,
+                        value,
+                        count,
+                    });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Serializes to the [`from_text`](Self::from_text) line format.
@@ -211,13 +287,30 @@ mod tests {
     fn ordering_and_time_validated() {
         let err = Trace::from_text("1.0 0 0\n0.5 0 0\n").unwrap_err();
         assert!(matches!(err, TraceError::Unsorted { index: 1 }));
-        let err = Trace::new(vec![TraceEntry {
-            t: f64::NAN,
-            gateway: 0,
-            object: 0,
-        }])
-        .unwrap_err();
-        assert!(matches!(err, TraceError::BadTime { .. }));
+        for t in [f64::NAN, -1.0, f64::INFINITY, 1e300, MAX_CLOCK_SECS * 1.01] {
+            let err = Trace::new(vec![TraceEntry {
+                t,
+                gateway: 0,
+                object: 0,
+            }])
+            .unwrap_err();
+            assert!(matches!(err, TraceError::BadTime { index: 0, .. }), "{t}");
+        }
+        assert!(Trace::from_text(&format!("{MAX_CLOCK_SECS} 0 0\n")).is_ok());
+    }
+
+    #[test]
+    fn located_in_counts_comment_and_blank_lines() {
+        let text = "# header\n0 0 0\n\n  # note\n1 0 0 # fine\n1e300 0 0\n";
+        let err = Trace::from_text(text).unwrap_err();
+        assert!(matches!(err, TraceError::BadTime { index: 2, .. }));
+        let message = err.located_in(text);
+        assert!(
+            message.starts_with("line 6: entry 2: time must be"),
+            "{message}"
+        );
+        let malformed = Trace::from_text("0 0 0\nnope\n").unwrap_err();
+        assert!(malformed.located_in("0 0 0\nnope\n").starts_with("line 2:"));
     }
 
     #[test]
@@ -236,6 +329,12 @@ mod tests {
             },
             TraceError::Unsorted { index: 2 },
             TraceError::BadTime { index: 0, t: -1.0 },
+            TraceError::OutOfRange {
+                index: 3,
+                field: "gateway",
+                value: 99,
+                count: 53,
+            },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

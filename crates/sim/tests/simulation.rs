@@ -509,7 +509,9 @@ fn recorded_trace_replays_to_identical_traffic() {
     let trace = original.trace.clone().expect("capture enabled");
     assert!(trace.len() as u64 >= original.total_requests);
 
-    let replayed = Simulation::replay(scenario(), trace).run();
+    let replayed = Simulation::replay(scenario(), trace)
+        .expect("recorded in this scenario")
+        .run();
     assert_eq!(replayed.policy, "radar");
     assert_eq!(replayed.workload, "replay");
     assert_eq!(replayed.total_requests, original.total_requests);
@@ -537,17 +539,31 @@ fn trace_round_trips_through_text() {
 }
 
 #[test]
-#[should_panic(expected = "out of range")]
-fn replay_rejects_foreign_objects() {
-    use radar_sim::{Trace, TraceEntry};
-    let scenario = small_scenario().num_objects(10).build().unwrap();
-    let trace = Trace::new(vec![TraceEntry {
+fn replay_rejects_foreign_objects_and_gateways() {
+    use radar_sim::{Trace, TraceEntry, TraceError};
+    let scenario = || small_scenario().num_objects(10).build().unwrap();
+    let entry = |gateway, object| TraceEntry {
         t: 0.0,
-        gateway: 0,
-        object: 99,
-    }])
-    .unwrap();
-    let _ = Simulation::replay(scenario, trace);
+        gateway,
+        object,
+    };
+    let replay = |entries| Simulation::replay(scenario(), Trace::new(entries).unwrap());
+    assert!(replay(vec![entry(52, 9)]).is_ok());
+    let err = replay(vec![entry(0, 0), entry(0, 99)]).err().unwrap();
+    assert_eq!(
+        err,
+        TraceError::OutOfRange {
+            index: 1,
+            field: "object",
+            value: 99,
+            count: 10
+        }
+    );
+    let err = replay(vec![entry(99, 0)]).err().unwrap();
+    assert_eq!(
+        err.to_string(),
+        "entry 0: gateway 99 is out of range, the scenario has 53"
+    );
 }
 
 #[test]

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // recorder is an Observer; keep a clone to read the ring after the
     // run consumes the simulation.
     let recorder = SharedRecorder::new(DEFAULT_CAPACITY);
-    let mut replay = Simulation::replay(scenario()?, trace);
+    let mut replay = Simulation::replay(scenario()?, trace)?;
     replay.attach_observer(Box::new(recorder.clone()));
     let _ = replay.run();
     let events = recorder.snapshot();

@@ -75,7 +75,8 @@ fn faulted_run_keeps_the_invariant_and_conserves_requests() {
         .host_down(5, 6.0, Some(30.0))
         .host_down(12, 14.0, None);
     let audit = SharedAudit::default();
-    let mut sim = Simulation::replay(scenario(60.0).faults(faults).build().expect("valid"), trace);
+    let mut sim = Simulation::replay(scenario(60.0).faults(faults).build().expect("valid"), trace)
+        .expect("recorded in this scenario");
     sim.attach_observer(Box::new(audit.clone()));
     let report = sim.run();
 
