@@ -47,6 +47,7 @@ fn secs(seconds: Option<f64>) -> String {
 /// fault banner, rolling rates, latency and bandwidth summaries,
 /// per-host load bars, and the top-`top` objects by request count.
 pub fn render(m: &MetricsObserver, top: usize) -> String {
+    let tally = m.tally();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -57,17 +58,17 @@ pub fn render(m: &MetricsObserver, top: usize) -> String {
     let _ = writeln!(
         out,
         "served {:>8} ({:>7.2}/s) · failed {:>6} ({:>6.2}/s) · requests {:>8}",
-        m.served(),
+        tally.served,
         m.served_rate(),
-        m.failed(),
+        tally.failed,
         m.failed_rate(),
         m.requests()
     );
     let _ = writeln!(
         out,
         "faults {:>8} · re-replications {} ({:.2}/s)",
-        m.faults(),
-        m.re_replications(),
+        tally.faults,
+        tally.re_replications,
         m.re_replication_rate()
     );
     let recent: Vec<&(f64, String)> = m.recent_faults().collect();
@@ -80,12 +81,12 @@ pub fn render(m: &MetricsObserver, top: usize) -> String {
     let _ = writeln!(
         out,
         "latency: mean {} · p50 {} · p99 {} · over-scale {}",
-        ms(m.latency_summary().mean()),
-        ms(m.latency_p50()),
-        ms(m.latency_p99()),
+        ms(tally.latency.mean()),
+        ms(tally.latency_p50.estimate()),
+        ms(tally.latency_p99.estimate()),
         m.latency_histogram().overflow()
     );
-    let bw = m.bandwidth();
+    let bw = &tally.client_bandwidth;
     let last_bin = bw.len().saturating_sub(1);
     let _ = writeln!(
         out,
@@ -98,26 +99,26 @@ pub fn render(m: &MetricsObserver, top: usize) -> String {
         },
         bw.total()
     );
-    if m.updates() > 0 {
-        let [t1, t2, t3] = m.updates_by_class();
+    if tally.updates > 0 {
+        let [t1, t2, t3] = tally.updates_by_class;
         let _ = writeln!(
             out,
             "updates {:>8} ({} t1 / {} t2 / {} t3) · {:.3e} bytes×hops · {} moves",
-            m.updates(),
+            tally.updates,
             t1,
             t2,
             t3,
-            m.update_bandwidth().total(),
-            m.primary_reassignments()
+            tally.update_bandwidth.total(),
+            tally.primary_reassignments
         );
         let _ = writeln!(
             out,
             "  deliveries {:>5} applied · {} merged · {} wasted · staleness {} t1 / {} t2",
-            m.update_deliveries(),
-            m.updates_merged(),
-            m.wasted_deliveries(),
-            secs(m.update_lag_type1().mean()),
-            secs(m.update_lag_type2().mean()),
+            tally.update_deliveries,
+            tally.updates_merged,
+            tally.wasted_deliveries,
+            secs(tally.update_lag_type1.mean()),
+            secs(tally.update_lag_type2.mean()),
         );
     }
 
@@ -380,6 +381,6 @@ mod tests {
         // must still happen.
         dash.on_event(&served(1, 1.0, 3, 0));
         assert!(dash.wants_events());
-        assert_eq!(shared.with(|m| m.served()), 1);
+        assert_eq!(shared.with(|m| m.tally().served), 1);
     }
 }

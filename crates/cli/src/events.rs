@@ -263,6 +263,10 @@ fn eviction_banner(log: &EventLog) -> Option<String> {
     Some(out)
 }
 
+/// Most bandwidth bins or load samples `events watch` folds over one
+/// replay (a 3 000-s paper run needs 150).
+const MAX_WATCH_BINS: f64 = 1e6;
+
 fn watch(args: &[&str]) -> Result<String, String> {
     const OPTIONS: &[&str] = &["top", "object-size", "bin", "interval", "duration"];
     let parsed = Parsed::parse(args, OPTIONS, &["help"]).map_err(|e| e.to_string())?;
@@ -289,10 +293,37 @@ fn watch(args: &[&str]) -> Result<String, String> {
             .map_err(|e| e.to_string())?,
         ..MetricsConfig::default()
     };
+    let widths = [("bin", cfg.bandwidth_bin), ("interval", cfg.load_interval)];
+    for (flag, width) in widths {
+        if !(width.is_finite() && width > 0.0) {
+            return Err(format!(
+                "flag --{flag}: expected a finite number of seconds > 0, got {width}"
+            ));
+        }
+    }
     let log = load_log(&path)?;
     let events = &log.events;
     if events.is_empty() {
         return Ok("no events\n".to_string());
+    }
+    let t_end: f64 = parsed
+        .get_parsed("duration", events.last().expect("non-empty").t, "seconds")
+        .map_err(|e| e.to_string())?;
+    if !(t_end.is_finite() && t_end >= 0.0) {
+        return Err(format!(
+            "flag --duration: expected a finite number of seconds >= 0, got {t_end}"
+        ));
+    }
+    // The fold records one bin per width up to the horizon.
+    let horizon = events.iter().map(|e| e.t).fold(t_end, f64::max);
+    for (flag, width) in widths {
+        let bins = horizon / width;
+        if bins > MAX_WATCH_BINS {
+            return Err(format!(
+                "flag --{flag}: {bins:.3e} bins over the {horizon}-s replay, \
+                 more than {MAX_WATCH_BINS:.0}"
+            ));
+        }
     }
     let mut m = MetricsObserver::new(cfg);
     // On a terminal, replay the log as an animated dashboard on stderr;
@@ -313,9 +344,6 @@ fn watch(args: &[&str]) -> Result<String, String> {
             std::thread::sleep(std::time::Duration::from_millis(25));
         }
     }
-    let t_end: f64 = parsed
-        .get_parsed("duration", events.last().expect("non-empty").t, "seconds")
-        .map_err(|e| e.to_string())?;
     m.finalize(t_end);
     let mut out = dashboard::render(&m, top);
     // A log missing events renders a misleading dashboard — surface the

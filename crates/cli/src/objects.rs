@@ -42,7 +42,6 @@ fn ledger_config(parsed: &Parsed) -> Result<LedgerConfig, String> {
         churn_window: parsed
             .get_parsed("window", defaults.churn_window, "seconds")
             .map_err(|e| e.to_string())?,
-        ..defaults
     })
 }
 

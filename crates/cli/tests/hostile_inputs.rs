@@ -108,3 +108,25 @@ fn replay_names_the_trace_line_of_a_time_beyond_the_clock_or_a_foreign_id() {
         );
     }
 }
+
+#[test]
+fn events_watch_rejects_bin_interval_and_duration_it_cannot_fold() {
+    let log = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/events-seed42.jsonl"
+    );
+    // The first four used to panic in `BinSpec::new` (exit 101); the last
+    // three never returned, recording one bin per interval.
+    for (flag, value) in [
+        ("--bin", "0"),
+        ("--bin", "nan"),
+        ("--interval", "0"),
+        ("--interval", "-1"),
+        ("--interval", "1e-9"),
+        ("--bin", "1e-9"),
+        ("--duration", "inf"),
+    ] {
+        let stderr = rejected(&["events", "watch", log, flag, value]);
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+    }
+}

@@ -264,25 +264,15 @@ impl Redirector {
         routes: &RoutingTable,
         usable: &dyn Fn(NodeId) -> bool,
     ) -> Option<NodeId> {
-        self.choose_inner(object, gateway, routes, usable, false)
-            .map(|(host, _)| host)
-    }
-
-    /// [`choose_replica_filtered`](Self::choose_replica_filtered) that
-    /// additionally returns a [`ChoiceExplanation`] capturing the full
-    /// Fig. 2 input — the flight recorder's entry point. Same
-    /// side effects (the winner's request count increments); costs one
-    /// candidate-vector allocation per call, so the hot path keeps
-    /// using the plain variant when tracing is off.
-    pub fn choose_replica_explained(
-        &mut self,
-        object: ObjectId,
-        gateway: NodeId,
-        routes: &RoutingTable,
-        usable: &dyn Fn(NodeId) -> bool,
-    ) -> Option<(NodeId, ChoiceExplanation)> {
-        self.choose_inner(object, gateway, routes, usable, true)
-            .map(|(host, expl)| (host, expl.expect("explanation requested")))
+        let candidates: Vec<(u32, u32)> = self
+            .directory
+            .replicas(object)
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| usable(e.host))
+            .map(|(i, e)| (i as u32, routes.distance(e.host, gateway)))
+            .collect();
+        self.decide(object, &candidates, None, None)
     }
 
     /// Fig. 2 over a pre-filtered candidate list — the entry point for
@@ -298,6 +288,12 @@ impl Redirector {
     /// counts, `p` is a pure function of the candidate list, so callers
     /// can note it while building the list; `None` scans for it here.
     ///
+    /// When `explanation` is `Some`, the full Fig. 2 input is written into
+    /// the caller-owned snapshot — the allocation-free tracing entry
+    /// point: its candidate buffer is cleared and refilled in place, and
+    /// its fields are only meaningful when the call returns `Some`.
+    /// `None` skips the snapshot entirely.
+    ///
     /// Identical decision semantics and side effects to the other
     /// variants: the winner's request count increments. Returns `None`
     /// for an empty candidate list.
@@ -306,30 +302,6 @@ impl Redirector {
     ///
     /// Panics if an entry index is out of range for the replica set —
     /// the symptom of a list built for another replica set.
-    pub fn choose_among(
-        &mut self,
-        object: ObjectId,
-        candidates: &[(u32, u32)],
-        closest: Option<u32>,
-        explain: bool,
-    ) -> Option<(NodeId, Option<ChoiceExplanation>)> {
-        if explain {
-            let mut expl = ChoiceExplanation::default();
-            let host = self.decide(object, candidates, closest, Some(&mut expl))?;
-            Some((host, Some(expl)))
-        } else {
-            self.decide(object, candidates, closest, None)
-                .map(|host| (host, None))
-        }
-    }
-
-    /// [`choose_among`](Self::choose_among) that fills a caller-owned
-    /// explanation instead of allocating one — the allocation-free
-    /// tracing entry point. When `explanation` is `Some`, the scratch's
-    /// candidate buffer is cleared and refilled in place (its fields are
-    /// only meaningful when the call returns `Some`); `None` skips the
-    /// snapshot entirely. Decision semantics and side effects are
-    /// identical to every other `choose_*` variant.
     pub fn choose_among_into(
         &mut self,
         object: ObjectId,
@@ -338,36 +310,6 @@ impl Redirector {
         explanation: Option<&mut ChoiceExplanation>,
     ) -> Option<NodeId> {
         self.decide(object, candidates, closest, explanation)
-    }
-
-    /// Builds the usable candidate list, then runs the shared decision
-    /// path. `explain` controls whether the decision snapshot is built
-    /// (before the winner's count increments, so the explanation shows
-    /// the counts the algorithm actually compared).
-    fn choose_inner(
-        &mut self,
-        object: ObjectId,
-        gateway: NodeId,
-        routes: &RoutingTable,
-        usable: &dyn Fn(NodeId) -> bool,
-        explain: bool,
-    ) -> Option<(NodeId, Option<ChoiceExplanation>)> {
-        let candidates: Vec<(u32, u32)> = self
-            .directory
-            .replicas(object)
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| usable(e.host))
-            .map(|(i, e)| (i as u32, routes.distance(e.host, gateway)))
-            .collect();
-        if explain {
-            let mut expl = ChoiceExplanation::default();
-            let host = self.decide(object, &candidates, None, Some(&mut expl))?;
-            Some((host, Some(expl)))
-        } else {
-            self.decide(object, &candidates, None, None)
-                .map(|host| (host, None))
-        }
     }
 
     /// The single Fig. 2 code path behind every `choose_*` variant:
@@ -655,17 +597,35 @@ mod tests {
         assert_eq!(r.replica_count(x()), 2, "filtering never mutates the set");
     }
 
+    /// The `(entry_index, distance)` list `choose_replica_filtered`
+    /// builds, for feeding the pre-filtered entry point.
+    fn candidates(
+        r: &Redirector,
+        gw: NodeId,
+        routes: &RoutingTable,
+        usable: &dyn Fn(NodeId) -> bool,
+    ) -> Vec<(u32, u32)> {
+        r.replicas(x())
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| usable(e.host))
+            .map(|(j, e)| (j as u32, routes.distance(e.host, gw)))
+            .collect()
+    }
+
     #[test]
     fn explained_choice_matches_plain_choice() {
-        // The explained variant must make the identical decision (same
+        // The explained call must make the identical decision (same
         // increments, same winner) and report the inputs it compared.
         let (mut r1, routes) = setup();
         let mut r2 = r1.clone();
+        let mut expl = ChoiceExplanation::default();
         for i in 0..200 {
             let gw = NodeId::new(if i % 3 == 0 { 1 } else { 0 });
             let plain = r1.choose_replica(x(), gw, &routes);
-            let (host, expl) = r2
-                .choose_replica_explained(x(), gw, &routes, &|_| true)
+            let cands = candidates(&r2, gw, &routes, &|_| true);
+            let host = r2
+                .choose_among_into(x(), &cands, None, Some(&mut expl))
                 .expect("replicas exist");
             assert_eq!(plain, Some(host));
             assert_eq!(expl.chosen, host);
@@ -694,33 +654,32 @@ mod tests {
     #[test]
     fn explained_choice_respects_filter() {
         let (mut r, routes) = setup();
-        let (host, expl) = r
-            .choose_replica_explained(x(), NodeId::new(0), &routes, &|h| h != NodeId::new(0))
+        let mut expl = ChoiceExplanation::default();
+        let not_0 = |h: NodeId| h != NodeId::new(0);
+        let cands = candidates(&r, NodeId::new(0), &routes, &not_0);
+        let host = r
+            .choose_among_into(x(), &cands, None, Some(&mut expl))
             .expect("one usable replica");
         assert_eq!(host, NodeId::new(1));
         assert_eq!(expl.candidates.len(), 1);
         assert_eq!(expl.branch.as_str(), "closest");
+        let none = candidates(&r, NodeId::new(0), &routes, &|_| false);
         assert!(r
-            .choose_replica_explained(x(), NodeId::new(0), &routes, &|_| false)
+            .choose_among_into(x(), &none, None, Some(&mut expl))
             .is_none());
     }
 
     #[test]
     fn choose_among_matches_choose_inner() {
         // Feeding the pre-filtered entry point the same (index,
-        // distance) pairs choose_inner would build must reproduce the
-        // decision stream exactly — the correctness contract the
+        // distance) pairs choose_replica_filtered builds must reproduce
+        // the decision stream exactly — the correctness contract the
         // simulator's redirect engine relies on.
         let (mut r1, routes) = setup();
         let mut r2 = r1.clone();
         for i in 0..200 {
             let gw = NodeId::new(if i % 3 == 0 { 1 } else { 0 });
-            let cands: Vec<(u32, u32)> = r2
-                .replicas(x())
-                .iter()
-                .enumerate()
-                .map(|(j, e)| (j as u32, routes.distance(e.host, gw)))
-                .collect();
+            let cands = candidates(&r2, gw, &routes, &|_| true);
             // Alternate between scanning for p here and letting decide()
             // scan — the precomputed hint must be a pure optimization.
             let closest = (i % 2 == 0).then(|| {
@@ -731,14 +690,14 @@ mod tests {
                     .0
             });
             let plain = r1.choose_replica(x(), gw, &routes);
-            let (host, expl) = r2
-                .choose_among(x(), &cands, closest, false)
+            let host = r2
+                .choose_among_into(x(), &cands, closest, None)
                 .expect("replicas exist");
             assert_eq!(plain, Some(host));
-            assert!(expl.is_none());
         }
         assert_eq!(r1, r2, "identical state after identical decisions");
-        assert_eq!(r2.choose_among(x(), &[], None, true), None);
+        let mut expl = ChoiceExplanation::default();
+        assert_eq!(r2.choose_among_into(x(), &[], None, Some(&mut expl)), None);
     }
 
     #[test]

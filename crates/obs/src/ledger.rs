@@ -32,6 +32,9 @@ const VIOLATION_SEQS_CAP: usize = 16;
 /// Objects listed in a [`ProtocolHealth`] snapshot, ranked by bytes
 /// moved.
 const TOP_OBJECTS_CAP: usize = 8;
+/// Per-object cap on retained timeline steps; the oldest steps are
+/// discarded past it (the drop count is reported per object).
+const TIMELINE_CAPACITY: usize = 256;
 
 /// Tuning knobs for an [`ObjectLedger`].
 #[derive(Debug, Clone, PartialEq)]
@@ -43,9 +46,6 @@ pub struct LedgerConfig {
     /// hysteresis (watermark gap, `u`/`m` threshold gap) should make
     /// this rare; two placement periods is a natural default.
     pub churn_window: f64,
-    /// Per-object cap on retained timeline steps; the oldest steps are
-    /// discarded past it (the drop count is reported per object).
-    pub timeline_capacity: usize,
 }
 
 impl Default for LedgerConfig {
@@ -53,7 +53,6 @@ impl Default for LedgerConfig {
         Self {
             object_size: 12 * 1024,
             churn_window: 120.0,
-            timeline_capacity: 256,
         }
     }
 }
@@ -508,9 +507,8 @@ impl ObjectLedger {
             _ => None,
         };
         if let Some(change) = change {
-            let cap = self.cfg.timeline_capacity.max(1);
             let state = slot.get_or_insert_with(Default::default);
-            if state.timeline.len() >= cap {
+            if state.timeline.len() >= TIMELINE_CAPACITY {
                 state.timeline.remove(0);
                 state.timeline_dropped += 1;
             }
@@ -707,7 +705,6 @@ mod tests {
         let mut l = ObjectLedger::new(LedgerConfig {
             object_size: 1000,
             churn_window: 100.0,
-            ..LedgerConfig::default()
         });
         l.fold(&reset(1, 60.0, 7, ResetCause::Created));
         l.fold(&action(
@@ -823,11 +820,8 @@ mod tests {
 
     #[test]
     fn timeline_capacity_caps_and_counts_drops() {
-        let mut l = ObjectLedger::new(LedgerConfig {
-            timeline_capacity: 2,
-            ..LedgerConfig::default()
-        });
-        for i in 0..4u64 {
+        let mut l = ObjectLedger::new(LedgerConfig::default());
+        for i in 0..TIMELINE_CAPACITY as u64 + 2 {
             let t = 60.0 * (i + 1) as f64;
             l.fold(&reset(i * 10 + 1, t, 7, ResetCause::Created));
             l.fold(&action(
@@ -839,7 +833,7 @@ mod tests {
                 Some(2 + i as u16),
             ));
         }
-        assert_eq!(l.timeline(7).len(), 2);
+        assert_eq!(l.timeline(7).len(), TIMELINE_CAPACITY);
         assert_eq!(l.timeline_dropped(7), 2);
         assert_eq!(l.timeline(7)[0].seq, 22, "oldest steps evicted first");
     }
@@ -849,7 +843,6 @@ mod tests {
         let mut l = ObjectLedger::new(LedgerConfig {
             object_size: 1000,
             churn_window: 100.0,
-            ..LedgerConfig::default()
         });
         l.fold(&served(1, 1.0, 7, 1));
         l.fold(&served(2, 2.0, 8, 1));

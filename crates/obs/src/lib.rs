@@ -4,8 +4,10 @@
 //! vocabulary ([`Event`] / [`EventKind`]) covering every redirector
 //! decision, placement action, fault transition, re-replication, and
 //! count reset; a bounded, severity-aware ring-buffer [`Recorder`]
-//! with streaming JSONL export; a streaming [`MetricsObserver`] that
-//! folds the same event feed into dashboard aggregates; a structural
+//! with streaming JSONL export; [`Tally`], the run accounting the
+//! simulator's report and the streaming [`MetricsObserver`] both record
+//! through (the observer folds the same event feed into one, plus
+//! dashboard aggregates); a structural
 //! log differ ([`diff_events`]) for regression diffing of seeded runs;
 //! and [`LoopProfile`] counters for event-loop wall time and queue
 //! depth.
@@ -66,6 +68,6 @@ pub use ledger::{
     LedgerConfig, NodeChurn, ObjectChurn, ObjectLedger, ProtocolHealth, ReplicaChange,
     SharedObjectLedger, TimelineStep,
 };
-pub use metrics::{MetricsConfig, MetricsObserver, ObjectCounters, SharedMetrics};
+pub use metrics::{MetricsConfig, MetricsObserver, ObjectCounters, SharedMetrics, Tally};
 pub use profile::{HandlerStats, LoopProfile};
 pub use recorder::{Recorder, SharedRecorder, DEFAULT_CAPACITY};

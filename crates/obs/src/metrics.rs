@@ -1,26 +1,174 @@
-//! Streaming metrics folded from the flight-recorder event stream.
+//! The run accounting the paper's evaluation reads, and the streaming
+//! fold that rebuilds it from the flight-recorder event stream.
 //!
-//! [`MetricsObserver`] consumes the same typed [`Event`] feed the
-//! [`crate::Recorder`] does and folds it into the `radar-stats`
-//! primitives the paper's evaluation is phrased in: per-host
-//! [`WindowedRate`] load gauges (§2.1's measurement interval),
-//! per-object request counters, a bytes×hops bandwidth [`TimeSeries`]
-//! (§4, Table 2), a latency [`Histogram`] with streaming quantiles,
-//! and rolling fault / re-replication rates. The same fold powers the
-//! live `radar simulate --dashboard` view and the offline
-//! `radar events watch FILE` replay, so both render identical
-//! aggregates from identical streams.
+//! [`Tally`] is the one accounting of served and failed requests,
+//! latency (Fig. 6), client bytes×hops (Figs. 6–7, Table 2), the
+//! max-host-load series (Fig. 8a), faults, re-replications and the §5
+//! update traffic. The simulator keeps one in its `Metrics` and builds
+//! its report from it; [`MetricsObserver`] consumes the same typed
+//! [`Event`] feed the [`crate::Recorder`] does and records into a
+//! `Tally` of its own through the same methods, next to aggregates only
+//! the dashboard shows: per-host [`WindowedRate`] load gauges (§2.1's
+//! measurement interval), per-object request counters, a latency
+//! [`Histogram`] and rolling served / failed / re-replication rates.
+//! The same fold powers the live `radar simulate --dashboard` view and
+//! the offline `radar events watch FILE` replay, so both render
+//! identical aggregates from identical streams.
 //!
-//! The fold reproduces the simulator's own accounting exactly for
-//! fault-free runs: served events carry the service-completion time
-//! the simulator uses for both its bandwidth series and its host-load
-//! windows, and latency samples arrive in the same order they were
-//! recorded.
+//! The fold's `Tally` equals the simulator's field for field: served
+//! events carry the service-completion time the simulator uses for both
+//! its bandwidth series and its host-load windows, and samples arrive in
+//! the order they were recorded. The one exception is `max_load` when a
+//! host crashes in an interval in which it is the busiest — the
+//! simulator skips down hosts, and the event stream does not carry
+//! liveness.
 
 use crate::event::{ConsistencyClass, Event, EventKind, PlacementActionKind};
 use radar_stats::{BinSpec, Histogram, OnlineSummary, P2Quantile, TimeSeries, WindowedRate};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
+
+/// Window of the rolling served / failed / re-replication rates the
+/// dashboard displays, seconds.
+const ROLLING_WINDOW: f64 = 20.0;
+/// How many recent fault transitions the dashboard's fault banner
+/// retains.
+const FAULT_BANNER: usize = 5;
+
+/// The quantities the paper's evaluation reads, recorded by one set of
+/// rules: the simulator keeps one `Tally` and [`MetricsObserver`] folds
+/// the event stream into another. The counters without a rule of their
+/// own (`failed`, `faults`, `re_replications`) and the `max_load`
+/// series are updated in place.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tally {
+    /// Responses delivered.
+    pub served: u64,
+    /// Requests that failed: no live, reachable replica could serve
+    /// them.
+    pub failed: u64,
+    /// Whole-run latency summary (seconds).
+    pub latency: OnlineSummary,
+    /// Streaming P² median latency estimator.
+    pub latency_p50: P2Quantile,
+    /// Streaming P² 99th-percentile latency estimator.
+    pub latency_p99: P2Quantile,
+    /// Response traffic, bytes×hops per bin (the paper's bandwidth
+    /// metric), binned at service completion.
+    pub client_bandwidth: TimeSeries,
+    /// Maximum measured host load, sampled once per measurement interval
+    /// (Fig. 8a).
+    pub max_load: TimeSeries,
+    /// Fault transitions applied.
+    pub faults: u64,
+    /// Replicas restored by the re-replication sweep.
+    pub re_replications: u64,
+    /// Provider updates propagated (§5).
+    pub updates: u64,
+    /// Provider updates per consistency class: `[type-1, type-2,
+    /// type-3]`.
+    pub updates_by_class: [u64; 3],
+    /// Update propagation traffic, bytes×hops per bin, binned at issue.
+    pub update_bandwidth: TimeSeries,
+    /// Updates that first had to reassign the primary copy because its
+    /// host no longer held the object.
+    pub primary_reassignments: u64,
+    /// Asynchronous update deliveries applied at a live replica.
+    pub update_deliveries: u64,
+    /// Deliveries that found their target replica already gone.
+    pub wasted_deliveries: u64,
+    /// Type-2 deliveries merged commutatively at the replica.
+    pub updates_merged: u64,
+    /// Staleness of applied type-1 deliveries (seconds).
+    pub update_lag_type1: OnlineSummary,
+    /// Staleness of applied type-2 deliveries (seconds).
+    pub update_lag_type2: OnlineSummary,
+}
+
+impl Tally {
+    /// An empty tally over `bin`-second traffic bins and
+    /// `load_interval`-second load bins.
+    pub fn new(bin: f64, load_interval: f64) -> Self {
+        Self {
+            served: 0,
+            failed: 0,
+            latency: OnlineSummary::new(),
+            latency_p50: P2Quantile::new(0.5),
+            latency_p99: P2Quantile::new(0.99),
+            client_bandwidth: TimeSeries::new(BinSpec::new(bin)),
+            max_load: TimeSeries::new(BinSpec::new(load_interval)),
+            faults: 0,
+            re_replications: 0,
+            updates: 0,
+            updates_by_class: [0; 3],
+            update_bandwidth: TimeSeries::new(BinSpec::new(bin)),
+            primary_reassignments: 0,
+            update_deliveries: 0,
+            wasted_deliveries: 0,
+            updates_merged: 0,
+            update_lag_type1: OnlineSummary::new(),
+            update_lag_type2: OnlineSummary::new(),
+        }
+    }
+
+    /// One delivered response: `bytes_hops` of client traffic binned at
+    /// `t`, the service completion, and one latency sample.
+    pub fn record_served(&mut self, t: f64, latency: f64, bytes_hops: f64) {
+        self.served += 1;
+        self.client_bandwidth.record(t, bytes_hops);
+        self.latency.record(latency);
+        self.latency_p50.record(latency);
+        self.latency_p99.record(latency);
+    }
+
+    /// One provider update issued at `t`: its class tally and its whole
+    /// propagation traffic, charged at issue.
+    pub fn record_update(
+        &mut self,
+        t: f64,
+        class: ConsistencyClass,
+        bytes_hops: f64,
+        reassigned: bool,
+    ) {
+        self.updates += 1;
+        self.updates_by_class[class_index(class)] += 1;
+        self.update_bandwidth.record(t, bytes_hops);
+        if reassigned {
+            self.primary_reassignments += 1;
+        }
+    }
+
+    /// One asynchronous update delivery at a replica. `lag` is the
+    /// replica's staleness window for this version; `wasted` means the
+    /// target replica was gone by delivery time, and the lag sample is
+    /// then discarded — there is no replica to be stale. Type-2
+    /// deliveries also count as merges.
+    pub fn record_delivery(&mut self, class: ConsistencyClass, lag: f64, wasted: bool) {
+        if wasted {
+            self.wasted_deliveries += 1;
+            return;
+        }
+        self.update_deliveries += 1;
+        match class {
+            ConsistencyClass::Type1 => self.update_lag_type1.record(lag),
+            ConsistencyClass::Type2 => {
+                self.update_lag_type2.record(lag);
+                self.updates_merged += 1;
+            }
+            ConsistencyClass::Type3 => {}
+        }
+    }
+}
+
+/// The §5 taxonomy index of a consistency class (0 = type-1, 1 =
+/// type-2, 2 = type-3), as [`Tally::updates_by_class`] is laid out.
+fn class_index(class: ConsistencyClass) -> usize {
+    match class {
+        ConsistencyClass::Type1 => 0,
+        ConsistencyClass::Type2 => 1,
+        ConsistencyClass::Type3 => 2,
+    }
+}
 
 /// Tuning knobs for a [`MetricsObserver`], mirroring the scenario
 /// parameters the simulator's own metrics use so folded aggregates are
@@ -39,11 +187,6 @@ pub struct MetricsConfig {
     pub latency_bucket: f64,
     /// Number of latency histogram buckets (plus overflow).
     pub latency_buckets: usize,
-    /// Window for the rolling served/failed/re-replication rates the
-    /// dashboard displays, seconds.
-    pub rolling_window: f64,
-    /// How many recent fault transitions the fault banner retains.
-    pub fault_banner: usize,
 }
 
 impl Default for MetricsConfig {
@@ -54,8 +197,6 @@ impl Default for MetricsConfig {
             load_interval: 20.0,
             latency_bucket: 0.025,
             latency_buckets: 40,
-            rolling_window: 20.0,
-            fault_banner: 5,
         }
     }
 }
@@ -81,13 +222,14 @@ pub struct ObjectCounters {
 #[derive(Debug, Clone, PartialEq)]
 struct HostGauge {
     rate: WindowedRate,
-    served_total: u64,
+    served: u64,
 }
 
-/// Folds flight-recorder events into streaming dashboard aggregates.
+/// Folds flight-recorder events into a [`Tally`] plus streaming
+/// dashboard aggregates.
 ///
-/// Feed it events in sequence order via [`fold`](Self::fold) (or
-/// attach it to a simulation as an observer), then call
+/// Feed it events in sequence order via [`fold`](Self::fold) (or attach
+/// a [`SharedMetrics`] to a simulation as an observer), then call
 /// [`finalize`](Self::finalize) with the run duration so windowed
 /// gauges complete their last interval.
 ///
@@ -109,23 +251,19 @@ struct HostGauge {
 ///     },
 /// });
 /// m.finalize(20.0);
-/// assert_eq!(m.served(), 1);
-/// assert_eq!(m.bandwidth().bin_sum(0), (12 * 1024 * 2) as f64);
+/// assert_eq!(m.tally().served, 1);
+/// assert_eq!(m.tally().client_bandwidth.bin_sum(0), (12 * 1024 * 2) as f64);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsObserver {
     cfg: MetricsConfig,
+    tally: Tally,
     events_seen: u64,
     last_t: f64,
     type_counts: BTreeMap<&'static str, u64>,
     hosts: BTreeMap<u16, HostGauge>,
     objects: BTreeMap<u32, ObjectCounters>,
-    bandwidth: TimeSeries,
-    max_load: TimeSeries,
     next_load_sample: f64,
-    latency_summary: OnlineSummary,
-    latency_p50: P2Quantile,
-    latency_p99: P2Quantile,
     latency_hist: Histogram,
     served_rate: WindowedRate,
     failed_rate: WindowedRate,
@@ -133,20 +271,7 @@ pub struct MetricsObserver {
     branch_counts: BTreeMap<&'static str, u64>,
     placement_counts: BTreeMap<&'static str, u64>,
     recent_faults: VecDeque<(f64, String)>,
-    faults_total: u64,
-    failed_total: u64,
-    served_total: u64,
     request_total: u64,
-    re_replications_total: u64,
-    update_bandwidth: TimeSeries,
-    updates_total: u64,
-    updates_by_class: [u64; 3],
-    primary_reassignments: u64,
-    update_deliveries: u64,
-    wasted_deliveries: u64,
-    updates_merged: u64,
-    update_lag_type1: OnlineSummary,
-    update_lag_type2: OnlineSummary,
 }
 
 impl Default for MetricsObserver {
@@ -158,45 +283,23 @@ impl Default for MetricsObserver {
 impl MetricsObserver {
     /// Creates an empty fold with the given configuration.
     pub fn new(cfg: MetricsConfig) -> Self {
-        let bandwidth = TimeSeries::new(BinSpec::new(cfg.bandwidth_bin));
-        let update_bandwidth = TimeSeries::new(BinSpec::new(cfg.bandwidth_bin));
-        let max_load = TimeSeries::new(BinSpec::new(cfg.load_interval));
-        let latency_hist = Histogram::new(cfg.latency_bucket, cfg.latency_buckets.max(1));
-        let next_load_sample = cfg.load_interval;
         Self {
-            served_rate: WindowedRate::new(cfg.rolling_window),
-            failed_rate: WindowedRate::new(cfg.rolling_window),
-            re_replication_rate: WindowedRate::new(cfg.rolling_window),
+            tally: Tally::new(cfg.bandwidth_bin, cfg.load_interval),
+            latency_hist: Histogram::new(cfg.latency_bucket, cfg.latency_buckets.max(1)),
+            next_load_sample: cfg.load_interval,
             cfg,
             events_seen: 0,
             last_t: 0.0,
             type_counts: BTreeMap::new(),
             hosts: BTreeMap::new(),
             objects: BTreeMap::new(),
-            bandwidth,
-            max_load,
-            next_load_sample,
-            latency_summary: OnlineSummary::new(),
-            latency_p50: P2Quantile::new(0.5),
-            latency_p99: P2Quantile::new(0.99),
-            latency_hist,
+            served_rate: WindowedRate::new(ROLLING_WINDOW),
+            failed_rate: WindowedRate::new(ROLLING_WINDOW),
+            re_replication_rate: WindowedRate::new(ROLLING_WINDOW),
             branch_counts: BTreeMap::new(),
             placement_counts: BTreeMap::new(),
             recent_faults: VecDeque::new(),
-            faults_total: 0,
-            failed_total: 0,
-            served_total: 0,
             request_total: 0,
-            re_replications_total: 0,
-            update_bandwidth,
-            updates_total: 0,
-            updates_by_class: [0; 3],
-            primary_reassignments: 0,
-            update_deliveries: 0,
-            wasted_deliveries: 0,
-            updates_merged: 0,
-            update_lag_type1: OnlineSummary::new(),
-            update_lag_type2: OnlineSummary::new(),
         }
     }
 
@@ -219,7 +322,7 @@ impl MetricsObserver {
                     max = gauge.rate.rate();
                 }
             }
-            self.max_load.record(boundary, max);
+            self.tally.max_load.record(boundary, max);
             self.next_load_sample += self.cfg.load_interval;
         }
     }
@@ -249,24 +352,20 @@ impl MetricsObserver {
                 hops,
                 ..
             } => {
-                self.served_total += 1;
                 self.served_rate.record(event.t);
                 self.objects.entry(*object).or_default().served += 1;
                 let gauge = self.hosts.entry(*host).or_insert_with(|| HostGauge {
                     rate: WindowedRate::new(self.cfg.load_interval),
-                    served_total: 0,
+                    served: 0,
                 });
                 gauge.rate.record(event.t);
-                gauge.served_total += 1;
-                self.bandwidth
-                    .record(event.t, (self.cfg.object_size * u64::from(*hops)) as f64);
-                self.latency_summary.record(*latency);
-                self.latency_p50.record(*latency);
-                self.latency_p99.record(*latency);
+                gauge.served += 1;
+                let bytes_hops = (self.cfg.object_size * u64::from(*hops)) as f64;
+                self.tally.record_served(event.t, *latency, bytes_hops);
                 self.latency_hist.record(*latency);
             }
             EventKind::RequestFailed { object, .. } => {
-                self.failed_total += 1;
+                self.tally.failed += 1;
                 self.failed_rate.record(event.t);
                 self.objects.entry(*object).or_default().failed += 1;
             }
@@ -282,44 +381,24 @@ impl MetricsObserver {
             }
             EventKind::CountsReset { .. } => {}
             EventKind::Fault { desc } => {
-                self.faults_total += 1;
+                self.tally.faults += 1;
                 self.recent_faults.push_back((event.t, desc.clone()));
-                while self.recent_faults.len() > self.cfg.fault_banner {
+                while self.recent_faults.len() > FAULT_BANNER {
                     self.recent_faults.pop_front();
                 }
             }
             EventKind::ReReplication { object, .. } => {
-                self.re_replications_total += 1;
+                self.tally.re_replications += 1;
                 self.re_replication_rate.record(event.t);
                 self.objects.entry(*object).or_default().replica_delta += 1;
             }
+            // The update events carry the exact bytes×hops sum and lag
+            // the simulator records, so the casts match bit for bit.
             EventKind::ProviderUpdate(u) => {
-                // Same fold the simulator applies at issue time: one
-                // update, its class tally, and the propagation traffic
-                // charged as a whole (the event carries the exact
-                // bytes×hops sum, so the cast matches bit for bit).
-                self.updates_total += 1;
-                self.updates_by_class[class_index(u.class)] += 1;
-                self.update_bandwidth.record(event.t, u.bytes_hops as f64);
-                if u.reassigned {
-                    self.primary_reassignments += 1;
-                }
+                self.tally
+                    .record_update(event.t, u.class, u.bytes_hops as f64, u.reassigned);
             }
-            EventKind::UpdateDelivered(u) => {
-                if u.wasted {
-                    self.wasted_deliveries += 1;
-                } else {
-                    self.update_deliveries += 1;
-                    match u.class {
-                        ConsistencyClass::Type1 => self.update_lag_type1.record(u.lag),
-                        ConsistencyClass::Type2 => {
-                            self.update_lag_type2.record(u.lag);
-                            self.updates_merged += 1;
-                        }
-                        ConsistencyClass::Type3 => {}
-                    }
-                }
-            }
+            EventKind::UpdateDelivered(u) => self.tally.record_delivery(u.class, u.lag, u.wasted),
         }
     }
 
@@ -339,6 +418,11 @@ impl MetricsObserver {
 
     // ---- aggregate views -------------------------------------------------
 
+    /// The accounting shared with the simulator's report.
+    pub fn tally(&self) -> &Tally {
+        &self.tally
+    }
+
     /// Total events folded.
     pub fn events_seen(&self) -> u64 {
         self.events_seen
@@ -352,52 +436,6 @@ impl MetricsObserver {
     /// Requests that entered a gateway.
     pub fn requests(&self) -> u64 {
         self.request_total
-    }
-
-    /// Responses delivered (the report's `total_requests`).
-    pub fn served(&self) -> u64 {
-        self.served_total
-    }
-
-    /// Requests that failed outright.
-    pub fn failed(&self) -> u64 {
-        self.failed_total
-    }
-
-    /// Fault transitions applied.
-    pub fn faults(&self) -> u64 {
-        self.faults_total
-    }
-
-    /// Replicas restored by the re-replication sweep.
-    pub fn re_replications(&self) -> u64 {
-        self.re_replications_total
-    }
-
-    /// Client bandwidth (bytes×hops) per time bin.
-    pub fn bandwidth(&self) -> &TimeSeries {
-        &self.bandwidth
-    }
-
-    /// Maximum measured host load per measurement interval, sampled at
-    /// interval boundaries exactly like the simulator's Fig. 8a series.
-    pub fn max_load(&self) -> &TimeSeries {
-        &self.max_load
-    }
-
-    /// Whole-run latency summary (mean/min/max/variance).
-    pub fn latency_summary(&self) -> &OnlineSummary {
-        &self.latency_summary
-    }
-
-    /// Streaming median latency estimate, seconds.
-    pub fn latency_p50(&self) -> Option<f64> {
-        self.latency_p50.estimate()
-    }
-
-    /// Streaming 99th-percentile latency estimate, seconds.
-    pub fn latency_p99(&self) -> Option<f64> {
-        self.latency_p99.estimate()
     }
 
     /// The latency histogram.
@@ -427,7 +465,7 @@ impl MetricsObserver {
     pub fn host_loads(&self) -> Vec<(u16, f64, u64)> {
         self.hosts
             .iter()
-            .map(|(&h, g)| (h, g.rate.rate(), g.served_total))
+            .map(|(&h, g)| (h, g.rate.rate(), g.served))
             .collect()
     }
 
@@ -447,7 +485,7 @@ impl MetricsObserver {
     }
 
     /// The most recent fault transitions `(t, description)`, oldest
-    /// first, capped at the configured banner size.
+    /// first, at most five.
     pub fn recent_faults(&self) -> impl Iterator<Item = &(f64, String)> {
         self.recent_faults.iter()
     }
@@ -467,62 +505,6 @@ impl MetricsObserver {
     /// interned action tag.
     pub fn placement_counts(&self) -> &BTreeMap<&'static str, u64> {
         &self.placement_counts
-    }
-
-    /// Propagation traffic (bytes × hops) from provider updates, binned
-    /// like [`MetricsObserver::bandwidth`].
-    pub fn update_bandwidth(&self) -> &TimeSeries {
-        &self.update_bandwidth
-    }
-
-    /// Total provider updates folded.
-    pub fn updates(&self) -> u64 {
-        self.updates_total
-    }
-
-    /// Provider updates per §5 consistency class (type-1, type-2,
-    /// type-3 in index order).
-    pub fn updates_by_class(&self) -> [u64; 3] {
-        self.updates_by_class
-    }
-
-    /// Updates that landed while the primary copy was unreachable and
-    /// forced a primary reassignment.
-    pub fn primary_reassignments(&self) -> u64 {
-        self.primary_reassignments
-    }
-
-    /// Asynchronous update deliveries applied at a live replica.
-    pub fn update_deliveries(&self) -> u64 {
-        self.update_deliveries
-    }
-
-    /// Deliveries that arrived after the target replica was dropped.
-    pub fn wasted_deliveries(&self) -> u64 {
-        self.wasted_deliveries
-    }
-
-    /// Type-2 deliveries merged commutatively at the replica.
-    pub fn updates_merged(&self) -> u64 {
-        self.updates_merged
-    }
-
-    /// Staleness (update lag, seconds) summary for type-1 deliveries.
-    pub fn update_lag_type1(&self) -> &OnlineSummary {
-        &self.update_lag_type1
-    }
-
-    /// Staleness (update lag, seconds) summary for type-2 deliveries.
-    pub fn update_lag_type2(&self) -> &OnlineSummary {
-        &self.update_lag_type2
-    }
-}
-
-fn class_index(class: ConsistencyClass) -> usize {
-    match class {
-        ConsistencyClass::Type1 => 0,
-        ConsistencyClass::Type2 => 1,
-        ConsistencyClass::Type3 => 2,
     }
 }
 
@@ -603,15 +585,16 @@ mod tests {
         }
         m.fold(&served(21, 12.0, 8, 4, 0.15, 3));
         m.finalize(20.0);
-        assert_eq!(m.served(), 21);
-        assert_eq!(m.bandwidth().bin_sum(0), 20.0 * 2000.0 + 3000.0);
+        let tally = m.tally();
+        assert_eq!(tally.served, 21);
+        assert_eq!(tally.client_bandwidth.bin_sum(0), 20.0 * 2000.0 + 3000.0);
         // Sample at t=10 saw host 3 at 2 req/s; host 4 had not served yet.
-        assert_eq!(m.max_load().bin_sum(1), 2.0);
+        assert_eq!(tally.max_load.bin_sum(1), 2.0);
         let hosts = m.host_loads();
         assert_eq!(hosts.len(), 2);
         assert_eq!(hosts[0].0, 3);
         assert_eq!(hosts[0].2, 20);
-        let mean = m.latency_summary().mean().unwrap();
+        let mean = m.tally().latency.mean().unwrap();
         assert!((mean - (20.0 * 0.05 + 0.15) / 21.0).abs() < 1e-12);
         assert_eq!(m.latency_histogram().total(), 21);
         let top = m.top_objects(1);
@@ -627,16 +610,17 @@ mod tests {
         });
         m.fold(&served(1, 5.0, 1, 0, 0.1, 1));
         // No boundary crossed yet.
-        assert_eq!(m.max_load().len(), 0);
+        assert_eq!(m.tally().max_load.len(), 0);
         m.fold(&served(2, 45.0, 1, 0, 0.1, 1));
         // Boundaries at 20 and 40 sampled before folding the event.
-        assert_eq!(m.max_load().bin_count(1), 1);
-        assert_eq!(m.max_load().bin_sum(1), 1.0 / 20.0);
-        assert_eq!(m.max_load().bin_count(2), 1);
-        assert_eq!(m.max_load().bin_sum(2), 0.0);
+        let max_load = &m.tally().max_load;
+        assert_eq!(max_load.bin_count(1), 1);
+        assert_eq!(max_load.bin_sum(1), 1.0 / 20.0);
+        assert_eq!(max_load.bin_count(2), 1);
+        assert_eq!(max_load.bin_sum(2), 0.0);
         m.finalize(100.0);
         // Remaining boundaries 60, 80, 100 completed by finalize.
-        assert_eq!(m.max_load().total_count(), 5);
+        assert_eq!(m.tally().max_load.total_count(), 5);
     }
 
     #[test]
@@ -674,42 +658,38 @@ mod tests {
         let o = m.object(5).unwrap();
         assert_eq!(o.placement_actions, 3);
         assert_eq!(o.replica_delta, 1); // +1 −1 +1
-        assert_eq!(m.re_replications(), 1);
+        assert_eq!(m.tally().re_replications, 1);
         assert_eq!(m.placement_counts()["drop"], 1);
     }
 
     #[test]
     fn faults_and_failures_update_banner_and_rates() {
-        let mut m = MetricsObserver::new(MetricsConfig {
-            fault_banner: 2,
-            rolling_window: 10.0,
-            ..MetricsConfig::default()
-        });
-        for (i, t) in [1.0, 2.0, 3.0].iter().enumerate() {
+        let mut m = MetricsObserver::default();
+        for i in 1..=FAULT_BANNER + 1 {
             m.fold(&ev(
-                i as u64 + 1,
-                *t,
+                i as u64,
+                i as f64,
                 EventKind::Fault {
                     desc: format!("host-crash {i}"),
                 },
             ));
         }
         m.fold(&ev(
-            4,
-            4.0,
+            FAULT_BANNER as u64 + 2,
+            FAULT_BANNER as f64 + 2.0,
             EventKind::RequestFailed {
                 gateway: 0,
                 object: 1,
                 reason: FailReason::AllReplicasDown,
             },
         ));
-        assert_eq!(m.faults(), 3);
-        assert_eq!(m.failed(), 1);
+        assert_eq!(m.tally().faults, FAULT_BANNER as u64 + 1);
+        assert_eq!(m.tally().failed, 1);
         let banner: Vec<&(f64, String)> = m.recent_faults().collect();
-        assert_eq!(banner.len(), 2, "banner capped");
+        assert_eq!(banner.len(), FAULT_BANNER, "banner capped");
         assert_eq!(banner[0].0, 2.0, "oldest banner entry rotated out");
-        m.finalize(10.0);
-        assert!((m.failed_rate() - 0.1).abs() < 1e-12);
+        m.finalize(ROLLING_WINDOW);
+        assert!((m.failed_rate() - 1.0 / ROLLING_WINDOW).abs() < 1e-12);
     }
 
     #[test]
@@ -751,7 +731,7 @@ mod tests {
         let clone = shared.clone();
         clone.fold(&served(1, 1.0, 3, 2, 0.05, 1));
         clone.finalize(20.0);
-        assert_eq!(shared.with(|m| m.served()), 1);
-        assert_eq!(shared.with(|m| m.max_load().total_count()), 1);
+        assert_eq!(shared.with(|m| m.tally().served), 1);
+        assert_eq!(shared.with(|m| m.tally().max_load.total_count()), 1);
     }
 }

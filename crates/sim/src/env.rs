@@ -45,11 +45,8 @@ impl Simulation {
                 max_host = i as u16;
             }
         }
-        self.metrics.max_load.record(now, max);
+        self.metrics.tally.max_load.record(now, max);
         self.metrics.max_load_host.push((now, max_host, max));
-        for obs in &mut self.events.observers {
-            obs.on_load_sample(now, max);
-        }
         // Replica census for Table 2 (sampled here rather than at
         // placement epochs so static runs are covered too). The
         // directory maintains the total incrementally, so this no longer
@@ -144,17 +141,8 @@ impl Simulation {
                 );
             }
         }
-        let log_before = self.metrics.relocation_log.len();
         self.metrics
             .record_placement(now, i as u16, &self.placement_outcome);
-        if !self.events.observers.is_empty() {
-            for k in log_before..self.metrics.relocation_log.len() {
-                let event = self.metrics.relocation_log[k];
-                for obs in &mut self.events.observers {
-                    obs.on_relocation(&event);
-                }
-            }
-        }
         std::mem::swap(&mut self.hosts[i], &mut self.spare_host);
         self.debug_check_invariants();
         let next = t + SimDuration::from_secs(self.scenario.params.placement_period);
@@ -218,8 +206,10 @@ impl Simulation {
             self.charge_links(primary, target, bytes);
         }
         let version = self.redirector.bump_update_version(object);
+        let class = class_tag(kind);
         self.metrics
-            .record_update(now, bytes_hops as f64, reassigned, class_index(kind));
+            .tally
+            .record_update(now, class, bytes_hops as f64, reassigned);
         if matches!(kind, ObjectKind::Immutable | ObjectKind::CommutingUpdates) {
             // Asynchronous propagation: each secondary learns the new
             // version one store-and-forward transfer later.
@@ -244,7 +234,7 @@ impl Simulation {
                 0,
                 ObsEventKind::ProviderUpdate(ProviderUpdateEvent {
                     object: object.index() as u32,
-                    class: class_tag(kind),
+                    class,
                     version,
                     primary: primary.index() as u16,
                     targets: targets.len() as u16,
@@ -270,14 +260,13 @@ impl Simulation {
     ) {
         let now = t.as_secs();
         let lag = (t - issued).as_secs();
-        let kind = self.catalog.kind(object);
+        let class = class_tag(self.catalog.kind(object));
         let wasted = !self
             .redirector
             .replicas(object)
             .iter()
             .any(|r| r.host == target);
-        self.metrics
-            .record_update_delivery(class_index(kind), lag, wasted);
+        self.metrics.tally.record_delivery(class, lag, wasted);
         if self.events.tracing {
             let qd = self.depth();
             self.events.emit(
@@ -287,7 +276,7 @@ impl Simulation {
                 ObsEventKind::UpdateDelivered(UpdateDeliveredEvent {
                     object: object.index() as u32,
                     host: target.index() as u16,
-                    class: class_tag(kind),
+                    class,
                     version,
                     lag,
                     wasted,
@@ -297,18 +286,8 @@ impl Simulation {
     }
 }
 
-/// The §5 taxonomy index of an object kind (0 = type-1, 1 = type-2,
-/// 2 = type-3), used by the metrics layer's per-class accounting.
-fn class_index(kind: ObjectKind) -> usize {
-    match kind {
-        ObjectKind::Immutable => 0,
-        ObjectKind::CommutingUpdates => 1,
-        ObjectKind::NonCommuting { .. } => 2,
-    }
-}
-
-/// The flight recorder's interned tag for an object's consistency
-/// class.
+/// The §5 consistency class of an object kind, as the metrics tally
+/// and the flight recorder name it.
 fn class_tag(kind: ObjectKind) -> ConsistencyClass {
     match kind {
         ObjectKind::Immutable => ConsistencyClass::Type1,

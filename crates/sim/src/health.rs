@@ -36,7 +36,7 @@ impl Simulation {
         let transition = self.fault_schedule[index];
         let now = t.as_secs();
         let routes_dirty = self.fault_state.apply(transition.kind);
-        self.metrics.faults_injected += 1;
+        self.metrics.tally.faults += 1;
         if self.events.tracing {
             let qd = self.depth();
             self.events.emit(
@@ -47,9 +47,6 @@ impl Simulation {
                     desc: transition_desc(transition.kind),
                 },
             );
-        }
-        for obs in &mut self.events.observers {
-            obs.on_fault(&transition);
         }
         match transition.kind {
             TransitionKind::HostCrash(h) => {
@@ -253,7 +250,7 @@ impl Simulation {
                     p
                 };
                 self.install(object, target);
-                self.metrics.re_replications += 1;
+                self.metrics.tally.re_replications += 1;
                 if self.events.tracing {
                     let qd = self.depth();
                     self.events.emit(
@@ -266,9 +263,6 @@ impl Simulation {
                             elapsed,
                         },
                     );
-                }
-                for obs in &mut self.events.observers {
-                    obs.on_re_replication(now, i, target.index() as u16, elapsed);
                 }
             }
             self.refresh_one(now, object);

@@ -77,8 +77,8 @@ pub use config::{
 };
 pub use faults::{Fault, FaultError, FaultSpec, FaultTransition, TransitionKind};
 pub use json::protocol_health_json;
-pub use metrics::{LoadEstimateSample, Metrics, RelocationAction, RelocationEvent};
-pub use observer::{FailureReason, Observer, RequestRecord};
+pub use metrics::{LoadEstimateSample, Metrics, RelocationEvent};
+pub use observer::{Observer, RequestRecord};
 pub use placement_policy::{PlacementPolicy, RadarPlacement};
 pub use platform::Simulation;
 pub use report::{ReplicaCensus, RunReport};

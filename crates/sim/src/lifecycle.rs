@@ -15,18 +15,9 @@ use radar_simcore::{SimDuration, SimTime};
 use radar_simnet::NodeId;
 
 use crate::config::MAX_CLOCK_SECS;
-use crate::observer::{FailureReason, RequestRecord};
+use crate::observer::RequestRecord;
 use crate::platform::{Event, Simulation};
 use crate::trace::TraceEntry;
-
-/// The flight-recorder tag for a simulation-level failure reason.
-fn fail_reason_tag(reason: FailureReason) -> FailReason {
-    match reason {
-        FailureReason::AllReplicasDown => FailReason::AllReplicasDown,
-        FailureReason::Unreachable => FailReason::Unreachable,
-        FailureReason::CrashedMidService => FailReason::CrashedMidService,
-    }
-}
 
 /// Fills a flight-recorder [`DecisionEvent`] from a redirect outcome.
 /// `explanation` is `Some` when the Fig. 2 branch data was captured;
@@ -138,26 +129,22 @@ impl Simulation {
         t: SimTime,
         object: ObjectId,
         gateway: NodeId,
-        reason: FailureReason,
+        reason: FailReason,
         cause: u64,
     ) {
-        self.metrics.failed_requests += 1;
-        let now = t.as_secs();
+        self.metrics.tally.failed += 1;
         if self.events.tracing {
             let qd = self.depth();
             self.events.emit(
-                now,
+                t.as_secs(),
                 qd,
                 cause,
                 ObsEventKind::RequestFailed {
                     gateway: gateway.index() as u16,
                     object: object.index() as u32,
-                    reason: fail_reason_tag(reason),
+                    reason,
                 },
             );
-        }
-        for obs in &mut self.events.observers {
-            obs.on_request_failed(now, object.index() as u32, gateway.index() as u16, reason);
         }
     }
 
@@ -181,7 +168,7 @@ impl Simulation {
         let cause = self.emit_arrival(t, object, gateway);
         let rnode = self.redirector_node_of(object);
         if !self.connected(gateway, rnode) {
-            self.fail_request(t, object, gateway, FailureReason::Unreachable, cause);
+            self.fail_request(t, object, gateway, FailReason::Unreachable, cause);
             return;
         }
         let delay = self.propagation(gateway, rnode);
@@ -234,7 +221,7 @@ impl Simulation {
         let cause = self.emit_arrival(t, object, gateway);
         let rnode = self.redirector_node_of(object);
         if !self.connected(gateway, rnode) {
-            self.fail_request(t, object, gateway, FailureReason::Unreachable, cause);
+            self.fail_request(t, object, gateway, FailReason::Unreachable, cause);
             return;
         }
         let delay = self.propagation(gateway, rnode);
@@ -259,20 +246,15 @@ impl Simulation {
     ) {
         let rnode = self.redirector_node_of(object);
         self.metrics.redirector_requests[rnode.index()] += 1;
-        // When tracing, the chosen path fills `explain_scratch` in place
-        // and sets this flag — no per-request explanation allocation.
-        let mut explained = false;
-        let chosen = if self.selection.delegates_to_fig2() {
+        let fig2 = self.selection.delegates_to_fig2();
+        let chosen = if fig2 {
             // The engine applies the same usability filter and distance
             // source as the policy path below, into one reused buffer
-            // and without the trait's dynamic calls.
-            let explanation = if self.events.tracing {
-                explained = true;
-                Some(&mut self.explain_scratch)
-            } else {
-                None
-            };
-            let pick = self.redirect.choose(
+            // and without the trait's dynamic calls. When tracing it
+            // fills `explain_scratch` in place — no per-request
+            // explanation allocation.
+            let explanation = self.events.tracing.then_some(&mut self.explain_scratch);
+            self.redirect.choose(
                 object,
                 gateway,
                 rnode,
@@ -280,14 +262,11 @@ impl Simulation {
                 &self.view,
                 &self.fault_state,
                 explanation,
-            );
-            if pick.is_none() {
-                explained = false;
-            }
-            pick
+            )
         } else {
             // A replica is usable when its host is up and traffic can
-            // flow redirector → host and host → gateway.
+            // flow redirector → host and host → gateway. Baselines have
+            // no Fig. 2 data, so their decisions are traced as `policy`.
             let fault_state = &self.fault_state;
             let view = &self.view;
             let usable = |h: NodeId| {
@@ -295,29 +274,15 @@ impl Simulation {
                     && !view.path(rnode, h).is_empty()
                     && !view.path(h, gateway).is_empty()
             };
-            if self.events.tracing {
-                let (pick, explanation) = self.selection.choose_available_explained(
-                    object,
-                    gateway,
-                    &mut self.redirector,
-                    self.view.table(),
-                    &usable,
-                );
-                if let Some(e) = explanation {
-                    self.explain_scratch = e;
-                    explained = true;
-                }
-                pick
-            } else {
-                self.selection.choose_available(
-                    object,
-                    gateway,
-                    &mut self.redirector,
-                    self.view.table(),
-                    &usable,
-                )
-            }
+            self.selection.choose_available(
+                object,
+                gateway,
+                &mut self.redirector,
+                self.view.table(),
+                &usable,
+            )
         };
+        let explained = fig2 && self.events.tracing && chosen.is_some();
         let mut fallback_used = false;
         let host = match chosen {
             Some(h) => h,
@@ -341,9 +306,9 @@ impl Simulation {
                         .iter()
                         .any(|r| self.fault_state.host_up(r.host.index() as u16));
                     let reason = if any_live {
-                        FailureReason::Unreachable
+                        FailReason::Unreachable
                     } else {
-                        FailureReason::AllReplicasDown
+                        FailReason::AllReplicasDown
                     };
                     self.fail_request(t, object, gateway, reason, cause);
                     return;
@@ -400,7 +365,7 @@ impl Simulation {
         let i = host.index();
         if !self.fault_state.host_up(i as u16) {
             // The host crashed while the redirect was in flight.
-            self.fail_request(t, object, gateway, FailureReason::CrashedMidService, cause);
+            self.fail_request(t, object, gateway, FailReason::CrashedMidService, cause);
             return;
         }
         // Record the preference path (host → gateway) for placement.
@@ -442,14 +407,14 @@ impl Simulation {
         if epoch != self.host_epoch[i] {
             // The host crashed while this request was queued or in
             // service; the work is lost.
-            self.fail_request(t, object, gateway, FailureReason::CrashedMidService, cause);
+            self.fail_request(t, object, gateway, FailReason::CrashedMidService, cause);
             return;
         }
         self.hosts[i].record_serviced(t.as_secs(), object);
         if !self.connected(host, gateway) {
             // The response has nowhere to go: a partition opened while
             // the request was in service.
-            self.fail_request(t, object, gateway, FailureReason::Unreachable, cause);
+            self.fail_request(t, object, gateway, FailReason::Unreachable, cause);
             return;
         }
         let hops = self.view.distance(host, gateway);

@@ -1,6 +1,7 @@
 //! In-flight measurement collection.
 
-use radar_stats::{BinSpec, OnlineSummary, P2Quantile, TimeSeries};
+use radar_obs::{PlacementActionKind, Tally};
+use radar_stats::{BinSpec, OnlineSummary, TimeSeries};
 
 /// One Fig. 8b sample: a host's actual measured load together with the
 /// protocol's upper and lower estimates at the same instant.
@@ -16,24 +17,6 @@ pub struct LoadEstimateSample {
     pub lower: f64,
 }
 
-/// One entry in the relocation log: what a placement run did to one
-/// object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RelocationAction {
-    /// Proximity-driven migration.
-    GeoMigrate,
-    /// Proximity-driven replication.
-    GeoReplicate,
-    /// Offload migration.
-    LoadMigrate,
-    /// Offload replication.
-    LoadReplicate,
-    /// Replica dropped.
-    Drop,
-    /// Affinity unit shed, replica kept.
-    AffinityReduce,
-}
-
 /// A timestamped relocation-log record (for debugging and analysis).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelocationEvent {
@@ -45,39 +28,30 @@ pub struct RelocationEvent {
     pub object: u32,
     /// The recipient node, when the action has one.
     pub target: Option<u16>,
-    /// What happened.
-    pub action: RelocationAction,
+    /// What happened (never [`PlacementActionKind::DropRefused`]: a
+    /// refused drop changes nothing).
+    pub action: PlacementActionKind,
 }
 
 /// Everything the simulator measures while running. Finalized into a
 /// [`crate::RunReport`] at the end of a run.
 #[derive(Debug, Clone)]
 pub struct Metrics {
-    /// Response traffic, bytes×hops per bin (the paper's bandwidth
-    /// metric).
-    pub client_bandwidth: TimeSeries,
+    /// The accounting shared with the event-stream fold
+    /// ([`radar_obs::MetricsObserver`]): served and failed requests,
+    /// latency, client bandwidth, the max-load series, faults,
+    /// re-replications and the §5 update traffic.
+    pub tally: Tally,
     /// Relocation traffic (object copies), bytes×hops per bin (Fig. 7).
     pub overhead_bandwidth: TimeSeries,
-    /// Provider-update propagation traffic, bytes×hops per bin (§5).
-    pub update_bandwidth: TimeSeries,
-    /// Response latency samples per bin (read means for Fig. 6).
+    /// Response latency samples per bin, binned at delivery (read means
+    /// for Fig. 6).
     pub latency: TimeSeries,
-    /// Maximum measured host load, sampled every measurement interval
-    /// (Fig. 8a).
-    pub max_load: TimeSeries,
     /// Load-estimate samples of the tracked host (Fig. 8b).
     pub load_estimates: Vec<LoadEstimateSample>,
     /// `(t, average physical replicas per object)` sampled at placement
     /// epochs (Table 2).
     pub replica_series: Vec<(f64, f64)>,
-    /// Whole-run latency summary.
-    pub latency_summary: OnlineSummary,
-    /// Streaming median latency estimator.
-    pub latency_p50: P2Quantile,
-    /// Streaming 99th-percentile latency estimator.
-    pub latency_p99: P2Quantile,
-    /// Requests fully delivered.
-    pub total_requests: u64,
     /// Geo-migrations performed.
     pub geo_migrations: u64,
     /// Geo-replications performed.
@@ -113,42 +87,15 @@ pub struct Metrics {
     pub queueing_delay: OnlineSummary,
     /// Response travel time (host → gateway, store-and-forward).
     pub response_travel: OnlineSummary,
-    /// Provider updates propagated (§5).
-    pub updates_propagated: u64,
-    /// Provider updates per consistency class: `[type-1, type-2,
-    /// type-3]`.
-    pub updates_by_class: [u64; 3],
-    /// Asynchronous update deliveries applied at replicas (type-1 and
-    /// type-2 objects).
-    pub update_deliveries: u64,
-    /// Deliveries that found their target replica already gone.
-    pub wasted_deliveries: u64,
-    /// Commuting updates merged at type-2 replicas.
-    pub updates_merged: u64,
-    /// Per-replica staleness of applied type-1 deliveries (seconds).
-    pub update_lag_type1: OnlineSummary,
-    /// Per-replica staleness of applied type-2 deliveries (seconds).
-    pub update_lag_type2: OnlineSummary,
-    /// Times the primary copy had to be reassigned because its host no
-    /// longer held the object.
-    pub primary_reassignments: u64,
-    /// Requests that could not be served because every candidate replica
-    /// was crashed or unreachable (fault injection, §7 of DESIGN.md).
-    pub failed_requests: u64,
     /// Requests salvaged by falling back to the object's primary copy
     /// after the redirector found no live regular replica.
     pub primary_fallbacks: u64,
-    /// Replicas recreated by the catalog's re-replication sweep after a
-    /// crash dropped an object below its minimum replica count.
-    pub re_replications: u64,
     /// Total object-seconds spent with zero live replicas (summed over
     /// objects).
     pub unavailable_object_seconds: f64,
     /// Time from an object falling below its minimum replica count to
     /// the sweep restoring it (seconds).
     pub restore_time: OnlineSummary,
-    /// Fault transitions (crash/recover/partition/heal/degrade) applied.
-    pub faults_injected: u64,
 }
 
 impl Metrics {
@@ -156,17 +103,11 @@ impl Metrics {
     /// latency and `measurement_interval`-second bins for load.
     pub fn new(bin: f64, measurement_interval: f64) -> Self {
         Self {
-            client_bandwidth: TimeSeries::new(BinSpec::new(bin)),
+            tally: Tally::new(bin, measurement_interval),
             overhead_bandwidth: TimeSeries::new(BinSpec::new(bin)),
-            update_bandwidth: TimeSeries::new(BinSpec::new(bin)),
             latency: TimeSeries::new(BinSpec::new(bin)),
-            max_load: TimeSeries::new(BinSpec::new(measurement_interval)),
             load_estimates: Vec::new(),
             replica_series: Vec::new(),
-            latency_summary: OnlineSummary::new(),
-            latency_p50: P2Quantile::new(0.5),
-            latency_p99: P2Quantile::new(0.99),
-            total_requests: 0,
             geo_migrations: 0,
             geo_replications: 0,
             offload_migrations: 0,
@@ -181,25 +122,14 @@ impl Metrics {
             redirect_delay: OnlineSummary::new(),
             queueing_delay: OnlineSummary::new(),
             response_travel: OnlineSummary::new(),
-            updates_propagated: 0,
-            updates_by_class: [0; 3],
-            update_deliveries: 0,
-            wasted_deliveries: 0,
-            updates_merged: 0,
-            update_lag_type1: OnlineSummary::new(),
-            update_lag_type2: OnlineSummary::new(),
-            primary_reassignments: 0,
-            failed_requests: 0,
             primary_fallbacks: 0,
-            re_replications: 0,
             unavailable_object_seconds: 0.0,
             restore_time: OnlineSummary::new(),
-            faults_injected: 0,
         }
     }
 
-    /// Records a delivered response: latency sample at delivery time and
-    /// `bytes×hops` of client bandwidth at send time.
+    /// Records a delivered response: the shared tally at send time and
+    /// the latency sample at delivery time.
     pub fn record_response(
         &mut self,
         sent_at: f64,
@@ -207,56 +137,13 @@ impl Metrics {
         latency: f64,
         bytes_hops: f64,
     ) {
-        self.total_requests += 1;
-        self.client_bandwidth.record(sent_at, bytes_hops);
+        self.tally.record_served(sent_at, latency, bytes_hops);
         self.latency.record(delivered_at, latency);
-        self.latency_summary.record(latency);
-        self.latency_p50.record(latency);
-        self.latency_p99.record(latency);
     }
 
     /// Records `bytes×hops` of relocation (overhead) traffic.
     pub fn record_overhead(&mut self, t: f64, bytes_hops: f64) {
         self.overhead_bandwidth.record(t, bytes_hops);
-    }
-
-    /// Records one propagated provider update and its traffic.
-    /// `class` is the §5 taxonomy index (0 = type-1, 1 = type-2,
-    /// 2 = type-3).
-    pub fn record_update(
-        &mut self,
-        t: f64,
-        bytes_hops: f64,
-        reassigned_primary: bool,
-        class: usize,
-    ) {
-        self.updates_propagated += 1;
-        self.updates_by_class[class] += 1;
-        self.update_bandwidth.record(t, bytes_hops);
-        if reassigned_primary {
-            self.primary_reassignments += 1;
-        }
-    }
-
-    /// Records one asynchronous update delivery at a replica. `lag` is
-    /// the replica's staleness window for this version; `wasted` means
-    /// the target replica was gone by delivery time (the lag sample is
-    /// then discarded — there is no replica to be stale). Type-2
-    /// deliveries additionally count as merges.
-    pub fn record_update_delivery(&mut self, class: usize, lag: f64, wasted: bool) {
-        if wasted {
-            self.wasted_deliveries += 1;
-            return;
-        }
-        self.update_deliveries += 1;
-        match class {
-            0 => self.update_lag_type1.record(lag),
-            1 => {
-                self.update_lag_type2.record(lag);
-                self.updates_merged += 1;
-            }
-            _ => {}
-        }
     }
 
     /// Folds one host's placement outcome into the relocation counters
@@ -274,7 +161,7 @@ impl Metrics {
         self.drops += outcome.drops.len() as u64;
         self.affinity_reductions += outcome.affinity_reductions.len() as u64;
         let mut log =
-            |object: radar_core::ObjectId, target: Option<u16>, action: RelocationAction| {
+            |object: radar_core::ObjectId, target: Option<u16>, action: PlacementActionKind| {
                 self.relocation_log.push(RelocationEvent {
                     t,
                     host,
@@ -284,31 +171,27 @@ impl Metrics {
                 });
             };
         for &(x, p) in &outcome.geo_migrations {
-            log(x, Some(p.index() as u16), RelocationAction::GeoMigrate);
+            log(x, Some(p.index() as u16), PlacementActionKind::GeoMigrate);
         }
         for &(x, p) in &outcome.geo_replications {
-            log(x, Some(p.index() as u16), RelocationAction::GeoReplicate);
+            log(x, Some(p.index() as u16), PlacementActionKind::GeoReplicate);
         }
         for &(x, p) in &outcome.offload_migrations {
-            log(x, Some(p.index() as u16), RelocationAction::LoadMigrate);
+            log(x, Some(p.index() as u16), PlacementActionKind::LoadMigrate);
         }
         for &(x, p) in &outcome.offload_replications {
-            log(x, Some(p.index() as u16), RelocationAction::LoadReplicate);
+            log(
+                x,
+                Some(p.index() as u16),
+                PlacementActionKind::LoadReplicate,
+            );
         }
         for &x in &outcome.drops {
-            log(x, None, RelocationAction::Drop);
+            log(x, None, PlacementActionKind::Drop);
         }
         for &x in &outcome.affinity_reductions {
-            log(x, None, RelocationAction::AffinityReduce);
+            log(x, None, PlacementActionKind::AffinityReduce);
         }
-    }
-
-    /// Total relocations (migrations + replications) so far.
-    pub fn relocations(&self) -> u64 {
-        self.geo_migrations
-            + self.geo_replications
-            + self.offload_migrations
-            + self.offload_replications
     }
 }
 
@@ -321,10 +204,10 @@ mod tests {
         let mut m = Metrics::new(100.0, 20.0);
         m.record_response(10.0, 10.5, 0.5, 36_000.0);
         m.record_response(110.0, 110.3, 0.3, 24_000.0);
-        assert_eq!(m.total_requests, 2);
-        assert_eq!(m.client_bandwidth.bin_sum(0), 36_000.0);
-        assert_eq!(m.client_bandwidth.bin_sum(1), 24_000.0);
-        assert_eq!(m.latency_summary.mean(), Some(0.4));
+        assert_eq!(m.tally.served, 2);
+        assert_eq!(m.tally.client_bandwidth.bin_sum(0), 36_000.0);
+        assert_eq!(m.tally.client_bandwidth.bin_sum(1), 24_000.0);
+        assert_eq!(m.tally.latency.mean(), Some(0.4));
         assert_eq!(m.latency.bin_mean(1), Some(0.3));
     }
 
@@ -333,7 +216,7 @@ mod tests {
         let mut m = Metrics::new(100.0, 20.0);
         m.record_overhead(5.0, 1000.0);
         assert_eq!(m.overhead_bandwidth.bin_sum(0), 1000.0);
-        assert_eq!(m.client_bandwidth.bin_sum(0), 0.0);
+        assert_eq!(m.tally.client_bandwidth.bin_sum(0), 0.0);
     }
 
     #[test]
@@ -353,9 +236,9 @@ mod tests {
         assert_eq!(m.geo_replications, 1);
         assert_eq!(m.offload_migrations, 1);
         assert_eq!(m.drops, 2);
-        assert_eq!(m.relocations(), 3);
+        assert_eq!(m.offload_replications, 0);
         assert_eq!(m.relocation_log.len(), 5);
-        assert_eq!(m.relocation_log[0].action, RelocationAction::GeoMigrate);
+        assert_eq!(m.relocation_log[0].action, PlacementActionKind::GeoMigrate);
         assert_eq!(m.relocation_log[0].host, 7);
     }
 }

@@ -389,7 +389,7 @@ impl Simulation {
     /// events. Multiple observers are invoked in attachment order.
     ///
     /// Attaching an observer whose [`Observer::wants_events`] returns
-    /// `true` (e.g. a [`radar_obs::Recorder`]) switches on the flight
+    /// `true` (e.g. a [`radar_obs::SharedRecorder`]) switches on the flight
     /// recorder: the platform then builds and delivers the typed
     /// [`radar_obs::Event`] feed — decision snapshots, placement
     /// explanations, causal parents.
@@ -399,8 +399,7 @@ impl Simulation {
 
     /// Enables event-loop profiling: each handled event is timed and
     /// binned by type, together with queue-depth samples. The profile
-    /// is delivered to observers via [`Observer::on_loop_profile`] and
-    /// returned in [`RunReport::loop_profile`]. Wall-clock numbers stay
+    /// is returned in [`RunReport::loop_profile`]. Wall-clock numbers stay
     /// out of the event stream and the report JSON, so profiling never
     /// perturbs determinism of recorded outputs.
     pub fn enable_loop_profile(&mut self) {
@@ -424,7 +423,6 @@ impl Simulation {
         let ledger = SharedObjectLedger::new(LedgerConfig {
             object_size: self.scenario.object_size,
             churn_window: 2.0 * self.scenario.params.placement_period,
-            ..LedgerConfig::default()
         });
         self.attach_observer(Box::new(ledger.clone()));
         self.object_ledger = Some(ledger.clone());
@@ -686,11 +684,6 @@ impl Simulation {
             .map(|(&(a, b), &bytes)| ((a.index() as u16, b.index() as u16), bytes))
             .collect();
         let profile = self.profile.take();
-        if let Some(profile) = &profile {
-            for obs in &mut self.events.observers {
-                obs.on_loop_profile(profile);
-            }
-        }
         let mut report = RunReport::from_metrics(
             self.metrics,
             self.workload.name().to_string(),

@@ -159,21 +159,22 @@ impl RunReport {
         dynamic_placement: bool,
         duration: f64,
     ) -> Self {
+        let tally = metrics.tally;
         Self {
             workload,
             policy,
             placement_policy,
             dynamic_placement,
             duration,
-            total_requests: metrics.total_requests,
-            latency: metrics.latency_summary.snapshot(),
-            latency_p50: metrics.latency_p50.estimate().unwrap_or(0.0),
-            latency_p99: metrics.latency_p99.estimate().unwrap_or(0.0),
-            client_bandwidth: metrics.client_bandwidth,
+            total_requests: tally.served,
+            latency: tally.latency.snapshot(),
+            latency_p50: tally.latency_p50.estimate().unwrap_or(0.0),
+            latency_p99: tally.latency_p99.estimate().unwrap_or(0.0),
+            client_bandwidth: tally.client_bandwidth,
             overhead_bandwidth: metrics.overhead_bandwidth,
-            update_bandwidth: metrics.update_bandwidth,
+            update_bandwidth: tally.update_bandwidth,
             latency_series: metrics.latency,
-            max_load: metrics.max_load,
+            max_load: tally.max_load,
             load_estimates: metrics.load_estimates,
             replica_series: metrics
                 .replica_series
@@ -204,20 +205,20 @@ impl RunReport {
             redirect_delay: metrics.redirect_delay.snapshot(),
             queueing_delay: metrics.queueing_delay.snapshot(),
             response_travel: metrics.response_travel.snapshot(),
-            updates_propagated: metrics.updates_propagated,
-            updates_by_class: metrics.updates_by_class,
-            update_deliveries: metrics.update_deliveries,
-            wasted_deliveries: metrics.wasted_deliveries,
-            updates_merged: metrics.updates_merged,
-            update_lag_type1: metrics.update_lag_type1.snapshot(),
-            update_lag_type2: metrics.update_lag_type2.snapshot(),
-            primary_reassignments: metrics.primary_reassignments,
-            failed_requests: metrics.failed_requests,
+            updates_propagated: tally.updates,
+            updates_by_class: tally.updates_by_class,
+            update_deliveries: tally.update_deliveries,
+            wasted_deliveries: tally.wasted_deliveries,
+            updates_merged: tally.updates_merged,
+            update_lag_type1: tally.update_lag_type1.snapshot(),
+            update_lag_type2: tally.update_lag_type2.snapshot(),
+            primary_reassignments: tally.primary_reassignments,
+            failed_requests: tally.failed,
             primary_fallbacks: metrics.primary_fallbacks,
-            re_replications: metrics.re_replications,
+            re_replications: tally.re_replications,
             unavailable_object_seconds: metrics.unavailable_object_seconds,
             restore_time: metrics.restore_time.snapshot(),
-            faults_injected: metrics.faults_injected,
+            faults_injected: tally.faults,
             loop_profile: None,
             shard_profile: None,
             protocol_health: None,
@@ -436,9 +437,9 @@ mod tests {
     #[test]
     fn peak_load_from_series() {
         let mut m = Metrics::new(100.0, 20.0);
-        m.max_load.record(0.0, 95.0);
-        m.max_load.record(20.0, 60.0);
-        m.max_load.record(40.0, 70.0);
+        m.tally.max_load.record(0.0, 95.0);
+        m.tally.max_load.record(20.0, 60.0);
+        m.tally.max_load.record(40.0, 70.0);
         let r = RunReport::from_metrics(m, "w".into(), "p".into(), "radar".into(), true, 60.0);
         assert_eq!(r.peak_load(), 95.0);
         assert_eq!(r.peak_load_after(1), 70.0);

@@ -5,7 +5,7 @@
 //! `radar-baselines` crate and implement the same [`SelectionPolicy`]
 //! trait, so every policy runs against identical replica bookkeeping.
 
-use radar_core::{ChoiceExplanation, ObjectId, Redirector};
+use radar_core::{ObjectId, Redirector};
 use radar_simnet::{NodeId, RoutingTable};
 
 /// Chooses which replica serves a request. Implementations may keep
@@ -42,26 +42,6 @@ pub trait SelectionPolicy: Send {
     ) -> Option<NodeId> {
         self.choose(object, gateway, redirector, routes)
             .filter(|&h| usable(h))
-    }
-
-    /// [`choose_available`](Self::choose_available) that additionally
-    /// returns a [`ChoiceExplanation`] when the policy can produce one —
-    /// the flight recorder's entry point. The default implementation
-    /// delegates to [`choose_available`](Self::choose_available) with no
-    /// explanation (baseline policies have no Fig. 2 data); the platform
-    /// only calls this variant when event tracing is on.
-    fn choose_available_explained(
-        &mut self,
-        object: ObjectId,
-        gateway: NodeId,
-        redirector: &mut Redirector,
-        routes: &RoutingTable,
-        usable: &dyn Fn(NodeId) -> bool,
-    ) -> (Option<NodeId>, Option<ChoiceExplanation>) {
-        (
-            self.choose_available(object, gateway, redirector, routes, usable),
-            None,
-        )
     }
 
     /// Policy name for reports.
@@ -109,20 +89,6 @@ impl SelectionPolicy for RadarSelection {
         usable: &dyn Fn(NodeId) -> bool,
     ) -> Option<NodeId> {
         redirector.choose_replica_filtered(object, gateway, routes, usable)
-    }
-
-    fn choose_available_explained(
-        &mut self,
-        object: ObjectId,
-        gateway: NodeId,
-        redirector: &mut Redirector,
-        routes: &RoutingTable,
-        usable: &dyn Fn(NodeId) -> bool,
-    ) -> (Option<NodeId>, Option<ChoiceExplanation>) {
-        match redirector.choose_replica_explained(object, gateway, routes, usable) {
-            Some((host, expl)) => (Some(host), Some(expl)),
-            None => (None, None),
-        }
     }
 
     fn name(&self) -> &str {
@@ -203,18 +169,6 @@ mod tests {
             policy.choose_available(x, NodeId::new(1), &mut redirector, &routes, &node0_down),
             None
         );
-
-        // And the default explained variant carries the same pick with
-        // no explanation attached.
-        let (host, explanation) = policy.choose_available_explained(
-            x,
-            NodeId::new(1),
-            &mut redirector,
-            &routes,
-            &node0_down,
-        );
-        assert_eq!(host, None);
-        assert!(explanation.is_none());
 
         // Contrast: the protocol's own policy re-selects among usable
         // replicas instead of failing.

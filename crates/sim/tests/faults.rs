@@ -3,7 +3,8 @@
 //! seed-deterministic, and declared-dead hosts must have their objects
 //! re-replicated onto live hosts.
 
-use radar_sim::{FaultSpec, FaultTransition, Observer, RequestRecord, Scenario, Simulation};
+use radar_sim::obs::{Event, EventKind};
+use radar_sim::{FaultSpec, Observer, RequestRecord, Scenario, Simulation};
 use radar_workload::ZipfReeds;
 use std::sync::{Arc, Mutex};
 
@@ -47,18 +48,16 @@ impl Observer for SharedRecorder {
         self.0.lock().unwrap().served.push(*record);
     }
 
-    fn on_request_failed(
-        &mut self,
-        _t: f64,
-        _object: u32,
-        _gateway: u16,
-        _reason: radar_sim::FailureReason,
-    ) {
-        self.0.lock().unwrap().failed += 1;
+    fn wants_events(&self) -> bool {
+        true
     }
 
-    fn on_fault(&mut self, _transition: &FaultTransition) {
-        self.0.lock().unwrap().transitions += 1;
+    fn on_event(&mut self, event: &Event) {
+        match event.kind {
+            EventKind::RequestFailed { .. } => self.0.lock().unwrap().failed += 1,
+            EventKind::Fault { .. } => self.0.lock().unwrap().transitions += 1,
+            _ => {}
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! code changes.
 
 use radar_sim::obs::SharedRecorder;
-use radar_sim::{FaultSpec, FaultTransition, Observer, RequestRecord, Scenario, Simulation};
+use radar_sim::{FaultSpec, Observer, RequestRecord, Scenario, Simulation};
 use radar_workload::ZipfReeds;
 use std::sync::{Arc, Mutex};
 
@@ -70,7 +70,7 @@ fn seeded_runs_are_byte_identical_under_faults() {
     }
 }
 
-/// One `(observer name, hook name, event time)` record.
+/// One `(observer name, hook or event type, event time)` record.
 type HookRecord = (&'static str, &'static str, f64);
 
 /// Tags every hook invocation with the observer's name, into a shared
@@ -86,26 +86,18 @@ impl Observer for HookLogger {
         self.log
             .lock()
             .unwrap()
-            .push((self.name, "served", record.delivered));
+            .push((self.name, "on_request_served", record.delivered));
     }
 
-    fn on_load_sample(&mut self, t: f64, _max_load: f64) {
-        self.log.lock().unwrap().push((self.name, "load", t));
+    fn wants_events(&self) -> bool {
+        true
     }
 
-    fn on_fault(&mut self, transition: &FaultTransition) {
+    fn on_event(&mut self, event: &radar_sim::obs::Event) {
         self.log
             .lock()
             .unwrap()
-            .push((self.name, "fault", transition.t));
-    }
-
-    fn on_loop_profile(&mut self, profile: &radar_sim::obs::LoopProfile) {
-        assert!(
-            profile.total_events() > 0,
-            "profile delivered to observers must not be empty"
-        );
-        self.log.lock().unwrap().push((self.name, "profile", -1.0));
+            .push((self.name, event.type_name(), event.t));
     }
 }
 
@@ -124,7 +116,7 @@ fn observers_see_every_hook_in_attachment_order() {
     sim.attach_observer(Box::new(first));
     sim.attach_observer(Box::new(second));
     sim.enable_loop_profile();
-    let _report = sim.run();
+    let report = sim.run();
 
     let log = log.lock().unwrap();
     assert!(!log.is_empty(), "no hooks fired");
@@ -143,9 +135,11 @@ fn observers_see_every_hook_in_attachment_order() {
             "observers saw different hooks"
         );
     }
-    // The profile hook fired exactly once per observer, at finalization.
-    let profiles = log.iter().filter(|(_, hook, _)| *hook == "profile").count();
-    assert_eq!(profiles, 2);
-    assert_eq!(log[log.len() - 2].1, "profile");
-    assert_eq!(log[log.len() - 1].1, "profile");
+    // Both feeds reached both observers, faults included.
+    for hook in ["on_request_served", "fault", "placement"] {
+        assert!(log.iter().any(|r| r.1 == hook), "no {hook} hook fired");
+    }
+    // The loop profile is returned with the report, not fed to observers.
+    let profile = report.loop_profile.expect("profiling was enabled");
+    assert!(profile.total_events() > 0, "profile must not be empty");
 }

@@ -436,6 +436,7 @@ fn latency_breakdown_components_sum_to_total() {
 
 #[test]
 fn observers_receive_every_event_class() {
+    use radar_sim::obs::{EventKind, MetricsConfig, PlacementActionKind, SharedMetrics};
     use radar_sim::{Observer, RequestRecord};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -444,7 +445,6 @@ fn observers_receive_every_event_class() {
     struct Counter {
         requests: Arc<AtomicU64>,
         relocations: Arc<AtomicU64>,
-        samples: Arc<AtomicU64>,
     }
     impl Observer for Counter {
         fn on_request_served(&mut self, r: &RequestRecord) {
@@ -452,36 +452,45 @@ fn observers_receive_every_event_class() {
             assert!((r.host as usize) < 53 && (r.gateway as usize) < 53);
             self.requests.fetch_add(1, Ordering::Relaxed);
         }
-        fn on_relocation(&mut self, _e: &radar_sim::RelocationEvent) {
-            self.relocations.fetch_add(1, Ordering::Relaxed);
+        fn wants_events(&self) -> bool {
+            true
         }
-        fn on_load_sample(&mut self, _t: f64, _max: f64) {
-            self.samples.fetch_add(1, Ordering::Relaxed);
+        fn on_event(&mut self, event: &radar_sim::obs::Event) {
+            // A refused drop changes nothing and is not logged.
+            if let EventKind::PlacementAction(p) = &event.kind {
+                if p.action != PlacementActionKind::DropRefused {
+                    self.relocations.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
     }
 
-    let (requests, relocations, samples) = (
-        Arc::new(AtomicU64::new(0)),
-        Arc::new(AtomicU64::new(0)),
-        Arc::new(AtomicU64::new(0)),
-    );
+    let (requests, relocations) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
     let counter = Counter {
         requests: requests.clone(),
         relocations: relocations.clone(),
-        samples: samples.clone(),
     };
     let scenario = small_scenario().duration(300.0).build().unwrap();
+    // Load samples are not events: the metrics fold re-derives them at
+    // every measurement-interval boundary.
+    let (duration, interval) = (scenario.duration, scenario.params.measurement_interval);
+    let samples = SharedMetrics::new(MetricsConfig {
+        load_interval: interval,
+        ..MetricsConfig::default()
+    });
     let mut sim = Simulation::new(scenario, regional_workload(400));
     sim.attach_observer(Box::new(counter));
+    sim.attach_observer(Box::new(samples.clone()));
     sim.run_until(f64::MAX);
     let report = sim.finish();
+    samples.finalize(duration);
     assert_eq!(requests.load(Ordering::Relaxed), report.total_requests);
     assert_eq!(
         relocations.load(Ordering::Relaxed),
         report.relocation_log.len() as u64
     );
     assert_eq!(
-        samples.load(Ordering::Relaxed),
+        samples.with(|m| m.tally().max_load.total_count()),
         report.max_load.total_count()
     );
 }

@@ -9,7 +9,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use radar::sim::{FaultSpec, FaultTransition, Observer, RequestRecord, Scenario, Simulation};
+use radar::obs::{Event, EventKind};
+use radar::sim::{FaultSpec, Observer, RequestRecord, Scenario, Simulation};
 use radar::workload::ZipfReeds;
 
 const OBJECTS: u32 = 2_000;
@@ -21,7 +22,8 @@ const DURATION: f64 = 1_200.0;
 struct Timeline {
     /// `minutes[m] = (served, failed)`.
     minutes: Vec<(u64, u64)>,
-    transitions: Vec<FaultTransition>,
+    /// `(t, description)` of every fault transition.
+    transitions: Vec<(f64, String)>,
 }
 
 impl Timeline {
@@ -47,18 +49,20 @@ impl Observer for SharedTimeline {
         self.0.lock().unwrap().bump(r.entered, false);
     }
 
-    fn on_request_failed(
-        &mut self,
-        t: f64,
-        _object: u32,
-        _gateway: u16,
-        _reason: radar::sim::FailureReason,
-    ) {
-        self.0.lock().unwrap().bump(t, true);
+    // Failures and fault transitions arrive on the flight-recorder feed.
+    fn wants_events(&self) -> bool {
+        true
     }
 
-    fn on_fault(&mut self, transition: &FaultTransition) {
-        self.0.lock().unwrap().transitions.push(*transition);
+    fn on_event(&mut self, event: &Event) {
+        match &event.kind {
+            EventKind::RequestFailed { .. } => self.0.lock().unwrap().bump(event.t, true),
+            EventKind::Fault { desc } => {
+                let mut timeline = self.0.lock().unwrap();
+                timeline.transitions.push((event.t, desc.clone()));
+            }
+            _ => {}
+        }
     }
 }
 
@@ -89,8 +93,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let timeline = timeline.0.lock().expect("run finished");
     println!("fault transitions:");
-    for tr in &timeline.transitions {
-        println!("  t={:>6.0}  {:?}", tr.t, tr.kind);
+    for (t, desc) in &timeline.transitions {
+        println!("  t={t:>6.0}  {desc}");
     }
 
     println!("\nper-minute availability:");

@@ -11,8 +11,16 @@ echo "== tests (debug) =="
 cargo test --workspace
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-echo "== examples build =="
+echo "== examples build and run =="
+# Building proves the examples compile against the API; running them
+# proves the API still does what they print (~17 s on two cores; none
+# writes a file).
 cargo build --release --examples
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  echo "-- $name"
+  "target/release/examples/$name" > /dev/null
+done
 echo "== benches compile and self-test =="
 cargo bench --workspace -- --test
 echo "== golden event-log regression diff =="

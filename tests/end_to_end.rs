@@ -68,7 +68,7 @@ fn relocation_log_is_consistent_with_counters() {
         Box::new(ZipfReeds::new(OBJECTS)),
     )
     .run();
-    use radar::sim::RelocationAction as A;
+    use radar::obs::PlacementActionKind as A;
     let count = |a: A| {
         report
             .relocation_log

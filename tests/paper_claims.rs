@@ -118,7 +118,7 @@ fn swamped_server_sheds_local_overload() {
 /// consecutive epochs on the same host pair.
 #[test]
 fn no_replicate_delete_cycles() {
-    use radar::sim::RelocationAction as A;
+    use radar::obs::PlacementActionKind as A;
     let scenario = Scenario::builder()
         .num_objects(400)
         .node_request_rate(4.0)
