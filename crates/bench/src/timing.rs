@@ -1,81 +1,11 @@
-//! A minimal micro-benchmark driver for the `benches/` targets.
-//!
-//! Each bench target is a plain `harness = false` binary: it builds a
-//! [`Bench`] from its command line and registers closures. Run normally
-//! (`cargo bench`), each closure is auto-calibrated to a measurable
-//! iteration count and its per-iteration time printed; run with `--test`
-//! (as `scripts/check.sh` does), every closure executes exactly once so
-//! the benches are smoke-tested without paying measurement time.
+//! Allocator-call counting for the allocation-budget tests below and
+//! for the repo benchmark's traced binary (`benchmark-traced`), which
+//! installs [`CountingAlloc`] as its global allocator. Wall-clock
+//! timing of the layers lives in `benchmark/run.sh`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-pub use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-/// Measurement time the calibration loop aims for per benchmark.
-const TARGET: Duration = Duration::from_millis(50);
-/// Upper bound on the iteration count, for degenerate sub-ns closures.
-const MAX_ITERS: u64 = 1 << 24;
-
-/// The benchmark driver: registers and times named closures.
-#[derive(Debug)]
-pub struct Bench {
-    test_only: bool,
-}
-
-impl Bench {
-    /// Builds a driver from the process arguments; `--test` switches to
-    /// single-iteration smoke mode (other flags are ignored).
-    pub fn from_args() -> Self {
-        Self {
-            test_only: std::env::args().any(|a| a == "--test"),
-        }
-    }
-
-    /// Times `f`, doubling the iteration count until the measurement
-    /// window is long enough, and prints ns/iteration.
-    pub fn bench(&mut self, name: &str, mut f: impl FnMut()) {
-        let mut iters = 1u64;
-        loop {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            let elapsed = start.elapsed();
-            if self.test_only || elapsed >= TARGET || iters >= MAX_ITERS {
-                report(name, elapsed, iters, self.test_only);
-                return;
-            }
-            iters *= 2;
-        }
-    }
-
-    /// Like [`bench`](Self::bench) but rebuilds fresh state via `setup`
-    /// before every iteration, timing only `routine`.
-    pub fn bench_batched<S>(
-        &mut self,
-        name: &str,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S),
-    ) {
-        let mut iters = 1u64;
-        loop {
-            let mut elapsed = Duration::ZERO;
-            for _ in 0..iters {
-                let state = setup();
-                let start = Instant::now();
-                routine(state);
-                elapsed += start.elapsed();
-            }
-            if self.test_only || elapsed >= TARGET || iters >= MAX_ITERS {
-                report(name, elapsed, iters, self.test_only);
-                return;
-            }
-            iters *= 2;
-        }
-    }
-}
 
 /// Process-wide allocator-call count (allocs plus reallocs) since
 /// start, maintained by [`CountingAlloc`].
@@ -164,15 +94,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-fn report(name: &str, elapsed: Duration, iters: u64, test_only: bool) {
-    if test_only {
-        println!("{name:<44} ok (smoke)");
-    } else {
-        let per_iter = elapsed.as_nanos() as f64 / iters as f64;
-        println!("{name:<44} {per_iter:>14.1} ns/iter  ({iters} iters)");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,14 +112,14 @@ mod tests {
         assert_eq!(delta.allocations, 0, "{delta:?}");
     }
 
-    /// Satellite of the allocation-free hot-path work: once the
-    /// recorder's ring, candidate pool, and sink line buffer are warm,
-    /// tracing a redirect `Decision` event — the hottest event type —
-    /// performs zero heap allocations.
+    /// Once the recorder's line buffer is warm, tracing a redirect
+    /// `Decision` event — the hottest event type — into a sink performs
+    /// zero heap allocations.
     #[test]
     fn traced_decision_event_records_without_allocating() {
         use radar_sim::obs::{
             CandidateSnapshot, DecisionBranch, DecisionEvent, Event, EventKind, Recorder,
+            DEFAULT_CAPACITY,
         };
         let probe = |seq: u64| Event {
             seq,
@@ -226,9 +147,8 @@ mod tests {
                     .collect(),
             }),
         };
-        let mut recorder = Recorder::new(32).with_sink(Box::new(std::io::sink()));
-        // Warm-up: fill the ring past capacity so eviction starts
-        // recycling candidate buffers, and size the sink line buffer.
+        let mut recorder = Recorder::new(DEFAULT_CAPACITY).with_sink(Box::new(std::io::sink()));
+        // Warm-up: size the line buffer.
         for seq in 0..100 {
             recorder.record(&probe(seq));
         }
@@ -242,6 +162,7 @@ mod tests {
             delta.allocations, 0,
             "steady-state decision tracing must not allocate: {delta:?}"
         );
+        assert_eq!(recorder.recorded(), 1_100);
     }
 
     /// Satellite: a warmed-up seed-42 traced run stays within a fixed
@@ -251,7 +172,7 @@ mod tests {
     /// per-epoch placement work alone.
     #[test]
     fn seed42_steady_state_run_stays_within_allocation_budget() {
-        use radar_sim::obs::{Recorder, SharedRecorder};
+        use radar_sim::obs::{Recorder, SharedRecorder, DEFAULT_CAPACITY};
         use radar_sim::{Scenario, Simulation};
         let scenario = Scenario::builder()
             .num_objects(64)
@@ -261,20 +182,19 @@ mod tests {
             .build()
             .expect("valid scenario");
         let workload = crate::make_workload("zipf", 64, 42);
-        // A ring small enough to fill during warm-up: steady state for
-        // the recorder is the evicting regime, where decision candidate
-        // buffers recycle instead of being freshly cloned. (Filling a
-        // larger ring costs one allocation per slot — bounded by the
-        // ring capacity, not by the run length.)
-        let recorder = SharedRecorder::from_recorder(Recorder::new(4_096));
+        // Streamed to a sink, as `radar simulate --events` does: the
+        // recorder's only buffer is one reused line.
+        let recorder = SharedRecorder::from_recorder(
+            Recorder::new(DEFAULT_CAPACITY).with_sink(Box::new(std::io::sink())),
+        );
         let mut sim = Simulation::new(scenario, workload);
         sim.attach_observer(Box::new(recorder.clone()));
         // Warm-up: two full placement rounds, so every scratch buffer
         // and per-host structure has reached steady state.
         sim.run_until(250.0);
-        let before = recorder.with(|r| r.len() as u64 + r.evicted());
+        let before = recorder.with(Recorder::recorded);
         let (delta, ()) = CountingAlloc::measure(|| sim.run_until(450.0));
-        let events = recorder.with(|r| r.len() as u64 + r.evicted()) - before;
+        let events = recorder.with(Recorder::recorded) - before;
         // The 200 s window covers two placement rounds (period 100 s)
         // across 53 hosts = 106 placement epochs, and roughly 5 300
         // traced requests. The budget is per-epoch placement work plus

@@ -5,17 +5,19 @@
 //! most recent events, `filter` selects by type/object/gateway/host/
 //! time, `explain` prints one event's full decision narrative plus its
 //! causal chain, `summary` aggregates per-event-type counts, rates,
-//! queue-depth statistics, and ring-eviction losses, `watch` replays a
-//! log through the streaming metrics fold and renders the dashboard,
-//! and `diff` compares two logs and pinpoints the first divergence
-//! with both sides' causal context.
+//! and queue-depth statistics, `watch` replays a log through the
+//! streaming metrics fold and renders the dashboard, and `diff`
+//! compares two logs and pinpoints the first divergence with both
+//! sides' causal context. `summary`, `watch` and `objects audit` say
+//! when a log has sequence gaps, because their aggregates then cover
+//! only part of the run.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use radar_obs::{
-    diff_events, parse_jsonl_log, DiffOutcome, Event, EventKind, EventLog, MetricsConfig,
-    MetricsObserver, EVENT_TYPES,
+    diff_events, parse_jsonl, DiffOutcome, Event, EventKind, MetricsConfig, MetricsObserver,
+    EVENT_TYPES,
 };
 
 use crate::args::Parsed;
@@ -37,14 +39,20 @@ pub(crate) fn command(args: &[&str]) -> Result<String, String> {
     }
 }
 
-pub(crate) fn load_log(path: &str) -> Result<EventLog, String> {
+pub(crate) fn load(path: &str) -> Result<Vec<Event>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read events file {path}: {e}"))?;
-    parse_jsonl_log(&text).map_err(|e| format!("{path}: {e}"))
+    parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load(path: &str) -> Result<Vec<Event>, String> {
-    load_log(path).map(|log| log.events)
+/// The recorder numbers events densely from 1, so a log whose last
+/// `seq` exceeds its length was cut or filtered, and anything folded
+/// over it covers only part of the run. Returns the note saying so, or
+/// `None` for a gap-free log.
+pub(crate) fn gap_note(events: &[Event]) -> Option<String> {
+    let last = events.last().map_or(0, |e| e.seq);
+    let missing = last.saturating_sub(events.len() as u64);
+    (missing > 0).then(|| format!("{missing} events missing from this log (sequence gaps)\n"))
 }
 
 /// The single FILE positional every subcommand except `explain` takes.
@@ -196,7 +204,7 @@ pub(crate) fn causal_chain(events: &[Event], event: &Event) -> String {
                 cursor = e.parent;
             }
             None => {
-                // Evicted from the ring before the log was written.
+                // Cut or filtered out of this log.
                 ancestors.push(&MISSING);
                 break;
             }
@@ -225,8 +233,8 @@ pub(crate) fn causal_chain(events: &[Event], event: &Event) -> String {
     out
 }
 
-/// Placeholder for a causal parent that is absent from the log (ring
-/// eviction); `seq` 0 never occurs in real events.
+/// Placeholder for a causal parent that is absent from the log (the
+/// log was cut or filtered); `seq` 0 never occurs in real events.
 static MISSING: Event = Event {
     seq: 0,
     parent: None,
@@ -237,31 +245,6 @@ static MISSING: Event = Event {
         object: 0,
     },
 };
-
-/// Renders the ring-eviction banner for a log carrying an evictions
-/// trailer, with a warning when critical events were lost. `None` when
-/// the log has no trailer. Shared by `summary` and `watch`.
-fn eviction_banner(log: &EventLog) -> Option<String> {
-    let ev = log.evictions.as_ref()?;
-    let lost = ev.routine + ev.notable + ev.critical;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "ring evictions: {lost} events lost before export \
-         (routine {} · notable {} · critical {})",
-        ev.routine, ev.notable, ev.critical
-    );
-    if ev.critical > 0 {
-        let _ = writeln!(
-            out,
-            "WARNING: {} critical events (faults, placements, re-replications) \
-             were evicted; raise the ring capacity or stream the full run with \
-             `radar simulate --events FILE`",
-            ev.critical
-        );
-    }
-    Some(out)
-}
 
 /// Most bandwidth bins or load samples `events watch` folds over one
 /// replay (a 3 000-s paper run needs 150).
@@ -301,8 +284,7 @@ fn watch(args: &[&str]) -> Result<String, String> {
             ));
         }
     }
-    let log = load_log(&path)?;
-    let events = &log.events;
+    let events = load(&path)?;
     if events.is_empty() {
         return Ok("no events\n".to_string());
     }
@@ -346,11 +328,10 @@ fn watch(args: &[&str]) -> Result<String, String> {
     }
     m.finalize(t_end);
     let mut out = dashboard::render(&m, top);
-    // A log missing events renders a misleading dashboard — surface the
-    // recorder's eviction trailer here, not only in `summary`.
-    if let Some(banner) = eviction_banner(&log) {
+    // A log missing events renders a misleading dashboard.
+    if let Some(note) = gap_note(&events) {
         out.push('\n');
-        out.push_str(&banner);
+        out.push_str(&note);
     }
     Ok(out)
 }
@@ -418,9 +399,7 @@ fn summary(args: &[&str]) -> Result<String, String> {
     let top: usize = parsed
         .get_parsed("top", 5, "a row count")
         .map_err(|e| e.to_string())?;
-    let log = load_log(&path)?;
-    let banner = eviction_banner(&log);
-    let events = log.events;
+    let events = load(&path)?;
     if events.is_empty() {
         return Ok("no events\n".to_string());
     }
@@ -456,21 +435,7 @@ fn summary(args: &[&str]) -> Result<String, String> {
         out,
         "{total} events over t=[{first:.3}, {last:.3}] ({span:.3} s)"
     );
-    if let Some(banner) = banner {
-        out.push_str(&banner);
-    } else {
-        // No eviction trailer — infer losses from sequence-number gaps
-        // (the recorder numbers every event densely from 1).
-        let expected = events.last().map_or(0, |e| e.seq);
-        let missing = expected.saturating_sub(total as u64);
-        if missing > 0 {
-            let _ = writeln!(
-                out,
-                "ring evictions: {missing} events inferred lost \
-                 (sequence gaps; log has no eviction trailer)"
-            );
-        }
-    }
+    out.push_str(&gap_note(&events).unwrap_or_default());
     out.push('\n');
     let _ = writeln!(
         out,
@@ -536,12 +501,10 @@ fn help() -> String {
      \x20                                           decision or placement test that\n\
      \x20                                           produced it, plus its causal chain\n\
      \x20 radar events summary FILE [--top N]       per-type counts, rates, queue\n\
-     \x20                                           depths, busiest objects/hosts,\n\
-     \x20                                           and ring-eviction losses\n\
+     \x20                                           depths, busiest objects/hosts\n\
      \x20 radar events watch FILE [--top N]         replay the log through the\n\
      \x20                                           streaming metrics fold and render\n\
-     \x20                                           the dashboard (animated on a TTY),\n\
-     \x20                                           plus any eviction trailer\n\
+     \x20                                           the dashboard (animated on a TTY)\n\
      \x20         [--object-size B] [--bin S] [--interval S] [--duration S]\n\
      \x20                                           match the run's scenario so\n\
      \x20                                           aggregates line up with the report\n\
@@ -551,7 +514,8 @@ fn help() -> String {
      \n\
      FILTERS:\n\
      \x20 --type T      request | decision | served | failed | placement |\n\
-     \x20               counts-reset | fault | re-replication\n\
+     \x20               counts-reset | fault | re-replication |\n\
+     \x20               provider-update | update-delivered\n\
      \x20 --object N    events concerning object N\n\
      \x20 --gateway N   events entering at gateway node N\n\
      \x20 --host N      events involving host node N\n\
@@ -701,21 +665,18 @@ mod tests {
     }
 
     #[test]
-    fn watch_renders_eviction_banner_from_trailer() {
-        let mut text = String::new();
-        for e in [served(1, None, 1.0, 7), served(2, None, 2.0, 7)] {
-            text.push_str(&e.to_json_line());
-            text.push('\n');
-        }
-        text.push_str("{\"type\":\"evictions\",\"routine\":4,\"notable\":1,\"critical\":2}\n");
-        let path = tempdir::path("events-watch-trailer");
-        std::fs::write(&path, text).unwrap();
-        let s = path.to_string_lossy().into_owned();
-        let _guard = tempdir::TempPath(path);
-        let out = watch(&[s.as_str()]).unwrap();
+    fn watch_notes_sequence_gaps() {
+        let (_g, complete) = write_log(&[served(1, None, 1.0, 7), served(2, None, 2.0, 7)]);
+        let out = watch(&[complete.as_str()]).unwrap();
         assert!(out.contains("RaDaR dashboard"), "{out}");
-        assert!(out.contains("7 events lost before export"), "{out}");
-        assert!(out.contains("WARNING: 2 critical events"), "{out}");
+        assert!(!out.contains("missing"), "{out}");
+        let (_g, cut) = write_log(&[served(1, None, 1.0, 7), served(9, None, 2.0, 7)]);
+        let out = watch(&[cut.as_str()]).unwrap();
+        assert!(out.contains("RaDaR dashboard"), "{out}");
+        assert!(
+            out.contains("7 events missing from this log (sequence gaps)"),
+            "{out}"
+        );
     }
 
     #[test]
@@ -749,30 +710,18 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_eviction_trailer_with_warning() {
-        let mut text = String::new();
-        for e in [served(1, None, 1.0, 7), served(2, None, 2.0, 7)] {
-            text.push_str(&e.to_json_line());
-            text.push('\n');
-        }
-        text.push_str("{\"type\":\"evictions\",\"routine\":10,\"notable\":0,\"critical\":3}\n");
-        let path = tempdir::path("events-trailer");
-        std::fs::write(&path, text).unwrap();
-        let s = path.to_string_lossy().into_owned();
-        let _guard = tempdir::TempPath(path);
-        let out = summary(&[s.as_str()]).unwrap();
-        assert!(out.contains("13 events lost before export"), "{out}");
-        assert!(out.contains("critical 3"), "{out}");
-        assert!(out.contains("WARNING: 3 critical events"), "{out}");
-    }
-
-    #[test]
-    fn summary_infers_evictions_from_sequence_gaps() {
-        // Seqs 5 and 9 survive from a run that emitted 9 events: 7 lost.
+    fn summary_notes_sequence_gaps() {
+        // Seqs 5 and 9 are left of a run that emitted 9 events: 7 missing.
         let events = vec![served(5, None, 1.0, 7), served(9, None, 2.0, 7)];
         let (_guard, path) = write_log(&events);
         let out = summary(&[path.as_str()]).unwrap();
-        assert!(out.contains("7 events inferred lost"), "{out}");
+        assert!(
+            out.contains("7 events missing from this log (sequence gaps)"),
+            "{out}"
+        );
+        let (_guard, path) = write_log(&[served(1, None, 1.0, 7), served(2, None, 2.0, 7)]);
+        let out = summary(&[path.as_str()]).unwrap();
+        assert!(!out.contains("missing"), "{out}");
     }
 
     #[test]

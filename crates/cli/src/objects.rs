@@ -9,10 +9,10 @@
 
 use std::fmt::Write as _;
 
-use radar_obs::{EventLog, LedgerConfig, ObjectLedger};
+use radar_obs::{Event, LedgerConfig, ObjectLedger};
 
 use crate::args::Parsed;
-use crate::events::{causal_chain, load_log};
+use crate::events::{causal_chain, gap_note, load};
 
 pub(crate) fn command(args: &[&str]) -> Result<String, String> {
     let Some((&sub, rest)) = args.split_first() else {
@@ -45,13 +45,13 @@ fn ledger_config(parsed: &Parsed) -> Result<LedgerConfig, String> {
     })
 }
 
-/// Replays every event of `log` through a fresh ledger.
-fn fold_log(log: &EventLog, cfg: LedgerConfig) -> ObjectLedger {
+/// Replays every event of a log through a fresh ledger.
+fn fold_log(events: &[Event], cfg: LedgerConfig) -> ObjectLedger {
     let mut ledger = ObjectLedger::new(cfg);
-    for e in &log.events {
+    for e in events {
         ledger.fold(e);
     }
-    if let Some(last) = log.events.last() {
+    if let Some(last) = events.last() {
         ledger.finalize(last.t);
     }
     ledger
@@ -69,8 +69,8 @@ fn timeline(args: &[&str]) -> Result<String, String> {
     let object: u32 = id
         .parse()
         .map_err(|_| format!("expected an object id, got {id:?}"))?;
-    let log = load_log(path)?;
-    let ledger = fold_log(&log, ledger_config(&parsed)?);
+    let events = load(path)?;
+    let ledger = fold_log(&events, ledger_config(&parsed)?);
 
     let Some(c) = ledger.object(object) else {
         return Err(format!("no events concern object {object} in {path}"));
@@ -132,8 +132,8 @@ fn timeline(args: &[&str]) -> Result<String, String> {
         );
         // The paper-facing "why": the Fig. 2 decision / placement-test
         // narrative of the chain that produced this step.
-        if let Some(event) = log.events.iter().find(|e| e.seq == step.seq) {
-            let chain = causal_chain(&log.events, event);
+        if let Some(event) = events.iter().find(|e| e.seq == step.seq) {
+            let chain = causal_chain(&events, event);
             for line in chain.lines().filter(|l| !l.is_empty()) {
                 let _ = writeln!(out, "    {line}");
             }
@@ -157,11 +157,11 @@ fn churn(args: &[&str]) -> Result<String, String> {
     let top: usize = parsed
         .get_parsed("top", 10, "a row count")
         .map_err(|e| e.to_string())?;
-    let log = load_log(path)?;
-    if log.events.is_empty() {
+    let events = load(path)?;
+    if events.is_empty() {
         return Ok("no events\n".to_string());
     }
-    let ledger = fold_log(&log, ledger_config(&parsed)?);
+    let ledger = fold_log(&events, ledger_config(&parsed)?);
 
     let mut out = ledger.health().render();
     let rows = ledger.churn_table(top);
@@ -224,23 +224,11 @@ fn audit(args: &[&str]) -> Result<String, String> {
             help()
         ));
     };
-    let log = load_log(path)?;
+    let log = load(path)?;
     let ledger = fold_log(&log, LedgerConfig::default());
     let auditor = ledger.auditor();
     let events = auditor.events_seen();
-
-    let mut caveat = String::new();
-    if let Some(ev) = &log.evictions {
-        if ev.total() > 0 {
-            let _ = writeln!(
-                caveat,
-                "note: {} events were evicted before export; the audit only \
-                 covers what survived (stream the full run with \
-                 `radar simulate --events FILE` for a complete audit)",
-                ev.total()
-            );
-        }
-    }
+    let caveat = gap_note(&log).unwrap_or_default();
 
     let violations = auditor.violations();
     if violations.is_empty() {
@@ -452,12 +440,17 @@ mod tests {
     }
 
     #[test]
-    fn audit_notes_evicted_events() {
-        let mut lines = replication_log();
-        lines.push("{\"type\":\"evictions\",\"routine\":5,\"notable\":0,\"critical\":1}".into());
-        let (_g, path) = write_log(&lines);
+    fn audit_notes_sequence_gaps() {
+        let (_g, path) = write_log(&replication_log());
+        let out = audit(&[path.as_str()]).unwrap();
+        assert!(!out.contains("missing"), "{out}");
+        // The same log with its first event cut: seqs 2 and 3 of 3.
+        let (_g, path) = write_log(&replication_log()[1..]);
         let out = audit(&[path.as_str()]).unwrap();
         assert!(out.contains("audit clean"), "{out}");
-        assert!(out.contains("6 events were evicted"), "{out}");
+        assert!(
+            out.contains("1 events missing from this log (sequence gaps)"),
+            "{out}"
+        );
     }
 }

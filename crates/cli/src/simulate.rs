@@ -68,6 +68,23 @@ impl WorkloadKind {
         }
     }
 
+    /// Rejects a catalogue or topology smaller than [`build`](Self::build)'s
+    /// constructor accepts.
+    fn check_size(self, objects: u32, nodes: usize) -> Result<(), String> {
+        let (name, count, what, min) = match self {
+            Self::HotPages => ("hot-pages", objects as usize, "objects", 2),
+            Self::HotSites => ("hot-sites", nodes, "topology nodes", 2),
+            Self::Regional => ("regional", objects as usize, "objects", 4),
+            Self::Zipf | Self::Uniform => return Ok(()),
+        };
+        if count < min {
+            return Err(format!(
+                "--workload {name} needs at least {min} {what}, got {count}"
+            ));
+        }
+        Ok(())
+    }
+
     fn build(
         self,
         objects: u32,
@@ -237,9 +254,9 @@ impl SimulateArgs {
             }
             None
         } else {
-            Some(WorkloadKind::parse(
-                parsed.get("workload").unwrap_or("zipf"),
-            )?)
+            let kind = WorkloadKind::parse(parsed.get("workload").unwrap_or("zipf"))?;
+            kind.check_size(objects, scenario.topology.len())?;
+            Some(kind)
         };
         let policy = parsed.get("policy").unwrap_or("radar").to_string();
         if !["radar", "round-robin", "closest", "random"].contains(&policy.as_str()) {
@@ -309,8 +326,8 @@ impl SimulateArgs {
         let events = match &self.events_to {
             None => None,
             Some(path) => {
-                // Stream every event to the file as it happens (the ring
-                // only bounds in-memory retention) and profile the loop.
+                // Stream every event to the file as it happens and
+                // profile the loop.
                 let file = std::fs::File::create(path)
                     .map_err(|e| format!("cannot create events file {path}: {e}"))?;
                 let sink = Box::new(std::io::BufWriter::new(file));

@@ -110,6 +110,46 @@ fn replay_names_the_trace_line_of_a_time_beyond_the_clock_or_a_foreign_id() {
 }
 
 #[test]
+fn workloads_too_small_for_their_constructor_are_rejected() {
+    // Each used to panic building the workload (exit 101).
+    let one_node = TempFile::new("one-node", "node a eu\n");
+    for (args, wanted) in [
+        (
+            vec!["--workload", "hot-pages", "--objects", "1"],
+            "--workload hot-pages needs at least 2 objects, got 1",
+        ),
+        (
+            vec!["--workload", "hot-sites", "--topology", one_node.path()],
+            "--workload hot-sites needs at least 2 topology nodes, got 1",
+        ),
+        (
+            vec!["--workload", "regional", "--objects", "3"],
+            "--workload regional needs at least 4 objects, got 3",
+        ),
+    ] {
+        let stderr = rejected(&[&["simulate", "--duration", "5"][..], &args].concat());
+        assert!(stderr.contains(wanted), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_topology_beyond_16_bit_node_ids_names_its_line() {
+    // The 65 537th node used to panic in `TopologyBuilder::add_node`.
+    let spec: String = (0..=65_536).map(|i| format!("node n{i} eu\n")).collect();
+    let topology = TempFile::new("too-many-nodes", &spec);
+    for args in [
+        vec!["topology", topology.path()],
+        vec!["simulate", "--topology", topology.path()],
+    ] {
+        let stderr = rejected(&args);
+        assert!(
+            stderr.contains("line 65537: more than 65536 nodes"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn events_watch_rejects_bin_interval_and_duration_it_cannot_fold() {
     let log = concat!(
         env!("CARGO_MANIFEST_DIR"),

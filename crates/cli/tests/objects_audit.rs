@@ -197,8 +197,9 @@ fn faulted_run_audits_clean() {
 
 #[test]
 fn unknown_trailer_line_is_a_parse_error_naming_the_line() {
-    // Logs written by versions with a parallel loop can end with a
-    // trailer this reader no longer knows; it must not be skipped.
+    // Logs written by older versions can end with a trailer this reader
+    // no longer knows — the parallel loop's reorder statistics, or the
+    // recorder ring's eviction counts; it must not be skipped.
     let (_g, path) = temp("old-trailer", "jsonl");
     let event = ev(
         1,
@@ -208,18 +209,23 @@ fn unknown_trailer_line_is_a_parse_error_naming_the_line() {
             cause: ResetCause::Created,
         },
     );
-    std::fs::write(
-        &path,
-        format!(
-            "{}\n{}\n",
-            event.to_json_line(),
-            r#"{"type":"reorder","reserved":12,"max_in_flight":3,"max_held":2,"drains":5}"#
-        ),
-    )
-    .expect("temp log writable");
-    for command in [["objects", "audit"], ["events", "summary"]] {
-        let err = run(&args(&[command[0], command[1], &path])).expect_err("must not parse");
-        assert!(err.contains("line 2"), "{command:?}: {err}");
+    for trailer in [
+        r#"{"type":"reorder","reserved":12,"max_in_flight":3,"max_held":2,"drains":5}"#,
+        r#"{"type":"evictions","routine":10,"notable":0,"critical":3}"#,
+    ] {
+        std::fs::write(&path, format!("{}\n{trailer}\n", event.to_json_line()))
+            .expect("temp log writable");
+        for command in [
+            ["objects", "audit"],
+            ["events", "summary"],
+            ["events", "watch"],
+        ] {
+            let err = run(&args(&[command[0], command[1], &path])).expect_err("must not parse");
+            assert!(
+                err.contains("line 2: missing field \"seq\""),
+                "{command:?}: {err}"
+            );
+        }
     }
 }
 

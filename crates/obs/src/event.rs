@@ -14,38 +14,6 @@
 
 use std::fmt;
 
-/// Retention class of an event, used by the severity-aware recorder
-/// ring: when the ring is full, lower-severity events are evicted
-/// first, so a long run never loses the faults and placement actions
-/// that explain its request traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Per-request lifecycle traffic (`request`, `decision`, `served`) —
-    /// the bulk of any log, evicted first.
-    Routine = 0,
-    /// Infrequent bookkeeping (`counts-reset`) — evicted only once no
-    /// routine events remain.
-    Notable = 1,
-    /// Events that explain everything else (`failed`, `placement`,
-    /// `fault`, `re-replication`) — evicted last, and only to make room
-    /// for other critical events.
-    Critical = 2,
-}
-
-impl Severity {
-    /// All severities, lowest (evicted first) to highest.
-    pub const ALL: [Severity; 3] = [Severity::Routine, Severity::Notable, Severity::Critical];
-
-    /// Stable lowercase tag (`routine`, `notable`, `critical`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Routine => "routine",
-            Severity::Notable => "notable",
-            Severity::Critical => "critical",
-        }
-    }
-}
-
 /// Which Fig. 2 rule picked the serving host. Interned: the tag set is
 /// closed, so events carry a copyable enum instead of a heap `String`
 /// (the JSONL wire format still writes the lowercase tag).
@@ -501,22 +469,6 @@ impl Event {
         }
     }
 
-    /// The event's retention class for the severity-aware recorder
-    /// ring (see [`Severity`]).
-    pub fn severity(&self) -> Severity {
-        match &self.kind {
-            EventKind::RequestArrived { .. }
-            | EventKind::Decision(_)
-            | EventKind::RequestServed { .. }
-            | EventKind::UpdateDelivered(_) => Severity::Routine,
-            EventKind::CountsReset { .. } | EventKind::ProviderUpdate(_) => Severity::Notable,
-            EventKind::RequestFailed { .. }
-            | EventKind::PlacementAction(_)
-            | EventKind::Fault { .. }
-            | EventKind::ReReplication { .. } => Severity::Critical,
-        }
-    }
-
     /// The object the event concerns, when it concerns one.
     pub fn object(&self) -> Option<u32> {
         match &self.kind {
@@ -715,45 +667,6 @@ mod tests {
         };
         assert_eq!(fault.object(), None);
         assert_eq!(fault.host(), None);
-    }
-
-    #[test]
-    fn severity_partitions_all_types() {
-        let base = |kind| Event {
-            seq: 1,
-            parent: None,
-            t: 0.0,
-            queue_depth: 0,
-            kind,
-        };
-        assert_eq!(sample().severity(), Severity::Routine);
-        assert_eq!(
-            base(EventKind::CountsReset {
-                object: 1,
-                cause: ResetCause::Created,
-            })
-            .severity(),
-            Severity::Notable
-        );
-        assert_eq!(
-            base(EventKind::Fault {
-                desc: "host-crash 7".into(),
-            })
-            .severity(),
-            Severity::Critical
-        );
-        assert_eq!(
-            base(EventKind::RequestFailed {
-                gateway: 0,
-                object: 1,
-                reason: FailReason::Unreachable,
-            })
-            .severity(),
-            Severity::Critical
-        );
-        assert!(Severity::Routine < Severity::Notable);
-        assert!(Severity::Notable < Severity::Critical);
-        assert_eq!(Severity::Critical.as_str(), "critical");
     }
 
     #[test]

@@ -194,48 +194,6 @@ impl Event {
     }
 }
 
-/// Per-severity tally of events the recorder ring evicted before the
-/// log was written, serialized as the optional final
-/// `{"type":"evictions",…}` trailer line of a JSONL document.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvictionSummary {
-    /// Routine events (request/decision/served) evicted.
-    pub routine: u64,
-    /// Notable events (counts-reset) evicted.
-    pub notable: u64,
-    /// Critical events (failed/placement/fault/re-replication) evicted.
-    pub critical: u64,
-}
-
-impl EvictionSummary {
-    /// Total events evicted across all severities.
-    pub fn total(&self) -> u64 {
-        self.routine + self.notable + self.critical
-    }
-
-    /// Serializes the trailer as one JSON object (no trailing newline),
-    /// with the same fixed key order every time.
-    pub fn to_json_line(&self) -> String {
-        Value::Obj(vec![
-            ("type".into(), Value::Str("evictions".into())),
-            ("routine".into(), Value::UInt(self.routine)),
-            ("notable".into(), Value::UInt(self.notable)),
-            ("critical".into(), Value::UInt(self.critical)),
-        ])
-        .to_string()
-    }
-}
-
-/// A parsed JSONL document: the events plus the eviction trailer, when
-/// the recorder ring lost anything before the log was written.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventLog {
-    /// The recorded events, in file order.
-    pub events: Vec<Event>,
-    /// The `{"type":"evictions",…}` trailer, if present.
-    pub evictions: Option<EvictionSummary>,
-}
-
 // ---------------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------------
@@ -321,11 +279,7 @@ impl Event {
     /// Returns a [`ParseError`] describing the first malformed or
     /// missing field.
     pub fn from_json_line(line: &str) -> Result<Self, ParseError> {
-        Self::from_value(&Value::parse(line)?)
-    }
-
-    /// Builds an event from an already-parsed JSON object.
-    fn from_value(root: &Value) -> Result<Self, ParseError> {
+        let root = &Value::parse(line)?;
         let seq = need_u64(root, "seq")?;
         let t = need_f64(root, "t")?;
         let parent = opt(root, "parent", need_u64)?;
@@ -428,44 +382,21 @@ impl Event {
 }
 
 /// Parses a whole JSONL document (blank lines skipped), reporting the
-/// first error with its 1-based line number. An `evictions` trailer
-/// line, if present, is parsed and discarded; use [`parse_jsonl_log`]
-/// to keep it.
+/// first error with its 1-based line number. Every other line must be
+/// an event: a trailer line that old logs may end with is an error, not
+/// skipped.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line.
 pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
-    parse_jsonl_log(text).map(|log| log.events)
-}
-
-/// Parses a whole JSONL document into an [`EventLog`]: the events plus
-/// the recorder's `{"type":"evictions",…}` trailer when one is present
-/// (written by [`crate::Recorder::to_jsonl`] after ring evictions).
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] naming the offending line.
-pub fn parse_jsonl_log(text: &str) -> Result<EventLog, ParseError> {
-    let mut events = Vec::new();
-    let mut evictions = None;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let at = |e: ParseError| ParseError(format!("line {}: {e}", i + 1));
-        let root = Value::parse(line).map_err(at)?;
-        if root.get("type").and_then(Value::as_str) == Some("evictions") {
-            evictions = Some(EvictionSummary {
-                routine: need_u64(&root, "routine").map_err(at)?,
-                notable: need_u64(&root, "notable").map_err(at)?,
-                critical: need_u64(&root, "critical").map_err(at)?,
-            });
-            continue;
-        }
-        events.push(Event::from_value(&root).map_err(at)?);
-    }
-    Ok(EventLog { events, evictions })
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            Event::from_json_line(line).map_err(|e| ParseError(format!("line {}: {e}", i + 1)))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -984,34 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn eviction_trailer_round_trips_through_parse_jsonl_log() {
-        let event = Event {
-            seq: 5,
-            parent: None,
-            t: 2.0,
-            queue_depth: 1,
-            kind: EventKind::Fault {
-                desc: "host-crash 7".into(),
-            },
-        };
-        let summary = EvictionSummary {
-            routine: 120,
-            notable: 3,
-            critical: 0,
-        };
-        let text = format!("{}\n{}\n", event.to_json_line(), summary.to_json_line());
-        let log = parse_jsonl_log(&text).expect("parses");
-        assert_eq!(log.events.len(), 1);
-        assert_eq!(log.evictions, Some(summary));
-        assert_eq!(summary.total(), 123);
-        // parse_jsonl tolerates (and discards) the trailer.
-        assert_eq!(parse_jsonl(&text).expect("parses").len(), 1);
-        // A log without a trailer reports None.
-        let bare = parse_jsonl_log(&format!("{}\n", event.to_json_line())).unwrap();
-        assert_eq!(bare.evictions, None);
-    }
-
-    #[test]
     fn parse_jsonl_reports_line_numbers() {
         let good = Event {
             seq: 1,
@@ -1028,12 +931,11 @@ mod tests {
         let e = parse_jsonl(&text).unwrap_err();
         assert!(e.to_string().contains("line 3"), "{e}");
         assert_eq!(parse_jsonl(&format!("{good}\n{good}\n")).unwrap().len(), 2);
-        // The only trailer is `evictions`; any other non-event line —
-        // here a trailer type old logs can end with — is an error
-        // naming its line, never skipped.
+        // Every non-event line — here a trailer type old logs can end
+        // with — is an error naming its line, never skipped.
         let trailer =
             r#"{"type":"reorder","reserved":4210,"max_in_flight":7,"max_held":12,"drains":905}"#;
-        let e = parse_jsonl_log(&format!("{good}\n{trailer}\n")).unwrap_err();
-        assert!(e.to_string().contains("line 2"), "{e}");
+        let e = parse_jsonl(&format!("{good}\n{trailer}\n")).unwrap_err();
+        assert_eq!(e.to_string(), "line 2: missing field \"seq\"");
     }
 }

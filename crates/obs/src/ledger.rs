@@ -835,7 +835,7 @@ mod tests {
         }
         assert_eq!(l.timeline(7).len(), TIMELINE_CAPACITY);
         assert_eq!(l.timeline_dropped(7), 2);
-        assert_eq!(l.timeline(7)[0].seq, 22, "oldest steps evicted first");
+        assert_eq!(l.timeline(7)[0].seq, 22, "oldest steps dropped first");
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! This crate is the platform's observability spine: a typed event
 //! vocabulary ([`Event`] / [`EventKind`]) covering every redirector
 //! decision, placement action, fault transition, re-replication, and
-//! count reset; a bounded, severity-aware ring-buffer [`Recorder`]
-//! with streaming JSONL export; [`Tally`], the run accounting the
+//! count reset; a [`Recorder`] that encodes each event as one JSONL line
+//! into a sink or an in-memory log; [`Tally`], the run accounting the
 //! simulator's report and the streaming [`MetricsObserver`] both record
 //! through (the observer folds the same event feed into one, plus
-//! dashboard aggregates); a structural
-//! log differ ([`diff_events`]) for regression diffing of seeded runs;
-//! and [`LoopProfile`] counters for event-loop wall time and queue
-//! depth.
+//! dashboard aggregates); a structural log differ ([`diff_events`]) for
+//! regression diffing of seeded runs; and [`LoopProfile`] counters for
+//! event-loop wall time and queue depth.
 //!
 //! Design rules:
 //!
@@ -21,8 +20,8 @@
 //!   causal parents, and queue depth — never wall clock — so two
 //!   identical seeded runs serialize byte-identically. Wall-clock
 //!   profiling lives in [`LoopProfile`], outside the event stream.
-//! - **Bounded.** The ring evicts oldest-first at capacity; an
-//!   optional sink still sees the full stream.
+//! - **A stream.** The recorder drops nothing, so a log's sequence
+//!   numbers run densely from 1; a gap means it was cut or filtered.
 //!
 //! ```
 //! use radar_obs::{Event, EventKind, SharedRecorder};
@@ -60,10 +59,10 @@ pub use diff::{diff_events, DiffOutcome};
 pub use event::{
     CandidateSnapshot, ConsistencyClass, DecisionBranch, DecisionEvent, Event, EventKind,
     FailReason, PlacementActionEvent, PlacementActionKind, ProviderUpdateEvent, ResetCause,
-    Severity, UpdateDeliveredEvent, EVENT_TYPES,
+    UpdateDeliveredEvent, EVENT_TYPES,
 };
 pub use json::ParseError;
-pub use jsonl::{parse_jsonl, parse_jsonl_log, EventLog, EvictionSummary};
+pub use jsonl::parse_jsonl;
 pub use ledger::{
     LedgerConfig, NodeChurn, ObjectChurn, ObjectLedger, ProtocolHealth, ReplicaChange,
     SharedObjectLedger, TimelineStep,

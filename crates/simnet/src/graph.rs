@@ -231,7 +231,9 @@ impl TopologyBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if more than `u16::MAX` nodes are added.
+    /// Panics if more than 65 536 nodes are added (ids are `u16`).
+    /// [`Topology::from_spec`] checks the bound first and returns an
+    /// error instead.
     pub fn add_node(&mut self, name: impl Into<String>, region: Region) -> NodeId {
         let id = u16::try_from(self.names.len()).expect("too many nodes for u16 ids");
         self.names.push(name.into());

@@ -55,6 +55,12 @@ pub enum SpecError {
         /// The duplicated name.
         name: String,
     },
+    /// A node declared after the 65 536th, which no 16-bit node id can
+    /// name.
+    TooManyNodes {
+        /// 1-based line number.
+        line: usize,
+    },
     /// The assembled graph failed topology validation.
     Topology(TopologyError),
 }
@@ -76,6 +82,12 @@ impl fmt::Display for SpecError {
             }
             SpecError::DuplicateNode { line, name } => {
                 write!(f, "line {line}: node {name:?} declared twice")
+            }
+            SpecError::TooManyNodes { line } => {
+                write!(
+                    f,
+                    "line {line}: more than 65536 nodes (node ids are 16-bit)"
+                )
             }
             SpecError::Topology(e) => write!(f, "invalid topology: {e}"),
         }
@@ -122,7 +134,8 @@ impl Topology {
     /// # Errors
     ///
     /// Returns [`SpecError`] on malformed lines, unknown names/regions,
-    /// duplicates, or an invalid graph (disconnected, self-loops, …).
+    /// duplicates, more than 65 536 nodes, or an invalid graph
+    /// (disconnected, self-loops, …).
     ///
     /// # Examples
     ///
@@ -157,6 +170,9 @@ impl Topology {
                             line,
                             name: name.to_string(),
                         });
+                    }
+                    if ids.len() > usize::from(u16::MAX) {
+                        return Err(SpecError::TooManyNodes { line });
                     }
                     let id = builder.add_node(*name, region);
                     ids.insert(name.to_string(), id);
@@ -296,6 +312,14 @@ mod tests {
     fn duplicate_node_rejected() {
         let err = Topology::from_spec("node a eu\nnode a eu\n").unwrap_err();
         assert!(matches!(err, SpecError::DuplicateNode { line: 2, .. }));
+    }
+
+    #[test]
+    fn node_beyond_16_bit_ids_rejected() {
+        let spec: String = (0..=65_536).map(|i| format!("node n{i} eu\n")).collect();
+        let err = Topology::from_spec(&spec).unwrap_err();
+        assert_eq!(err, SpecError::TooManyNodes { line: 65_537 });
+        assert!(err.to_string().starts_with("line 65537: "), "{err}");
     }
 
     #[test]

@@ -67,8 +67,9 @@ impl HotSites {
     ///
     /// # Panics
     ///
-    /// Panics if there are no objects or nodes, if `hot_fraction` is not
-    /// in `(0, 1)`, or if `hot_prob` is not in `(0, 1)`.
+    /// Panics if there are no objects, fewer than two nodes (one hot and
+    /// one cold site), if `hot_fraction` is not in `(0, 1)`, or if
+    /// `hot_prob` is not in `(0, 1)`.
     pub fn new(
         num_objects: u32,
         num_nodes: u16,
@@ -159,8 +160,8 @@ impl HotPages {
     ///
     /// # Panics
     ///
-    /// Panics on empty object space or out-of-range fractions, as for
-    /// [`HotSites::new`].
+    /// Panics if there are fewer than two objects (one hot and one cold
+    /// page), or if `hot_fraction` or `hot_prob` is not in `(0, 1)`.
     pub fn new(num_objects: u32, hot_fraction: f64, hot_prob: f64, rng: &mut SimRng) -> Self {
         assert!(num_objects > 0, "workload needs at least one object");
         assert!(
@@ -229,8 +230,10 @@ impl Regional {
     ///
     /// # Panics
     ///
-    /// Panics if the object space is too small for four non-empty slices,
-    /// or if fractions are out of range.
+    /// Panics if `slice_fraction` is not in `(0, 0.25]`, if
+    /// `preferred_prob` is not in `(0, 1)`, or if four slices of
+    /// `max(1, round(num_objects × slice_fraction))` objects do not fit
+    /// in `num_objects` — so always below 4 objects.
     pub fn new(
         num_objects: u32,
         topology: &Topology,

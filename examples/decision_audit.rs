@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Run 2: replay the same arrivals with a recorder attached. The
-    // recorder is an Observer; keep a clone to read the ring after the
+    // recorder is an Observer; keep a clone to read the log after the
     // run consumes the simulation.
     let recorder = SharedRecorder::new(DEFAULT_CAPACITY);
     let mut replay = Simulation::replay(scenario()?, trace)?;

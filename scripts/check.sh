@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full repository health check: format, lints, tests, docs, examples.
+# Full repository health check: format, lints, tests, docs, examples,
+# golden-log diff, invariant audits.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,8 +22,6 @@ for example in examples/*.rs; do
   echo "-- $name"
   "target/release/examples/$name" > /dev/null
 done
-echo "== benches compile and self-test =="
-cargo bench --workspace -- --test
 echo "== golden event-log regression diff =="
 ./scripts/golden-diff.sh
 echo "== replica-set invariant audit (golden log + faulted run) =="
@@ -40,6 +39,17 @@ cargo run -q -p radar-cli --bin radar -- simulate \
   --faults target/audit-faults.txt --events target/audit-faulted.jsonl \
   >/dev/null
 cargo run -q -p radar-cli --bin radar -- objects audit target/audit-faulted.jsonl
+echo "== a streamed log is complete (summary + watch, no sequence gaps) =="
+# The recorder streams every event, so a log straight from --events has
+# no gaps; a gap note here means an event was lost on the way.
+for command in summary watch; do
+  cargo run -q -p radar-cli --bin radar -- events "$command" \
+    target/audit-faulted.jsonl > target/audit-faulted-"$command".txt
+  if grep -q 'missing from this log' target/audit-faulted-"$command".txt; then
+    echo "FAIL: events $command reports sequence gaps in a streamed log"
+    exit 1
+  fi
+done
 echo "== invariant audit of an update-heavy type-1 run =="
 # Provider updates against the default (all type-1, primary-copy)
 # catalog: the auditor additionally checks that every update is issued

@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | [`core`] | `radar-core` | **The protocol**: the redirector's request distribution algorithm (Fig. 2), per-host placement state and the `DecidePlacement`/`CreateObj`/`Offload` algorithms (Figs. 3–5), the Theorem 1–5 load bounds, and the §5 consistency catalog |
 //! | [`sim`] | `radar-sim` | Event-driven hosting-platform simulation: request lifecycle, relocation/update traffic accounting, trace capture & replay, observers, metrics and reports |
-//! | [`obs`] | `radar-obs` | Flight recorder: typed decision events with causal parents, bounded ring-buffer recorder with JSONL export, event-loop profiling |
+//! | [`obs`] | `radar-obs` | Flight recorder: typed decision events with causal parents, a recorder that streams them as JSONL, event-loop profiling |
 //! | [`simnet`] | `radar-simnet` | Backbone topologies (incl. the 53-node UUNET-like testbed), deterministic shortest-path routing, preference paths, topology spec files |
 //! | [`simcore`] | `radar-simcore` | Discrete-event engine: integer clock, event queue, FIFO servers, timers, seeded RNG |
 //! | [`workload`] | `radar-workload` | The paper's synthetic workloads plus mixtures, shifts, weighted (trace-derived) popularity, arrival processes |

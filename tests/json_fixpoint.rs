@@ -8,7 +8,7 @@
 
 use radar::core::{Catalog, ConsistencyMix, Params};
 use radar::obs::json::Value;
-use radar::obs::{Event, SharedRecorder};
+use radar::obs::{Event, Recorder, SharedRecorder, DEFAULT_CAPACITY};
 use radar::sim::{FaultSpec, Scenario, Simulation};
 use radar::workload::ZipfReeds;
 
@@ -46,14 +46,19 @@ fn traced_run() -> (String, String) {
         .topology(topology)
         .build()
         .expect("valid scenario");
-    let recorder = SharedRecorder::new(1 << 20);
+    let recorder = SharedRecorder::new(DEFAULT_CAPACITY);
     let mut sim = Simulation::new(scenario, Box::new(ZipfReeds::new(OBJECTS)));
     sim.attach_observer(Box::new(recorder.clone()));
     sim.enable_object_ledger();
     let report = sim.run();
     assert!(report.protocol_health.is_some(), "ledger was enabled");
-    assert_eq!(recorder.with(|r| r.evicted()), 0, "the ring holds the run");
-    (report.to_json_pretty(), recorder.to_jsonl())
+    let log = recorder.to_jsonl();
+    assert_eq!(
+        recorder.with(Recorder::recorded),
+        log.lines().count() as u64,
+        "one line per recorded event"
+    );
+    (report.to_json_pretty(), log)
 }
 
 #[test]
