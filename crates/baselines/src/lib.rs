@@ -18,10 +18,13 @@
 //! the protocol ([`radar_sim::PlacementPolicy`]): see
 //! [`AvailabilityPlacement`] (availability-aware continuous placement)
 //! and [`ClusterPlacement`] (cluster-based load-balancing replication)
-//! in [`placement`]. The degenerate baselines still need no code: static
+//! in [`mod@placement`]. The degenerate baselines still need no code: static
 //! placement is [`radar_sim::PlacementMode::Static`] with the paper's
 //! round-robin initial placement, and replicate-everywhere is
 //! [`radar_sim::InitialPlacement::Everywhere`].
+//!
+//! [`selection()`] and [`placement()`] build any policy of either half, the
+//! paper's own included, from the name the CLI and the experiments use.
 //!
 //! # Examples
 //!
@@ -57,7 +60,7 @@ pub use placement::{AvailabilityPlacement, ClusterPlacement};
 use std::collections::HashMap;
 
 use radar_core::{ObjectId, Redirector};
-use radar_sim::SelectionPolicy;
+use radar_sim::{PlacementPolicy, RadarPlacement, RadarSelection, SelectionPolicy};
 use radar_simcore::SimRng;
 use radar_simnet::{NodeId, RoutingTable};
 
@@ -162,6 +165,43 @@ impl SelectionPolicy for RandomSelection {
     }
 }
 
+/// Builds a replica-selection policy by name: `radar` (the paper's
+/// Fig. 2 algorithm), `round-robin`, `closest`, or `random` drawing from
+/// `seed`.
+///
+/// # Errors
+///
+/// Returns a message naming an unknown policy and listing the known ones.
+pub fn selection(name: &str, seed: u64) -> Result<Box<dyn SelectionPolicy + Send>, String> {
+    match name {
+        "radar" => Ok(Box::new(RadarSelection::new())),
+        "round-robin" => Ok(Box::new(RoundRobinSelection::new())),
+        "closest" => Ok(Box::new(ClosestSelection::new())),
+        "random" => Ok(Box::new(RandomSelection::new(seed))),
+        _ => Err(format!(
+            "unknown policy {name:?} (radar, round-robin, closest, random)"
+        )),
+    }
+}
+
+/// Builds a replica-placement policy by name: `radar` (the paper's §4
+/// distribution algorithm), `availability` or `cluster`.
+///
+/// # Errors
+///
+/// Returns a message naming an unknown placement and listing the known
+/// ones.
+pub fn placement(name: &str) -> Result<Box<dyn PlacementPolicy + Send>, String> {
+    match name {
+        "radar" => Ok(Box::new(RadarPlacement::new())),
+        "availability" => Ok(Box::new(AvailabilityPlacement::new())),
+        "cluster" => Ok(Box::new(ClusterPlacement::new())),
+        _ => Err(format!(
+            "unknown placement {name:?} (radar, availability, cluster)"
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,6 +218,24 @@ mod tests {
         r.install(x(), NodeId::new(0));
         r.install(x(), NodeId::new(3));
         (r, routes)
+    }
+
+    #[test]
+    fn factories_build_the_policy_they_name() {
+        for name in ["radar", "round-robin", "closest", "random"] {
+            assert_eq!(selection(name, 1).unwrap().name(), name);
+        }
+        for name in ["radar", "availability", "cluster"] {
+            assert_eq!(placement(name).unwrap().name(), name);
+        }
+        assert_eq!(
+            selection("psychic", 1).err().unwrap(),
+            "unknown policy \"psychic\" (radar, round-robin, closest, random)"
+        );
+        assert_eq!(
+            placement("psychic").err().unwrap(),
+            "unknown placement \"psychic\" (radar, availability, cluster)"
+        );
     }
 
     #[test]

@@ -3,318 +3,201 @@
 
 use std::fmt::Write as _;
 
-use radar_baselines::{ClosestSelection, RandomSelection, RoundRobinSelection};
 use radar_core::Params;
-use radar_sim::{InitialPlacement, RunReport, SelectionPolicy, Simulation};
+use radar_sim::{InitialPlacement, RunReport, Simulation};
 use radar_simnet::NodeId;
 use radar_stats::EquilibriumSpec;
 use radar_workload::DemandShift;
 
-use crate::{fmt_bw, fmt_ms, format_table, make_workload, write_csv, LocalSwamp};
+use crate::{fmt_bw, LocalSwamp};
 
-use super::Harness;
+use super::{
+    simulation, time_rows, Column, Harness, Job, ADJUSTMENT, EQ_BW, EQ_LAT, PEAK_OVERHEAD,
+    RELOCATIONS, REPLICAS, SETTLED_PEAK,
+};
 
 /// §1/§3 comparison: the protocol's request distribution against
 /// round-robin, closest-replica, and random selection — all running the
 /// same dynamic placement — plus the fully static configuration.
 pub fn baselines(h: &mut Harness) -> String {
     let workload = "hot-sites";
-    let mut out = format!(
-        "== Baselines: request distribution policies under dynamic placement ({workload}) ==\n"
-    );
-    let mut rows = Vec::new();
-    let run_policy = |h: &mut Harness, policy: Box<dyn SelectionPolicy + Send>| -> RunReport {
-        eprintln!("  [sim] policy   {}", policy.name());
-        let scenario = h.cfg.scenario().build().expect("valid scenario");
-        Simulation::with_selection(
-            scenario,
-            make_workload(workload, h.cfg.num_objects, h.cfg.seed),
-            policy,
-        )
-        .run()
-    };
-    let radar = h.dynamic(workload).clone();
-    let reports: Vec<RunReport> = vec![
-        radar,
-        run_policy(h, Box::new(RoundRobinSelection::new())),
-        run_policy(h, Box::new(ClosestSelection::new())),
-        run_policy(h, Box::new(RandomSelection::new(h.cfg.seed))),
-        h.static_run(workload).clone(),
+    h.preload(&[workload], true);
+    let mut jobs: Vec<Job> = ["round-robin", "closest", "random"]
+        .into_iter()
+        .map(|name| {
+            let simulation = simulation(h.cfg.scenario(), workload, name, "radar");
+            (format!("policy   {name}"), simulation)
+        })
+        .collect();
+    jobs.extend(SWAMP_POLICIES.map(|name| swamp_job(h, name)));
+    let mut swept = Harness::sweep(jobs);
+    let swamp = swept.split_off(3);
+    let runs = std::iter::once(h.dynamic(workload))
+        .chain(&swept)
+        .chain([h.static_run(workload)])
+        .map(|r| {
+            let static_mark = if r.dynamic_placement { "" } else { " (static)" };
+            (format!("{}{static_mark}", r.policy), r)
+        });
+    let columns = [
+        ("eq bw (MB·hops/s)", EQ_BW.1),
+        EQ_LAT,
+        SETTLED_PEAK,
+        REPLICAS,
+        RELOCATIONS,
     ];
-    for r in &reports {
-        let label = if r.dynamic_placement {
-            r.policy.clone()
-        } else {
-            format!("{} (static)", r.policy)
-        };
-        // Peak over the final quarter: the settled regime.
-        let warmup = r.max_load.len() * 3 / 4;
-        rows.push(vec![
-            label,
-            fmt_bw(r.equilibrium_bandwidth_rate()),
-            fmt_ms(r.equilibrium_latency()),
-            format!("{:.1}", r.peak_load_after(warmup)),
-            format!("{:.2}", r.equilibrium_avg_replicas()),
-            r.relocations().to_string(),
-        ]);
-    }
-    let headers = [
-        "policy",
-        "eq bw (MB·hops/s)",
-        "eq lat (ms)",
-        "peak load (final quarter)",
-        "avg replicas",
-        "relocations",
-    ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "baselines", &headers, &rows);
-    out.push_str(
-        "\nExpected shape (paper §3): round-robin/random ignore proximity (high\n\
-         bandwidth); the protocol serves nearby while spreading load.\n",
-    );
-    out.push_str(&swamp_comparison(h));
-    out
+    format!(
+        "== Baselines: request distribution policies under dynamic placement ({workload}) ==\n{}\
+         \nExpected shape (paper §3): round-robin/random ignore proximity (high\n\
+         bandwidth); the protocol serves nearby while spreading load.\n{}",
+        h.runs_table("baselines", "policy", runs, &columns),
+        swamp_comparison(h, &swamp)
+    )
 }
 
-/// The paper's §3 swamped-server example, run head-to-head: one
-/// gateway's clients overload the co-located server. Closest-replica
-/// routing can never shed that load; RaDaR's distribution algorithm can.
-fn swamp_comparison(h: &mut Harness) -> String {
-    // 160 req/s of locally concentrated demand: far above the 90 req/s
-    // high watermark but below the 200 req/s hard capacity, so queues
-    // stay bounded (the paper chose capacity ≫ hw for the same reason:
-    // "a backlog of messages is not representative of the real world").
-    let mut out = String::from(
-        "\n-- §3 swamped server: one gateway drives 160 req/s at objects on its own node --\n",
-    );
-    let hot_gateway = 5u16; // Los Angeles
+/// The gateway of the §3 swamped-server scenario (Los Angeles).
+const SWAMP_GATEWAY: u16 = 5;
+
+/// The selection policies the §3 swamped-server runs compare.
+const SWAMP_POLICIES: [&str; 3] = ["radar", "closest", "round-robin"];
+
+/// The paper's §3 swamped-server example: one gateway's clients overload
+/// the co-located server. 160 req/s of locally concentrated demand: far
+/// above the 90 req/s high watermark but below the 200 req/s hard
+/// capacity, so queues stay bounded (the paper chose capacity ≫ hw for
+/// the same reason: "a backlog of messages is not representative of the
+/// real world").
+fn swamp_job(h: &Harness, policy: &str) -> Job {
     let hot_objects = 40u32;
     let num_objects = h.cfg.num_objects.max(hot_objects);
-    let mut rows = Vec::new();
-    let policies: Vec<Box<dyn SelectionPolicy + Send>> = vec![
-        Box::new(radar_sim::RadarSelection::new()),
-        Box::new(ClosestSelection::new()),
-        Box::new(RoundRobinSelection::new()),
-    ];
-    for policy in policies {
-        eprintln!("  [sim] swamp    {}", policy.name());
-        let mut rates = vec![20.0; 53];
-        rates[hot_gateway as usize] = 160.0;
-        // The hot objects live on the swamped gateway's own node.
-        let mut placement: Vec<Vec<u16>> =
-            (0..num_objects).map(|i| vec![(i % 53) as u16]).collect();
-        for assignment in placement.iter_mut().take(hot_objects as usize) {
-            *assignment = vec![hot_gateway];
-        }
-        let scenario = h
-            .cfg
-            .scenario()
-            .num_objects(num_objects)
-            .node_request_rates(rates)
-            .initial_placement(InitialPlacement::Explicit(placement))
-            .tracked_host(hot_gateway)
-            .build()
-            .expect("valid scenario");
-        let name = policy.name().to_string();
-        let r = Simulation::with_selection(
-            scenario,
-            Box::new(LocalSwamp::new(
-                num_objects,
-                NodeId::new(hot_gateway),
-                hot_objects,
-                0.95,
-            )),
-            policy,
-        )
-        .run();
-        // Swamped node's load over the final quarter of samples.
-        let tail = r.load_estimates.len() * 3 / 4;
-        let final_load = r.load_estimates[tail..]
-            .iter()
-            .map(|s| s.actual)
-            .fold(0.0f64, f64::max);
-        rows.push(vec![
-            name,
-            format!("{final_load:.1}"),
-            fmt_ms(r.equilibrium_latency()),
-            format!("{:.2}", r.equilibrium_avg_replicas()),
-        ]);
+    let mut rates = vec![20.0; 53];
+    rates[SWAMP_GATEWAY as usize] = 160.0;
+    // The hot objects live on the swamped gateway's own node.
+    let mut placement: Vec<Vec<u16>> = (0..num_objects).map(|i| vec![(i % 53) as u16]).collect();
+    for assignment in placement.iter_mut().take(hot_objects as usize) {
+        *assignment = vec![SWAMP_GATEWAY];
     }
-    let headers = [
-        "policy",
-        "swamped node load (req/s, final)",
-        "eq lat (ms)",
-        "avg replicas",
-    ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "baselines_swamp", &headers, &rows);
-    out.push_str(
-        "\n(closest keeps the swamped node at capacity no matter how many replicas\n\
+    let scenario = h
+        .cfg
+        .scenario()
+        .num_objects(num_objects)
+        .node_request_rates(rates)
+        .initial_placement(InitialPlacement::Explicit(placement))
+        .tracked_host(SWAMP_GATEWAY)
+        .build()
+        .expect("valid scenario");
+    let workload = LocalSwamp::new(num_objects, NodeId::new(SWAMP_GATEWAY), hot_objects, 0.95);
+    let selection = radar_baselines::selection(policy, h.cfg.seed).expect("known policy");
+    let simulation = Simulation::with_selection(scenario, Box::new(workload), selection);
+    (format!("swamp    {policy}"), simulation)
+}
+
+/// The §3 swamped-server runs, head to head. Closest-replica routing can
+/// never shed the local load; RaDaR's distribution algorithm can.
+fn swamp_comparison(h: &Harness, reports: &[RunReport]) -> String {
+    let swamped_load: Column = ("swamped node load (req/s, final)", &|r| {
+        // The swamped node's peak load over the final quarter of samples.
+        let tail = r.load_estimates.len() * 3 / 4;
+        let load = r.load_estimates[tail..].iter().map(|s| s.actual);
+        format!("{:.1}", load.fold(0.0f64, f64::max))
+    });
+    let runs = SWAMP_POLICIES.iter().zip(reports);
+    let columns = [swamped_load, EQ_LAT, REPLICAS];
+    format!(
+        "\n-- §3 swamped server: one gateway drives 160 req/s at objects on its own node --\n{}\
+         \n(closest keeps the swamped node at capacity no matter how many replicas\n\
          exist; RaDaR sheds the local overload — the paper's central §3 claim)\n",
-    );
-    out
+        h.runs_table("baselines_swamp", "policy", runs, &columns)
+    )
 }
 
 /// Sweep of the request-distribution constant (the \"2\" in Fig. 2).
 /// Larger constants favor proximity harder before shedding load.
 pub fn ablation_constant(h: &mut Harness) -> String {
-    let workload = "zipf";
-    let mut out = String::from("== Ablation: distribution constant (Fig. 2's \"2\") ==\n");
-    let mut rows = Vec::new();
-    for constant in [1.5, 2.0, 4.0, 8.0] {
-        eprintln!("  [sim] constant {constant}");
-        let params = Params::builder()
-            .distribution_constant(constant)
-            .build()
-            .expect("valid params");
-        let scenario = h
-            .cfg
-            .scenario()
-            .params(params)
-            .build()
-            .expect("valid scenario");
-        let r = Simulation::new(
-            scenario,
-            make_workload(workload, h.cfg.num_objects, h.cfg.seed),
-        )
-        .run();
-        let warmup = r.max_load.len() / 4;
-        rows.push(vec![
-            format!("{constant}"),
-            fmt_bw(r.equilibrium_bandwidth_rate()),
-            fmt_ms(r.equilibrium_latency()),
-            format!("{:.1}", r.peak_load_after(warmup)),
-            format!("{:.2}", r.equilibrium_avg_replicas()),
-        ]);
-    }
-    let headers = [
-        "constant",
-        "eq bw",
-        "eq lat (ms)",
-        "peak load",
-        "avg replicas",
-    ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "ablation_constant", &headers, &rows);
-    out
+    let constants = [1.5, 2.0, 4.0, 8.0];
+    let jobs = constants
+        .iter()
+        .map(|&constant| {
+            let params = Params::builder().distribution_constant(constant).build();
+            let scenario = h.cfg.scenario().params(params.expect("valid params"));
+            let simulation = simulation(scenario, "zipf", "radar", "radar");
+            (format!("constant {constant}"), simulation)
+        })
+        .collect();
+    let peak: Column = ("peak load", &|r| {
+        format!("{:.1}", r.peak_load_after(r.max_load.len() / 4))
+    });
+    let reports = Harness::sweep(jobs);
+    let runs = constants.iter().zip(&reports);
+    let columns = [EQ_BW, EQ_LAT, peak, REPLICAS];
+    format!(
+        "== Ablation: distribution constant (Fig. 2's \"2\") ==\n{}",
+        h.runs_table("ablation_constant", "constant", runs, &columns)
+    )
 }
 
 /// Sweep of the deletion threshold `u` (with `m = 6u` as in the paper):
 /// lower thresholds replicate more aggressively.
 pub fn ablation_thresholds(h: &mut Harness) -> String {
-    let workload = "zipf";
-    let mut out = String::from("== Ablation: deletion/replication thresholds (m = 6u) ==\n");
-    let mut rows = Vec::new();
-    for u in [0.01, 0.03, 0.09] {
-        eprintln!("  [sim] u={u}");
-        let params = Params::builder()
-            .thresholds(u, 6.0 * u)
-            .build()
-            .expect("valid params");
-        let scenario = h
-            .cfg
-            .scenario()
-            .params(params)
-            .build()
-            .expect("valid scenario");
-        let r = Simulation::new(
-            scenario,
-            make_workload(workload, h.cfg.num_objects, h.cfg.seed),
-        )
-        .run();
-        let peak_overhead = r.overhead_fractions().into_iter().fold(0.0f64, f64::max) * 100.0;
-        rows.push(vec![
-            format!("{u}"),
-            fmt_bw(r.equilibrium_bandwidth_rate()),
-            fmt_ms(r.equilibrium_latency()),
-            format!("{:.2}", r.equilibrium_avg_replicas()),
-            r.relocations().to_string(),
-            format!("{peak_overhead:.3}%"),
-        ]);
-    }
-    let headers = [
-        "u (req/s)",
-        "eq bw",
-        "eq lat (ms)",
-        "avg replicas",
-        "relocations",
-        "peak overhead",
-    ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "ablation_thresholds", &headers, &rows);
-    out
+    let thresholds = [0.01, 0.03, 0.09];
+    let jobs = thresholds
+        .iter()
+        .map(|&u| {
+            let params = Params::builder().thresholds(u, 6.0 * u).build();
+            let scenario = h.cfg.scenario().params(params.expect("valid params"));
+            let simulation = simulation(scenario, "zipf", "radar", "radar");
+            (format!("u={u}"), simulation)
+        })
+        .collect();
+    let reports = Harness::sweep(jobs);
+    let runs = thresholds.iter().zip(&reports);
+    let columns = [EQ_BW, EQ_LAT, REPLICAS, RELOCATIONS, PEAK_OVERHEAD];
+    format!(
+        "== Ablation: deletion/replication thresholds (m = 6u) ==\n{}",
+        h.runs_table("ablation_thresholds", "u (req/s)", runs, &columns)
+    )
 }
 
 /// Sweep of the placement period: responsiveness vs. churn.
 pub fn ablation_period(h: &mut Harness) -> String {
-    let workload = "regional";
-    let mut out = String::from("== Ablation: placement period ==\n");
-    let mut rows = Vec::new();
-    for period in [50.0, 100.0, 200.0] {
-        eprintln!("  [sim] period={period}");
-        let params = Params::builder()
-            .placement_period(period)
-            .build()
-            .expect("valid params");
-        let scenario = h
-            .cfg
-            .scenario()
-            .params(params)
-            .metric_bin(100.0)
-            .build()
-            .expect("valid scenario");
-        let r = Simulation::new(
-            scenario,
-            make_workload(workload, h.cfg.num_objects, h.cfg.seed),
-        )
-        .run();
-        let adj = r
-            .adjustment(EquilibriumSpec::default())
-            .map(|a| format!("{:.0}", a.adjustment_time / 60.0))
-            .unwrap_or_else(|| "n/a".into());
-        rows.push(vec![
-            format!("{period}"),
-            adj,
-            fmt_bw(r.equilibrium_bandwidth_rate()),
-            format!("{:.2}", r.equilibrium_avg_replicas()),
-            r.relocations().to_string(),
-        ]);
-    }
-    let headers = [
-        "period (s)",
-        "adjustment (min)",
-        "eq bw",
-        "avg replicas",
-        "relocations",
-    ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "ablation_period", &headers, &rows);
-    out
+    let periods = [50.0, 100.0, 200.0];
+    let jobs = periods
+        .iter()
+        .map(|&period| {
+            let params = Params::builder().placement_period(period).build();
+            let scenario = h.cfg.scenario().params(params.expect("valid params"));
+            let simulation = simulation(scenario.metric_bin(100.0), "regional", "radar", "radar");
+            (format!("period={period}"), simulation)
+        })
+        .collect();
+    let reports = Harness::sweep(jobs);
+    let runs = periods.iter().zip(&reports);
+    let columns = [ADJUSTMENT, EQ_BW, REPLICAS, RELOCATIONS];
+    format!(
+        "== Ablation: placement period ==\n{}",
+        h.runs_table("ablation_period", "period (s)", runs, &columns)
+    )
 }
 
 /// Responsiveness to a demand change: the hot-site set is replaced
 /// mid-run and we measure how long the protocol takes to re-settle.
 pub fn demand_shift(h: &mut Harness) -> String {
-    let cfg = h.cfg.clone();
+    let cfg = &h.cfg;
     let shift_at = cfg.duration / 2.0;
-    eprintln!("  [sim] demand shift at t={shift_at}");
-    let before = make_workload("hot-sites", cfg.num_objects, cfg.seed);
-    let after = make_workload("hot-sites", cfg.num_objects, cfg.seed.wrapping_add(777));
-    let workload = Box::new(DemandShift::new(before, after, shift_at));
-    // Run twice as long so both phases have room to settle.
+    let before = radar_workload::hot_sites(cfg.num_objects, 53, cfg.seed);
+    let after = radar_workload::hot_sites(cfg.num_objects, 53, cfg.seed.wrapping_add(777));
+    let workload = DemandShift::new(Box::new(before), Box::new(after), shift_at);
     let scenario = cfg.scenario().build().expect("valid scenario");
-    let r = Simulation::new(scenario, workload).run();
+    let label = format!("demand shift at t={shift_at}");
+    let jobs = vec![(label, Simulation::new(scenario, Box::new(workload)))];
+    let r = Harness::sweep(jobs).remove(0);
 
     let mut out = format!("== Demand shift: hot-site set replaced at t={shift_at:.0}s ==\n");
     let rates = r.total_bandwidth_rates();
     let spec = r.client_bandwidth.spec();
-    let mut rows = Vec::new();
-    for (i, &rate) in rates.iter().enumerate() {
-        rows.push(vec![format!("{:.0}", spec.bin_start(i)), fmt_bw(rate)]);
-    }
+    let rows = time_rows(spec, std::slice::from_ref(&rates), 1, fmt_bw);
     let headers = ["t(s)", "total bw (MB·hops/s)"];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&cfg, "demand_shift", &headers, &rows);
+    out.push_str(&h.table("demand_shift", &headers, &rows));
 
     // Re-adjustment time: settle point of the post-shift suffix.
     let shift_bin = spec.bin_index(shift_at);
@@ -349,63 +232,57 @@ pub fn demand_shift(h: &mut Harness) -> String {
 /// way — the §5 design space.
 pub fn updates(h: &mut Harness) -> String {
     use radar_core::{Catalog, ObjectKind};
-    use radar_simnet::NodeId as Node;
-    let workload = "zipf";
-    let mut out =
-        String::from("== §5 update propagation: provider-update rate × replica caps ==\n");
-    let mut rows = Vec::new();
-    for (label, cap, rate) in [
+    let configurations = [
         ("uncapped, no updates", None, 0.0),
         ("uncapped, 10 upd/s", None, 10.0),
         ("uncapped, 50 upd/s", None, 50.0),
         ("cap 2, 50 upd/s", Some(2u32), 50.0),
         ("cap 1 (migrate-only), 50 upd/s", Some(1), 50.0),
-    ] {
-        eprintln!("  [sim] updates  {label}");
-        let mut builder = h.cfg.scenario().update_rate(rate);
-        if let Some(max_replicas) = cap {
-            let kinds = vec![ObjectKind::NonCommuting { max_replicas }; h.cfg.num_objects as usize];
-            let primaries = (0..h.cfg.num_objects)
-                .map(|i| Node::new((i % 53) as u16))
-                .collect();
-            builder = builder.catalog(Catalog::from_parts(kinds, 12 * 1024, primaries));
-        }
-        let scenario = builder.build().expect("valid scenario");
-        let r = Simulation::new(
-            scenario,
-            make_workload(workload, h.cfg.num_objects, h.cfg.seed),
-        )
-        .run();
+    ];
+    let objects = h.cfg.num_objects;
+    let jobs = configurations
+        .iter()
+        .map(|&(label, cap, rate)| {
+            let mut builder = h.cfg.scenario().update_rate(rate);
+            if let Some(max_replicas) = cap {
+                let kinds = vec![ObjectKind::NonCommuting { max_replicas }; objects as usize];
+                let primaries = (0..objects).map(|i| NodeId::new((i % 53) as u16)).collect();
+                builder = builder.catalog(Catalog::from_parts(kinds, 12 * 1024, primaries));
+            }
+            let simulation = simulation(builder, "zipf", "radar", "radar");
+            (format!("updates  {label}"), simulation)
+        })
+        .collect();
+    let update_share: Column = ("update traffic share", &|r| {
         let total_traffic: f64 = r.total_bandwidth_sums().iter().sum();
-        let update_share = if total_traffic > 0.0 {
+        let share = if total_traffic > 0.0 {
             (r.update_bandwidth.total() / total_traffic * 100.0).max(0.0)
         } else {
             0.0
         };
-        rows.push(vec![
-            label.to_string(),
-            fmt_bw(r.equilibrium_bandwidth_rate()),
-            format!("{:.2}", r.equilibrium_avg_replicas()),
-            r.updates_propagated.to_string(),
-            format!("{update_share:.2}%"),
-            r.primary_reassignments.to_string(),
-        ]);
-    }
-    let headers = [
-        "configuration",
-        "eq bw",
-        "avg replicas",
-        "updates",
-        "update traffic share",
-        "primary moves",
+        format!("{share:.2}%")
+    });
+    let columns = [
+        EQ_BW,
+        REPLICAS,
+        ("updates", &|r| r.updates_propagated.to_string()),
+        update_share,
+        ("primary moves", &|r| r.primary_reassignments.to_string()),
     ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "updates", &headers, &rows);
-    out.push_str(
-        "\n(replica caps bound the update fan-out at the cost of serving reads from\n\
+    let reports = Harness::sweep(jobs);
+    let runs = configurations.iter().map(|c| c.0).zip(&reports);
+    format!(
+        "== §5 update propagation: provider-update rate × replica caps ==\n{}\
+         \n(replica caps bound the update fan-out at the cost of serving reads from\n\
          farther away — §5's consistency/performance trade)\n",
-    );
-    out
+        h.runs_table("updates", "configuration", runs, &columns)
+    )
+}
+
+/// A run's total update traffic, MB·hops. `.max(0.0)` normalizes the
+/// empty series' `-0.0` sum.
+fn update_traffic(r: &RunReport) -> f64 {
+    r.update_bandwidth.sums().iter().sum::<f64>().max(0.0) / 1e6
 }
 
 /// Placement-policy head-to-head across §5 consistency mixes: the
@@ -416,129 +293,85 @@ pub fn updates(h: &mut Harness) -> String {
 /// workspace root (next to the perf baselines) so CI can gate on the
 /// sweep's presence and shape.
 pub fn policies(h: &mut Harness) -> String {
-    use radar_baselines::{AvailabilityPlacement, ClusterPlacement};
     use radar_core::{Catalog, ConsistencyMix};
     use radar_sim::obs::json::Value;
-    use radar_sim::{PlacementPolicy, RadarPlacement, RadarSelection};
 
     let workload = "zipf";
     // Aggregate provider-update rate for the update-bearing mixes; zero
     // for read-only keeps that column the exact default configuration.
     let update_rate = 2.0;
-    let mut out =
-        String::from("== Placement policies × consistency mixes (BENCH_policies.json) ==\n");
-    let mut rows = Vec::new();
-    let mut runs = Vec::new();
+    let placements = ["radar", "availability", "cluster"];
+    let mut mixes = Vec::new();
+    let mut jobs = Vec::new();
     for &mix in ConsistencyMix::ALL {
-        for placement_name in ["radar", "availability", "cluster"] {
-            eprintln!("  [sim] placement {placement_name} / {mix}");
+        for placement in placements {
             let mut builder = h.cfg.scenario();
             if mix != ConsistencyMix::ReadOnly {
-                builder = builder.update_rate(update_rate).catalog(Catalog::with_mix(
-                    h.cfg.num_objects,
-                    12 * 1024,
-                    53,
-                    mix,
-                ));
+                let catalog = Catalog::with_mix(h.cfg.num_objects, 12 * 1024, 53, mix);
+                builder = builder.update_rate(update_rate).catalog(catalog);
             }
-            let scenario = builder.build().expect("valid scenario");
-            let placement: Box<dyn PlacementPolicy + Send> = match placement_name {
-                "radar" => Box::new(RadarPlacement::new()),
-                "availability" => Box::new(AvailabilityPlacement::new()),
-                _ => Box::new(ClusterPlacement::new()),
-            };
-            let r = Simulation::with_policies(
-                scenario,
-                make_workload(workload, h.cfg.num_objects, h.cfg.seed),
-                Box::new(RadarSelection::new()),
-                placement,
-            )
-            .run();
-            let warmup = r.max_load.len() * 3 / 4;
-            let peak_overhead = r.overhead_fractions().into_iter().fold(0.0f64, f64::max) * 100.0;
-            // `.max(0.0)` normalizes the empty series' `-0.0` sum.
-            let update_traffic: f64 = r.update_bandwidth.sums().iter().sum::<f64>().max(0.0);
-            rows.push(vec![
-                mix.name().to_string(),
-                r.placement_policy.clone(),
-                fmt_bw(r.equilibrium_bandwidth_rate()),
-                format!("{:.1}", r.peak_load_after(warmup)),
-                format!("{:.2}", r.equilibrium_avg_replicas()),
-                format!("{peak_overhead:.3}%"),
-                if r.update_lag_type1.count > 0 {
-                    format!("{:.2}", r.update_lag_type1.mean)
-                } else {
-                    "-".into()
-                },
-                format!("{:.2}", update_traffic / 1e6),
-            ]);
-            runs.push(Value::Obj(vec![
-                ("placement".into(), Value::Str(r.placement_policy.clone())),
-                ("mix".into(), Value::Str(mix.name().into())),
-                (
-                    "eq_bandwidth_mb_hops_per_s".into(),
-                    Value::Num(r.equilibrium_bandwidth_rate() / 1e6),
-                ),
-                (
-                    "peak_load_final_quarter".into(),
-                    Value::Num(r.peak_load_after(warmup)),
-                ),
-                (
-                    "avg_replicas".into(),
-                    Value::Num(r.equilibrium_avg_replicas()),
-                ),
-                (
-                    "peak_relocation_overhead_pct".into(),
-                    Value::Num(peak_overhead),
-                ),
-                ("relocations".into(), Value::UInt(r.relocations())),
-                ("updates".into(), Value::UInt(r.updates_propagated)),
-                (
-                    "update_traffic_mb_hops".into(),
-                    Value::Num(update_traffic / 1e6),
-                ),
-                (
-                    "staleness_t1_mean_s".into(),
-                    Value::Num(r.update_lag_type1.mean),
-                ),
-                (
-                    "staleness_t1_max_s".into(),
-                    Value::Num(r.update_lag_type1.max),
-                ),
-                ("wasted_deliveries".into(), Value::UInt(r.wasted_deliveries)),
-            ]));
+            let label = format!("placement {placement} / {mix}");
+            jobs.push((label, simulation(builder, workload, "radar", placement)));
+            mixes.push(mix.name());
         }
     }
-    let headers = [
-        "mix",
-        "placement",
-        "eq bw (MB·hops/s)",
-        "peak load (final quarter)",
-        "avg replicas",
-        "peak overhead",
-        "t1 staleness (s)",
-        "update traffic (MB·hops)",
+    let reports = Harness::sweep(jobs);
+    let columns: [Column; 7] = [
+        ("placement", &|r| r.placement_policy.clone()),
+        ("eq bw (MB·hops/s)", EQ_BW.1),
+        SETTLED_PEAK,
+        REPLICAS,
+        PEAK_OVERHEAD,
+        ("t1 staleness (s)", &|r| match r.update_lag_type1.count {
+            0 => "-".into(),
+            _ => format!("{:.2}", r.update_lag_type1.mean),
+        }),
+        ("update traffic (MB·hops)", &|r| {
+            format!("{:.2}", update_traffic(r))
+        }),
     ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "policies", &headers, &rows);
+    let mut out =
+        String::from("== Placement policies × consistency mixes (BENCH_policies.json) ==\n");
+    out.push_str(&h.runs_table("policies", "mix", mixes.iter().zip(&reports), &columns));
 
+    let num = |key: &str, v| (key.to_string(), Value::Num(v));
+    let uint = |key: &str, v| (key.to_string(), Value::UInt(v));
+    let runs = mixes.iter().zip(&reports).map(|(&mix, r)| {
+        let warmup = r.max_load.len() * 3 / 4;
+        let peak_overhead = r.overhead_fractions().into_iter().fold(0.0f64, f64::max) * 100.0;
+        Value::Obj(vec![
+            ("placement".into(), Value::Str(r.placement_policy.clone())),
+            ("mix".into(), Value::Str(mix.into())),
+            num(
+                "eq_bandwidth_mb_hops_per_s",
+                r.equilibrium_bandwidth_rate() / 1e6,
+            ),
+            num("peak_load_final_quarter", r.peak_load_after(warmup)),
+            num("avg_replicas", r.equilibrium_avg_replicas()),
+            num("peak_relocation_overhead_pct", peak_overhead),
+            uint("relocations", r.relocations()),
+            uint("updates", r.updates_propagated),
+            num("update_traffic_mb_hops", update_traffic(r)),
+            num("staleness_t1_mean_s", r.update_lag_type1.mean),
+            num("staleness_t1_max_s", r.update_lag_type1.max),
+            uint("wasted_deliveries", r.wasted_deliveries),
+        ])
+    });
+    let config = vec![
+        uint("objects", h.cfg.num_objects as u64),
+        num("rate", h.cfg.node_rate),
+        num("duration", h.cfg.duration),
+        uint("seed", h.cfg.seed),
+        ("workload".into(), Value::Str(workload.into())),
+        num("update_rate", update_rate),
+    ];
     let doc = Value::Obj(vec![
         (
             "schema".into(),
             Value::Str("radar-bench-policies-v1".into()),
         ),
-        (
-            "config".into(),
-            Value::Obj(vec![
-                ("objects".into(), Value::UInt(h.cfg.num_objects as u64)),
-                ("rate".into(), Value::Num(h.cfg.node_rate)),
-                ("duration".into(), Value::Num(h.cfg.duration)),
-                ("seed".into(), Value::UInt(h.cfg.seed)),
-                ("workload".into(), Value::Str(workload.into())),
-                ("update_rate".into(), Value::Num(update_rate)),
-            ]),
-        ),
-        ("runs".into(), Value::Arr(runs)),
+        ("config".into(), Value::Obj(config)),
+        ("runs".into(), Value::Arr(runs.collect())),
     ]);
     // CARGO_MANIFEST_DIR is crates/bench; the artifact lives at the
     // workspace root next to BENCH_protocol_health.json.
@@ -560,89 +393,68 @@ pub fn policies(h: &mut Harness) -> String {
 /// Redirector partitioning (§2): more hash-partitioned redirectors at
 /// central nodes shorten the control round-trip every request pays.
 pub fn redirectors(h: &mut Harness) -> String {
-    let workload = "zipf";
-    let mut out = String::from("== §2 redirector partitioning ==\n");
-    let mut rows = Vec::new();
-    for n in [1u16, 2, 4, 8] {
-        eprintln!("  [sim] redirectors={n}");
-        let scenario = h
-            .cfg
-            .scenario()
-            .num_redirectors(n)
-            .build()
-            .expect("valid scenario");
-        let r = Simulation::new(
-            scenario,
-            make_workload(workload, h.cfg.num_objects, h.cfg.seed),
-        )
-        .run();
+    let counts = [1u16, 2, 4, 8];
+    let jobs = counts
+        .iter()
+        .map(|&n| {
+            let scenario = h.cfg.scenario().num_redirectors(n);
+            let simulation = simulation(scenario, "zipf", "radar", "radar");
+            (format!("redirectors={n}"), simulation)
+        })
+        .collect();
+    let busiest: Column = ("busiest redirector share", &|r| {
         let busiest = r.redirector_requests.values().copied().max().unwrap_or(0);
         let total: u64 = r.redirector_requests.values().sum();
-        rows.push(vec![
-            n.to_string(),
-            fmt_ms(r.equilibrium_latency()),
-            fmt_bw(r.equilibrium_bandwidth_rate()),
-            format!("{:.2}", r.equilibrium_avg_replicas()),
-            format!("{:.0}%", busiest as f64 / total.max(1) as f64 * 100.0),
-        ]);
-    }
-    let headers = [
-        "redirectors",
-        "eq lat (ms)",
-        "eq bw",
-        "avg replicas",
-        "busiest redirector share",
-    ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "redirectors", &headers, &rows);
-    out
+        format!("{:.0}%", busiest as f64 / total.max(1) as f64 * 100.0)
+    });
+    let reports = Harness::sweep(jobs);
+    let runs = counts.iter().zip(&reports);
+    let columns = [EQ_LAT, EQ_BW, REPLICAS, busiest];
+    format!(
+        "== §2 redirector partitioning ==\n{}",
+        h.runs_table("redirectors", "redirectors", runs, &columns)
+    )
 }
 
 /// Host heterogeneity (§2 weights): double-capacity hosts get
 /// proportionally higher watermarks and absorb proportionally more
 /// replica mass, keeping every host under its own high watermark.
 pub fn heterogeneous(h: &mut Harness) -> String {
-    let workload = "hot-pages";
-    let mut out = String::from("== §2 heterogeneous hosts (weights) ==\n");
-    let mut rows = Vec::new();
-    for (label, big_every) in [
+    let mut doubled = vec![200.0; 53];
+    for capacity in doubled.iter_mut().step_by(2) {
+        *capacity = 400.0;
+    }
+    let configurations = [
         ("uniform 200 req/s", None),
-        ("every 2nd host 400 req/s", Some(2)),
-    ] {
-        eprintln!("  [sim] capacities: {label}");
-        let mut builder = h.cfg.scenario();
-        let mut capacities = vec![200.0; 53];
-        if let Some(step) = big_every {
-            for i in (0..53).step_by(step) {
-                capacities[i] = 400.0;
+        ("every 2nd host 400 req/s", Some(doubled)),
+    ];
+    let jobs = configurations
+        .iter()
+        .map(|(label, capacities)| {
+            let mut builder = h.cfg.scenario();
+            if let Some(capacities) = capacities {
+                builder = builder.node_capacities(capacities.clone());
             }
-            builder = builder.node_capacities(capacities.clone());
+            let simulation = simulation(builder, "hot-pages", "radar", "radar");
+            (format!("capacities: {label}"), simulation)
+        })
+        .collect();
+    let mut rows = Vec::new();
+    for ((label, capacities), r) in configurations.iter().zip(Harness::sweep(jobs)) {
+        let big_host = |node: u16| {
+            capacities
+                .as_ref()
+                .is_some_and(|c| c[node as usize] > 200.0)
+        };
+        // Replica affinity on [big, standard] hosts.
+        let mut affinity = [0u64; 2];
+        for &(node, units) in r.final_replicas.iter().flatten() {
+            affinity[usize::from(!big_host(node))] += u64::from(units);
         }
-        let scenario = builder.build().expect("valid scenario");
-        let r = Simulation::new(
-            scenario,
-            make_workload(workload, h.cfg.num_objects, h.cfg.seed),
-        )
-        .run();
-        let (mut big, mut small) = (0u64, 0u64);
-        for reps in &r.final_replicas {
-            for &(node, aff) in reps {
-                if capacities[node as usize] > 200.0 {
-                    big += aff as u64;
-                } else {
-                    small += aff as u64;
-                }
-            }
-        }
-        let warmup = r.max_load.len() * 3 / 4;
-        rows.push(vec![
-            label.to_string(),
-            fmt_bw(r.equilibrium_bandwidth_rate()),
-            fmt_ms(r.equilibrium_latency()),
-            format!("{:.1}", r.peak_load_after(warmup)),
-            big.to_string(),
-            small.to_string(),
-        ]);
+        let mut row = vec![label.to_string()];
+        row.extend([EQ_BW, EQ_LAT, SETTLED_PEAK].map(|(_, cell)| cell(&r)));
+        row.extend(affinity.map(|units| units.to_string()));
+        rows.push(row);
     }
     let headers = [
         "capacities",
@@ -652,9 +464,10 @@ pub fn heterogeneous(h: &mut Harness) -> String {
         "replicas on big hosts",
         "on standard hosts",
     ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "heterogeneous", &headers, &rows);
-    out
+    format!(
+        "== §2 heterogeneous hosts (weights) ==\n{}",
+        h.table("heterogeneous", &headers, &rows)
+    )
 }
 
 /// Per-link view of the bandwidth story: which backbone links dynamic
@@ -664,8 +477,9 @@ pub fn links(h: &mut Harness) -> String {
     use radar_simnet::builders;
     let workload = "regional";
     let mut out = String::from("== Per-link traffic: where the bandwidth reduction lands ==\n");
-    let dynamic = h.dynamic(workload).clone();
-    let static_run = h.static_run(workload).clone();
+    h.preload(&[workload], true);
+    let dynamic = h.dynamic(workload);
+    let static_run = h.static_run(workload);
     let topo = builders::uunet();
     // Rank links by static traffic.
     let mut ranked: Vec<usize> = (0..static_run.link_traffic.len()).collect();
@@ -679,7 +493,7 @@ pub fn links(h: &mut Harness) -> String {
     for &i in ranked.iter().take(12) {
         let ((a, b), s_bytes) = static_run.link_traffic[i];
         let (_, d_bytes) = dynamic.link_traffic[i];
-        let (na, nb) = (radar_simnet::NodeId::new(a), radar_simnet::NodeId::new(b));
+        let (na, nb) = (NodeId::new(a), NodeId::new(b));
         let kind = if topo.region(na) == topo.region(nb) {
             "intra"
         } else {
@@ -694,15 +508,13 @@ pub fn links(h: &mut Harness) -> String {
         ]);
     }
     let headers = ["link", "kind", "static GB", "dynamic GB", "relief"];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "links", &headers, &rows);
+    out.push_str(&h.table("links", &headers, &rows));
 
     // Aggregate: trunk vs intra-region bytes.
     let mut sums = [[0.0f64; 2]; 2]; // [static/dynamic][trunk/intra]
-    for (run, row) in [&static_run, &dynamic].iter().zip(0..) {
+    for (run, row) in [static_run, dynamic].iter().zip(0..) {
         for &((a, b), bytes) in &run.link_traffic {
-            let trunk = topo.region(radar_simnet::NodeId::new(a))
-                != topo.region(radar_simnet::NodeId::new(b));
+            let trunk = topo.region(NodeId::new(a)) != topo.region(NodeId::new(b));
             sums[row][usize::from(!trunk)] += bytes;
         }
     }
@@ -724,47 +536,31 @@ pub fn links(h: &mut Harness) -> String {
 /// storage caps barely hurt — "it is better to spend money on a greater
 /// number of inexpensive hosts".
 pub fn storage(h: &mut Harness) -> String {
-    let workload = "zipf";
     let per_host_baseline = h.cfg.num_objects / 53 + 1;
-    let mut out = format!(
-        "== Storage pressure (initial placement needs ~{per_host_baseline} objects/host) ==\n"
-    );
-    let mut rows = Vec::new();
-    for (label, limit) in [
+    let limits = [
         ("unbounded", None),
         ("3× initial", Some(per_host_baseline * 3)),
         ("2× initial", Some(per_host_baseline * 2)),
         ("1.25× initial", Some(per_host_baseline * 5 / 4)),
-    ] {
-        eprintln!("  [sim] storage  {label}");
-        let mut builder = h.cfg.scenario();
-        if let Some(l) = limit {
-            builder = builder.storage_limit(l);
-        }
-        let scenario = builder.build().expect("valid scenario");
-        let r = Simulation::new(
-            scenario,
-            make_workload(workload, h.cfg.num_objects, h.cfg.seed),
-        )
-        .run();
-        rows.push(vec![
-            label.to_string(),
-            fmt_bw(r.equilibrium_bandwidth_rate()),
-            fmt_ms(r.equilibrium_latency()),
-            format!("{:.2}", r.equilibrium_avg_replicas()),
-            r.relocations().to_string(),
-        ]);
-    }
-    let headers = [
-        "per-host storage",
-        "eq bw",
-        "eq lat (ms)",
-        "avg replicas",
-        "relocations",
     ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "storage", &headers, &rows);
-    out
+    let jobs = limits
+        .iter()
+        .map(|&(label, limit)| {
+            let mut builder = h.cfg.scenario();
+            if let Some(l) = limit {
+                builder = builder.storage_limit(l);
+            }
+            let simulation = simulation(builder, "zipf", "radar", "radar");
+            (format!("storage  {label}"), simulation)
+        })
+        .collect();
+    let reports = Harness::sweep(jobs);
+    let runs = limits.iter().map(|l| l.0).zip(&reports);
+    let columns = [EQ_BW, EQ_LAT, REPLICAS, RELOCATIONS];
+    format!(
+        "== Storage pressure (initial placement needs ~{per_host_baseline} objects/host) ==\n{}",
+        h.runs_table("storage", "per-host storage", runs, &columns)
+    )
 }
 
 /// Seed-variance check: Table 2's metrics across independent seeds, as
@@ -772,37 +568,33 @@ pub fn storage(h: &mut Harness) -> String {
 /// against being artifacts of one random stream.
 pub fn variance(h: &mut Harness) -> String {
     let seeds = 3u64;
-    let mut out = format!("== Seed variance: Table 2 metrics over {seeds} seeds ==\n");
-    let mut rows = Vec::new();
+    let mut jobs = Vec::new();
     for workload in crate::WORKLOADS {
-        let mut bw = Vec::new();
-        let mut replicas = Vec::new();
-        let mut adjustment = Vec::new();
         for s in 0..seeds {
-            eprintln!("  [sim] {workload} seed {s}");
-            let mut cfg = h.cfg.clone();
-            cfg.seed = h.cfg.seed + s * 1000;
-            let r = crate::run_dynamic(&cfg, workload);
-            bw.push(r.equilibrium_bandwidth_rate() / 1e6);
-            replicas.push(r.equilibrium_avg_replicas());
-            if let Some(a) = r.adjustment(EquilibriumSpec::default()) {
-                adjustment.push(a.adjustment_time / 60.0);
-            }
+            let scenario = h.cfg.scenario().seed(h.cfg.seed + s * 1000);
+            let simulation = simulation(scenario, workload, "radar", "radar");
+            jobs.push((format!("{workload} seed {s}"), simulation));
         }
-        let stat = |xs: &[f64]| {
+    }
+    let reports = Harness::sweep(jobs);
+    let mut rows = Vec::new();
+    for (workload, runs) in crate::WORKLOADS.iter().zip(reports.chunks(seeds as usize)) {
+        // Mean ± population standard deviation of `value` over the seeds.
+        let stat = |value: &dyn Fn(&RunReport) -> Option<f64>, precision: usize| {
+            let xs: Vec<f64> = runs.iter().filter_map(value).collect();
             let n = xs.len() as f64;
             let mean = xs.iter().sum::<f64>() / n;
-            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-            (mean, var.sqrt())
+            let sd = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n).sqrt();
+            format!("{mean:.precision$} ± {sd:.precision$}")
         };
-        let (bw_m, bw_s) = stat(&bw);
-        let (re_m, re_s) = stat(&replicas);
-        let (ad_m, ad_s) = stat(&adjustment);
         rows.push(vec![
             workload.to_string(),
-            format!("{bw_m:.1} ± {bw_s:.1}"),
-            format!("{re_m:.2} ± {re_s:.2}"),
-            format!("{ad_m:.0} ± {ad_s:.0}"),
+            stat(&|r| Some(r.equilibrium_bandwidth_rate() / 1e6), 1),
+            stat(&|r| Some(r.equilibrium_avg_replicas()), 2),
+            stat(
+                &|r| Some(r.adjustment(EquilibriumSpec::default())?.adjustment_time / 60.0),
+                0,
+            ),
         ]);
     }
     let headers = [
@@ -811,7 +603,8 @@ pub fn variance(h: &mut Harness) -> String {
         "avg replicas",
         "adjustment (min)",
     ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "variance", &headers, &rows);
-    out
+    format!(
+        "== Seed variance: Table 2 metrics over {seeds} seeds ==\n{}",
+        h.table("variance", &headers, &rows)
+    )
 }

@@ -3,12 +3,10 @@
 //! degradation (skip dead replicas, fall back to the primary,
 //! re-replicate on declared death) measured against a fault-free run.
 
-use radar_sim::{FaultSpec, Simulation};
+use radar_sim::FaultSpec;
 use radar_simnet::builders;
 
-use crate::{fmt_bw, format_table, make_workload, write_csv};
-
-use super::Harness;
+use super::{simulation, Column, Harness, EQ_BW};
 
 /// Builds the fault schedules the experiment compares, scaled to the
 /// configured duration. Link endpoints are real UUNET links so the
@@ -60,43 +58,33 @@ fn schedules(duration: f64) -> Vec<(&'static str, FaultSpec)> {
 /// workload.
 pub fn faults(h: &mut Harness) -> String {
     let workload = "zipf";
-    let mut out = format!("== Availability under injected faults ({workload}) ==\n");
-    let mut rows = Vec::new();
+    let mut labels = Vec::new();
+    let mut jobs = Vec::new();
     for (label, spec) in schedules(h.cfg.duration) {
-        eprintln!("  [sim] faults   {label}");
-        let scenario = h
-            .cfg
-            .scenario()
-            .faults(spec)
-            .build()
-            .expect("valid fault scenario");
-        let r = Simulation::new(
-            scenario,
-            make_workload(workload, h.cfg.num_objects, h.cfg.seed),
-        )
-        .run();
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.5}", r.availability() * 100.0),
-            r.failed_requests.to_string(),
-            format!("{:.1}", r.unavailable_object_seconds),
-            r.re_replications.to_string(),
-            format!("{:.1}", r.restore_time.mean),
-            r.primary_fallbacks.to_string(),
-            fmt_bw(r.equilibrium_bandwidth_rate()),
-        ]);
+        let scenario = h.cfg.scenario().faults(spec);
+        let simulation = simulation(scenario, workload, "radar", "radar");
+        jobs.push((format!("faults   {label}"), simulation));
+        labels.push(label);
     }
-    let headers = [
-        "fault schedule",
-        "availability %",
-        "failed reqs",
-        "unavail obj-s",
-        "re-replications",
-        "mean restore (s)",
-        "primary fallbacks",
-        "eq bw",
+    let columns: [Column; 7] = [
+        ("availability %", &|r| {
+            format!("{:.5}", r.availability() * 100.0)
+        }),
+        ("failed reqs", &|r| r.failed_requests.to_string()),
+        ("unavail obj-s", &|r| {
+            format!("{:.1}", r.unavailable_object_seconds)
+        }),
+        ("re-replications", &|r| r.re_replications.to_string()),
+        ("mean restore (s)", &|r| {
+            format!("{:.1}", r.restore_time.mean)
+        }),
+        ("primary fallbacks", &|r| r.primary_fallbacks.to_string()),
+        EQ_BW,
     ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "faults", &headers, &rows);
-    out
+    let reports = Harness::sweep(jobs);
+    let runs = labels.into_iter().zip(&reports);
+    format!(
+        "== Availability under injected faults ({workload}) ==\n{}",
+        h.runs_table("faults", "fault schedule", runs, &columns)
+    )
 }

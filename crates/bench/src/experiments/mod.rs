@@ -1,4 +1,7 @@
-//! The paper's tables and figures, regenerated.
+//! The paper's tables and figures, regenerated. Every experiment lists
+//! its runs as [`Job`]s, runs them side by side with [`Harness::sweep`]
+//! (the shared paper runs once, through [`Harness::preload`]), then
+//! tabulates the reports with [`Harness::table`].
 
 mod ablations;
 mod faults;
@@ -11,25 +14,50 @@ pub use faults::faults;
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
-use radar_sim::{RunReport, Simulation};
-use radar_simcore::SimRng;
-use radar_stats::EquilibriumSpec;
-use radar_workload::HotSites;
+use radar_sim::{PlacementMode, RunReport, ScenarioBuilder, Simulation};
+use radar_stats::{BinSpec, EquilibriumSpec};
 
-use crate::{
-    fmt_bw, fmt_ms, format_table, make_workload, reduction_percent, run_dynamic, run_static,
-    write_csv, ExpConfig, WORKLOADS,
-};
+use crate::{fmt_bw, fmt_ms, format_table, reduction_percent, ExpConfig, WORKLOADS};
 
-/// Caches the paper-configuration runs (dynamic and static per workload)
-/// so `all` does not re-simulate for every figure.
+/// One run for [`Harness::sweep`]: the label of its `[sim]` progress line
+/// and the simulation.
+pub type Job = (String, Simulation);
+
+/// The simulation of `scenario` under the named workload
+/// ([`radar_workload::by_name`], for the scenario's objects, topology and
+/// seed), selection policy ([`radar_baselines::selection()`]) and placement
+/// policy ([`radar_baselines::placement()`]); `"radar"` names the paper's.
+///
+/// # Panics
+///
+/// Panics if the scenario is invalid or a name unknown.
+pub fn simulation(
+    scenario: ScenarioBuilder,
+    workload: &str,
+    selection: &str,
+    placement: &str,
+) -> Simulation {
+    let scenario = scenario.build().expect("valid scenario");
+    let seed = scenario.seed;
+    let workload =
+        radar_workload::by_name(workload, scenario.num_objects, &scenario.topology, seed)
+            .unwrap_or_else(|e| panic!("{e}"));
+    let selection = radar_baselines::selection(selection, seed).unwrap_or_else(|e| panic!("{e}"));
+    let placement = radar_baselines::placement(placement).unwrap_or_else(|e| panic!("{e}"));
+    Simulation::with_policies(scenario, workload, selection, placement)
+}
+
+/// Runs the experiments at one scale and caches the paper-configuration
+/// runs (dynamic and static per workload) so `all` does not re-simulate
+/// them for every figure.
 #[derive(Debug)]
 pub struct Harness {
     /// Scale/output settings for every experiment.
     pub cfg: ExpConfig,
-    dynamic: HashMap<String, RunReport>,
-    statics: HashMap<String, RunReport>,
+    /// Paper-configuration runs by workload and dynamic placement.
+    paper: HashMap<(String, bool), RunReport>,
 }
 
 impl Harness {
@@ -37,148 +65,206 @@ impl Harness {
     pub fn new(cfg: ExpConfig) -> Self {
         Self {
             cfg,
-            dynamic: HashMap::new(),
-            statics: HashMap::new(),
+            paper: HashMap::new(),
         }
     }
 
-    /// The dynamic-placement run of `workload` (simulated on first use).
-    pub fn dynamic(&mut self, workload: &str) -> &RunReport {
-        if !self.dynamic.contains_key(workload) {
-            eprintln!("  [sim] dynamic  {workload}");
-            let report = run_dynamic(&self.cfg, workload);
-            self.dynamic.insert(workload.to_string(), report);
-        }
-        &self.dynamic[workload]
+    /// Runs independent simulations side by side, at most one per core
+    /// of the host at a time, and returns their reports in the order of
+    /// `jobs`. Every run is seed-deterministic, so the reports are those
+    /// of running the jobs one after another; only the interleaving of
+    /// the progress lines differs.
+    pub fn sweep(jobs: Vec<Job>) -> Vec<RunReport> {
+        let queue = Mutex::new(jobs.into_iter().enumerate());
+        let done = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for _ in 0..std::thread::available_parallelism().map_or(1, usize::from) {
+                scope.spawn(|| loop {
+                    let next = queue.lock().expect("no run panics").next();
+                    let Some((i, (label, simulation))) = next else {
+                        break;
+                    };
+                    eprintln!("  [sim] {label}");
+                    let report = simulation.run();
+                    done.lock().expect("no run panics").push((i, report));
+                });
+            }
+        });
+        let mut done = done.into_inner().expect("no run panics");
+        done.sort_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, report)| report).collect()
     }
 
-    /// The static-baseline run of `workload` (simulated on first use).
-    pub fn static_run(&mut self, workload: &str) -> &RunReport {
-        if !self.statics.contains_key(workload) {
-            eprintln!("  [sim] static   {workload}");
-            let report = run_static(&self.cfg, workload);
-            self.statics.insert(workload.to_string(), report);
-        }
-        &self.statics[workload]
-    }
-
-    /// Computes all eight paper-configuration runs (dynamic + static for
-    /// every workload) on parallel threads and populates the cache.
-    /// Purely a wall-clock optimization: results are identical to lazy
-    /// sequential computation because every run is seed-deterministic.
-    pub fn preload_parallel(&mut self) {
-        let cfg = self.cfg.clone();
-        let jobs: Vec<(String, bool)> = WORKLOADS
+    /// Simulates, in one sweep, whichever paper-configuration runs of
+    /// `workloads` are not cached yet: the dynamic-placement runs, plus
+    /// the static baselines when `statics` is set.
+    pub fn preload(&mut self, workloads: &[&str], statics: bool) {
+        let missing: Vec<(String, bool)> = workloads
             .iter()
             .flat_map(|w| [(w.to_string(), true), (w.to_string(), false)])
-            .filter(|(w, dynamic)| {
-                if *dynamic {
-                    !self.dynamic.contains_key(w)
+            .filter(|key| (key.1 || statics) && !self.paper.contains_key(key))
+            .collect();
+        let jobs = missing
+            .iter()
+            .map(|(workload, dynamic)| {
+                let (label, mode) = if *dynamic {
+                    ("dynamic ", PlacementMode::Dynamic)
                 } else {
-                    !self.statics.contains_key(w)
-                }
+                    ("static  ", PlacementMode::Static)
+                };
+                let scenario = self.cfg.scenario().placement(mode);
+                let simulation = simulation(scenario, workload, "radar", "radar");
+                (format!("{label} {workload}"), simulation)
             })
             .collect();
-        if jobs.is_empty() {
-            return;
-        }
-        eprintln!("  [sim] preloading {} paper runs in parallel…", jobs.len());
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .iter()
-                .map(|(w, dynamic)| {
-                    let cfg = cfg.clone();
-                    let w = w.clone();
-                    let dynamic = *dynamic;
-                    scope.spawn(move || {
-                        let report = if dynamic {
-                            run_dynamic(&cfg, &w)
-                        } else {
-                            run_static(&cfg, &w)
-                        };
-                        (w, dynamic, report)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulation threads do not panic"))
-                .collect::<Vec<_>>()
-        });
-        for (w, dynamic, report) in results {
-            if dynamic {
-                self.dynamic.insert(w, report);
-            } else {
-                self.statics.insert(w, report);
+        self.paper
+            .extend(missing.into_iter().zip(Self::sweep(jobs)));
+    }
+
+    /// The dynamic-placement run of `workload`, once
+    /// [`preload`](Self::preload) simulated it.
+    pub fn dynamic(&self, workload: &str) -> &RunReport {
+        &self.paper[&(workload.to_string(), true)]
+    }
+
+    /// The static-baseline run of `workload`, once
+    /// [`preload`](Self::preload) simulated it.
+    pub fn static_run(&self, workload: &str) -> &RunReport {
+        &self.paper[&(workload.to_string(), false)]
+    }
+
+    /// Formats a fixed-width table and writes it as `{name}.csv` under
+    /// the configured output directory, if any. A write error is
+    /// reported on stderr, never fatal: a missing results directory must
+    /// not kill a 10-minute experiment run.
+    pub fn table(&self, name: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+        if let Some(dir) = &self.cfg.out_dir {
+            let path = dir.join(format!("{name}.csv"));
+            let lines = std::iter::once(headers.join(",")).chain(rows.iter().map(|r| r.join(",")));
+            let body: String = lines.map(|line| line + "\n").collect();
+            if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body))
+            {
+                eprintln!("warning: could not write {}: {e}", path.display());
             }
         }
+        format_table(headers, rows)
+    }
+
+    /// [`table`](Self::table) of one row per `(label, report)` run: the
+    /// label under `key`, then one cell per column of the report.
+    fn runs_table<'a, L: std::fmt::Display>(
+        &self,
+        name: &str,
+        key: &str,
+        runs: impl IntoIterator<Item = (L, &'a RunReport)>,
+        columns: &[Column],
+    ) -> String {
+        let headers: Vec<&str> = std::iter::once(key)
+            .chain(columns.iter().map(|c| c.0))
+            .collect();
+        let rows: Vec<Vec<String>> = runs
+            .into_iter()
+            .map(|(label, r)| {
+                let cells = columns.iter().map(|(_, cell)| cell(r));
+                std::iter::once(label.to_string()).chain(cells).collect()
+            })
+            .collect();
+        self.table(name, &headers, &rows)
     }
 }
+
+/// A column of a table of runs: its header and the cell a report fills.
+type Column = (&'static str, &'static dyn Fn(&RunReport) -> String);
+
+const EQ_BW: Column = ("eq bw", &|r| fmt_bw(r.equilibrium_bandwidth_rate()));
+const EQ_LAT: Column = ("eq lat (ms)", &|r| fmt_ms(r.equilibrium_latency()));
+const REPLICAS: Column = ("avg replicas", &|r| {
+    format!("{:.2}", r.equilibrium_avg_replicas())
+});
+const RELOCATIONS: Column = ("relocations", &|r| r.relocations().to_string());
+/// The peak host load over the final quarter of the run: the settled
+/// regime.
+const SETTLED_PEAK: Column = ("peak load (final quarter)", &|r| {
+    format!("{:.1}", r.peak_load_after(r.max_load.len() * 3 / 4))
+});
+/// Minutes until the run settles at its equilibrium.
+const ADJUSTMENT: Column = ("adjustment (min)", &|r| {
+    r.adjustment(EquilibriumSpec::default()).map_or_else(
+        || "n/a".into(),
+        |a| format!("{:.0}", a.adjustment_time / 60.0),
+    )
+});
+/// Relocation traffic's peak share of all traffic.
+const PEAK_OVERHEAD: Column = ("peak overhead", &|r| {
+    let peak = r.overhead_fractions().into_iter().fold(0.0f64, f64::max);
+    format!("{:.3}%", peak * 100.0)
+});
 
 /// Table 1: the simulation parameters in force at this scale.
 pub fn table1(h: &mut Harness) -> String {
     let cfg = &h.cfg;
     let scenario = cfg.scenario().build().expect("valid scenario");
     let p = scenario.params;
-    let rows = vec![
-        vec!["Number of objects".into(), scenario.num_objects.to_string()],
-        vec![
-            "Size of object".into(),
+    let rows = [
+        ("Number of objects", scenario.num_objects.to_string()),
+        (
+            "Size of object",
             format!("{} KB", scenario.object_size / 1024),
-        ],
-        vec![
-            "Placement decision frequency".into(),
+        ),
+        (
+            "Placement decision frequency",
             format!("every {} seconds", p.placement_period),
-        ],
-        vec![
-            "Node request rate".into(),
+        ),
+        (
+            "Node request rate",
             format!("{} requests per sec", scenario.node_request_rate),
-        ],
-        vec![
-            "Server capacity".into(),
+        ),
+        (
+            "Server capacity",
             format!("{} requests per sec", scenario.server_capacity),
-        ],
-        vec![
-            "Network delay".into(),
+        ),
+        (
+            "Network delay",
             format!("{} ms per hop", scenario.network.hop_delay * 1e3),
-        ],
-        vec![
-            "Link bandwidth".into(),
+        ),
+        (
+            "Link bandwidth",
             format!("{} KBps", scenario.network.link_bandwidth / 1e3),
-        ],
-        vec![
-            "High watermark".into(),
+        ),
+        (
+            "High watermark",
             format!("{} requests/sec (50 in fig9 runs)", p.high_watermark),
-        ],
-        vec![
-            "Low watermark".into(),
+        ),
+        (
+            "Low watermark",
             format!("{} requests/sec (40 in fig9 runs)", p.low_watermark),
-        ],
-        vec![
-            "Deletion threshold u".into(),
+        ),
+        (
+            "Deletion threshold u",
             format!("{} requests/sec", p.deletion_threshold),
-        ],
-        vec![
-            "Replication threshold m".into(),
+        ),
+        (
+            "Replication threshold m",
             format!("6u, or {} requests/sec", p.replication_threshold),
-        ],
-        vec![
-            "Load measurement interval".into(),
+        ),
+        (
+            "Load measurement interval",
             format!("{} seconds", p.measurement_interval),
-        ],
-        vec![
-            "MIGR_RATIO / REPL_RATIO".into(),
+        ),
+        (
+            "MIGR_RATIO / REPL_RATIO",
             format!("{} / {:.4}", p.migration_ratio, p.replication_ratio),
-        ],
-        vec![
-            "Distribution constant".into(),
+        ),
+        (
+            "Distribution constant",
             format!("{}", p.distribution_constant),
-        ],
-        vec![
-            "Simulated duration".into(),
+        ),
+        (
+            "Simulated duration",
             format!("{} seconds", scenario.duration),
-        ],
-    ];
+        ),
+    ]
+    .map(|(parameter, value)| vec![parameter.to_string(), value]);
     format!(
         "== Table 1: simulation parameters ==\n{}",
         format_table(&["Parameter", "Value"], &rows)
@@ -190,9 +276,10 @@ pub fn table1(h: &mut Harness) -> String {
 pub fn fig6(h: &mut Harness) -> String {
     let mut out = String::from("== Figure 6: bandwidth and latency, dynamic vs static ==\n");
     let mut summary = Vec::new();
+    h.preload(&WORKLOADS, true);
     for workload in WORKLOADS {
-        let dynamic = h.dynamic(workload).clone();
-        let static_run = h.static_run(workload).clone();
+        let dynamic = h.dynamic(workload);
+        let static_run = h.static_run(workload);
         let d_bw = dynamic.total_bandwidth_rates();
         let s_bw = static_run.total_bandwidth_rates();
         let d_lat = dynamic.latency_series.means_filled();
@@ -217,8 +304,7 @@ pub fn fig6(h: &mut Harness) -> String {
             "dynamic lat",
         ];
         let _ = writeln!(out, "\n-- workload: {workload} --");
-        out.push_str(&format_table(&headers, &rows));
-        write_csv(&h.cfg, &format!("fig6_{workload}"), &headers, &rows);
+        out.push_str(&h.table(&format!("fig6_{workload}"), &headers, &rows));
 
         let bw_red = reduction_percent(
             static_run.equilibrium_bandwidth_rate(),
@@ -256,9 +342,28 @@ pub fn fig6(h: &mut Harness) -> String {
         "dynamic lat(ms)",
         "lat reduction",
     ];
-    out.push_str(&format_table(&headers, &summary));
-    write_csv(&h.cfg, "fig6_summary", &headers, &summary);
+    out.push_str(&h.table("fig6_summary", &headers, &summary));
     out
+}
+
+/// One row per `step`-th time bin of `spec`: the bin's start, then each
+/// series' value there (zero past its end) through `cell`.
+fn time_rows(
+    spec: BinSpec,
+    series: &[Vec<f64>],
+    step: usize,
+    cell: impl Fn(f64) -> String,
+) -> Vec<Vec<String>> {
+    let bins = series.iter().map(Vec::len).max().unwrap_or(0);
+    let row = |i| {
+        let values = series
+            .iter()
+            .map(|s| cell(s.get(i).copied().unwrap_or(0.0)));
+        std::iter::once(format!("{:.0}", spec.bin_start(i)))
+            .chain(values)
+            .collect()
+    };
+    (0..bins).step_by(step).map(row).collect()
 }
 
 /// Fig. 7: relocation overhead as a percentage of total traffic.
@@ -266,30 +371,13 @@ pub fn fig7(h: &mut Harness) -> String {
     let mut out = String::from(
         "== Figure 7: network overhead (relocation traffic, % of total; paper: always < 2.5%) ==\n",
     );
-    let mut rows = Vec::new();
-    let mut bins = 0;
-    let mut columns: Vec<Vec<f64>> = Vec::new();
-    for workload in WORKLOADS {
-        let fractions = h.dynamic(workload).overhead_fractions();
-        bins = bins.max(fractions.len());
-        columns.push(fractions);
-    }
+    h.preload(&WORKLOADS, false);
+    let columns = WORKLOADS.map(|w| h.dynamic(w).overhead_fractions());
     let spec = h.dynamic(WORKLOADS[0]).client_bandwidth.spec();
-    for i in 0..bins {
-        let mut row = vec![format!("{:.0}", spec.bin_start(i))];
-        for col in &columns {
-            row.push(format!("{:.3}", col.get(i).copied().unwrap_or(0.0) * 100.0));
-        }
-        rows.push(row);
-    }
+    let rows = time_rows(spec, &columns, 1, |v| format!("{:.3}", v * 100.0));
     let headers = ["t(s)", "hot-sites %", "hot-pages %", "zipf %", "regional %"];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "fig7", &headers, &rows);
-    let mut peaks = Vec::new();
-    for (w, col) in WORKLOADS.iter().zip(&columns) {
-        let peak = col.iter().fold(0.0f64, |a, &b| a.max(b)) * 100.0;
-        peaks.push(vec![w.to_string(), format!("{peak:.3}%")]);
-    }
+    out.push_str(&h.table("fig7", &headers, &rows));
+    let peaks = WORKLOADS.map(|w| vec![w.to_string(), PEAK_OVERHEAD.1(h.dynamic(w))]);
     out.push_str("\npeak overhead per workload:\n");
     out.push_str(&format_table(&["workload", "peak overhead"], &peaks));
     out
@@ -299,35 +387,16 @@ pub fn fig7(h: &mut Harness) -> String {
 /// watermark once the initial hot spots are dissolved).
 pub fn fig8a(h: &mut Harness) -> String {
     let mut out = String::from("== Figure 8a: maximum host load (paper: stays below hw) ==\n");
-    let hw = h
-        .cfg
-        .scenario()
-        .build()
-        .expect("valid")
-        .params
-        .high_watermark;
-    let mut columns: Vec<Vec<f64>> = Vec::new();
-    let mut bins = 0;
-    for workload in WORKLOADS {
-        let series = &h.dynamic(workload).max_load;
-        let vals = series.means_filled();
-        bins = bins.max(vals.len());
-        columns.push(vals);
-    }
+    let scenario = h.cfg.scenario().build().expect("valid scenario");
+    let hw = scenario.params.high_watermark;
+    h.preload(&WORKLOADS, false);
+    let columns = WORKLOADS.map(|w| h.dynamic(w).max_load.means_filled());
     let spec = h.dynamic(WORKLOADS[0]).max_load.spec();
-    let mut rows = Vec::new();
-    for i in (0..bins).step_by(5) {
-        let mut row = vec![format!("{:.0}", spec.bin_start(i))];
-        for col in &columns {
-            row.push(format!("{:.1}", col.get(i).copied().unwrap_or(0.0)));
-        }
-        rows.push(row);
-    }
+    let rows = time_rows(spec, &columns, 5, |v| format!("{v:.1}"));
     let headers = ["t(s)", "hot-sites", "hot-pages", "zipf", "regional"];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "fig8a", &headers, &rows);
+    out.push_str(&h.table("fig8a", &headers, &rows));
     let mut peaks = Vec::new();
-    for (w, _) in WORKLOADS.iter().zip(&columns) {
+    for w in WORKLOADS {
         let report = h.dynamic(w);
         // Skip the first quarter as the hot-spot dissolution transient.
         let warmup = report.max_load.len() / 4;
@@ -339,10 +408,8 @@ pub fn fig8a(h: &mut Harness) -> String {
         ]);
     }
     out.push_str("\npeak loads (requests/sec):\n");
-    out.push_str(&format_table(
-        &["workload", "peak overall", "peak after warmup", "hw"],
-        &peaks,
-    ));
+    let headers = ["workload", "peak overall", "peak after warmup", "hw"];
+    out.push_str(&format_table(&headers, &peaks));
     out
 }
 
@@ -350,19 +417,18 @@ pub fn fig8a(h: &mut Harness) -> String {
 /// estimates. Uses the hot-sites workload and tracks one of the hot
 /// sites — the host whose estimates actually move.
 pub fn fig8b(h: &mut Harness) -> String {
-    let cfg = h.cfg.clone();
-    // Build the hot-sites workload directly so the tracked host can be a
-    // hot site.
-    let mut wl_rng = SimRng::seed_from(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
-    let hot_sites = HotSites::new(cfg.num_objects, 53, 0.1, 0.9, &mut wl_rng);
+    let cfg = &h.cfg;
+    // The tracked host is a hot site of the run's own hot-sites workload.
+    let hot_sites = radar_workload::hot_sites(cfg.num_objects, 53, cfg.seed);
     let tracked = (hot_sites.hot_objects()[0].index() % 53) as u16;
-    eprintln!("  [sim] dynamic  hot-sites (tracking node {tracked})");
     let scenario = cfg
         .scenario()
         .tracked_host(tracked)
         .build()
         .expect("valid scenario");
-    let report = Simulation::new(scenario, Box::new(hot_sites)).run();
+    let label = format!("dynamic  hot-sites (tracking node {tracked})");
+    let jobs = vec![(label, Simulation::new(scenario, Box::new(hot_sites)))];
+    let report = Harness::sweep(jobs).remove(0);
 
     let mut out = format!(
         "== Figure 8b: load estimates vs actual (hot-sites, node {tracked}; paper: actual lies between the estimates) ==\n"
@@ -377,8 +443,7 @@ pub fn fig8b(h: &mut Harness) -> String {
         ]);
     }
     let headers = ["t(s)", "low estimate", "actual", "high estimate"];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&cfg, "fig8b", &headers, &rows);
+    out.push_str(&h.table("fig8b", &headers, &rows));
     let violations = report
         .load_estimates
         .iter()
@@ -394,30 +459,16 @@ pub fn fig8b(h: &mut Harness) -> String {
 
 /// Table 2: adjustment time and average number of replicas per workload.
 pub fn table2(h: &mut Harness) -> String {
-    let mut rows = Vec::new();
-    for workload in WORKLOADS {
-        let report = h.dynamic(workload);
-        let adj = report
-            .adjustment(EquilibriumSpec::default())
-            .map(|a| format!("{:.0}", a.adjustment_time / 60.0))
-            .unwrap_or_else(|| "n/a".to_string());
-        rows.push(vec![
-            workload.to_string(),
-            adj,
-            format!("{:.2}", report.equilibrium_avg_replicas()),
-        ]);
-    }
-    let headers = [
-        "Workload",
-        "Adjustment Time (min)",
-        "Average Number of Replicas",
+    h.preload(&WORKLOADS, false);
+    let runs = WORKLOADS.map(|w| (w, h.dynamic(w)));
+    let columns = [
+        ("Adjustment Time (min)", ADJUSTMENT.1),
+        ("Average Number of Replicas", REPLICAS.1),
     ];
-    let out = format!(
+    format!(
         "== Table 2: adjustment time and replica counts (paper: 20-23 min; 2.62 / 2.59 / 1.86 / 1.49 replicas) ==\n{}",
-        format_table(&headers, &rows)
-    );
-    write_csv(&h.cfg, "table2", &headers, &rows);
-    out
+        h.runs_table("table2", "Workload", runs, &columns)
+    )
 }
 
 /// Fig. 9: the high-load configuration (hw=50, lw=40) — reduced gains
@@ -426,39 +477,35 @@ pub fn fig9(h: &mut Harness) -> String {
     let mut out = String::from(
         "== Figure 9: high load (hw=50, lw=40; paper: bandwidth +2%..+17% vs normal watermarks, slower adjustment) ==\n",
     );
+    h.preload(&WORKLOADS, false);
+    let jobs = WORKLOADS
+        .iter()
+        .map(|&workload| {
+            let scenario = h
+                .cfg
+                .scenario()
+                .params(radar_core::Params::paper_high_load());
+            let simulation = simulation(scenario, workload, "radar", "radar");
+            (format!("high-load {workload}"), simulation)
+        })
+        .collect();
     let mut rows = Vec::new();
-    for workload in WORKLOADS {
-        let normal = h.dynamic(workload).clone();
-        eprintln!("  [sim] high-load {workload}");
-        let scenario = h
-            .cfg
-            .scenario()
-            .params(radar_core::Params::paper_high_load())
-            .build()
-            .expect("valid scenario");
-        let high = Simulation::new(
-            scenario,
-            make_workload(workload, h.cfg.num_objects, h.cfg.seed),
-        )
-        .run();
+    for (workload, high) in WORKLOADS.iter().zip(Harness::sweep(jobs)) {
+        let normal = h.dynamic(workload);
         let bw_change = -reduction_percent(
             normal.equilibrium_bandwidth_rate(),
             high.equilibrium_bandwidth_rate(),
         );
         let lat_change =
             -reduction_percent(normal.equilibrium_latency(), high.equilibrium_latency());
-        let adj = |r: &radar_sim::RunReport| {
-            r.adjustment(EquilibriumSpec::default())
-                .map(|a| format!("{:.0}", a.adjustment_time / 60.0))
-                .unwrap_or_else(|| "n/a".into())
-        };
+        let adj = ADJUSTMENT.1;
         rows.push(vec![
             workload.to_string(),
             fmt_bw(normal.equilibrium_bandwidth_rate()),
             fmt_bw(high.equilibrium_bandwidth_rate()),
             format!("{bw_change:+.1}%"),
             format!("{lat_change:+.1}%"),
-            adj(&normal),
+            adj(normal),
             adj(&high),
             format!("{:.2}", high.equilibrium_avg_replicas()),
         ]);
@@ -473,7 +520,6 @@ pub fn fig9(h: &mut Harness) -> String {
         "adj high (min)",
         "replicas (high)",
     ];
-    out.push_str(&format_table(&headers, &rows));
-    write_csv(&h.cfg, "fig9", &headers, &rows);
+    out.push_str(&h.table("fig9", &headers, &rows));
     out
 }

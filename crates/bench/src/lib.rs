@@ -29,7 +29,10 @@
 //!
 //! Every experiment is a pure function of an [`ExpConfig`]; the tests run
 //! them at [`ExpConfig::tiny`] scale, the binary at [`ExpConfig::full`]
-//! (the paper's Table 1 scale) or [`ExpConfig::quick`].
+//! (the paper's Table 1 scale) or [`ExpConfig::quick`], each as one
+//! [`experiments::Harness::sweep`] of runs built by name through
+//! [`radar_workload::by_name`] and [`radar_baselines::selection()`] /
+//! [`radar_baselines::placement()`].
 
 // `deny` rather than `forbid`: the counting allocator in [`timing`] is
 // the workspace's one sanctioned `unsafe` item (a `GlobalAlloc` impl
@@ -52,10 +55,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use radar_core::ObjectId;
-use radar_sim::{PlacementMode, RunReport, Scenario, ScenarioBuilder, Simulation};
+use radar_sim::{Scenario, ScenarioBuilder};
 use radar_simcore::SimRng;
 use radar_simnet::NodeId;
-use radar_workload::{HotPages, HotSites, Regional, Workload, ZipfReeds};
+use radar_workload::Workload;
 
 /// The four paper workloads, in the order the paper reports them.
 pub const WORKLOADS: [&str; 4] = ["hot-sites", "hot-pages", "zipf", "regional"];
@@ -121,41 +124,16 @@ impl ExpConfig {
 }
 
 /// Instantiates one of the paper's workloads by name over `num_objects`
-/// objects on the 53-node UUNET testbed.
+/// objects on the 53-node UUNET testbed, through
+/// [`radar_workload::by_name`]. The entry point of the repository's
+/// `benchmark/` package.
 ///
 /// # Panics
 ///
 /// Panics on an unknown workload name.
 pub fn make_workload(name: &str, num_objects: u32, seed: u64) -> Box<dyn Workload + Send> {
-    // Workload structure (which sites/pages are hot) comes from its own
-    // seed stream so it is identical across policy/placement variants.
-    let mut rng = SimRng::seed_from(seed ^ 0x9E37_79B9_7F4A_7C15);
-    match name {
-        "zipf" => Box::new(ZipfReeds::new(num_objects)),
-        "hot-sites" => Box::new(HotSites::new(num_objects, 53, 0.1, 0.9, &mut rng)),
-        "hot-pages" => Box::new(HotPages::new(num_objects, 0.1, 0.9, &mut rng)),
-        "regional" => {
-            let topo = radar_simnet::builders::uunet();
-            Box::new(Regional::new(num_objects, &topo, 0.01, 0.9))
-        }
-        other => panic!("unknown workload {other:?}"),
-    }
-}
-
-/// Runs one dynamic-placement simulation of `workload` at this scale.
-pub fn run_dynamic(cfg: &ExpConfig, workload: &str) -> RunReport {
-    let scenario = cfg.scenario().build().expect("valid scenario");
-    Simulation::new(scenario, make_workload(workload, cfg.num_objects, cfg.seed)).run()
-}
-
-/// Runs the static baseline (no placement decisions) of `workload`.
-pub fn run_static(cfg: &ExpConfig, workload: &str) -> RunReport {
-    let scenario = cfg
-        .scenario()
-        .placement(PlacementMode::Static)
-        .build()
-        .expect("valid scenario");
-    Simulation::new(scenario, make_workload(workload, cfg.num_objects, cfg.seed)).run()
+    radar_workload::by_name(name, num_objects, &radar_simnet::builders::uunet(), seed)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The paper's §3 swamped-server scenario: one gateway's clients hammer
@@ -239,23 +217,6 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes a CSV file under `cfg.out_dir`, if configured. Errors are
-/// reported to stderr, never fatal — a missing results directory must
-/// not kill a 10-minute experiment run.
-pub fn write_csv(cfg: &ExpConfig, name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let Some(dir) = &cfg.out_dir else { return };
-    let path = dir.join(format!("{name}.csv"));
-    let mut body = headers.join(",");
-    body.push('\n');
-    for row in rows {
-        body.push_str(&row.join(","));
-        body.push('\n');
-    }
-    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body)) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
-}
-
 /// Formats bytes×hops/second as MB·hops/s.
 pub fn fmt_bw(bytes_hops_per_sec: f64) -> String {
     format!("{:.2}", bytes_hops_per_sec / 1e6)
@@ -264,15 +225,6 @@ pub fn fmt_bw(bytes_hops_per_sec: f64) -> String {
 /// Formats seconds as milliseconds.
 pub fn fmt_ms(secs: f64) -> String {
     format!("{:.1}", secs * 1e3)
-}
-
-/// Percentage change from `from` to `to` (negative = reduction), as a
-/// display string.
-pub fn fmt_change(from: f64, to: f64) -> String {
-    if from == 0.0 {
-        return "n/a".to_string();
-    }
-    format!("{:+.1}%", (to - from) / from * 100.0)
 }
 
 /// Percentage reduction from `from` to `to` (positive = improvement).
@@ -321,28 +273,7 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(fmt_bw(2_500_000.0), "2.50");
         assert_eq!(fmt_ms(0.25), "250.0");
-        assert_eq!(fmt_change(100.0, 90.0), "-10.0%");
-        assert_eq!(fmt_change(0.0, 5.0), "n/a");
         assert_eq!(reduction_percent(100.0, 25.0), 75.0);
         assert_eq!(reduction_percent(0.0, 25.0), 0.0);
-    }
-
-    #[test]
-    fn csv_written_when_dir_set() {
-        let dir = std::env::temp_dir().join("radar-bench-test-csv");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ExpConfig::tiny();
-        cfg.out_dir = Some(dir.clone());
-        write_csv(&cfg, "t", &["x", "y"], &[vec!["1".into(), "2".into()]]);
-        let body = std::fs::read_to_string(dir.join("t.csv")).unwrap();
-        assert_eq!(body, "x,y\n1,2\n");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn csv_skipped_without_dir() {
-        let cfg = ExpConfig::tiny();
-        // Must not panic or create anything.
-        write_csv(&cfg, "t", &["x"], &[]);
     }
 }

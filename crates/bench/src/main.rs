@@ -7,7 +7,8 @@
 //!
 //! commands: table1 fig6 fig7 fig8a fig8b table2 fig9 baselines
 //!           ablation-constant ablation-thresholds ablation-period
-//!           demand-shift all
+//!           demand-shift updates policies redirectors heterogeneous
+//!           links storage variance faults all
 //! ```
 //!
 //! Default scale is the paper's Table 1 (10 000 objects, 40 req/s per
@@ -19,49 +20,52 @@
 use radar_bench::experiments::{self, Harness};
 use radar_bench::ExpConfig;
 
-const COMMANDS: &[&str] = &[
-    "table1",
-    "fig6",
-    "fig7",
-    "fig8a",
-    "fig8b",
-    "table2",
-    "fig9",
-    "baselines",
-    "ablation-constant",
-    "ablation-thresholds",
-    "ablation-period",
-    "demand-shift",
-    "updates",
-    "policies",
-    "redirectors",
-    "heterogeneous",
-    "links",
-    "storage",
-    "variance",
-    "faults",
+/// An experiment: it runs its simulations and returns its tables.
+type Experiment = fn(&mut Harness) -> String;
+
+/// Every command, in the order `all` runs them.
+const COMMANDS: [(&str, Experiment); 20] = [
+    ("table1", experiments::table1),
+    ("fig6", experiments::fig6),
+    ("fig7", experiments::fig7),
+    ("fig8a", experiments::fig8a),
+    ("fig8b", experiments::fig8b),
+    ("table2", experiments::table2),
+    ("fig9", experiments::fig9),
+    ("baselines", experiments::baselines),
+    ("ablation-constant", experiments::ablation_constant),
+    ("ablation-thresholds", experiments::ablation_thresholds),
+    ("ablation-period", experiments::ablation_period),
+    ("demand-shift", experiments::demand_shift),
+    ("updates", experiments::updates),
+    ("policies", experiments::policies),
+    ("redirectors", experiments::redirectors),
+    ("heterogeneous", experiments::heterogeneous),
+    ("links", experiments::links),
+    ("storage", experiments::storage),
+    ("variance", experiments::variance),
+    ("faults", experiments::faults),
 ];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ExpConfig::full();
-    let mut commands: Vec<String> = Vec::new();
+    let mut commands = Vec::new();
+    let mut all = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => {
-                let seed = cfg.seed;
-                let out = cfg.out_dir.clone();
-                cfg = ExpConfig::quick();
-                cfg.seed = seed;
-                cfg.out_dir = out;
-            }
-            "--tiny" => {
-                let seed = cfg.seed;
-                let out = cfg.out_dir.clone();
-                cfg = ExpConfig::tiny();
-                cfg.seed = seed;
-                cfg.out_dir = out;
+            "--quick" | "--tiny" => {
+                let scale = if arg == "--quick" {
+                    ExpConfig::quick()
+                } else {
+                    ExpConfig::tiny()
+                };
+                cfg = ExpConfig {
+                    seed: cfg.seed,
+                    out_dir: cfg.out_dir,
+                    ..scale
+                };
             }
             "--seed" => {
                 let v = it.next().unwrap_or_else(|| usage("--seed needs a value"));
@@ -76,15 +80,18 @@ fn main() {
                 cfg.out_dir = Some(v.into());
             }
             "--help" | "-h" => usage(""),
-            cmd if COMMANDS.contains(&cmd) || cmd == "all" => commands.push(cmd.to_string()),
-            other => usage(&format!("unknown argument {other:?}")),
+            "all" => all = true,
+            other => match COMMANDS.iter().find(|(name, _)| *name == other) {
+                Some(&command) => commands.push(command),
+                None => usage(&format!("unknown argument {other:?}")),
+            },
         }
+    }
+    if all {
+        commands = COMMANDS.to_vec();
     }
     if commands.is_empty() {
         usage("no command given");
-    }
-    if commands.iter().any(|c| c == "all") {
-        commands = COMMANDS.iter().map(|s| s.to_string()).collect();
     }
 
     eprintln!(
@@ -93,40 +100,10 @@ fn main() {
     );
     let start = std::time::Instant::now();
     let mut harness = Harness::new(cfg);
-    if commands.len() > 1 {
-        harness.preload_parallel();
-    }
-    for cmd in &commands {
-        let output = run_command(&mut harness, cmd);
-        println!("{output}");
+    for (_, command) in commands {
+        println!("{}", command(&mut harness));
     }
     eprintln!("total wall time: {:?}", start.elapsed());
-}
-
-fn run_command(h: &mut Harness, cmd: &str) -> String {
-    match cmd {
-        "table1" => experiments::table1(h),
-        "fig6" => experiments::fig6(h),
-        "fig7" => experiments::fig7(h),
-        "fig8a" => experiments::fig8a(h),
-        "fig8b" => experiments::fig8b(h),
-        "table2" => experiments::table2(h),
-        "fig9" => experiments::fig9(h),
-        "baselines" => experiments::baselines(h),
-        "ablation-constant" => experiments::ablation_constant(h),
-        "ablation-thresholds" => experiments::ablation_thresholds(h),
-        "ablation-period" => experiments::ablation_period(h),
-        "demand-shift" => experiments::demand_shift(h),
-        "updates" => experiments::updates(h),
-        "policies" => experiments::policies(h),
-        "redirectors" => experiments::redirectors(h),
-        "heterogeneous" => experiments::heterogeneous(h),
-        "links" => experiments::links(h),
-        "storage" => experiments::storage(h),
-        "variance" => experiments::variance(h),
-        "faults" => experiments::faults(h),
-        other => unreachable!("validated command {other}"),
-    }
 }
 
 fn usage(error: &str) -> ! {
@@ -136,7 +113,7 @@ fn usage(error: &str) -> ! {
     eprintln!(
         "usage: experiments [--quick|--tiny] [--seed N] [--out DIR] <command>...\n\
          commands: {} all",
-        COMMANDS.join(" ")
+        COMMANDS.map(|(name, _)| name).join(" ")
     );
     std::process::exit(if error.is_empty() { 0 } else { 2 });
 }

@@ -3,8 +3,9 @@
 //! (The paper-scale numbers are produced by the `experiments` binary;
 //! these tests guard the plumbing.)
 
-use radar_bench::experiments::{self, Harness};
+use radar_bench::experiments::{self, Harness, Job};
 use radar_bench::ExpConfig;
+use radar_sim::{PlacementMode, RunReport};
 
 fn micro() -> ExpConfig {
     ExpConfig {
@@ -56,13 +57,33 @@ fn csv_series_written_when_requested() {
 }
 
 #[test]
-fn parallel_preload_matches_lazy_runs() {
-    let mut lazy = Harness::new(micro());
-    let lazy_table2 = experiments::table2(&mut lazy);
-    let mut eager = Harness::new(micro());
-    eager.preload_parallel();
-    let eager_table2 = experiments::table2(&mut eager);
-    assert_eq!(lazy_table2, eager_table2);
-    // Preloading twice is a no-op.
-    eager.preload_parallel();
+fn sweep_matches_serial_runs() {
+    let cfg = micro();
+    let job = |label: &str, scenario, workload| {
+        let simulation = experiments::simulation(scenario, workload, "radar", "radar");
+        (label.to_string(), simulation)
+    };
+    let jobs = || -> Vec<Job> {
+        vec![
+            job("zipf", cfg.scenario(), "zipf"),
+            job("hot-pages", cfg.scenario(), "hot-pages"),
+            job(
+                "regional static",
+                cfg.scenario().placement(PlacementMode::Static),
+                "regional",
+            ),
+            job("zipf seed 9", cfg.scenario().seed(9), "zipf"),
+        ]
+    };
+    let swept: Vec<String> = Harness::sweep(jobs())
+        .iter()
+        .map(RunReport::to_json_pretty)
+        .collect();
+    let serial: Vec<String> = jobs()
+        .into_iter()
+        .map(|(_, simulation)| simulation.run().to_json_pretty())
+        .collect();
+    assert_eq!(swept, serial);
+    // Distinct jobs, so input order is observable.
+    assert!(swept.windows(2).all(|w| w[0] != w[1]));
 }

@@ -28,7 +28,7 @@ pub use args::{ArgError, Parsed};
 /// The workspace's JSON value, reader and printer, under the path scripts
 /// and the repo benchmark import it by (`radar_cli::json::Value`).
 pub use radar_obs::json;
-pub use simulate::{SimulateArgs, WorkloadKind};
+pub use simulate::SimulateArgs;
 
 /// Executes a full command line (excluding the program name); returns
 /// the text to print on success or an error message.

@@ -1,15 +1,8 @@
 //! `radar simulate` — configure and run one simulation.
 
-use radar_baselines::{
-    AvailabilityPlacement, ClosestSelection, ClusterPlacement, RandomSelection, RoundRobinSelection,
-};
 use radar_core::{Catalog, ConsistencyMix};
-use radar_sim::{
-    PlacementMode, PlacementPolicy, RadarPlacement, RadarSelection, RunReport, Scenario,
-    SelectionPolicy, Simulation, Trace,
-};
+use radar_sim::{PlacementMode, RunReport, Scenario, Simulation, Trace};
 use radar_simnet::Topology;
-use radar_workload::{HotPages, HotSites, Regional, Uniform, Workload, ZipfReeds};
 
 use crate::args::{ArgError, Parsed};
 use crate::render;
@@ -39,77 +32,14 @@ const SWITCHES: &[&str] = &["static", "json", "dashboard", "profile", "ledger", 
 /// How many hosts/objects the dashboard panels display.
 const DASHBOARD_TOP: usize = 8;
 
-/// The workload families the CLI can instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadKind {
-    /// Zipf popularity (Reeds' closed form).
-    Zipf,
-    /// 10% of sites draw 90% of requests.
-    HotSites,
-    /// 10% of pages draw 90% of requests.
-    HotPages,
-    /// Regional preferred object slices.
-    Regional,
-    /// Uniform popularity.
-    Uniform,
-}
-
-impl WorkloadKind {
-    fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "zipf" => Ok(Self::Zipf),
-            "hot-sites" => Ok(Self::HotSites),
-            "hot-pages" => Ok(Self::HotPages),
-            "regional" => Ok(Self::Regional),
-            "uniform" => Ok(Self::Uniform),
-            other => Err(format!(
-                "unknown workload {other:?} (zipf, hot-sites, hot-pages, regional, uniform)"
-            )),
-        }
-    }
-
-    /// Rejects a catalogue or topology smaller than [`build`](Self::build)'s
-    /// constructor accepts.
-    fn check_size(self, objects: u32, nodes: usize) -> Result<(), String> {
-        let (name, count, what, min) = match self {
-            Self::HotPages => ("hot-pages", objects as usize, "objects", 2),
-            Self::HotSites => ("hot-sites", nodes, "topology nodes", 2),
-            Self::Regional => ("regional", objects as usize, "objects", 4),
-            Self::Zipf | Self::Uniform => return Ok(()),
-        };
-        if count < min {
-            return Err(format!(
-                "--workload {name} needs at least {min} {what}, got {count}"
-            ));
-        }
-        Ok(())
-    }
-
-    fn build(
-        self,
-        objects: u32,
-        nodes: u16,
-        seed: u64,
-        topology: &Topology,
-    ) -> Box<dyn Workload + Send> {
-        let mut rng = radar_simcore::SimRng::seed_from(seed ^ 0x9E37_79B9_7F4A_7C15);
-        match self {
-            Self::Zipf => Box::new(ZipfReeds::new(objects)),
-            Self::HotSites => Box::new(HotSites::new(objects, nodes, 0.1, 0.9, &mut rng)),
-            Self::HotPages => Box::new(HotPages::new(objects, 0.1, 0.9, &mut rng)),
-            Self::Regional => Box::new(Regional::new(objects, topology, 0.01, 0.9)),
-            Self::Uniform => Box::new(Uniform::new(objects)),
-        }
-    }
-}
-
 /// Fully resolved `simulate` arguments.
 #[derive(Debug)]
 pub struct SimulateArgs {
     /// The scenario to run.
     pub scenario: Scenario,
-    /// Which workload family drives it (`None` when replaying a trace).
-    pub workload: Option<WorkloadKind>,
+    /// The [`radar_workload::by_name`] name of the workload that drives
+    /// it (unused when replaying a trace).
+    pub workload: String,
     /// Replica-selection policy name.
     pub policy: String,
     /// Replica-placement policy name.
@@ -248,38 +178,28 @@ impl SimulateArgs {
                 Some(trace)
             }
         };
-        let workload = if replay.is_some() {
-            if parsed.get("workload").is_some() {
+        let workload = parsed.get("workload");
+        let policy = parsed.get("policy").unwrap_or("radar").to_string();
+        let placement = parsed.get("placement").unwrap_or("radar").to_string();
+        if replay.is_some() {
+            if workload.is_some() {
                 return Err("--replay and --workload are mutually exclusive".to_string());
             }
-            None
-        } else {
-            let kind = WorkloadKind::parse(parsed.get("workload").unwrap_or("zipf"))?;
-            kind.check_size(objects, scenario.topology.len())?;
-            Some(kind)
-        };
-        let policy = parsed.get("policy").unwrap_or("radar").to_string();
-        if !["radar", "round-robin", "closest", "random"].contains(&policy.as_str()) {
-            return Err(format!(
-                "unknown policy {policy:?} (radar, round-robin, closest, random)"
-            ));
-        }
-        let placement = parsed.get("placement").unwrap_or("radar").to_string();
-        if !["radar", "availability", "cluster"].contains(&placement.as_str()) {
-            return Err(format!(
-                "unknown placement {placement:?} (radar, availability, cluster)"
-            ));
-        }
-        if replay.is_some() && policy != "radar" {
-            return Err("--replay currently supports only the radar policy".to_string());
-        }
-        if replay.is_some() && placement != "radar" {
-            return Err("--replay currently supports only the radar placement".to_string());
+            // An unknown name is reported as such, not as a replay limit;
+            // `execute` builds the policies of every other run.
+            radar_baselines::selection(&policy, 0)?;
+            radar_baselines::placement(&placement)?;
+            if policy != "radar" {
+                return Err("--replay currently supports only the radar policy".to_string());
+            }
+            if placement != "radar" {
+                return Err("--replay currently supports only the radar placement".to_string());
+            }
         }
 
         Ok(SimulateArgs {
             scenario,
-            workload,
+            workload: workload.unwrap_or("zipf").to_string(),
             policy,
             placement,
             replay,
@@ -294,31 +214,25 @@ impl SimulateArgs {
     }
 
     /// Runs the configured simulation and returns the finished report.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown workload, policy or placement
+    /// name, a workload the scenario is too small for, or an events file
+    /// that cannot be written.
     pub fn execute(self) -> Result<(RunReport, OutputSettings), String> {
         let seed = self.scenario.seed;
-        let objects = self.scenario.num_objects;
-        let nodes = self.scenario.num_nodes();
-        let mut sim = match (&self.replay, self.workload) {
-            (Some(trace), _) => Simulation::replay(self.scenario.clone(), trace.clone())
+        let mut sim = match &self.replay {
+            Some(trace) => Simulation::replay(self.scenario.clone(), trace.clone())
                 .map_err(|e| format!("--replay: {e}"))?,
-            (None, Some(kind)) => {
-                let workload = kind.build(objects, nodes, seed, &self.scenario.topology);
-                let policy: Box<dyn SelectionPolicy + Send> = match self.policy.as_str() {
-                    "radar" => Box::new(RadarSelection::new()),
-                    "round-robin" => Box::new(RoundRobinSelection::new()),
-                    "closest" => Box::new(ClosestSelection::new()),
-                    "random" => Box::new(RandomSelection::new(seed)),
-                    other => unreachable!("validated policy {other}"),
-                };
-                let placement: Box<dyn PlacementPolicy + Send> = match self.placement.as_str() {
-                    "radar" => Box::new(RadarPlacement::new()),
-                    "availability" => Box::new(AvailabilityPlacement::new()),
-                    "cluster" => Box::new(ClusterPlacement::new()),
-                    other => unreachable!("validated placement {other}"),
-                };
-                Simulation::with_policies(self.scenario.clone(), workload, policy, placement)
+            None => {
+                let objects = self.scenario.num_objects;
+                let topology = &self.scenario.topology;
+                let workload = radar_workload::by_name(&self.workload, objects, topology, seed)?;
+                let selection = radar_baselines::selection(&self.policy, seed)?;
+                let placement = radar_baselines::placement(&self.placement)?;
+                Simulation::with_policies(self.scenario.clone(), workload, selection, placement)
             }
-            (None, None) => unreachable!("parse() sets workload unless replaying"),
         };
         if self.record_trace_to.is_some() {
             sim.record_trace();

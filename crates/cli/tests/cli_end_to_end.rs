@@ -102,6 +102,12 @@ fn simulate_record_then_replay_round_trip() {
     // The trace file itself passes validation.
     let out = run(&args(&["trace", "validate", p])).unwrap();
     assert!(out.contains("valid"));
+    // An unknown name under --replay is named, not reported as a replay
+    // limit.
+    let replaying = |flag, name| run(&args(&["simulate", "--replay", p, flag, name])).unwrap_err();
+    assert!(replaying("--policy", "psychic").starts_with("unknown policy"));
+    assert!(replaying("--placement", "psychic").starts_with("unknown placement"));
+    assert!(replaying("--policy", "closest").contains("only the radar policy"));
     let _ = std::fs::remove_file(trace_path);
 }
 

@@ -52,19 +52,8 @@ pub struct Metrics {
     /// `(t, average physical replicas per object)` sampled at placement
     /// epochs (Table 2).
     pub replica_series: Vec<(f64, f64)>,
-    /// Geo-migrations performed.
-    pub geo_migrations: u64,
-    /// Geo-replications performed.
-    pub geo_replications: u64,
-    /// Offload migrations performed.
-    pub offload_migrations: u64,
-    /// Offload replications performed.
-    pub offload_replications: u64,
-    /// Replicas dropped.
-    pub drops: u64,
-    /// Affinity units shed without dropping a replica.
-    pub affinity_reductions: u64,
-    /// Full relocation log (one record per placement action).
+    /// Full relocation log (one record per placement action); the
+    /// report's per-action counts are its tallies.
     pub relocation_log: Vec<RelocationEvent>,
     /// Per load sample: `(t, node with the maximum load, that load)`.
     pub max_load_host: Vec<(f64, u16, f64)>,
@@ -108,12 +97,6 @@ impl Metrics {
             latency: TimeSeries::new(BinSpec::new(bin)),
             load_estimates: Vec::new(),
             replica_series: Vec::new(),
-            geo_migrations: 0,
-            geo_replications: 0,
-            offload_migrations: 0,
-            offload_replications: 0,
-            drops: 0,
-            affinity_reductions: 0,
             relocation_log: Vec::new(),
             max_load_host: Vec::new(),
             redirector_requests: Vec::new(),
@@ -146,20 +129,13 @@ impl Metrics {
         self.overhead_bandwidth.record(t, bytes_hops);
     }
 
-    /// Folds one host's placement outcome into the relocation counters
-    /// and the relocation log.
+    /// Appends one host's placement outcome to the relocation log.
     pub fn record_placement(
         &mut self,
         t: f64,
         host: u16,
         outcome: &radar_core::placement::PlacementOutcome,
     ) {
-        self.geo_migrations += outcome.geo_migrations.len() as u64;
-        self.geo_replications += outcome.geo_replications.len() as u64;
-        self.offload_migrations += outcome.offload_migrations.len() as u64;
-        self.offload_replications += outcome.offload_replications.len() as u64;
-        self.drops += outcome.drops.len() as u64;
-        self.affinity_reductions += outcome.affinity_reductions.len() as u64;
         let mut log =
             |object: radar_core::ObjectId, target: Option<u16>, action: PlacementActionKind| {
                 self.relocation_log.push(RelocationEvent {
@@ -170,27 +146,25 @@ impl Metrics {
                     action,
                 });
             };
-        for &(x, p) in &outcome.geo_migrations {
-            log(x, Some(p.index() as u16), PlacementActionKind::GeoMigrate);
+        use PlacementActionKind as A;
+        let moves = [
+            (&outcome.geo_migrations, A::GeoMigrate),
+            (&outcome.geo_replications, A::GeoReplicate),
+            (&outcome.offload_migrations, A::LoadMigrate),
+            (&outcome.offload_replications, A::LoadReplicate),
+        ];
+        for (entries, action) in moves {
+            for &(x, p) in entries {
+                log(x, Some(p.index() as u16), action);
+            }
         }
-        for &(x, p) in &outcome.geo_replications {
-            log(x, Some(p.index() as u16), PlacementActionKind::GeoReplicate);
-        }
-        for &(x, p) in &outcome.offload_migrations {
-            log(x, Some(p.index() as u16), PlacementActionKind::LoadMigrate);
-        }
-        for &(x, p) in &outcome.offload_replications {
-            log(
-                x,
-                Some(p.index() as u16),
-                PlacementActionKind::LoadReplicate,
-            );
-        }
-        for &x in &outcome.drops {
-            log(x, None, PlacementActionKind::Drop);
-        }
-        for &x in &outcome.affinity_reductions {
-            log(x, None, PlacementActionKind::AffinityReduce);
+        for (entries, action) in [
+            (&outcome.drops, A::Drop),
+            (&outcome.affinity_reductions, A::AffinityReduce),
+        ] {
+            for &x in entries {
+                log(x, None, action);
+            }
         }
     }
 }
@@ -220,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn placement_outcomes_counted() {
+    fn placement_outcomes_logged() {
         use radar_core::placement::PlacementOutcome;
         use radar_core::ObjectId;
         use radar_simnet::NodeId;
@@ -232,13 +206,19 @@ mod tests {
             .push((ObjectId::new(2), NodeId::new(3)));
         o.drops = vec![ObjectId::new(3), ObjectId::new(4)];
         m.record_placement(100.0, 7, &o);
-        assert_eq!(m.geo_migrations, 1);
-        assert_eq!(m.geo_replications, 1);
-        assert_eq!(m.offload_migrations, 1);
-        assert_eq!(m.drops, 2);
-        assert_eq!(m.offload_replications, 0);
-        assert_eq!(m.relocation_log.len(), 5);
-        assert_eq!(m.relocation_log[0].action, PlacementActionKind::GeoMigrate);
+        let actions: Vec<_> = m.relocation_log.iter().map(|e| e.action).collect();
+        use PlacementActionKind as A;
+        assert_eq!(
+            actions,
+            [
+                A::GeoMigrate,
+                A::GeoReplicate,
+                A::LoadMigrate,
+                A::Drop,
+                A::Drop
+            ]
+        );
         assert_eq!(m.relocation_log[0].host, 7);
+        assert_eq!(m.relocation_log[1].target, Some(2));
     }
 }

@@ -1,5 +1,6 @@
 //! Finalized run results and the derived paper metrics.
 
+use radar_obs::PlacementActionKind;
 use radar_stats::{
     adjustment_time, equilibrium_mean, AdjustmentOutcome, EquilibriumSpec, Summary, TimeSeries,
 };
@@ -160,6 +161,13 @@ impl RunReport {
         duration: f64,
     ) -> Self {
         let tally = metrics.tally;
+        let count = |action| {
+            metrics
+                .relocation_log
+                .iter()
+                .filter(|e| e.action == action)
+                .count() as u64
+        };
         Self {
             workload,
             policy,
@@ -181,12 +189,12 @@ impl RunReport {
                 .into_iter()
                 .map(|(t, avg_replicas)| ReplicaCensus { t, avg_replicas })
                 .collect(),
-            geo_migrations: metrics.geo_migrations,
-            geo_replications: metrics.geo_replications,
-            offload_migrations: metrics.offload_migrations,
-            offload_replications: metrics.offload_replications,
-            drops: metrics.drops,
-            affinity_reductions: metrics.affinity_reductions,
+            geo_migrations: count(PlacementActionKind::GeoMigrate),
+            geo_replications: count(PlacementActionKind::GeoReplicate),
+            offload_migrations: count(PlacementActionKind::LoadMigrate),
+            offload_replications: count(PlacementActionKind::LoadReplicate),
+            drops: count(PlacementActionKind::Drop),
+            affinity_reductions: count(PlacementActionKind::AffinityReduce),
             final_replicas: Vec::new(),
             relocation_log: metrics.relocation_log,
             max_load_host: metrics.max_load_host,

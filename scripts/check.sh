@@ -74,12 +74,28 @@ cargo run -q -p radar-cli --bin radar -- simulate \
 { echo '{'; sed -n '/^  "protocol_health": {$/,$p' target/report-ledger.json; } \
   > BENCH_protocol_health.json
 echo "wrote BENCH_protocol_health.json"
-echo "== placement-policy sweep (BENCH_policies.json) =="
-# Regenerates the placement-policy × consistency-mix head-to-head at
-# the unit-test scale and gates on its shape: every placement policy
-# must appear under at least the read-only and write-heavy mixes.
-cargo run -q --release -p radar-bench --bin experiments -- --tiny policies \
-  > /dev/null
+echo "== every experiment at unit-test scale (CSVs + BENCH_policies.json) =="
+# Runs all 20 experiment commands at the unit-test scale (~4 s on two
+# cores): each must print its `==` header and write its CSVs. The
+# `policies` command regenerates BENCH_policies.json, gated on its
+# shape: every placement policy must appear under at least the
+# read-only and write-heavy mixes.
+tmp=target/experiments-tiny
+rm -rf "$tmp"
+cargo run -q --release -p radar-bench --bin experiments -- --tiny all --out "$tmp" \
+  > target/experiments-tiny.txt
+headers="$(grep -c '^== .* ==$' target/experiments-tiny.txt || true)"
+if [ "$headers" -ne 20 ]; then
+  echo "FAIL: experiments --tiny all printed $headers of 20 command headers"
+  exit 1
+fi
+for csv in table2 fig7 fig8a fig8b fig9 baselines baselines_swamp \
+  ablation_constant ablation_thresholds ablation_period demand_shift updates \
+  policies redirectors heterogeneous links storage variance faults fig6_summary \
+  fig6_hot-sites fig6_hot-pages fig6_zipf fig6_regional; do
+  [ -s "$tmp/$csv.csv" ] || { echo "FAIL: experiments wrote no $csv.csv"; exit 1; }
+done
+echo "experiments --tiny all: 20 commands, 24 CSVs"
 for policy in radar availability cluster; do
   grep -q "\"placement\": \"$policy\"" BENCH_policies.json \
     || { echo "FAIL: placement policy $policy missing from sweep"; exit 1; }
