@@ -4,7 +4,7 @@
 //! these tests guard the plumbing.)
 
 use radar_bench::experiments::{self, Harness, Job};
-use radar_bench::ExpConfig;
+use radar_bench::{format_table, ExpConfig};
 use radar_sim::{PlacementMode, RunReport};
 
 fn micro() -> ExpConfig {
@@ -54,6 +54,26 @@ fn csv_series_written_when_requested() {
     let body = std::fs::read_to_string(dir.join("table2.csv")).unwrap();
     assert!(body.lines().count() >= 5, "csv:\n{body}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn csv_written_when_dir_set() {
+    let dir = std::env::temp_dir().join("radar-harness-smoke-table");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = micro();
+    cfg.out_dir = Some(dir.clone());
+    let h = Harness::new(cfg);
+    let _ = h.table("t", &["x", "y"], &[vec!["1".into(), "2".into()]]);
+    let body = std::fs::read_to_string(dir.join("t.csv")).unwrap();
+    assert_eq!(body, "x,y\n1,2\n");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn csv_skipped_without_dir() {
+    let h = Harness::new(micro());
+    // Must not panic or create anything; the table is still formatted.
+    assert_eq!(h.table("t", &["x"], &[]), format_table(&["x"], &[]));
 }
 
 #[test]

@@ -181,20 +181,8 @@ impl SimulateArgs {
         let workload = parsed.get("workload");
         let policy = parsed.get("policy").unwrap_or("radar").to_string();
         let placement = parsed.get("placement").unwrap_or("radar").to_string();
-        if replay.is_some() {
-            if workload.is_some() {
-                return Err("--replay and --workload are mutually exclusive".to_string());
-            }
-            // An unknown name is reported as such, not as a replay limit;
-            // `execute` builds the policies of every other run.
-            radar_baselines::selection(&policy, 0)?;
-            radar_baselines::placement(&placement)?;
-            if policy != "radar" {
-                return Err("--replay currently supports only the radar policy".to_string());
-            }
-            if placement != "radar" {
-                return Err("--replay currently supports only the radar placement".to_string());
-            }
+        if replay.is_some() && workload.is_some() {
+            return Err("--replay and --workload are mutually exclusive".to_string());
         }
 
         Ok(SimulateArgs {
@@ -218,21 +206,35 @@ impl SimulateArgs {
     /// # Errors
     ///
     /// Returns a message for an unknown workload, policy or placement
-    /// name, a workload the scenario is too small for, or an events file
-    /// that cannot be written.
+    /// name, a workload the scenario is too small for, a replay under a
+    /// policy other than the paper's, or an events file that cannot be
+    /// written.
     pub fn execute(self) -> Result<(RunReport, OutputSettings), String> {
-        let seed = self.scenario.seed;
-        let mut sim = match &self.replay {
-            Some(trace) => Simulation::replay(self.scenario.clone(), trace.clone())
-                .map_err(|e| format!("--replay: {e}"))?,
-            None => {
-                let objects = self.scenario.num_objects;
-                let topology = &self.scenario.topology;
-                let workload = radar_workload::by_name(&self.workload, objects, topology, seed)?;
-                let selection = radar_baselines::selection(&self.policy, seed)?;
-                let placement = radar_baselines::placement(&self.placement)?;
-                Simulation::with_policies(self.scenario.clone(), workload, selection, placement)
+        let (seed, scenario) = (self.scenario.seed, self.scenario.clone());
+        // Names resolve before the replay limits: an unknown one is reported as such.
+        let workload = match &self.replay {
+            Some(_) => None,
+            None => Some(radar_workload::by_name(
+                &self.workload,
+                scenario.num_objects,
+                &scenario.topology,
+                seed,
+            )?),
+        };
+        let selection = radar_baselines::selection(&self.policy, seed)?;
+        let placement = radar_baselines::placement(&self.placement)?;
+        let mut sim = match (&self.replay, workload) {
+            (None, Some(w)) => Simulation::with_policies(scenario, w, selection, placement),
+            (Some(_), _) if self.policy != "radar" => {
+                return Err("--replay currently supports only the radar policy".to_string())
             }
+            (Some(_), _) if self.placement != "radar" => {
+                return Err("--replay currently supports only the radar placement".to_string())
+            }
+            (Some(trace), _) => {
+                Simulation::replay(scenario, trace.clone()).map_err(|e| format!("--replay: {e}"))?
+            }
+            (None, None) => unreachable!("the workload is built unless replaying"),
         };
         if self.record_trace_to.is_some() {
             sim.record_trace();

@@ -1,8 +1,11 @@
 //! Workspace-level integration tests: drive the whole stack through the
 //! `radar` facade crate exactly as a downstream user would.
 
+use std::sync::{Arc, Mutex};
+
 use radar::core::ObjectId;
-use radar::sim::{PlacementMode, Scenario, Simulation};
+use radar::obs::{Event, EventKind, PlacementActionKind};
+use radar::sim::{Observer, PlacementMode, Scenario, Simulation};
 use radar::simnet::{builders, Region};
 use radar::workload::{Regional, ZipfReeds};
 
@@ -61,27 +64,59 @@ fn regional_content_moves_to_its_region() {
     }
 }
 
+/// Collects the flight recorder's placement-action events: a feed the
+/// simulator builds from each epoch's decisions, not from the per-action
+/// lists the relocation log is written from.
+#[derive(Clone, Default)]
+struct PlacementFeed(Arc<Mutex<Vec<Action>>>);
+
+/// A placement action: its name, host, object and target.
+type Action = (String, u16, u32, Option<u16>);
+
+impl Observer for PlacementFeed {
+    fn wants_events(&self) -> bool {
+        true
+    }
+
+    fn on_event(&mut self, event: &Event) {
+        if let EventKind::PlacementAction(a) = &event.kind {
+            let entry = (a.action.to_string(), a.host, a.object, a.target);
+            self.0.lock().expect("feed lock").push(entry);
+        }
+    }
+}
+
 #[test]
 fn relocation_log_is_consistent_with_counters() {
-    let report = Simulation::new(
+    let feed = PlacementFeed::default();
+    let mut sim = Simulation::new(
         scenario().build().expect("valid"),
         Box::new(ZipfReeds::new(OBJECTS)),
-    )
-    .run();
-    use radar::obs::PlacementActionKind as A;
-    let count = |a: A| {
-        report
-            .relocation_log
-            .iter()
-            .filter(|e| e.action == a)
-            .count() as u64
-    };
+    );
+    sim.attach_observer(Box::new(feed.clone()));
+    let report = sim.run();
+    // The report's counters are tallied from the log, so the log is
+    // checked against the event feed: the same actions, hosts, objects
+    // and targets, apart from the refused drops the log leaves out.
+    let mut logged: Vec<_> = report
+        .relocation_log
+        .iter()
+        .map(|e| (e.action.to_string(), e.host, e.object, e.target))
+        .collect();
+    let mut fed: Vec<_> = feed.0.lock().expect("feed lock").clone();
+    fed.retain(|e| e.0 != PlacementActionKind::DropRefused.to_string());
+    logged.sort();
+    fed.sort();
+    assert_eq!(logged, fed);
+    let count = |a: PlacementActionKind| fed.iter().filter(|e| e.0 == a.to_string()).count() as u64;
+    use PlacementActionKind as A;
     assert_eq!(count(A::GeoMigrate), report.geo_migrations);
     assert_eq!(count(A::GeoReplicate), report.geo_replications);
     assert_eq!(count(A::LoadMigrate), report.offload_migrations);
     assert_eq!(count(A::LoadReplicate), report.offload_replications);
     assert_eq!(count(A::Drop), report.drops);
     assert_eq!(count(A::AffinityReduce), report.affinity_reductions);
+    assert!(report.relocations() > 0, "the run relocates");
     // Every relocation with a target names a real node.
     assert!(report
         .relocation_log
