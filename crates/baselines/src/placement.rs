@@ -17,39 +17,18 @@
 //!   load watermark-to-watermark like a classic load balancer.
 
 use radar_core::placement::{
-    PlacementAction, PlacementDecision, PlacementEnv, PlacementOutcome, PlacementScratch,
+    action_event, PlacementActionKind, PlacementEnv, PlacementOutcome, PlacementScratch,
 };
-use radar_core::{bounds, CreateObjRequest, HostState, ObjectId, RelocationKind};
+use radar_core::{bounds, CreateObjRequest, HostState, RelocationKind};
 use radar_sim::PlacementPolicy;
 use radar_simnet::NodeId;
 
-/// Pushes one decision record with no share/ratio context (the baseline
-/// rules are threshold tests, not path-share tests).
-#[allow(clippy::too_many_arguments)]
-fn record(
-    out: &mut PlacementOutcome,
-    object: ObjectId,
-    action: PlacementAction,
-    target: Option<NodeId>,
-    unit_rate: f64,
-    share: Option<f64>,
-    u: f64,
-    m: f64,
-) {
-    out.decisions.push(PlacementDecision {
-        object,
-        action,
-        target,
-        unit_rate,
-        share,
-        ratio: None,
-        deletion_threshold: u,
-        replication_threshold: m,
-    });
-}
+/// The availability policy's replica-count target: two copies survive
+/// one host loss.
+const REPLICA_TARGET: usize = 2;
 
 /// Availability-aware continuous replica placement: every object is
-/// driven toward `target` replicas, continuously.
+/// driven toward two replicas, continuously.
 ///
 /// Each epoch, for every hosted object, the policy reads the live
 /// replica count from the directory ([`PlacementEnv::replica_count`]):
@@ -60,31 +39,13 @@ fn record(
 /// plays no part — that is the point of the comparison: availability
 /// stays flat while max load and update traffic drift wherever the
 /// replica floor pushes them.
-#[derive(Debug, Clone, Copy)]
-pub struct AvailabilityPlacement {
-    target: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AvailabilityPlacement;
 
 impl AvailabilityPlacement {
-    /// Default replica-count target (2 copies: survives one host loss).
-    pub const DEFAULT_TARGET: usize = 2;
-
-    /// Creates the policy with the default target of
-    /// [`Self::DEFAULT_TARGET`] replicas per object.
+    /// Creates the availability-aware policy.
     pub fn new() -> Self {
-        Self::with_target(Self::DEFAULT_TARGET)
-    }
-
-    /// Creates the policy with an explicit replica-count target (≥ 1).
-    pub fn with_target(target: usize) -> Self {
-        assert!(target >= 1, "replica target must be at least 1");
-        Self { target }
-    }
-}
-
-impl Default for AvailabilityPlacement {
-    fn default() -> Self {
-        Self::new()
+        AvailabilityPlacement
     }
 }
 
@@ -114,28 +75,26 @@ impl PlacementPolicy for AvailabilityPlacement {
             }
             let unit_rate = cnt_s as f64 / aff as f64 / params.placement_period;
             let n = env.replica_count(x);
-            if n > self.target {
+            if n > REPLICA_TARGET {
                 // Excess copy: offer this host's replica back. The
                 // redirector refuses the last copy, and because each
                 // host's epoch re-reads the live count, a wave of epochs
                 // converges on the target without undershooting.
                 if env.request_drop(x, s) {
                     host.drop_object(x);
-                    out.drops.push(x);
-                    record(
-                        out,
+                    out.decisions.push(action_event(
+                        host,
                         x,
-                        PlacementAction::Drop,
+                        PlacementActionKind::Drop,
                         None,
                         unit_rate,
                         None,
-                        params.deletion_threshold,
-                        params.replication_threshold,
-                    );
+                        None,
+                    ));
                 }
                 continue;
             }
-            if n >= self.target || !env.may_replicate(x) {
+            if n >= REPLICA_TARGET || !env.may_replicate(x) {
                 continue;
             }
             // Under-replicated: place the missing copy where the demand
@@ -177,17 +136,15 @@ impl PlacementPolicy for AvailabilityPlacement {
                 unit_load,
             };
             if env.create_obj(p, req).is_accepted() {
-                out.geo_replications.push((x, p));
-                record(
-                    out,
+                out.decisions.push(action_event(
+                    host,
                     x,
-                    PlacementAction::GeoReplicate,
+                    PlacementActionKind::GeoReplicate,
                     Some(p),
                     unit_rate,
                     share,
-                    params.deletion_threshold,
-                    params.replication_threshold,
-                );
+                    None,
+                ));
             }
         }
         *scratch.object_ids_mut() = object_ids;
@@ -242,7 +199,6 @@ impl PlacementPolicy for ClusterPlacement {
         if load < params.low_watermark {
             host.set_offloading(false);
         }
-        out.offloading_mode = host.is_offloading();
 
         let mut object_ids = std::mem::take(scratch.object_ids_mut());
         host.collect_object_ids(&mut object_ids);
@@ -258,34 +214,18 @@ impl PlacementPolicy for ClusterPlacement {
             // Cold copies leave (same deletion test as the paper, so
             // replicas do not accumulate without bound).
             if unit_rate < params.deletion_threshold {
-                if aff > 1 {
+                let action = if aff > 1 {
                     let new_aff = host.reduce_affinity(x);
                     env.notify_affinity(x, s, new_aff);
-                    out.affinity_reductions.push(x);
-                    record(
-                        out,
-                        x,
-                        PlacementAction::AffinityReduce,
-                        None,
-                        unit_rate,
-                        None,
-                        params.deletion_threshold,
-                        params.replication_threshold,
-                    );
+                    PlacementActionKind::AffinityReduce
                 } else if env.request_drop(x, s) {
                     host.drop_object(x);
-                    out.drops.push(x);
-                    record(
-                        out,
-                        x,
-                        PlacementAction::Drop,
-                        None,
-                        unit_rate,
-                        None,
-                        params.deletion_threshold,
-                        params.replication_threshold,
-                    );
-                }
+                    PlacementActionKind::Drop
+                } else {
+                    continue;
+                };
+                out.decisions
+                    .push(action_event(host, x, action, None, unit_rate, None, None));
                 continue;
             }
 
@@ -308,17 +248,15 @@ impl PlacementPolicy for ClusterPlacement {
                         unit_load,
                     };
                     if env.create_obj(p, req).is_accepted() {
-                        out.geo_replications.push((x, p));
-                        record(
-                            out,
+                        out.decisions.push(action_event(
+                            host,
                             x,
-                            PlacementAction::GeoReplicate,
+                            PlacementActionKind::GeoReplicate,
                             Some(p),
                             unit_rate,
                             Some(share),
-                            params.deletion_threshold,
-                            params.replication_threshold,
-                        );
+                            None,
+                        ));
                     }
                 }
             }
@@ -374,17 +312,15 @@ impl PlacementPolicy for ClusterPlacement {
                     } else if env.request_drop(x, s) {
                         host.drop_object(x);
                     }
-                    out.offload_migrations.push((x, recipient));
-                    record(
-                        out,
+                    out.decisions.push(action_event(
+                        host,
                         x,
-                        PlacementAction::LoadMigrate,
+                        PlacementActionKind::LoadMigrate,
                         Some(recipient),
                         unit_rate,
                         None,
-                        params.deletion_threshold,
-                        params.replication_threshold,
-                    );
+                        None,
+                    ));
                 }
                 *scratch.keyed_objects_mut() = shed;
             }

@@ -3,6 +3,15 @@
 //! workload name's JSON report is pinned by FNV-1a-64 and length; the
 //! constants were taken before the CLI's own factory was merged into
 //! it, so a drift in what a name builds shows here.
+//!
+//! The baseline policies are pinned the same way: the comparator
+//! placements' reports (their relocation logs included) and the event
+//! logs of the baseline selections, whose decisions carry the `policy`
+//! branch, plus a faulted run whose decisions take `primary-fallback`.
+//! Those constants were taken before the protocol wrote its decisions
+//! straight into the flight recorder's types.
+
+use std::path::PathBuf;
 
 use radar_cli::run;
 
@@ -10,6 +19,116 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
+}
+
+fn args(a: &[&str]) -> Vec<String> {
+    a.iter().map(|s| s.to_string()).collect()
+}
+
+/// A file in the temp dir, removed when dropped.
+struct TempPath(PathBuf);
+
+impl TempPath {
+    fn new(stem: &str) -> Self {
+        TempPath(std::env::temp_dir().join(format!("radar-factory-{stem}-{}", std::process::id())))
+    }
+
+    fn as_str(&self) -> &str {
+        self.0.to_str().expect("temp path is UTF-8")
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+#[test]
+fn baseline_policies_keep_their_report_and_event_bytes() {
+    let mut got = Vec::new();
+    // Cluster on zipf drops cold copies between its replications, so its
+    // relocation log regroups interleaved actions; on hot-sites it also
+    // sheds load.
+    for (label, placement, workload, rate) in [
+        ("availability", "availability", "zipf", "2"),
+        ("cluster", "cluster", "zipf", "2"),
+        ("cluster-hot", "cluster", "hot-sites", "20"),
+    ] {
+        let report = run(&args(&[
+            "simulate",
+            "--placement",
+            placement,
+            "--workload",
+            workload,
+            "--objects",
+            "300",
+            "--rate",
+            rate,
+            "--duration",
+            "400",
+            "--seed",
+            "3",
+            "--json",
+        ]))
+        .unwrap();
+        assert!(report.contains("\"action\": \"GeoReplicate\""), "{label}");
+        got.push((label, fnv1a64(report.as_bytes()), report.len()));
+    }
+
+    let faults = TempPath::new("faults.txt");
+    std::fs::write(
+        &faults.0,
+        "min-replicas 2\ndeclare-dead-after 30\nhost-down 5 60 180\nhost-down 12 120\n",
+    )
+    .unwrap();
+    for (label, extra, branch) in [
+        ("round-robin", ["--policy", "round-robin"], "policy"),
+        ("closest", ["--policy", "closest"], "policy"),
+        ("random", ["--policy", "random"], "policy"),
+        ("faulted", ["--faults", faults.as_str()], "primary-fallback"),
+    ] {
+        let log = TempPath::new(&format!("{label}.jsonl"));
+        let mut a = vec![
+            "simulate",
+            "--objects",
+            "16",
+            "--rate",
+            "0.05",
+            "--duration",
+            "150",
+            "--seed",
+            "42",
+            "--events",
+            log.as_str(),
+        ];
+        a.extend_from_slice(&extra);
+        run(&args(&a)).unwrap();
+        let bytes = std::fs::read(&log.0).unwrap();
+        let tag = format!("\"branch\":\"{branch}\"");
+        assert!(
+            String::from_utf8_lossy(&bytes).contains(&tag),
+            "{label}: no {tag} decision"
+        );
+        got.push((label, fnv1a64(&bytes), bytes.len()));
+    }
+
+    let expected = [
+        ("availability", 0x840b_0656_3918_d2d3, 76_275),
+        ("cluster", 0xa2d7_a8ba_50bc_bb25, 71_099),
+        ("cluster-hot", 0x51cf_c3d1_4bd8_ff4e, 109_591),
+        ("round-robin", 0xd224_f18a_5eee_a786, 175_476),
+        ("closest", 0x06b2_e2b9_b5f1_043f, 175_462),
+        ("random", 0x93bb_d6c6_b324_3faf, 175_441),
+        ("faulted", 0xd3ff_44f7_31b0_39b8, 205_419),
+    ];
+    for ((label, fnv, len), (_, want_fnv, want_len)) in got.iter().zip(expected) {
+        assert_eq!(
+            (*fnv, *len),
+            (want_fnv, want_len),
+            "{label}: got {fnv:#018x}"
+        );
+    }
 }
 
 #[test]

@@ -79,5 +79,5 @@ pub use directory::Directory;
 pub use host::{HostState, ObjectState};
 pub use load::LoadEstimator;
 pub use params::{Params, ParamsBuilder, ParamsError};
-pub use redirector::{ChoiceBranch, ChoiceCandidate, ChoiceExplanation, Redirector, ReplicaInfo};
-pub use types::{CreateObjRequest, CreateObjResponse, ObjectId, PlacementReason, RelocationKind};
+pub use redirector::{Redirector, ReplicaInfo};
+pub use types::{CreateObjRequest, CreateObjResponse, ObjectId, RelocationKind};

@@ -82,18 +82,6 @@ impl Params {
     pub fn builder() -> ParamsBuilder {
         ParamsBuilder::new()
     }
-
-    /// Deletion threshold expressed as a request *count* per affinity unit
-    /// per placement period (`u × placement_period`).
-    pub fn deletion_count_threshold(&self) -> f64 {
-        self.deletion_threshold * self.placement_period
-    }
-
-    /// Replication threshold expressed as a request count per affinity
-    /// unit per placement period (`m × placement_period`).
-    pub fn replication_count_threshold(&self) -> f64 {
-        self.replication_threshold * self.placement_period
-    }
 }
 
 impl Default for Params {
@@ -339,13 +327,6 @@ mod tests {
         assert_eq!(p.low_watermark, 40.0);
         assert_eq!(p.high_watermark, 50.0);
         assert_eq!(p.deletion_threshold, Params::paper().deletion_threshold);
-    }
-
-    #[test]
-    fn count_thresholds_scale_with_period() {
-        let p = Params::paper();
-        assert!((p.deletion_count_threshold() - 3.0).abs() < 1e-9);
-        assert!((p.replication_count_threshold() - 18.0).abs() < 1e-9);
     }
 
     #[test]

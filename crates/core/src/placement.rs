@@ -34,6 +34,8 @@
 
 use radar_simnet::NodeId;
 
+pub use radar_obs::{PlacementActionEvent, PlacementActionKind};
+
 use crate::{bounds, CreateObjRequest, CreateObjResponse, HostState, ObjectId, RelocationKind};
 
 /// The platform services the placement algorithm needs. Implemented by
@@ -115,106 +117,62 @@ impl PlacementScratch {
 /// and tests.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlacementOutcome {
-    /// Whether the host was in offloading mode during this run.
-    pub offloading_mode: bool,
-    /// Objects whose affinity was reduced without removing the replica.
-    pub affinity_reductions: Vec<ObjectId>,
-    /// Objects whose replica was dropped entirely (redirector-approved).
-    pub drops: Vec<ObjectId>,
-    /// Proximity-driven migrations `(object, recipient)`.
-    pub geo_migrations: Vec<(ObjectId, NodeId)>,
-    /// Proximity-driven replications `(object, recipient)`.
-    pub geo_replications: Vec<(ObjectId, NodeId)>,
-    /// Load-driven migrations performed by the offloader.
-    pub offload_migrations: Vec<(ObjectId, NodeId)>,
-    /// Load-driven replications performed by the offloader.
-    pub offload_replications: Vec<(ObjectId, NodeId)>,
     /// Every action taken, in order, with the threshold-test values that
-    /// triggered it — the flight recorder's placement feed.
-    pub decisions: Vec<PlacementDecision>,
-}
-
-/// One action a placement run took, for [`PlacementOutcome::decisions`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementAction {
-    /// Deletion test fired; the redirector approved dropping the replica.
-    Drop,
-    /// Deletion test fired; one affinity unit was shed, replica remains.
-    AffinityReduce,
-    /// Deletion test fired; the redirector refused (last replica).
-    DropRefused,
-    /// Geo-migration toward a preference-path-qualified candidate.
-    GeoMigrate,
-    /// Geo-replication of a hot object toward a qualified candidate.
-    GeoReplicate,
-    /// Load-driven migration by the offloader (Fig. 5).
-    LoadMigrate,
-    /// Load-driven replication of a hot object by the offloader.
-    LoadReplicate,
-}
-
-impl PlacementAction {
-    /// Stable string tag used in event logs (`drop`, `affinity-reduce`,
-    /// `drop-refused`, `geo-migrate`, `geo-replicate`, `load-migrate`,
-    /// `load-replicate`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PlacementAction::Drop => "drop",
-            PlacementAction::AffinityReduce => "affinity-reduce",
-            PlacementAction::DropRefused => "drop-refused",
-            PlacementAction::GeoMigrate => "geo-migrate",
-            PlacementAction::GeoReplicate => "geo-replicate",
-            PlacementAction::LoadMigrate => "load-migrate",
-            PlacementAction::LoadReplicate => "load-replicate",
-        }
-    }
-}
-
-/// One recorded placement decision: the action plus the values of the
-/// Fig. 3–5 threshold tests in force when it triggered.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacementDecision {
-    /// The object acted on.
-    pub object: ObjectId,
-    /// What was done.
-    pub action: PlacementAction,
-    /// The recipient, for migrations and replications.
-    pub target: Option<NodeId>,
-    /// The unit access rate `cnt_s/aff/period` the tests compared.
-    pub unit_rate: f64,
-    /// The qualifying share: the chosen candidate's preference-path
-    /// share (geo actions) or the object's foreign-request share
-    /// (offload ordering). `None` for deletion-test actions.
-    pub share: Option<f64>,
-    /// The path-share ratio the geo test required (`MIGR_RATIO` /
-    /// `REPL_RATIO`); `None` for deletion- and load-driven actions.
-    pub ratio: Option<f64>,
-    /// The deletion threshold `u` in force.
-    pub deletion_threshold: f64,
-    /// The replication threshold `m` in force.
-    pub replication_threshold: f64,
+    /// triggered it: the flight recorder's placement feed and the
+    /// simulator's relocation log.
+    pub decisions: Vec<PlacementActionEvent>,
 }
 
 impl PlacementOutcome {
     /// Total number of object relocations (migrations + replications).
     pub fn relocations(&self) -> usize {
-        self.geo_migrations.len()
-            + self.geo_replications.len()
-            + self.offload_migrations.len()
-            + self.offload_replications.len()
+        use PlacementActionKind as A;
+        self.decisions
+            .iter()
+            .filter(|d| {
+                matches!(
+                    d.action,
+                    A::GeoMigrate | A::GeoReplicate | A::LoadMigrate | A::LoadReplicate
+                )
+            })
+            .count()
     }
 
-    /// Empties every list while keeping their capacity, so one outcome
+    /// Empties the record while keeping its capacity, so one outcome
     /// value can be reused across placement epochs allocation-free.
     pub fn clear(&mut self) {
-        self.offloading_mode = false;
-        self.affinity_reductions.clear();
-        self.drops.clear();
-        self.geo_migrations.clear();
-        self.geo_replications.clear();
-        self.offload_migrations.clear();
-        self.offload_replications.clear();
         self.decisions.clear();
+    }
+}
+
+/// The record of one action `host` took on `object`, stamped with the
+/// host's deletion and replication thresholds. Every placement policy
+/// pushes one per action into [`PlacementOutcome::decisions`].
+///
+/// `share` is the qualifying access-count share (preference-path share
+/// for geo moves, foreign-request share for offload ordering) and
+/// `ratio` the path-share ratio a geo test required; both are `None`
+/// where no such test applied.
+pub fn action_event(
+    host: &HostState,
+    object: ObjectId,
+    action: PlacementActionKind,
+    target: Option<NodeId>,
+    unit_rate: f64,
+    share: Option<f64>,
+    ratio: Option<f64>,
+) -> PlacementActionEvent {
+    let params = host.params();
+    PlacementActionEvent {
+        host: host.node().index() as u16,
+        object: object.index() as u32,
+        action,
+        target: target.map(|p| p.index() as u16),
+        unit_rate,
+        share,
+        ratio,
+        deletion_threshold: params.deletion_threshold,
+        replication_threshold: params.replication_threshold,
     }
 }
 
@@ -336,7 +294,6 @@ pub fn run_placement_into(
     if load < params.low_watermark {
         host.set_offloading(false);
     }
-    out.offloading_mode = host.is_offloading();
 
     // Walk the table by cursor. `create_obj` lands on other hosts, so
     // only the object under the cursor can leave this host's table
@@ -362,25 +319,13 @@ pub fn run_placement_into(
             let action = match reduce_affinity(host, x, aff, env) {
                 ReduceOutcome::Dropped => {
                     cursor -= 1;
-                    out.drops.push(x);
-                    PlacementAction::Drop
+                    PlacementActionKind::Drop
                 }
-                ReduceOutcome::Reduced => {
-                    out.affinity_reductions.push(x);
-                    PlacementAction::AffinityReduce
-                }
-                ReduceOutcome::Refused => PlacementAction::DropRefused,
+                ReduceOutcome::Reduced => PlacementActionKind::AffinityReduce,
+                ReduceOutcome::Refused => PlacementActionKind::DropRefused,
             };
-            out.decisions.push(PlacementDecision {
-                object: x,
-                action,
-                target: None,
-                unit_rate,
-                share: None,
-                ratio: None,
-                deletion_threshold: params.deletion_threshold,
-                replication_threshold: params.replication_threshold,
-            });
+            out.decisions
+                .push(action_event(host, x, action, None, unit_rate, None, None));
             continue;
         }
 
@@ -412,17 +357,15 @@ pub fn run_placement_into(
                              the recipient's copy was just registered"
                         ),
                     }
-                    out.geo_migrations.push((x, p));
-                    out.decisions.push(PlacementDecision {
-                        object: x,
-                        action: PlacementAction::GeoMigrate,
-                        target: Some(p),
+                    out.decisions.push(action_event(
+                        host,
+                        x,
+                        PlacementActionKind::GeoMigrate,
+                        Some(p),
                         unit_rate,
-                        share: Some(share),
-                        ratio: Some(params.migration_ratio),
-                        deletion_threshold: params.deletion_threshold,
-                        replication_threshold: params.replication_threshold,
-                    });
+                        Some(share),
+                        Some(params.migration_ratio),
+                    ));
                     migrated = true;
                     break;
                 }
@@ -450,17 +393,15 @@ pub fn run_placement_into(
                     unit_load,
                 };
                 if env.create_obj(p, req).is_accepted() {
-                    out.geo_replications.push((x, p));
-                    out.decisions.push(PlacementDecision {
-                        object: x,
-                        action: PlacementAction::GeoReplicate,
-                        target: Some(p),
+                    out.decisions.push(action_event(
+                        host,
+                        x,
+                        PlacementActionKind::GeoReplicate,
+                        Some(p),
                         unit_rate,
-                        share: Some(share),
-                        ratio: Some(params.replication_ratio),
-                        deletion_threshold: params.deletion_threshold,
-                        replication_threshold: params.replication_threshold,
-                    });
+                        Some(share),
+                        Some(params.replication_ratio),
+                    ));
                     break;
                 }
             }
@@ -479,10 +420,15 @@ pub fn run_placement_into(
     if host.is_offloading() {
         scratch.moved.clear();
         scratch.moved.extend(
-            out.geo_migrations
+            out.decisions
                 .iter()
-                .chain(&out.geo_replications)
-                .map(|&(x, _)| x),
+                .filter(|d| {
+                    matches!(
+                        d.action,
+                        PlacementActionKind::GeoMigrate | PlacementActionKind::GeoReplicate
+                    )
+                })
+                .map(|d| ObjectId::new(d.object)),
         );
         scratch.moved.sort_unstable();
         offload(host, now, env, out, scratch);
@@ -586,18 +532,8 @@ fn offload(
             (o.aff(), o.rate(), o.unit_load(), o.count(s))
         };
         let unit_rate = cnt_s as f64 / aff as f64 / params.placement_period;
-        let decision = |action| PlacementDecision {
-            object: x,
-            action,
-            target: Some(recipient),
-            unit_rate,
-            share: Some(foreign),
-            ratio: None,
-            deletion_threshold: params.deletion_threshold,
-            replication_threshold: params.replication_threshold,
-        };
 
-        if unit_rate <= params.replication_threshold {
+        let action = if unit_rate <= params.replication_threshold {
             // Migrate. (Hot objects are never load-migrated: "load-
             // migrating these objects out might undo a previous
             // geo-replication".)
@@ -607,20 +543,18 @@ fn offload(
                 source: s,
                 unit_load,
             };
-            if env.create_obj(recipient, req).is_accepted() {
-                host.note_shed(now, bounds::migration_source_decrease(rate, aff));
-                recipient_load += bounds::target_increase(rate, aff);
-                match reduce_affinity(host, x, aff, env) {
-                    ReduceOutcome::Dropped | ReduceOutcome::Reduced => {}
-                    ReduceOutcome::Refused => {
-                        unreachable!("drop after migration cannot be the last replica")
-                    }
-                }
-                out.offload_migrations.push((x, recipient));
-                out.decisions.push(decision(PlacementAction::LoadMigrate));
-            } else {
+            if !env.create_obj(recipient, req).is_accepted() {
                 break;
             }
+            host.note_shed(now, bounds::migration_source_decrease(rate, aff));
+            recipient_load += bounds::target_increase(rate, aff);
+            match reduce_affinity(host, x, aff, env) {
+                ReduceOutcome::Dropped | ReduceOutcome::Reduced => {}
+                ReduceOutcome::Refused => {
+                    unreachable!("drop after migration cannot be the last replica")
+                }
+            }
+            PlacementActionKind::LoadMigrate
         } else {
             if !env.may_replicate(x) {
                 continue;
@@ -631,15 +565,22 @@ fn offload(
                 source: s,
                 unit_load,
             };
-            if env.create_obj(recipient, req).is_accepted() {
-                host.note_shed(now, bounds::replication_source_decrease(rate));
-                recipient_load += bounds::target_increase(rate, aff);
-                out.offload_replications.push((x, recipient));
-                out.decisions.push(decision(PlacementAction::LoadReplicate));
-            } else {
+            if !env.create_obj(recipient, req).is_accepted() {
                 break;
             }
-        }
+            host.note_shed(now, bounds::replication_source_decrease(rate));
+            recipient_load += bounds::target_increase(rate, aff);
+            PlacementActionKind::LoadReplicate
+        };
+        out.decisions.push(action_event(
+            host,
+            x,
+            action,
+            Some(recipient),
+            unit_rate,
+            Some(foreign),
+            None,
+        ));
     }
 }
 
@@ -649,6 +590,7 @@ mod tests {
     use crate::{Params, Redirector};
     use radar_simnet::{builders, RoutingTable};
     use std::collections::BTreeMap;
+    use PlacementActionKind as A;
 
     /// A mock platform: peer hosts, one redirector, and a routing table.
     struct MockEnv {
@@ -751,6 +693,15 @@ mod tests {
         }
     }
 
+    /// `(object, target)` of every `action` the run recorded, in order.
+    fn acted(out: &PlacementOutcome, action: A) -> Vec<(ObjectId, Option<NodeId>)> {
+        out.decisions
+            .iter()
+            .filter(|d| d.action == action)
+            .map(|d| (ObjectId::new(d.object), d.target.map(NodeId::new)))
+            .collect()
+    }
+
     #[test]
     fn qualified_candidate_order_matches_uncached_comparator() {
         // The precomputed-distance sort must reproduce the original
@@ -824,11 +775,9 @@ mod tests {
         scratch.candidates.push((3, n(9), 0.5));
         scratch.offload_objects.push((x(98), 1.0));
         scratch.moved.push(x(97));
-        let mut out = PlacementOutcome {
-            offloading_mode: true,
-            drops: vec![x(96)],
-            ..PlacementOutcome::default()
-        };
+        let mut out = PlacementOutcome::default();
+        out.decisions
+            .push(action_event(&host_b, x(96), A::Drop, None, 0.0, None, None));
         run_placement_into(&mut host_b, 100.0, &mut env_b, &mut scratch, &mut out);
         assert_eq!(fresh, out);
         assert_eq!(host_a.object_ids(), host_b.object_ids());
@@ -843,7 +792,7 @@ mod tests {
         // No accesses at all: unit rate 0 < u, but drop is refused (last
         // replica).
         let out = run_placement(&mut host, 100.0, &mut env);
-        assert!(out.drops.is_empty());
+        assert!(acted(&out, A::Drop).is_empty());
         assert!(host.has_object(x(0)));
         assert_eq!(env.redirector.replica_count(x(0)), 1);
     }
@@ -856,7 +805,7 @@ mod tests {
         seed(&mut host, &mut env, x(0));
         env.redirector.install(x(0), n(1)); // second replica elsewhere
         let out = run_placement(&mut host, 100.0, &mut env);
-        assert_eq!(out.drops, vec![x(0)]);
+        assert_eq!(acted(&out, A::Drop), [(x(0), None)]);
         assert!(!host.has_object(x(0)));
         assert_eq!(env.redirector.replicas(x(0))[0].host, n(1));
     }
@@ -870,7 +819,7 @@ mod tests {
         host.install_object(x(0)); // aff 2
         env.redirector.install(x(0), n(0));
         let out = run_placement(&mut host, 100.0, &mut env);
-        assert_eq!(out.affinity_reductions, vec![x(0)]);
+        assert_eq!(acted(&out, A::AffinityReduce), [(x(0), None)]);
         assert_eq!(host.object(x(0)).unwrap().aff(), 1);
         assert_eq!(env.redirector.total_affinity(x(0)), 1);
     }
@@ -889,7 +838,7 @@ mod tests {
         let out = run_placement(&mut host, 100.0, &mut env);
         // Farthest qualified candidate is node 2 (both 1 and 2 exceed
         // 60% of paths; 2 is farther).
-        assert_eq!(out.geo_migrations, vec![(x(0), n(2))]);
+        assert_eq!(acted(&out, A::GeoMigrate), [(x(0), Some(n(2)))]);
         assert!(!host.has_object(x(0)));
         assert!(env.peers[&n(2)].has_object(x(0)));
         let reps = env.redirector.replicas(x(0));
@@ -918,7 +867,7 @@ mod tests {
         seed(&mut host, &mut env, x(0));
         feed(&mut host, x(0), &[n(0), n(1), n(2)], 10, 0.0);
         let out = run_placement(&mut host, 100.0, &mut env);
-        assert_eq!(out.geo_migrations, vec![(x(0), n(1))]);
+        assert_eq!(acted(&out, A::GeoMigrate), [(x(0), Some(n(1)))]);
         assert!(env.peers[&n(1)].has_object(x(0)));
         assert!(!env.peers[&n(2)].has_object(x(0)));
     }
@@ -937,8 +886,8 @@ mod tests {
         feed(&mut host, x(0), &[n(0)], 40, 0.0); // local-only paths
         feed(&mut host, x(0), &[n(0), n(1), n(2)], 20, 0.0);
         let out = run_placement(&mut host, 100.0, &mut env);
-        assert!(out.geo_migrations.is_empty());
-        assert_eq!(out.geo_replications, vec![(x(0), n(2))]);
+        assert!(acted(&out, A::GeoMigrate).is_empty());
+        assert_eq!(acted(&out, A::GeoReplicate), [(x(0), Some(n(2)))]);
         assert!(host.has_object(x(0)));
         assert!(env.peers[&n(2)].has_object(x(0)));
         assert_eq!(env.redirector.replica_count(x(0)), 2);
@@ -966,9 +915,9 @@ mod tests {
         let drop = out
             .decisions
             .iter()
-            .find(|d| d.object == x(1))
+            .find(|d| d.object == 1)
             .expect("drop decision recorded");
-        assert_eq!(drop.action, PlacementAction::Drop);
+        assert_eq!(drop.action, A::Drop);
         assert_eq!(drop.action.as_str(), "drop");
         assert_eq!(drop.target, None);
         assert_eq!(drop.unit_rate, 0.0);
@@ -979,10 +928,10 @@ mod tests {
         let repl = out
             .decisions
             .iter()
-            .find(|d| d.object == x(0))
+            .find(|d| d.object == 0)
             .expect("replication decision recorded");
-        assert_eq!(repl.action, PlacementAction::GeoReplicate);
-        assert_eq!(repl.target, Some(n(2)));
+        assert_eq!(repl.action, A::GeoReplicate);
+        assert_eq!(repl.target, Some(2));
         assert_eq!(repl.ratio, Some(params.replication_ratio));
         // Node 2 lies on 20 of 60 preference paths.
         let share = repl.share.expect("geo decision carries a share");
@@ -1007,15 +956,15 @@ mod tests {
             }
         }
         let out = run_placement(&mut host, 20.0, &mut env);
-        assert_eq!(out.offload_migrations.len(), 2);
-        let load_decisions: Vec<&PlacementDecision> = out
+        assert_eq!(acted(&out, A::LoadMigrate).len(), 2);
+        let load_decisions: Vec<&PlacementActionEvent> = out
             .decisions
             .iter()
-            .filter(|d| d.action == PlacementAction::LoadMigrate)
+            .filter(|d| d.action == A::LoadMigrate)
             .collect();
         assert_eq!(load_decisions.len(), 2);
         for d in load_decisions {
-            assert_eq!(d.target, Some(n(1)));
+            assert_eq!(d.target, Some(1));
             assert_eq!(d.share, Some(0.0), "purely local demand");
             assert_eq!(d.ratio, None);
         }
@@ -1032,7 +981,7 @@ mod tests {
         feed(&mut host, x(0), &[n(0)], 10, 0.0);
         let out = run_placement(&mut host, 100.0, &mut env);
         assert_eq!(out.relocations(), 0);
-        assert!(out.drops.is_empty() && out.affinity_reductions.is_empty());
+        assert!(out.decisions.is_empty());
         assert!(host.has_object(x(0)));
     }
 
@@ -1047,7 +996,7 @@ mod tests {
         feed(&mut host, x(0), &[n(0)], 40, 0.0);
         feed(&mut host, x(0), &[n(0), n(1), n(2)], 20, 0.0);
         let out = run_placement(&mut host, 100.0, &mut env);
-        assert!(out.geo_replications.is_empty());
+        assert!(acted(&out, A::GeoReplicate).is_empty());
         assert_eq!(env.redirector.replica_count(x(0)), 1);
     }
 
@@ -1083,10 +1032,10 @@ mod tests {
             }
         }
         let out = run_placement(&mut host, 20.0, &mut env);
-        assert!(out.offloading_mode);
+        assert!(host.is_offloading());
         // Lower estimate: 100 - 10 per migration; stops at <= 80 after 2.
         // Recipient bound: +40 per migration; stops at >= 80 after 2.
-        assert_eq!(out.offload_migrations.len(), 2);
+        assert_eq!(acted(&out, A::LoadMigrate).len(), 2);
         assert_eq!(host.object_count(), 8);
         assert_eq!(env.peers[&n(1)].object_count(), 2);
         assert!(host.load_lower() <= 80.0);
@@ -1118,8 +1067,10 @@ mod tests {
             host.record_access(x(1), &[n(0)]);
         }
         let out = run_placement(&mut host, 20.0, &mut env);
-        assert!(out.offloading_mode);
-        assert!(out.offload_replications.iter().any(|&(obj, _)| obj == x(0)));
+        assert!(host.is_offloading());
+        assert!(acted(&out, A::LoadReplicate)
+            .iter()
+            .any(|&(obj, _)| obj == x(0)));
         assert!(host.has_object(x(0)), "hot object is replicated, not moved");
     }
 
@@ -1141,7 +1092,7 @@ mod tests {
             }
         }
         let out = run_placement(&mut host, 20.0, &mut env);
-        assert!(out.offloading_mode);
+        assert!(host.is_offloading());
         assert_eq!(out.relocations(), 0);
         // Exactly one CreateObj attempt: the first refusal aborts the
         // offload round.
@@ -1180,16 +1131,16 @@ mod tests {
             host.record_access(x(1), &[n(0)]);
         }
         let out = run_placement(&mut host, 20.0, &mut env);
-        assert!(out.offloading_mode);
-        assert_eq!(out.geo_migrations.len(), 1);
+        assert!(host.is_offloading());
+        assert_eq!(acted(&out, A::GeoMigrate).len(), 1);
         // x0 left in the geo phase; the offloader may shed x1 (hot =>
         // replication) but must not re-move x0.
         assert!(out
-            .offload_migrations
+            .decisions
             .iter()
-            .chain(&out.offload_replications)
-            .all(|&(obj, _)| obj != x(0)));
-        assert_eq!(out.offload_replications, vec![(x(1), n(1))]);
+            .filter(|d| matches!(d.action, A::LoadMigrate | A::LoadReplicate))
+            .all(|d| d.object != 0));
+        assert_eq!(acted(&out, A::LoadReplicate), [(x(1), Some(n(1)))]);
     }
 
     #[test]
@@ -1205,8 +1156,8 @@ mod tests {
         for _ in 0..25 {
             host.record_access(x(0), &[n(0)]);
         }
-        let out = run_placement(&mut host, 20.0, &mut env);
-        assert!(out.offloading_mode);
+        run_placement(&mut host, 20.0, &mut env);
+        assert!(host.is_offloading());
         // Window [20,40): 85 req/s — between lw and hw: stays offloading.
         for k in 0..1700 {
             host.record_serviced(20.0 + 20.0 * k as f64 / 1700.0, x(0));
@@ -1214,9 +1165,9 @@ mod tests {
         for _ in 0..25 {
             host.record_access(x(0), &[n(0)]);
         }
-        let out = run_placement(&mut host, 40.0, &mut env);
+        run_placement(&mut host, 40.0, &mut env);
         assert!(
-            out.offloading_mode,
+            host.is_offloading(),
             "hysteresis keeps offloading between lw and hw"
         );
         // Window [40,60): 10 req/s — drops below lw: exits offloading.
@@ -1226,8 +1177,8 @@ mod tests {
         for _ in 0..25 {
             host.record_access(x(0), &[n(0)]);
         }
-        let out = run_placement(&mut host, 60.0, &mut env);
-        assert!(!out.offloading_mode);
+        run_placement(&mut host, 60.0, &mut env);
+        assert!(!host.is_offloading());
     }
 
     #[test]
@@ -1369,12 +1320,12 @@ mod tests {
         env.redirector.notify_created(x(0), n(1));
 
         let out = run_placement(&mut host, 100.0, &mut env);
-        assert_eq!(out.drops, Vec::<ObjectId>::new());
+        assert!(acted(&out, A::Drop).is_empty());
         assert!(host.has_object(x(0)));
 
         // Next epoch, still cold: now it is judged and dropped.
         let out = run_placement(&mut host, 200.0, &mut env);
-        assert_eq!(out.drops, vec![x(0)]);
+        assert_eq!(acted(&out, A::Drop), [(x(0), None)]);
         assert!(!host.has_object(x(0)));
     }
 
@@ -1389,6 +1340,6 @@ mod tests {
         env.redirector.install(x(0), n(0));
         env.redirector.install(x(0), n(1));
         let out = run_placement(&mut host, 100.0, &mut env);
-        assert_eq!(out.drops, vec![x(0)]);
+        assert_eq!(acted(&out, A::Drop), [(x(0), None)]);
     }
 }

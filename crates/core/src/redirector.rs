@@ -1,6 +1,7 @@
 //! The redirector: the request distribution algorithm (paper Fig. 2)
 //! over a replica [`Directory`].
 
+use radar_obs::{CandidateSnapshot, DecisionBranch, DecisionEvent};
 use radar_simnet::{NodeId, RoutingTable};
 
 use crate::directory::Directory;
@@ -25,89 +26,6 @@ impl ReplicaInfo {
     /// by the distribution algorithm.
     pub fn unit_rcnt(&self) -> f64 {
         self.rcnt as f64 / self.aff as f64
-    }
-}
-
-/// One candidate replica as the distribution algorithm saw it at
-/// decision time (request counts snapshotted *before* the winner's
-/// count increments).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChoiceCandidate {
-    /// The hosting node.
-    pub host: NodeId,
-    /// Request count at decision time.
-    pub rcnt: u64,
-    /// Replica affinity.
-    pub aff: u32,
-    /// Hop distance from the host to the requesting gateway.
-    pub distance: u32,
-}
-
-impl ChoiceCandidate {
-    /// The unit request count `rcnt/aff` the algorithm compared.
-    pub fn unit_rcnt(&self) -> f64 {
-        self.rcnt as f64 / self.aff as f64
-    }
-}
-
-/// Which arm of the Fig. 2 distribution rule selected the replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChoiceBranch {
-    /// The closest replica `p` served (the default arm).
-    Closest,
-    /// `unit_rcnt(p)/constant > unit_rcnt(q)`: the least-requested
-    /// replica `q` served to shed load.
-    LeastRequested,
-}
-
-impl ChoiceBranch {
-    /// Stable string tag (`closest` / `least-requested`) used in event
-    /// logs.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ChoiceBranch::Closest => "closest",
-            ChoiceBranch::LeastRequested => "least-requested",
-        }
-    }
-}
-
-/// The full input and outcome of one Fig. 2 decision, for the flight
-/// recorder: every usable candidate, the identified `p` and `q`, their
-/// unit request counts, and which branch won.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChoiceExplanation {
-    /// The host chosen to serve the request.
-    pub chosen: NodeId,
-    /// Which rule picked it.
-    pub branch: ChoiceBranch,
-    /// The distribution constant in force.
-    pub constant: f64,
-    /// The closest usable replica `p`.
-    pub closest: NodeId,
-    /// The usable replica `q` with the least unit request count.
-    pub least: NodeId,
-    /// `unit_rcnt(p)` at decision time.
-    pub unit_closest: f64,
-    /// `unit_rcnt(q)` at decision time.
-    pub unit_least: f64,
-    /// Every usable candidate (sorted by host id, counts pre-increment).
-    pub candidates: Vec<ChoiceCandidate>,
-}
-
-impl Default for ChoiceExplanation {
-    /// A placeholder value for reusable scratch explanations; every
-    /// field is overwritten when a decision fills it.
-    fn default() -> Self {
-        Self {
-            chosen: NodeId::new(0),
-            branch: ChoiceBranch::Closest,
-            constant: 0.0,
-            closest: NodeId::new(0),
-            least: NodeId::new(0),
-            unit_closest: 0.0,
-            unit_least: 0.0,
-            candidates: Vec::new(),
-        }
     }
 }
 
@@ -288,11 +206,13 @@ impl Redirector {
     /// counts, `p` is a pure function of the candidate list, so callers
     /// can note it while building the list; `None` scans for it here.
     ///
-    /// When `explanation` is `Some`, the full Fig. 2 input is written into
-    /// the caller-owned snapshot — the allocation-free tracing entry
-    /// point: its candidate buffer is cleared and refilled in place, and
-    /// its fields are only meaningful when the call returns `Some`.
-    /// `None` skips the snapshot entirely.
+    /// When `record` is `Some`, the full Fig. 2 input and outcome are
+    /// written into the caller-owned flight-recorder decision — the
+    /// allocation-free tracing entry point: `chosen`, `branch`,
+    /// `constant`, `closest`, `least`, both unit counts and the
+    /// candidate buffer (cleared and refilled in place) are only
+    /// meaningful when the call returns `Some`; `object` and `gateway`
+    /// are the caller's to set. `None` skips the snapshot entirely.
     ///
     /// Identical decision semantics and side effects to the other
     /// variants: the winner's request count increments. Returns `None`
@@ -307,15 +227,15 @@ impl Redirector {
         object: ObjectId,
         candidates: &[(u32, u32)],
         closest: Option<u32>,
-        explanation: Option<&mut ChoiceExplanation>,
+        record: Option<&mut DecisionEvent>,
     ) -> Option<NodeId> {
-        self.decide(object, candidates, closest, explanation)
+        self.decide(object, candidates, closest, record)
     }
 
     /// The single Fig. 2 code path behind every `choose_*` variant:
     /// identify `p` (closest) and `q` (least unit request count) among
     /// `candidates`, pick the branch, increment the winner. When
-    /// `explanation` is `Some`, the snapshot is written into it in place
+    /// `record` is `Some`, the decision is written into it in place
     /// (candidate buffer cleared and refilled) so tracing callers reuse
     /// one allocation across requests.
     fn decide(
@@ -323,7 +243,7 @@ impl Redirector {
         object: ObjectId,
         candidates: &[(u32, u32)],
         closest: Option<u32>,
-        explanation: Option<&mut ChoiceExplanation>,
+        record: Option<&mut DecisionEvent>,
     ) -> Option<NodeId> {
         let constant = self.constant;
         let set = self.directory.set_mut(object);
@@ -353,25 +273,27 @@ impl Redirector {
         let ratio1 = set.entries[p_idx as usize].unit_rcnt();
         let ratio2 = set.entries[q_idx as usize].unit_rcnt();
         let (chosen, branch) = if ratio1 / constant > ratio2 {
-            (q_idx as usize, ChoiceBranch::LeastRequested)
+            (q_idx as usize, DecisionBranch::LeastRequested)
         } else {
-            (p_idx as usize, ChoiceBranch::Closest)
+            (p_idx as usize, DecisionBranch::Closest)
         };
-        if let Some(out) = explanation {
-            out.chosen = set.entries[chosen].host;
+        if let Some(out) = record {
+            let host = |i: usize| set.entries[i].host.index() as u16;
+            out.chosen = host(chosen);
             out.branch = branch;
             out.constant = constant;
-            out.closest = set.entries[p_idx as usize].host;
-            out.least = set.entries[q_idx as usize].host;
-            out.unit_closest = ratio1;
-            out.unit_least = ratio2;
+            out.closest = Some(host(p_idx as usize));
+            out.least = Some(host(q_idx as usize));
+            out.unit_closest = Some(ratio1);
+            out.unit_least = Some(ratio2);
             out.candidates.clear();
             out.candidates.extend(candidates.iter().map(|&(i, dist)| {
                 let e = &set.entries[i as usize];
-                ChoiceCandidate {
-                    host: e.host,
+                CandidateSnapshot {
+                    host: e.host.index() as u16,
                     rcnt: e.rcnt,
                     aff: e.aff,
+                    unit: e.unit_rcnt(),
                     distance: dist,
                 }
             }));
@@ -619,34 +541,44 @@ mod tests {
         // increments, same winner) and report the inputs it compared.
         let (mut r1, routes) = setup();
         let mut r2 = r1.clone();
-        let mut expl = ChoiceExplanation::default();
+        let mut expl = DecisionEvent::default();
         for i in 0..200 {
             let gw = NodeId::new(if i % 3 == 0 { 1 } else { 0 });
             let plain = r1.choose_replica(x(), gw, &routes);
             let cands = candidates(&r2, gw, &routes, &|_| true);
+            // Counts before the decision, to check the snapshot against.
+            let before = r2.replicas(x()).to_vec();
             let host = r2
                 .choose_among_into(x(), &cands, None, Some(&mut expl))
                 .expect("replicas exist");
             assert_eq!(plain, Some(host));
-            assert_eq!(expl.chosen, host);
+            assert_eq!(expl.chosen, host.index() as u16);
             assert_eq!(expl.candidates.len(), 2);
             // The snapshot is pre-increment and self-consistent.
-            let p = expl
-                .candidates
-                .iter()
-                .find(|c| c.host == expl.closest)
-                .expect("p in candidates");
-            assert_eq!(p.unit_rcnt(), expl.unit_closest);
-            let q = expl
-                .candidates
-                .iter()
-                .find(|c| c.host == expl.least)
-                .expect("q in candidates");
-            assert_eq!(q.unit_rcnt(), expl.unit_least);
+            for c in &expl.candidates {
+                let e = before
+                    .iter()
+                    .find(|e| e.host.index() as u16 == c.host)
+                    .expect("candidate is a replica");
+                assert_eq!((c.rcnt, c.aff, c.unit), (e.rcnt, e.aff, e.unit_rcnt()));
+            }
+            let unit_of = |h: Option<u16>| {
+                expl.candidates
+                    .iter()
+                    .find(|c| Some(c.host) == h)
+                    .expect("p and q are candidates")
+                    .unit
+            };
+            let (unit_closest, unit_least) = (unit_of(expl.closest), unit_of(expl.least));
+            assert_eq!(expl.unit_closest, Some(unit_closest));
+            assert_eq!(expl.unit_least, Some(unit_least));
             // The branch tag matches the arithmetic.
-            let shed = expl.unit_closest / expl.constant > expl.unit_least;
-            assert_eq!(expl.branch == ChoiceBranch::LeastRequested, shed);
-            assert_eq!(expl.chosen, if shed { expl.least } else { expl.closest });
+            let shed = unit_closest / expl.constant > unit_least;
+            assert_eq!(expl.branch == DecisionBranch::LeastRequested, shed);
+            assert_eq!(
+                Some(expl.chosen),
+                if shed { expl.least } else { expl.closest }
+            );
         }
         assert_eq!(r1, r2, "identical state after identical decisions");
     }
@@ -654,7 +586,7 @@ mod tests {
     #[test]
     fn explained_choice_respects_filter() {
         let (mut r, routes) = setup();
-        let mut expl = ChoiceExplanation::default();
+        let mut expl = DecisionEvent::default();
         let not_0 = |h: NodeId| h != NodeId::new(0);
         let cands = candidates(&r, NodeId::new(0), &routes, &not_0);
         let host = r
@@ -696,7 +628,7 @@ mod tests {
             assert_eq!(plain, Some(host));
         }
         assert_eq!(r1, r2, "identical state after identical decisions");
-        let mut expl = ChoiceExplanation::default();
+        let mut expl = DecisionEvent::default();
         assert_eq!(r2.choose_among_into(x(), &[], None, Some(&mut expl)), None);
     }
 

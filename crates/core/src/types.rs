@@ -49,17 +49,6 @@ impl fmt::Display for RelocationKind {
     }
 }
 
-/// Why a relocation was initiated — for metrics and tracing. The paper
-/// distinguishes *geo*-motivated moves (proximity, §4.2.1) from
-/// *load*-motivated moves (offloading, §4.2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlacementReason {
-    /// Proximity-driven (geo-migration / geo-replication).
-    Geo,
-    /// Load-driven (host offloading).
-    Load,
-}
-
 /// The `CreateObj` request a host sends to a placement candidate
 /// (paper Fig. 4). Carries the per-affinity-unit load of the source
 /// replica, which the candidate uses in its admission test and in its

@@ -14,7 +14,7 @@
 //! fuzz case is deterministic and reproducible.
 
 use radar_core::placement::{
-    handle_create_obj, run_placement, PlacementAction, PlacementDecision, PlacementEnv,
+    handle_create_obj, run_placement, PlacementActionEvent, PlacementActionKind as A, PlacementEnv,
     PlacementOutcome,
 };
 use radar_core::{
@@ -383,16 +383,18 @@ fn snapshot_walk_placement(
     if load < params.low_watermark {
         host.set_offloading(false);
     }
-    out.offloading_mode = host.is_offloading();
-    let decision = |object, action, target, unit_rate, share, ratio| PlacementDecision {
-        object,
-        action,
-        target,
-        unit_rate,
-        share,
-        ratio,
-        deletion_threshold: params.deletion_threshold,
-        replication_threshold: params.replication_threshold,
+    let decision = |object: ObjectId, action, target: Option<NodeId>, unit_rate, share, ratio| {
+        PlacementActionEvent {
+            host: s.index() as u16,
+            object: object.index() as u32,
+            action,
+            target: target.map(|p| p.index() as u16),
+            unit_rate,
+            share,
+            ratio,
+            deletion_threshold: params.deletion_threshold,
+            replication_threshold: params.replication_threshold,
+        }
     };
 
     for x in host.object_ids() {
@@ -404,15 +406,9 @@ fn snapshot_walk_placement(
         let unit_rate = cnt_s as f64 / aff as f64 / params.placement_period;
         if unit_rate < params.deletion_threshold {
             let action = match snapshot_reduce(host, x, env) {
-                Some(true) => {
-                    out.drops.push(x);
-                    PlacementAction::Drop
-                }
-                Some(false) => {
-                    out.affinity_reductions.push(x);
-                    PlacementAction::AffinityReduce
-                }
-                None => PlacementAction::DropRefused,
+                Some(true) => A::Drop,
+                Some(false) => A::AffinityReduce,
+                None => A::DropRefused,
             };
             out.decisions
                 .push(decision(x, action, None, unit_rate, None, None));
@@ -429,10 +425,9 @@ fn snapshot_walk_placement(
                 };
                 if env.create_obj(p, req).is_accepted() {
                     snapshot_reduce(host, x, env).expect("the recipient holds a copy");
-                    out.geo_migrations.push((x, p));
                     out.decisions.push(decision(
                         x,
-                        PlacementAction::GeoMigrate,
+                        A::GeoMigrate,
                         Some(p),
                         unit_rate,
                         Some(share),
@@ -452,10 +447,9 @@ fn snapshot_walk_placement(
                     unit_load,
                 };
                 if env.create_obj(p, req).is_accepted() {
-                    out.geo_replications.push((x, p));
                     out.decisions.push(decision(
                         x,
-                        PlacementAction::GeoReplicate,
+                        A::GeoReplicate,
                         Some(p),
                         unit_rate,
                         Some(share),
@@ -470,10 +464,10 @@ fn snapshot_walk_placement(
     if host.is_offloading() {
         if let Some((recipient, mut recipient_load)) = env.find_offload_recipient(s) {
             let moved: Vec<ObjectId> = out
-                .geo_migrations
+                .decisions
                 .iter()
-                .chain(&out.geo_replications)
-                .map(|&(x, _)| x)
+                .filter(|d| matches!(d.action, A::GeoMigrate | A::GeoReplicate))
+                .map(|d| ObjectId::new(d.object))
                 .collect();
             let mut order: Vec<(ObjectId, f64)> = Vec::new();
             for x in host.object_ids() {
@@ -519,13 +513,11 @@ fn snapshot_walk_placement(
                 recipient_load += bounds::target_increase(rate, aff);
                 let action = if hot {
                     host.note_shed(now, bounds::replication_source_decrease(rate));
-                    out.offload_replications.push((x, recipient));
-                    PlacementAction::LoadReplicate
+                    A::LoadReplicate
                 } else {
                     host.note_shed(now, bounds::migration_source_decrease(rate, aff));
                     snapshot_reduce(host, x, env).expect("the recipient holds a copy");
-                    out.offload_migrations.push((x, recipient));
-                    PlacementAction::LoadMigrate
+                    A::LoadMigrate
                 };
                 out.decisions.push(decision(
                     x,
@@ -572,10 +564,16 @@ fn cursor_walk_matches_the_snapshot_walk() {
             assert_eq!(cursor.redirector, snapshot.redirector, "case {case}");
             cursor.check_invariants();
             for o in &got {
-                drops += o.drops.len();
-                reductions += o.affinity_reductions.len();
-                let offloaded = o.offload_migrations.len() + o.offload_replications.len();
-                if !o.drops.is_empty() && !o.geo_migrations.is_empty() && offloaded > 0 {
+                let count = |actions: &[A]| {
+                    o.decisions
+                        .iter()
+                        .filter(|d| actions.contains(&d.action))
+                        .count()
+                };
+                drops += count(&[A::Drop]);
+                reductions += count(&[A::AffinityReduce]);
+                let offloaded = count(&[A::LoadMigrate, A::LoadReplicate]);
+                if count(&[A::Drop]) > 0 && count(&[A::GeoMigrate]) > 0 && offloaded > 0 {
                     all_three += 1;
                 }
             }

@@ -8,9 +8,12 @@
 //!
 //! All payload fields are plain integers, floats, and small interned
 //! enums (plus a free-form string only where the vocabulary is open,
-//! like fault descriptions) — no platform types — so the crate stays
-//! dependency-free, event logs parse without the simulator, and the
-//! steady-state tracing path allocates nothing per event.
+//! like fault descriptions) — no platform types — so the crate depends
+//! on no protocol or simulator crate, event logs parse without the
+//! simulator, and the steady-state tracing path allocates nothing per
+//! event. [`DecisionEvent`] and [`PlacementActionEvent`] double as the
+//! protocol's own record of each Fig. 2 choice and placement action:
+//! `radar-core` fills them directly.
 
 use std::fmt;
 

@@ -13,9 +13,11 @@
 //!
 //! Design rules:
 //!
-//! - **Dependency-free.** [`json`] is the workspace's one JSON value,
-//!   reader and printer; [`jsonl`] maps events onto it, so event logs
-//!   can be read without the simulator.
+//! - **Depends on no protocol or simulator crate** (only `radar-stats`).
+//!   The protocol crate records its decisions in these types, and
+//!   [`json`] is the workspace's one JSON value, reader and printer;
+//!   [`jsonl`] maps events onto it, so event logs can be read without
+//!   the simulator.
 //! - **Deterministic.** Events carry sim time, sequence numbers,
 //!   causal parents, and queue depth — never wall clock — so two
 //!   identical seeded runs serialize byte-identically. Wall-clock

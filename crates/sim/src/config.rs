@@ -110,6 +110,16 @@ pub enum ScenarioError {
         /// Explanation.
         detail: String,
     },
+    /// A per-node list (`node_capacities`, `node_request_rates`) does
+    /// not have exactly one entry per topology node.
+    PerNodeLength {
+        /// Name of the offending field.
+        field: &'static str,
+        /// Entries in the list.
+        len: usize,
+        /// Nodes in the topology.
+        nodes: usize,
+    },
     /// A custom catalog does not describe exactly `num_objects` objects.
     CatalogMismatch {
         /// Objects in the catalog.
@@ -143,6 +153,10 @@ impl fmt::Display for ScenarioError {
             ScenarioError::BadExplicitPlacement { detail } => {
                 write!(f, "bad explicit placement: {detail}")
             }
+            ScenarioError::PerNodeLength { field, len, nodes } => write!(
+                f,
+                "{field} has {len} entries but the topology has {nodes} nodes"
+            ),
             ScenarioError::CatalogMismatch { catalog, scenario } => write!(
                 f,
                 "catalog describes {catalog} objects but the scenario has {scenario}"
@@ -532,41 +546,20 @@ impl ScenarioBuilder {
                 value: self.update_rate,
             });
         }
-        if let Some(caps) = &self.node_capacities {
-            if caps.len() != topology.len() {
-                return Err(ScenarioError::BadExplicitPlacement {
-                    detail: format!(
-                        "{} per-node capacities for {} nodes",
-                        caps.len(),
-                        topology.len()
-                    ),
+        for (field, values) in [
+            ("node_capacities", &self.node_capacities),
+            ("node_request_rates", &self.node_request_rates),
+        ] {
+            let Some(values) = values else { continue };
+            if values.len() != topology.len() {
+                return Err(ScenarioError::PerNodeLength {
+                    field,
+                    len: values.len(),
+                    nodes: topology.len(),
                 });
             }
-            if let Some(&bad) = caps.iter().find(|c| !(c.is_finite() && **c > 0.0)) {
-                return Err(ScenarioError::NonPositive {
-                    field: "node_capacities",
-                    value: bad,
-                });
-            }
-        }
-        if let Some(rates) = &self.node_request_rates {
-            if rates.len() != topology.len() {
-                return Err(ScenarioError::BadExplicitPlacement {
-                    detail: format!(
-                        "{} per-node rates for {} nodes",
-                        rates.len(),
-                        topology.len()
-                    ),
-                });
-            }
-            for (i, &r) in rates.iter().enumerate() {
-                if !(r.is_finite() && r > 0.0) {
-                    return Err(ScenarioError::NonPositive {
-                        field: "node_request_rates",
-                        value: r,
-                    });
-                }
-                let _ = i;
+            if let Some(&bad) = values.iter().find(|v| !(v.is_finite() && **v > 0.0)) {
+                return Err(ScenarioError::NonPositive { field, value: bad });
             }
         }
         if let Some(catalog) = &self.catalog {
@@ -893,12 +886,39 @@ mod tests {
     }
 
     #[test]
+    fn wrong_length_per_node_lists_name_the_field() {
+        let err = Scenario::builder()
+            .node_capacities(vec![1.0; 3])
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "node_capacities has 3 entries but the topology has 53 nodes"
+        );
+        let err = Scenario::builder()
+            .node_request_rates(vec![1.0; 54])
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "node_request_rates has 54 entries but the topology has 53 nodes"
+        );
+    }
+
+    #[test]
     fn bad_capacities_rejected() {
         let err = Scenario::builder()
             .node_capacities(vec![1.0; 3])
             .build()
             .unwrap_err();
-        assert!(matches!(err, ScenarioError::BadExplicitPlacement { .. }));
+        assert!(matches!(
+            err,
+            ScenarioError::PerNodeLength {
+                field: "node_capacities",
+                len: 3,
+                nodes: 53
+            }
+        ));
         let err = Scenario::builder()
             .node_capacities(vec![-1.0; 53])
             .build()
@@ -918,7 +938,13 @@ mod tests {
             .node_request_rates(vec![1.0; 3])
             .build()
             .unwrap_err();
-        assert!(matches!(err, ScenarioError::BadExplicitPlacement { .. }));
+        assert!(matches!(
+            err,
+            ScenarioError::PerNodeLength {
+                field: "node_request_rates",
+                ..
+            }
+        ));
         let err = Scenario::builder()
             .node_request_rates(vec![0.0; 53])
             .build()

@@ -15,8 +15,8 @@ use radar_core::{
     Catalog, CreateObjRequest, CreateObjResponse, HostState, ObjectId, ObjectKind, Redirector,
 };
 use radar_obs::{
-    ConsistencyClass, EventKind as ObsEventKind, PlacementActionEvent, PlacementActionKind,
-    ProviderUpdateEvent, ResetCause, UpdateDeliveredEvent,
+    ConsistencyClass, EventKind as ObsEventKind, ProviderUpdateEvent, ResetCause,
+    UpdateDeliveredEvent,
 };
 use radar_simcore::{SimDuration, SimTime};
 use radar_simnet::{NodeId, RoutingView};
@@ -117,32 +117,16 @@ impl Simulation {
             );
         }
         self.redirector.commit_batch();
-        let outcome = &self.placement_outcome;
         if self.events.tracing {
             // One flight-recorder event per placement decision, carrying
             // the threshold comparison that triggered it.
             let qd = self.depth();
-            for d in &outcome.decisions {
-                self.events.emit(
-                    now,
-                    qd,
-                    0,
-                    ObsEventKind::PlacementAction(PlacementActionEvent {
-                        host: i as u16,
-                        object: d.object.index() as u32,
-                        action: action_kind(d.action),
-                        target: d.target.map(|n| n.index() as u16),
-                        unit_rate: d.unit_rate,
-                        share: d.share,
-                        ratio: d.ratio,
-                        deletion_threshold: d.deletion_threshold,
-                        replication_threshold: d.replication_threshold,
-                    }),
-                );
+            for d in &self.placement_outcome.decisions {
+                self.events
+                    .emit(now, qd, 0, ObsEventKind::PlacementAction(d.clone()));
             }
         }
-        self.metrics
-            .record_placement(now, i as u16, &self.placement_outcome);
+        self.metrics.record_placement(now, &self.placement_outcome);
         std::mem::swap(&mut self.hosts[i], &mut self.spare_host);
         self.debug_check_invariants();
         let next = t + SimDuration::from_secs(self.scenario.params.placement_period);
@@ -293,21 +277,6 @@ fn class_tag(kind: ObjectKind) -> ConsistencyClass {
         ObjectKind::Immutable => ConsistencyClass::Type1,
         ObjectKind::CommutingUpdates => ConsistencyClass::Type2,
         ObjectKind::NonCommuting { .. } => ConsistencyClass::Type3,
-    }
-}
-
-/// Maps the core protocol's placement action onto the flight
-/// recorder's interned event tag.
-fn action_kind(action: radar_core::placement::PlacementAction) -> PlacementActionKind {
-    use radar_core::placement::PlacementAction as Core;
-    match action {
-        Core::Drop => PlacementActionKind::Drop,
-        Core::AffinityReduce => PlacementActionKind::AffinityReduce,
-        Core::DropRefused => PlacementActionKind::DropRefused,
-        Core::GeoMigrate => PlacementActionKind::GeoMigrate,
-        Core::GeoReplicate => PlacementActionKind::GeoReplicate,
-        Core::LoadMigrate => PlacementActionKind::LoadMigrate,
-        Core::LoadReplicate => PlacementActionKind::LoadReplicate,
     }
 }
 

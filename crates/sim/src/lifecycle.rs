@@ -7,10 +7,8 @@
 //! the selection policy delegates to Fig. 2, and the pluggable
 //! [`crate::selection::SelectionPolicy`] surface otherwise.
 
-use radar_core::{ChoiceBranch, ChoiceExplanation, ObjectId};
-use radar_obs::{
-    CandidateSnapshot, DecisionBranch, DecisionEvent, EventKind as ObsEventKind, FailReason,
-};
+use radar_core::ObjectId;
+use radar_obs::{DecisionBranch, EventKind as ObsEventKind, FailReason};
 use radar_simcore::{SimDuration, SimTime};
 use radar_simnet::NodeId;
 
@@ -18,56 +16,6 @@ use crate::config::MAX_CLOCK_SECS;
 use crate::observer::RequestRecord;
 use crate::platform::{Event, Simulation};
 use crate::trace::TraceEntry;
-
-/// Fills a flight-recorder [`DecisionEvent`] from a redirect outcome.
-/// `explanation` is `Some` when the Fig. 2 branch data was captured;
-/// otherwise the branch collapses to `PrimaryFallback` or `Policy` per
-/// `fallback_used`.
-fn fill_decision(
-    d: &mut DecisionEvent,
-    object: ObjectId,
-    gateway: NodeId,
-    host: NodeId,
-    explanation: Option<&ChoiceExplanation>,
-    fallback_used: bool,
-    constant: f64,
-) {
-    d.object = object.index() as u32;
-    d.gateway = gateway.index() as u16;
-    d.chosen = host.index() as u16;
-    if let Some(scratch) = explanation {
-        d.branch = match scratch.branch {
-            ChoiceBranch::Closest => DecisionBranch::Closest,
-            ChoiceBranch::LeastRequested => DecisionBranch::LeastRequested,
-        };
-        d.constant = scratch.constant;
-        d.closest = Some(scratch.closest.index() as u16);
-        d.least = Some(scratch.least.index() as u16);
-        d.unit_closest = Some(scratch.unit_closest);
-        d.unit_least = Some(scratch.unit_least);
-        d.candidates
-            .extend(scratch.candidates.iter().map(|c| CandidateSnapshot {
-                host: c.host.index() as u16,
-                rcnt: c.rcnt,
-                aff: c.aff,
-                unit: c.unit_rcnt(),
-                distance: c.distance,
-            }));
-    } else {
-        // Either the selection policy has no Fig. 2 data (a baseline)
-        // or no usable replica existed and the primary fallback served.
-        d.branch = if fallback_used {
-            DecisionBranch::PrimaryFallback
-        } else {
-            DecisionBranch::Policy
-        };
-        d.constant = constant;
-        d.closest = None;
-        d.least = None;
-        d.unit_closest = None;
-        d.unit_least = None;
-    }
-}
 
 impl Simulation {
     /// `true` when nodes `a` and `b` can currently exchange traffic
@@ -154,51 +102,8 @@ impl Simulation {
             SimDuration::from_secs(self.arrivals[gateway.index()].next_interarrival(&mut self.rng))
         });
         self.queue.schedule(t + gap, Event::Arrival { gateway });
-
         let object = self.workload.choose(t.as_secs(), gateway, &mut self.rng);
-        if let Some(recorded) = &mut self.recorded {
-            recorded.push(TraceEntry {
-                t: t.as_secs(),
-                gateway: gateway.index() as u16,
-                object: object.index() as u32,
-            });
-        }
-        // Gateway → the object's redirector: propagation only (requests
-        // are tiny).
-        let cause = self.emit_arrival(t, object, gateway);
-        let rnode = self.redirector_node_of(object);
-        if !self.connected(gateway, rnode) {
-            self.fail_request(t, object, gateway, FailReason::Unreachable, cause);
-            return;
-        }
-        let delay = self.propagation(gateway, rnode);
-        self.queue.schedule(
-            t + delay,
-            Event::Redirect {
-                object,
-                gateway,
-                t0: t,
-                cause,
-            },
-        );
-    }
-
-    /// Emits the root of a request's causal chain (a `RequestArrived`
-    /// event) and returns its sequence number (0 when tracing is off).
-    fn emit_arrival(&mut self, t: SimTime, object: ObjectId, gateway: NodeId) -> u64 {
-        if !self.events.tracing {
-            return 0;
-        }
-        let qd = self.depth();
-        self.events.emit(
-            t.as_secs(),
-            qd,
-            0,
-            ObsEventKind::RequestArrived {
-                gateway: gateway.index() as u16,
-                object: object.index() as u32,
-            },
-        )
+        self.admit(t, object, gateway);
     }
 
     pub(crate) fn on_trace_arrival(&mut self, t: SimTime, index: usize) {
@@ -209,16 +114,36 @@ impl Simulation {
             self.queue
                 .schedule(at, Event::TraceArrival { index: index + 1 });
         }
-        let gateway = NodeId::new(entry.gateway);
-        let object = ObjectId::new(entry.object);
+        self.admit(t, ObjectId::new(entry.object), NodeId::new(entry.gateway));
+    }
+
+    /// The path every arriving request takes, generated or replayed:
+    /// record it in the trace being captured, emit the root of its
+    /// causal chain (a `RequestArrived` event), and forward it to the
+    /// object's redirector — propagation only, requests are tiny — or
+    /// fail it as unreachable when no route leads there.
+    fn admit(&mut self, t: SimTime, object: ObjectId, gateway: NodeId) {
         if let Some(recorded) = &mut self.recorded {
             recorded.push(TraceEntry {
                 t: t.as_secs(),
-                gateway: entry.gateway,
-                object: entry.object,
+                gateway: gateway.index() as u16,
+                object: object.index() as u32,
             });
         }
-        let cause = self.emit_arrival(t, object, gateway);
+        let cause = if self.events.tracing {
+            let qd = self.depth();
+            self.events.emit(
+                t.as_secs(),
+                qd,
+                0,
+                ObsEventKind::RequestArrived {
+                    gateway: gateway.index() as u16,
+                    object: object.index() as u32,
+                },
+            )
+        } else {
+            0
+        };
         let rnode = self.redirector_node_of(object);
         if !self.connected(gateway, rnode) {
             self.fail_request(t, object, gateway, FailReason::Unreachable, cause);
@@ -251,9 +176,8 @@ impl Simulation {
             // The engine applies the same usability filter and distance
             // source as the policy path below, into one reused buffer
             // and without the trait's dynamic calls. When tracing it
-            // fills `explain_scratch` in place — no per-request
-            // explanation allocation.
-            let explanation = self.events.tracing.then_some(&mut self.explain_scratch);
+            // fills the platform's reused decision record in place.
+            let record = self.events.tracing.then_some(&mut self.decision);
             self.redirect.choose(
                 object,
                 gateway,
@@ -261,7 +185,7 @@ impl Simulation {
                 &mut self.redirector,
                 &self.view,
                 &self.fault_state,
-                explanation,
+                record,
             )
         } else {
             // A replica is usable when its host is up and traffic can
@@ -282,7 +206,7 @@ impl Simulation {
                 &usable,
             )
         };
-        let explained = fig2 && self.events.tracing && chosen.is_some();
+        let explained = fig2 && chosen.is_some();
         let mut fallback_used = false;
         let host = match chosen {
             Some(h) => h,
@@ -324,19 +248,27 @@ impl Simulation {
         };
         let decision = if self.events.tracing {
             let qd = self.depth();
-            let scratch = &self.explain_scratch;
-            let constant = self.scenario.params.distribution_constant;
-            self.events.emit_decision(t.as_secs(), qd, cause, |d| {
-                fill_decision(
-                    d,
-                    object,
-                    gateway,
-                    host,
-                    explained.then_some(scratch),
-                    fallback_used,
-                    constant,
-                );
-            })
+            let d = &mut self.decision;
+            d.object = object.index() as u32;
+            d.gateway = gateway.index() as u16;
+            if !explained {
+                // Either the selection policy has no Fig. 2 data (a
+                // baseline) or no usable replica existed and the primary
+                // fallback served.
+                d.chosen = host.index() as u16;
+                d.branch = if fallback_used {
+                    DecisionBranch::PrimaryFallback
+                } else {
+                    DecisionBranch::Policy
+                };
+                d.constant = self.scenario.params.distribution_constant;
+                d.closest = None;
+                d.least = None;
+                d.unit_closest = None;
+                d.unit_least = None;
+                d.candidates.clear();
+            }
+            self.events.emit_decision(t.as_secs(), qd, cause, d)
         } else {
             0
         };

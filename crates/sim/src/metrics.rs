@@ -129,41 +129,29 @@ impl Metrics {
         self.overhead_bandwidth.record(t, bytes_hops);
     }
 
-    /// Appends one host's placement outcome to the relocation log.
-    pub fn record_placement(
-        &mut self,
-        t: f64,
-        host: u16,
-        outcome: &radar_core::placement::PlacementOutcome,
-    ) {
-        let mut log =
-            |object: radar_core::ObjectId, target: Option<u16>, action: PlacementActionKind| {
+    /// Appends one host's placement outcome to the relocation log,
+    /// grouped by action in the order the report has always listed
+    /// them: moves (geo before load, migrations before replications),
+    /// then drops, then affinity reductions. Refused drops change
+    /// nothing and are left out.
+    pub fn record_placement(&mut self, t: f64, outcome: &radar_core::placement::PlacementOutcome) {
+        use PlacementActionKind as A;
+        for action in [
+            A::GeoMigrate,
+            A::GeoReplicate,
+            A::LoadMigrate,
+            A::LoadReplicate,
+            A::Drop,
+            A::AffinityReduce,
+        ] {
+            for d in outcome.decisions.iter().filter(|d| d.action == action) {
                 self.relocation_log.push(RelocationEvent {
                     t,
-                    host,
-                    object: object.index() as u32,
-                    target,
+                    host: d.host,
+                    object: d.object,
+                    target: d.target,
                     action,
                 });
-            };
-        use PlacementActionKind as A;
-        let moves = [
-            (&outcome.geo_migrations, A::GeoMigrate),
-            (&outcome.geo_replications, A::GeoReplicate),
-            (&outcome.offload_migrations, A::LoadMigrate),
-            (&outcome.offload_replications, A::LoadReplicate),
-        ];
-        for (entries, action) in moves {
-            for &(x, p) in entries {
-                log(x, Some(p.index() as u16), action);
-            }
-        }
-        for (entries, action) in [
-            (&outcome.drops, A::Drop),
-            (&outcome.affinity_reductions, A::AffinityReduce),
-        ] {
-            for &x in entries {
-                log(x, None, action);
             }
         }
     }
@@ -196,29 +184,54 @@ mod tests {
     #[test]
     fn placement_outcomes_logged() {
         use radar_core::placement::PlacementOutcome;
-        use radar_core::ObjectId;
-        use radar_simnet::NodeId;
-        let mut m = Metrics::new(100.0, 20.0);
-        let mut o = PlacementOutcome::default();
-        o.geo_migrations.push((ObjectId::new(0), NodeId::new(1)));
-        o.geo_replications.push((ObjectId::new(1), NodeId::new(2)));
-        o.offload_migrations
-            .push((ObjectId::new(2), NodeId::new(3)));
-        o.drops = vec![ObjectId::new(3), ObjectId::new(4)];
-        m.record_placement(100.0, 7, &o);
-        let actions: Vec<_> = m.relocation_log.iter().map(|e| e.action).collect();
+        use radar_obs::PlacementActionEvent;
         use PlacementActionKind as A;
+        let action = |object, action, target| PlacementActionEvent {
+            host: 7,
+            object,
+            action,
+            target,
+            unit_rate: 0.0,
+            share: None,
+            ratio: None,
+            deletion_threshold: 0.03,
+            replication_threshold: 0.18,
+        };
+        let mut m = Metrics::new(100.0, 20.0);
+        // Pushed in scan order, interleaving the kinds.
+        let o = PlacementOutcome {
+            decisions: vec![
+                action(3, A::Drop, None),
+                action(5, A::AffinityReduce, None),
+                action(2, A::LoadMigrate, Some(3)),
+                action(6, A::DropRefused, None),
+                action(1, A::GeoReplicate, Some(2)),
+                action(4, A::Drop, None),
+                action(7, A::LoadReplicate, Some(4)),
+                action(0, A::GeoMigrate, Some(1)),
+            ],
+        };
+        m.record_placement(100.0, &o);
+        let logged: Vec<_> = m
+            .relocation_log
+            .iter()
+            .map(|e| (e.action, e.object))
+            .collect();
         assert_eq!(
-            actions,
+            logged,
             [
-                A::GeoMigrate,
-                A::GeoReplicate,
-                A::LoadMigrate,
-                A::Drop,
-                A::Drop
-            ]
+                (A::GeoMigrate, 0),
+                (A::GeoReplicate, 1),
+                (A::LoadMigrate, 2),
+                (A::LoadReplicate, 7),
+                (A::Drop, 3),
+                (A::Drop, 4),
+                (A::AffinityReduce, 5),
+            ],
+            "grouped by action, scan order within a group, refusals left out"
         );
-        assert_eq!(m.relocation_log[0].host, 7);
+        assert!(m.relocation_log.iter().all(|e| e.host == 7 && e.t == 100.0));
         assert_eq!(m.relocation_log[1].target, Some(2));
+        assert_eq!(m.relocation_log[4].target, None);
     }
 }

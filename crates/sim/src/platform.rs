@@ -17,7 +17,7 @@
 //!   re-replication).
 
 use radar_core::{Catalog, HostState, ObjectId, Redirector};
-use radar_obs::{LedgerConfig, LoopProfile, SharedObjectLedger};
+use radar_obs::{DecisionEvent, LedgerConfig, LoopProfile, SharedObjectLedger};
 use radar_simcore::{EventQueue, FifoServer, SimDuration, SimRng, SimTime};
 use radar_simnet::{NodeId, RoutingView};
 use radar_workload::{ArrivalProcess, Workload};
@@ -203,9 +203,10 @@ pub struct Simulation {
     /// Persistent placeholder swapped into the deciding host's slot for
     /// the duration of a placement epoch.
     pub(crate) spare_host: HostState,
-    /// Reusable Fig. 2 decision snapshot filled by the redirect path
-    /// when tracing, so explained choices allocate nothing per request.
-    pub(crate) explain_scratch: radar_core::ChoiceExplanation,
+    /// The flight-recorder decision the redirect path fills and lends to
+    /// the observers when tracing; its candidate buffer is reused, so
+    /// traced decisions allocate nothing per request.
+    pub(crate) decision: DecisionEvent,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -353,7 +354,7 @@ impl Simulation {
             alive_scratch: Vec::new(),
             offload_probe_scratch: Vec::new(),
             spare_host: HostState::new(NodeId::new(0), radar_core::Params::paper()),
-            explain_scratch: radar_core::ChoiceExplanation::default(),
+            decision: DecisionEvent::default(),
         }
     }
 

@@ -13,7 +13,8 @@
 //! topologies are validated connected — and only the distance lookups
 //! remain.
 
-use radar_core::{ChoiceExplanation, ObjectId, Redirector};
+use radar_core::{ObjectId, Redirector};
+use radar_obs::DecisionEvent;
 use radar_simnet::{NodeId, RoutingView};
 
 use crate::faults::FaultState;
@@ -29,9 +30,9 @@ pub(crate) struct RedirectEngine {
 
 impl RedirectEngine {
     /// Chooses the replica of `object` serving a request entering at
-    /// `gateway`, through redirector node `rnode`. Passing `explanation`
-    /// requests the Fig. 2 decision snapshot for the flight recorder,
-    /// filled into the caller's scratch so tracing allocates nothing per
+    /// `gateway`, through redirector node `rnode`. Passing `record`
+    /// requests the Fig. 2 decision for the flight recorder, filled into
+    /// the caller's reused event so tracing allocates nothing per
     /// request.
     ///
     /// Returns `None` when no usable replica exists — the platform then
@@ -45,7 +46,7 @@ impl RedirectEngine {
         redirector: &mut Redirector,
         view: &RoutingView,
         fault_state: &FaultState,
-        explanation: Option<&mut ChoiceExplanation>,
+        record: Option<&mut DecisionEvent>,
     ) -> Option<NodeId> {
         // A replica is usable when its host is up and traffic can flow
         // redirector → host and host → gateway.
@@ -75,7 +76,7 @@ impl RedirectEngine {
                 }
             }
         }
-        redirector.choose_among_into(object, &self.candidates, Some(closest), explanation)
+        redirector.choose_among_into(object, &self.candidates, Some(closest), record)
     }
 }
 

@@ -20,10 +20,6 @@ pub(crate) struct EventSink {
     /// True when at least one attached observer wants the typed event
     /// feed; with no recorder attached, emission sites pay one branch.
     pub(crate) tracing: bool,
-    /// Reusable decision payload: its candidate vector survives across
-    /// redirects, so tracing the hottest event type allocates nothing
-    /// once the vector reaches the platform's widest replica set.
-    decision_scratch: DecisionEvent,
 }
 
 impl EventSink {
@@ -33,7 +29,6 @@ impl EventSink {
             subscribers: Vec::new(),
             next_seq: 0,
             tracing: false,
-            decision_scratch: DecisionEvent::default(),
         }
     }
 
@@ -81,38 +76,34 @@ impl EventSink {
         seq
     }
 
-    /// Emits one [`ObsEventKind::Decision`] without constructing the
-    /// payload at the call site: `fill` receives the sink's scratch
-    /// decision — candidate vector cleared but capacity kept — and the
-    /// finished event is lent to the observers, then reclaimed so the
-    /// next redirect reuses the same buffers. Returns the sequence
-    /// number, or 0 without calling `fill` when tracing is off.
+    /// Emits one [`ObsEventKind::Decision`] whose payload the caller
+    /// lends: `decision` moves into the event for the observers and back
+    /// out again, so its candidate buffer is reused by the next redirect.
+    /// Returns the sequence number, or 0 without side effects when
+    /// tracing is off.
     pub(crate) fn emit_decision(
         &mut self,
         t: f64,
         queue_depth: u32,
         cause: u64,
-        fill: impl FnOnce(&mut DecisionEvent),
+        decision: &mut DecisionEvent,
     ) -> u64 {
         if !self.tracing {
             return 0;
         }
         let seq = self.next();
-        let mut decision = std::mem::take(&mut self.decision_scratch);
-        decision.candidates.clear();
-        fill(&mut decision);
         let event = Event {
             seq,
             parent: (cause != 0).then_some(cause),
             t,
             queue_depth,
-            kind: ObsEventKind::Decision(decision),
+            kind: ObsEventKind::Decision(std::mem::take(decision)),
         };
         self.fan_out(&event);
-        let ObsEventKind::Decision(decision) = event.kind else {
+        let ObsEventKind::Decision(lent) = event.kind else {
             unreachable!("constructed as a decision above");
         };
-        self.decision_scratch = decision;
+        *decision = lent;
         seq
     }
 }

@@ -74,11 +74,6 @@ impl SimRng {
         result
     }
 
-    /// The next raw 32-bit output (high bits of [`next_u64`](Self::next_u64)).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f64` in `[0, 1)`, built from the top 53 bits.
     pub fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

@@ -88,12 +88,6 @@ impl WindowedRate {
         self.pending += 1;
     }
 
-    /// Records `n` events at time `t`.
-    pub fn record_n(&mut self, t: f64, n: u64) {
-        self.advance_to(t);
-        self.pending += n;
-    }
-
     /// Rate (events/second) of the most recently completed interval.
     pub fn rate(&self) -> f64 {
         self.current
@@ -159,14 +153,6 @@ mod tests {
         assert_eq!(r.rate(), 0.0);
         r.advance_to(10.0);
         assert_eq!(r.rate(), 10.0);
-    }
-
-    #[test]
-    fn record_n_counts_in_bulk() {
-        let mut r = WindowedRate::new(2.0);
-        r.record_n(0.5, 8);
-        r.advance_to(2.0);
-        assert_eq!(r.rate(), 4.0);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl BinSpec {
     pub fn bin_start(&self, i: usize) -> f64 {
         self.origin + i as f64 * self.width
     }
-
-    /// Midpoint time of bin `i` — the x-coordinate used when plotting.
-    pub fn bin_mid(&self, i: usize) -> f64 {
-        self.bin_start(i) + self.width / 2.0
-    }
 }
 
 /// A time series of `(sum, count)` accumulators over fixed-width bins.
@@ -276,7 +271,6 @@ mod tests {
         let spec = BinSpec::with_origin(10.0, 20.0);
         assert_eq!(spec.bin_start(0), 10.0);
         assert_eq!(spec.bin_start(2), 50.0);
-        assert_eq!(spec.bin_mid(0), 20.0);
     }
 
     #[test]
