@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 use std::io::{IsTerminal, Write as _};
 
-use radar_obs::{MetricsObserver, ProtocolHealth, SharedMetrics, SharedObjectLedger};
+use radar_obs::{MetricsObserver, ObjectLedger, ProtocolHealth, SharedMetrics, SharedObjectLedger};
 use radar_sim::Observer;
 
 /// Width of the host-load bars, in characters.
@@ -255,7 +255,7 @@ impl LiveDashboard {
         self.last_frame = Some(std::time::Instant::now());
         let mut frame = self.metrics.with(|m| render(m, self.top));
         if let Some(ledger) = &self.ledger {
-            frame.push_str(&render_protocol_panel(&ledger.health()));
+            frame.push_str(&render_protocol_panel(&ledger.with(ObjectLedger::health)));
         }
         let mut err = std::io::stderr().lock();
         // Home the cursor and clear to end-of-screen between frames.

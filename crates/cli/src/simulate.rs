@@ -157,13 +157,20 @@ impl SimulateArgs {
         if parsed.has("static") {
             builder = builder.placement(PlacementMode::Static);
         }
+        let mut faults = None;
         if let Some(path) = parsed.get("faults") {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read fault schedule {path}: {e}"))?;
             let spec = radar_sim::FaultSpec::from_text(&text).map_err(|e| e.to_string())?;
             builder = builder.faults(spec);
+            faults = Some((path, text));
         }
-        let scenario = builder.build().map_err(|e| e.to_string())?;
+        let scenario = builder.build().map_err(|e| match (&e, &faults) {
+            (radar_sim::ScenarioError::Faults(e), Some((path, text))) => {
+                format!("invalid fault schedule: {path}: {}", e.located_in(text))
+            }
+            _ => e.to_string(),
+        })?;
 
         let replay = match parsed.get("replay") {
             None => None,

@@ -170,3 +170,39 @@ fn events_watch_rejects_bin_interval_and_duration_it_cannot_fold() {
         assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
     }
 }
+
+#[test]
+fn events_filter_rejects_a_nan_time_bound() {
+    let log = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/events-seed42.jsonl"
+    );
+    // NaN compares false with every time, so these used to print
+    // `0 of 1227 events matched` and exit 0.
+    for (flag, value) in [("--since", "nan"), ("--until", "NaN")] {
+        let stderr = rejected(&["events", "filter", log, flag, value]);
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
+fn fault_schedule_validation_names_the_line_of_the_fault() {
+    for (bad_line, what) in [
+        ("host-down 5 nan", "bad fault window"),
+        ("host-down 99 10", "unknown host 99"),
+        ("link-down 0 52 10", "unknown link 0-52"),
+        ("link-slow 0 1 0.5 10", "factor must be finite and > 1"),
+    ] {
+        // The knob, the comment and the blank line count: the bad fault,
+        // the second of the schedule, is on line 5.
+        let faults = TempFile::new(
+            "faults",
+            &format!("min-replicas 2\nhost-down 3 10 20\n# then\n\n{bad_line}\n"),
+        );
+        let stderr = rejected(&[&SIMULATE[..], &["--faults", faults.path()]].concat());
+        assert!(
+            stderr.contains(&format!("{}: line 5: ", faults.path())) && stderr.contains(what),
+            "{bad_line}: {stderr}"
+        );
+    }
+}

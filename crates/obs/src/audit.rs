@@ -43,10 +43,11 @@
 //! trace of that install, so the chosen host is marked present rather
 //! than checked.
 
-use crate::event::{Event, EventKind, PlacementActionKind, ResetCause};
+use crate::event::{tags, Event, EventKind, PlacementActionKind, ResetCause};
 use crate::idtable::{at, IdTable};
 use std::collections::BTreeMap;
 use std::fmt;
+use ViolationKind as V;
 
 /// What the directory/host reconstruction knows about one `(object,
 /// host)` pair.
@@ -75,23 +76,12 @@ pub enum ViolationKind {
     Disagreement,
 }
 
-impl ViolationKind {
-    /// Stable kebab-case tag for rendering and JSON.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ViolationKind::DropBeforeNotify => "drop-before-notify",
-            ViolationKind::OrphanedReplica => "orphaned-replica",
-            ViolationKind::UseAfterDrop => "use-after-drop",
-            ViolationKind::Disagreement => "disagreement",
-        }
-    }
-}
-
-impl fmt::Display for ViolationKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+tags!(ViolationKind {
+    DropBeforeNotify => "drop-before-notify",
+    OrphanedReplica => "orphaned-replica",
+    UseAfterDrop => "use-after-drop",
+    Disagreement => "disagreement",
+});
 
 /// One replica-set-invariant violation, anchored to the offending
 /// event's sequence number.
@@ -247,19 +237,13 @@ impl InvariantAuditor {
         }
     }
 
-    fn violation(
-        &mut self,
-        event: &Event,
-        object: u32,
-        host: Option<u16>,
-        kind: ViolationKind,
-        detail: String,
-    ) {
+    /// Records a `kind` violation of `object` on `host`, exposed by `event`.
+    fn flag(&mut self, event: &Event, object: u32, host: u16, kind: ViolationKind, detail: String) {
         self.violations.push(Violation {
             seq: event.seq,
             t: event.t,
             object,
-            host,
+            host: Some(host),
             kind,
             detail,
         });
@@ -372,13 +356,7 @@ impl InvariantAuditor {
                     "directory offered host {host} as {role} for object {object} \
                      after its replica was dropped"
                 );
-                self.violation(
-                    event,
-                    object,
-                    Some(host),
-                    ViolationKind::UseAfterDrop,
-                    detail,
-                );
+                self.flag(event, object, host, V::UseAfterDrop, detail);
             }
             Presence::Unknown | Presence::Present => {}
         }
@@ -414,13 +392,7 @@ impl InvariantAuditor {
                         "host {source} dropped its copy of object {object} without a \
                          directory notification in the same epoch"
                     );
-                    self.violation(
-                        event,
-                        object,
-                        Some(source),
-                        ViolationKind::DropBeforeNotify,
-                        detail,
-                    );
+                    self.flag(event, object, source, V::DropBeforeNotify, detail);
                 }
                 self.set_presence(object, source, Presence::Absent);
                 delta.removed = Some(source);
@@ -434,13 +406,7 @@ impl InvariantAuditor {
                         "host {source} reduced affinity for object {object} without a \
                          directory notification"
                     );
-                    self.violation(
-                        event,
-                        object,
-                        Some(source),
-                        ViolationKind::Disagreement,
-                        detail,
-                    );
+                    self.flag(event, object, source, V::Disagreement, detail);
                 }
                 self.set_presence(object, source, Presence::Present);
             }
@@ -478,13 +444,7 @@ impl InvariantAuditor {
                         "migration source host {source} of object {object} neither dropped \
                          its copy nor reported an affinity reduction"
                     );
-                    self.violation(
-                        event,
-                        object,
-                        Some(source),
-                        ViolationKind::Disagreement,
-                        detail,
-                    );
+                    self.flag(event, object, source, V::Disagreement, detail);
                 }
             }
         }
@@ -503,13 +463,7 @@ impl InvariantAuditor {
                 "a copy of object {object} was created on host {target} without \
                  notifying the directory (orphaned replica)"
             );
-            self.violation(
-                event,
-                object,
-                Some(target),
-                ViolationKind::OrphanedReplica,
-                detail,
-            );
+            self.flag(event, object, target, V::OrphanedReplica, detail);
         }
         self.set_presence(object, target, Presence::Present);
         delta.created = Some((target, new_copy));

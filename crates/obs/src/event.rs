@@ -15,7 +15,35 @@
 //! protocol's own record of each Fig. 2 choice and placement action:
 //! `radar-core` fills them directly.
 
-use std::fmt;
+/// Gives a closed enum its one vocabulary table, `TAGS`: every variant
+/// with its stable lowercase tag (the spelling logs and reports use), in
+/// discriminant order. `as_str` indexes it by discriminant, `from_tag`
+/// scans it, and `Display` writes the tag.
+macro_rules! tags {
+    ($ty:ident { $($variant:ident => $tag:literal,)+ }) => {
+        impl $ty {
+            /// Every variant with its stable tag, in discriminant order.
+            pub(crate) const TAGS: &'static [(Self, &'static str)] = &[$((Self::$variant, $tag)),+];
+
+            /// The variant's stable tag.
+            pub fn as_str(self) -> &'static str {
+                Self::TAGS[self as usize].1
+            }
+
+            /// The variant a tag names; `None` for an unknown tag.
+            pub fn from_tag(tag: &str) -> Option<Self> {
+                Self::TAGS.iter().find(|(_, t)| *t == tag).map(|&(v, _)| v)
+            }
+        }
+
+        impl std::fmt::Display for $ty {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(self.as_str())
+            }
+        }
+    };
+}
+pub(crate) use tags;
 
 /// Which Fig. 2 rule picked the serving host. Interned: the tag set is
 /// closed, so events carry a copyable enum instead of a heap `String`
@@ -32,34 +60,12 @@ pub enum DecisionBranch {
     Policy,
 }
 
-impl DecisionBranch {
-    /// Stable lowercase tag, as serialized in the JSONL `branch` field.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DecisionBranch::Closest => "closest",
-            DecisionBranch::LeastRequested => "least-requested",
-            DecisionBranch::PrimaryFallback => "primary-fallback",
-            DecisionBranch::Policy => "policy",
-        }
-    }
-
-    /// Parses the JSONL tag back into the enum.
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        Some(match tag {
-            "closest" => DecisionBranch::Closest,
-            "least-requested" => DecisionBranch::LeastRequested,
-            "primary-fallback" => DecisionBranch::PrimaryFallback,
-            "policy" => DecisionBranch::Policy,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for DecisionBranch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+tags!(DecisionBranch {
+    Closest => "closest",
+    LeastRequested => "least-requested",
+    PrimaryFallback => "primary-fallback",
+    Policy => "policy",
+});
 
 /// Why a request failed outright. Interned like [`DecisionBranch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -72,32 +78,11 @@ pub enum FailReason {
     CrashedMidService,
 }
 
-impl FailReason {
-    /// Stable lowercase tag, as serialized in the JSONL `reason` field.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FailReason::AllReplicasDown => "all-replicas-down",
-            FailReason::Unreachable => "unreachable",
-            FailReason::CrashedMidService => "crashed-mid-service",
-        }
-    }
-
-    /// Parses the JSONL tag back into the enum.
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        Some(match tag {
-            "all-replicas-down" => FailReason::AllReplicasDown,
-            "unreachable" => FailReason::Unreachable,
-            "crashed-mid-service" => FailReason::CrashedMidService,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for FailReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+tags!(FailReason {
+    AllReplicasDown => "all-replicas-down",
+    Unreachable => "unreachable",
+    CrashedMidService => "crashed-mid-service",
+});
 
 /// What changed a replica set and triggered the Fig. 2 companion
 /// count reset. Interned like [`DecisionBranch`].
@@ -113,34 +98,12 @@ pub enum ResetCause {
     Purge,
 }
 
-impl ResetCause {
-    /// Stable lowercase tag, as serialized in the JSONL `cause` field.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ResetCause::Created => "created",
-            ResetCause::Affinity => "affinity",
-            ResetCause::Dropped => "dropped",
-            ResetCause::Purge => "purge",
-        }
-    }
-
-    /// Parses the JSONL tag back into the enum.
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        Some(match tag {
-            "created" => ResetCause::Created,
-            "affinity" => ResetCause::Affinity,
-            "dropped" => ResetCause::Dropped,
-            "purge" => ResetCause::Purge,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for ResetCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+tags!(ResetCause {
+    Created => "created",
+    Affinity => "affinity",
+    Dropped => "dropped",
+    Purge => "purge",
+});
 
 /// The §5 consistency class of an object, as carried by update events.
 /// Interned like [`DecisionBranch`].
@@ -156,32 +119,11 @@ pub enum ConsistencyClass {
     Type3,
 }
 
-impl ConsistencyClass {
-    /// Stable lowercase tag, as serialized in the JSONL `class` field.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ConsistencyClass::Type1 => "type-1",
-            ConsistencyClass::Type2 => "type-2",
-            ConsistencyClass::Type3 => "type-3",
-        }
-    }
-
-    /// Parses the JSONL tag back into the enum.
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        Some(match tag {
-            "type-1" => ConsistencyClass::Type1,
-            "type-2" => ConsistencyClass::Type2,
-            "type-3" => ConsistencyClass::Type3,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for ConsistencyClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+tags!(ConsistencyClass {
+    Type1 => "type-1",
+    Type2 => "type-2",
+    Type3 => "type-3",
+});
 
 /// The action a placement run took on one object (paper Figs. 3–5).
 /// Interned like [`DecisionBranch`].
@@ -203,40 +145,15 @@ pub enum PlacementActionKind {
     LoadReplicate,
 }
 
-impl PlacementActionKind {
-    /// Stable lowercase tag, as serialized in the JSONL `action` field.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlacementActionKind::Drop => "drop",
-            PlacementActionKind::AffinityReduce => "affinity-reduce",
-            PlacementActionKind::DropRefused => "drop-refused",
-            PlacementActionKind::GeoMigrate => "geo-migrate",
-            PlacementActionKind::GeoReplicate => "geo-replicate",
-            PlacementActionKind::LoadMigrate => "load-migrate",
-            PlacementActionKind::LoadReplicate => "load-replicate",
-        }
-    }
-
-    /// Parses the JSONL tag back into the enum.
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        Some(match tag {
-            "drop" => PlacementActionKind::Drop,
-            "affinity-reduce" => PlacementActionKind::AffinityReduce,
-            "drop-refused" => PlacementActionKind::DropRefused,
-            "geo-migrate" => PlacementActionKind::GeoMigrate,
-            "geo-replicate" => PlacementActionKind::GeoReplicate,
-            "load-migrate" => PlacementActionKind::LoadMigrate,
-            "load-replicate" => PlacementActionKind::LoadReplicate,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for PlacementActionKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+tags!(PlacementActionKind {
+    Drop => "drop",
+    AffinityReduce => "affinity-reduce",
+    DropRefused => "drop-refused",
+    GeoMigrate => "geo-migrate",
+    GeoReplicate => "geo-replicate",
+    LoadMigrate => "load-migrate",
+    LoadReplicate => "load-replicate",
+});
 
 /// One recorded platform event.
 #[derive(Debug, Clone, PartialEq)]
@@ -512,107 +429,6 @@ impl Event {
             _ => None,
         }
     }
-
-    /// One-line rendering for `radar events tail` / `filter` listings.
-    pub fn brief(&self) -> String {
-        let head = format!(
-            "#{:<6} t={:<10.3} {:<13}",
-            self.seq,
-            self.t,
-            self.type_name()
-        );
-        let detail = match &self.kind {
-            EventKind::RequestArrived { gateway, object } => {
-                format!("object {object} enters at gateway {gateway}")
-            }
-            EventKind::Decision(d) if d.candidates.is_empty() => format!(
-                "object {} gw {} -> host {} ({} branch, degraded: {})",
-                d.object,
-                d.gateway,
-                d.chosen,
-                d.branch,
-                degradation_reason(d.branch)
-            ),
-            EventKind::Decision(d) => format!(
-                "object {} gw {} -> host {} ({} branch, {} candidates)",
-                d.object,
-                d.gateway,
-                d.chosen,
-                d.branch,
-                d.candidates.len()
-            ),
-            EventKind::RequestServed {
-                gateway,
-                object,
-                host,
-                latency,
-                hops,
-            } => format!(
-                "object {object} served by host {host} to gw {gateway} \
-                 ({:.1} ms, {hops} hops)",
-                latency * 1e3
-            ),
-            EventKind::RequestFailed {
-                gateway,
-                object,
-                reason,
-            } => format!("object {object} at gw {gateway} failed: {reason}"),
-            EventKind::PlacementAction(p) => {
-                let target = p
-                    .target
-                    .map(|h| format!(" -> host {h}"))
-                    .unwrap_or_default();
-                format!(
-                    "host {} {} object {}{} (unit rate {:.4})",
-                    p.host, p.action, p.object, target, p.unit_rate
-                )
-            }
-            EventKind::CountsReset { object, cause } => {
-                format!("object {object} request counts reset ({cause})")
-            }
-            EventKind::Fault { desc } => desc.clone(),
-            EventKind::ReReplication {
-                object,
-                target,
-                elapsed,
-            } => format!("object {object} restored on host {target} after {elapsed:.1}s"),
-            EventKind::ProviderUpdate(u) => format!(
-                "object {} v{} updated at primary {} ({}, {} targets{})",
-                u.object,
-                u.version,
-                u.primary,
-                u.class,
-                u.targets,
-                if u.reassigned {
-                    ", primary reassigned"
-                } else {
-                    ""
-                }
-            ),
-            EventKind::UpdateDelivered(u) => format!(
-                "object {} v{} {} at host {} ({}, lag {:.1} ms)",
-                u.object,
-                u.version,
-                if u.wasted { "wasted" } else { "delivered" },
-                u.host,
-                u.class,
-                u.lag * 1e3
-            ),
-        };
-        format!("{head} {detail}")
-    }
-}
-
-/// Why a decision carries no candidate snapshot: the degraded-mode
-/// explanation shown in place of an empty candidate table.
-pub(crate) fn degradation_reason(branch: DecisionBranch) -> &'static str {
-    match branch {
-        DecisionBranch::PrimaryFallback => {
-            "no usable replica was reachable; served from the primary copy"
-        }
-        DecisionBranch::Policy => "baseline policy decision; no Fig. 2 candidate data",
-        _ => "no candidate snapshot recorded",
-    }
 }
 
 /// All known type tags, in the order `radar events summary` lists them.
@@ -672,75 +488,37 @@ mod tests {
         assert_eq!(fault.host(), None);
     }
 
-    #[test]
-    fn degraded_decision_brief_names_the_reason() {
-        let e = Event {
-            seq: 3,
-            parent: Some(2),
-            t: 9.0,
-            queue_depth: 1,
-            kind: EventKind::Decision(DecisionEvent {
-                object: 7,
-                gateway: 2,
-                chosen: 0,
-                branch: DecisionBranch::PrimaryFallback,
-                constant: 2.0,
-                closest: None,
-                least: None,
-                unit_closest: None,
-                unit_least: None,
-                candidates: Vec::new(),
-            }),
-        };
-        let line = e.brief();
-        assert!(!line.contains("0 candidates"), "{line}");
-        assert!(line.contains("degraded"), "{line}");
-        assert!(line.contains("no usable replica"), "{line}");
+    /// `tags` lists every variant once, in discriminant order, each
+    /// under a tag that parses back to it; `last` is the final variant.
+    fn check_table<T: Copy + PartialEq + std::fmt::Debug>(
+        tags: &[(T, &str)],
+        index: fn(T) -> usize,
+        last: T,
+        parse: fn(&str) -> Option<T>,
+    ) {
+        for (i, &(variant, tag)) in tags.iter().enumerate() {
+            assert_eq!(index(variant), i, "{variant:?} is out of order");
+            assert_eq!(parse(tag), Some(variant), "{tag:?} is not unique");
+        }
+        assert_eq!(tags.len(), index(last) + 1, "a variant has no tag");
+        assert_eq!(parse("mystery"), None);
     }
 
     #[test]
-    fn interned_tags_round_trip() {
+    fn every_tag_table_lists_each_variant_once_in_discriminant_order() {
+        use crate::ViolationKind as V;
         use ConsistencyClass as C;
         use DecisionBranch as B;
         use FailReason as F;
         use PlacementActionKind as P;
         use ResetCause as R;
-        for c in [C::Type1, C::Type2, C::Type3] {
-            assert_eq!(C::from_tag(c.as_str()), Some(c));
-        }
-        assert_eq!(C::from_tag("type-4"), None);
-        for b in [B::Closest, B::LeastRequested, B::PrimaryFallback, B::Policy] {
-            assert_eq!(B::from_tag(b.as_str()), Some(b));
-        }
-        for r in [F::AllReplicasDown, F::Unreachable, F::CrashedMidService] {
-            assert_eq!(F::from_tag(r.as_str()), Some(r));
-        }
-        for c in [R::Created, R::Affinity, R::Dropped, R::Purge] {
-            assert_eq!(R::from_tag(c.as_str()), Some(c));
-        }
-        for a in [
-            P::Drop,
-            P::AffinityReduce,
-            P::DropRefused,
-            P::GeoMigrate,
-            P::GeoReplicate,
-            P::LoadMigrate,
-            P::LoadReplicate,
-        ] {
-            assert_eq!(P::from_tag(a.as_str()), Some(a));
-        }
-        assert_eq!(B::from_tag("mystery"), None);
-        assert_eq!(F::from_tag(""), None);
-        assert_eq!(R::from_tag("reset"), None);
-        assert_eq!(P::from_tag("replicate"), None);
+        check_table(B::TAGS, |v| v as usize, B::Policy, B::from_tag);
+        check_table(F::TAGS, |v| v as usize, F::CrashedMidService, F::from_tag);
+        check_table(R::TAGS, |v| v as usize, R::Purge, R::from_tag);
+        check_table(C::TAGS, |v| v as usize, C::Type3, C::from_tag);
+        check_table(P::TAGS, |v| v as usize, P::LoadReplicate, P::from_tag);
+        check_table(V::TAGS, |v| v as usize, V::Disagreement, V::from_tag);
+        assert_eq!(P::DropRefused.as_str(), "drop-refused");
         assert_eq!(format!("{}", B::LeastRequested), "least-requested");
-    }
-
-    #[test]
-    fn brief_is_single_line() {
-        let line = sample().brief();
-        assert!(!line.contains('\n'));
-        assert!(line.contains("#7"), "{line}");
-        assert!(line.contains("host 5"), "{line}");
     }
 }

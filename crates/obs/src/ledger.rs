@@ -23,8 +23,8 @@
 use crate::audit::InvariantAuditor;
 use crate::event::{Event, EventKind, PlacementActionKind, ResetCause};
 use crate::idtable::{at, IdTable};
+use crate::shared::{Fold, Shared};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// Violation sequence numbers retained in a [`ProtocolHealth`]
 /// snapshot (the full list stays on the auditor).
@@ -568,39 +568,20 @@ fn node(nodes: &mut Vec<Option<NodeChurn>>, id: u16) -> &mut NodeChurn {
     at(nodes, id.into()).get_or_insert_with(Default::default)
 }
 
-/// A cloneable, thread-safe handle around an [`ObjectLedger`]: attach
-/// one clone to the simulation as an observer and read timelines or
-/// health snapshots from another (the live dashboard does exactly
-/// this).
-#[derive(Clone, Debug, Default)]
-pub struct SharedObjectLedger(Arc<Mutex<ObjectLedger>>);
-
-impl SharedObjectLedger {
-    /// Creates a shared ledger with the given configuration.
-    pub fn new(cfg: LedgerConfig) -> Self {
-        Self(Arc::new(Mutex::new(ObjectLedger::new(cfg))))
+impl Fold for ObjectLedger {
+    fn fold(&mut self, event: &Event) {
+        ObjectLedger::fold(self, event);
     }
 
-    /// Folds one event.
-    pub fn fold(&self, event: &Event) {
-        self.0.lock().expect("ledger lock").fold(event);
-    }
-
-    /// Pins the end of the observed interval.
-    pub fn finalize(&self, t_end: f64) {
-        self.0.lock().expect("ledger lock").finalize(t_end);
-    }
-
-    /// Snapshots the current protocol-health summary.
-    pub fn health(&self) -> ProtocolHealth {
-        self.0.lock().expect("ledger lock").health()
-    }
-
-    /// Runs `f` with shared access to the inner ledger.
-    pub fn with<R>(&self, f: impl FnOnce(&ObjectLedger) -> R) -> R {
-        f(&self.0.lock().expect("ledger lock"))
+    fn finalize(&mut self, t_end: f64) {
+        ObjectLedger::finalize(self, t_end);
     }
 }
+
+/// An [`ObjectLedger`] behind a [`Shared`] handle: attach one clone to
+/// the simulation as an observer and read timelines or health snapshots
+/// through another (the live dashboard does exactly this).
+pub type SharedObjectLedger = Shared<ObjectLedger>;
 
 #[cfg(test)]
 mod tests {
@@ -902,11 +883,11 @@ mod tests {
 
     #[test]
     fn shared_ledger_round_trip() {
-        let shared = SharedObjectLedger::new(LedgerConfig::default());
+        let shared = SharedObjectLedger::default();
         let clone = shared.clone();
         clone.fold(&served(1, 1.0, 3, 2));
         clone.finalize(20.0);
-        assert_eq!(shared.health().served, 1);
+        assert_eq!(shared.with(ObjectLedger::health).served, 1);
         assert_eq!(shared.with(|l| l.last_t()), 20.0);
     }
 }

@@ -11,6 +11,10 @@
 //! regression diffing of seeded runs; and [`LoopProfile`] counters for
 //! event-loop wall time and queue depth.
 //!
+//! Each piece of vocabulary is stated once: one tag table per interned
+//! enum, one renderer behind [`Event::brief`] and [`Event::explain`],
+//! and one observer handle, [`Shared`], over every [`Fold`] of the feed.
+//!
 //! Design rules:
 //!
 //! - **Depends on no protocol or simulator crate** (only `radar-stats`).
@@ -26,17 +30,17 @@
 //!   numbers run densely from 1; a gap means it was cut or filtered.
 //!
 //! ```
-//! use radar_obs::{Event, EventKind, SharedRecorder};
+//! use radar_obs::{Event, EventKind, Recorder, SharedRecorder, DEFAULT_CAPACITY};
 //!
-//! let rec = SharedRecorder::new(1024);
-//! rec.record(&Event {
+//! let rec = SharedRecorder::from(Recorder::new(DEFAULT_CAPACITY));
+//! rec.fold(&Event {
 //!     seq: 1,
 //!     parent: None,
 //!     t: 0.5,
 //!     queue_depth: 0,
 //!     kind: EventKind::RequestArrived { gateway: 0, object: 7 },
 //! });
-//! let jsonl = rec.to_jsonl();
+//! let jsonl = rec.with(Recorder::to_jsonl);
 //! let parsed = radar_obs::parse_jsonl(&jsonl).unwrap();
 //! assert_eq!(parsed[0].object(), Some(7));
 //! ```
@@ -47,7 +51,6 @@
 mod audit;
 mod diff;
 mod event;
-mod explain;
 mod idtable;
 pub mod json;
 pub mod jsonl;
@@ -55,6 +58,8 @@ mod ledger;
 mod metrics;
 mod profile;
 mod recorder;
+mod render;
+mod shared;
 
 pub use audit::{AuditDelta, InvariantAuditor, Violation, ViolationKind};
 pub use diff::{diff_events, DiffOutcome};
@@ -72,3 +77,4 @@ pub use ledger::{
 pub use metrics::{MetricsConfig, MetricsObserver, ObjectCounters, SharedMetrics, Tally};
 pub use profile::{HandlerStats, LoopProfile};
 pub use recorder::{Recorder, SharedRecorder, DEFAULT_CAPACITY};
+pub use shared::{Fold, Shared};

@@ -24,9 +24,9 @@
 //! liveness.
 
 use crate::event::{ConsistencyClass, Event, EventKind, PlacementActionKind};
+use crate::shared::{Fold, Shared};
 use radar_stats::{BinSpec, Histogram, OnlineSummary, P2Quantile, TimeSeries, WindowedRate};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
 
 /// Window of the rolling served / failed / re-replication rates the
 /// dashboard displays, seconds.
@@ -65,8 +65,8 @@ pub struct Tally {
     pub re_replications: u64,
     /// Provider updates propagated (§5).
     pub updates: u64,
-    /// Provider updates per consistency class: `[type-1, type-2,
-    /// type-3]`.
+    /// Provider updates per consistency class, indexed by the class's
+    /// row in its tag table: `[type-1, type-2, type-3]`.
     pub updates_by_class: [u64; 3],
     /// Update propagation traffic, bytes×hops per bin, binned at issue.
     pub update_bandwidth: TimeSeries,
@@ -131,7 +131,7 @@ impl Tally {
         reassigned: bool,
     ) {
         self.updates += 1;
-        self.updates_by_class[class_index(class)] += 1;
+        self.updates_by_class[class as usize] += 1;
         self.update_bandwidth.record(t, bytes_hops);
         if reassigned {
             self.primary_reassignments += 1;
@@ -157,16 +157,6 @@ impl Tally {
             }
             ConsistencyClass::Type3 => {}
         }
-    }
-}
-
-/// The §5 taxonomy index of a consistency class (0 = type-1, 1 =
-/// type-2, 2 = type-3), as [`Tally::updates_by_class`] is laid out.
-fn class_index(class: ConsistencyClass) -> usize {
-    match class {
-        ConsistencyClass::Type1 => 0,
-        ConsistencyClass::Type2 => 1,
-        ConsistencyClass::Type3 => 2,
     }
 }
 
@@ -260,7 +250,6 @@ pub struct MetricsObserver {
     tally: Tally,
     events_seen: u64,
     last_t: f64,
-    type_counts: BTreeMap<&'static str, u64>,
     hosts: BTreeMap<u16, HostGauge>,
     objects: BTreeMap<u32, ObjectCounters>,
     next_load_sample: f64,
@@ -290,7 +279,6 @@ impl MetricsObserver {
             cfg,
             events_seen: 0,
             last_t: 0.0,
-            type_counts: BTreeMap::new(),
             hosts: BTreeMap::new(),
             objects: BTreeMap::new(),
             served_rate: WindowedRate::new(ROLLING_WINDOW),
@@ -336,7 +324,6 @@ impl MetricsObserver {
         if event.t > self.last_t {
             self.last_t = event.t;
         }
-        *self.type_counts.entry(event.type_name()).or_insert(0) += 1;
         match &event.kind {
             EventKind::RequestArrived { object, .. } => {
                 self.request_total += 1;
@@ -479,20 +466,10 @@ impl MetricsObserver {
         rows
     }
 
-    /// Counters for one object, if any event mentioned it.
-    pub fn object(&self, object: u32) -> Option<ObjectCounters> {
-        self.objects.get(&object).copied()
-    }
-
     /// The most recent fault transitions `(t, description)`, oldest
     /// first, at most five.
     pub fn recent_faults(&self) -> impl Iterator<Item = &(f64, String)> {
         self.recent_faults.iter()
-    }
-
-    /// Per-event-type counts, keyed by stable type tag.
-    pub fn type_counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.type_counts
     }
 
     /// Redirector branch counts (`closest`, `least-requested`, …),
@@ -508,37 +485,25 @@ impl MetricsObserver {
     }
 }
 
-/// A cloneable, thread-safe handle around a [`MetricsObserver`]:
-/// attach one clone to the simulation and read the aggregates from
-/// another (the dashboard renderer does exactly this).
-#[derive(Clone, Debug)]
-pub struct SharedMetrics(Arc<Mutex<MetricsObserver>>);
+impl Fold for MetricsObserver {
+    fn fold(&mut self, event: &Event) {
+        MetricsObserver::fold(self, event);
+    }
+
+    fn finalize(&mut self, t_end: f64) {
+        MetricsObserver::finalize(self, t_end);
+    }
+}
+
+/// A [`MetricsObserver`] behind a [`Shared`] handle: attach one clone to
+/// the simulation and read the aggregates through another (the
+/// dashboard renderer does exactly this).
+pub type SharedMetrics = Shared<MetricsObserver>;
 
 impl SharedMetrics {
     /// Creates a shared fold with the given configuration.
     pub fn new(cfg: MetricsConfig) -> Self {
-        Self(Arc::new(Mutex::new(MetricsObserver::new(cfg))))
-    }
-
-    /// Folds one event.
-    pub fn fold(&self, event: &Event) {
-        self.0.lock().expect("metrics lock").fold(event);
-    }
-
-    /// Rolls windowed gauges forward to the end of the run.
-    pub fn finalize(&self, t_end: f64) {
-        self.0.lock().expect("metrics lock").finalize(t_end);
-    }
-
-    /// Runs `f` with shared access to the inner fold.
-    pub fn with<R>(&self, f: impl FnOnce(&MetricsObserver) -> R) -> R {
-        f(&self.0.lock().expect("metrics lock"))
-    }
-}
-
-impl Default for SharedMetrics {
-    fn default() -> Self {
-        Self::new(MetricsConfig::default())
+        Self::from(MetricsObserver::new(cfg))
     }
 }
 
@@ -655,7 +620,9 @@ mod tests {
                 elapsed: 12.0,
             },
         ));
-        let o = m.object(5).unwrap();
+        let [(5, o)] = m.top_objects(2)[..] else {
+            panic!("only object 5 was folded");
+        };
         assert_eq!(o.placement_actions, 3);
         assert_eq!(o.replica_delta, 1); // +1 −1 +1
         assert_eq!(m.tally().re_replications, 1);
@@ -721,7 +688,6 @@ mod tests {
         ));
         assert_eq!(m.requests(), 1);
         assert_eq!(m.branch_counts()["closest"], 1);
-        assert_eq!(m.type_counts()["decision"], 1);
         assert_eq!(m.events_seen(), 2);
     }
 

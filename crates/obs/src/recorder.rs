@@ -1,10 +1,10 @@
 //! The flight recorder: an event-to-JSONL encoder in front of a sink or
-//! an in-memory log, and its shared (post-run inspectable) wrapper.
+//! an in-memory log.
 
 use crate::event::Event;
 use crate::jsonl::parse_jsonl;
+use crate::shared::{Fold, Shared};
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 
 /// The argument the CLI and examples pass to [`Recorder::new`]. The
 /// recorder keeps every event, so the value bounds nothing.
@@ -127,52 +127,32 @@ impl Recorder {
             Output::Sink(_) => String::new(),
         }
     }
-}
-
-/// A cloneable, thread-safe handle around a [`Recorder`].
-///
-/// The simulator takes ownership of attached observers, so a plain
-/// `Recorder` cannot be inspected after the run. `SharedRecorder`
-/// solves this: attach one clone to the simulation and keep another to
-/// read the events back afterwards.
-#[derive(Clone, Debug)]
-pub struct SharedRecorder(Arc<Mutex<Recorder>>);
-
-impl SharedRecorder {
-    /// Creates a shared in-memory recorder; see [`Recorder::new`] (the
-    /// argument is ignored).
-    pub fn new(capacity: usize) -> Self {
-        Self::from_recorder(Recorder::new(capacity))
-    }
-
-    /// Wraps an already-configured recorder (e.g. one with a sink).
-    pub fn from_recorder(recorder: Recorder) -> Self {
-        Self(Arc::new(Mutex::new(recorder)))
-    }
-
-    /// Records one event.
-    pub fn record(&self, event: &Event) {
-        self.0.lock().expect("recorder lock").record(event);
-    }
-
-    /// Runs `f` with shared access to the inner recorder.
-    pub fn with<R>(&self, f: impl FnOnce(&Recorder) -> R) -> R {
-        f(&self.0.lock().expect("recorder lock"))
-    }
 
     /// The in-memory log parsed back into events, recording order.
     pub fn snapshot(&self) -> Vec<Event> {
         parse_jsonl(&self.to_jsonl()).expect("the recorder's own log parses")
     }
+}
 
-    /// The in-memory log; see [`Recorder::to_jsonl`].
-    pub fn to_jsonl(&self) -> String {
-        self.with(Recorder::to_jsonl)
+impl Fold for Recorder {
+    fn fold(&mut self, event: &Event) {
+        self.record(event);
+    }
+}
+
+/// A [`Recorder`] behind a [`Shared`] handle: attach one clone to the
+/// simulation and read the log back through another.
+pub type SharedRecorder = Shared<Recorder>;
+
+impl SharedRecorder {
+    /// Wraps an already-configured recorder (e.g. one with a sink).
+    pub fn from_recorder(recorder: Recorder) -> Self {
+        Self::from(recorder)
     }
 
     /// Flushes the sink, if any, returning the first sink error.
     pub fn finish(&self) -> Option<String> {
-        self.0.lock().expect("recorder lock").finish()
+        self.lock().finish()
     }
 }
 
@@ -309,13 +289,12 @@ mod tests {
 
     #[test]
     fn shared_recorder_round_trip() {
-        let shared = SharedRecorder::new(16);
+        let shared = SharedRecorder::from(Recorder::new(16));
         let clone = shared.clone();
-        clone.record(&fault(1));
-        clone.record(&decision(2));
-        assert_eq!(shared.snapshot(), vec![fault(1), decision(2)]);
+        clone.fold(&fault(1));
+        clone.fold(&decision(2));
+        assert_eq!(shared.with(Recorder::snapshot), vec![fault(1), decision(2)]);
         assert_eq!(shared.with(Recorder::recorded), 2);
-        assert_eq!(shared.to_jsonl().lines().count(), 2);
         assert_eq!(shared.finish(), None);
     }
 }

@@ -993,7 +993,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            ScenarioError::Faults(FaultError::UnknownHost(99))
+            ScenarioError::Faults(FaultError::UnknownHost(0, 99))
         ));
         // Link that is not a UUNET edge.
         let err = Scenario::builder()
@@ -1002,7 +1002,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            ScenarioError::Faults(FaultError::UnknownLink(0, 52))
+            ScenarioError::Faults(FaultError::UnknownLink(0, 0, 52))
         ));
         // A valid schedule builds.
         let s = Scenario::builder()

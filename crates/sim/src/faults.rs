@@ -31,6 +31,7 @@
 //! link-slow 3 12 4.0 200 600
 //! ```
 
+use crate::trace::content_of;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -95,6 +96,8 @@ pub enum FaultError {
     },
     /// A fault window is empty or has non-finite/negative times.
     BadWindow {
+        /// Position of the fault in [`FaultSpec::faults`].
+        index: usize,
         /// Window start.
         from: f64,
         /// Window end, when given.
@@ -102,16 +105,22 @@ pub enum FaultError {
     },
     /// A degradation factor was not finite and > 1.
     BadFactor(
+        /// Position of the fault in [`FaultSpec::faults`].
+        usize,
         /// The offending factor.
         f64,
     ),
     /// A fault referenced a host outside the topology.
     UnknownHost(
+        /// Position of the fault in [`FaultSpec::faults`].
+        usize,
         /// The offending node index.
         u16,
     ),
     /// A fault referenced a link that is not in the topology.
     UnknownLink(
+        /// Position of the fault in [`FaultSpec::faults`].
+        usize,
         /// The offending endpoint pair.
         u16,
         /// Second endpoint.
@@ -130,14 +139,14 @@ impl fmt::Display for FaultError {
             FaultError::Malformed { line, content } => {
                 write!(f, "fault spec line {line} is malformed: {content:?}")
             }
-            FaultError::BadWindow { from, until } => {
+            FaultError::BadWindow { from, until, .. } => {
                 write!(f, "bad fault window: from={from} until={until:?}")
             }
-            FaultError::BadFactor(v) => {
+            FaultError::BadFactor(_, v) => {
                 write!(f, "degradation factor must be finite and > 1, got {v}")
             }
-            FaultError::UnknownHost(h) => write!(f, "fault references unknown host {h}"),
-            FaultError::UnknownLink(a, b) => {
+            FaultError::UnknownHost(_, h) => write!(f, "fault references unknown host {h}"),
+            FaultError::UnknownLink(_, a, b) => {
                 write!(f, "fault references unknown link {a}-{b}")
             }
             FaultError::BadPolicy(msg) => write!(f, "bad fault policy: {msg}"),
@@ -146,6 +155,32 @@ impl fmt::Display for FaultError {
 }
 
 impl std::error::Error for FaultError {}
+
+impl FaultError {
+    /// The error as a message naming the 1-based line of `text` — the
+    /// text the spec was parsed from — that holds the offending fault.
+    pub fn located_in(&self, text: &str) -> String {
+        let index = match *self {
+            FaultError::BadWindow { index, .. }
+            | FaultError::BadFactor(index, _)
+            | FaultError::UnknownHost(index, _)
+            | FaultError::UnknownLink(index, ..) => index,
+            FaultError::Malformed { .. } | FaultError::BadPolicy(_) => return self.to_string(),
+        };
+        // Fault directives, in order; comments, blanks and policy knobs
+        // hold no fault but count as lines.
+        let line = text
+            .lines()
+            .enumerate()
+            .filter(|(_, raw)| {
+                let directive = content_of(raw).split_whitespace().next();
+                matches!(directive, Some("host-down" | "link-down" | "link-slow"))
+            })
+            .nth(index)
+            .map_or(0, |(i, _)| i + 1);
+        format!("line {line}: {self}")
+    }
+}
 
 /// What a single compiled fault transition does.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -322,7 +357,7 @@ impl FaultSpec {
                 .iter()
                 .any(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a))
         };
-        for fault in &self.faults {
+        for (index, fault) in self.faults.iter().enumerate() {
             let (from, until) = fault.window();
             let ok_from = from.is_finite() && from >= 0.0;
             let ok_until = match until {
@@ -330,25 +365,25 @@ impl FaultSpec {
                 Some(u) => u.is_finite() && u > from,
             };
             if !ok_from || !ok_until {
-                return Err(FaultError::BadWindow { from, until });
+                return Err(FaultError::BadWindow { index, from, until });
             }
             match *fault {
                 Fault::HostDown { host, .. } => {
                     if host as usize >= num_nodes {
-                        return Err(FaultError::UnknownHost(host));
+                        return Err(FaultError::UnknownHost(index, host));
                     }
                 }
                 Fault::LinkDown { a, b, .. } => {
                     if !has_link(a, b) {
-                        return Err(FaultError::UnknownLink(a, b));
+                        return Err(FaultError::UnknownLink(index, a, b));
                     }
                 }
                 Fault::LinkSlow { a, b, factor, .. } => {
                     if !(factor.is_finite() && factor > 1.0) {
-                        return Err(FaultError::BadFactor(factor));
+                        return Err(FaultError::BadFactor(index, factor));
                     }
                     if !has_link(a, b) {
-                        return Err(FaultError::UnknownLink(a, b));
+                        return Err(FaultError::UnknownLink(index, a, b));
                     }
                 }
             }
@@ -406,7 +441,7 @@ impl FaultSpec {
         let mut spec = FaultSpec::new();
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
-            let content = raw.split('#').next().unwrap_or("").trim();
+            let content = content_of(raw);
             if content.is_empty() {
                 continue;
             }
@@ -790,17 +825,18 @@ mod tests {
         let bad_host = FaultSpec::new().host_down(9, 0.0, None);
         assert_eq!(
             bad_host.validate(3, &links),
-            Err(FaultError::UnknownHost(9))
+            Err(FaultError::UnknownHost(0, 9))
         );
         let bad_link = FaultSpec::new().link_down(0, 2, 0.0, None);
         assert_eq!(
             bad_link.validate(3, &links),
-            Err(FaultError::UnknownLink(0, 2))
+            Err(FaultError::UnknownLink(0, 0, 2))
         );
         let empty_window = FaultSpec::new().host_down(0, 50.0, Some(50.0));
         assert_eq!(
             empty_window.validate(3, &links),
             Err(FaultError::BadWindow {
+                index: 0,
                 from: 50.0,
                 until: Some(50.0)
             })
@@ -808,7 +844,7 @@ mod tests {
         let bad_factor = FaultSpec::new().link_slow(0, 1, 0.5, 0.0, None);
         assert_eq!(
             bad_factor.validate(3, &links),
-            Err(FaultError::BadFactor(0.5))
+            Err(FaultError::BadFactor(0, 0.5))
         );
     }
 

@@ -4,7 +4,9 @@
 //! without tracing; everything else — decisions, failures, placement
 //! actions, faults, re-replications, provider updates — arrives as a
 //! typed [`radar_obs::Event`] through [`Observer::on_event`] once the
-//! observer asks for the feed with [`Observer::wants_events`].
+//! observer asks for the feed with [`Observer::wants_events`]. The
+//! flight recorder's folds (recorder, metrics, ledger) need no impl of
+//! their own: any [`radar_obs::Shared`] fold is an observer.
 
 /// One served request, as delivered to observers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,37 +88,11 @@ pub trait Observer: Send {
     }
 }
 
-/// A [`radar_obs::SharedRecorder`] is an observer: attach one clone to
-/// the simulation and keep another to read the events back after the
-/// run.
-impl Observer for radar_obs::SharedRecorder {
-    fn wants_events(&self) -> bool {
-        true
-    }
-
-    fn on_event(&mut self, event: &radar_obs::Event) {
-        self.record(event);
-    }
-}
-
-/// A [`radar_obs::SharedMetrics`] is an observer: attach one clone to
-/// the simulation and read the live aggregates (or the final ones) from
-/// another.
-impl Observer for radar_obs::SharedMetrics {
-    fn wants_events(&self) -> bool {
-        true
-    }
-
-    fn on_event(&mut self, event: &radar_obs::Event) {
-        self.fold(event);
-    }
-}
-
-/// A [`radar_obs::SharedObjectLedger`] is an observer: attach one
-/// clone to the simulation and read live protocol-health snapshots (or
-/// object timelines) from another. [`crate::Simulation::enable_object_ledger`]
-/// does exactly this.
-impl Observer for radar_obs::SharedObjectLedger {
+/// A [`radar_obs::Shared`] fold is an observer: attach one clone to the
+/// simulation and read the fold — a recorder's log, the metrics
+/// aggregates or the object ledger — through another.
+/// [`crate::Simulation::enable_object_ledger`] does exactly this.
+impl<T: radar_obs::Fold + Send> Observer for radar_obs::Shared<T> {
     fn wants_events(&self) -> bool {
         true
     }

@@ -17,7 +17,7 @@
 //!   re-replication).
 
 use radar_core::{Catalog, HostState, ObjectId, Redirector};
-use radar_obs::{DecisionEvent, LedgerConfig, LoopProfile, SharedObjectLedger};
+use radar_obs::{DecisionEvent, LedgerConfig, LoopProfile, ObjectLedger, SharedObjectLedger};
 use radar_simcore::{EventQueue, FifoServer, SimDuration, SimRng, SimTime};
 use radar_simnet::{NodeId, RoutingView};
 use radar_workload::{ArrivalProcess, Workload};
@@ -421,10 +421,10 @@ impl Simulation {
     /// observer — consumes no randomness and never alters outcomes:
     /// recorded event logs stay byte-identical either way.
     pub fn enable_object_ledger(&mut self) -> SharedObjectLedger {
-        let ledger = SharedObjectLedger::new(LedgerConfig {
+        let ledger = SharedObjectLedger::from(ObjectLedger::new(LedgerConfig {
             object_size: self.scenario.object_size,
             churn_window: 2.0 * self.scenario.params.placement_period,
-        });
+        }));
         self.attach_observer(Box::new(ledger.clone()));
         self.object_ledger = Some(ledger.clone());
         ledger
@@ -701,7 +701,7 @@ impl Simulation {
         report.loop_profile = profile;
         if let Some(ledger) = &self.object_ledger {
             ledger.finalize(end);
-            report.protocol_health = Some(ledger.health());
+            report.protocol_health = Some(ledger.with(ObjectLedger::health));
         }
         report
     }

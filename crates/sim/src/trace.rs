@@ -79,8 +79,9 @@ impl TraceError {
     }
 }
 
-/// A trace line without its `#` comment and surrounding blanks.
-fn content_of(raw: &str) -> &str {
+/// A trace or fault-schedule line without its `#` comment and
+/// surrounding blanks.
+pub(crate) fn content_of(raw: &str) -> &str {
     raw.split('#').next().unwrap_or("").trim()
 }
 

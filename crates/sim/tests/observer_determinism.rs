@@ -6,7 +6,7 @@
 //! order. Both properties are what make recorded logs diffable across
 //! code changes.
 
-use radar_sim::obs::SharedRecorder;
+use radar_sim::obs::{Recorder, SharedRecorder};
 use radar_sim::{FaultSpec, Observer, RequestRecord, Scenario, Simulation};
 use radar_workload::ZipfReeds;
 use std::sync::{Arc, Mutex};
@@ -37,11 +37,11 @@ fn faults() -> FaultSpec {
 }
 
 fn run_jsonl(faults_spec: Option<FaultSpec>) -> String {
-    let recorder = SharedRecorder::new(radar_sim::obs::DEFAULT_CAPACITY);
+    let recorder = SharedRecorder::from(Recorder::new(radar_sim::obs::DEFAULT_CAPACITY));
     let mut sim = Simulation::new(scenario(faults_spec), Box::new(ZipfReeds::new(OBJECTS)));
     sim.attach_observer(Box::new(recorder.clone()));
     let _report = sim.run();
-    recorder.to_jsonl()
+    recorder.with(Recorder::to_jsonl)
 }
 
 #[test]

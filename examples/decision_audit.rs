@@ -8,7 +8,7 @@
 //! cargo run --release --example decision_audit
 //! ```
 
-use radar::obs::{EventKind, SharedRecorder, DEFAULT_CAPACITY};
+use radar::obs::{EventKind, Recorder, SharedRecorder, DEFAULT_CAPACITY};
 use radar::sim::{Scenario, Simulation};
 use radar::workload::ZipfReeds;
 
@@ -39,11 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run 2: replay the same arrivals with a recorder attached. The
     // recorder is an Observer; keep a clone to read the log after the
     // run consumes the simulation.
-    let recorder = SharedRecorder::new(DEFAULT_CAPACITY);
+    let recorder = SharedRecorder::from(Recorder::new(DEFAULT_CAPACITY));
     let mut replay = Simulation::replay(scenario()?, trace)?;
     replay.attach_observer(Box::new(recorder.clone()));
     let _ = replay.run();
-    let events = recorder.snapshot();
+    let events = recorder.with(Recorder::snapshot);
     println!("recorded {} events\n", events.len());
 
     // Find the first geo-replication the placement algorithm performed.

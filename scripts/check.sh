@@ -113,4 +113,8 @@ if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
   # checkout that runs this script.
   git diff --exit-code -- 'BENCH_*.json'
 fi
+echo "== non-test lines per crate (printed, not gated) =="
+# The line budget ROADMAP's "least code" aim is judged by, on record in
+# every CI log.
+./scripts/loc.sh
 echo "ALL CHECKS PASSED"

@@ -46,13 +46,13 @@ fn traced_run() -> (String, String) {
         .topology(topology)
         .build()
         .expect("valid scenario");
-    let recorder = SharedRecorder::new(DEFAULT_CAPACITY);
+    let recorder = SharedRecorder::from(Recorder::new(DEFAULT_CAPACITY));
     let mut sim = Simulation::new(scenario, Box::new(ZipfReeds::new(OBJECTS)));
     sim.attach_observer(Box::new(recorder.clone()));
     sim.enable_object_ledger();
     let report = sim.run();
     assert!(report.protocol_health.is_some(), "ledger was enabled");
-    let log = recorder.to_jsonl();
+    let log = recorder.with(Recorder::to_jsonl);
     assert_eq!(
         recorder.with(Recorder::recorded),
         log.lines().count() as u64,

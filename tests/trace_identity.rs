@@ -104,15 +104,19 @@ fn in_memory_log_is_the_streamed_log() {
     let long = || scenario().duration(120.0).build().expect("valid");
     let sink = HashSink::new();
     run(long(), &streamed(&sink));
-    let memory = SharedRecorder::new(DEFAULT_CAPACITY);
+    let memory = SharedRecorder::from(Recorder::new(DEFAULT_CAPACITY));
     run(long(), &memory);
 
-    let jsonl = memory.to_jsonl();
+    let jsonl = memory.with(Recorder::to_jsonl);
     assert_eq!(
         (fnv1a64(jsonl.as_bytes()), jsonl.len() as u64),
         sink.digest()
     );
-    let seqs: Vec<u64> = memory.snapshot().iter().map(|e| e.seq).collect();
+    let seqs: Vec<u64> = memory
+        .with(Recorder::snapshot)
+        .iter()
+        .map(|e| e.seq)
+        .collect();
     let n = seqs.len() as u64;
     assert!(n > DEFAULT_CAPACITY as u64, "only {n} events");
     assert!(seqs.into_iter().eq(1..=n), "seqs are not 1..={n}");
