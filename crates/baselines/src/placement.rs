@@ -67,7 +67,7 @@ impl PlacementPolicy for AvailabilityPlacement {
         for &x in &object_ids {
             let o = host.object(x).expect("object_ids() returns hosted objects");
             let (aff, cnt_s, unit_load, acquired_at) =
-                (o.aff(), o.count(s), o.unit_load(), o.acquired_at());
+                (o.aff(), o.own_count(), o.unit_load(), o.acquired_at());
             // Same partial-window rule as the paper's algorithm: never
             // judge a replica acquired since the last run.
             if acquired_at > host.last_placement_run() {
@@ -101,9 +101,10 @@ impl PlacementPolicy for AvailabilityPlacement {
             // is, farthest demand candidate first (availability against
             // regional failures improves with spread), falling back to
             // any under-loaded host when all demand is local.
-            let o = host.object(x).expect("still hosted");
+            let counts = scratch.counts_mut();
+            host.counts(host.object(x).expect("still hosted"), counts);
             let mut best: Option<(u32, NodeId, f64)> = None;
-            for (p, c) in o.counts() {
+            for &(p, c) in counts.iter() {
                 if p == s || c == 0 {
                     continue;
                 }
@@ -205,7 +206,7 @@ impl PlacementPolicy for ClusterPlacement {
         for &x in &object_ids {
             let o = host.object(x).expect("object_ids() returns hosted objects");
             let (aff, cnt_s, unit_load, acquired_at) =
-                (o.aff(), o.count(s), o.unit_load(), o.acquired_at());
+                (o.aff(), o.own_count(), o.unit_load(), o.acquired_at());
             if acquired_at > host.last_placement_run() {
                 continue;
             }
@@ -234,9 +235,11 @@ impl PlacementPolicy for ClusterPlacement {
             // ties — total, deterministic order).
             if unit_rate > params.replication_threshold && env.may_replicate(x) {
                 // Fresh borrow: the cold branch above may mutate `host`.
-                let o = host.object(x).expect("hot object is still hosted");
-                let head = o
-                    .counts()
+                let counts = scratch.counts_mut();
+                host.counts(host.object(x).expect("hot object is still hosted"), counts);
+                let head = counts
+                    .iter()
+                    .copied()
                     .filter(|&(p, c)| p != s && c > 0)
                     .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
                 if let Some((p, c)) = head {
@@ -276,7 +279,7 @@ impl PlacementPolicy for ClusterPlacement {
                     if o.acquired_at() > host.last_placement_run() {
                         continue;
                     }
-                    let ur = o.count(s) as f64 / o.aff() as f64 / params.placement_period;
+                    let ur = o.own_count() as f64 / o.aff() as f64 / params.placement_period;
                     shed.push((x, ur));
                 }
                 shed.sort_unstable_by(|a, b| {

@@ -91,6 +91,8 @@ impl SimulateArgs {
         let objects = parsed
             .get_parsed("objects", 1_000u32, "an object count")
             .map_err(|e| e.to_string())?;
+        // Before the catalog below allocates per object.
+        radar_sim::check_object_count(objects).map_err(|e| format!("--objects: {e}"))?;
         let rate = parsed
             .get_parsed("rate", 10.0f64, "requests/second")
             .map_err(|e| e.to_string())?;

@@ -32,8 +32,12 @@ impl Drop for TempFile {
 /// Runs `radar ARGS`, killing it after five seconds; returns stderr after
 /// asserting exit code 2 and the absence of a panic or stack overflow.
 fn rejected(args: &[&str]) -> String {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_radar"))
-        .args(args)
+    rejected_from(Command::new(env!("CARGO_BIN_EXE_radar")).args(args), args)
+}
+
+/// [`rejected`] for a prepared command.
+fn rejected_from(command: &mut Command, args: &[&str]) -> String {
+    let mut child = command
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -77,6 +81,32 @@ fn deeply_nested_log_lines_are_a_named_error_not_a_stack_overflow() {
 }
 
 const SIMULATE: [&str; 5] = ["simulate", "--objects", "100", "--duration", "5"];
+
+#[test]
+fn an_object_count_beyond_memory_is_rejected_before_allocating() {
+    // `--objects 4000000000` used to abort (exit 134) allocating 96 GB in
+    // `Directory::new`; a mix's catalog is allocated even earlier. The
+    // shell caps the address space at 1 GiB, so a build that tries the
+    // allocation fails this test instead of taking the memory.
+    for extra in [&[][..], &["--consistency", "mixed"]] {
+        let args = [
+            &["simulate", "--objects", "4000000000", "--duration", "5"][..],
+            extra,
+        ]
+        .concat();
+        let mut capped = Command::new("sh");
+        capped
+            .args(["-c", r#"ulimit -v 1048576 && exec "$0" "$@""#])
+            .arg(env!("CARGO_BIN_EXE_radar"))
+            .args(&args);
+        let stderr = rejected_from(&mut capped, &args);
+        assert!(
+            stderr.contains("--objects: 4000000000 objects exceed the limit of 16777216 (2^24)")
+                && stderr.contains("would exhaust memory"),
+            "{extra:?}: {stderr}"
+        );
+    }
+}
 
 #[test]
 fn a_rate_whose_period_rounds_to_zero_microseconds_is_rejected() {

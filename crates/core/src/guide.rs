@@ -42,10 +42,14 @@
 //! ## Watching demand (§4.1)
 //!
 //! Every response from host `s` to gateway `g` travels the *preference
-//! path* — the router path between them. Host `s` increments an access
-//! count `cnt(p, x)` for **every** node `p` on that path
-//! ([`HostState::record_access`]): each was a place that would have
-//! served this request with less backbone traffic. Meanwhile
+//! path* — the router path between them. The paper's access count
+//! `cnt(p, x)` counts the request for **every** node `p` on that path:
+//! each was a place that would have served it with less backbone
+//! traffic. Since the path depends only on `g` until a link changes,
+//! host `s` counts the request once, against its route
+//! ([`HostState::record_access`]), and the per-node counts are summed
+//! from the routes when placement reads them
+//! ([`HostState::counts`]). Meanwhile
 //! [`HostState::record_serviced`] feeds the load measurement — the
 //! serviced-request rate over 20-second intervals (§2.1).
 //!
@@ -115,6 +119,7 @@
 //! [`Redirector::choose_replica`]: crate::Redirector::choose_replica
 //! [`Redirector::request_drop`]: crate::Redirector::request_drop
 //! [`HostState::record_access`]: crate::HostState::record_access
+//! [`HostState::counts`]: crate::HostState::counts
 //! [`HostState::record_serviced`]: crate::HostState::record_serviced
 //! [`Params`]: crate::Params
 //! [`ParamsBuilder`]: crate::ParamsBuilder

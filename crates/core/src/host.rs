@@ -6,20 +6,24 @@ use radar_simnet::NodeId;
 use crate::{LoadEstimator, ObjectId, Params};
 
 /// State a host keeps for one of its object replicas (paper §4.1):
-/// the replica affinity `aff(x_s)`, the per-candidate access counts
-/// `cnt(p, x_s)` accumulated since the last placement run, and the
-/// replica's measured request rate `load(x_s)`.
+/// the replica affinity `aff(x_s)`, the requests since the last
+/// placement run per preference path (from which
+/// [`HostState::counts`] expands `cnt(p, x_s)`), and the replica's
+/// measured request rate `load(x_s)`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObjectState {
     aff: u32,
-    /// `cnt(p, x_s)`: how many requests for this object had node `p` on
-    /// their preference path since the last placement run. The own node's
-    /// entry is the total access count `cnt(x_s)`. A flat vector beats a
-    /// tree map here: the set of path members seen in one window is
-    /// small, increments are linear probes over contiguous memory, and
-    /// the per-epoch reset keeps the capacity instead of freeing nodes.
-    /// Entries are in first-seen order; no consumer depends on order.
-    access_counts: Vec<(NodeId, u64)>,
+    /// `cnt(x_s)`: how often this host's own node lay on the preference
+    /// paths of the requests counted in `route_counts` (once per
+    /// request in a simulation, where every path starts at the host).
+    /// This and the route counts are `u32`: wrapping would take 2^32
+    /// requests to one replica within one placement period.
+    own_count: u32,
+    /// `(route id, requests)` since the last placement run, one pair per
+    /// distinct preference path, sorted by route id (a binary search
+    /// beats a linear probe once a hot object has been requested from
+    /// dozens of gateways). Route ids index the host's `Routes`.
+    route_counts: Vec<(u32, u32)>,
     /// Requests for this object serviced in the current (incomplete)
     /// measurement window.
     window_serviced: u64,
@@ -47,25 +51,80 @@ impl ObjectState {
         self.rate / self.aff as f64
     }
 
-    /// Access count of candidate `p` since the last placement run.
-    pub fn count(&self, p: NodeId) -> u64 {
-        self.access_counts
-            .iter()
-            .find(|&&(q, _)| q == p)
-            .map_or(0, |&(_, c)| c)
-    }
-
-    /// Iterates `(candidate, count)` pairs in first-seen order. Every
-    /// consumer either folds over the counts or re-sorts by its own key,
-    /// so the iteration order is not observable in protocol decisions.
-    pub fn counts(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.access_counts.iter().copied()
+    /// `cnt(x_s)`, the hosting node's own `cnt(s, x_s)`: its occurrences
+    /// on the preference paths of the requests since the last placement
+    /// run.
+    pub fn own_count(&self) -> u64 {
+        u64::from(self.own_count)
     }
 
     /// When this replica was last acquired via `CreateObj` (0 for
     /// bootstrap installs).
     pub fn acquired_at(&self) -> f64 {
         self.acquired_at
+    }
+}
+
+/// The preference paths a host was handed since its last placement
+/// run, each stored once. Under one routing view a path is a function
+/// of (host, gateway), so a host sees one route per gateway until a
+/// link change reroutes it; the new path gets a new id, so counts
+/// recorded under the old one keep their meaning without a flush.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Routes {
+    /// The paths, back to back.
+    nodes: Vec<NodeId>,
+    /// Route `r` is `nodes[spans[r].start..spans[r].end]`.
+    spans: Vec<Route>,
+    /// The latest route id per gateway (`path.last()`). Only a hint:
+    /// an id is used only if its route equals the path at hand, so a
+    /// stale or out-of-range entry just interns the path anew.
+    by_gateway: Vec<u32>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Route {
+    start: u32,
+    end: u32,
+    /// How often the host's own node occurs on the route.
+    own: u32,
+}
+
+impl Routes {
+    /// The id of `path` and its multiplicity of `node`, interning the
+    /// path unless it is its gateway's latest route. `None` for an empty
+    /// path.
+    fn intern(&mut self, node: NodeId, path: &[NodeId]) -> Option<(u32, u32)> {
+        let gateway = path.last()?.index();
+        if gateway >= self.by_gateway.len() {
+            self.by_gateway.resize(gateway + 1, u32::MAX);
+        }
+        let id = self.by_gateway[gateway];
+        if (id as usize) < self.spans.len() && self.path(id) == path {
+            return Some((id, self.spans[id as usize].own));
+        }
+        let id = self.spans.len() as u32;
+        let start = self.nodes.len() as u32;
+        self.nodes.extend_from_slice(path);
+        let own = path.iter().filter(|&&p| p == node).count() as u32;
+        self.spans.push(Route {
+            start,
+            end: self.nodes.len() as u32,
+            own,
+        });
+        self.by_gateway[gateway] = id;
+        Some((id, own))
+    }
+
+    fn path(&self, id: u32) -> &[NodeId] {
+        let route = self.spans[id as usize];
+        &self.nodes[route.start as usize..route.end as usize]
+    }
+
+    /// Forgets every route; valid once no count refers to one.
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.spans.clear();
     }
 }
 
@@ -88,7 +147,9 @@ impl ObjectState {
 /// let x = ObjectId::new(7);
 /// host.install_object(x);
 /// host.record_access(x, &[NodeId::new(0), NodeId::new(3)]);
-/// assert_eq!(host.object(x).unwrap().count(NodeId::new(3)), 1);
+/// let o = host.object(x).unwrap();
+/// assert_eq!(host.count(o, NodeId::new(3)), 1);
+/// assert_eq!(o.own_count(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostState {
@@ -109,6 +170,7 @@ pub struct HostState {
     /// a binary search over contiguous `u32`s.
     ids: Vec<ObjectId>,
     states: Vec<ObjectState>,
+    routes: Routes,
     active: ActivityLists,
 }
 
@@ -124,7 +186,7 @@ struct ActivityLists {
     serviced: Vec<ObjectId>,
     /// Objects whose `rate` the last completed window set non-zero.
     rated: Vec<ObjectId>,
-    /// Objects with a non-empty `access_counts` since the last reset.
+    /// Objects with non-empty `route_counts` since the last reset.
     counted: Vec<ObjectId>,
 }
 
@@ -162,6 +224,7 @@ impl HostState {
             storage_limit: None,
             ids: Vec::new(),
             states: Vec::new(),
+            routes: Routes::default(),
             active: ActivityLists::default(),
         }
     }
@@ -297,24 +360,58 @@ impl HostState {
     }
 
     /// Records that a request for `object` passed through this host with
-    /// the given preference path (host → gateway, inclusive). Increments
-    /// `cnt(p, x_s)` for every node on the path (paper §4.1).
+    /// the given preference path (host → gateway, inclusive): one more
+    /// request over that route, from which `cnt(p, x_s)` counts every
+    /// node `p` on the path (paper §4.1; see [`counts`](Self::counts)).
     ///
     /// Silently ignores objects this host does not hold — in the real
     /// system a request can race with a migration; the replica-set subset
     /// invariant makes this window tiny but not empty.
     pub fn record_access(&mut self, object: ObjectId, preference_path: &[NodeId]) {
-        if let Some(obj) = state_mut(&self.ids, &mut self.states, object) {
-            if obj.access_counts.is_empty() && !preference_path.is_empty() {
-                self.active.counted.push(object);
-            }
-            for &p in preference_path {
-                match obj.access_counts.iter_mut().find(|&&mut (q, _)| q == p) {
-                    Some(&mut (_, ref mut c)) => *c += 1,
-                    None => obj.access_counts.push((p, 1)),
+        let Some(obj) = state_mut(&self.ids, &mut self.states, object) else {
+            return;
+        };
+        let Some((route, own)) = self.routes.intern(self.node, preference_path) else {
+            return;
+        };
+        if obj.route_counts.is_empty() {
+            self.active.counted.push(object);
+        }
+        obj.own_count += own;
+        match obj.route_counts.binary_search_by_key(&route, |&(r, _)| r) {
+            Ok(i) => obj.route_counts[i].1 += 1,
+            Err(i) => obj.route_counts.insert(i, (route, 1)),
+        }
+    }
+
+    /// `cnt(p, x_s)` of replica `o` of this host: how many requests
+    /// since the last placement run had node `p` on their preference
+    /// path, once per occurrence.
+    pub fn count(&self, o: &ObjectState, p: NodeId) -> u64 {
+        o.route_counts
+            .iter()
+            .map(|&(route, c)| {
+                let on_path = self.routes.path(route).iter().filter(|&&q| q == p);
+                u64::from(c) * on_path.count() as u64
+            })
+            .sum()
+    }
+
+    /// Writes `(p, cnt(p, x_s))` for every node `p` with a non-zero count
+    /// of replica `o` into `out`, replacing its contents, in ascending
+    /// node order. `out` is indexed by node while the routes are summed,
+    /// so the cost is the routes' length plus the highest node id.
+    pub fn counts(&self, o: &ObjectState, out: &mut Vec<(NodeId, u64)>) {
+        out.clear();
+        for &(route, c) in &o.route_counts {
+            for &p in self.routes.path(route) {
+                if p.index() >= out.len() {
+                    out.extend((out.len()..=p.index()).map(|i| (NodeId::new(i as u16), 0)));
                 }
+                out[p.index()].1 += u64::from(c);
             }
         }
+        out.retain(|&(_, c)| c > 0);
     }
 
     /// Records that a request for `object` finished service at time
@@ -332,16 +429,19 @@ impl HostState {
 
     /// Clears all per-candidate access counts — done at the end of every
     /// placement run ("since the last execution of the replica placement
-    /// algorithm").
+    /// algorithm") — and then the routes, which no count refers to any
+    /// more.
     pub fn reset_access_counts(&mut self) {
         for id in self.active.counted.drain(..) {
             if let Some(obj) = state_mut(&self.ids, &mut self.states, id) {
                 // `Vec::clear` keeps the capacity: the next window's
                 // `record_access` refills in place, so the per-epoch
                 // reset/refill cycle performs no heap traffic.
-                obj.access_counts.clear();
+                obj.route_counts.clear();
+                obj.own_count = 0;
             }
         }
+        self.routes.clear();
     }
 
     // ---- load views ------------------------------------------------------
@@ -493,11 +593,14 @@ mod tests {
         h.record_access(x(1), &path);
         h.record_access(x(1), &path[..2]);
         let obj = h.object(x(1)).unwrap();
-        assert_eq!(obj.count(NodeId::new(0)), 2);
-        assert_eq!(obj.count(NodeId::new(4)), 2);
-        assert_eq!(obj.count(NodeId::new(7)), 1);
-        assert_eq!(obj.count(NodeId::new(9)), 0);
-        assert_eq!(obj.counts().count(), 3);
+        assert_eq!(h.count(obj, NodeId::new(0)), 2);
+        assert_eq!(h.count(obj, NodeId::new(4)), 2);
+        assert_eq!(h.count(obj, NodeId::new(7)), 1);
+        assert_eq!(h.count(obj, NodeId::new(9)), 0);
+        assert_eq!(obj.own_count(), 2);
+        let mut counts = Vec::new();
+        h.counts(obj, &mut counts);
+        assert_eq!(counts.len(), 3);
     }
 
     #[test]
@@ -513,7 +616,9 @@ mod tests {
         h.install_object(x(1));
         h.record_access(x(1), &[NodeId::new(0)]);
         h.reset_access_counts();
-        assert_eq!(h.object(x(1)).unwrap().count(NodeId::new(0)), 0);
+        let obj = h.object(x(1)).unwrap();
+        assert_eq!(h.count(obj, NodeId::new(0)), 0);
+        assert_eq!(obj.own_count(), 0);
     }
 
     #[test]
@@ -637,15 +742,36 @@ mod tests {
         h.set_storage_limit(0);
     }
 
-    /// The previous `HostState`: a `BTreeMap` of objects, every one of
-    /// them visited by `advance` and `reset_access_counts`. Kept as the
-    /// oracle for the dense table and its activity lists.
+    /// One replica as the earlier `HostState` kept it: `cnt(p, x_s)`
+    /// stored per node, every node of every request's path probed.
+    #[derive(Default)]
+    struct ModelObject {
+        aff: u32,
+        access_counts: Vec<(NodeId, u64)>,
+        window_serviced: u64,
+        rate: f64,
+        acquired_at: f64,
+    }
+
+    impl ModelObject {
+        fn count(&self, p: NodeId) -> u64 {
+            self.access_counts
+                .iter()
+                .find(|&&(q, _)| q == p)
+                .map_or(0, |&(_, c)| c)
+        }
+    }
+
+    /// The earlier `HostState`: a `BTreeMap` of objects, every one of
+    /// them visited by `advance` and `reset_access_counts`, with
+    /// per-node access counts. Kept as the oracle for the dense table,
+    /// its activity lists and the per-route counts.
     struct ModelHost {
         interval: f64,
         load: LoadEstimator,
         window_start: f64,
         window_total: u64,
-        objects: std::collections::BTreeMap<ObjectId, ObjectState>,
+        objects: std::collections::BTreeMap<ObjectId, ModelObject>,
     }
 
     impl ModelHost {
@@ -698,15 +824,30 @@ mod tests {
             model.objects.keys().copied().collect::<Vec<_>>(),
             "step {step}"
         );
+        let mut counts = Vec::new();
         for (id, want) in &model.objects {
             let got = host.object(*id).expect("hosted in both");
             assert_eq!(got.aff(), want.aff, "step {step}: aff of {id}");
             assert_eq!(got.rate(), want.rate, "step {step}: rate of {id}");
-            assert_eq!(got.unit_load(), want.unit_load(), "step {step}: {id}");
+            assert_eq!(
+                got.unit_load(),
+                want.rate / want.aff as f64,
+                "step {step}: {id}"
+            );
             assert_eq!(got.acquired_at(), want.acquired_at, "step {step}: {id}");
             for p in (0..nodes).map(NodeId::new) {
-                assert_eq!(got.count(p), want.count(p), "step {step}: cnt({p}, {id})");
+                assert_eq!(
+                    host.count(got, p),
+                    want.count(p),
+                    "step {step}: cnt({p}, {id})"
+                );
             }
+            assert_eq!(got.own_count(), want.count(host.node()), "step {step}");
+            host.counts(got, &mut counts);
+            counts.sort_unstable();
+            let mut wanted = want.access_counts.clone();
+            wanted.sort_unstable();
+            assert_eq!(counts, wanted, "step {step}: counts of {id}");
         }
         assert_eq!(host.measured_load(), model.load.measured(), "step {step}");
         assert_eq!(host.load_upper(), model.load.upper(), "step {step}");
@@ -721,6 +862,7 @@ mod tests {
         const STEPS: usize = 12_000;
         let mut steps_run = 0;
         let mut reaccepted_in_window = 0;
+        let mut rerouted_in_window = 0;
         for seed in 0..10u64 {
             let mut rng = SimRng::seed_from(0xD3_5E00 + seed);
             let mut host = host();
@@ -731,10 +873,23 @@ mod tests {
                 window_total: 0,
                 objects: Default::default(),
             };
+            // The routing view: one path from the host (node 0) to each
+            // gateway, rerouted now and then as a link change would.
+            let reroute = |rng: &mut SimRng, gateway: u16| -> Vec<NodeId> {
+                let mut path = vec![NodeId::new(0)];
+                if gateway > 0 {
+                    path.extend((0..rng.index(3)).map(|_| NodeId::new(1 + rng.index(5) as u16)));
+                    path.push(NodeId::new(gateway));
+                }
+                path
+            };
+            let mut view: Vec<Vec<NodeId>> = (0..NODES).map(|g| reroute(&mut rng, g)).collect();
+            // The path each gateway's requests took since the last reset.
+            let mut taken: Vec<Option<Vec<NodeId>>> = vec![None; NODES as usize];
             let mut now = 0.0f64;
             for step in 0..STEPS {
                 let id = x(rng.index(IDS) as u32);
-                match rng.index(16) {
+                match rng.index(18) {
                     0 => {
                         host.install_object(id);
                         model.objects.entry(id).or_default().aff += 1;
@@ -765,10 +920,19 @@ mod tests {
                         }
                     }
                     6..=9 => {
-                        let len = rng.index(4);
-                        let path: Vec<NodeId> = (0..len)
-                            .map(|_| NodeId::new(rng.index(NODES as usize) as u16))
-                            .collect();
+                        // Mostly the view's route; otherwise an arbitrary
+                        // path (empty, without the host, or with repeats).
+                        let path: Vec<NodeId> = if rng.chance(0.7) {
+                            view[rng.index(NODES as usize)].clone()
+                        } else {
+                            (0..rng.index(4))
+                                .map(|_| NodeId::new(rng.index(NODES as usize) as u16))
+                                .collect()
+                        };
+                        if let (Some(g), true) = (path.last(), model.objects.contains_key(&id)) {
+                            let before = taken[g.index()].replace(path.clone());
+                            rerouted_in_window += usize::from(before.is_some_and(|b| b != path));
+                        }
                         host.record_access(id, &path);
                         model.record_access(id, &path);
                     }
@@ -782,18 +946,54 @@ mod tests {
                         host.advance(now);
                         model.advance(now);
                     }
+                    15 | 16 => {
+                        let gateway = rng.index(NODES as usize);
+                        view[gateway] = reroute(&mut rng, gateway as u16);
+                    }
                     _ => {
                         host.reset_access_counts();
                         for obj in model.objects.values_mut() {
                             obj.access_counts.clear();
                         }
+                        taken.iter_mut().for_each(|t| *t = None);
                     }
                 }
                 assert_matches_model(&host, &model, NODES, step);
                 steps_run += 1;
             }
         }
-        assert!(steps_run >= 100_000 && reaccepted_in_window > 1_000);
+        assert!(
+            steps_run >= 100_000 && reaccepted_in_window > 1_000 && rerouted_in_window > 1_000,
+            "{reaccepted_in_window} re-accepted, {rerouted_in_window} rerouted"
+        );
+    }
+
+    #[test]
+    fn route_flaps_do_not_grow_the_route_arena_across_epochs() {
+        // Gateway 3 flaps between two routes on every request: each flap
+        // interns a route, and the reset at the end of the epoch frees
+        // them all, so the arena's size and capacity settle after the
+        // first epoch.
+        let n = NodeId::new;
+        let (a, b) = ([n(0), n(1), n(3)], [n(0), n(2), n(3)]);
+        let mut h = host();
+        h.install_object(x(1));
+        let mut capacity = None;
+        for epoch in 0..50 {
+            for flap in 0..10 {
+                h.record_access(x(1), if flap % 2 == 0 { &a } else { &b });
+            }
+            let o = h.object(x(1)).unwrap();
+            assert_eq!((h.count(o, n(0)), h.count(o, n(3))), (10, 10));
+            assert_eq!((h.count(o, n(1)), h.count(o, n(2))), (5, 5));
+            assert_eq!(h.routes.spans.len(), 10, "epoch {epoch}");
+            assert_eq!(h.routes.nodes.len(), 30, "epoch {epoch}");
+            let now = (h.routes.spans.capacity(), h.routes.nodes.capacity());
+            assert_eq!(*capacity.get_or_insert(now), now, "epoch {epoch}");
+            h.reset_access_counts();
+            assert!(h.routes.spans.is_empty() && h.routes.nodes.is_empty());
+            assert_eq!(h.object(x(1)).unwrap().own_count(), 0);
+        }
     }
 
     #[test]

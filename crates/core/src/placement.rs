@@ -88,14 +88,15 @@ pub struct PlacementScratch {
     /// host table while iterating (the paper's own pass walks the table
     /// by cursor instead).
     object_ids: Vec<ObjectId>,
+    /// `(p, cnt(p, x_s))` of the replica under the cursor, expanded from
+    /// its route counts by [`HostState::counts`].
+    counts: Vec<(NodeId, u64)>,
     /// Qualified-candidate buffer for the geo phases:
     /// `(hop distance from the deciding host, candidate, share)`.
     candidates: Vec<(u32, NodeId, f64)>,
-    /// Offload ordering buffer `(object, foreign share)`.
+    /// Offload ordering buffer `(object, foreign share)`: every replica
+    /// the geo phase judged and left in place.
     offload_objects: Vec<(ObjectId, f64)>,
-    /// Objects the geo phase relocated this run (sorted; the offloader
-    /// must not re-move them).
-    moved: Vec<ObjectId>,
 }
 
 impl PlacementScratch {
@@ -104,6 +105,12 @@ impl PlacementScratch {
     /// allocation-free epochs as [`run_placement_into`].
     pub fn object_ids_mut(&mut self) -> &mut Vec<ObjectId> {
         &mut self.object_ids
+    }
+
+    /// Borrows the per-node count buffer, for custom policies that read
+    /// `cnt(p, x_s)` through [`HostState::counts`].
+    pub fn counts_mut(&mut self) -> &mut Vec<(NodeId, u64)> {
+        &mut self.counts
     }
 
     /// Borrows the `(object, key)` ordering buffer (the offloader's
@@ -299,12 +306,14 @@ pub fn run_placement_into(
     // only the object under the cursor can leave this host's table
     // during its own iteration; the next object then slides into its
     // slot and the cursor stays put.
+    let offloading = host.is_offloading();
+    scratch.offload_objects.clear();
     let mut cursor = 0;
     while cursor < host.object_count() {
         let (x, o) = host.object_at(cursor);
         cursor += 1;
         let (aff, cnt_s, unit_load, acquired_at) =
-            (o.aff(), o.count(s), o.unit_load(), o.acquired_at());
+            (o.aff(), o.own_count(), o.unit_load(), o.acquired_at());
         // A replica acquired since the last run has only partial-window
         // access counts; judging it now would re-create the
         // replicate/delete vicious cycle. Defer to the next run.
@@ -312,10 +321,18 @@ pub fn run_placement_into(
             continue;
         }
         let unit_rate = cnt_s as f64 / aff as f64 / params.placement_period;
+        let deleting = unit_rate < params.deletion_threshold;
+        // cnt(p, x_s) for every p, expanded once, and only where a share
+        // is read: the geo tests, which a deleted unit skips, and the
+        // offload order.
+        scratch.counts.clear();
+        if cnt_s > 0 && (offloading || !deleting) {
+            host.counts(o, &mut scratch.counts);
+        }
 
         // 1. Deletion: below-u affinity units are dropped; such an object
         //    is not otherwise relocated this round.
-        if unit_rate < params.deletion_threshold {
+        if deleting {
             let action = match reduce_affinity(host, x, aff, env) {
                 ReduceOutcome::Dropped => {
                     cursor -= 1;
@@ -326,15 +343,19 @@ pub fn run_placement_into(
             };
             out.decisions
                 .push(action_event(host, x, action, None, unit_rate, None, None));
+            if offloading && action != PlacementActionKind::Drop {
+                let foreign = foreign_share(&scratch.counts, s, cnt_s);
+                scratch.offload_objects.push((x, foreign));
+            }
             continue;
         }
 
         // 2. Geo-migration: a node on > MIGR_RATIO of preference paths,
         //    farthest candidate first.
-        let mut migrated = false;
+        let mut moved = false;
         if cnt_s > 0 {
             qualified_candidates(
-                o,
+                &scratch.counts,
                 s,
                 cnt_s,
                 params.migration_ratio,
@@ -366,19 +387,16 @@ pub fn run_placement_into(
                         Some(share),
                         Some(params.migration_ratio),
                     ));
-                    migrated = true;
+                    moved = true;
                     break;
                 }
             }
         }
 
         // 3. Geo-replication: hot objects (> m) that were not migrated.
-        if !migrated && unit_rate > params.replication_threshold && env.may_replicate(x) {
-            // Fresh borrow (the migration loop took `host` mutably); no
-            // migration succeeded, so `x` still sits under the cursor.
-            let (_, o) = host.object_at(cursor - 1);
+        if !moved && unit_rate > params.replication_threshold && env.may_replicate(x) {
             qualified_candidates(
-                o,
+                &scratch.counts,
                 s,
                 cnt_s,
                 params.replication_ratio,
@@ -402,9 +420,16 @@ pub fn run_placement_into(
                         Some(share),
                         Some(params.replication_ratio),
                     ));
+                    moved = true;
                     break;
                 }
             }
+        }
+
+        // What the geo phase moved is not offloaded again.
+        if offloading && !moved {
+            let foreign = foreign_share(&scratch.counts, s, cnt_s);
+            scratch.offload_objects.push((x, foreign));
         }
     }
 
@@ -417,21 +442,8 @@ pub fn run_placement_into(
     //    guard's intent as "don't double-move what this run already
     //    moved": offloading proceeds whenever the host remains in
     //    offloading mode, skipping objects the geo phase just relocated.
-    if host.is_offloading() {
-        scratch.moved.clear();
-        scratch.moved.extend(
-            out.decisions
-                .iter()
-                .filter(|d| {
-                    matches!(
-                        d.action,
-                        PlacementActionKind::GeoMigrate | PlacementActionKind::GeoReplicate
-                    )
-                })
-                .map(|d| ObjectId::new(d.object)),
-        );
-        scratch.moved.sort_unstable();
-        offload(host, now, env, out, scratch);
+    if offloading {
+        offload(host, now, env, out, &mut scratch.offload_objects);
     }
 
     host.reset_access_counts();
@@ -447,7 +459,7 @@ pub fn run_placement_into(
 /// in the buffer, so the sort needs no cached-key side allocation and
 /// no `env.distance` virtual calls per comparison.
 fn qualified_candidates(
-    o: &crate::ObjectState,
+    counts: &[(NodeId, u64)],
     s: NodeId,
     cnt_s: u64,
     ratio: f64,
@@ -455,7 +467,7 @@ fn qualified_candidates(
     out: &mut Vec<(u32, NodeId, f64)>,
 ) {
     out.clear();
-    out.extend(o.counts().filter_map(|(p, c)| {
+    out.extend(counts.iter().filter_map(|&(p, c)| {
         let share = c as f64 / cnt_s as f64;
         (p != s && share > ratio).then(|| (env.distance(s, p), p, share))
     }));
@@ -464,16 +476,28 @@ fn qualified_candidates(
     out.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 }
 
+/// The largest share of the replica's requests whose preference path
+/// also crossed some node `p ≠ s` — what moving it could gain in
+/// proximity (0 without requests).
+fn foreign_share(counts: &[(NodeId, u64)], s: NodeId, cnt_s: u64) -> f64 {
+    counts
+        .iter()
+        .filter(|&&(p, _)| p != s)
+        .map(|&(_, c)| c as f64 / cnt_s as f64)
+        .fold(0.0, f64::max)
+}
+
 /// `Offload()` (paper Fig. 5): shed objects in bulk to one under-loaded
 /// recipient, re-computing the conservative lower (self) and upper
 /// (recipient) load estimates after every transfer, and stopping as soon
 /// as either estimate crosses the low watermark or the recipient refuses.
+/// `order` holds `(object, foreign share)` of every candidate replica.
 fn offload(
     host: &mut HostState,
     now: f64,
     env: &mut dyn PlacementEnv,
     out: &mut PlacementOutcome,
-    scratch: &mut PlacementScratch,
+    order: &mut [(ObjectId, f64)],
 ) {
     let Some((recipient, mut recipient_load)) = env.find_offload_recipient(host.node()) else {
         return;
@@ -487,40 +511,16 @@ fn offload(
     let s = host.node();
 
     // Objects with the highest foreign-request share first: these gain
-    // (or lose least) proximity when moved.
-    scratch.offload_objects.clear();
-    for (x, o) in host.objects() {
-        // Same partial-window rule as the geo phase (never shed a
-        // replica acquired since the last placement run), and don't
-        // double-move objects the geo phase just relocated
-        // (`scratch.moved` is sorted by the caller).
-        if scratch.moved.binary_search(&x).is_ok() {
-            continue;
-        }
-        if o.acquired_at() > host.last_placement_run() {
-            continue;
-        }
-        let cnt_s = o.count(s);
-        let foreign = if cnt_s == 0 {
-            0.0
-        } else {
-            o.counts()
-                .filter(|&(p, _)| p != s)
-                .map(|(_, c)| c as f64 / cnt_s as f64)
-                .fold(0.0, f64::max)
-        };
-        scratch.offload_objects.push((x, foreign));
-    }
-    // Unstable sort is safe (and allocation-free): the id tiebreak makes
-    // the order total, so the result is identical to a stable sort.
-    scratch.offload_objects.sort_unstable_by(|a, b| {
+    // (or lose least) proximity when moved. Unstable sort is safe (and
+    // allocation-free): the id tiebreak makes the order total, so the
+    // result is identical to a stable sort.
+    order.sort_unstable_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .expect("foreign ratios are finite")
             .then(a.0.cmp(&b.0))
     });
 
-    for i in 0..scratch.offload_objects.len() {
-        let (x, foreign) = scratch.offload_objects[i];
+    for &(x, foreign) in order.iter() {
         if host.load_lower() <= params.low_watermark {
             break;
         }
@@ -529,7 +529,7 @@ fn offload(
         }
         let (aff, rate, unit_load, cnt_s) = {
             let o = host.object(x).expect("hosted");
-            (o.aff(), o.rate(), o.unit_load(), o.count(s))
+            (o.aff(), o.rate(), o.unit_load(), o.own_count())
         };
         let unit_rate = cnt_s as f64 / aff as f64 / params.placement_period;
 
@@ -720,12 +720,14 @@ mod tests {
                 host.record_access(x(0), &path);
             }
         }
-        let cnt_s = host.object(x(0)).unwrap().count(n(20));
+        let o = host.object(x(0)).unwrap();
+        let cnt_s = host.count(o, n(20));
         assert!(cnt_s > 0);
 
         let mut cached = Vec::new();
-        let o = host.object(x(0)).unwrap();
-        qualified_candidates(o, n(20), cnt_s, 0.0, &env, &mut cached);
+        let mut counts = Vec::new();
+        host.counts(o, &mut counts);
+        qualified_candidates(&counts, n(20), cnt_s, 0.0, &env, &mut cached);
         assert!(cached.len() > 10, "want a wide candidate set");
 
         // The pre-optimization ordering: the same key derived inside the
@@ -772,9 +774,9 @@ mod tests {
         let mut scratch = PlacementScratch::default();
         // Dirty the buffers so the test catches any missing clear().
         scratch.object_ids.push(x(99));
+        scratch.counts.push((n(7), 40));
         scratch.candidates.push((3, n(9), 0.5));
         scratch.offload_objects.push((x(98), 1.0));
-        scratch.moved.push(x(97));
         let mut out = PlacementOutcome::default();
         out.decisions
             .push(action_event(&host_b, x(96), A::Drop, None, 0.0, None, None));
@@ -1008,7 +1010,9 @@ mod tests {
         seed(&mut host, &mut env, x(0));
         feed(&mut host, x(0), &[n(0)], 10, 0.0);
         run_placement(&mut host, 100.0, &mut env);
-        assert_eq!(host.object(x(0)).unwrap().count(n(0)), 0);
+        let o = host.object(x(0)).unwrap();
+        assert_eq!(host.count(o, n(0)), 0);
+        assert_eq!(o.own_count(), 0);
     }
 
     #[test]

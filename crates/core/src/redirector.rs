@@ -250,29 +250,38 @@ impl Redirector {
         if candidates.is_empty() {
             return None;
         }
-        // p: closest usable replica to the gateway (precomputed by
-        // caching callers — it does not depend on request counts).
-        let p_idx = closest.unwrap_or_else(|| {
-            candidates
-                .iter()
-                .min_by_key(|&&(i, dist)| (dist, set.entries[i as usize].host))
-                .expect("non-empty candidate set")
-                .0
-        });
-        // q: usable replica with the smallest unit request count.
-        let &(q_idx, _) = candidates
-            .iter()
-            .min_by(|&&(a, _), &&(b, _)| {
-                let (ea, eb) = (&set.entries[a as usize], &set.entries[b as usize]);
-                ea.unit_rcnt()
-                    .partial_cmp(&eb.unit_rcnt())
-                    .expect("unit request counts are finite")
-                    .then(ea.host.cmp(&eb.host))
-            })
-            .expect("non-empty candidate set");
-        let ratio1 = set.entries[p_idx as usize].unit_rcnt();
-        let ratio2 = set.entries[q_idx as usize].unit_rcnt();
-        let (chosen, branch) = if ratio1 / constant > ratio2 {
+        let (p_idx, q_idx) = match *candidates {
+            // A sole candidate is both p and q.
+            [(only, _)] => (closest.unwrap_or(only), only),
+            _ => (
+                // p: closest usable replica to the gateway (precomputed by
+                // caching callers — it does not depend on request counts).
+                closest.unwrap_or_else(|| {
+                    candidates
+                        .iter()
+                        .min_by_key(|&&(i, dist)| (dist, set.entries[i as usize].host))
+                        .expect("non-empty candidate set")
+                        .0
+                }),
+                // q: usable replica with the smallest unit request count.
+                candidates
+                    .iter()
+                    .min_by(|&&(a, _), &&(b, _)| {
+                        let (ea, eb) = (&set.entries[a as usize], &set.entries[b as usize]);
+                        ea.unit_rcnt()
+                            .partial_cmp(&eb.unit_rcnt())
+                            .expect("unit request counts are finite")
+                            .then(ea.host.cmp(&eb.host))
+                    })
+                    .expect("non-empty candidate set")
+                    .0,
+            ),
+        };
+        let unit = |i: u32| set.entries[i as usize].unit_rcnt();
+        // Fig. 2's test `unit(p)/constant > unit(q)` is false whenever
+        // p = q (x/constant ≤ x for finite x ≥ 0 and constant > 1), so a
+        // sole candidate is served as the closest without a division.
+        let (chosen, branch) = if p_idx != q_idx && unit(p_idx) / constant > unit(q_idx) {
             (q_idx as usize, DecisionBranch::LeastRequested)
         } else {
             (p_idx as usize, DecisionBranch::Closest)
@@ -284,8 +293,8 @@ impl Redirector {
             out.constant = constant;
             out.closest = Some(host(p_idx as usize));
             out.least = Some(host(q_idx as usize));
-            out.unit_closest = Some(ratio1);
-            out.unit_least = Some(ratio2);
+            out.unit_closest = Some(unit(p_idx));
+            out.unit_least = Some(unit(q_idx));
             out.candidates.clear();
             out.candidates.extend(candidates.iter().map(|&(i, dist)| {
                 let e = &set.entries[i as usize];
@@ -630,6 +639,88 @@ mod tests {
         assert_eq!(r1, r2, "identical state after identical decisions");
         let mut expl = DecisionEvent::default();
         assert_eq!(r2.choose_among_into(x(), &[], None, Some(&mut expl)), None);
+    }
+
+    /// Fig. 2 as published, both scans and the division on every list:
+    /// `(chosen, branch, p, q)` as entry indices.
+    fn fig2(r: &Redirector, cands: &[(u32, u32)]) -> (u32, DecisionBranch, u32, u32) {
+        let e = |i: u32| r.replicas(x())[i as usize];
+        let p = cands
+            .iter()
+            .min_by_key(|&&(i, d)| (d, e(i).host))
+            .unwrap()
+            .0;
+        let q = cands
+            .iter()
+            .min_by(|a, b| {
+                let (ea, eb) = (e(a.0), e(b.0));
+                ea.unit_rcnt()
+                    .partial_cmp(&eb.unit_rcnt())
+                    .unwrap()
+                    .then(ea.host.cmp(&eb.host))
+            })
+            .unwrap()
+            .0;
+        if e(p).unit_rcnt() / r.constant > e(q).unit_rcnt() {
+            (q, DecisionBranch::LeastRequested, p, q)
+        } else {
+            (p, DecisionBranch::Closest, p, q)
+        }
+    }
+
+    #[test]
+    fn a_sole_candidate_decides_as_the_published_rule() {
+        // Every replica but one filtered out, at growing request counts,
+        // traced and untraced: the shortcut must choose, record and bump
+        // exactly what the published rule does.
+        let (mut r, routes) = setup();
+        r.install(x(), NodeId::new(1)); // aff 2 on Europe
+        for (i, gw) in (0..40).map(|i| (i, NodeId::new(i % 2))) {
+            let only = |h: NodeId| h == NodeId::new(i / 2 % 2);
+            let cands = candidates(&r, gw, &routes, &only);
+            assert_eq!(cands.len(), 1);
+            let (chosen, branch, p, q) = fig2(&r, &cands);
+            let entry = |j: u32| r.replicas(x())[j as usize];
+            let (host, unit) = (entry(chosen).host, entry(chosen).unit_rcnt());
+            let before = entry(chosen).rcnt;
+            let closest = (i % 3 == 0).then_some(cands[0].0);
+            let mut record = DecisionEvent::default();
+            let traced = i % 4 < 2;
+            let got = r.choose_among_into(x(), &cands, closest, traced.then_some(&mut record));
+            assert_eq!(got, Some(host), "request {i}");
+            assert_eq!(r.replicas(x())[chosen as usize].rcnt, before + 1);
+            if traced {
+                let id = |j: u32| Some(r.replicas(x())[j as usize].host.index() as u16);
+                assert_eq!(record.chosen, host.index() as u16);
+                assert_eq!(record.branch, branch);
+                assert_eq!(record.constant, 2.0);
+                assert_eq!((record.closest, record.least), (id(p), id(q)));
+                assert_eq!(
+                    (record.unit_closest, record.unit_least),
+                    (Some(unit), Some(unit))
+                );
+                assert_eq!(record.candidates.len(), 1);
+                assert_eq!(record.candidates[0].unit, unit);
+                assert_eq!(record.candidates[0].distance, cands[0].1);
+            }
+        }
+    }
+
+    #[test]
+    fn decisions_follow_the_published_rule() {
+        // Both replicas usable, uneven demand: every decision equals the
+        // published rule's on the state it was made in.
+        let (mut r, routes) = setup();
+        let mut least_requested = 0;
+        for i in 0..300 {
+            let gw = NodeId::new(u16::from(i % 5 == 0));
+            let cands = candidates(&r, gw, &routes, &|_| true);
+            let (chosen, branch, ..) = fig2(&r, &cands);
+            least_requested += usize::from(branch == DecisionBranch::LeastRequested);
+            let want = r.replicas(x())[chosen as usize].host;
+            assert_eq!(r.choose_among_into(x(), &cands, None, None), Some(want));
+        }
+        assert!(least_requested > 20, "{least_requested}");
     }
 
     #[test]

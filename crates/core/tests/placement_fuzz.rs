@@ -350,10 +350,10 @@ fn snapshot_candidates(
     env: &dyn PlacementEnv,
 ) -> Vec<(NodeId, f64)> {
     let s = host.node();
-    let mut out: Vec<(u32, NodeId, f64)> = host
-        .object(x)
-        .expect("hosted")
-        .counts()
+    let mut counts = Vec::new();
+    host.counts(host.object(x).expect("hosted"), &mut counts);
+    let mut out: Vec<(u32, NodeId, f64)> = counts
+        .into_iter()
         .map(|(p, c)| (p, c as f64 / cnt_s as f64))
         .filter(|&(p, share)| p != s && share > ratio)
         .map(|(p, share)| (env.distance(s, p), p, share))
@@ -399,7 +399,7 @@ fn snapshot_walk_placement(
 
     for x in host.object_ids() {
         let o = host.object(x).expect("snapshot ids are hosted");
-        let (aff, cnt_s, unit_load) = (o.aff(), o.count(s), o.unit_load());
+        let (aff, cnt_s, unit_load) = (o.aff(), host.count(o, s), o.unit_load());
         if o.acquired_at() > host.last_placement_run() {
             continue;
         }
@@ -475,9 +475,11 @@ fn snapshot_walk_placement(
                 if moved.contains(&x) || o.acquired_at() > host.last_placement_run() {
                     continue;
                 }
-                let cnt_s = o.count(s);
-                let foreign = o
-                    .counts()
+                let cnt_s = host.count(o, s);
+                let mut counts = Vec::new();
+                host.counts(o, &mut counts);
+                let foreign = counts
+                    .into_iter()
                     .filter(|&(p, _)| p != s && cnt_s > 0)
                     .map(|(_, c)| c as f64 / cnt_s as f64)
                     .fold(0.0, f64::max);
@@ -491,7 +493,8 @@ fn snapshot_walk_placement(
                     break;
                 }
                 let o = host.object(x).expect("hosted");
-                let (aff, rate, unit_load, cnt_s) = (o.aff(), o.rate(), o.unit_load(), o.count(s));
+                let (aff, rate, unit_load, cnt_s) =
+                    (o.aff(), o.rate(), o.unit_load(), host.count(o, s));
                 let unit_rate = cnt_s as f64 / aff as f64 / params.placement_period;
                 let hot = unit_rate > params.replication_threshold;
                 if hot && !env.may_replicate(x) {

@@ -62,6 +62,28 @@ pub enum PlacementMode {
 /// and any `now + delay` the loop forms is far inside the `u64` clock.
 pub(crate) const MAX_CLOCK_SECS: f64 = (1u64 << 53) as f64 / 1e6;
 
+/// The most objects a scenario takes: 2^24, 1 678 × the paper's 10 000.
+/// Every object has a slot in dense tables allocated before the first
+/// event (directory, workload, hosts), about 230 bytes each, and about
+/// 3 KB each over a run, so 2^24 objects already need about 4 GB up
+/// front and a larger count would abort in the allocator instead of
+/// failing with a message.
+pub const MAX_OBJECTS: u32 = 1 << 24;
+
+/// Checks an object count against the scenario's limits (at least one,
+/// at most [`MAX_OBJECTS`]) before anything is allocated for it.
+///
+/// # Errors
+///
+/// [`ScenarioError::NoObjects`] or [`ScenarioError::TooManyObjects`].
+pub fn check_object_count(objects: u32) -> Result<(), ScenarioError> {
+    match objects {
+        0 => Err(ScenarioError::NoObjects),
+        1..=MAX_OBJECTS => Ok(()),
+        _ => Err(ScenarioError::TooManyObjects { objects }),
+    }
+}
+
 /// Where objects start.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InitialPlacement {
@@ -105,6 +127,11 @@ pub enum ScenarioError {
     },
     /// No objects configured.
     NoObjects,
+    /// More objects than [`MAX_OBJECTS`].
+    TooManyObjects {
+        /// The rejected count.
+        objects: u32,
+    },
     /// Explicit placement list has the wrong length or an empty entry.
     BadExplicitPlacement {
         /// Explanation.
@@ -150,6 +177,12 @@ impl fmt::Display for ScenarioError {
                  period below 0.5 µs (a rate above 2e6 /s) is a zero gap"
             ),
             ScenarioError::NoObjects => f.write_str("scenario needs at least one object"),
+            ScenarioError::TooManyObjects { objects } => write!(
+                f,
+                "{objects} objects exceed the limit of {MAX_OBJECTS} (2^24): every object \
+                 takes about 230 bytes before the first event and about 3 KB over a run, \
+                 so more would exhaust memory"
+            ),
             ScenarioError::BadExplicitPlacement { detail } => {
                 write!(f, "bad explicit placement: {detail}")
             }
@@ -486,9 +519,7 @@ impl ScenarioBuilder {
     /// empty object space, malformed explicit placement, or a time or
     /// period beyond the clock (2^53 µs).
     pub fn build(self) -> Result<Scenario, ScenarioError> {
-        if self.num_objects == 0 {
-            return Err(ScenarioError::NoObjects);
-        }
+        check_object_count(self.num_objects)?;
         let positives = [
             ("node_request_rate", self.node_request_rate),
             ("server_capacity", self.server_capacity),
@@ -707,6 +738,20 @@ mod tests {
             Scenario::builder().num_objects(0).build().unwrap_err(),
             ScenarioError::NoObjects
         );
+    }
+
+    #[test]
+    fn object_counts_beyond_the_limit_rejected() {
+        assert_eq!(check_object_count(MAX_OBJECTS), Ok(()));
+        for objects in [MAX_OBJECTS + 1, 4_000_000_000, u32::MAX] {
+            assert_eq!(
+                Scenario::builder()
+                    .num_objects(objects)
+                    .build()
+                    .unwrap_err(),
+                ScenarioError::TooManyObjects { objects }
+            );
+        }
     }
 
     #[test]
@@ -1018,6 +1063,7 @@ mod tests {
     fn error_display_nonempty() {
         let errs = [
             ScenarioError::NoObjects,
+            ScenarioError::TooManyObjects { objects: u32::MAX },
             ScenarioError::NonPositive {
                 field: "x",
                 value: 0.0,

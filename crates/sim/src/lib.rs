@@ -73,7 +73,8 @@ mod sink;
 mod trace;
 
 pub use config::{
-    InitialPlacement, NetworkParams, PlacementMode, Scenario, ScenarioBuilder, ScenarioError,
+    check_object_count, InitialPlacement, NetworkParams, PlacementMode, Scenario, ScenarioBuilder,
+    ScenarioError, MAX_OBJECTS,
 };
 pub use faults::{Fault, FaultError, FaultSpec, FaultTransition, TransitionKind};
 pub use json::protocol_health_json;
