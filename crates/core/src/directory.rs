@@ -28,14 +28,16 @@
 
 use radar_simnet::NodeId;
 
+use crate::one_or_many::OneOrMany;
 use crate::redirector::ReplicaInfo;
 use crate::ObjectId;
 
 /// Replica set of a single object. Entries are kept sorted by host id so
-/// all scans are deterministic.
+/// all scans are deterministic. A sole replica, the common case of a
+/// cold object, is held inline: no heap block per object.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct ReplicaSet {
-    pub(crate) entries: Vec<ReplicaInfo>,
+struct ReplicaSet {
+    entries: OneOrMany<ReplicaInfo>,
 }
 
 impl ReplicaSet {
@@ -43,11 +45,32 @@ impl ReplicaSet {
         self.entries.iter().position(|e| e.host == host)
     }
 
+    /// One more affinity unit at `host`: a new replica in host order, or
+    /// the existing one's affinity bumped. Returns `true` for a new
+    /// replica.
+    fn add(&mut self, host: NodeId) -> bool {
+        match self.entries.binary_search_by_key(&host, |e| e.host) {
+            Ok(i) => {
+                self.entries[i].aff += 1;
+                false
+            }
+            Err(i) => {
+                let replica = ReplicaInfo {
+                    host,
+                    rcnt: 1,
+                    aff: 1,
+                };
+                self.entries.insert(i, replica);
+                true
+            }
+        }
+    }
+
     /// Resets all request counts to 1 — the paper's rule on any replica
     /// set change, preventing a new replica from soaking up every request
     /// while its count catches up.
     fn reset_counts(&mut self) {
-        for e in &mut self.entries {
+        for e in self.entries.iter_mut() {
             e.rcnt = 1;
         }
     }
@@ -222,18 +245,8 @@ impl Directory {
     ///
     /// Panics if `object` is out of range.
     pub fn install(&mut self, object: ObjectId, host: NodeId) {
-        let set = &mut self.sets[object.index()];
-        match set.find(host) {
-            Some(i) => set.entries[i].aff += 1,
-            None => {
-                set.entries.push(ReplicaInfo {
-                    host,
-                    rcnt: 1,
-                    aff: 1,
-                });
-                set.entries.sort_unstable_by_key(|e| e.host);
-                self.total_replicas += 1;
-            }
+        if self.sets[object.index()].add(host) {
+            self.total_replicas += 1;
         }
     }
 
@@ -248,18 +261,8 @@ impl Directory {
     /// Panics if `object` is out of range.
     pub fn notify_created(&mut self, object: ObjectId, host: NodeId) {
         self.notifications += 1;
-        let set = &mut self.sets[object.index()];
-        match set.find(host) {
-            Some(i) => set.entries[i].aff += 1,
-            None => {
-                set.entries.push(ReplicaInfo {
-                    host,
-                    rcnt: 1,
-                    aff: 1,
-                });
-                set.entries.sort_unstable_by_key(|e| e.host);
-                self.total_replicas += 1;
-            }
+        if self.sets[object.index()].add(host) {
+            self.total_replicas += 1;
         }
         self.touch(object);
     }
@@ -337,8 +340,8 @@ impl Directory {
 
     /// Crate-internal mutable access for the decision rule (the winner's
     /// request count increments).
-    pub(crate) fn set_mut(&mut self, object: ObjectId) -> &mut ReplicaSet {
-        &mut self.sets[object.index()]
+    pub(crate) fn replicas_mut(&mut self, object: ObjectId) -> &mut [ReplicaInfo] {
+        &mut self.sets[object.index()].entries
     }
 }
 
@@ -359,7 +362,7 @@ mod tests {
         let mut d = Directory::new(1);
         d.install(x(), node(0));
         d.install(x(), node(1));
-        d.set_mut(x()).entries[0].rcnt = 50;
+        d.replicas_mut(x())[0].rcnt = 50;
         d.begin_batch();
         d.notify_created(x(), node(2));
         assert_eq!(d.replicas(x())[0].rcnt, 50, "reset deferred while batching");
@@ -374,7 +377,7 @@ mod tests {
         let mut d = Directory::new(1);
         d.install(x(), node(0));
         d.install(x(), node(1));
-        d.set_mut(x()).entries[0].rcnt = 50;
+        d.replicas_mut(x())[0].rcnt = 50;
         d.notify_created(x(), node(2));
         assert!(d.replicas(x()).iter().all(|e| e.rcnt == 1));
         assert_eq!(d.resets_applied(), 1);
@@ -388,8 +391,8 @@ mod tests {
         let mut d = Directory::new(1);
         d.install(x(), node(0));
         d.install(x(), node(1));
-        d.set_mut(x()).entries[0].rcnt = 40;
-        d.set_mut(x()).entries[1].rcnt = 7;
+        d.replicas_mut(x())[0].rcnt = 40;
+        d.replicas_mut(x())[1].rcnt = 7;
 
         d.begin_batch();
         assert!(d.request_drop(x(), node(0)));
@@ -441,7 +444,7 @@ mod tests {
         d.install(x(), node(0));
         d.install(x(), node(1));
         d.install(ObjectId::new(1), node(0));
-        d.set_mut(x()).entries[1].rcnt = 9;
+        d.replicas_mut(x())[1].rcnt = 9;
         let affected = d.purge_host(node(0));
         assert_eq!(affected, vec![x(), ObjectId::new(1)]);
         assert_eq!(d.replicas(x())[0].rcnt, 1, "survivors reset immediately");
@@ -534,7 +537,7 @@ mod tests {
             for h in 0..3 {
                 d.install(x(), node(h));
             }
-            d.set_mut(x()).entries[1].rcnt = 17;
+            d.replicas_mut(x())[1].rcnt = 17;
             d
         };
         let mut batched = setup();
@@ -545,5 +548,26 @@ mod tests {
         script(&mut unbatched);
         assert_eq!(batched.replicas(x()), unbatched.replicas(x()));
         assert_eq!(batched.notifications(), unbatched.notifications());
+    }
+
+    #[test]
+    fn a_sole_replica_is_inline_and_equality_ignores_history() {
+        assert!(
+            std::mem::size_of::<ReplicaSet>() <= 24,
+            "a replica set grew"
+        );
+        // Both end with one replica at host 3 after two notifications:
+        // `inline` never held a second host, `spilled` did.
+        let mut inline = Directory::new(1);
+        inline.install(x(), node(3));
+        inline.notify_created(x(), node(3));
+        inline.notify_affinity(x(), node(3), 1);
+        let mut spilled = Directory::new(1);
+        spilled.install(x(), node(3));
+        spilled.notify_created(x(), node(1));
+        assert!(spilled.request_drop(x(), node(1)));
+        assert!(matches!(inline.sets[0].entries, OneOrMany::One(_)));
+        assert!(matches!(spilled.sets[0].entries, OneOrMany::Many(_)));
+        assert_eq!(inline, spilled);
     }
 }

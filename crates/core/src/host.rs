@@ -3,6 +3,7 @@
 
 use radar_simnet::NodeId;
 
+use crate::one_or_many::OneOrMany;
 use crate::{LoadEstimator, ObjectId, Params};
 
 /// State a host keeps for one of its object replicas (paper §4.1):
@@ -22,8 +23,9 @@ pub struct ObjectState {
     /// `(route id, requests)` since the last placement run, one pair per
     /// distinct preference path, sorted by route id (a binary search
     /// beats a linear probe once a hot object has been requested from
-    /// dozens of gateways). Route ids index the host's `Routes`.
-    route_counts: Vec<(u32, u32)>,
+    /// dozens of gateways). Route ids index the host's `Routes`. A
+    /// replica requested over one route keeps its pair inline.
+    route_counts: OneOrMany<(u32, u32)>,
     /// Requests for this object serviced in the current (incomplete)
     /// measurement window.
     window_serviced: u64,
@@ -403,7 +405,7 @@ impl HostState {
     /// so the cost is the routes' length plus the highest node id.
     pub fn counts(&self, o: &ObjectState, out: &mut Vec<(NodeId, u64)>) {
         out.clear();
-        for &(route, c) in &o.route_counts {
+        for &(route, c) in o.route_counts.iter() {
             for &p in self.routes.path(route) {
                 if p.index() >= out.len() {
                     out.extend((out.len()..=p.index()).map(|i| (NodeId::new(i as u16), 0)));
@@ -434,9 +436,10 @@ impl HostState {
     pub fn reset_access_counts(&mut self) {
         for id in self.active.counted.drain(..) {
             if let Some(obj) = state_mut(&self.ids, &mut self.states, id) {
-                // `Vec::clear` keeps the capacity: the next window's
-                // `record_access` refills in place, so the per-epoch
-                // reset/refill cycle performs no heap traffic.
+                // A spilled list keeps its capacity and an inline pair
+                // needs none: the next window's `record_access` refills
+                // in place, so the per-epoch reset/refill cycle
+                // performs no heap traffic.
                 obj.route_counts.clear();
                 obj.own_count = 0;
             }
@@ -601,6 +604,38 @@ mod tests {
         let mut counts = Vec::new();
         h.counts(obj, &mut counts);
         assert_eq!(counts.len(), 3);
+    }
+
+    #[test]
+    fn a_single_route_count_is_inline_and_equality_ignores_history() {
+        assert!(
+            std::mem::size_of::<ObjectState>() <= 56,
+            "a replica's state grew"
+        );
+        let path = |gateway: u16| [NodeId::new(0), NodeId::new(gateway)];
+        // Both hosts see gateways 4 and 5, but only `spilled` requests
+        // x1 over two routes.
+        let mut inline = host();
+        let mut spilled = host();
+        for h in [&mut inline, &mut spilled] {
+            h.install_object(x(1));
+            h.install_object(x(2));
+            h.record_access(x(1), &path(4));
+        }
+        inline.record_access(x(2), &path(5));
+        spilled.record_access(x(1), &path(5));
+        spilled.record_access(x(2), &path(5));
+        assert!(matches!(
+            inline.object(x(1)).unwrap().route_counts,
+            OneOrMany::One(_)
+        ));
+        assert!(matches!(
+            spilled.object(x(1)).unwrap().route_counts,
+            OneOrMany::Many(_)
+        ));
+        inline.reset_access_counts();
+        spilled.reset_access_counts();
+        assert_eq!(inline, spilled);
     }
 
     #[test]

@@ -69,6 +69,7 @@ mod directory;
 pub mod guide;
 mod host;
 mod load;
+mod one_or_many;
 mod params;
 pub mod placement;
 mod redirector;

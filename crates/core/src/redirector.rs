@@ -246,7 +246,7 @@ impl Redirector {
         record: Option<&mut DecisionEvent>,
     ) -> Option<NodeId> {
         let constant = self.constant;
-        let set = self.directory.set_mut(object);
+        let entries = self.directory.replicas_mut(object);
         if candidates.is_empty() {
             return None;
         }
@@ -259,7 +259,7 @@ impl Redirector {
                 closest.unwrap_or_else(|| {
                     candidates
                         .iter()
-                        .min_by_key(|&&(i, dist)| (dist, set.entries[i as usize].host))
+                        .min_by_key(|&&(i, dist)| (dist, entries[i as usize].host))
                         .expect("non-empty candidate set")
                         .0
                 }),
@@ -267,7 +267,7 @@ impl Redirector {
                 candidates
                     .iter()
                     .min_by(|&&(a, _), &&(b, _)| {
-                        let (ea, eb) = (&set.entries[a as usize], &set.entries[b as usize]);
+                        let (ea, eb) = (&entries[a as usize], &entries[b as usize]);
                         ea.unit_rcnt()
                             .partial_cmp(&eb.unit_rcnt())
                             .expect("unit request counts are finite")
@@ -277,7 +277,7 @@ impl Redirector {
                     .0,
             ),
         };
-        let unit = |i: u32| set.entries[i as usize].unit_rcnt();
+        let unit = |i: u32| entries[i as usize].unit_rcnt();
         // Fig. 2's test `unit(p)/constant > unit(q)` is false whenever
         // p = q (x/constant ≤ x for finite x ≥ 0 and constant > 1), so a
         // sole candidate is served as the closest without a division.
@@ -287,7 +287,7 @@ impl Redirector {
             (p_idx as usize, DecisionBranch::Closest)
         };
         if let Some(out) = record {
-            let host = |i: usize| set.entries[i].host.index() as u16;
+            let host = |i: usize| entries[i].host.index() as u16;
             out.chosen = host(chosen);
             out.branch = branch;
             out.constant = constant;
@@ -297,7 +297,7 @@ impl Redirector {
             out.unit_least = Some(unit(q_idx));
             out.candidates.clear();
             out.candidates.extend(candidates.iter().map(|&(i, dist)| {
-                let e = &set.entries[i as usize];
+                let e = &entries[i as usize];
                 CandidateSnapshot {
                     host: e.host.index() as u16,
                     rcnt: e.rcnt,
@@ -307,8 +307,8 @@ impl Redirector {
                 }
             }));
         }
-        set.entries[chosen].rcnt += 1;
-        Some(set.entries[chosen].host)
+        entries[chosen].rcnt += 1;
+        Some(entries[chosen].host)
     }
 
     /// Force-removes every replica hosted on `host` — crash recovery;

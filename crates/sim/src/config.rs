@@ -64,10 +64,11 @@ pub(crate) const MAX_CLOCK_SECS: f64 = (1u64 << 53) as f64 / 1e6;
 
 /// The most objects a scenario takes: 2^24, 1 678 × the paper's 10 000.
 /// Every object has a slot in dense tables allocated before the first
-/// event (directory, workload, hosts), about 230 bytes each, and about
-/// 3 KB each over a run, so 2^24 objects already need about 4 GB up
-/// front and a larger count would abort in the allocator instead of
-/// failing with a message.
+/// event (directory, workload, hosts), about 145 bytes each (peak RSS
+/// 149 MB at 10^6 objects, 578 MB at 4·10^6), so 2^24 objects already
+/// need about 2.4 GB up front, before any traffic adds replicas, and a
+/// larger count would abort in the allocator instead of failing with a
+/// message.
 pub const MAX_OBJECTS: u32 = 1 << 24;
 
 /// Checks an object count against the scenario's limits (at least one,
@@ -180,8 +181,8 @@ impl fmt::Display for ScenarioError {
             ScenarioError::TooManyObjects { objects } => write!(
                 f,
                 "{objects} objects exceed the limit of {MAX_OBJECTS} (2^24): every object \
-                 takes about 230 bytes before the first event and about 3 KB over a run, \
-                 so more would exhaust memory"
+                 takes about 145 bytes before the first event and more as traffic adds \
+                 replicas, so more would exhaust memory"
             ),
             ScenarioError::BadExplicitPlacement { detail } => {
                 write!(f, "bad explicit placement: {detail}")

@@ -136,24 +136,27 @@ impl Metrics {
     /// nothing and are left out.
     pub fn record_placement(&mut self, t: f64, outcome: &radar_core::placement::PlacementOutcome) {
         use PlacementActionKind as A;
-        for action in [
-            A::GeoMigrate,
-            A::GeoReplicate,
-            A::LoadMigrate,
-            A::LoadReplicate,
-            A::Drop,
-            A::AffinityReduce,
-        ] {
-            for d in outcome.decisions.iter().filter(|d| d.action == action) {
-                self.relocation_log.push(RelocationEvent {
-                    t,
-                    host: d.host,
-                    object: d.object,
-                    target: d.target,
-                    action,
-                });
-            }
-        }
+        let start = self.relocation_log.len();
+        let logged = outcome
+            .decisions
+            .iter()
+            .filter(|d| d.action != A::DropRefused);
+        self.relocation_log.extend(logged.map(|d| RelocationEvent {
+            t,
+            host: d.host,
+            object: d.object,
+            target: d.target,
+            action: d.action,
+        }));
+        // A stable sort keeps scan order within each group.
+        self.relocation_log[start..].sort_by_key(|e| match e.action {
+            A::GeoMigrate => 0,
+            A::GeoReplicate => 1,
+            A::LoadMigrate => 2,
+            A::LoadReplicate => 3,
+            A::Drop => 4,
+            A::AffinityReduce | A::DropRefused => 5,
+        });
     }
 }
 
@@ -233,5 +236,16 @@ mod tests {
         assert!(m.relocation_log.iter().all(|e| e.host == 7 && e.t == 100.0));
         assert_eq!(m.relocation_log[1].target, Some(2));
         assert_eq!(m.relocation_log[4].target, None);
+        // A second host's outcome is grouped on its own, after the first.
+        let o = PlacementOutcome {
+            decisions: vec![action(9, A::Drop, None), action(8, A::GeoMigrate, Some(5))],
+        };
+        m.record_placement(200.0, &o);
+        let tail: Vec<_> = m.relocation_log[7..]
+            .iter()
+            .map(|e| (e.action, e.object))
+            .collect();
+        assert_eq!(tail, [(A::GeoMigrate, 8), (A::Drop, 9)]);
+        assert_eq!(m.relocation_log[6].action, A::AffinityReduce);
     }
 }
