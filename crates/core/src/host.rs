@@ -559,6 +559,23 @@ impl HostState {
             .unwrap_or_else(|_| panic!("drop_object: {object} not hosted"));
         self.ids.remove(i);
         self.states.remove(i);
+        release_slack(&mut self.ids);
+        release_slack(&mut self.states);
+    }
+}
+
+/// Below this capacity a table keeps whatever it grew to.
+const SLACK_FLOOR: usize = 64;
+
+/// Gives back a table's capacity once drops leave it under a quarter
+/// full, keeping twice its length (or the floor). Re-replication can
+/// flood one host with thousands of copies that its placement runs
+/// drop again; without this the host would keep the flood's capacity
+/// for the rest of the run. Halving the length between two shrinks
+/// keeps the copying amortised O(1) per drop.
+fn release_slack<T>(v: &mut Vec<T>) {
+    if v.capacity() > SLACK_FLOOR && v.len() * 4 < v.capacity() {
+        v.shrink_to((2 * v.len()).max(SLACK_FLOOR));
     }
 }
 
@@ -636,6 +653,37 @@ mod tests {
         inline.reset_access_counts();
         spilled.reset_access_counts();
         assert_eq!(inline, spilled);
+    }
+
+    #[test]
+    fn drops_give_a_flood_s_capacity_back() {
+        let mut h = host();
+        for i in 0..10_000 {
+            h.accept_object(1.0, x(i), 0.1);
+        }
+        let path = [NodeId::new(0), NodeId::new(5)];
+        h.record_access(x(1_000), &path);
+        let kept: Vec<ObjectId> = (0..10_000).step_by(1_000).map(x).collect();
+        let states: Vec<_> = kept.iter().map(|&o| h.object(o).cloned()).collect();
+        let counts = |h: &HostState| {
+            let o = h.object(x(1_000)).unwrap();
+            path.map(|p| h.count(o, p))
+        };
+        let before = counts(&h);
+        for i in (0..10_000).filter(|i| i % 1_000 != 0) {
+            h.drop_object(x(i));
+        }
+        assert_eq!(h.object_count(), 10);
+        for cap in [h.ids.capacity(), h.states.capacity()] {
+            assert!(cap <= 4 * 10 + SLACK_FLOOR, "capacity {cap} for 10 objects");
+        }
+        assert_eq!(h.object_ids(), kept);
+        for (&o, state) in kept.iter().zip(&states) {
+            assert_eq!(h.object(o).cloned(), *state);
+        }
+        assert_eq!(counts(&h), before);
+        assert_eq!(before, [1, 1]);
+        assert_eq!(h.object(x(1)), None);
     }
 
     #[test]

@@ -177,11 +177,14 @@ impl Simulation {
             reassigned = true;
         }
         let bytes = self.catalog.object_size();
-        let targets: Vec<NodeId> = replicas
-            .iter()
-            .filter(|r| r.host != primary)
-            .map(|r| r.host)
-            .collect();
+        let mut targets = std::mem::take(&mut self.update_targets);
+        targets.clear();
+        targets.extend(
+            replicas
+                .iter()
+                .filter(|r| r.host != primary)
+                .map(|r| r.host),
+        );
         let bytes_hops: u64 = targets
             .iter()
             .map(|&t| bytes * self.view.distance(primary, t) as u64)
@@ -227,6 +230,7 @@ impl Simulation {
                 }),
             );
         }
+        self.update_targets = targets;
     }
 
     /// One asynchronously propagated provider update reaching one

@@ -198,45 +198,35 @@ impl Simulation {
         for i in 0..self.scenario.num_objects {
             let object = ObjectId::new(i);
             loop {
-                let live: Vec<NodeId> = self
-                    .redirector
-                    .replicas(object)
-                    .iter()
-                    .map(|r| r.host)
-                    .filter(|h| self.fault_state.host_up(h.index() as u16))
-                    .collect();
-                if live.len() as u32 >= floor {
+                let replicas = self.redirector.replicas(object);
+                let is_live = |h: &NodeId| self.fault_state.host_up(h.index() as u16);
+                let live = replicas.iter().filter(|r| is_live(&r.host)).count();
+                if live as u32 >= floor {
                     break;
                 }
+                let source = replicas.iter().map(|r| r.host).find(is_live);
                 let elapsed = now - self.below_min_since.get(&i).copied().unwrap_or(now);
-                let target = if let Some(&source) = live.first() {
+                let target = if let Some(source) = source {
                     // Copy onto the live host with the most headroom on
                     // the load-report board (ties broken by node id).
-                    let holders: Vec<NodeId> = self
-                        .redirector
-                        .replicas(object)
-                        .iter()
-                        .map(|r| r.host)
-                        .collect();
-                    let mut cands: Vec<(f64, usize)> = (0..self.hosts.len())
+                    let best = (0..self.hosts.len())
                         .filter(|&j| self.fault_state.host_up(j as u16))
-                        .filter(|&j| !holders.contains(&NodeId::new(j as u16)))
+                        .filter(|&j| !replicas.iter().any(|r| r.host.index() == j))
                         .map(|j| {
                             (
                                 self.hosts[j].params().low_watermark - self.load_reports[j].1,
                                 j,
                             )
                         })
-                        .collect();
-                    if cands.is_empty() {
+                        .min_by(|a, b| {
+                            b.0.partial_cmp(&a.0)
+                                .expect("headroom is never NaN")
+                                .then(a.1.cmp(&b.1))
+                        });
+                    let Some((_, j)) = best else {
                         break; // fewer live hosts than the floor
-                    }
-                    cands.sort_by(|a, b| {
-                        b.0.partial_cmp(&a.0)
-                            .expect("headroom is never NaN")
-                            .then(a.1.cmp(&b.1))
-                    });
-                    let target = NodeId::new(cands[0].1 as u16);
+                    };
+                    let target = NodeId::new(j as u16);
                     let hops = self.view.distance(source, target);
                     self.metrics
                         .record_overhead(now, (self.scenario.object_size * hops as u64) as f64);

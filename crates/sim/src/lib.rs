@@ -78,7 +78,7 @@ pub use config::{
 };
 pub use faults::{Fault, FaultError, FaultSpec, FaultTransition, TransitionKind};
 pub use json::protocol_health_json;
-pub use metrics::{LoadEstimateSample, Metrics, RelocationEvent};
+pub use metrics::{LoadEstimateSample, Metrics, RelocationEvent, RelocationIter, RelocationLog};
 pub use observer::{Observer, RequestRecord};
 pub use placement_policy::{PlacementPolicy, RadarPlacement};
 pub use platform::Simulation;

@@ -33,6 +33,124 @@ pub struct RelocationEvent {
     pub action: PlacementActionKind,
 }
 
+/// The relocation log: one [`RelocationEvent`] per placement action.
+/// Placement runs follow each other in time order; within a run the
+/// actions are grouped in the order the report has always listed them:
+/// moves (geo before load, migrations before replications), then drops,
+/// then affinity reductions, each group in scan order. Refused drops
+/// change nothing and are left out. A run's actions share its time, so
+/// the log stores the time once per placement run that logged anything
+/// and each action in 12 bytes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RelocationLog {
+    /// `(t, index of the run's first action)`, one per run, in order.
+    runs: Vec<(f64, u32)>,
+    actions: Vec<LoggedAction>,
+}
+
+/// A [`RelocationEvent`] without its run's time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LoggedAction {
+    object: u32,
+    host: u16,
+    target: Option<u16>,
+    action: PlacementActionKind,
+}
+
+impl RelocationLog {
+    /// Number of logged actions.
+    pub fn len(&self) -> usize {
+        self.actions.len()
+    }
+
+    /// Whether nothing was logged.
+    pub fn is_empty(&self) -> bool {
+        self.actions.is_empty()
+    }
+
+    /// The records in log order.
+    pub fn iter(&self) -> RelocationIter<'_> {
+        RelocationIter {
+            runs: &self.runs,
+            actions: &self.actions,
+            next: 0,
+        }
+    }
+
+    /// Appends one placement run's decisions in the log's order; a run
+    /// with nothing but refused drops adds no run record.
+    fn push_run(&mut self, t: f64, decisions: &[radar_obs::PlacementActionEvent]) {
+        use PlacementActionKind as A;
+        let start = self.actions.len();
+        let logged = decisions.iter().filter(|d| d.action != A::DropRefused);
+        self.actions.extend(logged.map(|d| LoggedAction {
+            object: d.object,
+            host: d.host,
+            target: d.target,
+            action: d.action,
+        }));
+        if self.actions.len() == start {
+            return;
+        }
+        let first = u32::try_from(start).expect("fewer than 2^32 logged actions");
+        self.runs.push((t, first));
+        // A stable sort keeps scan order within each group.
+        self.actions[start..].sort_by_key(|e| match e.action {
+            A::GeoMigrate => 0,
+            A::GeoReplicate => 1,
+            A::LoadMigrate => 2,
+            A::LoadReplicate => 3,
+            A::Drop => 4,
+            A::AffinityReduce | A::DropRefused => 5,
+        });
+    }
+}
+
+impl<'a> IntoIterator for &'a RelocationLog {
+    type Item = RelocationEvent;
+    type IntoIter = RelocationIter<'a>;
+
+    fn into_iter(self) -> RelocationIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`RelocationLog`], yielding records by value.
+#[derive(Debug, Clone)]
+pub struct RelocationIter<'a> {
+    /// The runs from the one holding `actions[next]` on.
+    runs: &'a [(f64, u32)],
+    actions: &'a [LoggedAction],
+    next: usize,
+}
+
+impl Iterator for RelocationIter<'_> {
+    type Item = RelocationEvent;
+
+    fn next(&mut self) -> Option<RelocationEvent> {
+        let a = *self.actions.get(self.next)?;
+        // Every run holds at least one action, so this moves at most once.
+        while self.runs.get(1).is_some_and(|r| r.1 as usize <= self.next) {
+            self.runs = &self.runs[1..];
+        }
+        self.next += 1;
+        Some(RelocationEvent {
+            t: self.runs[0].0,
+            host: a.host,
+            object: a.object,
+            target: a.target,
+            action: a.action,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.actions.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for RelocationIter<'_> {}
+
 /// Everything the simulator measures while running. Finalized into a
 /// [`crate::RunReport`] at the end of a run.
 #[derive(Debug, Clone)]
@@ -54,7 +172,7 @@ pub struct Metrics {
     pub replica_series: Vec<(f64, f64)>,
     /// Full relocation log (one record per placement action); the
     /// report's per-action counts are its tallies.
-    pub relocation_log: Vec<RelocationEvent>,
+    pub relocation_log: RelocationLog,
     /// Per load sample: `(t, node with the maximum load, that load)`.
     pub max_load_host: Vec<(f64, u16, f64)>,
     /// Requests handled per redirector, indexed by node id (sized by the
@@ -97,7 +215,7 @@ impl Metrics {
             latency: TimeSeries::new(BinSpec::new(bin)),
             load_estimates: Vec::new(),
             replica_series: Vec::new(),
-            relocation_log: Vec::new(),
+            relocation_log: RelocationLog::default(),
             max_load_host: Vec::new(),
             redirector_requests: Vec::new(),
             link_bytes: Vec::new(),
@@ -129,34 +247,10 @@ impl Metrics {
         self.overhead_bandwidth.record(t, bytes_hops);
     }
 
-    /// Appends one host's placement outcome to the relocation log,
-    /// grouped by action in the order the report has always listed
-    /// them: moves (geo before load, migrations before replications),
-    /// then drops, then affinity reductions. Refused drops change
-    /// nothing and are left out.
+    /// Appends one host's placement outcome to the relocation log (see
+    /// [`RelocationLog`] for its order).
     pub fn record_placement(&mut self, t: f64, outcome: &radar_core::placement::PlacementOutcome) {
-        use PlacementActionKind as A;
-        let start = self.relocation_log.len();
-        let logged = outcome
-            .decisions
-            .iter()
-            .filter(|d| d.action != A::DropRefused);
-        self.relocation_log.extend(logged.map(|d| RelocationEvent {
-            t,
-            host: d.host,
-            object: d.object,
-            target: d.target,
-            action: d.action,
-        }));
-        // A stable sort keeps scan order within each group.
-        self.relocation_log[start..].sort_by_key(|e| match e.action {
-            A::GeoMigrate => 0,
-            A::GeoReplicate => 1,
-            A::LoadMigrate => 2,
-            A::LoadReplicate => 3,
-            A::Drop => 4,
-            A::AffinityReduce | A::DropRefused => 5,
-        });
+        self.relocation_log.push_run(t, &outcome.decisions);
     }
 }
 
@@ -184,13 +278,14 @@ mod tests {
         assert_eq!(m.tally.client_bandwidth.bin_sum(0), 0.0);
     }
 
-    #[test]
-    fn placement_outcomes_logged() {
-        use radar_core::placement::PlacementOutcome;
-        use radar_obs::PlacementActionEvent;
-        use PlacementActionKind as A;
-        let action = |object, action, target| PlacementActionEvent {
-            host: 7,
+    fn action(
+        host: u16,
+        object: u32,
+        action: PlacementActionKind,
+        target: Option<u16>,
+    ) -> radar_obs::PlacementActionEvent {
+        radar_obs::PlacementActionEvent {
+            host,
             object,
             action,
             target,
@@ -199,27 +294,34 @@ mod tests {
             ratio: None,
             deletion_threshold: 0.03,
             replication_threshold: 0.18,
-        };
+        }
+    }
+
+    fn outcome(
+        decisions: Vec<radar_obs::PlacementActionEvent>,
+    ) -> radar_core::placement::PlacementOutcome {
+        radar_core::placement::PlacementOutcome { decisions }
+    }
+
+    #[test]
+    fn placement_outcomes_logged() {
+        use PlacementActionKind as A;
+        let action = |object, kind, target| action(7, object, kind, target);
         let mut m = Metrics::new(100.0, 20.0);
         // Pushed in scan order, interleaving the kinds.
-        let o = PlacementOutcome {
-            decisions: vec![
-                action(3, A::Drop, None),
-                action(5, A::AffinityReduce, None),
-                action(2, A::LoadMigrate, Some(3)),
-                action(6, A::DropRefused, None),
-                action(1, A::GeoReplicate, Some(2)),
-                action(4, A::Drop, None),
-                action(7, A::LoadReplicate, Some(4)),
-                action(0, A::GeoMigrate, Some(1)),
-            ],
-        };
+        let o = outcome(vec![
+            action(3, A::Drop, None),
+            action(5, A::AffinityReduce, None),
+            action(2, A::LoadMigrate, Some(3)),
+            action(6, A::DropRefused, None),
+            action(1, A::GeoReplicate, Some(2)),
+            action(4, A::Drop, None),
+            action(7, A::LoadReplicate, Some(4)),
+            action(0, A::GeoMigrate, Some(1)),
+        ]);
         m.record_placement(100.0, &o);
-        let logged: Vec<_> = m
-            .relocation_log
-            .iter()
-            .map(|e| (e.action, e.object))
-            .collect();
+        let log: Vec<RelocationEvent> = m.relocation_log.iter().collect();
+        let logged: Vec<_> = log.iter().map(|e| (e.action, e.object)).collect();
         assert_eq!(
             logged,
             [
@@ -233,19 +335,134 @@ mod tests {
             ],
             "grouped by action, scan order within a group, refusals left out"
         );
-        assert!(m.relocation_log.iter().all(|e| e.host == 7 && e.t == 100.0));
-        assert_eq!(m.relocation_log[1].target, Some(2));
-        assert_eq!(m.relocation_log[4].target, None);
+        assert!(log.iter().all(|e| e.host == 7 && e.t == 100.0));
+        assert_eq!(log[1].target, Some(2));
+        assert_eq!(log[4].target, None);
         // A second host's outcome is grouped on its own, after the first.
-        let o = PlacementOutcome {
-            decisions: vec![action(9, A::Drop, None), action(8, A::GeoMigrate, Some(5))],
-        };
+        let o = outcome(vec![
+            action(9, A::Drop, None),
+            action(8, A::GeoMigrate, Some(5)),
+        ]);
         m.record_placement(200.0, &o);
-        let tail: Vec<_> = m.relocation_log[7..]
-            .iter()
-            .map(|e| (e.action, e.object))
-            .collect();
+        let log: Vec<RelocationEvent> = m.relocation_log.iter().collect();
+        let tail: Vec<_> = log[7..].iter().map(|e| (e.action, e.object)).collect();
         assert_eq!(tail, [(A::GeoMigrate, 8), (A::Drop, 9)]);
-        assert_eq!(m.relocation_log[6].action, A::AffinityReduce);
+        assert_eq!(log[6].action, A::AffinityReduce);
+        assert_eq!(m.relocation_log.len(), 9);
+        assert_eq!(m.relocation_log.iter().len(), 9);
+    }
+
+    #[test]
+    fn a_run_of_refusals_adds_no_run() {
+        use PlacementActionKind as A;
+        let mut m = Metrics::new(100.0, 20.0);
+        let refusals = outcome(vec![
+            action(1, 4, A::DropRefused, None),
+            action(1, 6, A::DropRefused, None),
+        ]);
+        m.record_placement(100.0, &refusals);
+        m.record_placement(150.0, &outcome(Vec::new()));
+        assert!(m.relocation_log.is_empty());
+        assert!(m.relocation_log.runs.is_empty());
+        assert_eq!(m.relocation_log, RelocationLog::default());
+        m.record_placement(200.0, &outcome(vec![action(2, 5, A::Drop, None)]));
+        m.record_placement(300.0, &refusals);
+        assert_eq!(m.relocation_log.runs, [(200.0, 0)]);
+        assert_eq!(m.relocation_log.len(), 1);
+    }
+
+    #[test]
+    fn each_record_carries_its_own_run_s_time() {
+        use PlacementActionKind as A;
+        let mut m = Metrics::new(100.0, 20.0);
+        let runs = [
+            (20.5, 3, vec![(10, A::Drop), (11, A::GeoMigrate)]),
+            (40.0, 9, vec![(12, A::AffinityReduce)]),
+            (
+                61.25,
+                3,
+                vec![(13, A::Drop), (14, A::LoadMigrate), (15, A::Drop)],
+            ),
+        ];
+        for (t, host, actions) in &runs {
+            let decisions = actions
+                .iter()
+                .map(|&(object, kind)| action(*host, object, kind, None))
+                .collect();
+            m.record_placement(*t, &outcome(decisions));
+        }
+        let got: Vec<_> = (&m.relocation_log)
+            .into_iter()
+            .map(|e| (e.t, e.host, e.object))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (20.5, 3, 11),
+                (20.5, 3, 10),
+                (40.0, 9, 12),
+                (61.25, 3, 14),
+                (61.25, 3, 13),
+                (61.25, 3, 15),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_logged_action_takes_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<LoggedAction>(), 12);
+    }
+
+    #[test]
+    fn relocation_log_prints_its_pinned_bytes() {
+        use PlacementActionKind as A;
+        let mut m = Metrics::new(100.0, 20.0);
+        let runs = [
+            (
+                100.0,
+                vec![
+                    action(7, 3, A::Drop, None),
+                    action(7, 0, A::GeoMigrate, Some(1)),
+                ],
+            ),
+            (250.5, vec![action(2, 9, A::LoadReplicate, Some(4))]),
+        ];
+        for (t, decisions) in runs {
+            m.record_placement(t, &outcome(decisions));
+        }
+        let json =
+            crate::RunReport::from_metrics(m, "w".into(), "p".into(), "q".into(), true, 300.0)
+                .to_json_pretty();
+        let start = json.find("  \"relocation_log\"").expect("section printed");
+        let end = json
+            .find("  \"max_load_host\"")
+            .expect("next section printed");
+        assert_eq!(
+            &json[start..end],
+            r#"  "relocation_log": [
+    {
+      "t": 100,
+      "host": 7,
+      "object": 0,
+      "target": 1,
+      "action": "GeoMigrate"
+    },
+    {
+      "t": 100,
+      "host": 7,
+      "object": 3,
+      "target": null,
+      "action": "Drop"
+    },
+    {
+      "t": 250.5,
+      "host": 2,
+      "object": 9,
+      "target": 4,
+      "action": "LoadReplicate"
+    }
+  ],
+"#
+        );
     }
 }

@@ -200,6 +200,8 @@ pub struct Simulation {
     pub(crate) alive_scratch: Vec<bool>,
     /// Reusable offload-recipient candidate buffer.
     pub(crate) offload_probe_scratch: Vec<(f64, usize)>,
+    /// Reusable provider-update target buffer.
+    pub(crate) update_targets: Vec<NodeId>,
     /// Persistent placeholder swapped into the deciding host's slot for
     /// the duration of a placement epoch.
     pub(crate) spare_host: HostState,
@@ -353,6 +355,7 @@ impl Simulation {
             placement_outcome: radar_core::placement::PlacementOutcome::default(),
             alive_scratch: Vec::new(),
             offload_probe_scratch: Vec::new(),
+            update_targets: Vec::new(),
             spare_host: HostState::new(NodeId::new(0), radar_core::Params::paper()),
             decision: DecisionEvent::default(),
         }

@@ -5,7 +5,7 @@ use radar_stats::{
     adjustment_time, equilibrium_mean, AdjustmentOutcome, EquilibriumSpec, Summary, TimeSeries,
 };
 
-use crate::metrics::{LoadEstimateSample, Metrics, RelocationEvent};
+use crate::metrics::{LoadEstimateSample, Metrics, RelocationLog};
 use crate::trace::Trace;
 
 /// Replica statistics at one sampling instant.
@@ -78,7 +78,7 @@ pub struct RunReport {
     /// `(node, affinity)` pairs of its replicas at the end of the run.
     pub final_replicas: Vec<Vec<(u16, u32)>>,
     /// Full relocation log (one record per placement action).
-    pub relocation_log: Vec<RelocationEvent>,
+    pub relocation_log: RelocationLog,
     /// Per load sample: `(t, node with the maximum load, that load)`.
     pub max_load_host: Vec<(f64, u16, f64)>,
     /// Captured arrival trace, when [`crate::Simulation::record_trace`]

@@ -36,23 +36,38 @@ for example in examples/*.rs; do
   echo "-- $name"
   "target/release/examples/$name" > /dev/null
 done
+# Runs a command with its output discarded, sampling its peak RSS
+# (VmHWM, KB) from /proc every 50 ms into $peak; returns its exit code.
+sample_peak_rss() {
+  "$@" > /dev/null &
+  local pid=$! hwm
+  peak=0
+  while hwm="$(awk '/^VmHWM:/ { print $2 }' "/proc/$pid/status" 2>/dev/null)" \
+    && [ -n "$hwm" ]; do
+    peak="$hwm"
+    sleep 0.05
+  done
+  wait "$pid"
+}
 echo "== a million objects bootstrap and run (release) =="
 # Per-object state costs bytes, not heap blocks. The gate is that a
-# 10^6-object bootstrap and run exits 0; its peak RSS (VmHWM, sampled
-# from /proc while the run lasts, ~150 MB today) is printed so a
-# multi-hundred-MB spike shows in the log, with no threshold.
+# 10^6-object bootstrap and run exits 0; its peak RSS (~150 MB today)
+# is printed so a multi-hundred-MB spike shows in the log, with no
+# threshold.
 cargo build -q --release -p radar-cli --bin radar
-target/release/radar simulate --objects 1000000 --duration 1 --rate 1 --seed 1 \
-  > /dev/null &
-pid=$!
-peak=0
-while hwm="$(awk '/^VmHWM:/ { print $2 }' "/proc/$pid/status" 2>/dev/null)" \
-  && [ -n "$hwm" ]; do
-  peak="$hwm"
-  sleep 0.05
-done
-wait "$pid" || { echo "FAIL: simulate --objects 1000000 exited non-zero"; exit 1; }
+sample_peak_rss target/release/radar simulate --objects 1000000 --duration 1 --rate 1 --seed 1 \
+  || { echo "FAIL: simulate --objects 1000000 exited non-zero"; exit 1; }
 echo "simulate --objects 1000000: peak RSS $((peak / 1024)) MB (sampled every 50 ms)"
+echo "== a crash below the replica floor (release) =="
+# One host stays down past declare-dead-after, so the re-replication
+# sweep copies every object up to min-replicas 2 and the placement
+# runs drop most copies again. Peak RSS is printed, with no threshold.
+mkdir -p target
+printf 'min-replicas 2\ndeclare-dead-after 30\nhost-down 5 60\n' > target/flood-faults.txt
+sample_peak_rss target/release/radar simulate --objects 10000 --duration 300 --seed 1 \
+  --faults target/flood-faults.txt \
+  || { echo "FAIL: simulate with a crash below the replica floor exited non-zero"; exit 1; }
+echo "simulate --objects 10000 with one crash: peak RSS $((peak / 1024)) MB (sampled every 50 ms)"
 echo "== golden event-log regression diff =="
 ./scripts/golden-diff.sh
 echo "== replica-set invariant audit (golden log + faulted run) =="
