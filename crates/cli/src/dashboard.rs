@@ -1,12 +1,13 @@
 //! Terminal dashboard rendering over streaming flight-recorder
 //! metrics.
 //!
-//! [`render`] is a pure function from a [`MetricsObserver`] snapshot to
-//! one text frame, so `radar simulate --dashboard` (live) and
-//! `radar events watch FILE` (replay) produce identical output from
-//! identical event streams. [`LiveDashboard`] wraps a [`SharedMetrics`]
-//! as a simulation observer and repaints the frame on stderr while the
-//! run progresses (only when stderr is a terminal).
+//! [`render`] is a pure function from a [`MetricsObserver`] and an
+//! [`ObjectLedger`] snapshot to one text frame, so `radar simulate
+//! --dashboard` (live) and `radar events watch FILE` (replay) produce
+//! identical output from identical event streams. [`LiveDashboard`]
+//! wraps a [`SharedMetrics`] as a simulation observer and repaints the
+//! frame on stderr while the run progresses (only when stderr is a
+//! terminal).
 
 use std::fmt::Write as _;
 use std::io::{IsTerminal, Write as _};
@@ -46,7 +47,7 @@ fn secs(seconds: Option<f64>) -> String {
 /// Renders one dashboard frame from the current aggregates: header,
 /// fault banner, rolling rates, latency and bandwidth summaries,
 /// per-host load bars, and the top-`top` objects by request count.
-pub fn render(m: &MetricsObserver, top: usize) -> String {
+pub fn render(m: &MetricsObserver, ledger: &ObjectLedger, top: usize) -> String {
     let tally = m.tally();
     let mut out = String::new();
     let _ = writeln!(
@@ -62,7 +63,7 @@ pub fn render(m: &MetricsObserver, top: usize) -> String {
         m.served_rate(),
         tally.failed,
         m.failed_rate(),
-        m.requests()
+        ledger.health().requests
     );
     let _ = writeln!(
         out,
@@ -124,10 +125,7 @@ pub fn render(m: &MetricsObserver, top: usize) -> String {
 
     let mut hosts = m.host_loads();
     if !hosts.is_empty() {
-        let peak = hosts
-            .iter()
-            .map(|&(_, load, _)| load)
-            .fold(0.0f64, f64::max);
+        let peak = hosts.iter().map(|&(_, load)| load).fold(0.0f64, f64::max);
         let _ = writeln!(
             out,
             "\nhost load (req/s over the last {:.0} s interval):",
@@ -135,7 +133,8 @@ pub fn render(m: &MetricsObserver, top: usize) -> String {
         );
         // Busiest hosts first, host id breaking ties; cap the panel.
         hosts.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        for &(host, load, total) in hosts.iter().take(top.max(1)) {
+        for &(host, load) in hosts.iter().take(top.max(1)) {
+            let total = ledger.node(host).map_or(0, |n| n.served);
             let _ = writeln!(
                 out,
                 "  host {host:<4} {} {load:>7.2}  ({total} served)",
@@ -147,7 +146,7 @@ pub fn render(m: &MetricsObserver, top: usize) -> String {
         }
     }
 
-    let objects = m.top_objects(top.max(1));
+    let objects = ledger.busiest_objects(top.max(1));
     if !objects.is_empty() {
         let _ = writeln!(out, "\ntop objects (by requests):");
         for (object, c) in objects {
@@ -209,39 +208,32 @@ pub fn render_protocol_panel(h: &ProtocolHealth) -> String {
 }
 
 /// A simulation observer that folds every event into a [`SharedMetrics`]
-/// and repaints the dashboard on stderr as the run progresses.
+/// and repaints the dashboard on stderr as the run progresses, reading
+/// a ledger the simulation folds as an observer of its own.
 ///
 /// Repainting is throttled to [`FRAME_INTERVAL`] and only happens when
 /// stderr is a terminal, so piped and scripted runs stay clean; the
-/// folded aggregates are available from the shared handle either way.
+/// folded aggregates are available from the shared handles either way.
 #[derive(Debug)]
 pub struct LiveDashboard {
     metrics: SharedMetrics,
+    ledger: SharedObjectLedger,
     top: usize,
     live: bool,
     last_frame: Option<std::time::Instant>,
-    /// Live protocol-health snapshots appended to every frame when the
-    /// object ledger is on.
-    ledger: Option<SharedObjectLedger>,
 }
 
 impl LiveDashboard {
-    /// Creates a live dashboard folding into `metrics`, displaying the
-    /// `top` busiest hosts/objects per frame.
-    pub fn new(metrics: SharedMetrics, top: usize) -> Self {
+    /// Creates a live dashboard folding into `metrics` and reading
+    /// `ledger`, displaying the `top` busiest hosts/objects per frame.
+    pub fn new(metrics: SharedMetrics, ledger: SharedObjectLedger, top: usize) -> Self {
         Self {
             metrics,
+            ledger,
             top,
             live: std::io::stderr().is_terminal(),
             last_frame: None,
-            ledger: None,
         }
-    }
-
-    /// Adds a live protocol-health panel fed from `ledger`.
-    pub fn with_ledger(mut self, ledger: SharedObjectLedger) -> Self {
-        self.ledger = Some(ledger);
-        self
     }
 
     fn repaint(&mut self) {
@@ -253,10 +245,10 @@ impl LiveDashboard {
             return;
         }
         self.last_frame = Some(std::time::Instant::now());
-        let mut frame = self.metrics.with(|m| render(m, self.top));
-        if let Some(ledger) = &self.ledger {
-            frame.push_str(&render_protocol_panel(&ledger.with(ObjectLedger::health)));
-        }
+        let frame = self.ledger.with(|l| {
+            let frame = self.metrics.with(|m| render(m, l, self.top));
+            frame + &render_protocol_panel(&l.health())
+        });
         let mut err = std::io::stderr().lock();
         // Home the cursor and clear to end-of-screen between frames.
         let _ = write!(err, "\x1b[H\x1b[J{frame}");
@@ -280,7 +272,9 @@ impl Observer for LiveDashboard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radar_obs::{Event, EventKind, MetricsConfig};
+    use radar_obs::{
+        Event, EventKind, PlacementActionEvent, PlacementActionKind, ResetCause, SharedObjectLedger,
+    };
 
     fn served(seq: u64, t: f64, object: u32, host: u16) -> Event {
         Event {
@@ -298,13 +292,23 @@ mod tests {
         }
     }
 
+    /// The frame `render` prints after folding `events` into both folds.
+    fn frame_of(events: &[Event]) -> String {
+        let mut m = MetricsObserver::default();
+        let mut ledger = ObjectLedger::default();
+        for e in events {
+            m.fold(e);
+            ledger.fold(e);
+        }
+        render(&m, &ledger, 5)
+    }
+
     #[test]
     fn frame_shows_all_panels() {
-        let mut m = MetricsObserver::new(MetricsConfig::default());
-        for i in 0..30 {
-            m.fold(&served(i + 1, i as f64, 7, (i % 3) as u16));
-        }
-        m.fold(&Event {
+        let mut events: Vec<Event> = (0..30)
+            .map(|i| served(i + 1, i as f64, 7, (i % 3) as u16))
+            .collect();
+        events.push(Event {
             seq: 31,
             parent: None,
             t: 30.0,
@@ -313,8 +317,7 @@ mod tests {
                 desc: "host-crash 1".into(),
             },
         });
-        m.finalize(40.0);
-        let frame = render(&m, 5);
+        let frame = frame_of(&events);
         assert!(frame.contains("RaDaR dashboard"), "{frame}");
         assert!(frame.contains("host load"), "{frame}");
         assert!(frame.contains("top objects"), "{frame}");
@@ -324,9 +327,55 @@ mod tests {
     }
 
     #[test]
+    fn top_objects_list_what_traffic_or_placement_named() {
+        let at = |seq, kind| Event {
+            seq,
+            parent: None,
+            t: 60.0,
+            queue_depth: 0,
+            kind,
+        };
+        let frame = frame_of(&[
+            served(1, 1.0, 7, 0),
+            // Object 3's only event is a purge: it stays off the panel.
+            at(
+                2,
+                EventKind::CountsReset {
+                    object: 3,
+                    cause: ResetCause::Purge,
+                },
+            ),
+            // Object 5 is only ever placed: it enters with 0 requests.
+            at(
+                3,
+                EventKind::PlacementAction(PlacementActionEvent {
+                    host: 1,
+                    object: 5,
+                    action: PlacementActionKind::GeoReplicate,
+                    target: Some(2),
+                    unit_rate: 0.2,
+                    share: None,
+                    ratio: None,
+                    deletion_threshold: 0.01,
+                    replication_threshold: 0.18,
+                }),
+            ),
+        ]);
+        let panel = frame.split("top objects").nth(1).expect("panel shown");
+        let rows: Vec<&str> = panel.lines().filter(|l| l.contains("object")).collect();
+        assert_eq!(
+            rows,
+            [
+                "  object 5             0 req        0 served     0 failed  Δreplicas +1",
+                "  object 7             0 req        1 served     0 failed  Δreplicas +0",
+            ],
+            "{frame}"
+        );
+    }
+
+    #[test]
     fn empty_fold_renders_header_only_panels() {
-        let m = MetricsObserver::default();
-        let frame = render(&m, 5);
+        let frame = frame_of(&[]);
         assert!(frame.contains("0 events"), "{frame}");
         assert!(!frame.contains("host load"), "{frame}");
         assert!(!frame.contains("top objects"), "{frame}");
@@ -376,7 +425,7 @@ mod tests {
     #[test]
     fn live_dashboard_folds_through_observer_hook() {
         let shared = SharedMetrics::default();
-        let mut dash = LiveDashboard::new(shared.clone(), 5);
+        let mut dash = LiveDashboard::new(shared.clone(), SharedObjectLedger::default(), 5);
         // Tests never run on a TTY, so repainting stays off; the fold
         // must still happen.
         dash.on_event(&served(1, 1.0, 3, 0));

@@ -6,21 +6,21 @@
 //! time, `explain` prints one event's full decision narrative plus its
 //! causal chain, `summary` aggregates per-event-type counts, rates,
 //! and queue-depth statistics, `watch` replays a log through the
-//! streaming metrics fold and renders the dashboard, and `diff`
-//! compares two logs and pinpoints the first divergence with both
-//! sides' causal context. `summary`, `watch` and `objects audit` say
-//! when a log has sequence gaps, because their aggregates then cover
-//! only part of the run.
+//! streaming metrics fold and the object ledger and renders the
+//! dashboard, and `diff` compares two logs and pinpoints the first
+//! divergence with both sides' causal context. `summary`, `watch` and
+//! `objects audit` say when a log has sequence gaps, because their
+//! aggregates then cover only part of the run.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use radar_obs::{
     diff_events, parse_jsonl, DiffOutcome, Event, EventKind, MetricsConfig, MetricsObserver,
-    EVENT_TYPES,
+    ObjectLedger, EVENT_TYPES,
 };
 
-use crate::args::Parsed;
+use crate::args::{object_size, Parsed};
 use crate::dashboard;
 
 pub(crate) fn command(args: &[&str]) -> Result<String, String> {
@@ -269,9 +269,7 @@ fn watch(args: &[&str]) -> Result<String, String> {
         .get_parsed("top", 8, "a row count")
         .map_err(|e| e.to_string())?;
     let cfg = MetricsConfig {
-        object_size: parsed
-            .get_parsed("object-size", MetricsConfig::default().object_size, "bytes")
-            .map_err(|e| e.to_string())?,
+        object_size: object_size(&parsed, MetricsConfig::default().object_size)?,
         bandwidth_bin: parsed
             .get_parsed("bin", MetricsConfig::default().bandwidth_bin, "seconds")
             .map_err(|e| e.to_string())?,
@@ -316,6 +314,7 @@ fn watch(args: &[&str]) -> Result<String, String> {
         }
     }
     let mut m = MetricsObserver::new(cfg);
+    let mut ledger = ObjectLedger::default();
     // On a terminal, replay the log as an animated dashboard on stderr;
     // otherwise just fold and print the final frame.
     let live = {
@@ -326,16 +325,17 @@ fn watch(args: &[&str]) -> Result<String, String> {
     let chunk = (events.len() / frames).max(1);
     for (i, e) in events.iter().enumerate() {
         m.fold(e);
+        ledger.fold(e);
         if live && (i + 1) % chunk == 0 {
             use std::io::Write as _;
             let mut err = std::io::stderr().lock();
-            let _ = write!(err, "\x1b[H\x1b[J{}", dashboard::render(&m, top));
+            let _ = write!(err, "\x1b[H\x1b[J{}", dashboard::render(&m, &ledger, top));
             let _ = err.flush();
             std::thread::sleep(std::time::Duration::from_millis(25));
         }
     }
     m.finalize(t_end);
-    let mut out = dashboard::render(&m, top);
+    let mut out = dashboard::render(&m, &ledger, top);
     // A log missing events renders a misleading dashboard.
     if let Some(note) = gap_note(&events) {
         out.push('\n');
@@ -511,8 +511,9 @@ fn help() -> String {
      \x20 radar events summary FILE [--top N]       per-type counts, rates, queue\n\
      \x20                                           depths, busiest objects/hosts\n\
      \x20 radar events watch FILE [--top N]         replay the log through the\n\
-     \x20                                           streaming metrics fold and render\n\
-     \x20                                           the dashboard (animated on a TTY)\n\
+     \x20                                           metrics fold and object ledger and\n\
+     \x20                                           render the dashboard (animated on\n\
+     \x20                                           a TTY)\n\
      \x20         [--object-size B] [--bin S] [--interval S] [--duration S]\n\
      \x20                                           match the run's scenario so\n\
      \x20                                           aggregates line up with the report\n\

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 use radar_obs::{Event, LedgerConfig, ObjectLedger};
 
-use crate::args::Parsed;
+use crate::args::{object_size, Parsed};
 use crate::events::{causal_chain, gap_note, load};
 
 pub(crate) fn command(args: &[&str]) -> Result<String, String> {
@@ -32,16 +32,21 @@ pub(crate) fn command(args: &[&str]) -> Result<String, String> {
 
 /// Ledger configuration from the shared `--object-size` / `--window`
 /// flags (defaults match [`LedgerConfig::default`], which mirrors the
-/// default scenario).
+/// default scenario). A NaN or negative window would count no churn
+/// and an infinite one every reversal, so both are rejected.
 fn ledger_config(parsed: &Parsed) -> Result<LedgerConfig, String> {
     let defaults = LedgerConfig::default();
+    let churn_window = parsed
+        .get_parsed("window", defaults.churn_window, "seconds")
+        .map_err(|e| e.to_string())?;
+    if !(churn_window.is_finite() && churn_window >= 0.0) {
+        return Err(format!(
+            "flag --window: expected a finite number of seconds >= 0, got {churn_window}"
+        ));
+    }
     Ok(LedgerConfig {
-        object_size: parsed
-            .get_parsed("object-size", defaults.object_size, "bytes")
-            .map_err(|e| e.to_string())?,
-        churn_window: parsed
-            .get_parsed("window", defaults.churn_window, "seconds")
-            .map_err(|e| e.to_string())?,
+        object_size: object_size(parsed, defaults.object_size)?,
+        churn_window,
     })
 }
 

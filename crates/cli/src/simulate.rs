@@ -1,6 +1,7 @@
 //! `radar simulate` — configure and run one simulation.
 
 use radar_core::{Catalog, ConsistencyMix};
+use radar_sim::obs::{SharedMetrics, SharedObjectLedger};
 use radar_sim::{PlacementMode, RunReport, Scenario, Simulation, Trace};
 use radar_simnet::Topology;
 
@@ -267,14 +268,10 @@ impl SimulateArgs {
         if self.profile {
             sim.enable_loop_profile();
         }
-        // The dashboard's protocol panel reads live ledger snapshots,
-        // so --dashboard implies the ledger.
-        let ledger = if self.ledger || self.dashboard {
-            Some(sim.enable_object_ledger())
-        } else {
-            None
-        };
-        let metrics = if self.dashboard {
+        // The dashboard reads its object rows, per-host served counts
+        // and protocol panel off the ledger, so --dashboard implies it.
+        let ledger = (self.ledger || self.dashboard).then(|| sim.enable_object_ledger());
+        let dashboard = ledger.filter(|_| self.dashboard).map(|ledger| {
             // Mirror the scenario parameters the simulator's own metrics
             // use, so the folded aggregates line up with the report.
             let cfg = radar_sim::obs::MetricsConfig {
@@ -283,16 +280,15 @@ impl SimulateArgs {
                 load_interval: self.scenario.params.measurement_interval,
                 ..radar_sim::obs::MetricsConfig::default()
             };
-            let shared = radar_sim::obs::SharedMetrics::new(cfg);
-            let mut dash = crate::dashboard::LiveDashboard::new(shared.clone(), DASHBOARD_TOP);
-            if let Some(ledger) = &ledger {
-                dash = dash.with_ledger(ledger.clone());
-            }
+            let metrics = SharedMetrics::new(cfg);
+            let dash = crate::dashboard::LiveDashboard::new(
+                metrics.clone(),
+                ledger.clone(),
+                DASHBOARD_TOP,
+            );
             sim.attach_observer(Box::new(dash));
-            Some(shared)
-        } else {
-            None
-        };
+            (metrics, ledger)
+        });
         let duration = self.scenario.duration;
         let report = sim.run();
         if let Some((path, shared)) = &events {
@@ -300,15 +296,15 @@ impl SimulateArgs {
                 return Err(format!("error writing events file {path}: {err}"));
             }
         }
-        if let Some(shared) = &metrics {
-            shared.finalize(duration);
+        if let Some((metrics, _)) = &dashboard {
+            metrics.finalize(duration);
         }
         Ok((
             report,
             OutputSettings {
                 record_trace_to: self.record_trace_to,
                 events_to: events.map(|(path, _)| path),
-                metrics,
+                dashboard,
                 json: self.json,
                 out: self.out,
             },
@@ -321,7 +317,8 @@ impl SimulateArgs {
 pub struct OutputSettings {
     record_trace_to: Option<String>,
     events_to: Option<String>,
-    metrics: Option<radar_sim::obs::SharedMetrics>,
+    /// The dashboard's two folds, read for the final frame.
+    dashboard: Option<(SharedMetrics, SharedObjectLedger)>,
     json: bool,
     out: Option<String>,
 }
@@ -343,9 +340,10 @@ pub(crate) fn command(args: &[&str]) -> Result<String, String> {
         render::summary(&report)
     };
     if !output.json {
-        if let Some(shared) = &output.metrics {
+        if let Some((metrics, ledger)) = &output.dashboard {
             body.push('\n');
-            body.push_str(&shared.with(|m| crate::dashboard::render(m, DASHBOARD_TOP)));
+            let frame = |l: &_| metrics.with(|m| crate::dashboard::render(m, l, DASHBOARD_TOP));
+            body.push_str(&ledger.with(frame));
         }
         if let Some(profile) = &report.loop_profile {
             body.push('\n');

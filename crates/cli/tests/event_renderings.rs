@@ -56,15 +56,16 @@ fn golden_log() -> String {
 /// The golden scenario with provider updates and a fault schedule: two
 /// host crashes (crash failures, purges, re-replication) and Sydney
 /// (node 51) cut off from the backbone for two minutes, so requests
-/// entering there fail as unreachable.
-fn record_faulted_log(faults: &TempPath, log: &TempPath) {
+/// entering there fail as unreachable. `extra` flags ride along; the
+/// run's report is returned.
+fn record_faulted_log(faults: &TempPath, log: &TempPath, extra: &[&str]) -> String {
     std::fs::write(
         &faults.0,
         "min-replicas 2\ndeclare-dead-after 30\nhost-down 5 60 180\nhost-down 12 120\n\
          link-down 50 51 20 140\nlink-down 51 52 20 140\nlink-down 5 51 20 140\n",
     )
     .unwrap();
-    radar(&[
+    let mut args = vec![
         "simulate",
         "--objects",
         "16",
@@ -80,7 +81,9 @@ fn record_faulted_log(faults: &TempPath, log: &TempPath) {
         faults.as_str(),
         "--events",
         log.as_str(),
-    ]);
+    ];
+    args.extend_from_slice(extra);
+    radar(&args)
 }
 
 /// Each command family's output on `log`, several invocations joined;
@@ -122,7 +125,7 @@ fn renderings(log: &str) -> Vec<(&'static str, String)> {
 fn listings_keep_their_bytes_and_explanations_are_pinned() {
     let golden = golden_log();
     let (faults, faulted) = (TempPath::new("faults.txt"), TempPath::new("faulted.jsonl"));
-    record_faulted_log(&faults, &faulted);
+    record_faulted_log(&faults, &faulted, &[]);
 
     let mut seen: Vec<String> = [golden.as_str(), faulted.as_str()]
         .iter()
@@ -181,4 +184,23 @@ fn listings_keep_their_bytes_and_explanations_are_pinned() {
         "renderings moved:\n{}",
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn the_live_dashboard_and_the_replay_print_the_same_frame() {
+    let (faults, log) = (
+        TempPath::new("dash-faults.txt"),
+        TempPath::new("dash.jsonl"),
+    );
+    let report = record_faulted_log(&faults, &log, &["--dashboard"]);
+    // The report appends the dashboard's final frame, then the loop
+    // profile `--events` turns on.
+    let start = report
+        .find("RaDaR dashboard")
+        .expect("the report holds the frame");
+    let end = report
+        .find("\nevent-loop profile")
+        .expect("the profile follows");
+    let replay = radar(&["events", "watch", log.as_str(), "--duration", "150"]);
+    assert_eq!(&report[start..end], replay);
 }

@@ -202,6 +202,31 @@ fn events_watch_rejects_bin_interval_and_duration_it_cannot_fold() {
 }
 
 #[test]
+fn ledger_and_watch_flags_reject_a_window_or_size_that_answers_wrongly() {
+    let log = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/events-seed42.jsonl"
+    );
+    // These used to exit 0: a NaN window printed `churn (window NaNs) 0`,
+    // a negative one counted no churn, and a zero object size priced
+    // every copy and every response at nothing.
+    let cases: [&[&str]; 7] = [
+        &["objects", "churn", log, "--window", "nan"],
+        &["objects", "churn", log, "--window", "-5"],
+        &["objects", "churn", log, "--window", "inf"],
+        &["objects", "churn", log, "--object-size", "0"],
+        &["objects", "timeline", "1", log, "--window", "nan"],
+        &["objects", "timeline", "1", log, "--object-size", "0"],
+        &["events", "watch", log, "--object-size", "0"],
+    ];
+    for args in cases {
+        let stderr = rejected(args);
+        let flag = args[args.len() - 2];
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn events_filter_rejects_a_nan_time_bound() {
     let log = concat!(
         env!("CARGO_MANIFEST_DIR"),

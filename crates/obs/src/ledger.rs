@@ -6,7 +6,9 @@
 //! in sequence order (attach it to a simulation as an observer, or
 //! replay a JSONL log) and it maintains, per object, a lifecycle
 //! timeline of replica-set changes, oscillation counters, and the
-//! relocation bytes spent versus the requests usefully served. An
+//! relocation bytes spent versus the requests usefully served. It is
+//! the one per-object and per-host table of the feed: the dashboard's
+//! top-objects panel and per-host served counts read it too. An
 //! embedded [`InvariantAuditor`] performs the replica-set-invariant
 //! checks on the same pass, so the ledger's replica accounting and the
 //! audit verdicts can never disagree.
@@ -24,6 +26,7 @@ use crate::audit::InvariantAuditor;
 use crate::event::{Event, EventKind, PlacementActionKind, ResetCause};
 use crate::idtable::{at, IdTable};
 use crate::shared::{Fold, Shared};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// Violation sequence numbers retained in a [`ProtocolHealth`]
@@ -157,13 +160,18 @@ pub struct TimelineStep {
     pub change: ReplicaChange,
 }
 
-/// Per-object churn and cost counters.
+/// Per-object traffic, churn and cost counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObjectChurn {
     /// Requests that entered a gateway for this object.
     pub requests: u64,
     /// Responses delivered.
     pub served: u64,
+    /// Requests that failed (no live reachable replica).
+    pub failed: u64,
+    /// Net replica-count change: +1 per replicate action or
+    /// re-replication, −1 per drop, 0 for the other actions.
+    pub replica_delta: i64,
     /// Relocation actions (replications, migrations, re-replications).
     pub relocations: u64,
     /// Bytes of object data physically moved by relocations.
@@ -220,6 +228,10 @@ struct ObjectState {
     /// a drop within the window of this time is a replicate-then-drop
     /// cycle.
     created_at: BTreeMap<u16, f64>,
+    /// Whether a request, failure, placement action or re-replication
+    /// named the object. A row only purges opened holds their timeline
+    /// steps and stays off the dashboard.
+    counted: bool,
 }
 
 /// A point-in-time summary of protocol health: the section surfaced in
@@ -332,12 +344,6 @@ pub struct ObjectLedger {
     objects: IdTable<Option<ObjectState>>,
     /// `nodes[node]`; `None` until the node serves or moves bytes.
     nodes: Vec<Option<NodeChurn>>,
-    requests_total: u64,
-    served_total: u64,
-    relocations_total: u64,
-    bytes_moved_total: u64,
-    ping_pong_total: u64,
-    replicate_drop_total: u64,
     t_end: f64,
 }
 
@@ -391,19 +397,27 @@ impl ObjectLedger {
     /// then churn events, then object id; truncated to `top` rows
     /// (`usize::MAX` for all).
     pub fn churn_table(&self, top: usize) -> Vec<(u32, ObjectChurn)> {
-        let mut rows: Vec<(u32, ObjectChurn)> = self
-            .objects
+        ranked(self.states(), top, churn_rank)
+    }
+
+    /// The `n` objects with the most gateway requests, descending, ties
+    /// broken by object id (the dashboard's top-objects panel). Objects
+    /// only a purge named are left out.
+    pub fn busiest_objects(&self, n: usize) -> Vec<(u32, ObjectChurn)> {
+        ranked(self.states().filter(|(_, s)| s.counted), n, |c| c.requests)
+    }
+
+    /// Every object's state, in id order.
+    fn states(&self) -> impl Iterator<Item = (u32, &ObjectState)> {
+        self.objects
             .iter()
-            .filter_map(|(o, s)| Some((o, s.as_ref()?.churn)))
-            .collect();
-        rows.sort_by(|a, b| {
-            b.1.bytes_moved
-                .cmp(&a.1.bytes_moved)
-                .then(b.1.churn_events().cmp(&a.1.churn_events()))
-                .then(a.0.cmp(&b.0))
-        });
-        rows.truncate(top);
-        rows
+            .filter_map(|(o, s)| Some((o, s.as_ref()?)))
+    }
+
+    /// One node's relocation/service counters, if it served or moved
+    /// bytes.
+    pub fn node(&self, node: u16) -> Option<NodeChurn> {
+        *self.nodes.get(usize::from(node))?
     }
 
     /// Per-node relocation/service rows, ascending by node id.
@@ -427,15 +441,20 @@ impl ObjectLedger {
         // only where something about it is recorded.
         let slot = self.objects.entry(object);
         match &event.kind {
-            EventKind::RequestArrived { .. } => {
-                self.requests_total += 1;
-                slot.get_or_insert_with(Default::default).churn.requests += 1;
-            }
+            EventKind::RequestArrived { .. } => counted(slot).requests += 1,
             EventKind::RequestServed { host, .. } => {
-                self.served_total += 1;
-                slot.get_or_insert_with(Default::default).churn.served += 1;
+                counted(slot).served += 1;
                 node(&mut self.nodes, *host).served += 1;
             }
+            EventKind::RequestFailed { .. } => counted(slot).failed += 1,
+            EventKind::PlacementAction(p) => {
+                counted(slot).replica_delta += match p.action {
+                    PlacementActionKind::GeoReplicate | PlacementActionKind::LoadReplicate => 1,
+                    PlacementActionKind::Drop => -1,
+                    _ => 0,
+                };
+            }
+            EventKind::ReReplication { .. } => counted(slot).replica_delta += 1,
             _ => {}
         }
         let object_size = self.cfg.object_size;
@@ -445,11 +464,9 @@ impl ObjectLedger {
         if let Some((target, new_copy)) = delta.created {
             let state = slot.get_or_insert_with(Default::default);
             state.churn.relocations += 1;
-            self.relocations_total += 1;
             if new_copy {
                 state.churn.bytes_moved += object_size;
                 state.created_at.insert(target, event.t);
-                self.bytes_moved_total += object_size;
                 node(&mut self.nodes, target).bytes_in += object_size;
                 if let EventKind::PlacementAction(p) = &event.kind {
                     node(&mut self.nodes, p.host).bytes_out += object_size;
@@ -461,7 +478,6 @@ impl ObjectLedger {
             if let Some((prev_from, prev_to, prev_t)) = state.last_migration {
                 if prev_from == to && prev_to == from && event.t - prev_t <= churn_window {
                     state.churn.ping_pong += 1;
-                    self.ping_pong_total += 1;
                 }
             }
             state.last_migration = Some((from, to, event.t));
@@ -471,7 +487,6 @@ impl ObjectLedger {
             if let Some(created) = state.created_at.remove(&host) {
                 if event.t - created <= churn_window {
                     state.churn.replicate_drop += 1;
-                    self.replicate_drop_total += 1;
                 }
             }
         }
@@ -534,19 +549,23 @@ impl ObjectLedger {
         self.t_end
     }
 
-    /// Snapshots the current protocol-health summary. Callable mid-run
-    /// (the live dashboard does) or after [`finalize`](Self::finalize).
+    /// Snapshots the current protocol-health summary: the totals are
+    /// the column sums of the object table. Callable mid-run (the live
+    /// dashboard does) or after [`finalize`](Self::finalize).
     pub fn health(&self) -> ProtocolHealth {
         let violations = self.auditor.violations();
+        let total =
+            |column: fn(&ObjectChurn) -> u64| self.states().map(|(_, s)| column(&s.churn)).sum();
+        let moved = |c: &ObjectChurn| c.bytes_moved > 0 || c.churn_events() > 0;
         ProtocolHealth {
             events_seen: self.auditor.events_seen(),
             active_replicas: self.auditor.active_replicas(),
-            requests: self.requests_total,
-            served: self.served_total,
-            relocations: self.relocations_total,
-            bytes_moved: self.bytes_moved_total,
-            ping_pong: self.ping_pong_total,
-            replicate_drop: self.replicate_drop_total,
+            requests: total(|c| c.requests),
+            served: total(|c| c.served),
+            relocations: total(|c| c.relocations),
+            bytes_moved: total(|c| c.bytes_moved),
+            ping_pong: total(|c| c.ping_pong),
+            replicate_drop: total(|c| c.replicate_drop),
             violations: violations.len() as u64,
             violation_seqs: violations
                 .iter()
@@ -554,13 +573,39 @@ impl ObjectLedger {
                 .map(|v| v.seq)
                 .collect(),
             churn_window: self.cfg.churn_window,
-            top_objects: self
-                .churn_table(TOP_OBJECTS_CAP)
-                .into_iter()
-                .filter(|(_, c)| c.bytes_moved > 0 || c.churn_events() > 0)
-                .collect(),
+            top_objects: ranked(
+                self.states().filter(|(_, s)| moved(&s.churn)),
+                TOP_OBJECTS_CAP,
+                churn_rank,
+            ),
         }
     }
+}
+
+/// An object's counters, its state created on first use and marked as
+/// named by a counted event.
+fn counted(slot: &mut Option<ObjectState>) -> &mut ObjectChurn {
+    let state = slot.get_or_insert_with(Default::default);
+    state.counted = true;
+    &mut state.churn
+}
+
+/// The churn table's rank: bytes moved, then churn events.
+fn churn_rank(c: &ObjectChurn) -> (u64, u64) {
+    (c.bytes_moved, c.churn_events())
+}
+
+/// The counters of the first `n` of `states` by `rank` descending, ties
+/// broken by ascending object id.
+fn ranked<'a, K: Ord>(
+    states: impl Iterator<Item = (u32, &'a ObjectState)>,
+    n: usize,
+    rank: impl Fn(&ObjectChurn) -> K,
+) -> Vec<(u32, ObjectChurn)> {
+    let mut rows: Vec<(u32, ObjectChurn)> = states.map(|(o, s)| (o, s.churn)).collect();
+    rows.sort_by_key(|(o, c)| (Reverse(rank(c)), *o));
+    rows.truncate(n);
+    rows
 }
 
 /// `nodes[id]`, created zeroed on first use.
@@ -848,6 +893,72 @@ mod tests {
         assert_eq!(l.last_t(), 150.0);
         let text = h.render();
         assert!(text.contains("[ok]"), "{text}");
+    }
+
+    #[test]
+    fn requests_failures_and_replica_deltas_are_counted() {
+        let mut l = ObjectLedger::new(LedgerConfig::default());
+        l.fold(&ev(
+            1,
+            1.0,
+            EventKind::RequestArrived {
+                gateway: 0,
+                object: 5,
+            },
+        ));
+        l.fold(&ev(
+            2,
+            1.0,
+            EventKind::RequestFailed {
+                gateway: 0,
+                object: 5,
+                reason: crate::event::FailReason::AllReplicasDown,
+            },
+        ));
+        l.fold(&action(
+            3,
+            30.0,
+            1,
+            5,
+            PlacementActionKind::GeoReplicate,
+            Some(2),
+        ));
+        l.fold(&action(
+            4,
+            30.0,
+            1,
+            5,
+            PlacementActionKind::GeoMigrate,
+            Some(3),
+        ));
+        l.fold(&action(5, 30.0, 1, 5, PlacementActionKind::Drop, None));
+        l.fold(&ev(
+            6,
+            40.0,
+            EventKind::ReReplication {
+                object: 5,
+                target: 9,
+                elapsed: 12.0,
+            },
+        ));
+        let c = l.object(5).unwrap();
+        assert_eq!((c.requests, c.served, c.failed), (1, 0, 1));
+        assert_eq!(c.replica_delta, 1); // +1 +0 −1 +1
+        assert_eq!(l.busiest_objects(8), vec![(5, c)]);
+    }
+
+    #[test]
+    fn busiest_objects_rank_by_requests_and_skip_purge_only_rows() {
+        let mut l = ObjectLedger::new(LedgerConfig::default());
+        let arrive = |seq, object| ev(seq, 1.0, EventKind::RequestArrived { gateway: 0, object });
+        for (seq, object) in [(1, 4), (2, 9), (3, 9), (4, 2)] {
+            l.fold(&arrive(seq, object));
+        }
+        l.fold(&reset(5, 60.0, 3, ResetCause::Purge));
+        assert_eq!(l.timeline(3).len(), 1, "the purge is on the timeline");
+        let ids: Vec<u32> = l.busiest_objects(8).iter().map(|r| r.0).collect();
+        assert_eq!(ids, vec![9, 2, 4], "requests, then id; no purge-only 3");
+        assert_eq!(l.busiest_objects(1).len(), 1);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! into a sink or an in-memory log; [`Tally`], the run accounting the
 //! simulator's report and the streaming [`MetricsObserver`] both record
 //! through (the observer folds the same event feed into one, plus
-//! dashboard aggregates); a structural log differ ([`diff_events`]) for
+//! dashboard aggregates); [`ObjectLedger`], the one per-object and
+//! per-host table over the feed (request counts, replica timelines,
+//! churn and relocation cost, and the [`InvariantAuditor`]'s
+//! replica-set audit); a structural log differ ([`diff_events`]) for
 //! regression diffing of seeded runs; and [`LoopProfile`] counters for
 //! event-loop wall time and queue depth.
 //!
@@ -74,7 +77,7 @@ pub use ledger::{
     LedgerConfig, NodeChurn, ObjectChurn, ObjectLedger, ProtocolHealth, ReplicaChange,
     SharedObjectLedger, TimelineStep,
 };
-pub use metrics::{MetricsConfig, MetricsObserver, ObjectCounters, SharedMetrics, Tally};
+pub use metrics::{MetricsConfig, MetricsObserver, SharedMetrics, Tally};
 pub use profile::{HandlerStats, LoopProfile};
 pub use recorder::{Recorder, SharedRecorder, DEFAULT_CAPACITY};
 pub use shared::{Fold, Shared};

@@ -9,11 +9,13 @@
 //! [`Event`] feed the [`crate::Recorder`] does and records into a
 //! `Tally` of its own through the same methods, next to aggregates only
 //! the dashboard shows: per-host [`WindowedRate`] load gauges (§2.1's
-//! measurement interval), per-object request counters, a latency
-//! [`Histogram`] and rolling served / failed / re-replication rates.
-//! The same fold powers the live `radar simulate --dashboard` view and
-//! the offline `radar events watch FILE` replay, so both render
-//! identical aggregates from identical streams.
+//! measurement interval), a latency [`Histogram`], rolling served /
+//! failed / re-replication rates, the fault banner and the branch and
+//! placement counts. Per-object and per-host request counts are the
+//! [`crate::ObjectLedger`]'s; the dashboard reads them there. The same
+//! two folds power the live `radar simulate --dashboard` view and the
+//! offline `radar events watch FILE` replay, so both render identical
+//! aggregates from identical streams.
 //!
 //! The fold's `Tally` equals the simulator's field for field: served
 //! events carry the service-completion time the simulator uses for both
@@ -23,7 +25,8 @@
 //! simulator skips down hosts, and the event stream does not carry
 //! liveness.
 
-use crate::event::{ConsistencyClass, Event, EventKind, PlacementActionKind};
+use crate::event::{ConsistencyClass, Event, EventKind};
+use crate::idtable::at;
 use crate::shared::{Fold, Shared};
 use radar_stats::{BinSpec, Histogram, OnlineSummary, P2Quantile, TimeSeries, WindowedRate};
 use std::collections::{BTreeMap, VecDeque};
@@ -191,30 +194,6 @@ impl Default for MetricsConfig {
     }
 }
 
-/// Per-object tallies maintained by the fold.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObjectCounters {
-    /// Requests that entered a gateway for this object.
-    pub requests: u64,
-    /// Responses delivered.
-    pub served: u64,
-    /// Requests that failed (no live reachable replica).
-    pub failed: u64,
-    /// Placement actions (drops, migrations, replications) that touched
-    /// this object.
-    pub placement_actions: u64,
-    /// Net replica-count change observed in the stream: +1 per
-    /// replication / re-replication, −1 per drop, 0 for migrations.
-    pub replica_delta: i64,
-}
-
-/// One host's load gauge.
-#[derive(Debug, Clone, PartialEq)]
-struct HostGauge {
-    rate: WindowedRate,
-    served: u64,
-}
-
 /// Folds flight-recorder events into a [`Tally`] plus streaming
 /// dashboard aggregates.
 ///
@@ -250,8 +229,8 @@ pub struct MetricsObserver {
     tally: Tally,
     events_seen: u64,
     last_t: f64,
-    hosts: BTreeMap<u16, HostGauge>,
-    objects: BTreeMap<u32, ObjectCounters>,
+    /// `hosts[host]`: the load gauge, `None` until the host serves.
+    hosts: Vec<Option<WindowedRate>>,
     next_load_sample: f64,
     latency_hist: Histogram,
     served_rate: WindowedRate,
@@ -260,7 +239,6 @@ pub struct MetricsObserver {
     branch_counts: BTreeMap<&'static str, u64>,
     placement_counts: BTreeMap<&'static str, u64>,
     recent_faults: VecDeque<(f64, String)>,
-    request_total: u64,
 }
 
 impl Default for MetricsObserver {
@@ -279,15 +257,13 @@ impl MetricsObserver {
             cfg,
             events_seen: 0,
             last_t: 0.0,
-            hosts: BTreeMap::new(),
-            objects: BTreeMap::new(),
+            hosts: Vec::new(),
             served_rate: WindowedRate::new(ROLLING_WINDOW),
             failed_rate: WindowedRate::new(ROLLING_WINDOW),
             re_replication_rate: WindowedRate::new(ROLLING_WINDOW),
             branch_counts: BTreeMap::new(),
             placement_counts: BTreeMap::new(),
             recent_faults: VecDeque::new(),
-            request_total: 0,
         }
     }
 
@@ -303,14 +279,13 @@ impl MetricsObserver {
     fn sample_load_until(&mut self, t: f64) {
         while self.next_load_sample <= t {
             let boundary = self.next_load_sample;
-            let mut max = 0.0f64;
-            for gauge in self.hosts.values_mut() {
-                gauge.rate.advance_to(boundary);
-                if gauge.rate.rate() > max {
-                    max = gauge.rate.rate();
-                }
-            }
-            self.tally.max_load.record(boundary, max);
+            let rates = self.hosts.iter_mut().flatten().map(|rate| {
+                rate.advance_to(boundary);
+                rate.rate()
+            });
+            self.tally
+                .max_load
+                .record(boundary, rates.fold(0.0, f64::max));
             self.next_load_sample += self.cfg.load_interval;
         }
     }
@@ -325,48 +300,31 @@ impl MetricsObserver {
             self.last_t = event.t;
         }
         match &event.kind {
-            EventKind::RequestArrived { object, .. } => {
-                self.request_total += 1;
-                self.objects.entry(*object).or_default().requests += 1;
-            }
+            EventKind::RequestArrived { .. } | EventKind::CountsReset { .. } => {}
             EventKind::Decision(d) => {
                 *self.branch_counts.entry(d.branch.as_str()).or_insert(0) += 1;
             }
             EventKind::RequestServed {
-                object,
                 host,
                 latency,
                 hops,
                 ..
             } => {
                 self.served_rate.record(event.t);
-                self.objects.entry(*object).or_default().served += 1;
-                let gauge = self.hosts.entry(*host).or_insert_with(|| HostGauge {
-                    rate: WindowedRate::new(self.cfg.load_interval),
-                    served: 0,
-                });
-                gauge.rate.record(event.t);
-                gauge.served += 1;
+                at(&mut self.hosts, usize::from(*host))
+                    .get_or_insert_with(|| WindowedRate::new(self.cfg.load_interval))
+                    .record(event.t);
                 let bytes_hops = (self.cfg.object_size * u64::from(*hops)) as f64;
                 self.tally.record_served(event.t, *latency, bytes_hops);
                 self.latency_hist.record(*latency);
             }
-            EventKind::RequestFailed { object, .. } => {
+            EventKind::RequestFailed { .. } => {
                 self.tally.failed += 1;
                 self.failed_rate.record(event.t);
-                self.objects.entry(*object).or_default().failed += 1;
             }
             EventKind::PlacementAction(p) => {
                 *self.placement_counts.entry(p.action.as_str()).or_insert(0) += 1;
-                let counters = self.objects.entry(p.object).or_default();
-                counters.placement_actions += 1;
-                counters.replica_delta += match p.action {
-                    PlacementActionKind::GeoReplicate | PlacementActionKind::LoadReplicate => 1,
-                    PlacementActionKind::Drop => -1,
-                    _ => 0,
-                };
             }
-            EventKind::CountsReset { .. } => {}
             EventKind::Fault { desc } => {
                 self.tally.faults += 1;
                 self.recent_faults.push_back((event.t, desc.clone()));
@@ -374,10 +332,9 @@ impl MetricsObserver {
                     self.recent_faults.pop_front();
                 }
             }
-            EventKind::ReReplication { object, .. } => {
+            EventKind::ReReplication { .. } => {
                 self.tally.re_replications += 1;
                 self.re_replication_rate.record(event.t);
-                self.objects.entry(*object).or_default().replica_delta += 1;
             }
             // The update events carry the exact bytes×hops sum and lag
             // the simulator records, so the casts match bit for bit.
@@ -420,11 +377,6 @@ impl MetricsObserver {
         self.last_t
     }
 
-    /// Requests that entered a gateway.
-    pub fn requests(&self) -> u64 {
-        self.request_total
-    }
-
     /// The latency histogram.
     pub fn latency_histogram(&self) -> &Histogram {
         &self.latency_hist
@@ -446,24 +398,15 @@ impl MetricsObserver {
         self.re_replication_rate.rate()
     }
 
-    /// Per-host `(host, current measured load, total served)` rows,
-    /// ascending by host id. The load is the rate of the host's last
-    /// completed measurement interval.
-    pub fn host_loads(&self) -> Vec<(u16, f64, u64)> {
-        self.hosts
-            .iter()
-            .map(|(&h, g)| (h, g.rate.rate(), g.served))
+    /// Per-host `(host, current measured load)` rows for every host
+    /// that has served, ascending by host id. The load is the rate of
+    /// the host's last completed measurement interval.
+    pub fn host_loads(&self) -> Vec<(u16, f64)> {
+        let gauges = self.hosts.iter().enumerate();
+        // `hosts` is indexed by `u16` ids: the cast is lossless.
+        gauges
+            .filter_map(|(h, rate)| Some((h as u16, rate.as_ref()?.rate())))
             .collect()
-    }
-
-    /// The `n` objects with the most gateway requests, descending (ties
-    /// broken by object id).
-    pub fn top_objects(&self, n: usize) -> Vec<(u32, ObjectCounters)> {
-        let mut rows: Vec<(u32, ObjectCounters)> =
-            self.objects.iter().map(|(&o, &c)| (o, c)).collect();
-        rows.sort_by(|a, b| b.1.requests.cmp(&a.1.requests).then(a.0.cmp(&b.0)));
-        rows.truncate(n);
-        rows
     }
 
     /// The most recent fault transitions `(t, description)`, oldest
@@ -510,7 +453,9 @@ impl SharedMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DecisionBranch, DecisionEvent, FailReason, PlacementActionEvent};
+    use crate::event::{
+        DecisionBranch, DecisionEvent, FailReason, PlacementActionEvent, PlacementActionKind,
+    };
 
     fn ev(seq: u64, t: f64, kind: EventKind) -> Event {
         Event {
@@ -555,16 +500,11 @@ mod tests {
         assert_eq!(tally.client_bandwidth.bin_sum(0), 20.0 * 2000.0 + 3000.0);
         // Sample at t=10 saw host 3 at 2 req/s; host 4 had not served yet.
         assert_eq!(tally.max_load.bin_sum(1), 2.0);
-        let hosts = m.host_loads();
-        assert_eq!(hosts.len(), 2);
-        assert_eq!(hosts[0].0, 3);
-        assert_eq!(hosts[0].2, 20);
+        // Host 4 served once in [10, 20); host 3 not at all.
+        assert_eq!(m.host_loads(), vec![(3, 0.0), (4, 0.1)]);
         let mean = m.tally().latency.mean().unwrap();
         assert!((mean - (20.0 * 0.05 + 0.15) / 21.0).abs() < 1e-12);
         assert_eq!(m.latency_histogram().total(), 21);
-        let top = m.top_objects(1);
-        assert_eq!(top[0].0, 7);
-        assert_eq!(top[0].1.served, 20);
     }
 
     #[test]
@@ -589,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn placement_and_rereplication_track_replica_delta() {
+    fn placements_and_rereplications_are_counted() {
         let mut m = MetricsObserver::default();
         let action = |seq, action: PlacementActionKind, target| {
             ev(
@@ -620,13 +560,9 @@ mod tests {
                 elapsed: 12.0,
             },
         ));
-        let [(5, o)] = m.top_objects(2)[..] else {
-            panic!("only object 5 was folded");
-        };
-        assert_eq!(o.placement_actions, 3);
-        assert_eq!(o.replica_delta, 1); // +1 −1 +1
         assert_eq!(m.tally().re_replications, 1);
         assert_eq!(m.placement_counts()["drop"], 1);
+        assert_eq!(m.placement_counts().values().sum::<u64>(), 3);
     }
 
     #[test]
@@ -660,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn decision_branches_and_requests_counted() {
+    fn decision_branches_counted() {
         let mut m = MetricsObserver::default();
         m.fold(&ev(
             1,
@@ -686,7 +622,6 @@ mod tests {
                 candidates: Vec::new(),
             }),
         ));
-        assert_eq!(m.requests(), 1);
         assert_eq!(m.branch_counts()["closest"], 1);
         assert_eq!(m.events_seen(), 2);
     }

@@ -8,9 +8,18 @@
 //! samples arrive in the same order they were recorded. This is what
 //! makes `radar simulate --dashboard` and `radar events watch` trustworthy
 //! views of a run.
+//!
+//! The dashboard's per-object and per-host counts come from the other
+//! fold, `radar_obs::ObjectLedger`; its table is pinned here against a
+//! brute-force count over the same events.
+
+use std::collections::BTreeMap;
 
 use radar::core::{Catalog, ConsistencyMix};
-use radar::obs::{MetricsConfig, SharedMetrics, Tally};
+use radar::obs::{
+    Event, EventKind, Fold, MetricsConfig, ObjectLedger, PlacementActionKind, Shared,
+    SharedMetrics, Tally,
+};
 use radar::sim::{FaultSpec, RunReport, Scenario, Simulation};
 use radar::workload::ZipfReeds;
 
@@ -125,12 +134,12 @@ fn folded_update_metrics_match_the_end_of_run_report() {
     });
 }
 
-#[test]
-fn folded_metrics_match_the_report_under_faults() {
-    // Crashes with and without recovery, a declared-dead host, a link
-    // partition and updates over two redirectors: failures, faults and
-    // re-replications reach the fold only through their events.
-    let scenario = Scenario::builder()
+/// Crashes with and without recovery, a declared-dead host, a link
+/// partition and updates over two redirectors: failures, faults,
+/// purges and re-replications reach the folds only through their
+/// events. `more` adds faults to the schedule.
+fn faulted_scenario(more: fn(FaultSpec) -> FaultSpec) -> Scenario {
+    Scenario::builder()
         .num_objects(200)
         .node_request_rate(2.0)
         .duration(600.0)
@@ -138,21 +147,114 @@ fn folded_metrics_match_the_report_under_faults() {
         .update_rate(0.5)
         .num_redirectors(2)
         .catalog(Catalog::with_mix(200, 12 * 1024, 53, ConsistencyMix::Mixed))
-        .faults(
+        .faults(more(
             FaultSpec::new()
                 .with_declare_dead_after(30.0)
                 .with_min_replicas(2)
                 .host_down(5, 105.0, Some(307.0))
                 .host_down(12, 213.0, None)
                 .link_down(0, 1, 150.0, Some(400.0)),
-        )
+        ))
         .build()
-        .expect("valid faulted scenario");
-    let (report, metrics) = run_folded(scenario);
+        .expect("valid faulted scenario")
+}
+
+#[test]
+fn folded_metrics_match_the_report_under_faults() {
+    let (report, metrics) = run_folded(faulted_scenario(|faults| faults));
     metrics.with(|m| {
         let t = m.tally();
         assert!(t.re_replications > 0, "nothing was re-replicated");
         assert_eq!(t.faults, 5, "crash, recover, crash, link-fail, link-heal");
         assert_tally_matches(t, &report);
+    });
+}
+
+/// Per-object `[requests, served, failed, replica delta]` and per-host
+/// served counts, recounted from the raw feed.
+#[derive(Default)]
+struct Recount {
+    objects: BTreeMap<u32, [i64; 4]>,
+    hosts: BTreeMap<u16, u64>,
+}
+
+impl Fold for Recount {
+    fn fold(&mut self, event: &Event) {
+        let (object, column, step) = match &event.kind {
+            EventKind::RequestArrived { object, .. } => (*object, 0, 1),
+            EventKind::RequestServed { object, host, .. } => {
+                *self.hosts.entry(*host).or_default() += 1;
+                (*object, 1, 1)
+            }
+            EventKind::RequestFailed { object, .. } => (*object, 2, 1),
+            EventKind::PlacementAction(p) => {
+                let step = match p.action {
+                    PlacementActionKind::GeoReplicate | PlacementActionKind::LoadReplicate => 1,
+                    PlacementActionKind::Drop => -1,
+                    _ => 0,
+                };
+                (p.object, 3, step)
+            }
+            EventKind::ReReplication { object, .. } => (*object, 3, 1),
+            _ => return,
+        };
+        self.objects.entry(object).or_default()[column] += step;
+    }
+}
+
+#[test]
+fn the_ledger_table_matches_a_recount_of_the_feed() {
+    // Sydney (node 51) cut off from the backbone for two minutes, so
+    // requests entering there fail.
+    let scenario = faulted_scenario(|faults| {
+        faults
+            .link_down(50, 51, 20.0, Some(140.0))
+            .link_down(51, 52, 20.0, Some(140.0))
+            .link_down(5, 51, 20.0, Some(140.0))
+    });
+    let objects = scenario.num_objects;
+    let mut sim = Simulation::new(scenario, Box::new(ZipfReeds::new(objects)));
+    let ledger = sim.enable_object_ledger();
+    let recount = Shared::from(Recount::default());
+    sim.attach_observer(Box::new(recount.clone()));
+    let report = sim.run();
+    assert!(report.failed_requests > 0 && report.re_replications > 0);
+
+    ledger.with(|l: &ObjectLedger| {
+        recount.with(|r| {
+            // Every object a request, failure, placement action or
+            // re-replication named, with the dashboard's four columns.
+            let table: BTreeMap<u32, [i64; 4]> = l
+                .busiest_objects(usize::MAX)
+                .into_iter()
+                .map(|(o, c)| {
+                    let counts = [c.requests, c.served, c.failed].map(|n| n as i64);
+                    (o, [counts[0], counts[1], counts[2], c.replica_delta])
+                })
+                .collect();
+            assert_eq!(table, r.objects);
+            let served: BTreeMap<u16, u64> = l
+                .node_table()
+                .into_iter()
+                .filter(|(_, n)| n.served > 0)
+                .map(|(node, n)| (node, n.served))
+                .collect();
+            assert_eq!(served, r.hosts);
+
+            // The health totals are the column sums of the table.
+            let h = l.health();
+            let rows = l.churn_table(usize::MAX);
+            let total = |column: fn(&radar::obs::ObjectChurn) -> u64| -> u64 {
+                rows.iter().map(|(_, c)| column(c)).sum()
+            };
+            assert_eq!(h.requests, total(|c| c.requests));
+            assert_eq!(h.served, total(|c| c.served));
+            assert_eq!(h.relocations, total(|c| c.relocations));
+            assert_eq!(h.bytes_moved, total(|c| c.bytes_moved));
+            assert_eq!(h.ping_pong, total(|c| c.ping_pong));
+            assert_eq!(h.replicate_drop, total(|c| c.replicate_drop));
+            assert_eq!(h.served, report.total_requests);
+            assert!(h.relocations > 0 && h.bytes_moved > 0);
+        })
     });
 }
