@@ -14,8 +14,9 @@
 //! * [`RandomSelection`] — uniformly random over current replicas, a
 //!   proximity- and load-oblivious control.
 //!
-//! Placement baselines mirror the selection seam on the other half of
-//! the protocol ([`radar_sim::PlacementPolicy`]): see
+//! Each plugs into [`radar_sim::SelectionPolicy`], beside the redirect
+//! engine that runs the paper's Fig. 2. Placement baselines plug into
+//! the other half of the protocol ([`radar_sim::PlacementPolicy`]): see
 //! [`AvailabilityPlacement`] (availability-aware continuous placement)
 //! and [`ClusterPlacement`] (cluster-based load-balancing replication)
 //! in [`mod@placement`]. The degenerate baselines still need no code: static
@@ -23,8 +24,9 @@
 //! round-robin initial placement, and replicate-everywhere is
 //! [`radar_sim::InitialPlacement::Everywhere`].
 //!
-//! [`selection()`] and [`placement()`] build any policy of either half, the
-//! paper's own included, from the name the CLI and the experiments use.
+//! [`selection()`] and [`placement()`] build either half from the name the
+//! CLI and the experiments use; `selection("radar", _)` is `None`, since
+//! Fig. 2 is no policy object.
 //!
 //! # Examples
 //!
@@ -32,7 +34,7 @@
 //!
 //! ```
 //! use radar_baselines::ClosestSelection;
-//! use radar_sim::{Scenario, Simulation};
+//! use radar_sim::{RadarPlacement, Scenario, Simulation};
 //! use radar_workload::ZipfReeds;
 //!
 //! let scenario = Scenario::builder()
@@ -40,10 +42,11 @@
 //!     .duration(60.0)
 //!     .node_request_rate(1.0)
 //!     .build()?;
-//! let report = Simulation::with_selection(
+//! let report = Simulation::with_policies(
 //!     scenario,
 //!     Box::new(ZipfReeds::new(100)),
-//!     Box::new(ClosestSelection::new()),
+//!     Some(Box::new(ClosestSelection::new())),
+//!     Box::new(RadarPlacement::new()),
 //! )
 //! .run();
 //! assert_eq!(report.policy, "closest");
@@ -60,7 +63,7 @@ pub use placement::{AvailabilityPlacement, ClusterPlacement};
 use std::collections::HashMap;
 
 use radar_core::{ObjectId, Redirector};
-use radar_sim::{PlacementPolicy, RadarPlacement, RadarSelection, SelectionPolicy};
+use radar_sim::{PlacementPolicy, RadarPlacement, SelectionPolicy};
 use radar_simcore::SimRng;
 use radar_simnet::{NodeId, RoutingTable};
 
@@ -165,19 +168,19 @@ impl SelectionPolicy for RandomSelection {
     }
 }
 
-/// Builds a replica-selection policy by name: `radar` (the paper's
-/// Fig. 2 algorithm), `round-robin`, `closest`, or `random` drawing from
-/// `seed`.
+/// Builds a replica-selection policy by name: `round-robin`, `closest`,
+/// `random` drawing from `seed`, or `None` for `radar` (the paper's
+/// Fig. 2 algorithm).
 ///
 /// # Errors
 ///
 /// Returns a message naming an unknown policy and listing the known ones.
-pub fn selection(name: &str, seed: u64) -> Result<Box<dyn SelectionPolicy + Send>, String> {
+pub fn selection(name: &str, seed: u64) -> Result<Option<Box<dyn SelectionPolicy + Send>>, String> {
     match name {
-        "radar" => Ok(Box::new(RadarSelection::new())),
-        "round-robin" => Ok(Box::new(RoundRobinSelection::new())),
-        "closest" => Ok(Box::new(ClosestSelection::new())),
-        "random" => Ok(Box::new(RandomSelection::new(seed))),
+        "radar" => Ok(None),
+        "round-robin" => Ok(Some(Box::new(RoundRobinSelection::new()))),
+        "closest" => Ok(Some(Box::new(ClosestSelection::new()))),
+        "random" => Ok(Some(Box::new(RandomSelection::new(seed)))),
         _ => Err(format!(
             "unknown policy {name:?} (radar, round-robin, closest, random)"
         )),
@@ -222,8 +225,9 @@ mod tests {
 
     #[test]
     fn factories_build_the_policy_they_name() {
-        for name in ["radar", "round-robin", "closest", "random"] {
-            assert_eq!(selection(name, 1).unwrap().name(), name);
+        assert!(selection("radar", 1).unwrap().is_none());
+        for name in ["round-robin", "closest", "random"] {
+            assert_eq!(selection(name, 1).unwrap().unwrap().name(), name);
         }
         for name in ["radar", "availability", "cluster"] {
             assert_eq!(placement(name).unwrap().name(), name);

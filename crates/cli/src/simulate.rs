@@ -123,7 +123,7 @@ impl SimulateArgs {
             Some(path) => {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read topology {path}: {e}"))?;
-                Topology::from_spec(&text).map_err(|e| e.to_string())?
+                Topology::from_spec(&text).map_err(|e| format!("{path}: {e}"))?
             }
             None => radar_simnet::builders::uunet(),
         };

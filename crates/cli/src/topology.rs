@@ -37,7 +37,7 @@ fn load(source: &str) -> Result<Topology, String> {
     }
     let text = std::fs::read_to_string(source)
         .map_err(|e| format!("cannot read topology {source}: {e}"))?;
-    Topology::from_spec(&text).map_err(|e| e.to_string())
+    Topology::from_spec(&text).map_err(|e| format!("{source}: {e}"))
 }
 
 fn stats(source: &str, topo: &Topology) -> String {

@@ -173,8 +173,23 @@ fn a_topology_beyond_16_bit_node_ids_names_its_line() {
     ] {
         let stderr = rejected(&args);
         assert!(
-            stderr.contains("line 65537: more than 65536 nodes"),
+            stderr.contains(&format!(
+                "{}: line 65537: more than 65536 nodes",
+                topology.path()
+            )),
             "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn an_update_rate_below_zero_names_the_accepted_range() {
+    // Zero, the default, is accepted: the message used to say "positive".
+    for rate in ["-1", "nan", "inf"] {
+        let stderr = rejected(&[&SIMULATE[..], &["--update-rate", rate]].concat());
+        assert!(
+            stderr.contains("update_rate must be finite and ≥ 0, got"),
+            "{rate}: {stderr}"
         );
     }
 }

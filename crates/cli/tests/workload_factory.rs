@@ -9,7 +9,10 @@
 //! logs of the baseline selections, whose decisions carry the `policy`
 //! branch, plus a faulted run whose decisions take `primary-fallback`.
 //! Those constants were taken before the protocol wrote its decisions
-//! straight into the flight recorder's types.
+//! straight into the flight recorder's types. Each baseline also runs
+//! under that fault file, so its log holds both branches; those
+//! constants were taken before the failover of an unusable pick moved
+//! from the selection trait into the platform.
 
 use std::path::PathBuf;
 
@@ -82,11 +85,30 @@ fn baseline_policies_keep_their_report_and_event_bytes() {
         "min-replicas 2\ndeclare-dead-after 30\nhost-down 5 60 180\nhost-down 12 120\n",
     )
     .unwrap();
-    for (label, extra, branch) in [
-        ("round-robin", ["--policy", "round-robin"], "policy"),
-        ("closest", ["--policy", "closest"], "policy"),
-        ("random", ["--policy", "random"], "policy"),
-        ("faulted", ["--faults", faults.as_str()], "primary-fallback"),
+    // A baseline's pick on a crashed host falls back to the primary copy.
+    let policy: &[&str] = &["policy"];
+    let fallback: &[&str] = &["primary-fallback"];
+    let both: &[&str] = &["policy", "primary-fallback"];
+    for (label, extra, branches) in [
+        ("round-robin", &["--policy", "round-robin"][..], policy),
+        ("closest", &["--policy", "closest"], policy),
+        ("random", &["--policy", "random"], policy),
+        ("faulted", &["--faults", faults.as_str()], fallback),
+        (
+            "round-robin-faulted",
+            &["--policy", "round-robin", "--faults", faults.as_str()],
+            both,
+        ),
+        (
+            "closest-faulted",
+            &["--policy", "closest", "--faults", faults.as_str()],
+            both,
+        ),
+        (
+            "random-faulted",
+            &["--policy", "random", "--faults", faults.as_str()],
+            both,
+        ),
     ] {
         let log = TempPath::new(&format!("{label}.jsonl"));
         let mut a = vec![
@@ -102,14 +124,16 @@ fn baseline_policies_keep_their_report_and_event_bytes() {
             "--events",
             log.as_str(),
         ];
-        a.extend_from_slice(&extra);
+        a.extend_from_slice(extra);
         run(&args(&a)).unwrap();
         let bytes = std::fs::read(&log.0).unwrap();
-        let tag = format!("\"branch\":\"{branch}\"");
-        assert!(
-            String::from_utf8_lossy(&bytes).contains(&tag),
-            "{label}: no {tag} decision"
-        );
+        for branch in branches {
+            let tag = format!("\"branch\":\"{branch}\"");
+            assert!(
+                String::from_utf8_lossy(&bytes).contains(&tag),
+                "{label}: no {tag} decision"
+            );
+        }
         got.push((label, fnv1a64(&bytes), bytes.len()));
     }
 
@@ -121,6 +145,9 @@ fn baseline_policies_keep_their_report_and_event_bytes() {
         ("closest", 0x06b2_e2b9_b5f1_043f, 175_462),
         ("random", 0x93bb_d6c6_b324_3faf, 175_441),
         ("faulted", 0xd3ff_44f7_31b0_39b8, 205_419),
+        ("round-robin-faulted", 0x99e6_3061_2d98_0b33, 181_232),
+        ("closest-faulted", 0xfb4a_0d56_4195_69f4, 181_239),
+        ("random-faulted", 0x36f7_c649_a339_dfd8, 181_485),
     ];
     for ((label, fnv, len), (_, want_fnv, want_len)) in got.iter().zip(expected) {
         assert_eq!(

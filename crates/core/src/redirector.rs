@@ -166,28 +166,11 @@ impl Redirector {
         gateway: NodeId,
         routes: &RoutingTable,
     ) -> Option<NodeId> {
-        self.choose_replica_filtered(object, gateway, routes, &|_| true)
-    }
-
-    /// [`choose_replica`](Self::choose_replica) restricted to replicas
-    /// whose host passes `usable` — the graceful-degradation path: under
-    /// fault injection the platform passes a liveness/reachability
-    /// predicate so the redirector skips crashed or partitioned replicas.
-    /// Returns `None` when no usable replica exists (the platform then
-    /// falls back to the object's primary copy).
-    pub fn choose_replica_filtered(
-        &mut self,
-        object: ObjectId,
-        gateway: NodeId,
-        routes: &RoutingTable,
-        usable: &dyn Fn(NodeId) -> bool,
-    ) -> Option<NodeId> {
         let candidates: Vec<(u32, u32)> = self
             .directory
             .replicas(object)
             .iter()
             .enumerate()
-            .filter(|(_, e)| usable(e.host))
             .map(|(i, e)| (i as u32, routes.distance(e.host, gateway)))
             .collect();
         self.decide(object, &candidates, None, None)
@@ -214,9 +197,9 @@ impl Redirector {
     /// meaningful when the call returns `Some`; `object` and `gateway`
     /// are the caller's to set. `None` skips the snapshot entirely.
     ///
-    /// Identical decision semantics and side effects to the other
-    /// variants: the winner's request count increments. Returns `None`
-    /// for an empty candidate list.
+    /// Identical decision semantics and side effects to
+    /// [`choose_replica`](Self::choose_replica): the winner's request
+    /// count increments. Returns `None` for an empty candidate list.
     ///
     /// # Panics
     ///
@@ -232,7 +215,7 @@ impl Redirector {
         self.decide(object, candidates, closest, record)
     }
 
-    /// The single Fig. 2 code path behind every `choose_*` variant:
+    /// The single Fig. 2 code path behind both `choose_*` entry points:
     /// identify `p` (closest) and `q` (least unit request count) among
     /// `candidates`, pick the branch, increment the winner. When
     /// `record` is `Some`, the decision is written into it in place
@@ -515,21 +498,21 @@ mod tests {
         // Node 0 is closest to gateway 0, but marked down: every request
         // must go to node 1.
         for _ in 0..20 {
+            let cands = candidates(&r, NodeId::new(0), &routes, &|h| h != NodeId::new(0));
             assert_eq!(
-                r.choose_replica_filtered(x(), NodeId::new(0), &routes, &|h| h != NodeId::new(0)),
+                r.choose_among_into(x(), &cands, None, None),
                 Some(NodeId::new(1))
             );
         }
         // Nothing usable: None, even though replicas exist.
-        assert_eq!(
-            r.choose_replica_filtered(x(), NodeId::new(0), &routes, &|_| false),
-            None
-        );
+        let none = candidates(&r, NodeId::new(0), &routes, &|_| false);
+        assert_eq!(r.choose_among_into(x(), &none, None, None), None);
         assert_eq!(r.replica_count(x()), 2, "filtering never mutates the set");
     }
 
-    /// The `(entry_index, distance)` list `choose_replica_filtered`
-    /// builds, for feeding the pre-filtered entry point.
+    /// The `(entry_index, distance)` list of the replicas passing
+    /// `usable`, as a redirect engine builds it, for feeding the
+    /// pre-filtered entry point.
     fn candidates(
         r: &Redirector,
         gw: NodeId,
@@ -613,7 +596,7 @@ mod tests {
     #[test]
     fn choose_among_matches_choose_inner() {
         // Feeding the pre-filtered entry point the same (index,
-        // distance) pairs choose_replica_filtered builds must reproduce
+        // distance) pairs choose_replica builds must reproduce
         // the decision stream exactly — the correctness contract the
         // simulator's redirect engine relies on.
         let (mut r1, routes) = setup();

@@ -109,6 +109,13 @@ pub enum ScenarioError {
         /// The rejected value.
         value: f64,
     },
+    /// A field that must be finite and at least zero was not.
+    Negative {
+        /// Name of the offending field.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
     /// A time or delay is beyond what the microsecond clock resolves
     /// (2^53 µs, about 285 years).
     BeyondClock {
@@ -166,6 +173,9 @@ impl fmt::Display for ScenarioError {
         match self {
             ScenarioError::NonPositive { field, value } => {
                 write!(f, "{field} must be positive and finite, got {value}")
+            }
+            ScenarioError::Negative { field, value } => {
+                write!(f, "{field} must be finite and ≥ 0, got {value}")
             }
             ScenarioError::BeyondClock { field, value } => write!(
                 f,
@@ -573,7 +583,7 @@ impl ScenarioBuilder {
             });
         }
         if !(self.update_rate.is_finite() && self.update_rate >= 0.0) {
-            return Err(ScenarioError::NonPositive {
+            return Err(ScenarioError::Negative {
                 field: "update_rate",
                 value: self.update_rate,
             });
@@ -899,13 +909,15 @@ mod tests {
                 ..
             }
         ));
-        assert!(matches!(
-            Scenario::builder().update_rate(-1.0).build().unwrap_err(),
-            ScenarioError::NonPositive {
-                field: "update_rate",
-                ..
-            }
-        ));
+        for rate in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                Scenario::builder().update_rate(rate).build().unwrap_err(),
+                ScenarioError::Negative {
+                    field: "update_rate",
+                    ..
+                }
+            ));
+        }
         let s = Scenario::builder()
             .num_redirectors(4)
             .update_rate(2.0)

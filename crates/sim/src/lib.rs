@@ -11,9 +11,10 @@
 //! 1. a client request enters at its gateway and travels to the
 //!    redirector (propagation delay only — "the request size is
 //!    negligible compared to the page size");
-//! 2. the redirector picks a replica via the protocol's distribution
-//!    algorithm (or a pluggable baseline [`SelectionPolicy`]) and
-//!    forwards the request to that host;
+//! 2. the redirector picks a live, reachable replica via the protocol's
+//!    distribution algorithm (Fig. 2), or via a baseline
+//!    [`SelectionPolicy`] plugged in beside it, and forwards the request
+//!    to that host;
 //! 3. the host queues the request FIFO, records the preference path
 //!    (host → gateway) for the placement algorithm, and serves it;
 //! 4. the response travels back along the shortest path, paying
@@ -83,7 +84,7 @@ pub use observer::{Observer, RequestRecord};
 pub use placement_policy::{PlacementPolicy, RadarPlacement};
 pub use platform::Simulation;
 pub use report::{ReplicaCensus, RunReport};
-pub use selection::{RadarSelection, SelectionPolicy};
+pub use selection::SelectionPolicy;
 pub use trace::{Trace, TraceEntry, TraceError};
 
 /// The flight-recorder crate, re-exported so observers can name its

@@ -3,9 +3,9 @@
 //!
 //! All routing questions (distances, preference paths, reachability) go
 //! through the platform's [`radar_simnet::RoutingView`]; replica
-//! decisions go through the [`crate::redirect::RedirectEngine`] when
-//! the selection policy delegates to Fig. 2, and the pluggable
-//! [`crate::selection::SelectionPolicy`] surface otherwise.
+//! decisions go through the [`crate::redirect::RedirectEngine`] (Fig. 2)
+//! unless a baseline [`crate::selection::SelectionPolicy`] is plugged
+//! in; both serve only a replica [`crate::redirect::usable`] admits.
 
 use radar_core::ObjectId;
 use radar_obs::{DecisionBranch, EventKind as ObsEventKind, FailReason};
@@ -15,6 +15,7 @@ use radar_simnet::NodeId;
 use crate::config::MAX_CLOCK_SECS;
 use crate::observer::RequestRecord;
 use crate::platform::{Event, Simulation};
+use crate::redirect::usable;
 use crate::trace::TraceEntry;
 
 impl Simulation {
@@ -171,42 +172,30 @@ impl Simulation {
     ) {
         let rnode = self.redirector_node_of(object);
         self.metrics.redirector_requests[rnode.index()] += 1;
-        let fig2 = self.selection.delegates_to_fig2();
-        let chosen = if fig2 {
-            // The engine applies the same usability filter and distance
-            // source as the policy path below, into one reused buffer
-            // and without the trait's dynamic calls. When tracing it
+        let chosen = match &mut self.selection {
+            // Fig. 2 over the usable replicas. When tracing, the engine
             // fills the platform's reused decision record in place.
-            let record = self.events.tracing.then_some(&mut self.decision);
-            self.redirect.choose(
-                object,
-                gateway,
-                rnode,
-                &mut self.redirector,
-                &self.view,
-                &self.fault_state,
-                record,
-            )
-        } else {
-            // A replica is usable when its host is up and traffic can
-            // flow redirector → host and host → gateway. Baselines have
-            // no Fig. 2 data, so their decisions are traced as `policy`.
-            let fault_state = &self.fault_state;
-            let view = &self.view;
-            let usable = |h: NodeId| {
-                fault_state.host_up(h.index() as u16)
-                    && !view.path(rnode, h).is_empty()
-                    && !view.path(h, gateway).is_empty()
-            };
-            self.selection.choose_available(
-                object,
-                gateway,
-                &mut self.redirector,
-                self.view.table(),
-                &usable,
-            )
+            None => {
+                let record = self.events.tracing.then_some(&mut self.decision);
+                self.redirect.choose(
+                    object,
+                    gateway,
+                    rnode,
+                    &mut self.redirector,
+                    &self.view,
+                    &self.fault_state,
+                    record,
+                )
+            }
+            // A baseline's pick serves only when usable; otherwise the
+            // primary fallback below serves, and the policy is not asked
+            // again. Baselines have no Fig. 2 data, so their decisions
+            // are traced as `policy`.
+            Some(policy) => policy
+                .choose(object, gateway, &mut self.redirector, self.view.table())
+                .filter(|&h| usable(&self.fault_state, &self.view, rnode, h, gateway)),
         };
-        let explained = fig2 && chosen.is_some();
+        let explained = self.selection.is_none() && chosen.is_some();
         let mut fallback_used = false;
         let host = match chosen {
             Some(h) => h,
@@ -220,9 +209,9 @@ impl Simulation {
                     "every object keeps at least one replica"
                 );
                 let now = t.as_secs();
-                let fallback = self.live_primary(object).filter(|&p| {
-                    !self.view.path(rnode, p).is_empty() && !self.view.path(p, gateway).is_empty()
-                });
+                let fallback = self
+                    .live_primary(object)
+                    .filter(|&p| usable(&self.fault_state, &self.view, rnode, p, gateway));
                 let Some(p) = fallback else {
                     let any_live = self
                         .redirector

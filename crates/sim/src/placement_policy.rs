@@ -1,8 +1,9 @@
 //! Pluggable replica-placement policies.
 //!
-//! Mirrors [`SelectionPolicy`](crate::SelectionPolicy) on the placement
-//! side of the protocol: the paper's own distribution algorithm
-//! (§4, Figs. 3–5) is [`RadarPlacement`], a thin delegation to
+//! The placement counterpart of
+//! [`SelectionPolicy`](crate::SelectionPolicy), except that here the
+//! paper's own algorithm (§4, Figs. 3–5) is a policy too:
+//! [`RadarPlacement`], a thin delegation to
 //! [`radar_core::placement::run_placement_into`]; comparator strategies
 //! (availability-aware continuous placement, cluster-based
 //! load-balancing replication) live in the `radar-baselines` crate and

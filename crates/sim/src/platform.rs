@@ -31,7 +31,7 @@ use crate::observer::Observer;
 use crate::placement_policy::{PlacementPolicy, RadarPlacement};
 use crate::redirect::RedirectEngine;
 use crate::report::RunReport;
-use crate::selection::{RadarSelection, SelectionPolicy};
+use crate::selection::SelectionPolicy;
 use crate::sink::EventSink;
 use crate::trace::{Trace, TraceEntry, TraceError};
 
@@ -123,8 +123,8 @@ impl Event {
 /// A configured simulation, ready to [`run`](Simulation::run).
 ///
 /// See the crate documentation for the modeled request lifecycle. Every
-/// run is a deterministic function of `(Scenario, workload, selection)` —
-/// the scenario carries the RNG seed.
+/// run is a deterministic function of `(Scenario, workload, selection,
+/// placement)` — the scenario carries the RNG seed.
 pub struct Simulation {
     pub(crate) scenario: Scenario,
     /// Routing layer: incremental distances/paths over the live links.
@@ -134,13 +134,15 @@ pub struct Simulation {
     /// Region of each node, by node index.
     pub(crate) node_regions: Vec<radar_simnet::Region>,
     pub(crate) workload: Box<dyn Workload + Send>,
-    pub(crate) selection: Box<dyn SelectionPolicy + Send>,
+    /// A baseline replica-selection policy; `None` runs the paper's
+    /// Fig. 2 through [`redirect`](Self::redirect).
+    pub(crate) selection: Option<Box<dyn SelectionPolicy + Send>>,
     pub(crate) placement_policy: Box<dyn PlacementPolicy + Send>,
     pub(crate) hosts: Vec<HostState>,
     pub(crate) servers: Vec<FifoServer>,
     pub(crate) redirector: Redirector,
-    /// Decision layer: Fig. 2 over the usable replicas (engaged when
-    /// the selection policy delegates to it).
+    /// Decision layer: Fig. 2 over the usable replicas (engaged unless a
+    /// baseline selection policy is plugged in).
     pub(crate) redirect: RedirectEngine,
     pub(crate) catalog: Catalog,
     pub(crate) metrics: Metrics,
@@ -215,7 +217,7 @@ impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("workload", &self.workload.name())
-            .field("policy", &self.selection.name())
+            .field("policy", &self.policy_name())
             .field("nodes", &self.hosts.len())
             .field("objects", &self.scenario.num_objects)
             .finish_non_exhaustive()
@@ -226,32 +228,17 @@ impl Simulation {
     /// Creates a simulation with the protocol's own request distribution
     /// algorithm.
     pub fn new(scenario: Scenario, workload: Box<dyn Workload + Send>) -> Self {
-        Self::with_selection(scenario, workload, Box::new(RadarSelection::new()))
+        Self::with_policies(scenario, workload, None, Box::new(RadarPlacement::new()))
     }
 
-    /// Creates a simulation with a custom replica-selection policy
-    /// (e.g. a baseline from `radar-baselines`) and the protocol's own
-    /// placement algorithm.
-    pub fn with_selection(
-        scenario: Scenario,
-        workload: Box<dyn Workload + Send>,
-        selection: Box<dyn SelectionPolicy + Send>,
-    ) -> Self {
-        Self::with_policies(
-            scenario,
-            workload,
-            selection,
-            Box::new(RadarPlacement::new()),
-        )
-    }
-
-    /// Creates a simulation with custom replica-selection *and*
-    /// replica-placement policies — the full pluggable surface for
-    /// head-to-head baseline comparisons.
+    /// Creates a simulation with a baseline replica-selection policy
+    /// (`None` keeps the paper's Fig. 2) and a custom replica-placement
+    /// policy — the full pluggable surface for head-to-head baseline
+    /// comparisons.
     pub fn with_policies(
         scenario: Scenario,
         workload: Box<dyn Workload + Send>,
-        selection: Box<dyn SelectionPolicy + Send>,
+        selection: Option<Box<dyn SelectionPolicy + Send>>,
         placement_policy: Box<dyn PlacementPolicy + Send>,
     ) -> Self {
         let view = RoutingView::new(scenario.topology.clone());
@@ -373,13 +360,14 @@ impl Simulation {
     /// gateway or object the scenario does not have.
     pub fn replay(scenario: Scenario, trace: Trace) -> Result<Self, TraceError> {
         trace.check_ids(scenario.topology.len() as u32, scenario.num_objects)?;
-        let mut sim = Self::with_selection(
-            scenario,
-            Box::new(NullWorkload),
-            Box::new(RadarSelection::new()),
-        );
+        let mut sim = Self::new(scenario, Box::new(NullWorkload));
         sim.replay = Some(trace);
         Ok(sim)
+    }
+
+    /// The selection policy's name for reports: `radar` for Fig. 2.
+    fn policy_name(&self) -> &str {
+        self.selection.as_ref().map_or("radar", |p| p.name())
     }
 
     /// Enables arrival capture: the finished report's
@@ -688,10 +676,11 @@ impl Simulation {
             .map(|(&(a, b), &bytes)| ((a.index() as u16, b.index() as u16), bytes))
             .collect();
         let profile = self.profile.take();
+        let policy = self.policy_name().to_string();
         let mut report = RunReport::from_metrics(
             self.metrics,
             self.workload.name().to_string(),
-            self.selection.name().to_string(),
+            policy,
             self.placement_policy.name().to_string(),
             self.scenario.placement == PlacementMode::Dynamic,
             self.scenario.duration,

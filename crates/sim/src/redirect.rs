@@ -19,6 +19,21 @@ use radar_simnet::{NodeId, RoutingView};
 
 use crate::faults::FaultState;
 
+/// `true` when a request entering at `gateway` can be served by `host`
+/// through redirector node `rnode`: the host is up and traffic can flow
+/// redirector → host and host → gateway.
+pub(crate) fn usable(
+    fault_state: &FaultState,
+    view: &RoutingView,
+    rnode: NodeId,
+    host: NodeId,
+    gateway: NodeId,
+) -> bool {
+    fault_state.host_up(host.index() as u16)
+        && !view.path(rnode, host).is_empty()
+        && !view.path(host, gateway).is_empty()
+}
+
 /// The Fig. 2 decision over the currently usable replicas; one engine
 /// serves every request.
 #[derive(Default)]
@@ -48,13 +63,7 @@ impl RedirectEngine {
         fault_state: &FaultState,
         record: Option<&mut DecisionEvent>,
     ) -> Option<NodeId> {
-        // A replica is usable when its host is up and traffic can flow
-        // redirector → host and host → gateway.
-        let reachable = |h: NodeId| {
-            fault_state.host_up(h.index() as u16)
-                && !view.path(rnode, h).is_empty()
-                && !view.path(h, gateway).is_empty()
-        };
+        let reachable = |h: NodeId| usable(fault_state, view, rnode, h, gateway);
         let all_up = fault_state.all_up();
         // The closest candidate `p`: minimum `(distance, host)`; zero and
         // unused when nothing is usable.
@@ -108,10 +117,12 @@ mod tests {
 
     #[test]
     fn decisions_match_the_filtered_redirector_under_random_faults() {
-        // The engine against `Redirector::choose_replica_filtered` on a
-        // cloned redirector, over random host and link outages that
-        // start all-up, pass through overlapping faults (including
-        // states where no replica is usable) and return to all-up.
+        // The engine against a naively filtered candidate list decided
+        // by `Redirector::choose_among_into` on a cloned redirector,
+        // which scans for the closest replica itself, over random host
+        // and link outages that start all-up, pass through overlapping
+        // faults (including states where no replica is usable) and
+        // return to all-up.
         let mut rng = SimRng::seed_from(0x5eed_0013);
         let mut view = RoutingView::new(builders::uunet());
         let n = view.topology().len() as u16;
@@ -181,7 +192,14 @@ mod tests {
                         && !view.path(rnode, h).is_empty()
                         && !view.path(h, gw).is_empty()
                 };
-                let expect = oracle_side.choose_replica_filtered(object, gw, view.table(), &usable);
+                let candidates: Vec<(u32, u32)> = oracle_side
+                    .replicas(object)
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| usable(e.host))
+                    .map(|(i, e)| (i as u32, view.table().distance(e.host, gw)))
+                    .collect();
+                let expect = oracle_side.choose_among_into(object, &candidates, None, None);
                 let got = engine.choose(
                     object,
                     gw,

@@ -70,7 +70,7 @@ sample_peak_rss target/release/radar simulate --objects 10000 --duration 300 --s
 echo "simulate --objects 10000 with one crash: peak RSS $((peak / 1024)) MB (sampled every 50 ms)"
 echo "== golden event-log regression diff =="
 ./scripts/golden-diff.sh
-echo "== replica-set invariant audit (golden log + faulted run) =="
+echo "== replica-set invariant audit (golden log + faulted runs) =="
 # The paper's correctness contract (notify after create, before
 # delete) must hold on the committed golden log and on a faulted
 # run — crashes, purges and re-replication are exactly where an
@@ -85,6 +85,16 @@ cargo run -q -p radar-cli --bin radar -- simulate \
   --faults target/audit-faults.txt --events target/audit-faulted.jsonl \
   >/dev/null
 cargo run -q -p radar-cli --bin radar -- objects audit target/audit-faulted.jsonl
+# A baseline's unusable pick falls back to the primary copy, which may
+# install a replica there, so the baselines' faulted runs are audited
+# too.
+for policy in round-robin closest random; do
+  cargo run -q -p radar-cli --bin radar -- simulate \
+    --objects 16 --rate 0.05 --duration 150 --seed 42 --policy "$policy" \
+    --faults target/audit-faults.txt --events target/audit-faulted-"$policy".jsonl \
+    >/dev/null
+  cargo run -q -p radar-cli --bin radar -- objects audit target/audit-faulted-"$policy".jsonl
+done
 echo "== a streamed log is complete (summary + watch, no sequence gaps) =="
 # The recorder streams every event, so a log straight from --events has
 # no gaps; a gap note here means an event was lost on the way.
