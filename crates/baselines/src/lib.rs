@@ -25,8 +25,9 @@
 //! [`radar_sim::InitialPlacement::Everywhere`].
 //!
 //! [`selection()`] and [`placement()`] build either half from the name the
-//! CLI and the experiments use; `selection("radar", _)` is `None`, since
-//! Fig. 2 is no policy object.
+//! CLI and the experiments use; `selection("radar", _)` and
+//! `placement("radar")` are `None`, since the paper's Fig. 2 and
+//! Figs. 3–5 are no policy objects: the simulator runs them directly.
 //!
 //! # Examples
 //!
@@ -34,7 +35,7 @@
 //!
 //! ```
 //! use radar_baselines::ClosestSelection;
-//! use radar_sim::{RadarPlacement, Scenario, Simulation};
+//! use radar_sim::{Scenario, Simulation};
 //! use radar_workload::ZipfReeds;
 //!
 //! let scenario = Scenario::builder()
@@ -46,10 +47,11 @@
 //!     scenario,
 //!     Box::new(ZipfReeds::new(100)),
 //!     Some(Box::new(ClosestSelection::new())),
-//!     Box::new(RadarPlacement::new()),
+//!     None,
 //! )
 //! .run();
 //! assert_eq!(report.policy, "closest");
+//! assert_eq!(report.placement_policy, "radar");
 //! # Ok::<(), radar_sim::ScenarioError>(())
 //! ```
 
@@ -62,8 +64,8 @@ pub use placement::{AvailabilityPlacement, ClusterPlacement};
 
 use std::collections::HashMap;
 
-use radar_core::{ObjectId, Redirector};
-use radar_sim::{PlacementPolicy, RadarPlacement, SelectionPolicy};
+use radar_core::{Directory, ObjectId};
+use radar_sim::{PlacementPolicy, SelectionPolicy};
 use radar_simcore::SimRng;
 use radar_simnet::{NodeId, RoutingTable};
 
@@ -86,10 +88,10 @@ impl SelectionPolicy for RoundRobinSelection {
         &mut self,
         object: ObjectId,
         _gateway: NodeId,
-        redirector: &mut Redirector,
+        directory: &Directory,
         _routes: &RoutingTable,
     ) -> Option<NodeId> {
-        let replicas = redirector.replicas(object);
+        let replicas = directory.replicas(object);
         if replicas.is_empty() {
             return None;
         }
@@ -121,10 +123,10 @@ impl SelectionPolicy for ClosestSelection {
         &mut self,
         object: ObjectId,
         gateway: NodeId,
-        redirector: &mut Redirector,
+        directory: &Directory,
         routes: &RoutingTable,
     ) -> Option<NodeId> {
-        routes.closest_to(gateway, redirector.replicas(object).iter().map(|r| r.host))
+        routes.closest_to(gateway, directory.replicas(object).iter().map(|r| r.host))
     }
 
     fn name(&self) -> &str {
@@ -152,10 +154,10 @@ impl SelectionPolicy for RandomSelection {
         &mut self,
         object: ObjectId,
         _gateway: NodeId,
-        redirector: &mut Redirector,
+        directory: &Directory,
         _routes: &RoutingTable,
     ) -> Option<NodeId> {
-        let replicas = redirector.replicas(object);
+        let replicas = directory.replicas(object);
         if replicas.is_empty() {
             return None;
         }
@@ -187,18 +189,19 @@ pub fn selection(name: &str, seed: u64) -> Result<Option<Box<dyn SelectionPolicy
     }
 }
 
-/// Builds a replica-placement policy by name: `radar` (the paper's §4
-/// distribution algorithm), `availability` or `cluster`.
+/// Builds a replica-placement policy by name: `availability`, `cluster`,
+/// or `None` for `radar` (the paper's §4 placement algorithm,
+/// Figs. 3–5).
 ///
 /// # Errors
 ///
 /// Returns a message naming an unknown placement and listing the known
 /// ones.
-pub fn placement(name: &str) -> Result<Box<dyn PlacementPolicy + Send>, String> {
+pub fn placement(name: &str) -> Result<Option<Box<dyn PlacementPolicy + Send>>, String> {
     match name {
-        "radar" => Ok(Box::new(RadarPlacement::new())),
-        "availability" => Ok(Box::new(AvailabilityPlacement::new())),
-        "cluster" => Ok(Box::new(ClusterPlacement::new())),
+        "radar" => Ok(None),
+        "availability" => Ok(Some(Box::new(AvailabilityPlacement::new()))),
+        "cluster" => Ok(Some(Box::new(ClusterPlacement::new()))),
         _ => Err(format!(
             "unknown placement {name:?} (radar, availability, cluster)"
         )),
@@ -214,13 +217,13 @@ mod tests {
         ObjectId::new(0)
     }
 
-    fn setup() -> (Redirector, RoutingTable) {
+    fn setup() -> (Directory, RoutingTable) {
         let topo = builders::line(4);
         let routes = topo.routes();
-        let mut r = Redirector::new(1, 2.0);
-        r.install(x(), NodeId::new(0));
-        r.install(x(), NodeId::new(3));
-        (r, routes)
+        let mut d = Directory::new(1);
+        d.install(x(), NodeId::new(0));
+        d.install(x(), NodeId::new(3));
+        (d, routes)
     }
 
     #[test]
@@ -229,8 +232,9 @@ mod tests {
         for name in ["round-robin", "closest", "random"] {
             assert_eq!(selection(name, 1).unwrap().unwrap().name(), name);
         }
-        for name in ["radar", "availability", "cluster"] {
-            assert_eq!(placement(name).unwrap().name(), name);
+        assert!(placement("radar").unwrap().is_none());
+        for name in ["availability", "cluster"] {
+            assert_eq!(placement(name).unwrap().unwrap().name(), name);
         }
         assert_eq!(
             selection("psychic", 1).err().unwrap(),
@@ -244,10 +248,10 @@ mod tests {
 
     #[test]
     fn round_robin_alternates() {
-        let (mut r, routes) = setup();
+        let (r, routes) = setup();
         let mut p = RoundRobinSelection::new();
         let picks: Vec<_> = (0..4)
-            .map(|_| p.choose(x(), NodeId::new(0), &mut r, &routes).unwrap())
+            .map(|_| p.choose(x(), NodeId::new(0), &r, &routes).unwrap())
             .collect();
         assert_eq!(
             picks,
@@ -263,27 +267,27 @@ mod tests {
 
     #[test]
     fn round_robin_ignores_proximity() {
-        let (mut r, routes) = setup();
+        let (r, routes) = setup();
         let mut p = RoundRobinSelection::new();
         // Gateway 3 is co-located with a replica, yet half the requests
         // go to the far one.
         let far = (0..100)
-            .filter(|_| p.choose(x(), NodeId::new(3), &mut r, &routes) == Some(NodeId::new(0)))
+            .filter(|_| p.choose(x(), NodeId::new(3), &r, &routes) == Some(NodeId::new(0)))
             .count();
         assert_eq!(far, 50);
     }
 
     #[test]
     fn closest_always_local() {
-        let (mut r, routes) = setup();
+        let (r, routes) = setup();
         let mut p = ClosestSelection::new();
         for _ in 0..100 {
             assert_eq!(
-                p.choose(x(), NodeId::new(3), &mut r, &routes),
+                p.choose(x(), NodeId::new(3), &r, &routes),
                 Some(NodeId::new(3))
             );
             assert_eq!(
-                p.choose(x(), NodeId::new(1), &mut r, &routes),
+                p.choose(x(), NodeId::new(1), &r, &routes),
                 Some(NodeId::new(0))
             );
         }
@@ -300,7 +304,7 @@ mod tests {
         let mut p = ClosestSelection::new();
         for _ in 0..100 {
             assert_eq!(
-                p.choose(x(), NodeId::new(0), &mut r, &routes),
+                p.choose(x(), NodeId::new(0), &r, &routes),
                 Some(NodeId::new(0))
             );
         }
@@ -308,16 +312,16 @@ mod tests {
 
     #[test]
     fn random_covers_all_replicas_reproducibly() {
-        let (mut r, routes) = setup();
+        let (r, routes) = setup();
         let mut p = RandomSelection::new(7);
         let picks: Vec<_> = (0..100)
-            .map(|_| p.choose(x(), NodeId::new(0), &mut r, &routes).unwrap())
+            .map(|_| p.choose(x(), NodeId::new(0), &r, &routes).unwrap())
             .collect();
         assert!(picks.contains(&NodeId::new(0)));
         assert!(picks.contains(&NodeId::new(3)));
         let mut p2 = RandomSelection::new(7);
         let picks2: Vec<_> = (0..100)
-            .map(|_| p2.choose(x(), NodeId::new(0), &mut r, &routes).unwrap())
+            .map(|_| p2.choose(x(), NodeId::new(0), &r, &routes).unwrap())
             .collect();
         assert_eq!(picks, picks2);
         assert_eq!(p.name(), "random");
@@ -327,17 +331,17 @@ mod tests {
     fn empty_replica_set_yields_none() {
         let topo = builders::line(2);
         let routes = topo.routes();
-        let mut r = Redirector::new(1, 2.0);
+        let r = Directory::new(1);
         assert_eq!(
-            RoundRobinSelection::new().choose(x(), NodeId::new(0), &mut r, &routes),
+            RoundRobinSelection::new().choose(x(), NodeId::new(0), &r, &routes),
             None
         );
         assert_eq!(
-            ClosestSelection::new().choose(x(), NodeId::new(0), &mut r, &routes),
+            ClosestSelection::new().choose(x(), NodeId::new(0), &r, &routes),
             None
         );
         assert_eq!(
-            RandomSelection::new(1).choose(x(), NodeId::new(0), &mut r, &routes),
+            RandomSelection::new(1).choose(x(), NodeId::new(0), &r, &routes),
             None
         );
     }

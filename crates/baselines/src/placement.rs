@@ -1,5 +1,6 @@
 //! Baseline *placement* policies for head-to-head comparison with the
-//! paper's distribution algorithm ([`radar_sim::RadarPlacement`]).
+//! paper's placement algorithm
+//! ([`radar_core::placement::run_placement_into`]).
 //!
 //! Both implement [`radar_sim::PlacementPolicy`] over the identical
 //! [`PlacementEnv`] surface the paper's algorithm uses, so a comparison

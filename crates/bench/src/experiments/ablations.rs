@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use radar_core::Params;
-use radar_sim::{InitialPlacement, RadarPlacement, RunReport, Simulation};
+use radar_sim::{InitialPlacement, RunReport, Simulation};
 use radar_simnet::NodeId;
 use radar_stats::EquilibriumSpec;
 use radar_workload::DemandShift;
@@ -88,12 +88,7 @@ fn swamp_job(h: &Harness, policy: &str) -> Job {
         .expect("valid scenario");
     let workload = LocalSwamp::new(num_objects, NodeId::new(SWAMP_GATEWAY), hot_objects, 0.95);
     let selection = radar_baselines::selection(policy, h.cfg.seed).expect("known policy");
-    let simulation = Simulation::with_policies(
-        scenario,
-        Box::new(workload),
-        selection,
-        Box::new(RadarPlacement::new()),
-    );
+    let simulation = Simulation::with_policies(scenario, Box::new(workload), selection, None);
     (format!("swamp    {policy}"), simulation)
 }
 

@@ -209,7 +209,7 @@ pub fn table1(h: &mut Harness) -> String {
         ("Number of objects", scenario.num_objects.to_string()),
         (
             "Size of object",
-            format!("{} KB", scenario.object_size / 1024),
+            format!("{} KB", scenario.catalog.object_size() / 1024),
         ),
         (
             "Placement decision frequency",

@@ -242,7 +242,10 @@ mod tests {
             sim.run_until(0.0); // bootstrap: initial placement, first timers
             sim
         });
-        assert_eq!(sim.redirector().total_replicas(), u64::from(OBJECTS));
+        assert_eq!(
+            sim.redirector().directory().total_replicas(),
+            u64::from(OBJECTS)
+        );
         assert!(
             delta.bytes < 16 << 20,
             "set-up requested {:.1} MB from the allocator",

@@ -220,7 +220,16 @@ impl SimulateArgs {
     /// policy other than the paper's, or an events file that cannot be
     /// written.
     pub fn execute(self) -> Result<(RunReport, OutputSettings), String> {
-        let (seed, scenario) = (self.scenario.seed, self.scenario.clone());
+        // Mirror the scenario parameters the simulator's own metrics use,
+        // so a dashboard's folded aggregates line up with the report.
+        let metrics_cfg = radar_sim::obs::MetricsConfig {
+            object_size: self.scenario.catalog.object_size(),
+            bandwidth_bin: self.scenario.metric_bin,
+            load_interval: self.scenario.params.measurement_interval,
+            ..radar_sim::obs::MetricsConfig::default()
+        };
+        let (seed, duration) = (self.scenario.seed, self.scenario.duration);
+        let scenario = self.scenario;
         // Names resolve before the replay limits: an unknown one is reported as such.
         let workload = match &self.replay {
             Some(_) => None,
@@ -272,15 +281,7 @@ impl SimulateArgs {
         // and protocol panel off the ledger, so --dashboard implies it.
         let ledger = (self.ledger || self.dashboard).then(|| sim.enable_object_ledger());
         let dashboard = ledger.filter(|_| self.dashboard).map(|ledger| {
-            // Mirror the scenario parameters the simulator's own metrics
-            // use, so the folded aggregates line up with the report.
-            let cfg = radar_sim::obs::MetricsConfig {
-                object_size: self.scenario.object_size,
-                bandwidth_bin: self.scenario.metric_bin,
-                load_interval: self.scenario.params.measurement_interval,
-                ..radar_sim::obs::MetricsConfig::default()
-            };
-            let metrics = SharedMetrics::new(cfg);
+            let metrics = SharedMetrics::new(metrics_cfg);
             let dash = crate::dashboard::LiveDashboard::new(
                 metrics.clone(),
                 ledger.clone(),
@@ -289,7 +290,6 @@ impl SimulateArgs {
             sim.attach_observer(Box::new(dash));
             (metrics, ledger)
         });
-        let duration = self.scenario.duration;
         let report = sim.run();
         if let Some((path, shared)) = &events {
             if let Some(err) = shared.finish() {

@@ -12,7 +12,10 @@
 //! straight into the flight recorder's types. Each baseline also runs
 //! under that fault file, so its log holds both branches; those
 //! constants were taken before the failover of an unusable pick moved
-//! from the selection trait into the platform.
+//! from the selection trait into the platform. The placement baselines'
+//! event logs under crashes and a consistency mix were pinned before
+//! their placement environment stopped reaching the directory through
+//! the redirector.
 
 use std::path::PathBuf;
 
@@ -137,6 +140,55 @@ fn baseline_policies_keep_their_report_and_event_bytes() {
         got.push((label, fnv1a64(&bytes), bytes.len()));
     }
 
+    // The placement baselines under crashes, a declare-dead purge and a
+    // consistency mix with provider updates. No `min-replicas` line: the
+    // re-replication sweep would already meet availability's target,
+    // leaving it nothing to do.
+    let placement_faults = TempPath::new("placement-faults.txt");
+    std::fs::write(
+        &placement_faults.0,
+        "declare-dead-after 30\nhost-down 5 60 180\nhost-down 12 120\n",
+    )
+    .unwrap();
+    for (label, placement) in [
+        ("availability-faulted", "availability"),
+        ("cluster-faulted", "cluster"),
+    ] {
+        let log = TempPath::new(&format!("{label}.jsonl"));
+        run(&args(&[
+            "simulate",
+            "--objects",
+            "60",
+            "--rate",
+            "0.2",
+            "--duration",
+            "400",
+            "--seed",
+            "3",
+            "--placement",
+            placement,
+            "--consistency",
+            "mixed",
+            "--update-rate",
+            "1",
+            "--events",
+            log.as_str(),
+            "--faults",
+            placement_faults.as_str(),
+        ]))
+        .unwrap();
+        let bytes = std::fs::read(&log.0).unwrap();
+        let text = String::from_utf8_lossy(&bytes);
+        for tag in [
+            "\"type\":\"placement\"",
+            "\"branch\":\"primary-fallback\"",
+            "\"type\":\"provider-update\"",
+        ] {
+            assert!(text.contains(tag), "{label}: no {tag}");
+        }
+        got.push((label, fnv1a64(&bytes), bytes.len()));
+    }
+
     let expected = [
         ("availability", 0x840b_0656_3918_d2d3, 76_275),
         ("cluster", 0xa2d7_a8ba_50bc_bb25, 71_099),
@@ -148,7 +200,10 @@ fn baseline_policies_keep_their_report_and_event_bytes() {
         ("round-robin-faulted", 0x99e6_3061_2d98_0b33, 181_232),
         ("closest-faulted", 0xfb4a_0d56_4195_69f4, 181_239),
         ("random-faulted", 0x36f7_c649_a339_dfd8, 181_485),
+        ("availability-faulted", 0x66a2_bdbf_5be2_618d, 2_304_807),
+        ("cluster-faulted", 0x0052_7d67_6529_1786, 2_324_908),
     ];
+    assert_eq!(got.len(), expected.len());
     for ((label, fnv, len), (_, want_fnv, want_len)) in got.iter().zip(expected) {
         assert_eq!(
             (*fnv, *len),

@@ -121,7 +121,7 @@ impl std::fmt::Display for ConsistencyMix {
 /// assert_eq!(catalog.primary(ObjectId::new(5)), NodeId::new(1));
 /// assert!(catalog.kind(ObjectId::new(0)).may_add_replica(10));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Catalog {
     kinds: Vec<ObjectKind>,
     size_bytes: u64,
@@ -206,8 +206,9 @@ impl Catalog {
         self.kinds.len()
     }
 
-    /// `true` if the catalog describes no objects (never true for a
-    /// constructed catalog; provided for API completeness).
+    /// `true` if the catalog describes no objects: only the
+    /// [`Default`] catalog, which a scenario builder resolves to the
+    /// paper's uniform one.
     pub fn is_empty(&self) -> bool {
         self.kinds.is_empty()
     }

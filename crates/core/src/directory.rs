@@ -358,6 +358,34 @@ mod tests {
     }
 
     #[test]
+    fn install_and_create_merge_affinity() {
+        let mut d = Directory::new(1);
+        d.install(x(), node(3));
+        d.notify_created(x(), node(3));
+        assert_eq!(d.replica_count(x()), 1);
+        assert_eq!(d.total_affinity(x()), 2);
+    }
+
+    #[test]
+    fn last_replica_protected() {
+        let mut d = Directory::new(1);
+        d.install(x(), node(0));
+        assert!(!d.request_drop(x(), node(0)));
+        d.install(x(), node(1));
+        assert!(d.request_drop(x(), node(0)));
+        assert!(!d.request_drop(x(), node(1)));
+        assert_eq!(d.replica_count(x()), 1);
+    }
+
+    #[test]
+    fn drop_of_unknown_replica_refused() {
+        let mut d = Directory::new(1);
+        d.install(x(), node(0));
+        d.install(x(), node(1));
+        assert!(!d.request_drop(x(), node(7)));
+    }
+
+    #[test]
     fn batch_defers_resets_until_commit() {
         let mut d = Directory::new(1);
         d.install(x(), node(0));

@@ -59,7 +59,7 @@
 //!
 //! 1. **Drop** an affinity unit whose unit access rate fell below the
 //!    deletion threshold `u` — the redirector refuses to let the last
-//!    replica die ([`Redirector::request_drop`]).
+//!    replica die ([`Directory::request_drop`]).
 //! 2. **Geo-migrate** when some other node sat on more than
 //!    `MIGR_RATIO` (60%) of the object's preference paths: most of this
 //!    object's traffic would rather be served from over there. The
@@ -117,7 +117,7 @@
 //! [`HostState`]: crate::HostState
 //! [`Redirector`]: crate::Redirector
 //! [`Redirector::choose_replica`]: crate::Redirector::choose_replica
-//! [`Redirector::request_drop`]: crate::Redirector::request_drop
+//! [`Directory::request_drop`]: crate::Directory::request_drop
 //! [`HostState::record_access`]: crate::HostState::record_access
 //! [`HostState::counts`]: crate::HostState::counts
 //! [`HostState::record_serviced`]: crate::HostState::record_serviced

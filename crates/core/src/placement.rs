@@ -587,15 +587,16 @@ fn offload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Params, Redirector};
+    use crate::{Directory, Params};
     use radar_simnet::{builders, RoutingTable};
     use std::collections::BTreeMap;
     use PlacementActionKind as A;
 
-    /// A mock platform: peer hosts, one redirector, and a routing table.
+    /// A mock platform: peer hosts, one replica directory, and a routing
+    /// table.
     struct MockEnv {
         routes: RoutingTable,
-        redirector: Redirector,
+        directory: Directory,
         peers: BTreeMap<NodeId, HostState>,
         now: f64,
         offload_recipient: Option<NodeId>,
@@ -608,7 +609,7 @@ mod tests {
         fn new(topology: &radar_simnet::Topology, num_objects: u32) -> Self {
             Self {
                 routes: topology.routes(),
-                redirector: Redirector::new(num_objects, 2.0),
+                directory: Directory::new(num_objects),
                 peers: BTreeMap::new(),
                 now: 0.0,
                 offload_recipient: None,
@@ -632,17 +633,17 @@ mod tests {
             let peer = self.peers.get_mut(&target).expect("peer exists");
             let resp = handle_create_obj(peer, self.now, &req);
             if resp.is_accepted() {
-                self.redirector.notify_created(req.object, target);
+                self.directory.notify_created(req.object, target);
             }
             resp
         }
 
         fn request_drop(&mut self, object: ObjectId, host: NodeId) -> bool {
-            self.redirector.request_drop(object, host)
+            self.directory.request_drop(object, host)
         }
 
         fn notify_affinity(&mut self, object: ObjectId, host: NodeId, aff: u32) {
-            self.redirector.notify_affinity(object, host, aff);
+            self.directory.notify_affinity(object, host, aff);
         }
 
         fn find_offload_recipient(&mut self, _requester: NodeId) -> Option<(NodeId, f64)> {
@@ -658,12 +659,12 @@ mod tests {
         fn may_replicate(&self, object: ObjectId) -> bool {
             match self.replica_cap {
                 None => true,
-                Some(cap) => self.redirector.replica_count(object) < cap,
+                Some(cap) => self.directory.replica_count(object) < cap,
             }
         }
 
         fn replica_count(&self, object: ObjectId) -> usize {
-            self.redirector.replica_count(object)
+            self.directory.replica_count(object)
         }
     }
 
@@ -675,10 +676,10 @@ mod tests {
         NodeId::new(i)
     }
 
-    /// Installs `object` on `host` and registers it with the redirector.
+    /// Installs `object` on `host` and registers it with the directory.
     fn seed(host: &mut HostState, env: &mut MockEnv, object: ObjectId) {
         host.install_object(object);
-        env.redirector.install(object, host.node());
+        env.directory.install(object, host.node());
     }
 
     /// Feeds `count` accesses whose preference paths all equal `path`
@@ -762,7 +763,7 @@ mod tests {
             feed(&mut host, x(0), &[n(0)], 40, 0.0);
             feed(&mut host, x(0), &[n(0), n(1), n(2)], 20, 0.0);
             seed(&mut host, &mut env, x(1));
-            env.redirector.install(x(1), n(1));
+            env.directory.install(x(1), n(1));
             seed(&mut host, &mut env, x(2));
             feed(&mut host, x(2), &[n(0), n(1), n(2)], 10, 0.0);
             (env, host)
@@ -796,7 +797,7 @@ mod tests {
         let out = run_placement(&mut host, 100.0, &mut env);
         assert!(acted(&out, A::Drop).is_empty());
         assert!(host.has_object(x(0)));
-        assert_eq!(env.redirector.replica_count(x(0)), 1);
+        assert_eq!(env.directory.replica_count(x(0)), 1);
     }
 
     #[test]
@@ -805,11 +806,11 @@ mod tests {
         let mut env = MockEnv::new(&topo, 1);
         let mut host = HostState::new(n(0), Params::paper());
         seed(&mut host, &mut env, x(0));
-        env.redirector.install(x(0), n(1)); // second replica elsewhere
+        env.directory.install(x(0), n(1)); // second replica elsewhere
         let out = run_placement(&mut host, 100.0, &mut env);
         assert_eq!(acted(&out, A::Drop), [(x(0), None)]);
         assert!(!host.has_object(x(0)));
-        assert_eq!(env.redirector.replicas(x(0))[0].host, n(1));
+        assert_eq!(env.directory.replicas(x(0))[0].host, n(1));
     }
 
     #[test]
@@ -819,11 +820,11 @@ mod tests {
         let mut host = HostState::new(n(0), Params::paper());
         seed(&mut host, &mut env, x(0));
         host.install_object(x(0)); // aff 2
-        env.redirector.install(x(0), n(0));
+        env.directory.install(x(0), n(0));
         let out = run_placement(&mut host, 100.0, &mut env);
         assert_eq!(acted(&out, A::AffinityReduce), [(x(0), None)]);
         assert_eq!(host.object(x(0)).unwrap().aff(), 1);
-        assert_eq!(env.redirector.total_affinity(x(0)), 1);
+        assert_eq!(env.directory.total_affinity(x(0)), 1);
     }
 
     #[test]
@@ -843,7 +844,7 @@ mod tests {
         assert_eq!(acted(&out, A::GeoMigrate), [(x(0), Some(n(2)))]);
         assert!(!host.has_object(x(0)));
         assert!(env.peers[&n(2)].has_object(x(0)));
-        let reps = env.redirector.replicas(x(0));
+        let reps = env.directory.replicas(x(0));
         assert_eq!(reps.len(), 1);
         assert_eq!(reps[0].host, n(2));
     }
@@ -864,7 +865,7 @@ mod tests {
             p2.advance(20.0); // measured 85 > lw=80
             p2.drop_object(x(0));
         }
-        env.redirector = Redirector::new(1, 2.0); // reset: only host 0 has x
+        env.directory = Directory::new(1); // reset: only host 0 has x
         let mut host = HostState::new(n(0), Params::paper());
         seed(&mut host, &mut env, x(0));
         feed(&mut host, x(0), &[n(0), n(1), n(2)], 10, 0.0);
@@ -892,7 +893,7 @@ mod tests {
         assert_eq!(acted(&out, A::GeoReplicate), [(x(0), Some(n(2)))]);
         assert!(host.has_object(x(0)));
         assert!(env.peers[&n(2)].has_object(x(0)));
-        assert_eq!(env.redirector.replica_count(x(0)), 2);
+        assert_eq!(env.directory.replica_count(x(0)), 2);
     }
 
     #[test]
@@ -909,7 +910,7 @@ mod tests {
         feed(&mut host, x(0), &[n(0), n(1), n(2)], 20, 0.0);
         // Plus one cold redundant replica that gets dropped.
         seed(&mut host, &mut env, x(1));
-        env.redirector.install(x(1), n(1));
+        env.directory.install(x(1), n(1));
         let params = Params::paper();
         let out = run_placement(&mut host, 100.0, &mut env);
         assert_eq!(out.decisions.len(), 2);
@@ -999,7 +1000,7 @@ mod tests {
         feed(&mut host, x(0), &[n(0), n(1), n(2)], 20, 0.0);
         let out = run_placement(&mut host, 100.0, &mut env);
         assert!(acted(&out, A::GeoReplicate).is_empty());
-        assert_eq!(env.redirector.replica_count(x(0)), 1);
+        assert_eq!(env.directory.replica_count(x(0)), 1);
     }
 
     #[test]
@@ -1313,7 +1314,7 @@ mod tests {
         let topo = builders::line(2);
         let mut env = MockEnv::new(&topo, 1);
         let mut host = HostState::new(n(1), Params::paper());
-        env.redirector.install(x(0), n(0)); // source copy elsewhere
+        env.directory.install(x(0), n(0)); // source copy elsewhere
         let req = CreateObjRequest {
             kind: RelocationKind::Replicate,
             object: x(0),
@@ -1321,7 +1322,7 @@ mod tests {
             unit_load: 0.5,
         };
         assert!(handle_create_obj(&mut host, 100.0, &req).is_accepted());
-        env.redirector.notify_created(x(0), n(1));
+        env.directory.notify_created(x(0), n(1));
 
         let out = run_placement(&mut host, 100.0, &mut env);
         assert!(acted(&out, A::Drop).is_empty());
@@ -1341,8 +1342,8 @@ mod tests {
         let mut env = MockEnv::new(&topo, 1);
         let mut host = HostState::new(n(0), Params::paper());
         host.install_object(x(0));
-        env.redirector.install(x(0), n(0));
-        env.redirector.install(x(0), n(1));
+        env.directory.install(x(0), n(0));
+        env.directory.install(x(0), n(1));
         let out = run_placement(&mut host, 100.0, &mut env);
         assert_eq!(acted(&out, A::Drop), [(x(0), None)]);
     }

@@ -37,15 +37,13 @@ impl ReplicaInfo {
 /// simulation likewise uses one redirector co-located with the network
 /// centroid).
 ///
-/// The redirector is a thin decision layer over a replica [`Directory`]
-/// (which owns the per-object replica sets, request counts, and
-/// affinities — see that type for the membership protocol):
-///
-/// * [`choose_replica`](Self::choose_replica) — Fig. 2's distribution rule;
-/// * the directory's notification surface, re-exposed here
-///   ([`notify_created`](Self::notify_created),
-///   [`request_drop`](Self::request_drop), …) so protocol call sites keep
-///   one entry point.
+/// The redirector is Fig. 2's distribution rule
+/// ([`choose_replica`](Self::choose_replica),
+/// [`choose_among_into`](Self::choose_among_into)) over a replica
+/// [`Directory`], which owns the per-object replica sets, request
+/// counts, and affinities. Membership changes go to the directory
+/// itself ([`directory_mut`](Self::directory_mut)); see that type for
+/// the notification protocol.
 ///
 /// # A note on the published pseudocode
 ///
@@ -83,71 +81,30 @@ impl Redirector {
         &self.directory
     }
 
-    /// Number of objects this redirector is responsible for.
-    pub fn num_objects(&self) -> usize {
-        self.directory.num_objects()
+    /// The replica directory behind this redirector, for membership
+    /// changes (replica creation, drops, affinity, purges, batches).
+    pub fn directory_mut(&mut self) -> &mut Directory {
+        &mut self.directory
     }
 
-    /// Installs an initial replica (bootstrap placement); see
-    /// [`Directory::install`].
+    /// [`Directory::install`]; kept because `benchmark/src/layers.rs` calls it.
     pub fn install(&mut self, object: ObjectId, host: NodeId) {
         self.directory.install(object, host);
     }
 
-    /// The current replicas of `object` (sorted by host id).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object` is out of range.
+    /// [`Directory::replicas`]; kept because `benchmark/src/layers.rs` calls it.
     pub fn replicas(&self, object: ObjectId) -> &[ReplicaInfo] {
         self.directory.replicas(object)
     }
 
-    /// Number of distinct hosts holding `object`.
-    pub fn replica_count(&self, object: ObjectId) -> usize {
-        self.directory.replica_count(object)
+    /// [`Directory::notify_affinity`]; kept because `benchmark/src/layers.rs` calls it.
+    pub fn notify_affinity(&mut self, object: ObjectId, host: NodeId, new_aff: u32) {
+        self.directory.notify_affinity(object, host, new_aff);
     }
 
-    /// Sum of affinities across all replicas of `object` — the number of
-    /// *logical* replicas.
-    pub fn total_affinity(&self, object: ObjectId) -> u32 {
-        self.directory.total_affinity(object)
-    }
-
-    /// Total physical replicas across every object, maintained
-    /// incrementally by the directory (no per-object rescan).
-    pub fn total_replicas(&self) -> u64 {
-        self.directory.total_replicas()
-    }
-
-    /// Total number of replica-set change notifications processed.
-    pub fn notifications(&self) -> u64 {
-        self.directory.notifications()
-    }
-
-    /// The object's provider-update version; see
-    /// [`Directory::update_version`].
-    pub fn update_version(&self, object: ObjectId) -> u64 {
-        self.directory.update_version(object)
-    }
-
-    /// Records one provider update against `object` and returns the new
-    /// update version; see [`Directory::bump_update_version`].
-    pub fn bump_update_version(&mut self, object: ObjectId) -> u64 {
-        self.directory.bump_update_version(object)
-    }
-
-    /// Starts a placement-epoch batch on the directory; see
-    /// [`Directory::begin_batch`].
-    pub fn begin_batch(&mut self) {
-        self.directory.begin_batch();
-    }
-
-    /// Commits the directory's placement-epoch batch; see
-    /// [`Directory::commit_batch`]. Returns the number of objects whose
-    /// counts were reset.
-    pub fn commit_batch(&mut self) -> usize {
-        self.directory.commit_batch()
+    /// [`Directory::purge_host`]; kept because `benchmark/src/layers.rs` calls it.
+    pub fn purge_host(&mut self, host: NodeId) -> Vec<ObjectId> {
+        self.directory.purge_host(host)
     }
 
     /// The request distribution algorithm (paper Fig. 2).
@@ -173,21 +130,24 @@ impl Redirector {
             .enumerate()
             .map(|(i, e)| (i as u32, routes.distance(e.host, gateway)))
             .collect();
-        self.decide(object, &candidates, None, None)
+        self.choose_among_into(object, &candidates, None, None)
     }
 
-    /// Fig. 2 over a pre-filtered candidate list — the entry point for
-    /// redirect engines that build the list themselves. Each
-    /// candidate is `(entry_index, distance)`: the replica's index in
-    /// [`replicas`](Self::replicas) and its precomputed hop distance to
-    /// the requesting gateway. The caller guarantees the list matches the
+    /// Fig. 2 over a pre-filtered candidate list — the single decision
+    /// path, behind [`choose_replica`](Self::choose_replica) and the
+    /// entry point for redirect engines that build the list themselves.
+    /// Each candidate is `(entry_index, distance)`: the replica's index
+    /// in [`Directory::replicas`] and its precomputed hop distance to the
+    /// requesting gateway. The caller guarantees the list matches the
     /// object's *current* replica set; usability filtering has already
     /// happened.
     ///
-    /// `closest` optionally names the entry index of the closest
-    /// candidate `p` (minimum `(distance, host)`). Unlike request
-    /// counts, `p` is a pure function of the candidate list, so callers
-    /// can note it while building the list; `None` scans for it here.
+    /// Identifies `p` (closest) and `q` (least unit request count) among
+    /// `candidates`, picks the branch, and increments the winner's
+    /// request count. `closest` optionally names the entry index of `p`
+    /// (minimum `(distance, host)`). Unlike request counts, `p` is a pure
+    /// function of the candidate list, so callers can note it while
+    /// building the list; `None` scans for it here.
     ///
     /// When `record` is `Some`, the full Fig. 2 input and outcome are
     /// written into the caller-owned flight-recorder decision — the
@@ -197,31 +157,13 @@ impl Redirector {
     /// meaningful when the call returns `Some`; `object` and `gateway`
     /// are the caller's to set. `None` skips the snapshot entirely.
     ///
-    /// Identical decision semantics and side effects to
-    /// [`choose_replica`](Self::choose_replica): the winner's request
-    /// count increments. Returns `None` for an empty candidate list.
+    /// Returns `None` for an empty candidate list.
     ///
     /// # Panics
     ///
     /// Panics if an entry index is out of range for the replica set —
     /// the symptom of a list built for another replica set.
     pub fn choose_among_into(
-        &mut self,
-        object: ObjectId,
-        candidates: &[(u32, u32)],
-        closest: Option<u32>,
-        record: Option<&mut DecisionEvent>,
-    ) -> Option<NodeId> {
-        self.decide(object, candidates, closest, record)
-    }
-
-    /// The single Fig. 2 code path behind both `choose_*` entry points:
-    /// identify `p` (closest) and `q` (least unit request count) among
-    /// `candidates`, pick the branch, increment the winner. When
-    /// `record` is `Some`, the decision is written into it in place
-    /// (candidate buffer cleared and refilled) so tracing callers reuse
-    /// one allocation across requests.
-    fn decide(
         &mut self,
         object: ObjectId,
         candidates: &[(u32, u32)],
@@ -292,32 +234,6 @@ impl Redirector {
         }
         entries[chosen].rcnt += 1;
         Some(entries[chosen].host)
-    }
-
-    /// Force-removes every replica hosted on `host` — crash recovery;
-    /// see [`Directory::purge_host`]. Returns the affected objects, for
-    /// the caller's re-replication sweep.
-    pub fn purge_host(&mut self, host: NodeId) -> Vec<ObjectId> {
-        self.directory.purge_host(host)
-    }
-
-    /// Notification that `host` created a new copy of `object`; see
-    /// [`Directory::notify_created`].
-    pub fn notify_created(&mut self, object: ObjectId, host: NodeId) {
-        self.directory.notify_created(object, host);
-    }
-
-    /// Notification that `host` reduced a replica's affinity; see
-    /// [`Directory::notify_affinity`].
-    pub fn notify_affinity(&mut self, object: ObjectId, host: NodeId, new_aff: u32) {
-        self.directory.notify_affinity(object, host, new_aff);
-    }
-
-    /// A host's *intention to drop* its replica of `object`; see
-    /// [`Directory::request_drop`]. Returns `true` if the drop was
-    /// approved.
-    pub fn request_drop(&mut self, object: ObjectId, host: NodeId) -> bool {
-        self.directory.request_drop(object, host)
     }
 }
 
@@ -437,36 +353,8 @@ mod tests {
             r.choose_replica(x(), NodeId::new(0), &routes);
         }
         assert!(r.replicas(x()).iter().any(|e| e.rcnt > 1));
-        r.notify_created(x(), NodeId::new(0));
+        r.directory_mut().notify_created(x(), NodeId::new(0));
         assert!(r.replicas(x()).iter().all(|e| e.rcnt == 1));
-    }
-
-    #[test]
-    fn install_and_create_merge_affinity() {
-        let mut r = Redirector::new(1, 2.0);
-        r.install(x(), NodeId::new(3));
-        r.notify_created(x(), NodeId::new(3));
-        assert_eq!(r.replica_count(x()), 1);
-        assert_eq!(r.total_affinity(x()), 2);
-    }
-
-    #[test]
-    fn last_replica_protected() {
-        let mut r = Redirector::new(1, 2.0);
-        r.install(x(), NodeId::new(0));
-        assert!(!r.request_drop(x(), NodeId::new(0)));
-        r.install(x(), NodeId::new(1));
-        assert!(r.request_drop(x(), NodeId::new(0)));
-        assert!(!r.request_drop(x(), NodeId::new(1)));
-        assert_eq!(r.replica_count(x()), 1);
-    }
-
-    #[test]
-    fn drop_of_unknown_replica_refused() {
-        let mut r = Redirector::new(1, 2.0);
-        r.install(x(), NodeId::new(0));
-        r.install(x(), NodeId::new(1));
-        assert!(!r.request_drop(x(), NodeId::new(7)));
     }
 
     #[test]
@@ -507,7 +395,11 @@ mod tests {
         // Nothing usable: None, even though replicas exist.
         let none = candidates(&r, NodeId::new(0), &routes, &|_| false);
         assert_eq!(r.choose_among_into(x(), &none, None, None), None);
-        assert_eq!(r.replica_count(x()), 2, "filtering never mutates the set");
+        assert_eq!(
+            r.directory().replica_count(x()),
+            2,
+            "filtering never mutates the set"
+        );
     }
 
     /// The `(entry_index, distance)` list of the replicas passing
@@ -604,8 +496,9 @@ mod tests {
         for i in 0..200 {
             let gw = NodeId::new(if i % 3 == 0 { 1 } else { 0 });
             let cands = candidates(&r2, gw, &routes, &|_| true);
-            // Alternate between scanning for p here and letting decide()
-            // scan — the precomputed hint must be a pure optimization.
+            // Alternate between scanning for p here and letting
+            // choose_among_into scan — the precomputed hint must be a
+            // pure optimization.
             let closest = (i % 2 == 0).then(|| {
                 cands
                     .iter()
@@ -715,37 +608,15 @@ mod tests {
         r.install(ObjectId::new(2), NodeId::new(1));
         let affected = r.purge_host(NodeId::new(0));
         assert_eq!(affected, vec![ObjectId::new(0), ObjectId::new(1)]);
-        assert_eq!(r.replica_count(ObjectId::new(0)), 0, "last replica purged");
-        assert_eq!(r.replica_count(ObjectId::new(1)), 1);
-        assert_eq!(r.replica_count(ObjectId::new(2)), 1);
+        assert_eq!(
+            r.directory().replica_count(ObjectId::new(0)),
+            0,
+            "last replica purged"
+        );
+        assert_eq!(r.directory().replica_count(ObjectId::new(1)), 1);
+        assert_eq!(r.directory().replica_count(ObjectId::new(2)), 1);
         // Surviving sets had their counts reset.
         assert!(r.replicas(ObjectId::new(1)).iter().all(|e| e.rcnt == 1));
-    }
-
-    #[test]
-    fn notifications_counted() {
-        let (mut r, _) = setup();
-        assert_eq!(r.notifications(), 0);
-        r.notify_created(x(), NodeId::new(0));
-        r.notify_affinity(x(), NodeId::new(0), 1);
-        r.request_drop(x(), NodeId::new(0));
-        assert_eq!(r.notifications(), 3);
-    }
-
-    #[test]
-    fn batch_passthrough_defers_resets() {
-        let (mut r, routes) = setup();
-        for _ in 0..30 {
-            r.choose_replica(x(), NodeId::new(0), &routes);
-        }
-        r.begin_batch();
-        r.notify_created(x(), NodeId::new(0));
-        assert!(
-            r.replicas(x()).iter().any(|e| e.rcnt > 1),
-            "reset deferred while batching"
-        );
-        assert_eq!(r.commit_batch(), 1);
-        assert!(r.replicas(x()).iter().all(|e| e.rcnt == 1));
     }
 
     #[test]

@@ -18,8 +18,8 @@ use radar_core::placement::{
     PlacementOutcome,
 };
 use radar_core::{
-    bounds, CreateObjRequest, CreateObjResponse, HostState, ObjectId, Params, Redirector,
-    RelocationKind,
+    bounds, CreateObjRequest, CreateObjResponse, Directory, HostState, ObjectId, Params,
+    Redirector, RelocationKind,
 };
 use radar_simcore::SimRng;
 use radar_simnet::{builders, NodeId, RoutingTable, Topology};
@@ -97,7 +97,7 @@ impl MiniPlatform {
                 let mut env = FuzzEnv {
                     self_index: i,
                     hosts: &mut self.hosts,
-                    redirector: &mut self.redirector,
+                    directory: self.redirector.directory_mut(),
                     routes: &self.routes,
                     now: self.now,
                     refusal_mask: self.refusal_mask,
@@ -112,7 +112,7 @@ impl MiniPlatform {
 
     /// The structural invariants that must hold between epochs.
     fn check_invariants(&self) {
-        for i in 0..self.redirector.num_objects() {
+        for i in 0..self.redirector.directory().num_objects() {
             let object = ObjectId::new(i as u32);
             let replicas = self.redirector.replicas(object);
             assert!(!replicas.is_empty(), "{object} lost its last replica");
@@ -152,7 +152,7 @@ impl MiniPlatform {
 struct FuzzEnv<'a> {
     self_index: usize,
     hosts: &'a mut [HostState],
-    redirector: &'a mut Redirector,
+    directory: &'a mut Directory,
     routes: &'a RoutingTable,
     now: f64,
     /// Failure injection: refuse every CreateObj whose sequence number
@@ -172,17 +172,17 @@ impl PlacementEnv for FuzzEnv<'_> {
         }
         let resp = handle_create_obj(&mut self.hosts[target.index()], self.now, &req);
         if resp.is_accepted() {
-            self.redirector.notify_created(req.object, target);
+            self.directory.notify_created(req.object, target);
         }
         resp
     }
 
     fn request_drop(&mut self, object: ObjectId, host: NodeId) -> bool {
-        self.redirector.request_drop(object, host)
+        self.directory.request_drop(object, host)
     }
 
     fn notify_affinity(&mut self, object: ObjectId, host: NodeId, aff: u32) {
-        self.redirector.notify_affinity(object, host, aff);
+        self.directory.notify_affinity(object, host, aff);
     }
 
     fn find_offload_recipient(&mut self, requester: NodeId) -> Option<(NodeId, f64)> {
@@ -212,7 +212,7 @@ impl PlacementEnv for FuzzEnv<'_> {
     }
 
     fn replica_count(&self, object: ObjectId) -> usize {
-        self.redirector.replica_count(object)
+        self.directory.replica_count(object)
     }
 }
 
@@ -318,11 +318,11 @@ fn idle_epochs_converge_to_single_replicas() {
         for i in 0..6u32 {
             let object = ObjectId::new(i);
             assert_eq!(
-                platform.redirector.replica_count(object),
+                platform.redirector.directory().replica_count(object),
                 1,
                 "{object} kept redundant cold replicas"
             );
-            assert_eq!(platform.redirector.total_affinity(object), 1);
+            assert_eq!(platform.redirector.directory().total_affinity(object), 1);
         }
     }
 }

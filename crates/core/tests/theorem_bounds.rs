@@ -215,7 +215,9 @@ fn replication_respects_source_and_target_bounds() {
 
             // Replicate: new replica (or affinity bump) on the target; the
             // redirector resets request counts, as in the protocol.
-            p.redirector.notify_created(object(), p.target);
+            p.redirector
+                .directory_mut()
+                .notify_created(object(), p.target);
             let after = measure_shares(&mut p.redirector, &p.demand, &p.routes, HORIZON);
 
             let decrease = ell - share(&after, p.source);
@@ -251,12 +253,18 @@ fn migration_respects_source_and_target_bounds() {
             let target_before = share(&before, p.target);
 
             // Migrate one affinity unit: create at target, reduce at source.
-            p.redirector.notify_created(object(), p.target);
+            p.redirector
+                .directory_mut()
+                .notify_created(object(), p.target);
             if p.source_aff > 1 {
                 p.redirector
+                    .directory_mut()
                     .notify_affinity(object(), p.source, p.source_aff - 1);
             } else {
-                assert!(p.redirector.request_drop(object(), p.source));
+                assert!(p
+                    .redirector
+                    .directory_mut()
+                    .request_drop(object(), p.source));
             }
             let after = measure_shares(&mut p.redirector, &p.demand, &p.routes, HORIZON);
 
@@ -295,7 +303,9 @@ fn replication_threshold_floor_holds() {
                 return; // only meaningful when the source is warm
             }
 
-            p.redirector.notify_created(object(), p.target);
+            p.redirector
+                .directory_mut()
+                .notify_created(object(), p.target);
             let after = measure_shares(&mut p.redirector, &p.demand, &p.routes, HORIZON);
 
             for info in p.redirector.replicas(object()) {
@@ -338,7 +348,7 @@ fn replication_bound_on_uunet() {
     assert!((ell - 1.0).abs() < 1e-9, "sole replica serves everything");
 
     let target = NodeId::new(30);
-    redirector.notify_created(object(), target);
+    redirector.directory_mut().notify_created(object(), target);
     let after = measure_shares(&mut redirector, &demand, &routes, HORIZON);
     let decrease = ell - after[&source];
     assert!(decrease <= bounds::replication_source_decrease(ell) + TOL);

@@ -245,8 +245,6 @@ pub struct Scenario {
     pub topology: Topology,
     /// Number of hosted objects.
     pub num_objects: u32,
-    /// Object size in bytes.
-    pub object_size: u64,
     /// Request rate per gateway node, requests/second.
     pub node_request_rate: f64,
     /// Optional per-gateway request rates overriding `node_request_rate`
@@ -280,9 +278,10 @@ pub struct Scenario {
     pub poisson_arrivals: bool,
     /// Node whose load estimates are tracked for Fig. 8b (default 0).
     pub tracked_host: u16,
-    /// Object catalog (sizes/kinds/primaries). `None` = uniform immutable
-    /// objects of `object_size` bytes, primaries round-robin (paper §6.1).
-    pub catalog: Option<Catalog>,
+    /// Object catalog: the object size, §5 kinds and primaries. The
+    /// builder's default is the paper's: uniform immutable objects of
+    /// 12 KB, primaries round-robin over the nodes (§6.1).
+    pub catalog: Catalog,
     /// Per-host storage limit in *objects* (`None` = unbounded, the
     /// paper's evaluation setting). A full host refuses new physical
     /// copies — the §2.1 storage-load component's admission effect.
@@ -336,137 +335,118 @@ impl Scenario {
     }
 }
 
-/// Builder for [`Scenario`]; see [`Scenario::builder`].
+/// Builder for [`Scenario`]; see [`Scenario::builder`]: the scenario
+/// under construction, validated by [`build`](Self::build).
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
-    topology: Option<Topology>,
-    num_objects: u32,
-    object_size: u64,
-    node_request_rate: f64,
-    node_request_rates: Option<Vec<f64>>,
-    server_capacity: f64,
-    node_capacities: Option<Vec<f64>>,
-    network: NetworkParams,
-    params: Params,
-    placement: PlacementMode,
-    initial_placement: InitialPlacement,
-    duration: f64,
-    seed: u64,
+    /// Every field but `metric_bin` as it will be built; an empty
+    /// `catalog` stands for the paper's uniform one.
+    scenario: Scenario,
+    /// Metric bin width; `None` resolves to the placement period.
     metric_bin: Option<f64>,
-    poisson_arrivals: bool,
-    tracked_host: u16,
-    catalog: Option<Catalog>,
-    storage_limit: Option<u32>,
-    num_redirectors: u16,
-    update_rate: f64,
-    faults: FaultSpec,
 }
 
 impl ScenarioBuilder {
     /// Paper defaults (Table 1).
     pub fn new() -> Self {
         Self {
-            topology: None,
-            num_objects: 10_000,
-            object_size: 12 * 1024,
-            node_request_rate: 40.0,
-            node_request_rates: None,
-            server_capacity: 200.0,
-            node_capacities: None,
-            network: NetworkParams::paper(),
-            params: Params::paper(),
-            placement: PlacementMode::Dynamic,
-            initial_placement: InitialPlacement::RoundRobin,
-            duration: 3_000.0,
-            seed: 1,
+            scenario: Scenario {
+                topology: radar_simnet::builders::uunet(),
+                num_objects: 10_000,
+                node_request_rate: 40.0,
+                node_request_rates: None,
+                server_capacity: 200.0,
+                node_capacities: None,
+                network: NetworkParams::paper(),
+                params: Params::paper(),
+                placement: PlacementMode::Dynamic,
+                initial_placement: InitialPlacement::RoundRobin,
+                duration: 3_000.0,
+                seed: 1,
+                metric_bin: 0.0,
+                poisson_arrivals: false,
+                tracked_host: 0,
+                catalog: Catalog::default(),
+                storage_limit: None,
+                num_redirectors: 1,
+                update_rate: 0.0,
+                faults: FaultSpec::new(),
+            },
             metric_bin: None,
-            poisson_arrivals: false,
-            tracked_host: 0,
-            catalog: None,
-            storage_limit: None,
-            num_redirectors: 1,
-            update_rate: 0.0,
-            faults: FaultSpec::new(),
         }
     }
 
     /// Sets the topology (default: the 53-node UUNET testbed).
     pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
+        self.scenario.topology = topology;
         self
     }
 
     /// Sets the number of objects.
     pub fn num_objects(mut self, n: u32) -> Self {
-        self.num_objects = n;
-        self
-    }
-
-    /// Sets the object size in bytes.
-    pub fn object_size(mut self, bytes: u64) -> Self {
-        self.object_size = bytes;
+        self.scenario.num_objects = n;
         self
     }
 
     /// Sets the per-gateway request rate (requests/second).
     pub fn node_request_rate(mut self, rate: f64) -> Self {
-        self.node_request_rate = rate;
+        self.scenario.node_request_rate = rate;
         self
     }
 
     /// Sets individual per-gateway request rates (one entry per node,
     /// all strictly positive), overriding the uniform rate.
     pub fn node_request_rates(mut self, rates: Vec<f64>) -> Self {
-        self.node_request_rates = Some(rates);
+        self.scenario.node_request_rates = Some(rates);
         self
     }
 
     /// Sets the server capacity (requests/second).
     pub fn server_capacity(mut self, rate: f64) -> Self {
-        self.server_capacity = rate;
+        self.scenario.server_capacity = rate;
         self
     }
 
     /// Sets individual per-node capacities (one strictly positive entry
     /// per node). Each host's watermarks scale with its relative power.
     pub fn node_capacities(mut self, capacities: Vec<f64>) -> Self {
-        self.node_capacities = Some(capacities);
+        self.scenario.node_capacities = Some(capacities);
         self
     }
 
     /// Sets the network cost model.
     pub fn network(mut self, network: NetworkParams) -> Self {
-        self.network = network;
+        self.scenario.network = network;
         self
     }
 
     /// Sets the protocol parameters.
     pub fn params(mut self, params: Params) -> Self {
-        self.params = params;
+        self.scenario.params = params;
         self
     }
 
     /// Sets the placement mode.
     pub fn placement(mut self, mode: PlacementMode) -> Self {
-        self.placement = mode;
+        self.scenario.placement = mode;
         self
     }
 
     /// Sets the initial placement.
     pub fn initial_placement(mut self, p: InitialPlacement) -> Self {
-        self.initial_placement = p;
+        self.scenario.initial_placement = p;
         self
     }
 
     /// Sets the simulated duration (seconds).
     pub fn duration(mut self, secs: f64) -> Self {
-        self.duration = secs;
+        self.scenario.duration = secs;
         self
     }
 
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.scenario.seed = seed;
         self
     }
 
@@ -478,47 +458,49 @@ impl ScenarioBuilder {
 
     /// Switches arrivals to Poisson.
     pub fn poisson_arrivals(mut self, poisson: bool) -> Self {
-        self.poisson_arrivals = poisson;
+        self.scenario.poisson_arrivals = poisson;
         self
     }
 
     /// Sets the node tracked for Fig. 8b load-estimate series.
     pub fn tracked_host(mut self, node: u16) -> Self {
-        self.tracked_host = node;
+        self.scenario.tracked_host = node;
         self
     }
 
-    /// Provides a custom object catalog (consistency kinds / replica
-    /// caps, paper §5). Must describe exactly `num_objects` objects.
+    /// Provides a custom object catalog: the object size every transfer
+    /// is charged at, and the consistency kinds / replica caps and
+    /// primaries of paper §5. Must describe exactly `num_objects`
+    /// objects. Default: uniform immutable 12 KB objects.
     pub fn catalog(mut self, catalog: Catalog) -> Self {
-        self.catalog = Some(catalog);
+        self.scenario.catalog = catalog;
         self
     }
 
     /// Limits every host to at most `max_objects` distinct objects.
     pub fn storage_limit(mut self, max_objects: u32) -> Self {
-        self.storage_limit = Some(max_objects);
+        self.scenario.storage_limit = Some(max_objects);
         self
     }
 
     /// Hash-partitions the URL namespace over `n ≥ 1` redirectors placed
     /// at the most central nodes.
     pub fn num_redirectors(mut self, n: u16) -> Self {
-        self.num_redirectors = n;
+        self.scenario.num_redirectors = n;
         self
     }
 
     /// Sets the aggregate provider-update rate (updates/second over the
     /// whole object population; 0 disables updates).
     pub fn update_rate(mut self, rate: f64) -> Self {
-        self.update_rate = rate;
+        self.scenario.update_rate = rate;
         self
     }
 
     /// Installs a fault schedule (host crashes, link partitions, link
     /// degradations). Validated against the topology at build time.
     pub fn faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = faults;
+        self.scenario.faults = faults;
         self
     }
 
@@ -530,28 +512,32 @@ impl ScenarioBuilder {
     /// empty object space, malformed explicit placement, or a time or
     /// period beyond the clock (2^53 µs).
     pub fn build(self) -> Result<Scenario, ScenarioError> {
-        check_object_count(self.num_objects)?;
+        let mut s = self.scenario;
+        check_object_count(s.num_objects)?;
+        if s.catalog.is_empty() {
+            // Table 1: 12 KB objects.
+            s.catalog = Catalog::uniform(s.num_objects, 12 * 1024, s.topology.len() as u16);
+        }
         let positives = [
-            ("node_request_rate", self.node_request_rate),
-            ("server_capacity", self.server_capacity),
-            ("duration", self.duration),
-            ("hop_delay", self.network.hop_delay),
-            ("link_bandwidth", self.network.link_bandwidth),
-            ("object_size", self.object_size as f64),
+            ("node_request_rate", s.node_request_rate),
+            ("server_capacity", s.server_capacity),
+            ("duration", s.duration),
+            ("hop_delay", s.network.hop_delay),
+            ("link_bandwidth", s.network.link_bandwidth),
+            ("object_size", s.catalog.object_size() as f64),
         ];
         for (field, value) in positives {
             if !(value.is_finite() && value > 0.0) {
                 return Err(ScenarioError::NonPositive { field, value });
             }
         }
-        let topology = self.topology.unwrap_or_else(radar_simnet::builders::uunet);
-        if let InitialPlacement::Explicit(assignments) = &self.initial_placement {
-            if assignments.len() != self.num_objects as usize {
+        if let InitialPlacement::Explicit(assignments) = &s.initial_placement {
+            if assignments.len() != s.num_objects as usize {
                 return Err(ScenarioError::BadExplicitPlacement {
                     detail: format!(
                         "{} assignment lists for {} objects",
                         assignments.len(),
-                        self.num_objects
+                        s.num_objects
                     ),
                 });
             }
@@ -561,14 +547,14 @@ impl ScenarioBuilder {
                         detail: format!("object {i} has no hosts"),
                     });
                 }
-                if let Some(&bad) = hosts.iter().find(|&&h| h as usize >= topology.len()) {
+                if let Some(&bad) = hosts.iter().find(|&&h| h as usize >= s.topology.len()) {
                     return Err(ScenarioError::BadExplicitPlacement {
                         detail: format!("object {i} assigned to unknown node {bad}"),
                     });
                 }
             }
         }
-        if let Some(limit) = self.storage_limit {
+        if let Some(limit) = s.storage_limit {
             if limit == 0 {
                 return Err(ScenarioError::NonPositive {
                     field: "storage_limit",
@@ -576,66 +562,65 @@ impl ScenarioBuilder {
                 });
             }
         }
-        if self.num_redirectors == 0 {
+        if s.num_redirectors == 0 {
             return Err(ScenarioError::NonPositive {
                 field: "num_redirectors",
                 value: 0.0,
             });
         }
-        if !(self.update_rate.is_finite() && self.update_rate >= 0.0) {
+        if !(s.update_rate.is_finite() && s.update_rate >= 0.0) {
             return Err(ScenarioError::Negative {
                 field: "update_rate",
-                value: self.update_rate,
+                value: s.update_rate,
             });
         }
         for (field, values) in [
-            ("node_capacities", &self.node_capacities),
-            ("node_request_rates", &self.node_request_rates),
+            ("node_capacities", &s.node_capacities),
+            ("node_request_rates", &s.node_request_rates),
         ] {
             let Some(values) = values else { continue };
-            if values.len() != topology.len() {
+            if values.len() != s.topology.len() {
                 return Err(ScenarioError::PerNodeLength {
                     field,
                     len: values.len(),
-                    nodes: topology.len(),
+                    nodes: s.topology.len(),
                 });
             }
             if let Some(&bad) = values.iter().find(|v| !(v.is_finite() && **v > 0.0)) {
                 return Err(ScenarioError::NonPositive { field, value: bad });
             }
         }
-        if let Some(catalog) = &self.catalog {
-            if catalog.len() != self.num_objects as usize {
-                return Err(ScenarioError::CatalogMismatch {
-                    catalog: catalog.len(),
-                    scenario: self.num_objects,
-                });
-            }
+        if s.catalog.len() != s.num_objects as usize {
+            return Err(ScenarioError::CatalogMismatch {
+                catalog: s.catalog.len(),
+                scenario: s.num_objects,
+            });
         }
-        let links: Vec<(u16, u16)> = topology
+        let links: Vec<(u16, u16)> = s
+            .topology
             .links()
             .iter()
             .map(|&(a, b)| (a.index() as u16, b.index() as u16))
             .collect();
-        self.faults.validate(topology.len(), &links)?;
+        s.faults.validate(s.topology.len(), &links)?;
         // Every span the loop adds to the clock, in seconds. Routes have
         // fewer hops than the topology has nodes.
-        let hops = topology.len() as f64;
-        let update_period = (self.update_rate > 0.0).then(|| 1.0 / self.update_rate);
+        let hops = s.topology.len() as f64;
+        let update_period = (s.update_rate > 0.0).then(|| 1.0 / s.update_rate);
         let periods: Vec<(&'static str, f64)> = [
-            ("1/node_request_rate", 1.0 / self.node_request_rate),
-            ("1/server_capacity", 1.0 / self.server_capacity),
+            ("1/node_request_rate", 1.0 / s.node_request_rate),
+            ("1/server_capacity", 1.0 / s.server_capacity),
         ]
         .into_iter()
         .chain(update_period.map(|period| ("1/update_rate", period)))
         .chain(
-            self.node_request_rates
+            s.node_request_rates
                 .iter()
                 .flatten()
                 .map(|r| ("1/node_request_rates", 1.0 / r)),
         )
         .chain(
-            self.node_capacities
+            s.node_capacities
                 .iter()
                 .flatten()
                 .map(|c| ("1/node_capacities", 1.0 / c)),
@@ -646,22 +631,19 @@ impl ScenarioBuilder {
             return Err(ScenarioError::BelowClock { field, value });
         }
         let spans = [
-            ("duration", self.duration),
-            ("placement_period", self.params.placement_period),
-            ("measurement_interval", self.params.measurement_interval),
-            (
-                "hop_delay across the topology",
-                hops * self.network.hop_delay,
-            ),
+            ("duration", s.duration),
+            ("placement_period", s.params.placement_period),
+            ("measurement_interval", s.params.measurement_interval),
+            ("hop_delay across the topology", hops * s.network.hop_delay),
             (
                 "object_size/link_bandwidth across the topology",
-                hops * self.object_size as f64 / self.network.link_bandwidth,
+                hops * s.catalog.object_size() as f64 / s.network.link_bandwidth,
             ),
-            ("declare-dead-after", self.faults.declare_dead_after()),
+            ("declare-dead-after", s.faults.declare_dead_after()),
         ]
         .into_iter()
         .chain(periods)
-        .chain(self.faults.faults().iter().flat_map(|fault| {
+        .chain(s.faults.faults().iter().flat_map(|fault| {
             let (from, until) = fault.window();
             std::iter::once(("fault window start", from))
                 .chain(until.map(|until| ("fault window end", until)))
@@ -671,9 +653,9 @@ impl ScenarioBuilder {
                 return Err(ScenarioError::BeyondClock { field, value });
             }
         }
-        let tracked_host = self.tracked_host.min(topology.len() as u16 - 1);
-        let num_redirectors = self.num_redirectors.min(topology.len() as u16);
-        let metric_bin = match self.metric_bin {
+        s.tracked_host = s.tracked_host.min(s.topology.len() as u16 - 1);
+        s.num_redirectors = s.num_redirectors.min(s.topology.len() as u16);
+        s.metric_bin = match self.metric_bin {
             Some(b) if !(b.is_finite() && b > 0.0) => {
                 return Err(ScenarioError::NonPositive {
                     field: "metric_bin",
@@ -681,31 +663,9 @@ impl ScenarioBuilder {
                 })
             }
             Some(b) => b,
-            None => self.params.placement_period,
+            None => s.params.placement_period,
         };
-        Ok(Scenario {
-            topology,
-            num_objects: self.num_objects,
-            object_size: self.object_size,
-            node_request_rate: self.node_request_rate,
-            node_request_rates: self.node_request_rates,
-            server_capacity: self.server_capacity,
-            node_capacities: self.node_capacities,
-            network: self.network,
-            params: self.params,
-            placement: self.placement,
-            initial_placement: self.initial_placement,
-            duration: self.duration,
-            seed: self.seed,
-            metric_bin,
-            poisson_arrivals: self.poisson_arrivals,
-            tracked_host,
-            catalog: self.catalog,
-            storage_limit: self.storage_limit,
-            num_redirectors,
-            update_rate: self.update_rate,
-            faults: self.faults,
-        })
+        Ok(s)
     }
 }
 
@@ -723,7 +683,8 @@ mod tests {
     fn defaults_match_table_1() {
         let s = Scenario::builder().build().unwrap();
         assert_eq!(s.num_objects, 10_000);
-        assert_eq!(s.object_size, 12 * 1024);
+        assert_eq!(s.catalog.object_size(), 12 * 1024);
+        assert_eq!(s.catalog, Catalog::uniform(10_000, 12 * 1024, 53));
         assert_eq!(s.node_request_rate, 40.0);
         assert_eq!(s.server_capacity, 200.0);
         assert_eq!(s.network.hop_delay, 0.010);

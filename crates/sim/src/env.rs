@@ -10,9 +10,9 @@
 //! between the mutations of one epoch, so the observable decision
 //! stream is identical to unbatched resets.
 
-use radar_core::placement::{handle_create_obj, PlacementEnv};
+use radar_core::placement::{handle_create_obj, run_placement_into, PlacementEnv};
 use radar_core::{
-    Catalog, CreateObjRequest, CreateObjResponse, HostState, ObjectId, ObjectKind, Redirector,
+    Catalog, CreateObjRequest, CreateObjResponse, Directory, HostState, ObjectId, ObjectKind,
 };
 use radar_obs::{
     ConsistencyClass, EventKind as ObsEventKind, ProviderUpdateEvent, ResetCause,
@@ -51,7 +51,7 @@ impl Simulation {
         // placement epochs so static runs are covered too). The
         // directory maintains the total incrementally, so this no longer
         // rescans every object's replica set.
-        let total = self.redirector.total_replicas();
+        let total = self.redirector.directory().total_replicas();
         let avg = total as f64 / self.scenario.num_objects as f64;
         self.metrics.replica_series.push((now, avg));
         let tracked = &self.hosts[self.scenario.tracked_host as usize];
@@ -90,33 +90,33 @@ impl Simulation {
         std::mem::swap(&mut self.hosts[i], &mut self.spare_host);
         // One placement epoch = one directory batch: count resets for
         // objects this epoch touches apply once, at commit.
-        self.redirector.begin_batch();
         let queue_depth = self.depth();
-        {
-            let mut env = SimEnv {
-                self_index: i,
-                hosts: &mut self.hosts,
-                redirector: &mut self.redirector,
-                metrics: &mut self.metrics,
-                view: &self.view,
-                catalog: &self.catalog,
-                load_reports: &self.load_reports,
-                alive: &self.alive_scratch,
-                offload_probes: &mut self.offload_probe_scratch,
-                object_size: self.scenario.object_size,
-                now,
-                events: &mut self.events,
-                queue_depth,
-            };
-            self.placement_policy.run_epoch(
-                &mut self.spare_host,
-                now,
-                &mut env,
-                &mut self.placement_scratch,
-                &mut self.placement_outcome,
-            );
+        let directory = self.redirector.directory_mut();
+        directory.begin_batch();
+        let mut env = SimEnv {
+            self_index: i,
+            hosts: &mut self.hosts,
+            directory,
+            metrics: &mut self.metrics,
+            view: &self.view,
+            catalog: &self.scenario.catalog,
+            load_reports: &self.load_reports,
+            alive: &self.alive_scratch,
+            offload_probes: &mut self.offload_probe_scratch,
+            now,
+            events: &mut self.events,
+            queue_depth,
+        };
+        let (host, scratch, out) = (
+            &mut self.spare_host,
+            &mut self.placement_scratch,
+            &mut self.placement_outcome,
+        );
+        match &mut self.placement_policy {
+            Some(policy) => policy.run_epoch(host, now, &mut env, scratch, out),
+            None => run_placement_into(host, now, &mut env, scratch, out),
         }
-        self.redirector.commit_batch();
+        env.directory.commit_batch();
         if self.events.tracing {
             // One flight-recorder event per placement decision, carrying
             // the threshold comparison that triggered it.
@@ -152,7 +152,7 @@ impl Simulation {
             .schedule(t + SimDuration::from_secs(gap), Event::ProviderUpdate);
 
         let object = ObjectId::new(self.rng.index(self.scenario.num_objects as usize) as u32);
-        let replicas = self.redirector.replicas(object);
+        let replicas = self.redirector.directory().replicas(object);
         debug_assert!(
             !replicas.is_empty() || !self.scenario.faults.is_empty(),
             "every object keeps a replica"
@@ -162,8 +162,8 @@ impl Simulation {
             // will restore the object — nothing to propagate to.
             return;
         }
-        let kind = self.catalog.kind(object);
-        let mut primary = self.catalog.primary(object);
+        let kind = self.scenario.catalog.kind(object);
+        let mut primary = self.scenario.catalog.primary(object);
         let mut reassigned = false;
         if !replicas.iter().any(|r| r.host == primary) {
             // Prefer a live replica as the new primary (they are all
@@ -173,10 +173,10 @@ impl Simulation {
                 .map(|r| r.host)
                 .find(|h| self.fault_state.host_up(h.index() as u16))
                 .unwrap_or(replicas[0].host);
-            self.catalog.set_primary(object, primary);
+            self.scenario.catalog.set_primary(object, primary);
             reassigned = true;
         }
-        let bytes = self.catalog.object_size();
+        let bytes = self.scenario.catalog.object_size();
         let mut targets = std::mem::take(&mut self.update_targets);
         targets.clear();
         targets.extend(
@@ -192,7 +192,7 @@ impl Simulation {
         for &target in &targets {
             self.charge_links(primary, target, bytes);
         }
-        let version = self.redirector.bump_update_version(object);
+        let version = self.redirector.directory_mut().bump_update_version(object);
         let class = class_tag(kind);
         self.metrics
             .tally
@@ -248,9 +248,10 @@ impl Simulation {
     ) {
         let now = t.as_secs();
         let lag = (t - issued).as_secs();
-        let class = class_tag(self.catalog.kind(object));
+        let class = class_tag(self.scenario.catalog.kind(object));
         let wasted = !self
             .redirector
+            .directory()
             .replicas(object)
             .iter()
             .any(|r| r.host == target);
@@ -312,11 +313,11 @@ fn select_probe_candidates(candidates: &mut [(f64, usize)], probes: usize) -> &[
 
 /// The placement environment the simulator exposes to a deciding host:
 /// all *other* hosts (slot `self_index` holds a placeholder), the
-/// redirector, and overhead accounting.
+/// replica directory, and overhead accounting.
 struct SimEnv<'a> {
     self_index: usize,
     hosts: &'a mut [HostState],
-    redirector: &'a mut Redirector,
+    directory: &'a mut Directory,
     metrics: &'a mut Metrics,
     view: &'a RoutingView,
     catalog: &'a Catalog,
@@ -327,7 +328,6 @@ struct SimEnv<'a> {
     /// Reusable `(headroom, host index)` buffer for offload-recipient
     /// discovery.
     offload_probes: &'a mut Vec<(f64, usize)>,
-    object_size: u64,
     now: f64,
     /// Flight-recorder sink for replica-set change events (count
     /// resets) triggered by the placement run.
@@ -373,18 +373,19 @@ impl PlacementEnv for SimEnv<'_> {
         let host = &mut self.hosts[target.index()];
         let resp = handle_create_obj(host, self.now, &req);
         if let CreateObjResponse::Accepted { new_copy } = resp {
-            // Notify the redirector *after* the copy exists.
-            self.redirector.notify_created(req.object, target);
+            // Notify the directory *after* the copy exists.
+            self.directory.notify_created(req.object, target);
             self.emit_counts_reset(req.object, ResetCause::Created);
             if new_copy {
                 // The object data crosses the backbone: overhead traffic.
+                let size = self.catalog.object_size();
                 let hops = self.view.distance(req.source, target);
                 self.metrics
-                    .record_overhead(self.now, (self.object_size * hops as u64) as f64);
+                    .record_overhead(self.now, (size * hops as u64) as f64);
                 let path = self.view.path(req.source, target);
                 for w in path.windows(2) {
                     let idx = self.view.link_id(w[0], w[1]).expect("adjacent on a path");
-                    self.metrics.link_bytes[idx] += self.object_size as f64;
+                    self.metrics.link_bytes[idx] += size as f64;
                 }
             }
         }
@@ -392,7 +393,7 @@ impl PlacementEnv for SimEnv<'_> {
     }
 
     fn request_drop(&mut self, object: ObjectId, host: NodeId) -> bool {
-        let approved = self.redirector.request_drop(object, host);
+        let approved = self.directory.request_drop(object, host);
         if approved {
             self.emit_counts_reset(object, ResetCause::Dropped);
         }
@@ -400,7 +401,7 @@ impl PlacementEnv for SimEnv<'_> {
     }
 
     fn notify_affinity(&mut self, object: ObjectId, host: NodeId, aff: u32) {
-        self.redirector.notify_affinity(object, host, aff);
+        self.directory.notify_affinity(object, host, aff);
         self.emit_counts_reset(object, ResetCause::Affinity);
     }
 
@@ -454,11 +455,11 @@ impl PlacementEnv for SimEnv<'_> {
     fn may_replicate(&self, object: ObjectId) -> bool {
         self.catalog
             .kind(object)
-            .may_add_replica(self.redirector.replica_count(object))
+            .may_add_replica(self.directory.replica_count(object))
     }
 
     fn replica_count(&self, object: ObjectId) -> usize {
-        self.redirector.replica_count(object)
+        self.directory.replica_count(object)
     }
 }
 

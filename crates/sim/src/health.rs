@@ -110,7 +110,7 @@ impl Simulation {
             return;
         }
         self.declared_dead[i] = true;
-        let purged = self.redirector.purge_host(host);
+        let purged = self.redirector.directory_mut().purge_host(host);
         if self.events.tracing {
             // Purging resets the surviving replicas' request counts —
             // one CountsReset per affected object.
@@ -136,7 +136,7 @@ impl Simulation {
     /// moves to the most central live host. `None` when every host is
     /// down.
     pub(crate) fn live_primary(&mut self, object: ObjectId) -> Option<NodeId> {
-        let p = self.catalog.primary(object);
+        let p = self.scenario.catalog.primary(object);
         if self.fault_state.host_up(p.index() as u16) {
             return Some(p);
         }
@@ -146,7 +146,7 @@ impl Simulation {
             .nodes_by_centrality()
             .into_iter()
             .find(|n| self.fault_state.host_up(n.index() as u16))?;
-        self.catalog.set_primary(object, c);
+        self.scenario.catalog.set_primary(object, c);
         Some(c)
     }
 
@@ -157,6 +157,7 @@ impl Simulation {
         let i = object.index() as u32;
         let live = self
             .redirector
+            .directory()
             .replicas(object)
             .iter()
             .filter(|r| self.fault_state.host_up(r.host.index() as u16))
@@ -198,7 +199,7 @@ impl Simulation {
         for i in 0..self.scenario.num_objects {
             let object = ObjectId::new(i);
             loop {
-                let replicas = self.redirector.replicas(object);
+                let replicas = self.redirector.directory().replicas(object);
                 let is_live = |h: &NodeId| self.fault_state.host_up(h.index() as u16);
                 let live = replicas.iter().filter(|r| is_live(&r.host)).count();
                 if live as u32 >= floor {
@@ -227,10 +228,11 @@ impl Simulation {
                         break; // fewer live hosts than the floor
                     };
                     let target = NodeId::new(j as u16);
+                    let size = self.scenario.catalog.object_size();
                     let hops = self.view.distance(source, target);
                     self.metrics
-                        .record_overhead(now, (self.scenario.object_size * hops as u64) as f64);
-                    self.charge_links(source, target, self.scenario.object_size);
+                        .record_overhead(now, (size * hops as u64) as f64);
+                    self.charge_links(source, target, size);
                     target
                 } else {
                     // Origin fetch: every copy was lost with its hosts.

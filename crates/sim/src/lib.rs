@@ -81,7 +81,7 @@ pub use faults::{Fault, FaultError, FaultSpec, FaultTransition, TransitionKind};
 pub use json::protocol_health_json;
 pub use metrics::{LoadEstimateSample, Metrics, RelocationEvent, RelocationIter, RelocationLog};
 pub use observer::{Observer, RequestRecord};
-pub use placement_policy::{PlacementPolicy, RadarPlacement};
+pub use placement_policy::PlacementPolicy;
 pub use platform::Simulation;
 pub use report::{ReplicaCensus, RunReport};
 pub use selection::SelectionPolicy;

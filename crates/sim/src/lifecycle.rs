@@ -192,7 +192,12 @@ impl Simulation {
             // again. Baselines have no Fig. 2 data, so their decisions
             // are traced as `policy`.
             Some(policy) => policy
-                .choose(object, gateway, &mut self.redirector, self.view.table())
+                .choose(
+                    object,
+                    gateway,
+                    self.redirector.directory(),
+                    self.view.table(),
+                )
                 .filter(|&h| usable(&self.fault_state, &self.view, rnode, h, gateway)),
         };
         let explained = self.selection.is_none() && chosen.is_some();
@@ -215,6 +220,7 @@ impl Simulation {
                 let Some(p) = fallback else {
                     let any_live = self
                         .redirector
+                        .directory()
                         .replicas(object)
                         .iter()
                         .any(|r| self.fault_state.host_up(r.host.index() as u16));
@@ -226,7 +232,13 @@ impl Simulation {
                     self.fail_request(t, object, gateway, reason, cause);
                     return;
                 };
-                if !self.redirector.replicas(object).iter().any(|r| r.host == p) {
+                if !self
+                    .redirector
+                    .directory()
+                    .replicas(object)
+                    .iter()
+                    .any(|r| r.host == p)
+                {
                     self.install(object, p);
                     self.refresh_one(now, object);
                 }
@@ -338,15 +350,16 @@ impl Simulation {
             self.fail_request(t, object, gateway, FailReason::Unreachable, cause);
             return;
         }
+        let size = self.scenario.catalog.object_size();
         let hops = self.view.distance(host, gateway);
-        let travel = self.transfer(host, gateway, self.scenario.object_size);
+        let travel = self.transfer(host, gateway, size);
         let delivered = t + SimDuration::from_secs(travel);
         let latency = (delivered - t0).as_secs();
-        let bytes_hops = (self.scenario.object_size * hops as u64) as f64;
+        let bytes_hops = (size * hops as u64) as f64;
         self.metrics
             .record_response(t.as_secs(), delivered.as_secs(), latency, bytes_hops);
         self.metrics.response_travel.record(travel);
-        self.charge_links(host, gateway, self.scenario.object_size);
+        self.charge_links(host, gateway, size);
         let (from, to) = (
             self.node_regions[host.index()].index(),
             self.node_regions[gateway.index()].index(),

@@ -1,18 +1,18 @@
-//! Pluggable replica-placement policies.
+//! Pluggable baseline replica-placement policies.
 //!
 //! The placement counterpart of
-//! [`SelectionPolicy`](crate::SelectionPolicy), except that here the
-//! paper's own algorithm (§4, Figs. 3–5) is a policy too:
-//! [`RadarPlacement`], a thin delegation to
-//! [`radar_core::placement::run_placement_into`]; comparator strategies
-//! (availability-aware continuous placement, cluster-based
-//! load-balancing replication) live in the `radar-baselines` crate and
-//! implement the same trait. Every policy sees the identical
-//! [`PlacementEnv`] surface — `CreateObj` admission, drop arbitration,
+//! [`SelectionPolicy`](crate::SelectionPolicy): the paper's own
+//! algorithm (§4, Figs. 3–5) is not a policy — a simulation without one
+//! calls [`radar_core::placement::run_placement_into`] directly.
+//! Comparator strategies (availability-aware continuous placement,
+//! cluster-based load-balancing replication) live in the
+//! `radar-baselines` crate and implement [`PlacementPolicy`]. Every
+//! policy sees the identical [`PlacementEnv`] surface the paper's
+//! algorithm does — `CreateObj` admission, drop arbitration,
 //! offload-recipient probing, §5 replica caps — so head-to-head runs
 //! differ only in the decision rule, never in the bookkeeping.
 
-use radar_core::placement::{run_placement_into, PlacementEnv, PlacementOutcome, PlacementScratch};
+use radar_core::placement::{PlacementEnv, PlacementOutcome, PlacementScratch};
 use radar_core::HostState;
 
 /// Decides replica placement for one host, once per placement epoch.
@@ -31,9 +31,10 @@ use radar_core::HostState;
 /// Contract at the end of an epoch: record every action in `out` (the
 /// metrics/observer feed), then reset the host's access counts and mark
 /// the run (`host.reset_access_counts()` + `host.mark_placement_run(now)`)
-/// so the next epoch judges a fresh window. [`run_placement_into`] does
-/// all of this for the paper's algorithm; custom policies must do the
-/// same.
+/// so the next epoch judges a fresh window.
+/// [`run_placement_into`](radar_core::placement::run_placement_into)
+/// does all of this for the paper's algorithm; custom policies must do
+/// the same.
 pub trait PlacementPolicy: Send {
     /// Runs one placement epoch for `host` at time `now`. `scratch` is
     /// reusable working memory and `out` is cleared and refilled — the
@@ -47,51 +48,6 @@ pub trait PlacementPolicy: Send {
         out: &mut PlacementOutcome,
     );
 
-    /// Policy name for reports (`radar`, `availability`, `cluster`, …).
+    /// Policy name for reports (`availability`, `cluster`, …).
     fn name(&self) -> &str;
-}
-
-/// The paper's placement algorithm (deletion threshold, geo-migration /
-/// geo-replication by preference-path shares, Fig. 5 offloading),
-/// delegating to [`radar_core::placement::run_placement_into`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RadarPlacement;
-
-impl RadarPlacement {
-    /// Creates the protocol's own placement policy.
-    pub fn new() -> Self {
-        RadarPlacement
-    }
-}
-
-impl PlacementPolicy for RadarPlacement {
-    fn run_epoch(
-        &mut self,
-        host: &mut HostState,
-        now: f64,
-        env: &mut dyn PlacementEnv,
-        scratch: &mut PlacementScratch,
-        out: &mut PlacementOutcome,
-    ) {
-        run_placement_into(host, now, env, scratch, out);
-    }
-
-    fn name(&self) -> &str {
-        "radar"
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn radar_placement_is_the_default_algorithm() {
-        // The trait object must reach the exact same code path as the
-        // direct call — spot-checked by name here; the golden-log gate
-        // pins byte-identity end to end.
-        let mut policy = RadarPlacement::new();
-        assert_eq!(PlacementPolicy::name(&policy), "radar");
-        let _: &mut dyn PlacementPolicy = &mut policy;
-    }
 }

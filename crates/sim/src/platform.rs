@@ -5,7 +5,7 @@
 //!
 //! * routing — [`radar_simnet::RoutingView`] (incremental distances,
 //!   paths, and reachability over the live links);
-//! * directory — [`radar_core::Directory`] behind the [`Redirector`]
+//! * directory — [`radar_core::Directory`], held by the [`Redirector`]
 //!   (replica sets, affinities, request counts, batched epoch updates);
 //! * redirect — [`crate::redirect::RedirectEngine`] (the usable-replica
 //!   filter feeding the Fig. 2 decision);
@@ -16,7 +16,7 @@
 //! * health — `health.rs` (fault transitions, declare-dead,
 //!   re-replication).
 
-use radar_core::{Catalog, HostState, ObjectId, Redirector};
+use radar_core::{HostState, ObjectId, Redirector};
 use radar_obs::{DecisionEvent, LedgerConfig, LoopProfile, ObjectLedger, SharedObjectLedger};
 use radar_simcore::{EventQueue, FifoServer, SimDuration, SimRng, SimTime};
 use radar_simnet::{NodeId, RoutingView};
@@ -28,7 +28,7 @@ use crate::config::{InitialPlacement, PlacementMode, Scenario};
 use crate::faults::{FaultState, FaultTransition};
 use crate::metrics::Metrics;
 use crate::observer::Observer;
-use crate::placement_policy::{PlacementPolicy, RadarPlacement};
+use crate::placement_policy::PlacementPolicy;
 use crate::redirect::RedirectEngine;
 use crate::report::RunReport;
 use crate::selection::SelectionPolicy;
@@ -137,14 +137,15 @@ pub struct Simulation {
     /// A baseline replica-selection policy; `None` runs the paper's
     /// Fig. 2 through [`redirect`](Self::redirect).
     pub(crate) selection: Option<Box<dyn SelectionPolicy + Send>>,
-    pub(crate) placement_policy: Box<dyn PlacementPolicy + Send>,
+    /// A baseline replica-placement policy; `None` runs the paper's
+    /// Figs. 3–5 ([`radar_core::placement::run_placement_into`]).
+    pub(crate) placement_policy: Option<Box<dyn PlacementPolicy + Send>>,
     pub(crate) hosts: Vec<HostState>,
     pub(crate) servers: Vec<FifoServer>,
     pub(crate) redirector: Redirector,
     /// Decision layer: Fig. 2 over the usable replicas (engaged unless a
     /// baseline selection policy is plugged in).
     pub(crate) redirect: RedirectEngine,
-    pub(crate) catalog: Catalog,
     pub(crate) metrics: Metrics,
     pub(crate) rng: SimRng,
     pub(crate) queue: EventQueue<Event>,
@@ -226,20 +227,20 @@ impl std::fmt::Debug for Simulation {
 
 impl Simulation {
     /// Creates a simulation with the protocol's own request distribution
-    /// algorithm.
+    /// and placement algorithms.
     pub fn new(scenario: Scenario, workload: Box<dyn Workload + Send>) -> Self {
-        Self::with_policies(scenario, workload, None, Box::new(RadarPlacement::new()))
+        Self::with_policies(scenario, workload, None, None)
     }
 
     /// Creates a simulation with a baseline replica-selection policy
-    /// (`None` keeps the paper's Fig. 2) and a custom replica-placement
-    /// policy — the full pluggable surface for head-to-head baseline
-    /// comparisons.
+    /// (`None` keeps the paper's Fig. 2) and a baseline replica-placement
+    /// policy (`None` keeps the paper's Figs. 3–5) — the full pluggable
+    /// surface for head-to-head baseline comparisons.
     pub fn with_policies(
         scenario: Scenario,
         workload: Box<dyn Workload + Send>,
         selection: Option<Box<dyn SelectionPolicy + Send>>,
-        placement_policy: Box<dyn PlacementPolicy + Send>,
+        placement_policy: Option<Box<dyn PlacementPolicy + Send>>,
     ) -> Self {
         let view = RoutingView::new(scenario.topology.clone());
         let n = scenario.topology.len();
@@ -274,9 +275,6 @@ impl Simulation {
             .collect();
         let redirector =
             Redirector::new(scenario.num_objects, scenario.params.distribution_constant);
-        let catalog = scenario.catalog.clone().unwrap_or_else(|| {
-            Catalog::uniform(scenario.num_objects, scenario.object_size, n as u16)
-        });
         let mut metrics = Metrics::new(scenario.metric_bin, scenario.params.measurement_interval);
         metrics.link_bytes = vec![0.0; scenario.topology.links().len()];
         metrics.redirector_requests = vec![0; n];
@@ -318,7 +316,6 @@ impl Simulation {
             servers,
             redirector,
             redirect: RedirectEngine::default(),
-            catalog,
             metrics,
             rng,
             queue: EventQueue::new(),
@@ -370,6 +367,11 @@ impl Simulation {
         self.selection.as_ref().map_or("radar", |p| p.name())
     }
 
+    /// The placement policy's name for reports: `radar` for Figs. 3–5.
+    fn placement_name(&self) -> &str {
+        self.placement_policy.as_ref().map_or("radar", |p| p.name())
+    }
+
     /// Enables arrival capture: the finished report's
     /// [`RunReport::trace`] will hold every request arrival, replayable
     /// via [`Simulation::replay`].
@@ -406,14 +408,14 @@ impl Simulation {
     /// snapshots mid-run (the dashboard's protocol panel reads it);
     /// the final snapshot lands in [`RunReport::protocol_health`].
     ///
-    /// The ledger prices relocations at the scenario's object size and
+    /// The ledger prices relocations at the catalog's object size and
     /// uses two placement periods as its churn window. Attaching it
     /// switches on event tracing (the feed it folds), but — like every
     /// observer — consumes no randomness and never alters outcomes:
     /// recorded event logs stay byte-identical either way.
     pub fn enable_object_ledger(&mut self) -> SharedObjectLedger {
         let ledger = SharedObjectLedger::from(ObjectLedger::new(LedgerConfig {
-            object_size: self.scenario.object_size,
+            object_size: self.scenario.catalog.object_size(),
             churn_window: 2.0 * self.scenario.params.placement_period,
         }));
         self.attach_observer(Box::new(ledger.clone()));
@@ -577,7 +579,7 @@ impl Simulation {
     }
 
     pub(crate) fn install(&mut self, object: ObjectId, node: NodeId) {
-        self.redirector.install(object, node);
+        self.redirector.directory_mut().install(object, node);
         self.hosts[node.index()].install_object(object);
     }
 
@@ -631,7 +633,7 @@ impl Simulation {
         if cfg!(debug_assertions) {
             for i in 0..self.scenario.num_objects {
                 let object = ObjectId::new(i);
-                for info in self.redirector.replicas(object) {
+                for info in self.redirector.directory().replicas(object) {
                     debug_assert!(
                         self.hosts[info.host.index()].has_object(object),
                         "replica-set invariant violated: redirector lists {object}@{} \
@@ -643,7 +645,8 @@ impl Simulation {
                 // replicas (until the sweep restores it), so the
                 // last-replica invariant only holds on fault-free runs.
                 debug_assert!(
-                    self.redirector.replica_count(object) >= 1 || !self.scenario.faults.is_empty(),
+                    self.redirector.directory().replica_count(object) >= 1
+                        || !self.scenario.faults.is_empty(),
                     "object {object} lost its last replica"
                 );
             }
@@ -661,6 +664,7 @@ impl Simulation {
         let final_replicas = (0..self.scenario.num_objects)
             .map(|i| {
                 self.redirector
+                    .directory()
                     .replicas(ObjectId::new(i))
                     .iter()
                     .map(|r| (r.host.index() as u16, r.aff))
@@ -677,11 +681,12 @@ impl Simulation {
             .collect();
         let profile = self.profile.take();
         let policy = self.policy_name().to_string();
+        let placement = self.placement_name().to_string();
         let mut report = RunReport::from_metrics(
             self.metrics,
             self.workload.name().to_string(),
             policy,
-            self.placement_policy.name().to_string(),
+            placement,
             self.scenario.placement == PlacementMode::Dynamic,
             self.scenario.duration,
         );

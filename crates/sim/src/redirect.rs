@@ -70,7 +70,7 @@ impl RedirectEngine {
         self.candidates.clear();
         let mut closest = 0u32;
         let mut best = (u32::MAX, NodeId::new(u16::MAX));
-        for (i, e) in redirector.replicas(object).iter().enumerate() {
+        for (i, e) in redirector.directory().replicas(object).iter().enumerate() {
             debug_assert!(
                 !all_up || reachable(e.host),
                 "all up, yet {} is unusable",
@@ -229,7 +229,7 @@ mod tests {
         let rnode = NodeId::new(0);
         let first = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(first, Some(NodeId::new(1)));
-        r.notify_created(x(), gw);
+        r.directory_mut().notify_created(x(), gw);
         let second = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(second, Some(gw), "the new, much closer replica wins");
     }

@@ -6,12 +6,12 @@
 //! `radar-baselines` crate and plug in beside the engine through
 //! [`SelectionPolicy`], against the same replica bookkeeping.
 
-use radar_core::{ObjectId, Redirector};
+use radar_core::{Directory, ObjectId};
 use radar_simnet::{NodeId, RoutingTable};
 
 /// Chooses which replica serves a request. Implementations may keep
-/// their own per-object state (e.g. round-robin cursors) but share the
-/// platform's [`Redirector`] for replica-set membership.
+/// their own per-object state (e.g. round-robin cursors) but read
+/// replica-set membership from the platform's [`Directory`].
 ///
 /// A policy need not know about faults: the platform serves its pick
 /// only when that host is up and reachable, and otherwise falls back to
@@ -23,7 +23,7 @@ pub trait SelectionPolicy: Send {
         &mut self,
         object: ObjectId,
         gateway: NodeId,
-        redirector: &mut Redirector,
+        directory: &Directory,
         routes: &RoutingTable,
     ) -> Option<NodeId>;
 

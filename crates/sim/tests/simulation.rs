@@ -347,8 +347,8 @@ fn mid_run_inspection_exposes_protocol_state() {
     sim.run_until(250.0);
     // Every object still has at least one replica, and hosts report
     // sensible measured loads.
-    let redirector = sim.redirector();
-    assert!((0..400).all(|i| redirector.replica_count(ObjectId::new(i)) >= 1));
+    let directory = sim.redirector().directory();
+    assert!((0..400).all(|i| directory.replica_count(ObjectId::new(i)) >= 1));
     let loads: Vec<f64> = (0..53)
         .map(|i| sim.host(NodeId::new(i)).measured_load())
         .collect();
@@ -414,6 +414,36 @@ fn link_traffic_conserves_bytes_hops() {
         report.link_traffic.len(),
         radar_simnet::builders::uunet().links().len()
     );
+}
+
+#[test]
+fn the_catalog_sizes_every_response() {
+    // 4 KiB objects: a response costs 4 096 B per hop, the size provider
+    // updates and relocations are charged at too, not 12 KiB.
+    use radar_core::{Catalog, ConsistencyMix};
+    use radar_sim::{Observer, RequestRecord};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    struct Hops(Arc<AtomicU64>);
+    impl Observer for Hops {
+        fn on_request_served(&mut self, r: &RequestRecord) {
+            self.0.fetch_add(u64::from(r.hops), Ordering::Relaxed);
+        }
+    }
+    let hops = Arc::new(AtomicU64::new(0));
+    let scenario = small_scenario()
+        .num_objects(200)
+        .duration(300.0)
+        .catalog(Catalog::with_mix(200, 4096, 53, ConsistencyMix::ReadOnly))
+        .build()
+        .unwrap();
+    let mut sim = Simulation::new(scenario, Box::new(ZipfReeds::new(200)));
+    sim.attach_observer(Box::new(Hops(hops.clone())));
+    let report = sim.run();
+    let hops = hops.load(Ordering::Relaxed);
+    assert!(hops > 0);
+    assert_eq!(report.client_bandwidth.total(), 4096.0 * hops as f64);
 }
 
 #[test]

@@ -95,6 +95,18 @@ for policy in round-robin closest random; do
     >/dev/null
   cargo run -q -p radar-cli --bin radar -- objects audit target/audit-faulted-"$policy".jsonl
 done
+# The placement baselines drive the directory through the same
+# placement environment as the paper's algorithm; audit them under
+# crashes, a declare-dead purge and a consistency mix with updates.
+printf 'declare-dead-after 30\nhost-down 5 60 180\nhost-down 12 120\n' \
+  > target/audit-placement-faults.txt
+for placement in availability cluster; do
+  cargo run -q -p radar-cli --bin radar -- simulate \
+    --objects 60 --rate 0.2 --duration 400 --seed 3 --placement "$placement" \
+    --consistency mixed --update-rate 1 --faults target/audit-placement-faults.txt \
+    --events target/audit-faulted-"$placement".jsonl >/dev/null
+  cargo run -q -p radar-cli --bin radar -- objects audit target/audit-faulted-"$placement".jsonl
+done
 echo "== a streamed log is complete (summary + watch, no sequence gaps) =="
 # The recorder streams every event, so a log straight from --events has
 # no gaps; a gap note here means an event was lost on the way.

@@ -28,7 +28,7 @@ use radar::workload::ZipfReeds;
 fn run_folded(scenario: Scenario) -> (RunReport, SharedMetrics) {
     let objects = scenario.num_objects;
     let metrics = SharedMetrics::new(MetricsConfig {
-        object_size: scenario.object_size,
+        object_size: scenario.catalog.object_size(),
         bandwidth_bin: scenario.metric_bin,
         load_interval: scenario.params.measurement_interval,
         ..MetricsConfig::default()
