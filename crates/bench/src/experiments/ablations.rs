@@ -118,8 +118,10 @@ pub fn ablation_constant(h: &mut Harness) -> String {
     let jobs = constants
         .iter()
         .map(|&constant| {
-            let params = Params::builder().distribution_constant(constant).build();
-            let scenario = h.cfg.scenario().params(params.expect("valid params"));
+            let scenario = h.cfg.scenario().params(Params {
+                distribution_constant: constant,
+                ..Params::paper()
+            });
             let simulation = simulation(scenario, "zipf", "radar", "radar");
             (format!("constant {constant}"), simulation)
         })
@@ -143,8 +145,11 @@ pub fn ablation_thresholds(h: &mut Harness) -> String {
     let jobs = thresholds
         .iter()
         .map(|&u| {
-            let params = Params::builder().thresholds(u, 6.0 * u).build();
-            let scenario = h.cfg.scenario().params(params.expect("valid params"));
+            let scenario = h.cfg.scenario().params(Params {
+                deletion_threshold: u,
+                replication_threshold: 6.0 * u,
+                ..Params::paper()
+            });
             let simulation = simulation(scenario, "zipf", "radar", "radar");
             (format!("u={u}"), simulation)
         })
@@ -164,8 +169,10 @@ pub fn ablation_period(h: &mut Harness) -> String {
     let jobs = periods
         .iter()
         .map(|&period| {
-            let params = Params::builder().placement_period(period).build();
-            let scenario = h.cfg.scenario().params(params.expect("valid params"));
+            let scenario = h.cfg.scenario().params(Params {
+                placement_period: period,
+                ..Params::paper()
+            });
             let simulation = simulation(scenario.metric_bin(100.0), "regional", "radar", "radar");
             (format!("period={period}"), simulation)
         })

@@ -145,11 +145,11 @@ impl SimulateArgs {
                 .split_once(',')
                 .and_then(|(a, b)| Some((a.trim().parse().ok()?, b.trim().parse().ok()?)))
                 .ok_or_else(|| format!("--watermarks expects `low,high`, got {spec:?}"))?;
-            let params = radar_core::Params::builder()
-                .watermarks(lw, hw)
-                .build()
-                .map_err(|e| e.to_string())?;
-            builder = builder.params(params);
+            builder = builder.params(radar_core::Params {
+                low_watermark: lw,
+                high_watermark: hw,
+                ..radar_core::Params::paper()
+            });
         }
         if let Some(limit) = parsed.get("storage-limit") {
             let limit: u32 = limit

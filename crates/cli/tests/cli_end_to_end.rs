@@ -125,6 +125,20 @@ fn simulate_rejects_bad_flags() {
     assert!(run(&args(&["simulate", "--watermarks", "90,80"]))
         .unwrap_err()
         .contains("below high watermark"));
+    for (watermarks, constraint) in [
+        (
+            "nan,90",
+            "low_watermark must be positive and finite, got NaN",
+        ),
+        ("0,90", "low_watermark must be positive and finite, got 0"),
+        ("95,90", "low watermark 95 must be below high watermark 90"),
+    ] {
+        let err = run(&args(&["simulate", "--watermarks", watermarks])).unwrap_err();
+        assert!(
+            err.contains(&format!("invalid protocol parameters: {constraint}")),
+            "{watermarks}: {err}"
+        );
+    }
     assert!(run(&args(&["simulate", "--policy", "psychic"]))
         .unwrap_err()
         .contains("unknown policy"));

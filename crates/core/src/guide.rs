@@ -86,7 +86,7 @@
 //!
 //! Three mechanisms conspire:
 //!
-//! * **Theorem 5**: with `4u < m` (enforced by [`ParamsBuilder`]), a
+//! * **Theorem 5**: with `4u < m` (checked by [`Params::check`]), a
 //!   replica created because demand exceeded `m` cannot immediately
 //!   fall below `u` — replicate→delete cycles are impossible under
 //!   steady demand.
@@ -122,7 +122,7 @@
 //! [`HostState::counts`]: crate::HostState::counts
 //! [`HostState::record_serviced`]: crate::HostState::record_serviced
 //! [`Params`]: crate::Params
-//! [`ParamsBuilder`]: crate::ParamsBuilder
+//! [`Params::check`]: crate::Params::check
 //! [`LoadEstimator`]: crate::LoadEstimator
 //! [`Catalog`]: crate::Catalog
 //! [`ObjectKind::NonCommuting`]: crate::ObjectKind::NonCommuting

@@ -79,6 +79,6 @@ pub use catalog::{Catalog, ConsistencyMix, ObjectKind};
 pub use directory::Directory;
 pub use host::{HostState, ObjectState};
 pub use load::LoadEstimator;
-pub use params::{Params, ParamsBuilder, ParamsError};
+pub use params::{Params, ParamsError};
 pub use redirector::{Redirector, ReplicaInfo};
 pub use types::{CreateObjRequest, CreateObjResponse, ObjectId, RelocationKind};

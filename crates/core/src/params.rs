@@ -17,7 +17,8 @@ use std::fmt;
 /// | `placement_period` | inter-placement time | 100 s |
 /// | `measurement_interval` | load measurement interval | 20 s |
 ///
-/// Constraints enforced by [`ParamsBuilder::build`]:
+/// Constraints checked by [`Params::check`], which the simulator's
+/// scenario builder calls on every run's parameters:
 ///
 /// * `4u < m` — Theorem 5's stability condition: replicas created by a
 ///   replication can never immediately fall below the deletion threshold,
@@ -34,6 +35,12 @@ use std::fmt;
 /// let p = Params::paper();
 /// assert_eq!(p.high_watermark, 90.0);
 /// assert!(4.0 * p.deletion_threshold < p.replication_threshold);
+///
+/// let high_load = Params { low_watermark: 40.0, high_watermark: 50.0, ..p };
+/// assert_eq!(high_load, Params::paper_high_load());
+/// assert!(high_load.check().is_ok());
+/// let inverted = Params { low_watermark: 95.0, ..p };
+/// assert!(inverted.check().is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Params {
@@ -64,23 +71,79 @@ impl Params {
     /// The paper's Table 1 configuration (normal-load watermarks
     /// hw=90 / lw=80).
     pub fn paper() -> Self {
-        ParamsBuilder::new()
-            .build()
-            .expect("paper parameters satisfy all constraints")
+        Params {
+            low_watermark: 80.0,
+            high_watermark: 90.0,
+            deletion_threshold: 0.03,
+            replication_threshold: 0.18,
+            migration_ratio: 0.6,
+            replication_ratio: 1.0 / 6.0,
+            distribution_constant: 2.0,
+            placement_period: 100.0,
+            measurement_interval: 20.0,
+        }
     }
 
     /// The paper's high-load configuration (Fig. 9): hw=50 / lw=40, all
     /// other parameters as in [`Params::paper`].
     pub fn paper_high_load() -> Self {
-        ParamsBuilder::new()
-            .watermarks(40.0, 50.0)
-            .build()
-            .expect("paper high-load parameters satisfy all constraints")
+        Params {
+            low_watermark: 40.0,
+            high_watermark: 50.0,
+            ..Self::paper()
+        }
     }
 
-    /// Starts building a custom parameter set (defaults = paper values).
-    pub fn builder() -> ParamsBuilder {
-        ParamsBuilder::new()
+    /// Checks the §4.2 constraints listed on [`Params`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParamsError`] describing the first violated constraint.
+    pub fn check(&self) -> Result<(), ParamsError> {
+        let p = self;
+        let positives = [
+            ("low_watermark", p.low_watermark),
+            ("high_watermark", p.high_watermark),
+            ("deletion_threshold", p.deletion_threshold),
+            ("replication_threshold", p.replication_threshold),
+            ("migration_ratio", p.migration_ratio),
+            ("replication_ratio", p.replication_ratio),
+            ("distribution_constant", p.distribution_constant),
+            ("placement_period", p.placement_period),
+            ("measurement_interval", p.measurement_interval),
+        ];
+        for (field, value) in positives {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(ParamsError::NonPositive { field, value });
+            }
+        }
+        if p.low_watermark >= p.high_watermark {
+            return Err(ParamsError::WatermarksInverted {
+                low: p.low_watermark,
+                high: p.high_watermark,
+            });
+        }
+        if 4.0 * p.deletion_threshold >= p.replication_threshold {
+            return Err(ParamsError::ThresholdsUnstable {
+                deletion: p.deletion_threshold,
+                replication: p.replication_threshold,
+            });
+        }
+        if p.migration_ratio <= 0.5 {
+            return Err(ParamsError::MigrationRatioTooLow(p.migration_ratio));
+        }
+        if p.replication_ratio >= p.migration_ratio {
+            return Err(ParamsError::ReplicationRatioTooHigh {
+                replication: p.replication_ratio,
+                migration: p.migration_ratio,
+            });
+        }
+        if p.distribution_constant <= 1.0 {
+            return Err(ParamsError::DistributionConstantTooLow(
+                p.distribution_constant,
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -167,142 +230,6 @@ impl fmt::Display for ParamsError {
 
 impl std::error::Error for ParamsError {}
 
-/// Builder for [`Params`]; all setters default to the paper's Table 1
-/// values.
-///
-/// # Examples
-///
-/// ```
-/// use radar_core::Params;
-/// let p = Params::builder()
-///     .watermarks(40.0, 50.0)
-///     .thresholds(0.03, 0.18)
-///     .build()?;
-/// assert_eq!(p.high_watermark, 50.0);
-/// # Ok::<(), radar_core::ParamsError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ParamsBuilder {
-    params: Params,
-}
-
-impl ParamsBuilder {
-    /// Creates a builder initialized with the paper's values.
-    pub fn new() -> Self {
-        Self {
-            params: Params {
-                low_watermark: 80.0,
-                high_watermark: 90.0,
-                deletion_threshold: 0.03,
-                replication_threshold: 0.18,
-                migration_ratio: 0.6,
-                replication_ratio: 1.0 / 6.0,
-                distribution_constant: 2.0,
-                placement_period: 100.0,
-                measurement_interval: 20.0,
-            },
-        }
-    }
-
-    /// Sets the low and high watermarks (requests/second).
-    pub fn watermarks(mut self, low: f64, high: f64) -> Self {
-        self.params.low_watermark = low;
-        self.params.high_watermark = high;
-        self
-    }
-
-    /// Sets the deletion threshold `u` and replication threshold `m`
-    /// (requests/second per affinity unit).
-    pub fn thresholds(mut self, deletion: f64, replication: f64) -> Self {
-        self.params.deletion_threshold = deletion;
-        self.params.replication_threshold = replication;
-        self
-    }
-
-    /// Sets `MIGR_RATIO` and `REPL_RATIO`.
-    pub fn ratios(mut self, migration: f64, replication: f64) -> Self {
-        self.params.migration_ratio = migration;
-        self.params.replication_ratio = replication;
-        self
-    }
-
-    /// Sets the request-distribution constant (the "2" in Fig. 2).
-    pub fn distribution_constant(mut self, c: f64) -> Self {
-        self.params.distribution_constant = c;
-        self
-    }
-
-    /// Sets the placement period in seconds.
-    pub fn placement_period(mut self, secs: f64) -> Self {
-        self.params.placement_period = secs;
-        self
-    }
-
-    /// Sets the load measurement interval in seconds.
-    pub fn measurement_interval(mut self, secs: f64) -> Self {
-        self.params.measurement_interval = secs;
-        self
-    }
-
-    /// Validates the constraints and produces the parameter set.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParamsError`] describing the first violated constraint.
-    pub fn build(self) -> Result<Params, ParamsError> {
-        let p = self.params;
-        let positives = [
-            ("low_watermark", p.low_watermark),
-            ("high_watermark", p.high_watermark),
-            ("deletion_threshold", p.deletion_threshold),
-            ("replication_threshold", p.replication_threshold),
-            ("migration_ratio", p.migration_ratio),
-            ("replication_ratio", p.replication_ratio),
-            ("distribution_constant", p.distribution_constant),
-            ("placement_period", p.placement_period),
-            ("measurement_interval", p.measurement_interval),
-        ];
-        for (field, value) in positives {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(ParamsError::NonPositive { field, value });
-            }
-        }
-        if p.low_watermark >= p.high_watermark {
-            return Err(ParamsError::WatermarksInverted {
-                low: p.low_watermark,
-                high: p.high_watermark,
-            });
-        }
-        if 4.0 * p.deletion_threshold >= p.replication_threshold {
-            return Err(ParamsError::ThresholdsUnstable {
-                deletion: p.deletion_threshold,
-                replication: p.replication_threshold,
-            });
-        }
-        if p.migration_ratio <= 0.5 {
-            return Err(ParamsError::MigrationRatioTooLow(p.migration_ratio));
-        }
-        if p.replication_ratio >= p.migration_ratio {
-            return Err(ParamsError::ReplicationRatioTooHigh {
-                replication: p.replication_ratio,
-                migration: p.migration_ratio,
-            });
-        }
-        if p.distribution_constant <= 1.0 {
-            return Err(ParamsError::DistributionConstantTooLow(
-                p.distribution_constant,
-            ));
-        }
-        Ok(p)
-    }
-}
-
-impl Default for ParamsBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,50 +262,81 @@ mod tests {
     }
 
     #[test]
+    fn paper_params_pass_the_check() {
+        assert_eq!(Params::paper().check(), Ok(()));
+        assert_eq!(Params::paper_high_load().check(), Ok(()));
+    }
+
+    #[test]
     fn inverted_watermarks_rejected() {
-        let err = Params::builder()
-            .watermarks(90.0, 80.0)
-            .build()
-            .unwrap_err();
+        let err = Params {
+            low_watermark: 90.0,
+            high_watermark: 80.0,
+            ..Params::paper()
+        }
+        .check()
+        .unwrap_err();
         assert!(matches!(err, ParamsError::WatermarksInverted { .. }));
+    }
+
+    fn thresholds(deletion_threshold: f64, replication_threshold: f64) -> Params {
+        Params {
+            deletion_threshold,
+            replication_threshold,
+            ..Params::paper()
+        }
+    }
+
+    fn ratios(migration_ratio: f64, replication_ratio: f64) -> Params {
+        Params {
+            migration_ratio,
+            replication_ratio,
+            ..Params::paper()
+        }
+    }
+
+    fn constant(distribution_constant: f64) -> Params {
+        Params {
+            distribution_constant,
+            ..Params::paper()
+        }
     }
 
     #[test]
     fn theorem5_constraint_enforced() {
-        let err = Params::builder().thresholds(0.05, 0.2).build().unwrap_err();
+        let err = thresholds(0.05, 0.2).check().unwrap_err();
         assert!(matches!(err, ParamsError::ThresholdsUnstable { .. }));
         // Exactly 4u == m is also rejected (strict inequality).
-        let err = Params::builder()
-            .thresholds(0.05, 0.05 * 4.0)
-            .build()
-            .unwrap_err();
+        let err = thresholds(0.05, 0.05 * 4.0).check().unwrap_err();
         assert!(matches!(err, ParamsError::ThresholdsUnstable { .. }));
     }
 
     #[test]
     fn migration_ratio_must_exceed_half() {
-        let err = Params::builder().ratios(0.5, 0.1).build().unwrap_err();
+        let err = ratios(0.5, 0.1).check().unwrap_err();
         assert!(matches!(err, ParamsError::MigrationRatioTooLow(_)));
     }
 
     #[test]
     fn replication_ratio_below_migration_ratio() {
-        let err = Params::builder().ratios(0.6, 0.7).build().unwrap_err();
+        let err = ratios(0.6, 0.7).check().unwrap_err();
         assert!(matches!(err, ParamsError::ReplicationRatioTooHigh { .. }));
     }
 
     #[test]
     fn distribution_constant_above_one() {
-        let err = Params::builder()
-            .distribution_constant(1.0)
-            .build()
-            .unwrap_err();
+        let err = constant(1.0).check().unwrap_err();
         assert!(matches!(err, ParamsError::DistributionConstantTooLow(_)));
     }
 
     #[test]
     fn non_positive_fields_rejected() {
-        let err = Params::builder().placement_period(0.0).build().unwrap_err();
+        let err = Params {
+            placement_period: 0.0,
+            ..Params::paper()
+        }
+        .check()
+        .unwrap_err();
         assert!(matches!(
             err,
             ParamsError::NonPositive {
@@ -386,29 +344,29 @@ mod tests {
                 ..
             }
         ));
-        let err = Params::builder()
-            .measurement_interval(f64::NAN)
-            .build()
-            .unwrap_err();
+        let err = Params {
+            measurement_interval: f64::NAN,
+            ..Params::paper()
+        }
+        .check()
+        .unwrap_err();
         assert!(matches!(err, ParamsError::NonPositive { .. }));
     }
 
     #[test]
     fn error_display_nonempty() {
-        let errs = [
-            Params::builder()
-                .watermarks(90.0, 80.0)
-                .build()
-                .unwrap_err(),
-            Params::builder().thresholds(1.0, 1.0).build().unwrap_err(),
-            Params::builder().ratios(0.4, 0.1).build().unwrap_err(),
-            Params::builder()
-                .distribution_constant(0.5)
-                .build()
-                .unwrap_err(),
-        ];
-        for e in errs {
-            assert!(!e.to_string().is_empty());
+        let inverted = Params {
+            low_watermark: 90.0,
+            high_watermark: 80.0,
+            ..Params::paper()
+        };
+        for p in [
+            inverted,
+            thresholds(1.0, 1.0),
+            ratios(0.4, 0.1),
+            constant(0.5),
+        ] {
+            assert!(!p.check().unwrap_err().to_string().is_empty());
         }
     }
 }

@@ -261,11 +261,13 @@ fn hostile_demand_with_tight_watermarks() {
     // Tighter watermarks make admission scarce and offloading
     // frequent; the invariants must still hold.
     let mut rng = SimRng::seed_from(0xF022_0002);
+    let params = Params {
+        low_watermark: 0.2,
+        high_watermark: 0.5,
+        ..Params::paper()
+    };
+    params.check().expect("valid params");
     for _ in 0..32 {
-        let params = Params::builder()
-            .watermarks(0.2, 0.5)
-            .build()
-            .expect("valid params");
         let mut platform = MiniPlatform::new(builders::ring(6), 8, params);
         for script in &epochs(&mut rng, 8, 6, 6) {
             for &(obj, gw, count) in script {
@@ -547,11 +549,13 @@ fn cursor_walk_matches_the_snapshot_walk() {
     // and offload at once, where the table shrinks under the cursor.
     let mut rng = SimRng::seed_from(0xF022_0005);
     let (mut all_three, mut drops, mut reductions) = (0, 0, 0);
+    let params = Params {
+        low_watermark: 0.6,
+        high_watermark: 1.2,
+        ..Params::paper()
+    };
+    params.check().expect("valid params");
     for case in 0..48 {
-        let params = Params::builder()
-            .watermarks(0.6, 1.2)
-            .build()
-            .expect("valid params");
         let mut cursor = MiniPlatform::new(builders::grid(3, 3), 40, params);
         cursor.refusal_mask = [0, 0, 3, 5][case % 4];
         let mut snapshot = cursor.clone();

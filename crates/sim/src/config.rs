@@ -420,7 +420,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the protocol parameters.
+    /// Sets the protocol parameters; [`build`](Self::build) checks them
+    /// with [`Params::check`].
     pub fn params(mut self, params: Params) -> Self {
         self.scenario.params = params;
         self
@@ -509,8 +510,9 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// Returns [`ScenarioError`] on non-positive rates/durations, an
-    /// empty object space, malformed explicit placement, or a time or
-    /// period beyond the clock (2^53 µs).
+    /// empty object space, malformed explicit placement, protocol
+    /// parameters that fail [`Params::check`], or a time or period
+    /// beyond the clock (2^53 µs).
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let mut s = self.scenario;
         check_object_count(s.num_objects)?;
@@ -603,6 +605,7 @@ impl ScenarioBuilder {
             .map(|&(a, b)| (a.index() as u16, b.index() as u16))
             .collect();
         s.faults.validate(s.topology.len(), &links)?;
+        s.params.check()?;
         // Every span the loop adds to the clock, in seconds. Routes have
         // fewer hops than the topology has nodes.
         let hops = s.topology.len() as f64;
@@ -790,6 +793,82 @@ mod tests {
             err.contains("duration is 1e19 s") && err.contains("9007199254.740992 s (2^53 µs"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn invalid_params_are_rejected_by_name() {
+        use radar_core::ParamsError as E;
+        type Edit = fn(&mut Params);
+        let build = |set: Edit| {
+            let mut params = Params::paper();
+            set(&mut params);
+            Scenario::builder().params(params).build().unwrap_err()
+        };
+        let cases: [(Edit, E); 8] = [
+            (
+                |p| p.low_watermark = 95.0,
+                E::WatermarksInverted {
+                    low: 95.0,
+                    high: 90.0,
+                },
+            ),
+            (
+                |p| p.low_watermark = 90.0,
+                E::WatermarksInverted {
+                    low: 90.0,
+                    high: 90.0,
+                },
+            ),
+            (
+                |p| p.replication_threshold = 0.12,
+                E::ThresholdsUnstable {
+                    deletion: 0.03,
+                    replication: 0.12,
+                },
+            ),
+            (
+                |p| p.replication_threshold = 0.1,
+                E::ThresholdsUnstable {
+                    deletion: 0.03,
+                    replication: 0.1,
+                },
+            ),
+            (|p| p.migration_ratio = 0.5, E::MigrationRatioTooLow(0.5)),
+            (
+                |p| p.replication_ratio = 0.6,
+                E::ReplicationRatioTooHigh {
+                    replication: 0.6,
+                    migration: 0.6,
+                },
+            ),
+            (
+                |p| p.distribution_constant = 1.0,
+                E::DistributionConstantTooLow(1.0),
+            ),
+            (
+                |p| p.placement_period = 0.0,
+                E::NonPositive {
+                    field: "placement_period",
+                    value: 0.0,
+                },
+            ),
+        ];
+        for (set, expected) in cases {
+            assert_eq!(build(set), ScenarioError::Params(expected));
+        }
+        // NaN never compares equal, so the interval is matched by name.
+        let err = build(|p| p.measurement_interval = f64::NAN);
+        assert!(
+            matches!(
+                err,
+                ScenarioError::Params(E::NonPositive { field: "measurement_interval", value })
+                    if value.is_nan()
+            ),
+            "{err}"
+        );
+        assert!(err
+            .to_string()
+            .starts_with("invalid protocol parameters: measurement_interval"));
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! * [`Regional`] — each of the four backbone regions prefers its own
 //!   contiguous 1% slice of the object space with probability 90%.
 //!
-//! Plus the compositors the evaluation harness needs: [`Uniform`],
-//! [`Mixture`] (probabilistic blend), and [`DemandShift`] (switch
-//! workloads at a point in simulated time, for responsiveness
-//! experiments).
+//! Plus what the evaluation harness needs beside them: [`Uniform`],
+//! [`Weighted`] (an explicit popularity table, e.g. measured from an
+//! access log), and [`DemandShift`] (switch workloads at a point in
+//! simulated time, for responsiveness experiments).
 //!
 //! [`by_name`] builds any of the four, or [`Uniform`], from the name the
 //! CLI and the experiments use, with its structure drawn from the run's
@@ -47,8 +47,8 @@ mod popularity;
 mod weighted;
 
 pub use arrival::ArrivalProcess;
-pub use popularity::{DemandShift, HotPages, HotSites, Mixture, Regional, Uniform, ZipfReeds};
-pub use weighted::{PerGatewayWeighted, Weighted, WeightedError};
+pub use popularity::{DemandShift, HotPages, HotSites, Regional, Uniform, ZipfReeds};
+pub use weighted::{Weighted, WeightedError};
 
 use radar_core::ObjectId;
 use radar_simcore::SimRng;

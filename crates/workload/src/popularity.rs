@@ -318,78 +318,6 @@ impl Workload for Uniform {
     }
 }
 
-/// Probabilistic blend of workloads: component `i` is consulted with
-/// probability proportional to its weight. The paper notes "a real-life
-/// workload would be some mix of workloads similar to the ones
-/// considered".
-pub struct Mixture {
-    components: Vec<(f64, Box<dyn Workload + Send>)>,
-    total_weight: f64,
-    name: String,
-}
-
-impl Mixture {
-    /// Creates a mixture from `(weight, workload)` components.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty or any weight is not positive and
-    /// finite.
-    pub fn new(components: Vec<(f64, Box<dyn Workload + Send>)>) -> Self {
-        assert!(
-            !components.is_empty(),
-            "mixture needs at least one component"
-        );
-        for (w, _) in &components {
-            assert!(
-                w.is_finite() && *w > 0.0,
-                "mixture weights must be positive and finite, got {w}"
-            );
-        }
-        let total_weight = components.iter().map(|(w, _)| w).sum();
-        let name = format!(
-            "mix({})",
-            components
-                .iter()
-                .map(|(_, c)| c.name())
-                .collect::<Vec<_>>()
-                .join("+")
-        );
-        Self {
-            components,
-            total_weight,
-            name,
-        }
-    }
-}
-
-impl std::fmt::Debug for Mixture {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mixture")
-            .field("name", &self.name)
-            .field("total_weight", &self.total_weight)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Workload for Mixture {
-    fn choose(&mut self, now: f64, gateway: NodeId, rng: &mut SimRng) -> ObjectId {
-        let mut pick = rng.unit() * self.total_weight;
-        let last = self.components.len() - 1;
-        for (i, (w, c)) in self.components.iter_mut().enumerate() {
-            if pick < *w || i == last {
-                return c.choose(now, gateway, rng);
-            }
-            pick -= *w;
-        }
-        unreachable!("loop always returns on the last component")
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// Switches from one workload to another at a fixed simulation time —
 /// the demand-shift scenario used to measure protocol responsiveness
 /// after the system has already adapted once.
@@ -575,24 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn mixture_blends_components() {
-        let mut rng = rng();
-        // 3:1 blend of "always object 0" (uniform over 1) and uniform
-        // over 100.
-        let m_components: Vec<(f64, Box<dyn Workload + Send>)> = vec![
-            (3.0, Box::new(Uniform::new(1))),
-            (1.0, Box::new(Uniform::new(100))),
-        ];
-        let mut m = Mixture::new(m_components);
-        let draws = draw_many(&mut m, 20_000, &mut rng);
-        let zeros = draws.iter().filter(|o| o.index() == 0).count() as f64;
-        // 3/4 from component 1 plus 1/400 from component 2.
-        let frac = zeros / draws.len() as f64;
-        assert!((frac - 0.7525).abs() < 0.02, "zero fraction {frac}");
-        assert!(m.name().contains("mix"));
-    }
-
-    #[test]
     fn demand_shift_switches_at_time() {
         let mut rng = rng();
         let mut w = DemandShift::new(
@@ -624,12 +534,6 @@ mod tests {
     fn bad_hot_fraction_rejected() {
         let mut rng = rng();
         let _ = HotPages::new(10, 1.5, 0.9, &mut rng);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one component")]
-    fn empty_mixture_rejected() {
-        let _ = Mixture::new(vec![]);
     }
 
     #[test]

@@ -92,15 +92,6 @@ impl Weighted {
         Ok(Self { cumulative, total })
     }
 
-    /// Builds the sampler from observed access counts.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Weighted::new`].
-    pub fn from_counts(counts: &[u64]) -> Result<Self, WeightedError> {
-        Self::new(counts.iter().map(|&c| c as f64).collect())
-    }
-
     /// Number of objects in the table.
     pub fn len(&self) -> usize {
         self.cumulative.len()
@@ -160,17 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn from_counts_works() {
-        let mut w = Weighted::from_counts(&[10, 0, 30]).unwrap();
-        assert_eq!(w.len(), 3);
-        assert!(!w.is_empty());
-        let hist = draw_histogram(&mut w, 8_000);
-        assert_eq!(hist[1], 0);
-        assert!(hist[2] > hist[0] * 2);
-        assert_eq!(w.name(), "weighted");
-    }
-
-    #[test]
     fn validation_errors() {
         assert_eq!(Weighted::new(vec![]).unwrap_err(), WeightedError::Empty);
         assert!(matches!(
@@ -195,122 +175,5 @@ mod tests {
         ] {
             assert!(!e.to_string().is_empty());
         }
-    }
-}
-
-/// Per-gateway popularity tables: each gateway draws from its own
-/// [`Weighted`] distribution — the fully general form of trace-derived
-/// demand (the [`crate::Regional`] workload is the synthetic special
-/// case where each region's gateways share a preferred slice).
-///
-/// # Examples
-///
-/// ```
-/// use radar_simcore::SimRng;
-/// use radar_simnet::NodeId;
-/// use radar_workload::{PerGatewayWeighted, Weighted, Workload};
-///
-/// // Gateway 0 only ever wants object 0; gateway 1 only object 1.
-/// let mut w = PerGatewayWeighted::new(vec![
-///     Weighted::new(vec![1.0, 0.0])?,
-///     Weighted::new(vec![0.0, 1.0])?,
-/// ])?;
-/// let mut rng = SimRng::seed_from(1);
-/// assert_eq!(w.choose(0.0, NodeId::new(0), &mut rng).index(), 0);
-/// assert_eq!(w.choose(0.0, NodeId::new(1), &mut rng).index(), 1);
-/// # Ok::<(), radar_workload::WeightedError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct PerGatewayWeighted {
-    tables: Vec<Weighted>,
-}
-
-impl PerGatewayWeighted {
-    /// Builds from one table per gateway (indexed by gateway id). All
-    /// tables must cover the same object space.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WeightedError::Empty`] for an empty table list or
-    /// mismatched object-space sizes (reported as `Empty` on the absent
-    /// dimension — construct tables with [`Weighted::new`] first, which
-    /// validates the weights themselves).
-    pub fn new(tables: Vec<Weighted>) -> Result<Self, WeightedError> {
-        if tables.is_empty() {
-            return Err(WeightedError::Empty);
-        }
-        let len = tables[0].len();
-        if tables.iter().any(|t| t.len() != len) {
-            return Err(WeightedError::Empty);
-        }
-        Ok(Self { tables })
-    }
-
-    /// Builds from per-gateway access-count histograms, e.g. straight
-    /// from a partitioned access log.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PerGatewayWeighted::new`] and [`Weighted::from_counts`].
-    pub fn from_counts(counts: &[Vec<u64>]) -> Result<Self, WeightedError> {
-        let tables = counts
-            .iter()
-            .map(|c| Weighted::from_counts(c))
-            .collect::<Result<Vec<_>, _>>()?;
-        Self::new(tables)
-    }
-
-    /// Number of gateways covered.
-    pub fn gateways(&self) -> usize {
-        self.tables.len()
-    }
-}
-
-impl Workload for PerGatewayWeighted {
-    fn choose(&mut self, now: f64, gateway: NodeId, rng: &mut SimRng) -> ObjectId {
-        // Gateways beyond the table list fall back to the last table, so
-        // a partial log still drives a full platform.
-        let idx = gateway.index().min(self.tables.len() - 1);
-        self.tables[idx].choose(now, gateway, rng)
-    }
-
-    fn name(&self) -> &str {
-        "per-gateway-weighted"
-    }
-}
-
-#[cfg(test)]
-mod per_gateway_tests {
-    use super::*;
-
-    #[test]
-    fn gateways_draw_from_their_own_tables() {
-        let mut w =
-            PerGatewayWeighted::from_counts(&[vec![10, 0, 0], vec![0, 10, 0], vec![0, 0, 10]])
-                .unwrap();
-        assert_eq!(w.gateways(), 3);
-        let mut rng = SimRng::seed_from(4);
-        for g in 0..3u16 {
-            for _ in 0..20 {
-                assert_eq!(w.choose(0.0, NodeId::new(g), &mut rng).index(), g as usize);
-            }
-        }
-        // Out-of-range gateways use the last table.
-        assert_eq!(w.choose(0.0, NodeId::new(50), &mut rng).index(), 2);
-    }
-
-    #[test]
-    fn validation() {
-        assert_eq!(
-            PerGatewayWeighted::new(vec![]).unwrap_err(),
-            WeightedError::Empty
-        );
-        let mismatched = PerGatewayWeighted::new(vec![
-            Weighted::new(vec![1.0]).unwrap(),
-            Weighted::new(vec![1.0, 1.0]).unwrap(),
-        ]);
-        assert!(mismatched.is_err());
-        // Weight errors surface from from_counts.
-        assert!(PerGatewayWeighted::from_counts(&[vec![0, 0]]).is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests of the workload generators: every generator must stay
-//! within the object space, honor its declared mixture proportions, and
-//! be a pure function of its seed.
+//! within the object space, switch demand at the exact instant asked,
+//! and be a pure function of its seed.
 //!
 //! Each property is exercised over a deterministic sweep of seeded
 //! cases (the seeds feed [`SimRng`], so a failure reproduces exactly).
@@ -8,8 +8,8 @@
 use radar_simcore::SimRng;
 use radar_simnet::{builders, NodeId};
 use radar_workload::{
-    ArrivalProcess, DemandShift, HotPages, HotSites, Mixture, Regional, Uniform, Weighted,
-    Workload, ZipfReeds,
+    ArrivalProcess, DemandShift, HotPages, HotSites, Regional, Uniform, Weighted, Workload,
+    ZipfReeds,
 };
 
 fn draws(w: &mut dyn Workload, seed: u64, n: usize, gateway: u16) -> Vec<usize> {
@@ -57,28 +57,6 @@ fn generators_are_seed_deterministic() {
         let mut a = ZipfReeds::new(objects);
         let mut b = ZipfReeds::new(objects);
         assert_eq!(draws(&mut a, seed, 200, 0), draws(&mut b, seed, 200, 0));
-    }
-}
-
-#[test]
-fn mixture_respects_weights() {
-    // Component 1 always draws object 0; component 2 always draws
-    // object 1 (uniform over a shifted singleton via weights).
-    let only = |i: u32, objects: u32| -> Box<dyn Workload + Send> {
-        let mut weights = vec![0.0; objects as usize];
-        weights[i as usize] = 1.0;
-        Box::new(Weighted::new(weights).unwrap())
-    };
-    for (w1, w2) in [(1u32, 1u32), (1, 9), (9, 1), (2, 5), (7, 3), (4, 4)] {
-        let mut m = Mixture::new(vec![(w1 as f64, only(0, 2)), (w2 as f64, only(1, 2))]);
-        let out = draws(&mut m, 9, 4000, 0);
-        let zeros = out.iter().filter(|&&i| i == 0).count() as f64;
-        let expect = w1 as f64 / (w1 + w2) as f64;
-        assert!(
-            (zeros / 4000.0 - expect).abs() < 0.05,
-            "share {} vs expected {expect} for weights {w1}:{w2}",
-            zeros / 4000.0
-        );
     }
 }
 

@@ -164,6 +164,14 @@ for csv in table2 fig7 fig8a fig8b fig9 baselines baselines_swamp \
   [ -s "$tmp/$csv.csv" ] || { echo "FAIL: experiments wrote no $csv.csv"; exit 1; }
 done
 echo "experiments --tiny all: 20 commands, 24 CSVs"
+# Stdout is the same bytes run to run and at any thread count, so it is
+# pinned to the committed copy, less the one line that names this
+# checkout's path. Regenerate the golden file only for an intended
+# change to an experiment's output.
+grep -v '^wrote .*BENCH_policies\.json$' target/experiments-tiny.txt \
+  | diff -u tests/golden/experiments-tiny.txt - \
+  || { echo "FAIL: experiments --tiny all differs from tests/golden/experiments-tiny.txt"; exit 1; }
+echo "experiments --tiny all: stdout equals tests/golden/experiments-tiny.txt"
 for policy in radar availability cluster; do
   grep -q "\"placement\": \"$policy\"" BENCH_policies.json \
     || { echo "FAIL: placement policy $policy missing from sweep"; exit 1; }

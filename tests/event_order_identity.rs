@@ -29,11 +29,11 @@ fn simulation() -> Simulation {
     let n = topology.len();
     let mut rng = SimRng::seed_from(9);
     let workload = HotSites::new(OBJECTS, n as u16, 0.1, 0.9, &mut rng);
-    let params = Params::builder()
-        .placement_period(4.0)
-        .measurement_interval(1.0)
-        .build()
-        .expect("valid params");
+    let params = Params {
+        placement_period: 4.0,
+        measurement_interval: 1.0,
+        ..Params::paper()
+    };
     let scenario = Scenario::builder()
         .params(params)
         .num_objects(OBJECTS)

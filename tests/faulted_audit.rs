@@ -46,11 +46,11 @@ impl Observer for SharedAudit {
 }
 
 fn scenario(duration: f64) -> ScenarioBuilder {
-    let params = Params::builder()
-        .placement_period(10.0)
-        .measurement_interval(2.0)
-        .build()
-        .expect("valid params");
+    let params = Params {
+        placement_period: 10.0,
+        measurement_interval: 2.0,
+        ..Params::paper()
+    };
     Scenario::builder()
         .params(params)
         .num_objects(OBJECTS)

@@ -18,11 +18,11 @@ const OBJECTS: u32 = 150;
 /// log holds most event types and the report a `protocol_health`
 /// section, non-trivial summaries and a relocation log.
 fn traced_run() -> (String, String) {
-    let params = Params::builder()
-        .placement_period(10.0)
-        .measurement_interval(2.0)
-        .build()
-        .expect("valid params");
+    let params = Params {
+        placement_period: 10.0,
+        measurement_interval: 2.0,
+        ..Params::paper()
+    };
     let topology = radar::simnet::builders::uunet();
     let scenario = Scenario::builder()
         .params(params)

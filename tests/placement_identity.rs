@@ -32,12 +32,13 @@ fn scenario(params: Params) -> ScenarioBuilder {
 }
 
 fn params(low: f64, high: f64) -> Params {
-    Params::builder()
-        .placement_period(20.0)
-        .measurement_interval(4.0)
-        .watermarks(low, high)
-        .build()
-        .expect("valid params")
+    Params {
+        low_watermark: low,
+        high_watermark: high,
+        placement_period: 20.0,
+        measurement_interval: 4.0,
+        ..Params::paper()
+    }
 }
 
 fn digest(report: &RunReport) -> u64 {

@@ -21,11 +21,11 @@ const OBJECTS: u32 = 200;
 /// 200 objects for 30 s; a 10 s placement period puts three placement
 /// rounds (actions, counts resets) inside the window.
 fn scenario() -> ScenarioBuilder {
-    let params = Params::builder()
-        .placement_period(10.0)
-        .measurement_interval(2.0)
-        .build()
-        .expect("valid params");
+    let params = Params {
+        placement_period: 10.0,
+        measurement_interval: 2.0,
+        ..Params::paper()
+    };
     Scenario::builder()
         .params(params)
         .num_objects(OBJECTS)
