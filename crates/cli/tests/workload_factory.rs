@@ -189,6 +189,56 @@ fn baseline_policies_keep_their_report_and_event_bytes() {
         got.push((label, fnv1a64(&bytes), bytes.len()));
     }
 
+    // Overlapping windows on one host and one non-bridge link: two
+    // crashes of host 7, two partitions of Seattle–Portland and two
+    // degradations of it (×2 and ×3), with provider updates crossing
+    // it. Pinned before the fault layer compiled a window to one fault
+    // opened and closed, so every transition text and the factor
+    // unwinding show here.
+    let overlap_faults = TempPath::new("overlap-faults.txt");
+    std::fs::write(
+        &overlap_faults.0,
+        "min-replicas 2\ndeclare-dead-after 30\n\
+         host-down 7 60 200\nhost-down 7 120 260\n\
+         link-down 0 1 50 150\nlink-down 0 1 100 250\n\
+         link-slow 0 1 2 40 180\nlink-slow 0 1 3 90 220\n",
+    )
+    .unwrap();
+    let overlap: &[&str] = &[
+        "simulate",
+        "--objects",
+        "60",
+        "--rate",
+        "0.2",
+        "--duration",
+        "300",
+        "--seed",
+        "3",
+        "--update-rate",
+        "1",
+        "--faults",
+        overlap_faults.as_str(),
+    ];
+    let log = TempPath::new("overlap-faulted.jsonl");
+    run(&args(&[overlap, &["--events", log.as_str()]].concat())).unwrap();
+    let bytes = std::fs::read(&log.0).unwrap();
+    let text = String::from_utf8_lossy(&bytes);
+    for desc in [
+        "link-degrade 0-1 x2",
+        "link-degrade 0-1 x3",
+        "link-restore 0-1 x2",
+        "link-restore 0-1 x3",
+    ] {
+        assert!(text.contains(desc), "overlap-faulted: no {desc}");
+    }
+    got.push(("overlap-faulted-log", fnv1a64(&bytes), bytes.len()));
+    let report = run(&args(&[overlap, &["--json"]].concat())).unwrap();
+    got.push((
+        "overlap-faulted-report",
+        fnv1a64(report.as_bytes()),
+        report.len(),
+    ));
+
     let expected = [
         ("availability", 0x840b_0656_3918_d2d3, 76_275),
         ("cluster", 0xa2d7_a8ba_50bc_bb25, 71_099),
@@ -202,6 +252,8 @@ fn baseline_policies_keep_their_report_and_event_bytes() {
         ("random-faulted", 0x36f7_c649_a339_dfd8, 181_485),
         ("availability-faulted", 0x66a2_bdbf_5be2_618d, 2_304_807),
         ("cluster-faulted", 0x0052_7d67_6529_1786, 2_324_908),
+        ("overlap-faulted-log", 0xcbce_bc5c_c43e_2432, 1_802_682),
+        ("overlap-faulted-report", 0x101f_2460_d0ef_bcaa, 30_668),
     ];
     assert_eq!(got.len(), expected.len());
     for ((label, fnv, len), (_, want_fnv, want_len)) in got.iter().zip(expected) {
