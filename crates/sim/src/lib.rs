@@ -77,7 +77,7 @@ pub use config::{
     check_object_count, InitialPlacement, NetworkParams, PlacementMode, Scenario, ScenarioBuilder,
     ScenarioError, MAX_OBJECTS,
 };
-pub use faults::{Fault, FaultError, FaultSpec, FaultTransition, TransitionKind};
+pub use faults::{Fault, FaultError, FaultSpec};
 pub use json::protocol_health_json;
 pub use metrics::{LoadEstimateSample, Metrics, RelocationEvent, RelocationIter, RelocationLog};
 pub use observer::{Observer, RequestRecord};

@@ -63,16 +63,6 @@ impl Simulation {
             .sum()
     }
 
-    /// Charges `bytes` to every link on the current path from `from` to
-    /// `to`.
-    pub(crate) fn charge_links(&mut self, from: NodeId, to: NodeId, bytes: u64) {
-        let path = self.view.path(from, to);
-        for w in path.windows(2) {
-            let idx = self.view.link_id(w[0], w[1]).expect("adjacent on a path");
-            self.metrics.link_bytes[idx] += bytes as f64;
-        }
-    }
-
     pub(crate) fn fail_request(
         &mut self,
         t: SimTime,
@@ -344,14 +334,13 @@ impl Simulation {
             return;
         }
         self.hosts[i].record_serviced(t.as_secs(), object);
-        if !self.connected(host, gateway) {
+        let size = self.scenario.catalog.object_size();
+        let Some(hops) = self.metrics.charge(&self.view, host, gateway, size) else {
             // The response has nowhere to go: a partition opened while
             // the request was in service.
             self.fail_request(t, object, gateway, FailReason::Unreachable, cause);
             return;
-        }
-        let size = self.scenario.catalog.object_size();
-        let hops = self.view.distance(host, gateway);
+        };
         let travel = self.transfer(host, gateway, size);
         let delivered = t + SimDuration::from_secs(travel);
         let latency = (delivered - t0).as_secs();
@@ -359,7 +348,6 @@ impl Simulation {
         self.metrics
             .record_response(t.as_secs(), delivered.as_secs(), latency, bytes_hops);
         self.metrics.response_travel.record(travel);
-        self.charge_links(host, gateway, size);
         let (from, to) = (
             self.node_regions[host.index()].index(),
             self.node_regions[gateway.index()].index(),

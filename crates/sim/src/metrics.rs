@@ -1,6 +1,7 @@
 //! In-flight measurement collection.
 
 use radar_obs::{PlacementActionKind, Tally};
+use radar_simnet::{NodeId, RoutingView};
 use radar_stats::{BinSpec, OnlineSummary, TimeSeries};
 
 /// One Fig. 8b sample: a host's actual measured load together with the
@@ -245,6 +246,27 @@ impl Metrics {
     /// Records `bytes×hops` of relocation (overhead) traffic.
     pub fn record_overhead(&mut self, t: f64, bytes_hops: f64) {
         self.overhead_bandwidth.record(t, bytes_hops);
+    }
+
+    /// Charges `bytes` to every backbone link on the current route from
+    /// `from` to `to` and returns the route's hop count, or `None`,
+    /// charging nothing, when no route exists. Every byte that crosses
+    /// the backbone — responses, relocation and re-replication copies,
+    /// provider updates — is charged here, so each site's bytes×hops
+    /// comes from the same walk as its link bytes.
+    pub(crate) fn charge(
+        &mut self,
+        view: &RoutingView,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+    ) -> Option<u32> {
+        let path = view.path(from, to);
+        for w in path.windows(2) {
+            let idx = view.link_id(w[0], w[1]).expect("adjacent on a path");
+            self.link_bytes[idx] += bytes as f64;
+        }
+        (!path.is_empty()).then(|| path.len() as u32 - 1)
     }
 
     /// Appends one host's placement outcome to the relocation log (see

@@ -199,8 +199,6 @@ pub struct Simulation {
     pub(crate) placement_scratch: radar_core::placement::PlacementScratch,
     /// Reusable placement outcome, cleared and refilled each epoch.
     pub(crate) placement_outcome: radar_core::placement::PlacementOutcome,
-    /// Reusable host-liveness snapshot taken at each placement epoch.
-    pub(crate) alive_scratch: Vec<bool>,
     /// Reusable offload-recipient candidate buffer.
     pub(crate) offload_probe_scratch: Vec<(f64, usize)>,
     /// Reusable provider-update target buffer.
@@ -337,7 +335,6 @@ impl Simulation {
             unavailable_since: BTreeMap::new(),
             placement_scratch: radar_core::placement::PlacementScratch::default(),
             placement_outcome: radar_core::placement::PlacementOutcome::default(),
-            alive_scratch: Vec::new(),
             offload_probe_scratch: Vec::new(),
             update_targets: Vec::new(),
             spare_host: HostState::new(NodeId::new(0), radar_core::Params::paper()),

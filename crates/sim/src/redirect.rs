@@ -92,7 +92,7 @@ impl RedirectEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::TransitionKind;
+    use crate::faults::{Fault, FaultTransition};
     use radar_simcore::SimRng;
     use radar_simnet::builders;
 
@@ -100,18 +100,24 @@ mod tests {
         ObjectId::new(0)
     }
 
-    /// Applies `kind` to the fault state and, like the platform's fault
-    /// handler, mirrors effective link transitions into the view.
-    fn apply(fault_state: &mut FaultState, view: &mut RoutingView, kind: TransitionKind) {
-        let routes_dirty = fault_state.apply(kind);
-        match kind {
-            TransitionKind::LinkFail(a, b) if routes_dirty => {
-                view.set_link(NodeId::new(a), NodeId::new(b), false);
+    /// Opens or closes `fault`'s window in the fault state and, like the
+    /// platform's fault handler, mirrors effective link transitions into
+    /// the view.
+    fn apply(fault_state: &mut FaultState, view: &mut RoutingView, fault: Fault, opens: bool) {
+        let t = 0.0;
+        let routes_dirty = fault_state.apply(FaultTransition { t, fault, opens });
+        if let Fault::LinkDown { a, b, .. } = fault {
+            if routes_dirty {
+                view.set_link(NodeId::new(a), NodeId::new(b), !opens);
             }
-            TransitionKind::LinkHeal(a, b) if routes_dirty => {
-                view.set_link(NodeId::new(a), NodeId::new(b), true);
-            }
-            _ => {}
+        }
+    }
+
+    fn crash(host: u16) -> Fault {
+        Fault::HostDown {
+            host,
+            from: 0.0,
+            until: None,
         }
     }
 
@@ -143,7 +149,7 @@ mod tests {
         let mut oracle_side = engine_side.clone();
         let mut engine = RedirectEngine::default();
         let rnode = view.table().centroid();
-        let mut active: Vec<TransitionKind> = Vec::new();
+        let mut active: Vec<Fault> = Vec::new();
         let (mut empty_sets, mut all_up_rounds, mut faulted_rounds) = (0, 0, 0);
         for round in 0..400 {
             // Rounds 0..150 open faults more often than they close them,
@@ -154,29 +160,30 @@ mod tests {
                 _ => false,
             };
             if open {
-                let kind = if rng.chance(0.5) {
+                let fault = if rng.chance(0.5) {
                     // Crash a host that holds a replica half of the time.
                     let o = ObjectId::new(rng.index(objects as usize) as u32);
                     let replicas = engine_side.replicas(o);
                     if rng.chance(0.5) && !replicas.is_empty() {
                         let host = replicas[rng.index(replicas.len())].host;
-                        TransitionKind::HostCrash(host.index() as u16)
+                        crash(host.index() as u16)
                     } else {
-                        TransitionKind::HostCrash(rng.index(n as usize) as u16)
+                        crash(rng.index(n as usize) as u16)
                     }
                 } else {
                     let (a, b) = links[rng.index(links.len())];
-                    TransitionKind::LinkFail(a, b)
+                    Fault::LinkDown {
+                        a,
+                        b,
+                        from: 0.0,
+                        until: None,
+                    }
                 };
-                apply(&mut fault_state, &mut view, kind);
-                active.push(kind);
+                apply(&mut fault_state, &mut view, fault, true);
+                active.push(fault);
             } else if !active.is_empty() {
-                let closing = match active.swap_remove(rng.index(active.len())) {
-                    TransitionKind::HostCrash(h) => TransitionKind::HostRecover(h),
-                    TransitionKind::LinkFail(a, b) => TransitionKind::LinkHeal(a, b),
-                    other => unreachable!("only outages are opened: {other:?}"),
-                };
-                apply(&mut fault_state, &mut view, closing);
+                let closing = active.swap_remove(rng.index(active.len()));
+                apply(&mut fault_state, &mut view, closing, false);
             }
             assert_eq!(fault_state.all_up(), active.is_empty(), "round {round}");
             if active.is_empty() {
@@ -236,7 +243,7 @@ mod tests {
 
     #[test]
     fn a_crashed_host_is_filtered_out() {
-        let view = RoutingView::new(builders::star(5));
+        let mut view = RoutingView::new(builders::star(5));
         let mut fault_state = FaultState::new(view.topology().len());
         let mut r = Redirector::new(1, 2.0);
         r.install(x(), NodeId::new(1));
@@ -246,7 +253,7 @@ mod tests {
         let rnode = NodeId::new(0);
         let first = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(first, Some(NodeId::new(1)), "local replica wins");
-        fault_state.apply(TransitionKind::HostCrash(1));
+        apply(&mut fault_state, &mut view, crash(1), true);
         let second = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(second, Some(NodeId::new(3)));
     }
