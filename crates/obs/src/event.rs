@@ -251,10 +251,11 @@ pub struct ProviderUpdateEvent {
     pub version: u64,
     /// The primary copy's host.
     pub primary: u16,
-    /// Number of secondary replicas the update propagates to.
+    /// Number of secondary replicas the update propagates to: those the
+    /// primary can reach (a partition skips the others).
     pub targets: u16,
-    /// Propagation traffic charged at issue (bytes×hops over every
-    /// primary→secondary path).
+    /// Propagation traffic charged at issue (bytes×hops over the path
+    /// to each of the `targets`).
     pub bytes_hops: u64,
     /// Whether the primary copy had to be reassigned first (its host
     /// had shed the object).
