@@ -296,9 +296,10 @@ fn update_traffic(r: &RunReport) -> f64 {
 /// paper's distribution algorithm against the availability-target and
 /// cluster-replication baselines, each run under read-only, mixed, and
 /// write-heavy catalogs with live provider updates. Besides the table,
-/// writes the machine-readable `BENCH_policies.json` artifact at the
-/// workspace root (next to the perf baselines) so CI can gate on the
-/// sweep's presence and shape.
+/// writes the machine-readable `BENCH_policies.json` artifact under
+/// `--out`, beside the CSVs (nothing without `--out`);
+/// `scripts/check.sh` copies the `--tiny` one to the workspace root and
+/// gates on the sweep's presence and shape.
 pub fn policies(h: &mut Harness) -> String {
     use radar_core::{Catalog, ConsistencyMix};
     use radar_sim::obs::json::Value;
@@ -380,15 +381,18 @@ pub fn policies(h: &mut Harness) -> String {
         ("config".into(), Value::Obj(config)),
         ("runs".into(), Value::Arr(runs.collect())),
     ]);
-    // CARGO_MANIFEST_DIR is crates/bench; the artifact lives at the
-    // workspace root next to BENCH_protocol_health.json.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_policies.json");
-    let mut body = doc.pretty();
-    body.push('\n');
-    std::fs::write(&path, body).expect("write BENCH_policies.json");
-    let _ = writeln!(out, "\nwrote {}", path.display());
+    out.push('\n');
+    if let Some(dir) = &h.cfg.out_dir {
+        let path = dir.join("BENCH_policies.json");
+        let mut body = doc.pretty();
+        body.push('\n');
+        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body)) {
+            Ok(()) => {
+                let _ = writeln!(out, "wrote {}", path.display());
+            }
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        }
+    }
     out.push_str(
         "(availability pins a replica target and ignores load; cluster replicates\n\
          to the heaviest-demand node only — the §4 algorithm is the one that\n\

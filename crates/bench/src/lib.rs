@@ -74,7 +74,8 @@ pub struct ExpConfig {
     pub duration: f64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Directory for CSV series output (`None` = don't write files).
+    /// Directory for the CSV series and `BENCH_policies.json` (`None` =
+    /// write no files).
     pub out_dir: Option<PathBuf>,
 }
 

@@ -15,7 +15,8 @@
 //! node, 3 000 simulated seconds); `--quick` runs a reduced scale for
 //! smoke-testing and `--tiny` the unit-test scale (used by
 //! `scripts/check.sh` to regenerate `BENCH_policies.json` cheaply).
-//! `--out DIR` additionally writes each series as CSV.
+//! `--out DIR` additionally writes each series as CSV, and `policies`
+//! its `BENCH_policies.json`; without it nothing is written.
 
 use radar_bench::experiments::{self, Harness};
 use radar_bench::ExpConfig;

@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 use std::io::{IsTerminal, Write as _};
 
-use radar_obs::{MetricsObserver, ObjectLedger, ProtocolHealth, SharedMetrics, SharedObjectLedger};
+use radar_obs::{MetricsObserver, ObjectLedger, SharedMetrics, SharedObjectLedger};
 use radar_sim::Observer;
 
 /// Width of the host-load bars, in characters.
@@ -179,34 +179,6 @@ pub fn render(m: &MetricsObserver, ledger: &ObjectLedger, top: usize) -> String 
     out
 }
 
-/// Renders the live protocol-health panel from a ledger snapshot:
-/// active replicas, churn counters, relocation cost per served
-/// request, and the invariant-audit badge.
-pub fn render_protocol_panel(h: &ProtocolHealth) -> String {
-    let mut out = String::new();
-    let badge = if h.violations == 0 {
-        "invariants ok".to_string()
-    } else {
-        format!("INVARIANTS VIOLATED ({})", h.violations)
-    };
-    let _ = writeln!(
-        out,
-        "\nprotocol health: {} active replicas · [{badge}]",
-        h.active_replicas
-    );
-    let churn = h.churn_events();
-    let _ = writeln!(
-        out,
-        "  relocations {} · churn {churn} (ping-pong {} / rep-drop {}) · \
-         {:.1} B moved per request served",
-        h.relocations,
-        h.ping_pong,
-        h.replicate_drop,
-        h.bytes_per_served()
-    );
-    out
-}
-
 /// A simulation observer that folds every event into a [`SharedMetrics`]
 /// and repaints the dashboard on stderr as the run progresses, reading
 /// a ledger the simulation folds as an observer of its own.
@@ -247,7 +219,7 @@ impl LiveDashboard {
         self.last_frame = Some(std::time::Instant::now());
         let frame = self.ledger.with(|l| {
             let frame = self.metrics.with(|m| render(m, l, self.top));
-            frame + &render_protocol_panel(&l.health())
+            frame + "\n" + &l.health().render()
         });
         let mut err = std::io::stderr().lock();
         // Home the cursor and clear to end-of-screen between frames.
@@ -387,39 +359,6 @@ mod tests {
         assert_eq!(bar(0.5, 1.0).chars().filter(|&c| c == '#').count(), 14);
         assert_eq!(bar(0.0, 1.0).chars().filter(|&c| c == '#').count(), 0);
         assert_eq!(bar(1.0, 0.0).chars().filter(|&c| c == '#').count(), 0);
-    }
-
-    #[test]
-    fn protocol_panel_shows_badge_and_churn_price() {
-        let clean = ProtocolHealth {
-            events_seen: 100,
-            active_replicas: 18,
-            requests: 50,
-            served: 48,
-            relocations: 4,
-            bytes_moved: 48_000,
-            ping_pong: 1,
-            replicate_drop: 0,
-            violations: 0,
-            violation_seqs: Vec::new(),
-            churn_window: 120.0,
-            top_objects: Vec::new(),
-        };
-        let panel = render_protocol_panel(&clean);
-        assert!(panel.contains("18 active replicas"), "{panel}");
-        assert!(panel.contains("[invariants ok]"), "{panel}");
-        assert!(
-            panel.contains("1000.0 B moved per request served"),
-            "{panel}"
-        );
-
-        let dirty = ProtocolHealth {
-            violations: 2,
-            violation_seqs: vec![7, 9],
-            ..clean
-        };
-        let panel = render_protocol_panel(&dirty);
-        assert!(panel.contains("INVARIANTS VIOLATED (2)"), "{panel}");
     }
 
     #[test]

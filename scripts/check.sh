@@ -145,13 +145,24 @@ echo "wrote BENCH_protocol_health.json"
 echo "== every experiment at unit-test scale (CSVs + BENCH_policies.json) =="
 # Runs all 20 experiment commands at the unit-test scale (~4 s on two
 # cores): each must print its `==` header and write its CSVs. The
-# `policies` command regenerates BENCH_policies.json, gated on its
+# `policies` command writes BENCH_policies.json under --out and nowhere
+# else; the copy at the root is regenerated from it, gated on its
 # shape: every placement policy must appear under at least the
 # read-only and write-heavy mixes.
 tmp=target/experiments-tiny
 rm -rf "$tmp"
+committed="$(mktemp)"
+cp BENCH_policies.json "$committed"
 cargo run -q --release -p radar-bench --bin experiments -- --tiny all --out "$tmp" \
   > target/experiments-tiny.txt
+status=0
+cmp -s "$committed" BENCH_policies.json || status=$?
+rm -f "$committed"
+[ "$status" -eq 0 ] \
+  || { echo "FAIL: experiments wrote BENCH_policies.json outside --out"; exit 1; }
+[ -s "$tmp/BENCH_policies.json" ] \
+  || { echo "FAIL: experiments wrote no BENCH_policies.json under --out"; exit 1; }
+cp "$tmp/BENCH_policies.json" BENCH_policies.json
 headers="$(grep -c '^== .* ==$' target/experiments-tiny.txt || true)"
 if [ "$headers" -ne 20 ]; then
   echo "FAIL: experiments --tiny all printed $headers of 20 command headers"
@@ -165,8 +176,8 @@ for csv in table2 fig7 fig8a fig8b fig9 baselines baselines_swamp \
 done
 echo "experiments --tiny all: 20 commands, 24 CSVs"
 # Stdout is the same bytes run to run and at any thread count, so it is
-# pinned to the committed copy, less the one line that names this
-# checkout's path. Regenerate the golden file only for an intended
+# pinned to the committed copy, less the one line that names the
+# BENCH_policies.json it wrote. Regenerate the golden file only for an intended
 # change to an experiment's output.
 grep -v '^wrote .*BENCH_policies\.json$' target/experiments-tiny.txt \
   | diff -u tests/golden/experiments-tiny.txt - \
