@@ -186,6 +186,39 @@ fn listings_keep_their_bytes_and_explanations_are_pinned() {
     );
 }
 
+/// A cold sole replica logs one `drop-refused` per 100-s placement
+/// period, so over 26 000 s each of four unrequested objects gathers
+/// more steps than the timeline prints: the listing opens with the
+/// count of the earlier ones.
+#[test]
+fn a_timeline_past_its_cap_keeps_its_bytes() {
+    let log = TempPath::new("cold.jsonl");
+    radar(&[
+        "simulate",
+        "--objects",
+        "4",
+        "--rate",
+        "0.0001",
+        "--duration",
+        "26000",
+        "--seed",
+        "1",
+        "--events",
+        log.as_str(),
+    ]);
+    let text = radar(&["objects", "timeline", "0", log.as_str()]).replace(log.as_str(), "LOG");
+    assert!(
+        text.contains("\n… 3 earlier steps beyond the timeline cap\n"),
+        "{text}"
+    );
+    assert_eq!(text.matches("\n#").count(), 256, "{text}");
+    assert_eq!(
+        (fnv1a64(text.as_bytes()), text.len()),
+        (0x0672_765b_c84d_dd75, 15_853),
+        "timeline past the cap moved"
+    );
+}
+
 #[test]
 fn the_live_dashboard_and_the_replay_print_the_same_frame() {
     let (faults, log) = (
