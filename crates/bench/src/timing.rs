@@ -257,4 +257,31 @@ mod tests {
             delta.allocations
         );
     }
+
+    /// The end of a run builds its report's replica table flat (one
+    /// block of offsets, one of pairs), so `finish()` on 100 000
+    /// objects makes no allocator call per object.
+    #[test]
+    fn finish_makes_no_heap_block_per_object() {
+        use radar_sim::{Scenario, Simulation};
+        const OBJECTS: u32 = 100_000;
+        let scenario = Scenario::builder()
+            .num_objects(OBJECTS)
+            .node_request_rate(2.0)
+            .duration(150.0)
+            .seed(1)
+            .build()
+            .expect("valid scenario");
+        let workload = crate::make_workload("zipf", OBJECTS, 1);
+        let mut sim = Simulation::new(scenario, workload);
+        sim.run_until(150.0); // one placement round on every host
+        let (delta, report) = CountingAlloc::measure(|| sim.finish());
+        assert_eq!(report.final_replicas.len(), OBJECTS as usize);
+        assert!(report.final_replicas.iter().all(|set| !set.is_empty()));
+        assert!(
+            delta.allocations < 1_000,
+            "finish() made {} allocator calls for {OBJECTS} objects",
+            delta.allocations
+        );
+    }
 }

@@ -9,10 +9,14 @@
 
 use std::fmt::Write as _;
 
-use radar_obs::{Event, LedgerConfig, ObjectLedger};
+use radar_obs::{Event, LedgerConfig, ObjectLedger, ReplicaChange};
 
 use crate::args::{object_size, Parsed};
-use crate::events::{causal_chain, gap_note, load};
+use crate::events::{gap_note, load, Causality};
+
+/// Steps `objects timeline` lists: the latest ones, after a count of
+/// the earlier ones.
+const TIMELINE_CAP: usize = 256;
 
 pub(crate) fn command(args: &[&str]) -> Result<String, String> {
     let Some((&sub, rest)) = args.split_first() else {
@@ -50,11 +54,18 @@ fn ledger_config(parsed: &Parsed) -> Result<LedgerConfig, String> {
     })
 }
 
-/// Replays every event of a log through a fresh ledger.
-fn fold_log(events: &[Event], cfg: LedgerConfig) -> ObjectLedger {
+/// Replays every event of a log through a fresh ledger, handing each
+/// replica-set change and the event that made it to `on_change`.
+fn fold_log<'a>(
+    events: &'a [Event],
+    cfg: LedgerConfig,
+    mut on_change: impl FnMut(&'a Event, ReplicaChange),
+) -> ObjectLedger {
     let mut ledger = ObjectLedger::new(cfg);
     for e in events {
-        ledger.fold(e);
+        if let Some(change) = ledger.fold(e) {
+            on_change(e, change);
+        }
     }
     if let Some(last) = events.last() {
         ledger.finalize(last.t);
@@ -75,7 +86,13 @@ fn timeline(args: &[&str]) -> Result<String, String> {
         .parse()
         .map_err(|_| format!("expected an object id, got {id:?}"))?;
     let events = load(path)?;
-    let ledger = fold_log(&events, ledger_config(&parsed)?);
+    // The object's replica-set changes, with the events that made them.
+    let mut steps = Vec::new();
+    let ledger = fold_log(&events, ledger_config(&parsed)?, |event, change| {
+        if event.object() == Some(object) {
+            steps.push((event, change));
+        }
+    });
 
     let Some(c) = ledger.object(object) else {
         return Err(format!("no events concern object {object} in {path}"));
@@ -118,30 +135,28 @@ fn timeline(args: &[&str]) -> Result<String, String> {
         }
     }
 
-    let steps = ledger.timeline(object);
     if steps.is_empty() {
         let _ = writeln!(out, "\nno replica-set changes recorded");
         return Ok(out);
     }
-    let dropped = ledger.timeline_dropped(object);
+    let dropped = steps.len().saturating_sub(TIMELINE_CAP);
     if dropped > 0 {
         let _ = writeln!(out, "\n… {dropped} earlier steps beyond the timeline cap");
     }
-    for step in steps {
+    let causes = Causality::new(&events);
+    for (event, change) in &steps[dropped..] {
         let _ = writeln!(
             out,
             "\n#{:<6} t={:<9.3} {}",
-            step.seq,
-            step.t,
-            step.change.describe()
+            event.seq,
+            event.t,
+            change.describe()
         );
         // The paper-facing "why": the Fig. 2 decision / placement-test
         // narrative of the chain that produced this step.
-        if let Some(event) = events.iter().find(|e| e.seq == step.seq) {
-            let chain = causal_chain(&events, event);
-            for line in chain.lines().filter(|l| !l.is_empty()) {
-                let _ = writeln!(out, "    {line}");
-            }
+        let chain = causes.chain(event);
+        for line in chain.lines().filter(|l| !l.is_empty()) {
+            let _ = writeln!(out, "    {line}");
         }
     }
     Ok(out)
@@ -166,7 +181,7 @@ fn churn(args: &[&str]) -> Result<String, String> {
     if events.is_empty() {
         return Ok("no events\n".to_string());
     }
-    let ledger = fold_log(&events, ledger_config(&parsed)?);
+    let ledger = fold_log(&events, ledger_config(&parsed)?, |_, _| ());
 
     let mut out = ledger.health().render();
     let rows = ledger.churn_table(top);
@@ -230,7 +245,7 @@ fn audit(args: &[&str]) -> Result<String, String> {
         ));
     };
     let log = load(path)?;
-    let ledger = fold_log(&log, LedgerConfig::default());
+    let ledger = fold_log(&log, LedgerConfig::default(), |_, _| ());
     let auditor = ledger.auditor();
     let events = auditor.events_seen();
     let caveat = gap_note(&log).unwrap_or_default();

@@ -55,7 +55,7 @@ pub struct SimulateArgs {
     /// Profile the event loop (per-handler wall time and queue depth)
     /// for the text output, as `--events` also does.
     pub profile: bool,
-    /// Enable the protocol-health ledger (per-object timelines, churn
+    /// Enable the protocol-health ledger (per-object replica sets, churn
     /// attribution, invariant audit) for the report's
     /// `protocol_health` section. Implied by `--dashboard`, which
     /// renders the live protocol panel from it.
@@ -396,7 +396,7 @@ fn help() -> String {
      \x20                     profile the event loop (see `radar events --help`)\n\
      \x20 --profile           profile the event loop (per-handler wall time and queue\n\
      \x20                     depth in the text output) without writing an events file\n\
-     \x20 --ledger            reconstruct per-object replica timelines, churn and\n\
+     \x20 --ledger            reconstruct per-object replica sets, churn and\n\
      \x20                     relocation-cost attribution, and run the replica-set\n\
      \x20                     invariant audit: a `protocol_health` report section\n\
      \x20                     plus a text summary (see `radar objects --help`)\n\

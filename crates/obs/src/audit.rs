@@ -45,7 +45,6 @@
 
 use crate::event::{tags, Event, EventKind, PlacementActionKind, ResetCause};
 use crate::idtable::{at, IdTable};
-use std::collections::BTreeMap;
 use std::fmt;
 use ViolationKind as V;
 
@@ -165,9 +164,9 @@ pub struct InvariantAuditor {
     /// Reconstructed replica presence, `state[object][host]`; a row is
     /// as long as the highest host id mentioned for its object.
     state: IdTable<Vec<Presence>>,
-    /// Directory notifications (counts-resets) of the in-progress
-    /// placement epoch, not yet paired with their placement action.
-    pending: BTreeMap<u32, Vec<(u64, f64, ResetCause)>>,
+    /// Directory notifications (counts-resets) of the latest reset
+    /// timestamp not yet paired with their placement action.
+    pending: Resets,
     /// `down[host]`: hosts currently crashed, from fault-transition
     /// descriptions.
     down: Vec<bool>,
@@ -249,24 +248,17 @@ impl InvariantAuditor {
         });
     }
 
-    /// Consumes the oldest unpaired directory notification for
-    /// `object` with the given cause from the current epoch (same
-    /// timestamp — resets always precede their placement action within
-    /// an epoch, and epochs never share a timestamp with each other for
-    /// the same object). Stale notifications from earlier epochs are
-    /// discarded on the way.
-    fn take_reset(&mut self, object: u32, t: f64, cause: ResetCause) -> Option<u64> {
-        let pending = self.pending.get_mut(&object)?;
-        pending.retain(|&(_, pt, _)| pt >= t);
-        let idx = pending
-            .iter()
-            .position(|&(_, pt, pc)| pt == t && pc == cause)?;
-        Some(pending.remove(idx).0)
-    }
-
     /// Folds one event into the reconstruction, returning the replica
     /// change it implied (for churn accounting layered on top).
     pub fn fold(&mut self, event: &Event) -> AuditDelta {
+        let mut pending = std::mem::take(&mut self.pending);
+        let delta = self.fold_with(event, &mut pending);
+        self.pending = pending;
+        delta
+    }
+
+    /// [`fold`](Self::fold), pairing notifications through `pending`.
+    fn fold_with(&mut self, event: &Event, pending: &mut impl PairResets) -> AuditDelta {
         self.events_seen += 1;
         let mut delta = AuditDelta::default();
         match &event.kind {
@@ -282,13 +274,11 @@ impl InvariantAuditor {
                         }
                     }
                 }
-                _ => self
-                    .pending
-                    .entry(*object)
-                    .or_default()
-                    .push((event.seq, event.t, *cause)),
+                _ => pending.record(*object, event.t, *cause),
             },
-            EventKind::PlacementAction(p) => self.fold_placement(event, p.clone(), &mut delta),
+            EventKind::PlacementAction(p) => {
+                self.fold_placement(event, p.clone(), pending, &mut delta)
+            }
             EventKind::Decision(d) => {
                 for c in &d.candidates {
                     self.check_directory_reference(event, d.object, c.host, "candidate");
@@ -378,16 +368,14 @@ impl InvariantAuditor {
         &mut self,
         event: &Event,
         p: crate::event::PlacementActionEvent,
+        pending: &mut impl PairResets,
         delta: &mut AuditDelta,
     ) {
         let object = p.object;
         let source = p.host;
         match p.action {
             PlacementActionKind::Drop => {
-                if self
-                    .take_reset(object, event.t, ResetCause::Dropped)
-                    .is_none()
-                {
+                if !pending.take(object, event.t, ResetCause::Dropped) {
                     let detail = format!(
                         "host {source} dropped its copy of object {object} without a \
                          directory notification in the same epoch"
@@ -398,10 +386,7 @@ impl InvariantAuditor {
                 delta.removed = Some(source);
             }
             PlacementActionKind::AffinityReduce => {
-                if self
-                    .take_reset(object, event.t, ResetCause::Affinity)
-                    .is_none()
-                {
+                if !pending.take(object, event.t, ResetCause::Affinity) {
                     let detail = format!(
                         "host {source} reduced affinity for object {object} without a \
                          directory notification"
@@ -417,27 +402,21 @@ impl InvariantAuditor {
             PlacementActionKind::GeoReplicate | PlacementActionKind::LoadReplicate => {
                 self.set_presence(object, source, Presence::Present);
                 if let Some(target) = p.target {
-                    self.admit_create(event, object, target, delta);
+                    self.admit_create(event, object, target, pending, delta);
                 }
             }
             PlacementActionKind::GeoMigrate | PlacementActionKind::LoadMigrate => {
                 if let Some(target) = p.target {
-                    self.admit_create(event, object, target, delta);
+                    self.admit_create(event, object, target, pending, delta);
                     delta.migration = Some((source, target));
                 }
                 // The source sheds one affinity unit: a drop when it was
                 // the last, otherwise just a reduction. The paired
                 // notification says which.
-                if self
-                    .take_reset(object, event.t, ResetCause::Dropped)
-                    .is_some()
-                {
+                if pending.take(object, event.t, ResetCause::Dropped) {
                     self.set_presence(object, source, Presence::Absent);
                     delta.removed = Some(source);
-                } else if self
-                    .take_reset(object, event.t, ResetCause::Affinity)
-                    .is_some()
-                {
+                } else if pending.take(object, event.t, ResetCause::Affinity) {
                     self.set_presence(object, source, Presence::Present);
                 } else {
                     let detail = format!(
@@ -453,12 +432,16 @@ impl InvariantAuditor {
     /// A placement action claims a copy now exists on `target`; pair it
     /// with the `created` notification of the same epoch or flag an
     /// orphaned replica.
-    fn admit_create(&mut self, event: &Event, object: u32, target: u16, delta: &mut AuditDelta) {
+    fn admit_create(
+        &mut self,
+        event: &Event,
+        object: u32,
+        target: u16,
+        pending: &mut impl PairResets,
+        delta: &mut AuditDelta,
+    ) {
         let new_copy = self.presence(object, target) != Presence::Present;
-        if self
-            .take_reset(object, event.t, ResetCause::Created)
-            .is_none()
-        {
+        if !pending.take(object, event.t, ResetCause::Created) {
             let detail = format!(
                 "a copy of object {object} was created on host {target} without \
                  notifying the directory (orphaned replica)"
@@ -467,6 +450,53 @@ impl InvariantAuditor {
         }
         self.set_presence(object, target, Presence::Present);
         delta.created = Some((target, new_copy));
+    }
+}
+
+/// Where directory notifications wait for the placement action they
+/// announce.
+trait PairResets {
+    /// Notes a `cause` counts-reset of `object` at time `t`.
+    fn record(&mut self, object: u32, t: f64, cause: ResetCause);
+
+    /// Consumes one unpaired `cause` notification of `object` made at
+    /// time `t`; `false` when there is none.
+    fn take(&mut self, object: u32, t: f64, cause: ResetCause) -> bool;
+}
+
+/// The notifications of one timestamp. A host resets counts just
+/// before the placement action they announce, in the same epoch and at
+/// the same timestamp, and the feed is in time order, so a reset from
+/// an earlier timestamp can never pair again: the list is emptied when
+/// a later timestamp's first reset arrives, and holds at most one
+/// timestamp's resets.
+#[derive(Debug, Clone, Default)]
+struct Resets {
+    /// Time of every entry in `unpaired`.
+    t: f64,
+    unpaired: Vec<(u32, ResetCause)>,
+}
+
+impl PairResets for Resets {
+    fn record(&mut self, object: u32, t: f64, cause: ResetCause) {
+        if t != self.t {
+            self.unpaired.clear();
+            self.t = t;
+        }
+        self.unpaired.push((object, cause));
+    }
+
+    fn take(&mut self, object: u32, t: f64, cause: ResetCause) -> bool {
+        if t != self.t {
+            return false;
+        }
+        match self.unpaired.iter().position(|&e| e == (object, cause)) {
+            Some(i) => {
+                self.unpaired.swap_remove(i);
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -778,6 +808,136 @@ mod tests {
         // Later ordinary decisions may legitimately offer host 4.
         a.fold(&decision(4, 62.0, 7, 4, &[4]));
         assert!(a.violations().is_empty(), "{:?}", a.violations());
+    }
+
+    #[test]
+    fn unpaired_resets_are_kept_for_one_timestamp_only() {
+        let mut a = InvariantAuditor::new();
+        for i in 0..1000u32 {
+            let t = f64::from(i) * 100.0;
+            a.fold(&reset(u64::from(i) + 1, t, i, ResetCause::Created));
+            a.fold(&reset(u64::from(i) + 1, t, i, ResetCause::Dropped));
+        }
+        assert_eq!(a.pending.t, 99_900.0);
+        assert_eq!(
+            a.pending.unpaired,
+            vec![(999, ResetCause::Created), (999, ResetCause::Dropped)]
+        );
+        assert!(a.violations().is_empty());
+    }
+
+    /// The pairing rule the flat list replaced: one list per object,
+    /// whose entries older than the action are discarded when that
+    /// object is acted on.
+    #[derive(Default)]
+    struct PerObjectMap(std::collections::BTreeMap<u32, Vec<(f64, ResetCause)>>);
+
+    impl PairResets for PerObjectMap {
+        fn record(&mut self, object: u32, t: f64, cause: ResetCause) {
+            self.0.entry(object).or_default().push((t, cause));
+        }
+
+        fn take(&mut self, object: u32, t: f64, cause: ResetCause) -> bool {
+            let Some(pending) = self.0.get_mut(&object) else {
+                return false;
+            };
+            pending.retain(|&(pt, _)| pt >= t);
+            match pending.iter().position(|&(pt, pc)| pt == t && pc == cause) {
+                Some(i) => {
+                    pending.remove(i);
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    /// A seeded, time-ordered feed over four objects and four hosts:
+    /// placement epochs (resets, then the action they announce, at one
+    /// timestamp), stray resets and actions, decisions and host faults.
+    fn random_feed(seed: u64, len: u64) -> Vec<Event> {
+        const CAUSES: [ResetCause; 4] = [
+            ResetCause::Created,
+            ResetCause::Dropped,
+            ResetCause::Affinity,
+            ResetCause::Purge,
+        ];
+        const ACTIONS: [PlacementActionKind; 7] = [
+            PlacementActionKind::Drop,
+            PlacementActionKind::AffinityReduce,
+            PlacementActionKind::DropRefused,
+            PlacementActionKind::GeoReplicate,
+            PlacementActionKind::LoadReplicate,
+            PlacementActionKind::GeoMigrate,
+            PlacementActionKind::LoadMigrate,
+        ];
+        let mut rng = radar_simcore::SimRng::seed_from(seed);
+        let (mut t, mut feed) = (0.0, Vec::new());
+        let host = |rng: &mut radar_simcore::SimRng| rng.index(4) as u16;
+        let mut seq = 0;
+        while seq < len {
+            seq += 1;
+            let object = rng.index(4) as u32;
+            let roll = rng.index(10);
+            if roll < 3 {
+                // An epoch: zero to two resets, then its action.
+                for _ in 0..rng.index(3) {
+                    let cause = CAUSES[rng.index(3)];
+                    feed.push(reset(seq, t, object, cause));
+                    seq += 1;
+                }
+                let kind = ACTIONS[rng.index(ACTIONS.len())];
+                let target = rng.chance(0.8).then(|| host(&mut rng));
+                feed.push(action(seq, t, host(&mut rng), object, kind, target));
+            } else if roll < 5 {
+                feed.push(reset(seq, t, object, CAUSES[rng.index(4)]));
+            } else if roll < 6 {
+                let kind = ACTIONS[rng.index(ACTIONS.len())];
+                let target = rng.chance(0.5).then(|| host(&mut rng));
+                feed.push(action(seq, t, host(&mut rng), object, kind, target));
+            } else if roll < 8 {
+                let candidates: Vec<u16> = (0..rng.index(3)).map(|_| host(&mut rng)).collect();
+                let mut d = decision(seq, t, object, host(&mut rng), &candidates);
+                if rng.chance(0.2) {
+                    if let EventKind::Decision(d) = &mut d.kind {
+                        d.branch = DecisionBranch::PrimaryFallback;
+                    }
+                }
+                feed.push(d);
+            } else if roll < 9 {
+                let verb = if rng.chance(0.5) { "crash" } else { "recover" };
+                let desc = format!("host-{verb} {}", host(&mut rng));
+                feed.push(ev(seq, t, EventKind::Fault { desc }));
+            } else {
+                seq -= 1;
+                t += [1.0, 60.0][rng.index(2)];
+            }
+        }
+        feed
+    }
+
+    #[test]
+    fn the_flat_list_pairs_as_the_per_object_map_did() {
+        let (mut deltas, mut violations) = (0, 0);
+        for seed in 0..200 {
+            let (mut flat, mut mapped) = (InvariantAuditor::new(), InvariantAuditor::new());
+            let mut map = PerObjectMap::default();
+            for event in random_feed(seed, 300) {
+                let delta = flat.fold(&event);
+                assert_eq!(
+                    delta,
+                    mapped.fold_with(&event, &mut map),
+                    "seed {seed}: {event:?}"
+                );
+                deltas += usize::from(delta != AuditDelta::default());
+            }
+            assert_eq!(flat.violations(), mapped.violations(), "seed {seed}");
+            assert_eq!(flat.active_replicas(), mapped.active_replicas());
+            violations += flat.violations().len();
+        }
+        // Both verdicts occur: many actions pair, many do not.
+        assert!(deltas > 5_000, "{deltas} deltas");
+        assert!(violations > 5_000, "{violations} violations");
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! [`ObjectLedger`] is a streaming fold in the same idiom as
 //! [`crate::MetricsObserver`]: feed it the flight-recorder event feed
 //! in sequence order (attach it to a simulation as an observer, or
-//! replay a JSONL log) and it maintains, per object, a lifecycle
-//! timeline of replica-set changes, oscillation counters, and the
-//! relocation bytes spent versus the requests usefully served. It is
+//! replay a JSONL log) and it maintains, per object, oscillation
+//! counters and the relocation bytes spent versus the requests usefully
+//! served. It keeps no history: its memory follows the objects and the
+//! live replicas, not the length of the run, and each
+//! [`fold`](ObjectLedger::fold) hands back the [`ReplicaChange`] the
+//! event made, for a caller that wants an object's lifecycle (`radar
+//! objects timeline` collects it from its own fold of the log). It is
 //! the one per-object and per-host table of the feed: the dashboard's
 //! top-objects panel and per-host served counts read it too. An
 //! embedded [`InvariantAuditor`] performs the replica-set-invariant
@@ -27,7 +31,6 @@ use crate::event::{Event, EventKind, PlacementActionKind, ResetCause};
 use crate::idtable::{at, IdTable};
 use crate::shared::{Fold, Shared};
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 
 /// Violation sequence numbers retained in a [`ProtocolHealth`]
 /// snapshot (the full list stays on the auditor).
@@ -35,9 +38,6 @@ const VIOLATION_SEQS_CAP: usize = 16;
 /// Objects listed in a [`ProtocolHealth`] snapshot, ranked by bytes
 /// moved.
 const TOP_OBJECTS_CAP: usize = 8;
-/// Per-object cap on retained timeline steps; the oldest steps are
-/// discarded past it (the drop count is reported per object).
-const TIMELINE_CAPACITY: usize = 256;
 
 /// Tuning knobs for an [`ObjectLedger`].
 #[derive(Debug, Clone, PartialEq)]
@@ -60,7 +60,8 @@ impl Default for LedgerConfig {
     }
 }
 
-/// One replica-set change in an object's lifecycle timeline.
+/// One replica-set change in an object's lifecycle, as
+/// [`ObjectLedger::fold`] derives it from an event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplicaChange {
     /// A copy was created on `host` (replication); `new_copy` is false
@@ -147,19 +148,6 @@ impl ReplicaChange {
     }
 }
 
-/// One timeline entry: when a replica-set change happened and which
-/// flight-recorder event carried it (so causal chains can be followed
-/// back through the log).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelineStep {
-    /// Sequence number of the event behind the change.
-    pub seq: u64,
-    /// Simulated time, seconds.
-    pub t: f64,
-    /// What changed.
-    pub change: ReplicaChange,
-}
-
 /// Per-object traffic, churn and cost counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObjectChurn {
@@ -219,18 +207,16 @@ impl NodeChurn {
 #[derive(Debug, Clone, Default)]
 struct ObjectState {
     churn: ObjectChurn,
-    timeline: Vec<TimelineStep>,
-    timeline_dropped: u64,
     /// Last migration seen: `(from, to, t)` — a later `to → from`
     /// within the window is a ping-pong.
     last_migration: Option<(u16, u16, f64)>,
-    /// When each host's current physical copy was created in-stream —
-    /// a drop within the window of this time is a replicate-then-drop
-    /// cycle.
-    created_at: BTreeMap<u16, f64>,
+    /// `(host, t)`: when each host's current physical copy was created
+    /// in-stream — a drop within the window of this time is a
+    /// replicate-then-drop cycle. One entry per host, in no order.
+    created_at: Vec<(u16, f64)>,
     /// Whether a request, failure, placement action or re-replication
-    /// named the object. A row only purges opened holds their timeline
-    /// steps and stays off the dashboard.
+    /// named the object. A row only purges opened stays off the
+    /// dashboard.
     counted: bool,
 }
 
@@ -366,19 +352,6 @@ impl ObjectLedger {
         &self.auditor
     }
 
-    /// One object's lifecycle timeline, oldest step first (empty for
-    /// objects the stream never relocated).
-    pub fn timeline(&self, object: u32) -> &[TimelineStep] {
-        self.state(object)
-            .map(|s| s.timeline.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Timeline steps discarded for `object` past the capacity cap.
-    pub fn timeline_dropped(&self, object: u32) -> u64 {
-        self.state(object).map(|s| s.timeline_dropped).unwrap_or(0)
-    }
-
     /// One object's churn counters, if any event mentioned it.
     pub fn object(&self, object: u32) -> Option<ObjectChurn> {
         self.state(object).map(|s| s.churn)
@@ -428,15 +401,14 @@ impl ObjectLedger {
     }
 
     /// Folds one event (must arrive in sequence order, as every
-    /// observer and every written JSONL log already guarantees).
-    pub fn fold(&mut self, event: &Event) {
+    /// observer and every written JSONL log already guarantees) and
+    /// returns the change it made to its object's replica set, if any.
+    pub fn fold(&mut self, event: &Event) -> Option<ReplicaChange> {
         let delta = self.auditor.fold(event);
         if event.t > self.t_end {
             self.t_end = event.t;
         }
-        let Some(object) = event.object() else {
-            return;
-        };
+        let object = event.object()?;
         // One lookup per event; the object's state comes into being
         // only where something about it is recorded.
         let slot = self.objects.entry(object);
@@ -466,7 +438,10 @@ impl ObjectLedger {
             state.churn.relocations += 1;
             if new_copy {
                 state.churn.bytes_moved += object_size;
-                state.created_at.insert(target, event.t);
+                match state.created_at.iter_mut().find(|(h, _)| *h == target) {
+                    Some(entry) => entry.1 = event.t,
+                    None => state.created_at.push((target, event.t)),
+                }
                 node(&mut self.nodes, target).bytes_in += object_size;
                 if let EventKind::PlacementAction(p) = &event.kind {
                     node(&mut self.nodes, p.host).bytes_out += object_size;
@@ -484,14 +459,15 @@ impl ObjectLedger {
         }
         if let Some(host) = delta.removed {
             let state = slot.get_or_insert_with(Default::default);
-            if let Some(created) = state.created_at.remove(&host) {
+            if let Some(i) = state.created_at.iter().position(|&(h, _)| h == host) {
+                let (_, created) = state.created_at.swap_remove(i);
                 if event.t - created <= churn_window {
                     state.churn.replicate_drop += 1;
                 }
             }
         }
 
-        // Timeline step, when the event changed the replica set.
+        // The replica-set change, if the event made one.
         let change = match &event.kind {
             EventKind::PlacementAction(p) => match p.action {
                 PlacementActionKind::Drop => Some(ReplicaChange::Dropped { host: p.host }),
@@ -521,18 +497,11 @@ impl ObjectLedger {
             } => Some(ReplicaChange::Purged),
             _ => None,
         };
-        if let Some(change) = change {
-            let state = slot.get_or_insert_with(Default::default);
-            if state.timeline.len() >= TIMELINE_CAPACITY {
-                state.timeline.remove(0);
-                state.timeline_dropped += 1;
-            }
-            state.timeline.push(TimelineStep {
-                seq: event.seq,
-                t: event.t,
-                change,
-            });
+        if change.is_some() {
+            // An object only purges named still gets its (zero) row.
+            slot.get_or_insert_with(Default::default);
         }
+        change
     }
 
     /// Marks the end of the observed interval (the run duration). The
@@ -615,7 +584,7 @@ fn node(nodes: &mut Vec<Option<NodeChurn>>, id: u16) -> &mut NodeChurn {
 
 impl Fold for ObjectLedger {
     fn fold(&mut self, event: &Event) {
-        ObjectLedger::fold(self, event);
+        let _ = ObjectLedger::fold(self, event);
     }
 
     fn finalize(&mut self, t_end: f64) {
@@ -624,7 +593,7 @@ impl Fold for ObjectLedger {
 }
 
 /// An [`ObjectLedger`] behind a [`Shared`] handle: attach one clone to
-/// the simulation as an observer and read timelines or health snapshots
+/// the simulation as an observer and read tables or health snapshots
 /// through another (the live dashboard does exactly this).
 pub type SharedObjectLedger = Shared<ObjectLedger>;
 
@@ -686,7 +655,15 @@ mod tests {
         )
     }
 
-    fn migrate(ledger: &mut ObjectLedger, seq: u64, t: f64, object: u32, from: u16, to: u16) {
+    /// A notified migration; returns the change the action made.
+    fn migrate(
+        ledger: &mut ObjectLedger,
+        seq: u64,
+        t: f64,
+        object: u32,
+        from: u16,
+        to: u16,
+    ) -> Option<ReplicaChange> {
         ledger.fold(&reset(seq, t, object, ResetCause::Created));
         ledger.fold(&reset(seq + 1, t, object, ResetCause::Dropped));
         ledger.fold(&action(
@@ -696,7 +673,7 @@ mod tests {
             object,
             PlacementActionKind::GeoMigrate,
             Some(to),
-        ));
+        ))
     }
 
     #[test]
@@ -798,10 +775,10 @@ mod tests {
     }
 
     #[test]
-    fn timeline_records_lifecycle_with_seqs() {
+    fn fold_hands_back_each_replica_change() {
         let mut l = ObjectLedger::new(LedgerConfig::default());
-        l.fold(&reset(1, 60.0, 7, ResetCause::Created));
-        l.fold(&action(
+        assert_eq!(l.fold(&reset(1, 60.0, 7, ResetCause::Created)), None);
+        let created = l.fold(&action(
             2,
             60.0,
             1,
@@ -809,8 +786,22 @@ mod tests {
             PlacementActionKind::GeoReplicate,
             Some(2),
         ));
-        migrate(&mut l, 3, 120.0, 7, 2, 3);
-        l.fold(&ev(
+        assert_eq!(
+            created,
+            Some(ReplicaChange::Created {
+                host: 2,
+                new_copy: true
+            })
+        );
+        assert_eq!(
+            migrate(&mut l, 3, 120.0, 7, 2, 3),
+            Some(ReplicaChange::Migrated {
+                from: 2,
+                to: 3,
+                source_dropped: true
+            })
+        );
+        let restored = l.fold(&ev(
             8,
             200.0,
             EventKind::ReReplication {
@@ -819,36 +810,19 @@ mod tests {
                 elapsed: 12.0,
             },
         ));
-        let steps = l.timeline(7);
-        assert_eq!(steps.len(), 3);
-        assert_eq!(steps[0].seq, 2);
-        assert!(matches!(
-            steps[0].change,
-            ReplicaChange::Created {
-                host: 2,
-                new_copy: true
-            }
-        ));
-        assert!(matches!(
-            steps[1].change,
-            ReplicaChange::Migrated {
-                from: 2,
-                to: 3,
-                source_dropped: true
-            }
-        ));
-        assert!(matches!(
-            steps[2].change,
-            ReplicaChange::ReReplicated { host: 4 }
-        ));
-        assert!(l.timeline(99).is_empty());
+        assert_eq!(restored, Some(ReplicaChange::ReReplicated { host: 4 }));
+        assert_eq!(l.fold(&served(9, 201.0, 7, 4)), None);
     }
 
     #[test]
-    fn timeline_capacity_caps_and_counts_drops() {
-        let mut l = ObjectLedger::new(LedgerConfig::default());
-        for i in 0..TIMELINE_CAPACITY as u64 + 2 {
-            let t = 60.0 * (i + 1) as f64;
+    fn creation_times_are_kept_per_live_copy_only() {
+        let mut l = ObjectLedger::new(LedgerConfig {
+            churn_window: 100.0,
+            ..LedgerConfig::default()
+        });
+        // A thousand replicate-then-drop cycles onto the same host.
+        for i in 0..1000u64 {
+            let t = 200.0 * i as f64;
             l.fold(&reset(i * 10 + 1, t, 7, ResetCause::Created));
             l.fold(&action(
                 i * 10 + 2,
@@ -856,12 +830,22 @@ mod tests {
                 1,
                 7,
                 PlacementActionKind::GeoReplicate,
-                Some(2 + i as u16),
+                Some(2),
             ));
+            assert_eq!(l.state(7).unwrap().created_at.len(), 1);
+            l.fold(&reset(i * 10 + 3, t + 50.0, 7, ResetCause::Dropped));
+            l.fold(&action(
+                i * 10 + 4,
+                t + 50.0,
+                2,
+                7,
+                PlacementActionKind::Drop,
+                None,
+            ));
+            assert!(l.state(7).unwrap().created_at.is_empty());
         }
-        assert_eq!(l.timeline(7).len(), TIMELINE_CAPACITY);
-        assert_eq!(l.timeline_dropped(7), 2);
-        assert_eq!(l.timeline(7)[0].seq, 22, "oldest steps dropped first");
+        assert_eq!(l.object(7).unwrap().replicate_drop, 1000);
+        assert!(l.auditor().violations().is_empty());
     }
 
     #[test]
@@ -954,8 +938,9 @@ mod tests {
         for (seq, object) in [(1, 4), (2, 9), (3, 9), (4, 2)] {
             l.fold(&arrive(seq, object));
         }
-        l.fold(&reset(5, 60.0, 3, ResetCause::Purge));
-        assert_eq!(l.timeline(3).len(), 1, "the purge is on the timeline");
+        let purged = l.fold(&reset(5, 60.0, 3, ResetCause::Purge));
+        assert_eq!(purged, Some(ReplicaChange::Purged));
+        assert_eq!(l.object(3), Some(ObjectChurn::default()), "a zero row");
         let ids: Vec<u32> = l.busiest_objects(8).iter().map(|r| r.0).collect();
         assert_eq!(ids, vec![9, 2, 4], "requests, then id; no purge-only 3");
         assert_eq!(l.busiest_objects(1).len(), 1);

@@ -8,7 +8,7 @@
 //! simulator's report and the streaming [`MetricsObserver`] both record
 //! through (the observer folds the same event feed into one, plus
 //! dashboard aggregates); [`ObjectLedger`], the one per-object and
-//! per-host table over the feed (request counts, replica timelines,
+//! per-host table over the feed (request counts, replica changes,
 //! churn and relocation cost, and the [`InvariantAuditor`]'s
 //! replica-set audit); a structural log differ ([`diff_events`]) for
 //! regression diffing of seeded runs; and [`LoopProfile`] counters for
@@ -75,7 +75,7 @@ pub use json::ParseError;
 pub use jsonl::parse_jsonl;
 pub use ledger::{
     LedgerConfig, NodeChurn, ObjectChurn, ObjectLedger, ProtocolHealth, ReplicaChange,
-    SharedObjectLedger, TimelineStep,
+    SharedObjectLedger,
 };
 pub use metrics::{MetricsConfig, MetricsObserver, SharedMetrics, Tally};
 pub use profile::{HandlerStats, LoopProfile};

@@ -83,7 +83,7 @@ pub use metrics::{LoadEstimateSample, Metrics, RelocationEvent, RelocationIter, 
 pub use observer::{Observer, RequestRecord};
 pub use placement_policy::PlacementPolicy;
 pub use platform::Simulation;
-pub use report::{ReplicaCensus, RunReport};
+pub use report::{FinalReplicas, FinalReplicasIter, ReplicaCensus, RunReport};
 pub use selection::SelectionPolicy;
 pub use trace::{Trace, TraceEntry, TraceError};
 

@@ -30,7 +30,7 @@ use crate::metrics::Metrics;
 use crate::observer::Observer;
 use crate::placement_policy::PlacementPolicy;
 use crate::redirect::RedirectEngine;
-use crate::report::RunReport;
+use crate::report::{FinalReplicas, RunReport};
 use crate::selection::SelectionPolicy;
 use crate::sink::EventSink;
 use crate::trace::{Trace, TraceEntry, TraceError};
@@ -399,8 +399,8 @@ impl Simulation {
 
     /// Enables the protocol-health ledger: a
     /// [`radar_obs::ObjectLedger`] is attached as an observer, folding
-    /// the flight-recorder feed into per-object replica timelines, an
-    /// online replica-set-invariant audit, and churn/cost attribution.
+    /// the flight-recorder feed into per-object replica sets, an online
+    /// replica-set-invariant audit, and churn/cost attribution.
     /// The returned handle yields live [`radar_obs::ProtocolHealth`]
     /// snapshots mid-run (the dashboard's protocol panel reads it);
     /// the final snapshot lands in [`RunReport::protocol_health`].
@@ -650,50 +650,62 @@ impl Simulation {
         }
     }
 
-    fn finalize(mut self) -> RunReport {
+    fn finalize(self) -> RunReport {
+        let policy = self.policy_name().to_string();
+        let placement = self.placement_name().to_string();
+        let workload = self.workload.name().to_string();
+        // Keep what the report is built from. Moving `self` into a
+        // temporary drops every other field — the per-host tables, the
+        // event queue, the workload and the placement scratch — at the
+        // end of this statement, so the report's tables reuse that
+        // memory instead of raising the peak.
+        let Simulation {
+            scenario,
+            redirector,
+            mut metrics,
+            profile,
+            object_ledger,
+            recorded,
+            unavailable_since,
+            ..
+        } = { self };
         // Close the unavailability intervals still open at the end of
         // the run (replica-floor intervals never restored stay out of
         // the restore-time distribution: they have no restore).
-        let end = self.scenario.duration;
-        for (_, since) in std::mem::take(&mut self.unavailable_since) {
-            self.metrics.unavailable_object_seconds += end - since;
+        let end = scenario.duration;
+        for (_, since) in unavailable_since {
+            metrics.unavailable_object_seconds += end - since;
         }
-        let final_replicas = (0..self.scenario.num_objects)
-            .map(|i| {
-                self.redirector
-                    .directory()
-                    .replicas(ObjectId::new(i))
-                    .iter()
-                    .map(|r| (r.host.index() as u16, r.aff))
-                    .collect()
-            })
-            .collect();
-        let link_traffic: Vec<((u16, u16), f64)> = self
-            .scenario
+        let directory = redirector.directory();
+        let mut final_replicas = FinalReplicas::with_capacity(
+            scenario.num_objects as usize,
+            directory.total_replicas() as usize,
+        );
+        for i in 0..scenario.num_objects {
+            let replicas = directory.replicas(ObjectId::new(i));
+            final_replicas.push(replicas.iter().map(|r| (r.host.index() as u16, r.aff)));
+        }
+        drop(redirector);
+        let link_traffic: Vec<((u16, u16), f64)> = scenario
             .topology
             .links()
             .iter()
-            .zip(&self.metrics.link_bytes)
+            .zip(&metrics.link_bytes)
             .map(|(&(a, b), &bytes)| ((a.index() as u16, b.index() as u16), bytes))
             .collect();
-        let profile = self.profile.take();
-        let policy = self.policy_name().to_string();
-        let placement = self.placement_name().to_string();
         let mut report = RunReport::from_metrics(
-            self.metrics,
-            self.workload.name().to_string(),
+            metrics,
+            workload,
             policy,
             placement,
-            self.scenario.placement == PlacementMode::Dynamic,
-            self.scenario.duration,
+            scenario.placement == PlacementMode::Dynamic,
+            scenario.duration,
         );
         report.final_replicas = final_replicas;
         report.link_traffic = link_traffic;
-        report.trace = self
-            .recorded
-            .map(|entries| entries.into_iter().collect::<Trace>());
+        report.trace = recorded.map(|entries| entries.into_iter().collect::<Trace>());
         report.loop_profile = profile;
-        if let Some(ledger) = &self.object_ledger {
+        if let Some(ledger) = &object_ledger {
             ledger.finalize(end);
             report.protocol_health = Some(ledger.with(ObjectLedger::health));
         }

@@ -51,7 +51,7 @@ sample_peak_rss() {
 }
 echo "== a million objects bootstrap and run (release) =="
 # Per-object state costs bytes, not heap blocks. The gate is that a
-# 10^6-object bootstrap and run exits 0; its peak RSS (~150 MB today)
+# 10^6-object bootstrap and run exits 0; its peak RSS (~96 MB today)
 # is printed so a multi-hundred-MB spike shows in the log, with no
 # threshold.
 cargo build -q --release -p radar-cli --bin radar
@@ -68,6 +68,15 @@ sample_peak_rss target/release/radar simulate --objects 10000 --duration 300 --s
   --faults target/flood-faults.txt \
   || { echo "FAIL: simulate with a crash below the replica floor exited non-zero"; exit 1; }
 echo "simulate --objects 10000 with one crash: peak RSS $((peak / 1024)) MB (sampled every 50 ms)"
+echo "== the protocol-health ledger on a long cold run (release) =="
+# The ledger keeps no history, so its memory follows the objects and
+# the live replicas, not the run length (~32 MB today). A per-object
+# history shows here as a peak of a hundred MB or more. Printed, with
+# no threshold.
+sample_peak_rss target/release/radar simulate --objects 100000 --rate 2 --duration 3000 --seed 1 \
+  --ledger \
+  || { echo "FAIL: simulate --ledger on 100000 objects exited non-zero"; exit 1; }
+echo "simulate --objects 100000 --ledger: peak RSS $((peak / 1024)) MB (sampled every 50 ms)"
 echo "== golden event-log regression diff =="
 ./scripts/golden-diff.sh
 echo "== replica-set invariant audit (golden log + faulted runs) =="
