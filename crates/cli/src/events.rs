@@ -16,8 +16,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use radar_obs::{
-    diff_events, parse_jsonl, DiffOutcome, Event, EventKind, MetricsConfig, MetricsObserver,
-    ObjectLedger, EVENT_TYPES,
+    diff_events, for_each_jsonl, DiffOutcome, Event, EventKind, JsonlError, MetricsConfig,
+    MetricsObserver, ObjectLedger, EVENT_TYPES,
 };
 
 use crate::args::{object_size, Parsed};
@@ -40,19 +40,55 @@ pub(crate) fn command(args: &[&str]) -> Result<String, String> {
 }
 
 pub(crate) fn load(path: &str) -> Result<Vec<Event>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read events file {path}: {e}"))?;
-    parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
+    let mut events = Vec::new();
+    stream(path, |e| events.push(e))?;
+    Ok(events)
 }
 
-/// The recorder numbers events densely from 1, so a log whose last
-/// `seq` exceeds its length was cut or filtered, and anything folded
-/// over it covers only part of the run. Returns the note saying so, or
-/// `None` for a gap-free log.
-pub(crate) fn gap_note(events: &[Event]) -> Option<String> {
-    let last = events.last().map_or(0, |e| e.seq);
-    let missing = last.saturating_sub(events.len() as u64);
-    (missing > 0).then(|| format!("{missing} events missing from this log (sequence gaps)\n"))
+/// Reads a log one line at a time with [`radar_obs::for_each_jsonl`],
+/// handing each event to `fold` as soon as it is parsed, so memory is
+/// one line plus what `fold` keeps rather than the whole log. Errors
+/// name the file.
+pub(crate) fn stream(path: &str, mut fold: impl FnMut(Event)) -> Result<Extent, String> {
+    let read_error = |e: std::io::Error| format!("cannot read events file {path}: {e}");
+    let file = std::fs::File::open(path).map_err(read_error)?;
+    let mut last = None;
+    let events = for_each_jsonl(std::io::BufReader::new(file), |e| {
+        last = Some((e.seq, e.t));
+        fold(e);
+    })
+    .map_err(|e| match e {
+        JsonlError::Read(e) => read_error(e),
+        JsonlError::Parse(e) => format!("{path}: {e}"),
+    })?;
+    Ok(Extent { events, last })
+}
+
+/// How far a log reaches: its event count and its last event's `seq`
+/// and time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extent {
+    pub(crate) events: u64,
+    pub(crate) last: Option<(u64, f64)>,
+}
+
+impl Extent {
+    pub(crate) fn of(events: &[Event]) -> Self {
+        Self {
+            events: events.len() as u64,
+            last: events.last().map(|e| (e.seq, e.t)),
+        }
+    }
+
+    /// The recorder numbers events densely from 1, so a log whose last
+    /// `seq` exceeds its length was cut or filtered, and anything
+    /// folded over it covers only part of the run. Returns the note
+    /// saying so, or `None` for a gap-free log.
+    pub(crate) fn gap_note(&self) -> Option<String> {
+        let last = self.last.map_or(0, |(seq, _)| seq);
+        let missing = last.saturating_sub(self.events);
+        (missing > 0).then(|| format!("{missing} events missing from this log (sequence gaps)\n"))
+    }
 }
 
 /// The single FILE positional every subcommand except `explain` takes.
@@ -370,7 +406,7 @@ fn watch(args: &[&str]) -> Result<String, String> {
     m.finalize(t_end);
     let mut out = dashboard::render(&m, &ledger, top);
     // A log missing events renders a misleading dashboard.
-    if let Some(note) = gap_note(&events) {
+    if let Some(note) = Extent::of(&events).gap_note() {
         out.push('\n');
         out.push_str(&note);
     }
@@ -476,7 +512,7 @@ fn summary(args: &[&str]) -> Result<String, String> {
         out,
         "{total} events over t=[{first:.3}, {last:.3}] ({span:.3} s)"
     );
-    out.push_str(&gap_note(&events).unwrap_or_default());
+    out.push_str(&Extent::of(&events).gap_note().unwrap_or_default());
     out.push('\n');
     let _ = writeln!(
         out,

@@ -5,14 +5,17 @@
 //! All three subcommands replay a JSONL event log through the same
 //! [`radar_obs::ObjectLedger`] streaming fold the simulator uses for
 //! its `protocol_health` report section, so offline inspection and
-//! in-run accounting can never disagree.
+//! in-run accounting can never disagree. Each folds the file as it reads
+//! it, so `churn` and `audit` hold only the ledger, whatever the log's
+//! size; `timeline` also keeps the events, because it walks causal
+//! chains back through them.
 
 use std::fmt::Write as _;
 
 use radar_obs::{Event, LedgerConfig, ObjectLedger, ReplicaChange};
 
 use crate::args::{object_size, Parsed};
-use crate::events::{gap_note, load, Causality};
+use crate::events::{stream, Causality, Extent};
 
 /// Steps `objects timeline` lists: the latest ones, after a count of
 /// the earlier ones.
@@ -54,23 +57,24 @@ fn ledger_config(parsed: &Parsed) -> Result<LedgerConfig, String> {
     })
 }
 
-/// Replays every event of a log through a fresh ledger, handing each
-/// replica-set change and the event that made it to `on_change`.
-fn fold_log<'a>(
-    events: &'a [Event],
+/// Folds a log file through a fresh ledger line by line, handing each
+/// event and the replica-set change it made, if any, to `each`. The log
+/// itself is never held: memory is the ledger's per-object state plus
+/// what `each` keeps.
+fn fold_file(
+    path: &str,
     cfg: LedgerConfig,
-    mut on_change: impl FnMut(&'a Event, ReplicaChange),
-) -> ObjectLedger {
+    mut each: impl FnMut(Event, Option<ReplicaChange>),
+) -> Result<(ObjectLedger, Extent), String> {
     let mut ledger = ObjectLedger::new(cfg);
-    for e in events {
-        if let Some(change) = ledger.fold(e) {
-            on_change(e, change);
-        }
+    let extent = stream(path, |e| {
+        let change = ledger.fold(&e);
+        each(e, change);
+    })?;
+    if let Some((_, t)) = extent.last {
+        ledger.finalize(t);
     }
-    if let Some(last) = events.last() {
-        ledger.finalize(last.t);
-    }
-    ledger
+    Ok((ledger, extent))
 }
 
 fn timeline(args: &[&str]) -> Result<String, String> {
@@ -85,14 +89,16 @@ fn timeline(args: &[&str]) -> Result<String, String> {
     let object: u32 = id
         .parse()
         .map_err(|_| format!("expected an object id, got {id:?}"))?;
-    let events = load(path)?;
-    // The object's replica-set changes, with the events that made them.
+    // The log, kept for the causal chains, and the object's replica-set
+    // changes with the indices of the events that made them.
+    let mut events = Vec::new();
     let mut steps = Vec::new();
-    let ledger = fold_log(&events, ledger_config(&parsed)?, |event, change| {
-        if event.object() == Some(object) {
-            steps.push((event, change));
+    let (ledger, _) = fold_file(path, ledger_config(&parsed)?, |event, change| {
+        if let Some(change) = change.filter(|_| event.object() == Some(object)) {
+            steps.push((events.len(), change));
         }
-    });
+        events.push(event);
+    })?;
 
     let Some(c) = ledger.object(object) else {
         return Err(format!("no events concern object {object} in {path}"));
@@ -144,7 +150,8 @@ fn timeline(args: &[&str]) -> Result<String, String> {
         let _ = writeln!(out, "\n… {dropped} earlier steps beyond the timeline cap");
     }
     let causes = Causality::new(&events);
-    for (event, change) in &steps[dropped..] {
+    for &(step, change) in &steps[dropped..] {
+        let event = &events[step];
         let _ = writeln!(
             out,
             "\n#{:<6} t={:<9.3} {}",
@@ -177,11 +184,10 @@ fn churn(args: &[&str]) -> Result<String, String> {
     let top: usize = parsed
         .get_parsed("top", 10, "a row count")
         .map_err(|e| e.to_string())?;
-    let events = load(path)?;
-    if events.is_empty() {
+    let (ledger, extent) = fold_file(path, ledger_config(&parsed)?, |_, _| ())?;
+    if extent.events == 0 {
         return Ok("no events\n".to_string());
     }
-    let ledger = fold_log(&events, ledger_config(&parsed)?, |_, _| ());
 
     let mut out = ledger.health().render();
     let rows = ledger.churn_table(top);
@@ -244,11 +250,10 @@ fn audit(args: &[&str]) -> Result<String, String> {
             help()
         ));
     };
-    let log = load(path)?;
-    let ledger = fold_log(&log, LedgerConfig::default(), |_, _| ());
+    let (ledger, extent) = fold_file(path, LedgerConfig::default(), |_, _| ())?;
     let auditor = ledger.auditor();
     let events = auditor.events_seen();
-    let caveat = gap_note(&log).unwrap_or_default();
+    let caveat = extent.gap_note().unwrap_or_default();
 
     let violations = auditor.violations();
     if violations.is_empty() {

@@ -7,6 +7,9 @@
 //! the tree, naming the field (and, for a whole log, the line) that is
 //! missing or malformed.
 
+use std::fmt;
+use std::io::BufRead;
+
 use crate::event::{
     CandidateSnapshot, ConsistencyClass, DecisionBranch, DecisionEvent, Event, EventKind,
     FailReason, PlacementActionEvent, PlacementActionKind, ProviderUpdateEvent, ResetCause,
@@ -381,22 +384,77 @@ impl Event {
     }
 }
 
-/// Parses a whole JSONL document (blank lines skipped), reporting the
-/// first error with its 1-based line number. Every other line must be
-/// an event: a trailer line that old logs may end with is an error, not
-/// skipped.
+/// Why a JSONL log could not be read: the reader failed, or a line is
+/// not an event.
+#[derive(Debug)]
+pub enum JsonlError {
+    /// The underlying reader failed (including on a line that is not
+    /// UTF-8).
+    Read(std::io::Error),
+    /// A line is not an event; the message names its 1-based number.
+    Parse(ParseError),
+}
+
+impl fmt::Display for JsonlError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonlError::Read(e) => e.fmt(f),
+            JsonlError::Parse(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for JsonlError {}
+
+/// Reads a JSONL log one line at a time, handing each event to `each`
+/// as soon as it is parsed, so memory is one line plus what `each`
+/// keeps. Lines end in `\n` or `\r\n`; blank lines are skipped. Every
+/// other line must be an event: a trailer line that old logs may end
+/// with is an error, not skipped. Returns the number of events read.
+///
+/// # Errors
+///
+/// Returns [`JsonlError::Read`] when the reader fails, and
+/// [`JsonlError::Parse`] naming the 1-based line that is not an event.
+pub fn for_each_jsonl(
+    mut reader: impl BufRead,
+    mut each: impl FnMut(Event),
+) -> Result<u64, JsonlError> {
+    let mut line = String::new();
+    let mut events = 0;
+    for number in 1.. {
+        line.clear();
+        if reader.read_line(&mut line).map_err(JsonlError::Read)? == 0 {
+            break;
+        }
+        let text = line
+            .strip_suffix('\n')
+            .map_or(line.as_str(), |l| l.strip_suffix('\r').unwrap_or(l));
+        if text.trim().is_empty() {
+            continue;
+        }
+        let event = Event::from_json_line(text)
+            .map_err(|e| JsonlError::Parse(ParseError(format!("line {number}: {e}"))))?;
+        events += 1;
+        each(event);
+    }
+    Ok(events)
+}
+
+/// Parses a whole JSONL document with [`for_each_jsonl`]'s rules,
+/// reporting the first error with its 1-based line number.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line.
 pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| {
-            Event::from_json_line(line).map_err(|e| ParseError(format!("line {}: {e}", i + 1)))
-        })
-        .collect()
+    let mut events = Vec::new();
+    match for_each_jsonl(text.as_bytes(), |e| events.push(e)) {
+        Ok(_) => Ok(events),
+        Err(JsonlError::Parse(e)) => Err(e),
+        // Reading a `&str`'s bytes cannot fail, but say so if it does.
+        Err(JsonlError::Read(e)) => Err(ParseError(e.to_string())),
+    }
 }
 
 #[cfg(test)]
@@ -937,5 +995,33 @@ mod tests {
             r#"{"type":"reorder","reserved":4210,"max_in_flight":7,"max_held":12,"drains":905}"#;
         let e = parse_jsonl(&format!("{good}\n{trailer}\n")).unwrap_err();
         assert_eq!(e.to_string(), "line 2: missing field \"seq\"");
+    }
+
+    #[test]
+    fn for_each_jsonl_streams_crlf_lines_and_reports_read_failures() {
+        let line = |seq| {
+            Event {
+                seq,
+                parent: None,
+                t: 0.5,
+                queue_depth: 0,
+                kind: EventKind::RequestArrived {
+                    gateway: 0,
+                    object: 0,
+                },
+            }
+            .to_json_line()
+        };
+        // CRLF endings, a blank line and an unterminated last line.
+        let text = format!("{}\r\n\r\n{}", line(1), line(2));
+        let mut seqs = Vec::new();
+        let count = for_each_jsonl(text.as_bytes(), |e| seqs.push(e.seq)).unwrap();
+        assert_eq!((count, seqs), (2, vec![1, 2]));
+        // A line that is not UTF-8 is the reader's failure, not a parse
+        // error.
+        let mut bytes = format!("{}\n", line(1)).into_bytes();
+        bytes.extend_from_slice(b"\xff\n");
+        let e = for_each_jsonl(bytes.as_slice(), |_| ()).unwrap_err();
+        assert!(matches!(e, JsonlError::Read(_)), "{e}");
     }
 }

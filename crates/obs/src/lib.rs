@@ -72,12 +72,12 @@ pub use event::{
     UpdateDeliveredEvent, EVENT_TYPES,
 };
 pub use json::ParseError;
-pub use jsonl::parse_jsonl;
+pub use jsonl::{for_each_jsonl, parse_jsonl, JsonlError};
 pub use ledger::{
     LedgerConfig, NodeChurn, ObjectChurn, ObjectLedger, ProtocolHealth, ReplicaChange,
     SharedObjectLedger,
 };
 pub use metrics::{MetricsConfig, MetricsObserver, SharedMetrics, Tally};
-pub use profile::{HandlerStats, LoopProfile};
+pub use profile::{HandlerCounter, HandlerStats, LoopProfile};
 pub use recorder::{Recorder, SharedRecorder, DEFAULT_CAPACITY};
 pub use shared::{Fold, Shared};

@@ -1,25 +1,36 @@
-//! Event-loop profiling counters: per-event-type wall time and queue
-//! depth.
+//! Event-loop profiling counters: per-event-type dispatch counts, wall
+//! time and queue depth.
 //!
-//! The simulator's event loop wraps each handler call in an
-//! [`std::time::Instant`] pair and feeds the elapsed nanoseconds plus
-//! the queue depth at dispatch into a [`LoopProfile`]. The counters
-//! are deliberately tiny (a `BTreeMap` of fixed-size rows keyed by
-//! static label) so enabling profiling perturbs the loop as little as
-//! possible; wall-clock numbers never enter the event log or report
-//! JSON, keeping seeded runs byte-identical.
+//! The simulator keeps one [`HandlerCounter`] per event kind in a fixed
+//! array. Every dispatch bumps its kind's count and queue-depth sums;
+//! [`HandlerCounter::dispatch`] says whether to time this one as well.
+//! A sampled counter, the request path's, reads the clock on one
+//! dispatch in 16 of its own, because a clock pair costs about as much
+//! as the handler it times; the counter of a rare, slow handler times
+//! each one. The array becomes a [`LoopProfile`] once, at the end of
+//! the run, where each timed sum is scaled by `count / timed`, so
+//! `total_ns / count` is the mean of the timed dispatches. A sampled
+//! counter always times its first dispatch, so a row with few
+//! dispatches leans toward that cold call, and its `max_ns` is the
+//! slowest of the timed dispatches only. Counts and depths are exact.
+//! Wall-clock numbers never enter the event log or report JSON, keeping
+//! seeded runs byte-identical.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// A sampled counter reads the clock on one dispatch in this many.
+const SAMPLE_STRIDE: u64 = 16;
 
 /// Accumulated statistics for one event-loop handler label.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HandlerStats {
     /// Number of events dispatched with this label.
     pub count: u64,
-    /// Total wall time spent in the handler (nanoseconds).
+    /// Total wall time spent in the handler (nanoseconds), extrapolated
+    /// from the timed dispatches for a sampled handler.
     pub total_ns: u64,
-    /// Slowest single dispatch (nanoseconds).
+    /// Slowest timed dispatch (nanoseconds).
     pub max_ns: u64,
     /// Sum of queue depths observed at dispatch (for the mean).
     pub depth_sum: u64,
@@ -47,32 +58,102 @@ impl HandlerStats {
     }
 }
 
+/// The running counters of one handler, as the event loop bumps them.
+///
+/// All accumulation is saturating: a clock step backwards (seen under
+/// VM suspend/resume) surfaces as a pinned counter, never a panic.
+#[derive(Debug, Clone, Copy)]
+pub struct HandlerCounter {
+    count: u64,
+    timed: u64,
+    timed_ns: u64,
+    max_ns: u64,
+    depth_sum: u64,
+    depth_max: u32,
+    /// `SAMPLE_STRIDE - 1` when sampled, 0 when every dispatch is timed.
+    stride_mask: u64,
+}
+
+impl HandlerCounter {
+    /// A counter that times one dispatch in 16, starting with the first,
+    /// when `sampled`, and every dispatch otherwise.
+    pub const fn new(sampled: bool) -> Self {
+        Self {
+            count: 0,
+            timed: 0,
+            timed_ns: 0,
+            max_ns: 0,
+            depth_sum: 0,
+            depth_max: 0,
+            stride_mask: if sampled { SAMPLE_STRIDE - 1 } else { 0 },
+        }
+    }
+
+    /// Counts one dispatch at queue depth `depth` (the depth after the
+    /// event was popped). Returns whether this dispatch is to be timed
+    /// and its wall time passed to [`record`](Self::record).
+    #[inline]
+    pub fn dispatch(&mut self, depth: u32) -> bool {
+        let timed = self.count & self.stride_mask == 0;
+        self.count = self.count.saturating_add(1);
+        self.depth_sum = self.depth_sum.saturating_add(u64::from(depth));
+        self.depth_max = self.depth_max.max(depth);
+        timed
+    }
+
+    /// Records the wall time of a dispatch [`dispatch`](Self::dispatch)
+    /// chose to time.
+    #[inline]
+    pub fn record(&mut self, nanos: u64) {
+        self.timed = self.timed.saturating_add(1);
+        self.timed_ns = self.timed_ns.saturating_add(nanos);
+        self.max_ns = self.max_ns.max(nanos);
+    }
+
+    /// The counter's row: the timed sum scaled to all dispatches
+    /// (`timed_ns × count / timed`, saturating), the slowest timed
+    /// dispatch, and the exact count and depths.
+    pub fn stats(&self) -> HandlerStats {
+        let total_ns = if self.timed == 0 {
+            0
+        } else {
+            let scaled =
+                u128::from(self.timed_ns) * u128::from(self.count) / u128::from(self.timed);
+            u64::try_from(scaled).unwrap_or(u64::MAX)
+        };
+        HandlerStats {
+            count: self.count,
+            total_ns,
+            max_ns: self.max_ns,
+            depth_sum: self.depth_sum,
+            depth_max: self.depth_max,
+        }
+    }
+}
+
 /// Per-event-type wall-time and queue-depth profile of one run's event
-/// loop.
+/// loop, collected from `(label, counter)` pairs: counters that saw no
+/// dispatch are left out, and rows come out in label order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoopProfile {
     rows: BTreeMap<&'static str, HandlerStats>,
+}
+
+impl FromIterator<(&'static str, HandlerCounter)> for LoopProfile {
+    fn from_iter<I: IntoIterator<Item = (&'static str, HandlerCounter)>>(counters: I) -> Self {
+        let rows = counters
+            .into_iter()
+            .filter(|(_, c)| c.count > 0)
+            .map(|(label, c)| (label, c.stats()))
+            .collect();
+        Self { rows }
+    }
 }
 
 impl LoopProfile {
     /// Creates an empty profile.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Records one handler dispatch: its label, elapsed wall time in
-    /// nanoseconds, and the queue depth when it was popped.
-    ///
-    /// All accumulation is saturating: a clock step backwards (seen
-    /// under VM suspend/resume) surfaces as a pinned counter, never a
-    /// panic in the recorder.
-    pub fn record(&mut self, label: &'static str, nanos: u64, depth: u32) {
-        let row = self.rows.entry(label).or_default();
-        row.count = row.count.saturating_add(1);
-        row.total_ns = row.total_ns.saturating_add(nanos);
-        row.max_ns = row.max_ns.max(nanos);
-        row.depth_sum = row.depth_sum.saturating_add(u64::from(depth));
-        row.depth_max = row.depth_max.max(depth);
     }
 
     /// True when nothing has been recorded.
@@ -98,7 +179,7 @@ impl LoopProfile {
     }
 
     /// Total wall time across all labels, in nanoseconds (saturating,
-    /// like [`record`](Self::record)).
+    /// like the counters).
     pub fn total_ns(&self) -> u64 {
         self.rows
             .values()
@@ -149,13 +230,16 @@ impl fmt::Display for LoopProfile {
                 s.depth_max
             )?;
         }
-        write!(
+        writeln!(
             f,
             "  total: {} events, {} wall time in handlers",
             self.total_events(),
             fmt_ns(self.total_ns() as f64)
         )?;
-        Ok(())
+        write!(
+            f,
+            "  request-path times and maxima sampled 1 in {SAMPLE_STRIDE}; counts and depths exact"
+        )
     }
 }
 
@@ -163,21 +247,52 @@ impl fmt::Display for LoopProfile {
 mod tests {
     use super::*;
 
+    /// A counter fed `nanos` on every dispatch it chooses to time, over
+    /// `depths.len()` dispatches.
+    fn fed(mut c: HandlerCounter, depths: &[u32], nanos: impl Fn(usize) -> u64) -> HandlerCounter {
+        for (i, &depth) in depths.iter().enumerate() {
+            if c.dispatch(depth) {
+                c.record(nanos(i));
+            }
+        }
+        c
+    }
+
     #[test]
-    fn accumulates_per_label() {
-        let mut p = LoopProfile::new();
-        p.record("redirect", 100, 2);
-        p.record("redirect", 300, 4);
-        p.record("placement", 5_000, 1);
-        let r = p.get("redirect").unwrap();
-        assert_eq!(r.count, 2);
-        assert_eq!(r.total_ns, 400);
+    fn every_dispatch_row_reports_the_exact_sum() {
+        let c = fed(HandlerCounter::new(false), &[2, 4, 3], |i| {
+            [100, 300, 200][i]
+        });
+        let r = c.stats();
+        assert_eq!(r.count, 3);
+        assert_eq!(r.total_ns, 600);
         assert_eq!(r.max_ns, 300);
         assert!((r.mean_ns() - 200.0).abs() < 1e-9);
         assert!((r.mean_depth() - 3.0).abs() < 1e-9);
         assert_eq!(r.depth_max, 4);
-        assert_eq!(p.total_events(), 3);
-        assert_eq!(p.total_ns(), 5_400);
+    }
+
+    #[test]
+    fn sampled_row_scales_the_timed_sum_by_count_over_timed() {
+        // 40 dispatches time the 1st, 17th and 33rd: k = 3 of n = 40.
+        let depths: Vec<u32> = (0..40).collect();
+        let mut timed = Vec::new();
+        let mut c = HandlerCounter::new(true);
+        for (i, &depth) in depths.iter().enumerate() {
+            if c.dispatch(depth) {
+                timed.push(i);
+                c.record(100 + i as u64);
+            }
+        }
+        assert_eq!(timed, vec![0, 16, 32]);
+        let sampled_sum: u64 = 100 + 116 + 132;
+        let r = c.stats();
+        assert_eq!(r.count, 40);
+        assert_eq!(r.total_ns, sampled_sum * 40 / 3);
+        assert_eq!(r.max_ns, 132);
+        // Counts and depths cover every dispatch, timed or not.
+        assert_eq!(r.depth_sum, (0..40).sum::<u64>());
+        assert_eq!(r.depth_max, 39);
     }
 
     #[test]
@@ -185,40 +300,66 @@ mod tests {
         // A clock step backwards can hand the profiler a nonsense
         // elapsed value near u64::MAX; accumulation must pin, not
         // overflow.
-        let mut p = LoopProfile::new();
-        p.record("redirect", u64::MAX, u32::MAX);
-        p.record("redirect", u64::MAX, u32::MAX);
-        let r = p.get("redirect").unwrap();
+        let exact = fed(HandlerCounter::new(false), &[u32::MAX; 2], |_| u64::MAX);
+        let r = exact.stats();
         assert_eq!(r.count, 2);
         assert_eq!(r.total_ns, u64::MAX);
         assert_eq!(r.max_ns, u64::MAX);
         assert_eq!(r.depth_sum, u64::from(u32::MAX) * 2);
         assert_eq!(r.depth_max, u32::MAX);
-        // total_ns() sums across labels; it must saturate too.
-        p.record("placement", u64::MAX, 0);
+        // Scaling a large sampled sum by count / timed pins too.
+        let sampled = fed(HandlerCounter::new(true), &[0; 32], |_| u64::MAX / 2);
+        assert_eq!(sampled.stats().total_ns, u64::MAX);
+        // total_ns() sums across labels; it must saturate as well.
+        let p: LoopProfile = [("redirect", exact), ("placement", exact)]
+            .into_iter()
+            .collect();
         assert_eq!(p.total_ns(), u64::MAX);
     }
 
     #[test]
-    fn rows_iterate_in_label_order() {
-        let mut p = LoopProfile::new();
-        p.record("zeta", 1, 0);
-        p.record("alpha", 1, 0);
+    fn rows_iterate_in_label_order_and_skip_idle_counters() {
+        let p: LoopProfile = [
+            (
+                "zeta",
+                fed(HandlerCounter::new(false), &[2, 4], |i| [100, 300][i]),
+            ),
+            ("idle", HandlerCounter::new(true)),
+            ("alpha", fed(HandlerCounter::new(false), &[1], |_| 5_000)),
+        ]
+        .into_iter()
+        .collect();
         let labels: Vec<&str> = p.rows().map(|(l, _)| l).collect();
         assert_eq!(labels, vec!["alpha", "zeta"]);
+        assert!(p.get("idle").is_none());
+        assert_eq!(p.total_events(), 3);
+        // total_ns() sums the rows' totals across labels.
+        assert_eq!(p.total_ns(), 5_400);
     }
 
     #[test]
     fn render_is_aligned_and_handles_empty() {
         let empty = LoopProfile::new();
         assert!(empty.render().contains("no events dispatched"));
-        let mut p = LoopProfile::new();
-        p.record("arrival", 1_500, 3);
-        p.record("service-complete", 2_000_000, 10);
+        let p: LoopProfile = [
+            ("arrival", fed(HandlerCounter::new(true), &[3], |_| 1_500)),
+            (
+                "placement",
+                fed(HandlerCounter::new(false), &[10], |_| 2_000_000),
+            ),
+        ]
+        .into_iter()
+        .collect();
         let table = p.render();
         assert!(table.contains("arrival"), "{table}");
         assert!(table.contains("1.50 us"), "{table}");
         assert!(table.contains("2.00 ms"), "{table}");
         assert!(table.contains("total: 2 events"), "{table}");
+        assert!(
+            table.ends_with(
+                "request-path times and maxima sampled 1 in 16; counts and depths exact\n"
+            ),
+            "{table}"
+        );
     }
 }

@@ -17,7 +17,7 @@
 //!   re-replication).
 
 use radar_core::{HostState, ObjectId, Redirector};
-use radar_obs::{DecisionEvent, LedgerConfig, LoopProfile, ObjectLedger, SharedObjectLedger};
+use radar_obs::{DecisionEvent, HandlerCounter, LedgerConfig, ObjectLedger, SharedObjectLedger};
 use radar_simcore::{EventQueue, FifoServer, SimDuration, SimRng, SimTime};
 use radar_simnet::{NodeId, RoutingView};
 use radar_workload::{ArrivalProcess, Workload};
@@ -100,22 +100,39 @@ pub(crate) enum Event {
     DeclareDead { host: NodeId, epoch: u32 },
 }
 
+/// Each event kind's loop-profile label, by [`Event::kind`], and
+/// whether its clock reads are sampled: the per-request and per-update
+/// handlers are, every other handler (each ≥ 100 µs) is timed on every
+/// dispatch ([`Simulation::enable_loop_profile`]).
+const PROFILE_KINDS: [(&str, bool); 11] = [
+    ("arrival", true),
+    ("redirect", true),
+    ("arrive-at-host", true),
+    ("service-complete", true),
+    ("load-sample", false),
+    ("placement", false),
+    ("provider-update", false),
+    ("update-deliver", true),
+    ("trace-arrival", true),
+    ("fault", false),
+    ("declare-dead", false),
+];
+
 impl Event {
-    /// Stable handler label for event-loop profiling
-    /// ([`Simulation::enable_loop_profile`]).
-    fn label(&self) -> &'static str {
+    /// Index of the event's kind in [`PROFILE_KINDS`] (declaration order).
+    fn kind(&self) -> usize {
         match self {
-            Event::Arrival { .. } => "arrival",
-            Event::Redirect { .. } => "redirect",
-            Event::ArriveAtHost { .. } => "arrive-at-host",
-            Event::ServiceComplete { .. } => "service-complete",
-            Event::LoadSample => "load-sample",
-            Event::Placement { .. } => "placement",
-            Event::ProviderUpdate => "provider-update",
-            Event::UpdateDeliver { .. } => "update-deliver",
-            Event::TraceArrival { .. } => "trace-arrival",
-            Event::Fault { .. } => "fault",
-            Event::DeclareDead { .. } => "declare-dead",
+            Event::Arrival { .. } => 0,
+            Event::Redirect { .. } => 1,
+            Event::ArriveAtHost { .. } => 2,
+            Event::ServiceComplete { .. } => 3,
+            Event::LoadSample => 4,
+            Event::Placement { .. } => 5,
+            Event::ProviderUpdate => 6,
+            Event::UpdateDeliver { .. } => 7,
+            Event::TraceArrival { .. } => 8,
+            Event::Fault { .. } => 9,
+            Event::DeclareDead { .. } => 10,
         }
     }
 }
@@ -161,9 +178,9 @@ pub struct Simulation {
     pub(crate) started: bool,
     /// Attached observers plus the flight-recorder state.
     pub(crate) events: EventSink,
-    /// Event-loop profiling accumulator; `None` until
-    /// [`enable_loop_profile`](Simulation::enable_loop_profile).
-    profile: Option<LoopProfile>,
+    /// Event-loop profile counters, indexed by [`Event::kind`]; `None`
+    /// until [`enable_loop_profile`](Simulation::enable_loop_profile).
+    profile: Option<Box<[HandlerCounter; PROFILE_KINDS.len()]>>,
     /// Protocol-health ledger handle; `None` until
     /// [`enable_object_ledger`](Simulation::enable_object_ledger). The
     /// ledger folds the same ordered event feed every observer sees.
@@ -388,13 +405,17 @@ impl Simulation {
         self.events.attach(observer);
     }
 
-    /// Enables event-loop profiling: each handled event is timed and
-    /// binned by type, together with queue-depth samples. The profile
+    /// Enables event-loop profiling: each handled event is counted and
+    /// binned by type, together with its queue depth, and timed — every
+    /// dispatch for the rare handlers, one in 16 for the per-request and
+    /// per-update ones (see [`radar_obs::HandlerCounter`]). The profile
     /// is returned in [`RunReport::loop_profile`]. Wall-clock numbers stay
     /// out of the event stream and the report JSON, so profiling never
     /// perturbs determinism of recorded outputs.
     pub fn enable_loop_profile(&mut self) {
-        self.profile = Some(LoopProfile::new());
+        self.profile = Some(Box::new(
+            PROFILE_KINDS.map(|(_, sampled)| HandlerCounter::new(sampled)),
+        ));
     }
 
     /// Enables the protocol-health ledger: a
@@ -455,20 +476,23 @@ impl Simulation {
         }
     }
 
-    /// Handles one popped event, timing it into the loop profile when
-    /// profiling is on.
+    /// Handles one popped event, counting it into the loop profile when
+    /// profiling is on and timing it when its counter asks.
     fn dispatch(&mut self, t: SimTime, ev: Event) {
-        if self.profile.is_some() {
-            let label = ev.label();
-            let depth = self.queue.len() as u32;
-            let started = std::time::Instant::now();
+        let Some(profile) = &mut self.profile else {
             self.handle(t, ev);
-            let nanos = started.elapsed().as_nanos() as u64;
-            if let Some(profile) = &mut self.profile {
-                profile.record(label, nanos, depth);
-            }
-        } else {
+            return;
+        };
+        let kind = ev.kind();
+        if !profile[kind].dispatch(self.queue.len() as u32) {
             self.handle(t, ev);
+            return;
+        }
+        let started = std::time::Instant::now();
+        self.handle(t, ev);
+        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if let Some(profile) = &mut self.profile {
+            profile[kind].record(nanos);
         }
     }
 
@@ -704,7 +728,13 @@ impl Simulation {
         report.final_replicas = final_replicas;
         report.link_traffic = link_traffic;
         report.trace = recorded.map(|entries| entries.into_iter().collect::<Trace>());
-        report.loop_profile = profile;
+        report.loop_profile = profile.map(|counters| {
+            PROFILE_KINDS
+                .iter()
+                .zip(counters.iter())
+                .map(|(&(label, _), &counter)| (label, counter))
+                .collect()
+        });
         if let Some(ledger) = &object_ledger {
             ledger.finalize(end);
             report.protocol_health = Some(ledger.with(ObjectLedger::health));
@@ -733,6 +763,79 @@ mod tests {
     use super::*;
     use crate::config::NetworkParams;
     use radar_workload::ZipfReeds;
+
+    #[test]
+    fn every_event_kind_indexes_its_own_profile_row() {
+        let (object, node, t0) = (ObjectId::new(1), NodeId::new(2), SimTime::ZERO);
+        // Each variant, its label and whether its clock reads are
+        // sampled, stated independently of `Event::kind`'s indices.
+        let kinds = [
+            (Event::Arrival { gateway: node }, "arrival", true),
+            (
+                Event::Redirect {
+                    object,
+                    gateway: node,
+                    t0,
+                    cause: 0,
+                },
+                "redirect",
+                true,
+            ),
+            (
+                Event::ArriveAtHost {
+                    object,
+                    gateway: node,
+                    host: node,
+                    t0,
+                    cause: 0,
+                },
+                "arrive-at-host",
+                true,
+            ),
+            (
+                Event::ServiceComplete {
+                    object,
+                    gateway: node,
+                    host: node,
+                    t0,
+                    epoch: 0,
+                    cause: 0,
+                },
+                "service-complete",
+                true,
+            ),
+            (Event::LoadSample, "load-sample", false),
+            (Event::Placement { host: node }, "placement", false),
+            (Event::ProviderUpdate, "provider-update", false),
+            (
+                Event::UpdateDeliver {
+                    object,
+                    target: node,
+                    version: 1,
+                    issued: t0,
+                },
+                "update-deliver",
+                true,
+            ),
+            (Event::TraceArrival { index: 0 }, "trace-arrival", true),
+            (Event::Fault { index: 0 }, "fault", false),
+            (
+                Event::DeclareDead {
+                    host: node,
+                    epoch: 0,
+                },
+                "declare-dead",
+                false,
+            ),
+        ];
+        assert_eq!(kinds.len(), PROFILE_KINDS.len());
+        let mut seen = [false; PROFILE_KINDS.len()];
+        for (event, label, sampled) in kinds {
+            let kind = event.kind();
+            assert_eq!(PROFILE_KINDS[kind], (label, sampled), "{event:?}");
+            assert!(!std::mem::replace(&mut seen[kind], true), "{event:?}");
+        }
+    }
 
     #[test]
     fn delay_tables_equal_the_per_request_conversions() {

@@ -77,6 +77,16 @@ sample_peak_rss target/release/radar simulate --objects 100000 --rate 2 --durati
   --ledger \
   || { echo "FAIL: simulate --ledger on 100000 objects exited non-zero"; exit 1; }
 echo "simulate --objects 100000 --ledger: peak RSS $((peak / 1024)) MB (sampled every 50 ms)"
+echo "== objects churn streams a large log (release) =="
+# `objects churn` folds the log line by line, so its memory is the
+# ledger's, not the log's (~3 MB today on this ~60 MB log; reading the
+# log whole took about twice its size). Printed, with no threshold.
+target/release/radar simulate --objects 2000 --rate 10 --duration 240 --seed 1 \
+  --events target/churn-large.jsonl > /dev/null
+sample_peak_rss target/release/radar objects churn target/churn-large.jsonl \
+  || { echo "FAIL: objects churn on a large log exited non-zero"; exit 1; }
+echo "objects churn on a $(( $(wc -c < target/churn-large.jsonl) / 1048576 )) MB log: peak RSS $((peak / 1024)) MB (sampled every 50 ms)"
+rm -f target/churn-large.jsonl
 echo "== golden event-log regression diff =="
 ./scripts/golden-diff.sh
 echo "== replica-set invariant audit (golden log + faulted runs) =="
