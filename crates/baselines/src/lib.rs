@@ -21,8 +21,9 @@
 //! and [`ClusterPlacement`] (cluster-based load-balancing replication)
 //! in [`mod@placement`]. The degenerate baselines still need no code: static
 //! placement is [`radar_sim::PlacementMode::Static`] with the paper's
-//! round-robin initial placement, and replicate-everywhere is
-//! [`radar_sim::InitialPlacement::Everywhere`].
+//! round-robin initial placement, and replicate-everywhere is a
+//! [`radar_sim::InitialPlacement::Explicit`] list naming every node for
+//! every object.
 //!
 //! [`selection()`] and [`placement()`] build either half from the name the
 //! CLI and the experiments use; `selection("radar", _)` and

@@ -16,7 +16,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use radar_sim::{PlacementMode, RunReport, ScenarioBuilder, Simulation};
+use radar_sim::{
+    NetworkParams, PlacementMode, RunReport, ScenarioBuilder, Simulation, SERVER_CAPACITY,
+};
 use radar_stats::{BinSpec, EquilibriumSpec};
 
 use crate::{fmt_bw, fmt_ms, format_table, reduction_percent, ExpConfig, WORKLOADS};
@@ -205,6 +207,7 @@ pub fn table1(h: &mut Harness) -> String {
     let cfg = &h.cfg;
     let scenario = cfg.scenario().build().expect("valid scenario");
     let p = scenario.params;
+    let network = NetworkParams::paper();
     let rows = [
         ("Number of objects", scenario.num_objects.to_string()),
         (
@@ -221,15 +224,15 @@ pub fn table1(h: &mut Harness) -> String {
         ),
         (
             "Server capacity",
-            format!("{} requests per sec", scenario.server_capacity),
+            format!("{SERVER_CAPACITY} requests per sec"),
         ),
         (
             "Network delay",
-            format!("{} ms per hop", scenario.network.hop_delay * 1e3),
+            format!("{} ms per hop", network.hop_delay * 1e3),
         ),
         (
             "Link bandwidth",
-            format!("{} KBps", scenario.network.link_bandwidth / 1e3),
+            format!("{} KBps", network.link_bandwidth / 1e3),
         ),
         (
             "High watermark",

@@ -312,8 +312,8 @@ fn help() -> String {
      OPTIONS (timeline / churn):\n\
      \x20 --object-size B   bytes per object copy, for relocation pricing\n\
      \x20                   (default 12288 — the default scenario's size)\n\
-     \x20 --window S        churn hysteresis window in seconds (default 120 —\n\
-     \x20                   two placement periods)\n"
+     \x20 --window S        churn hysteresis window in seconds (default 200 —\n\
+     \x20                   two of the default scenario's placement periods)\n"
         .to_string()
 }
 

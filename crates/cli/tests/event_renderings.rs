@@ -154,16 +154,16 @@ fn listings_keep_their_bytes_and_explanations_are_pinned() {
         ("golden", "filter", 0x756f_596d_6889_4ada, 100_602),
         ("golden", "summary", 0xfb6c_2ff7_c0b5_3559, 747),
         ("golden", "watch", 0x12c4_c7dd_4a8f_b4af, 1_600),
-        ("golden", "timeline", 0x7702_8925_de9b_d882, 250),
-        ("golden", "churn", 0x877f_415a_c1db_1531, 1_958),
+        ("golden", "timeline", 0x6694_c7fe_be2a_755b, 250),
+        ("golden", "churn", 0xdf52_71e8_08cd_9500, 1_958),
         ("golden", "audit", 0x81f7_7160_991f_694d, 59),
         ("golden", "explain", 0x7227_9a38_7908_9e07, 1_635),
         ("faulted", "tail", 0x4d27_2044_e383_28ee, 3_332),
         ("faulted", "filter", 0xffe0_5264_648a_ed44, 140_218),
         ("faulted", "summary", 0x2f1e_d48b_e008_d964, 1_058),
         ("faulted", "watch", 0xfe0c_d129_1285_c748, 1_963),
-        ("faulted", "timeline", 0x6889_6b35_2019_cd92, 344),
-        ("faulted", "churn", 0x9191_d2fb_01d6_aafa, 2_055),
+        ("faulted", "timeline", 0xccec_d0a5_9a11_f5c3, 344),
+        ("faulted", "churn", 0x6da8_3c29_2a89_e607, 2_055),
         ("faulted", "audit", 0x6db9_0101_d16e_fb8c, 59),
         ("faulted", "explain", 0xd494_d4cd_2a20_35a8, 2_440),
         ("both", "diff", 0xad78_46a7_cd4a_104d, 632),
@@ -214,7 +214,7 @@ fn a_timeline_past_its_cap_keeps_its_bytes() {
     assert_eq!(text.matches("\n#").count(), 256, "{text}");
     assert_eq!(
         (fnv1a64(text.as_bytes()), text.len()),
-        (0x0672_765b_c84d_dd75, 15_853),
+        (0xa0b1_5d53_3d8a_a69e, 15_853),
         "timeline past the cap moved"
     );
 }

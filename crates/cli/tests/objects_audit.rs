@@ -4,8 +4,10 @@
 //! faulted run must both satisfy the paper's replica-set
 //! invariant, seeded violations must fail with the offending event
 //! seq (exit 2 via `main`), and enabling the ledger must not perturb
-//! the event stream.
+//! the event stream. `objects churn` must count on a log what the run's
+//! own ledger counted.
 
+use radar_cli::json::Value;
 use radar_cli::run;
 use radar_obs::{Event, EventKind, PlacementActionEvent, PlacementActionKind, ResetCause};
 use std::path::PathBuf;
@@ -240,4 +242,40 @@ fn ledger_does_not_perturb_the_event_stream() {
         std::fs::read_to_string(&fresh).expect("fresh log written"),
         "--ledger changed the event stream"
     );
+}
+
+/// `objects churn` replays a log through a ledger with the default
+/// window, which must be the one the simulator's ledger used on the
+/// default scenario (two 100 s placement periods): the replay then
+/// counts the churn the report counted. This run's churn depends on
+/// the window: a 120 s one counts ping-pong 1 and replicate-then-drop 3.
+#[test]
+fn churn_replay_counts_what_the_report_counted() {
+    let (_g, log) = temp("churn", "jsonl");
+    let report = run(&args(&[
+        "simulate",
+        "--objects",
+        "200",
+        "--rate",
+        "0.1",
+        "--duration",
+        "500",
+        "--seed",
+        "3",
+        "--ledger",
+        "--json",
+        "--events",
+        &log,
+    ]))
+    .expect("scenario runs");
+    let health = &Value::parse(&report).expect("valid JSON")["protocol_health"];
+    let count = |key: &str| health[key].as_u64().expect("a count");
+    let (ping_pong, replicate_drop) = (count("ping_pong"), count("replicate_drop"));
+    assert!(
+        ping_pong > 0 && replicate_drop > 0,
+        "the run churns: {health}"
+    );
+    let churn = run(&args(&["objects", "churn", &log])).expect("the log replays");
+    let want = format!("ping-pong {ping_pong} · replicate-then-drop {replicate_drop}");
+    assert!(churn.contains(&want), "report: {want}; replay:\n{churn}");
 }

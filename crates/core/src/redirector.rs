@@ -179,8 +179,9 @@ impl Redirector {
             // A sole candidate is both p and q.
             [(only, _)] => (closest.unwrap_or(only), only),
             _ => (
-                // p: closest usable replica to the gateway (precomputed by
-                // caching callers — it does not depend on request counts).
+                // p: closest usable replica to the gateway (noted by the
+                // caller while building the candidate list — it does not
+                // depend on request counts).
                 closest.unwrap_or_else(|| {
                     candidates
                         .iter()

@@ -47,7 +47,8 @@ pub struct LedgerConfig {
     /// Oscillation window, seconds: a migrate-back or a drop after a
     /// create within this window counts as churn. The protocol's
     /// hysteresis (watermark gap, `u`/`m` threshold gap) should make
-    /// this rare; two placement periods is a natural default.
+    /// this rare. The default is two of Table 1's 100 s placement
+    /// periods, the window the simulator's own ledger uses.
     pub churn_window: f64,
 }
 
@@ -55,7 +56,7 @@ impl Default for LedgerConfig {
     fn default() -> Self {
         Self {
             object_size: 12 * 1024,
-            churn_window: 120.0,
+            churn_window: 200.0,
         }
     }
 }

@@ -151,11 +151,6 @@ impl FromIterator<(&'static str, HandlerCounter)> for LoopProfile {
 }
 
 impl LoopProfile {
-    /// Creates an empty profile.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
@@ -184,14 +179,6 @@ impl LoopProfile {
         self.rows
             .values()
             .fold(0u64, |acc, s| acc.saturating_add(s.total_ns))
-    }
-
-    /// Renders the profile as an aligned text table (used by
-    /// `radar simulate` text output and `radar events summary`).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{}\n", self));
-        out
     }
 }
 
@@ -339,8 +326,8 @@ mod tests {
 
     #[test]
     fn render_is_aligned_and_handles_empty() {
-        let empty = LoopProfile::new();
-        assert!(empty.render().contains("no events dispatched"));
+        let empty = LoopProfile::default();
+        assert!(empty.to_string().contains("no events dispatched"));
         let p: LoopProfile = [
             ("arrival", fed(HandlerCounter::new(true), &[3], |_| 1_500)),
             (
@@ -350,14 +337,14 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let table = p.render();
+        let table = p.to_string();
         assert!(table.contains("arrival"), "{table}");
         assert!(table.contains("1.50 us"), "{table}");
         assert!(table.contains("2.00 ms"), "{table}");
         assert!(table.contains("total: 2 events"), "{table}");
         assert!(
             table.ends_with(
-                "request-path times and maxima sampled 1 in 16; counts and depths exact\n"
+                "request-path times and maxima sampled 1 in 16; counts and depths exact"
             ),
             "{table}"
         );

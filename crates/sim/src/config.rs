@@ -10,7 +10,8 @@ use crate::faults::{FaultError, FaultSpec};
 /// Network cost model (paper Table 1): per-hop propagation delay and
 /// per-link bandwidth. A response of `size` bytes crossing `h` hops takes
 /// `h × (delay + size / bandwidth)` seconds (store-and-forward) and
-/// consumes `size × h` bytes of backbone bandwidth.
+/// consumes `size × h` bytes of backbone bandwidth. Every run uses
+/// [`NetworkParams::paper`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkParams {
     /// Propagation delay per hop, seconds (paper: 10 ms).
@@ -40,11 +41,9 @@ impl NetworkParams {
     }
 }
 
-impl Default for NetworkParams {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
+/// Requests/second a host of unit power serves (paper Table 1: 200, a
+/// 5 ms service time); `Scenario::node_capacities` scales it per host.
+pub const SERVER_CAPACITY: f64 = 200.0;
 
 /// Whether the dynamic placement algorithm runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,10 +89,6 @@ pub fn check_object_count(objects: u32) -> Result<(), ScenarioError> {
 pub enum InitialPlacement {
     /// Object `i` on node `i mod n` — the paper's initial configuration.
     RoundRobin,
-    /// Every object on every node (the replicate-everywhere baseline the
-    /// paper argues against in §4: needless replicas attract distant
-    /// requests).
-    Everywhere,
     /// Explicit placement: `assignments[i]` lists the nodes hosting
     /// object `i`. Each inner list must be non-empty.
     Explicit(Vec<Vec<u16>>),
@@ -237,8 +232,9 @@ impl From<FaultError> for ScenarioError {
 /// parameters, and measurement settings. Build with [`Scenario::builder`].
 ///
 /// Defaults reproduce the paper's Table 1 on the 53-node UUNET testbed:
-/// 10 000 objects of 12 KB, 40 req/s per gateway, 200 req/s server
-/// capacity, 10 ms hops, 350 KBps links, dynamic placement every 100 s.
+/// 10 000 objects of 12 KB, 40 req/s per gateway, dynamic placement every
+/// 100 s. Table 1's host and network model is fixed: [`SERVER_CAPACITY`]
+/// and [`NetworkParams::paper`], with constant-rate arrivals.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The backbone topology (default: [`radar_simnet::builders::uunet`]).
@@ -251,15 +247,11 @@ pub struct Scenario {
     /// (one entry per node). Used for locally concentrated demand
     /// scenarios such as the paper's §3 swamped-server example.
     pub node_request_rates: Option<Vec<f64>>,
-    /// Server capacity, requests/second (service time = 1/capacity).
-    pub server_capacity: f64,
-    /// Optional per-node capacities overriding `server_capacity` (one
+    /// Optional per-node capacities overriding [`SERVER_CAPACITY`] (one
     /// entry per node). Watermarks scale with each host's relative power
     /// — the paper's §2 heterogeneity extension ("weights corresponding
     /// to relative power of hosts").
     pub node_capacities: Option<Vec<f64>>,
-    /// Network cost model.
-    pub network: NetworkParams,
     /// Protocol parameters (watermarks, thresholds, periods).
     pub params: Params,
     /// Placement mode (dynamic protocol vs. static baseline).
@@ -274,8 +266,6 @@ pub struct Scenario {
     /// Width of metric time bins in seconds (default: the placement
     /// period).
     pub metric_bin: f64,
-    /// Use Poisson arrivals instead of the paper's constant rate.
-    pub poisson_arrivals: bool,
     /// Node whose load estimates are tracked for Fig. 8b (default 0).
     pub tracked_host: u16,
     /// Object catalog: the object size, §5 kinds and primaries. The
@@ -314,19 +304,27 @@ impl Scenario {
         self.topology.len() as u16
     }
 
-    /// Capacity of node `i` (per-node override or the uniform value).
+    /// Capacity of node `i` (per-node override or [`SERVER_CAPACITY`]).
     pub fn capacity_of(&self, i: usize) -> f64 {
         self.node_capacities
             .as_ref()
-            .map_or(self.server_capacity, |caps| caps[i])
+            .map_or(SERVER_CAPACITY, |caps| caps[i])
+    }
+
+    /// Request rate of gateway `i` (per-node override or the uniform
+    /// rate).
+    pub(crate) fn request_rate_of(&self, i: usize) -> f64 {
+        self.node_request_rates
+            .as_ref()
+            .map_or(self.node_request_rate, |rates| rates[i])
     }
 
     /// Protocol parameters for node `i`: watermarks scaled by the host's
-    /// relative power `capacity_i / server_capacity` (the paper's §2
+    /// relative power `capacity_i / SERVER_CAPACITY` (the paper's §2
     /// heterogeneity weights). Thresholds and periods are unscaled — they
     /// are per-object demand properties, not host properties.
     pub fn params_of(&self, i: usize) -> Params {
-        let weight = self.capacity_of(i) / self.server_capacity;
+        let weight = self.capacity_of(i) / SERVER_CAPACITY;
         Params {
             low_watermark: self.params.low_watermark * weight,
             high_watermark: self.params.high_watermark * weight,
@@ -355,16 +353,13 @@ impl ScenarioBuilder {
                 num_objects: 10_000,
                 node_request_rate: 40.0,
                 node_request_rates: None,
-                server_capacity: 200.0,
                 node_capacities: None,
-                network: NetworkParams::paper(),
                 params: Params::paper(),
                 placement: PlacementMode::Dynamic,
                 initial_placement: InitialPlacement::RoundRobin,
                 duration: 3_000.0,
                 seed: 1,
                 metric_bin: 0.0,
-                poisson_arrivals: false,
                 tracked_host: 0,
                 catalog: Catalog::default(),
                 storage_limit: None,
@@ -401,22 +396,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the server capacity (requests/second).
-    pub fn server_capacity(mut self, rate: f64) -> Self {
-        self.scenario.server_capacity = rate;
-        self
-    }
-
     /// Sets individual per-node capacities (one strictly positive entry
     /// per node). Each host's watermarks scale with its relative power.
     pub fn node_capacities(mut self, capacities: Vec<f64>) -> Self {
         self.scenario.node_capacities = Some(capacities);
-        self
-    }
-
-    /// Sets the network cost model.
-    pub fn network(mut self, network: NetworkParams) -> Self {
-        self.scenario.network = network;
         self
     }
 
@@ -454,12 +437,6 @@ impl ScenarioBuilder {
     /// Sets the metric bin width (seconds). Default: the placement period.
     pub fn metric_bin(mut self, secs: f64) -> Self {
         self.metric_bin = Some(secs);
-        self
-    }
-
-    /// Switches arrivals to Poisson.
-    pub fn poisson_arrivals(mut self, poisson: bool) -> Self {
-        self.scenario.poisson_arrivals = poisson;
         self
     }
 
@@ -522,10 +499,7 @@ impl ScenarioBuilder {
         }
         let positives = [
             ("node_request_rate", s.node_request_rate),
-            ("server_capacity", s.server_capacity),
             ("duration", s.duration),
-            ("hop_delay", s.network.hop_delay),
-            ("link_bandwidth", s.network.link_bandwidth),
             ("object_size", s.catalog.object_size() as f64),
         ];
         for (field, value) in positives {
@@ -610,25 +584,22 @@ impl ScenarioBuilder {
         // fewer hops than the topology has nodes.
         let hops = s.topology.len() as f64;
         let update_period = (s.update_rate > 0.0).then(|| 1.0 / s.update_rate);
-        let periods: Vec<(&'static str, f64)> = [
-            ("1/node_request_rate", 1.0 / s.node_request_rate),
-            ("1/server_capacity", 1.0 / s.server_capacity),
-        ]
-        .into_iter()
-        .chain(update_period.map(|period| ("1/update_rate", period)))
-        .chain(
-            s.node_request_rates
-                .iter()
-                .flatten()
-                .map(|r| ("1/node_request_rates", 1.0 / r)),
-        )
-        .chain(
-            s.node_capacities
-                .iter()
-                .flatten()
-                .map(|c| ("1/node_capacities", 1.0 / c)),
-        )
-        .collect();
+        let periods: Vec<(&'static str, f64)> =
+            std::iter::once(("1/node_request_rate", 1.0 / s.node_request_rate))
+                .chain(update_period.map(|period| ("1/update_rate", period)))
+                .chain(
+                    s.node_request_rates
+                        .iter()
+                        .flatten()
+                        .map(|r| ("1/node_request_rates", 1.0 / r)),
+                )
+                .chain(
+                    s.node_capacities
+                        .iter()
+                        .flatten()
+                        .map(|c| ("1/node_capacities", 1.0 / c)),
+                )
+                .collect();
         // `SimDuration::from_secs` rounds to the nearest microsecond.
         if let Some(&(field, value)) = periods.iter().find(|(_, period)| period * 1e6 < 0.5) {
             return Err(ScenarioError::BelowClock { field, value });
@@ -637,10 +608,9 @@ impl ScenarioBuilder {
             ("duration", s.duration),
             ("placement_period", s.params.placement_period),
             ("measurement_interval", s.params.measurement_interval),
-            ("hop_delay across the topology", hops * s.network.hop_delay),
             (
                 "object_size/link_bandwidth across the topology",
-                hops * s.catalog.object_size() as f64 / s.network.link_bandwidth,
+                hops * s.catalog.object_size() as f64 / NetworkParams::paper().link_bandwidth,
             ),
             ("declare-dead-after", s.faults.declare_dead_after()),
         ]
@@ -689,9 +659,10 @@ mod tests {
         assert_eq!(s.catalog.object_size(), 12 * 1024);
         assert_eq!(s.catalog, Catalog::uniform(10_000, 12 * 1024, 53));
         assert_eq!(s.node_request_rate, 40.0);
-        assert_eq!(s.server_capacity, 200.0);
-        assert_eq!(s.network.hop_delay, 0.010);
-        assert_eq!(s.network.link_bandwidth, 350_000.0);
+        assert_eq!(SERVER_CAPACITY, 200.0);
+        assert_eq!(s.capacity_of(0), 200.0);
+        assert_eq!(NetworkParams::paper().hop_delay, 0.010);
+        assert_eq!(NetworkParams::paper().link_bandwidth, 350_000.0);
         assert_eq!(s.num_nodes(), 53);
         assert_eq!(s.placement, PlacementMode::Dynamic);
         assert_eq!(s.metric_bin, 100.0);
@@ -762,8 +733,12 @@ mod tests {
             "1/node_request_rates"
         );
         assert_eq!(beyond(b().node_capacities(rates)), "1/node_capacities");
-        assert_eq!(beyond(b().server_capacity(1e-10)), "1/server_capacity");
         assert_eq!(beyond(b().update_rate(1e-10)), "1/update_rate");
+        // A custom catalog still sets the size each hop's transfer takes.
+        assert_eq!(
+            beyond(b().catalog(Catalog::uniform(10_000, 1 << 60, 53))),
+            "object_size/link_bandwidth across the topology"
+        );
         assert!(b().update_rate(0.0).build().is_ok());
         let params = |period, interval| Params {
             placement_period: period,
@@ -886,7 +861,6 @@ mod tests {
             "1/node_request_rates"
         );
         assert_eq!(below(b().node_capacities(rates)), "1/node_capacities");
-        assert_eq!(below(b().server_capacity(1e9)), "1/server_capacity");
         assert_eq!(below(b().update_rate(1e7)), "1/update_rate");
         // 0.5 µs rounds up to one tick.
         assert!(b().node_request_rate(2e6).build().is_ok());

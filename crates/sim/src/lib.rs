@@ -75,7 +75,7 @@ mod trace;
 
 pub use config::{
     check_object_count, InitialPlacement, NetworkParams, PlacementMode, Scenario, ScenarioBuilder,
-    ScenarioError, MAX_OBJECTS,
+    ScenarioError, MAX_OBJECTS, SERVER_CAPACITY,
 };
 pub use faults::{Fault, FaultError, FaultSpec};
 pub use json::protocol_health_json;

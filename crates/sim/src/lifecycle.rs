@@ -12,7 +12,7 @@ use radar_obs::{DecisionBranch, EventKind as ObsEventKind, FailReason};
 use radar_simcore::{SimDuration, SimTime};
 use radar_simnet::NodeId;
 
-use crate::config::MAX_CLOCK_SECS;
+use crate::config::{NetworkParams, MAX_CLOCK_SECS};
 use crate::observer::RequestRecord;
 use crate::platform::{Event, Simulation};
 use crate::redirect::usable;
@@ -33,7 +33,7 @@ impl Simulation {
         if !self.fault_state.any_link_degraded() {
             return self.propagation_by_hops[self.view.distance(from, to) as usize];
         }
-        let secs = self.scenario.network.hop_delay * self.weighted_hops(from, to);
+        let secs = NetworkParams::paper().hop_delay * self.weighted_hops(from, to);
         SimDuration::from_secs(secs.min(MAX_CLOCK_SECS))
     }
 
@@ -43,10 +43,10 @@ impl Simulation {
     pub(crate) fn transfer(&self, from: NodeId, to: NodeId, bytes: u64) -> f64 {
         let hops = self.view.distance(from, to);
         if !self.fault_state.any_link_degraded() {
-            return self.scenario.network.transfer_time(bytes, hops);
+            return NetworkParams::paper().transfer_time(bytes, hops);
         }
-        let secs = self.scenario.network.hop_delay * self.weighted_hops(from, to)
-            + hops as f64 * (bytes as f64 / self.scenario.network.link_bandwidth);
+        let secs = NetworkParams::paper().hop_delay * self.weighted_hops(from, to)
+            + hops as f64 * (bytes as f64 / NetworkParams::paper().link_bandwidth);
         secs.min(MAX_CLOCK_SECS)
     }
 
@@ -89,9 +89,7 @@ impl Simulation {
 
     pub(crate) fn on_arrival(&mut self, t: SimTime, gateway: NodeId) {
         // Next arrival of this stream.
-        let gap = self.arrival_gaps[gateway.index()].unwrap_or_else(|| {
-            SimDuration::from_secs(self.arrivals[gateway.index()].next_interarrival(&mut self.rng))
-        });
+        let gap = self.arrival_gaps[gateway.index()];
         self.queue.schedule(t + gap, Event::Arrival { gateway });
         let object = self.workload.choose(t.as_secs(), gateway, &mut self.rng);
         self.admit(t, object, gateway);

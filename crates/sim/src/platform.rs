@@ -20,11 +20,11 @@ use radar_core::{HostState, ObjectId, Redirector};
 use radar_obs::{DecisionEvent, HandlerCounter, LedgerConfig, ObjectLedger, SharedObjectLedger};
 use radar_simcore::{EventQueue, FifoServer, SimDuration, SimRng, SimTime};
 use radar_simnet::{NodeId, RoutingView};
-use radar_workload::{ArrivalProcess, Workload};
+use radar_workload::Workload;
 
 use std::collections::BTreeMap;
 
-use crate::config::{InitialPlacement, PlacementMode, Scenario};
+use crate::config::{InitialPlacement, NetworkParams, PlacementMode, Scenario};
 use crate::faults::{FaultState, FaultTransition};
 use crate::metrics::Metrics;
 use crate::observer::Observer;
@@ -166,11 +166,8 @@ pub struct Simulation {
     pub(crate) metrics: Metrics,
     pub(crate) rng: SimRng,
     pub(crate) queue: EventQueue<Event>,
-    /// One arrival process per gateway.
-    pub(crate) arrivals: Vec<ArrivalProcess>,
-    /// The constant inter-arrival gap of each deterministic gateway
-    /// (`None`: the gap is drawn per arrival).
-    pub(crate) arrival_gaps: Vec<Option<SimDuration>>,
+    /// The constant inter-arrival gap of each gateway.
+    pub(crate) arrival_gaps: Vec<SimDuration>,
     /// Propagation delay by hop count over undegraded links, so the
     /// per-request path converts no seconds to microseconds.
     pub(crate) propagation_by_hops: Vec<SimDuration>,
@@ -295,29 +292,12 @@ impl Simulation {
         metrics.redirector_requests = vec![0; n];
         let rng = SimRng::seed_from(scenario.seed);
         let fault_schedule = scenario.faults.transitions(scenario.duration);
-        let arrivals: Vec<ArrivalProcess> = (0..n)
-            .map(|i| {
-                let rate = scenario
-                    .node_request_rates
-                    .as_ref()
-                    .map_or(scenario.node_request_rate, |rates| rates[i]);
-                if scenario.poisson_arrivals {
-                    ArrivalProcess::Poisson { rate }
-                } else {
-                    ArrivalProcess::Deterministic { rate }
-                }
-            })
-            .collect();
-        let arrival_gaps = arrivals
-            .iter()
-            .map(|process| match process {
-                ArrivalProcess::Deterministic { rate } => Some(SimDuration::from_secs(1.0 / rate)),
-                ArrivalProcess::Poisson { .. } => None,
-            })
+        let arrival_gaps = (0..n)
+            .map(|i| SimDuration::from_secs(1.0 / scenario.request_rate_of(i)))
             .collect();
         // A route over `n` nodes has fewer than `n` hops.
         let propagation_by_hops = (0..=n as u32)
-            .map(|hops| SimDuration::from_secs(scenario.network.propagation_time(hops)))
+            .map(|hops| SimDuration::from_secs(NetworkParams::paper().propagation_time(hops)))
             .collect();
         Self {
             scenario,
@@ -334,7 +314,6 @@ impl Simulation {
             metrics,
             rng,
             queue: EventQueue::new(),
-            arrivals,
             arrival_gaps,
             propagation_by_hops,
             started: false,
@@ -531,13 +510,6 @@ impl Simulation {
                     self.install(ObjectId::new(i), node);
                 }
             }
-            InitialPlacement::Everywhere => {
-                for i in 0..self.scenario.num_objects {
-                    for node in 0..self.hosts.len() as u16 {
-                        self.install(ObjectId::new(i), NodeId::new(node));
-                    }
-                }
-            }
             InitialPlacement::Explicit(assignments) => {
                 for (i, nodes) in assignments.iter().enumerate() {
                     for &node in nodes {
@@ -555,10 +527,11 @@ impl Simulation {
                 );
             }
         } else {
-            // One arrival stream per gateway, phase-staggered so the
-            // constant-rate sources are not lock-stepped.
+            // One arrival stream per gateway, phase-staggered within its
+            // period so the constant-rate sources are not lock-stepped.
             for i in 0..num_nodes {
-                let offset = self.arrivals[i].phase_offset(i, num_nodes);
+                let period = 1.0 / self.scenario.request_rate_of(i);
+                let offset = period * i as f64 / num_nodes as f64;
                 self.queue.schedule(
                     SimTime::from_secs(offset),
                     Event::Arrival {
@@ -761,8 +734,7 @@ impl Workload for NullWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::NetworkParams;
-    use radar_workload::ZipfReeds;
+    use radar_workload::{ArrivalProcess, ZipfReeds};
 
     #[test]
     fn every_event_kind_indexes_its_own_profile_row() {
@@ -839,31 +811,41 @@ mod tests {
 
     #[test]
     fn delay_tables_equal_the_per_request_conversions() {
-        let network = NetworkParams {
-            hop_delay: 0.012_345_6,
-            ..NetworkParams::paper()
-        };
+        let rates: Vec<f64> = (0..53).map(|i| 7.0 + i as f64 / 3.0).collect();
         let scenario = Scenario::builder()
             .num_objects(10)
-            .node_request_rate(7.0)
-            .network(network)
+            .node_request_rates(rates.clone())
             .build()
             .expect("valid");
-        let sim = Simulation::new(scenario, Box::new(ZipfReeds::new(10)));
+        let mut sim = Simulation::new(scenario, Box::new(ZipfReeds::new(10)));
         let n = sim.hosts.len();
         assert_eq!(sim.propagation_by_hops.len(), n + 1);
         for hops in 0..=n {
             assert_eq!(
                 sim.propagation_by_hops[hops],
-                SimDuration::from_secs(network.propagation_time(hops as u32))
+                SimDuration::from_secs(hops as f64 * 0.010)
             );
         }
         let mut rng = SimRng::seed_from(1);
-        for (gap, process) in sim.arrival_gaps.iter().zip(&sim.arrivals) {
+        assert_eq!(sim.arrival_gaps.len(), n);
+        for (gap, &rate) in sim.arrival_gaps.iter().zip(&rates) {
+            let process = ArrivalProcess::Deterministic { rate };
             assert_eq!(
                 *gap,
-                Some(SimDuration::from_secs(process.next_interarrival(&mut rng)))
+                SimDuration::from_secs(process.next_interarrival(&mut rng))
             );
+        }
+        // Each gateway's first arrival sits at its phase offset.
+        sim.bootstrap();
+        let mut first = vec![None; n];
+        while let Some((t, event)) = sim.queue.pop_through(SimTime::from_secs(1.0)) {
+            if let Event::Arrival { gateway } = event {
+                first[gateway.index()] = Some(t);
+            }
+        }
+        for (i, &rate) in rates.iter().enumerate() {
+            let offset = ArrivalProcess::Deterministic { rate }.phase_offset(i, n);
+            assert_eq!(first[i], Some(SimTime::from_secs(offset)), "gateway {i}");
         }
     }
 }

@@ -47,8 +47,6 @@ impl ServiceOutcome {
 pub struct FifoServer {
     service_time: SimDuration,
     busy_until: SimTime,
-    serviced: u64,
-    busy_time: SimDuration,
 }
 
 impl FifoServer {
@@ -66,8 +64,6 @@ impl FifoServer {
         Self {
             service_time,
             busy_until: SimTime::ZERO,
-            serviced: 0,
-            busy_time: SimDuration::ZERO,
         }
     }
 
@@ -99,8 +95,6 @@ impl FifoServer {
         let start = self.busy_until.max(arrival);
         let completion = start + self.service_time;
         self.busy_until = completion;
-        self.serviced += 1;
-        self.busy_time += self.service_time;
         ServiceOutcome { start, completion }
     }
 
@@ -117,26 +111,6 @@ impl FifoServer {
         // Ceiling division: a partially served request still counts.
         let st = self.service_time.as_micros();
         remaining.as_micros().div_ceil(st)
-    }
-
-    /// Total number of requests ever accepted.
-    pub fn serviced(&self) -> u64 {
-        self.serviced
-    }
-
-    /// Cumulative time spent serving (busy time), for utilization reports.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
-    /// Utilization over `[0, now]`: busy time divided by elapsed time.
-    /// Returns 0 at time zero.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        // busy_time may exceed `now` if work is still queued; clamp to 1.
-        (self.busy_time.as_secs() / now.as_secs()).min(1.0)
     }
 }
 
@@ -196,26 +170,6 @@ mod tests {
         assert_eq!(s.backlog_at(at(0.0)), 5);
         assert_eq!(s.backlog_at(at(0.015)), 4); // one done, one half-served
         assert_eq!(s.backlog_at(at(0.050)), 0);
-    }
-
-    #[test]
-    fn serviced_and_busy_time_accumulate() {
-        let mut s = FifoServer::new(ms(5.0));
-        s.offer(at(0.0));
-        s.offer(at(10.0));
-        assert_eq!(s.serviced(), 2);
-        assert_eq!(s.busy_time(), ms(10.0));
-        assert!((s.utilization(at(10.005)) - 0.01 / 10.005).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_clamps_to_one_under_overload() {
-        let mut s = FifoServer::new(ms(100.0));
-        for _ in 0..100 {
-            s.offer(at(0.0));
-        }
-        assert_eq!(s.utilization(at(1.0)), 1.0);
-        assert_eq!(s.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

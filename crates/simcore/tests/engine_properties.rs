@@ -281,7 +281,6 @@ fn fifo_server_conserves_work() {
         let mut server = FifoServer::new(SimDuration::from_micros(service_us));
         let mut t = SimTime::ZERO;
         let mut last_completion = SimTime::ZERO;
-        let mut total_busy = 0u64;
         for &gap in &gaps {
             t += SimDuration::from_micros(gap);
             let out = server.offer(t);
@@ -298,10 +297,7 @@ fn fifo_server_conserves_work() {
             );
             assert!(out.sojourn(t) >= SimDuration::from_micros(service_us));
             last_completion = out.completion;
-            total_busy += service_us;
         }
-        assert_eq!(server.serviced(), gaps.len() as u64);
-        assert_eq!(server.busy_time().as_micros(), total_busy);
         // Work conservation: the server is never idle while work waits,
         // so the last completion is exactly max over prefixes of
         // (arrival_i + remaining work at i).

@@ -241,61 +241,6 @@ pub fn grid(w: u16, h: u16) -> Topology {
     b.build().expect("grid topology is valid for positive dims")
 }
 
-/// A random connected topology: a random spanning tree plus `extra`
-/// additional random links, with regions assigned round-robin. Driven
-/// entirely by the caller's seed, for randomized testing and synthetic
-/// backbone studies.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-///
-/// # Examples
-///
-/// ```
-/// let mut seed = 42u64;
-/// let topo = radar_simnet::builders::random_connected(20, 10, &mut seed);
-/// assert_eq!(topo.len(), 20);
-/// assert!(topo.routes().diameter() >= 1);
-/// ```
-pub fn random_connected(n: u16, extra: u16, seed: &mut u64) -> Topology {
-    assert!(n > 0, "a topology needs at least one node");
-    // SplitMix64 — self-contained so this crate needs no RNG dependency.
-    let next = move |seed: &mut u64| -> u64 {
-        *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let mut b = Topology::builder();
-    let nodes: Vec<NodeId> = (0..n)
-        .map(|i| b.add_node(format!("rnd-{i}"), Region::ALL[i as usize % 4]))
-        .collect();
-    let mut edges = std::collections::BTreeSet::new();
-    for i in 1..n as usize {
-        let parent = (next(seed) % i as u64) as usize;
-        edges.insert((parent.min(i), parent.max(i)));
-    }
-    let mut added = 0;
-    let mut attempts = 0;
-    while added < extra && attempts < extra as u32 * 10 + 10 {
-        attempts += 1;
-        if n < 2 {
-            break;
-        }
-        let a = (next(seed) % n as u64) as usize;
-        let c = (next(seed) % n as u64) as usize;
-        if a != c && edges.insert((a.min(c), a.max(c))) {
-            added += 1;
-        }
-    }
-    for (a, c) in edges {
-        b.add_link(nodes[a], nodes[c]);
-    }
-    b.build().expect("spanning tree guarantees connectivity")
-}
-
 /// The paper's §3 motivating scenario: two hosts, "one in America and the
 /// other in Europe", joined by a single transatlantic link. Node 0 is the
 /// American host, node 1 the European one.
@@ -373,29 +318,6 @@ mod tests {
         let t = two_continents();
         assert_eq!(t.len(), 2);
         assert_eq!(t.routes().distance(NodeId::new(0), NodeId::new(1)), 1);
-    }
-
-    #[test]
-    fn random_connected_is_connected_and_reproducible() {
-        let mut seed = 7u64;
-        let a = random_connected(30, 15, &mut seed);
-        assert_eq!(a.len(), 30);
-        // Connectivity is validated by build(); derive routes to be sure.
-        assert!(a.routes().diameter() >= 1);
-        let mut seed2 = 7u64;
-        let b = random_connected(30, 15, &mut seed2);
-        assert_eq!(a, b);
-        // Different seeds give different graphs (overwhelmingly likely).
-        let mut seed3 = 8u64;
-        let c = random_connected(30, 15, &mut seed3);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn random_connected_single_node() {
-        let mut seed = 1u64;
-        let t = random_connected(1, 5, &mut seed);
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -36,9 +36,6 @@ pub struct WindowedRate {
     pending: u64,
     /// Rate of the last completed interval.
     current: f64,
-    /// Time at which the current measurement's interval started, used to
-    /// answer "did a full measurement interval elapse since time T?".
-    current_measured_from: f64,
 }
 
 impl WindowedRate {
@@ -57,7 +54,6 @@ impl WindowedRate {
             window_start: 0.0,
             pending: 0,
             current: 0.0,
-            current_measured_from: 0.0,
         }
     }
 
@@ -72,7 +68,6 @@ impl WindowedRate {
     pub fn advance_to(&mut self, t: f64) {
         while t >= self.window_start + self.interval {
             self.current = self.pending as f64 / self.interval;
-            self.current_measured_from = self.window_start;
             self.pending = 0;
             self.window_start += self.interval;
         }
@@ -91,16 +86,6 @@ impl WindowedRate {
     /// Rate (events/second) of the most recently completed interval.
     pub fn rate(&self) -> f64 {
         self.current
-    }
-
-    /// Start time of the interval the current measurement covers.
-    ///
-    /// The paper uses this to decide when a host may return from
-    /// load-estimate mode to actual measurements: only "when its
-    /// measurement interval starts after the last object had been
-    /// acquired".
-    pub fn measured_from(&self) -> f64 {
-        self.current_measured_from
     }
 
     /// Number of events accumulated in the not-yet-complete interval.
@@ -127,7 +112,6 @@ mod tests {
         }
         r.advance_to(10.0);
         assert_eq!(r.rate(), 3.0);
-        assert_eq!(r.measured_from(), 0.0);
     }
 
     #[test]
@@ -138,9 +122,6 @@ mod tests {
         assert_eq!(r.rate(), 0.1);
         r.advance_to(30.0); // two empty intervals pass
         assert_eq!(r.rate(), 0.0);
-        // [10,20) and [20,30) both completed; the current measurement
-        // covers the latest one.
-        assert_eq!(r.measured_from(), 20.0);
     }
 
     #[test]
@@ -156,13 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn measured_from_tracks_window_starts() {
+    fn an_event_past_skipped_windows_counts_in_its_own() {
         let mut r = WindowedRate::new(5.0);
         r.record(12.0);
-        // advancing to 12.0 completed windows [0,5) and [5,10).
-        assert_eq!(r.measured_from(), 5.0);
+        // Recording at 12.0 completed the empty [0,5) and [5,10).
+        assert_eq!(r.rate(), 0.0);
         r.advance_to(15.0);
-        assert_eq!(r.measured_from(), 10.0);
         assert_eq!(r.rate(), 1.0 / 5.0);
     }
 

@@ -6,9 +6,9 @@ use radar_simcore::SimRng;
 ///
 /// The paper's simulation uses constant-rate arrivals ("each backbone
 /// node generates client requests at a constant rate", 40 req/s per
-/// node). [`ArrivalProcess::Deterministic`] reproduces that;
-/// [`ArrivalProcess::Poisson`] is provided for robustness/ablation
-/// experiments.
+/// node). [`ArrivalProcess::Deterministic`] reproduces that, and is the
+/// only process a simulation scenario runs; no scenario selects
+/// [`ArrivalProcess::Poisson`].
 ///
 /// # Examples
 ///

@@ -23,8 +23,8 @@
 //!
 //! [`ArrivalProcess`] models when requests enter a gateway: the paper
 //! uses constant-rate arrivals ("each backbone node generates client
-//! requests at a constant rate"); a Poisson option is provided for
-//! robustness studies.
+//! requests at a constant rate"), which is all a scenario uses; no
+//! scenario selects its Poisson variant.
 //!
 //! # Examples
 //!
