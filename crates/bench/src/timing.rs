@@ -165,11 +165,29 @@ mod tests {
         assert_eq!(recorder.recorded(), 1_100);
     }
 
+    /// Reads the allocator calls of the thread it runs on — the
+    /// observer thread — each time it is handed an event.
+    struct ObserverThreadAllocations(std::sync::Arc<AtomicU64>);
+
+    impl radar_sim::Observer for ObserverThreadAllocations {
+        fn wants_events(&self) -> bool {
+            true
+        }
+
+        fn on_event(&mut self, _event: &radar_sim::obs::Event) {
+            self.0
+                .store(TL_ALLOCATIONS.with(Cell::get), Ordering::Relaxed);
+        }
+    }
+
     /// Satellite: a warmed-up seed-42 traced run stays within a fixed
     /// allocation budget per placement epoch — the steady-state request
-    /// path (redirects, host arrivals, completions, their events)
-    /// contributes none, so total allocator traffic is bounded by the
-    /// per-epoch placement work alone.
+    /// path (redirects, host arrivals, completions, their events and
+    /// their hand-off to the observer thread) contributes none, so total
+    /// allocator traffic is bounded by the per-epoch placement work
+    /// alone. The observers are what `traced_zipf` attaches — a streamed
+    /// recorder and the object ledger — and their thread's allocations
+    /// count too.
     #[test]
     fn seed42_steady_state_run_stays_within_allocation_budget() {
         use radar_sim::obs::{Recorder, SharedRecorder, DEFAULT_CAPACITY};
@@ -189,30 +207,36 @@ mod tests {
         );
         let mut sim = Simulation::new(scenario, workload);
         sim.attach_observer(Box::new(recorder.clone()));
+        sim.enable_object_ledger();
+        let observer_thread = std::sync::Arc::new(AtomicU64::new(0));
+        sim.attach_observer(Box::new(ObserverThreadAllocations(observer_thread.clone())));
         // Warm-up: two full placement rounds, so every scratch buffer
         // and per-host structure has reached steady state.
         sim.run_until(250.0);
         let before = recorder.with(Recorder::recorded);
+        let observer_before = observer_thread.load(Ordering::Relaxed);
         let (delta, ()) = CountingAlloc::measure(|| sim.run_until(450.0));
         let events = recorder.with(Recorder::recorded) - before;
+        let observer_allocations = observer_thread.load(Ordering::Relaxed) - observer_before;
+        let allocations = delta.allocations + observer_allocations;
         // The 200 s window covers two placement rounds (period 100 s)
         // across 53 hosts = 106 placement epochs, and roughly 5 300
         // traced requests. The budget is per-epoch placement work plus
         // slack; the request path must contribute ~nothing, so the
         // ratio stays far below one allocation per event.
         assert!(events > 10_000, "window saw only {events} events");
-        let per_epoch = delta.allocations as f64 / 106.0;
+        let per_epoch = allocations as f64 / 106.0;
         assert!(
             per_epoch <= 25.0,
-            "placement epochs exceed their allocation budget: \
-             {delta:?} over 106 epochs = {per_epoch:.1} per epoch"
+            "placement epochs exceed their allocation budget: {delta:?} on the \
+             simulation thread and {observer_allocations} on the observer thread \
+             over 106 epochs = {per_epoch:.1} per epoch"
         );
-        let per_event = delta.allocations as f64 / events as f64;
+        let per_event = allocations as f64 / events as f64;
         assert!(
             per_event < 0.15,
-            "steady state allocates too much: {} allocations over \
-             {events} events = {per_event:.3} per event",
-            delta.allocations
+            "steady state allocates too much: {allocations} allocations over \
+             {events} events = {per_event:.3} per event"
         );
     }
 

@@ -366,8 +366,8 @@ impl Simulation {
                 },
             );
         }
-        if !self.events.observers.is_empty() {
-            let record = RequestRecord {
+        if self.events.observed() {
+            self.events.served(RequestRecord {
                 entered: t0.as_secs(),
                 delivered: delivered.as_secs(),
                 gateway: gateway.index() as u16,
@@ -375,10 +375,7 @@ impl Simulation {
                 host: host.index() as u16,
                 latency,
                 hops,
-            };
-            for obs in &mut self.events.observers {
-                obs.on_request_served(&record);
-            }
+            });
         }
     }
 }

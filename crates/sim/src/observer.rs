@@ -32,10 +32,22 @@ pub struct RequestRecord {
 /// (per-object latency percentiles, custom traces, live dashboards, …).
 ///
 /// All methods have empty defaults; implement only what you need.
-/// Observers run synchronously inside the event loop, so they should be
-/// cheap; they cannot affect the simulation (they receive shared
-/// borrows of event data only). Every observer sees every hook in
-/// attachment order.
+///
+/// Observers run on one observer thread of their own, started when the
+/// first observer is attached. The event loop hands them its feed in
+/// batches and never waits for a hook, so an observer cannot affect the
+/// simulation (it receives shared borrows of event data only). Order is
+/// exactly that of a synchronous call: every observer sees every hook in
+/// attachment order, events and served-request records interleaved as
+/// the run produced them.
+/// [`Simulation::run_until`](crate::Simulation::run_until),
+/// [`finish`](crate::Simulation::finish) and dropping the simulation
+/// return only once every observer has seen everything emitted so far,
+/// so a fold read between slices or after the run is current. If an
+/// observer panics, the simulation thread re-raises that panic at its
+/// next hand-off to the observer thread, at the end of `run_until` or in
+/// `finish`, and panics with the same message at every later one;
+/// dropping the simulation joins the thread without raising it again.
 ///
 /// # Examples
 ///

@@ -220,9 +220,10 @@ pub struct Simulation {
     /// Persistent placeholder swapped into the deciding host's slot for
     /// the duration of a placement epoch.
     pub(crate) spare_host: HostState,
-    /// The flight-recorder decision the redirect path fills and lends to
-    /// the observers when tracing; its candidate buffer is reused, so
-    /// traced decisions allocate nothing per request.
+    /// The flight-recorder decision the redirect path fills when
+    /// tracing and the event sink copies into its hand-off batch; its
+    /// candidate buffer is reused, so traced decisions allocate nothing
+    /// per request.
     pub(crate) decision: DecisionEvent,
 }
 
@@ -453,6 +454,7 @@ impl Simulation {
         while let Some((t, ev)) = self.queue.pop_through(end) {
             self.dispatch(t, ev);
         }
+        self.events.barrier();
     }
 
     /// Handles one popped event, counting it into the loop profile when
@@ -661,11 +663,14 @@ impl Simulation {
             redirector,
             mut metrics,
             profile,
+            mut events,
             object_ledger,
             recorded,
             unavailable_since,
             ..
         } = { self };
+        // Every fold has now seen the whole feed.
+        events.close();
         // Close the unavailability intervals still open at the end of
         // the run (replica-floor intervals never restored stay out of
         // the restore-time distribution: they have no restore).

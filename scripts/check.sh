@@ -94,6 +94,32 @@ echo "== non-test lines per crate (printed, not gated) =="
 ./scripts/loc.sh
 echo "== golden event-log regression diff =="
 ./scripts/golden-diff.sh
+echo "== stream order with both threads on one core =="
+# Observers fold on a thread of their own. Pinned to one core, the
+# simulation and observer threads are interleaved by the OS instead of
+# running side by side; the recorded stream must not move a byte.
+taskset -c 0 cargo test -q --test trace_identity --test event_order_identity
+taskset -c 0 cargo test -q -p radar-sim --test observer_determinism
+echo "== cost of a full trace (printed, not gated) =="
+# ROADMAP item 5 aims at a full trace within 1.5x a bare run: the wall
+# ratio of a 120-s paper-scale run with --events /dev/null --ledger to
+# the same run without observers, the fastest of three runs each (one
+# run swings by a third on a shared host).
+wall_ms() {
+  local start elapsed best=""
+  for _ in 1 2 3; do
+    start="$(date +%s%N)"
+    "$@" > /dev/null
+    elapsed=$(( ($(date +%s%N) - start) / 1000000 ))
+    if [ -z "$best" ] || [ "$elapsed" -lt "$best" ]; then best="$elapsed"; fi
+  done
+  echo "$best"
+}
+paper=(target/release/radar simulate --objects 10000 --rate 40 --seed 1 --duration 120)
+bare_ms="$(wall_ms "${paper[@]}")"
+traced_ms="$(wall_ms "${paper[@]}" --events /dev/null --ledger)"
+awk -v b="$bare_ms" -v t="$traced_ms" \
+  'BEGIN { printf "full trace: %d ms traced / %d ms bare = %.2fx\n", t, b, t / b }'
 echo "== replica-set invariant audit (golden log + faulted runs) =="
 # The paper's correctness contract (notify after create, before
 # delete) must hold on the committed golden log and on a faulted
