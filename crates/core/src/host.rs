@@ -201,6 +201,25 @@ impl PartialEq for ActivityLists {
     }
 }
 
+/// Where a host's table held an object when a request for it arrived,
+/// handed back by [`HostState::record_access`] so that
+/// [`HostState::record_serviced_hinted`] can skip the search. Only a
+/// hint: placement may drop, insert or re-accept objects while the
+/// request is queued, so the slot is used only if it still holds the
+/// object, and slots beyond `u16::MAX − 1` are not hinted at all. Two
+/// bytes, so that a request's completion event stays 32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotHint(u16);
+
+impl SlotHint {
+    /// A hint naming no slot.
+    pub const NONE: SlotHint = SlotHint(u16::MAX);
+
+    fn of(slot: usize) -> SlotHint {
+        SlotHint(u16::try_from(slot).unwrap_or(u16::MAX))
+    }
+}
+
 /// The state of `object` in the parallel `ids`/`states` table. A free
 /// function over the two fields so callers can hold an activity list
 /// borrowed at the same time.
@@ -369,12 +388,18 @@ impl HostState {
     /// Silently ignores objects this host does not hold — in the real
     /// system a request can race with a migration; the replica-set subset
     /// invariant makes this window tiny but not empty.
-    pub fn record_access(&mut self, object: ObjectId, preference_path: &[NodeId]) {
-        let Some(obj) = state_mut(&self.ids, &mut self.states, object) else {
-            return;
+    ///
+    /// Returns where the object sits in the host's table, for
+    /// [`record_serviced_hinted`](Self::record_serviced_hinted) when the
+    /// request completes ([`SlotHint::NONE`] for an object not held).
+    pub fn record_access(&mut self, object: ObjectId, preference_path: &[NodeId]) -> SlotHint {
+        let Ok(slot) = self.ids.binary_search(&object) else {
+            return SlotHint::NONE;
         };
+        let hint = SlotHint::of(slot);
+        let obj = &mut self.states[slot];
         let Some((route, own)) = self.routes.intern(self.node, preference_path) else {
-            return;
+            return hint;
         };
         if obj.route_counts.is_empty() {
             self.active.counted.push(object);
@@ -384,6 +409,7 @@ impl HostState {
             Ok(i) => obj.route_counts[i].1 += 1,
             Err(i) => obj.route_counts.insert(i, (route, 1)),
         }
+        hint
     }
 
     /// `cnt(p, x_s)` of replica `o` of this host: how many requests
@@ -419,9 +445,22 @@ impl HostState {
     /// Records that a request for `object` finished service at time
     /// `now` (drives the load measurement).
     pub fn record_serviced(&mut self, now: f64, object: ObjectId) {
+        self.record_serviced_hinted(now, object, SlotHint::NONE);
+    }
+
+    /// [`record_serviced`](Self::record_serviced), looking in `hint`'s
+    /// slot (from the request's [`record_access`](Self::record_access))
+    /// first and searching only if it no longer holds `object`.
+    pub fn record_serviced_hinted(&mut self, now: f64, object: ObjectId, hint: SlotHint) {
         self.advance(now);
         self.window_total += 1;
-        if let Some(obj) = state_mut(&self.ids, &mut self.states, object) {
+        let slot = usize::from(hint.0);
+        let state = if self.ids.get(slot) == Some(&object) {
+            Some(&mut self.states[slot])
+        } else {
+            state_mut(&self.ids, &mut self.states, object)
+        };
+        if let Some(obj) = state {
             if obj.window_serviced == 0 {
                 self.active.serviced.push(object);
             }
@@ -946,6 +985,8 @@ mod tests {
         let mut steps_run = 0;
         let mut reaccepted_in_window = 0;
         let mut rerouted_in_window = 0;
+        // Completions through hints that no longer name the object's slot.
+        let (mut shifted, mut reaccepted, mut out_of_range) = (0, 0, 0);
         for seed in 0..10u64 {
             let mut rng = SimRng::seed_from(0xD3_5E00 + seed);
             let mut host = host();
@@ -969,6 +1010,9 @@ mod tests {
             let mut view: Vec<Vec<NodeId>> = (0..NODES).map(|g| reroute(&mut rng, g)).collect();
             // The path each gateway's requests took since the last reset.
             let mut taken: Vec<Option<Vec<NodeId>>> = vec![None; NODES as usize];
+            // Each id's hint from its latest `record_access`, and whether
+            // the id was dropped and re-accepted since.
+            let mut hints: Vec<Option<(SlotHint, bool)>> = vec![None; IDS];
             let mut now = 0.0f64;
             for step in 0..STEPS {
                 let id = x(rng.index(IDS) as u32);
@@ -993,6 +1037,9 @@ mod tests {
                     4 | 5 => {
                         if model.objects.remove(&id).is_some() {
                             host.drop_object(id);
+                            if let Some((_, moved)) = &mut hints[id.index()] {
+                                *moved = true;
+                            }
                             // Half of the drops come straight back, inside
                             // the window that listed the old replica.
                             if rng.chance(0.5) {
@@ -1016,11 +1063,34 @@ mod tests {
                             let before = taken[g.index()].replace(path.clone());
                             rerouted_in_window += usize::from(before.is_some_and(|b| b != path));
                         }
-                        host.record_access(id, &path);
+                        let hint = host.record_access(id, &path);
+                        hints[id.index()] = Some((hint, false));
                         model.record_access(id, &path);
                     }
                     10..=13 => {
-                        host.record_serviced(now, id);
+                        // No hint, the id's latest (stale once placement
+                        // moved it), another slot, or beyond the table.
+                        let hint = match rng.index(4) {
+                            0 => None,
+                            1 => hints[id.index()].map(|(hint, moved)| {
+                                let held = host.ids.get(usize::from(hint.0));
+                                if moved && model.objects.contains_key(&id) {
+                                    reaccepted += 1;
+                                } else if held.is_some_and(|&o| o != id) {
+                                    shifted += 1;
+                                }
+                                hint
+                            }),
+                            2 => Some(SlotHint(rng.index(IDS) as u16)),
+                            _ => {
+                                out_of_range += 1;
+                                Some(SlotHint::of(host.object_count() + rng.index(3)))
+                            }
+                        };
+                        match hint {
+                            Some(hint) => host.record_serviced_hinted(now, id, hint),
+                            None => host.record_serviced(now, id),
+                        }
                         model.record_serviced(now, id);
                     }
                     14 => {
@@ -1048,6 +1118,10 @@ mod tests {
         assert!(
             steps_run >= 100_000 && reaccepted_in_window > 1_000 && rerouted_in_window > 1_000,
             "{reaccepted_in_window} re-accepted, {rerouted_in_window} rerouted"
+        );
+        assert!(
+            shifted > 500 && reaccepted > 500 && out_of_range > 2_000,
+            "stale hints: {shifted} shifted, {reaccepted} re-accepted, {out_of_range} out of range"
         );
     }
 

@@ -77,8 +77,8 @@ mod types;
 
 pub use catalog::{Catalog, ConsistencyMix, ObjectKind};
 pub use directory::Directory;
-pub use host::{HostState, ObjectState};
+pub use host::{HostState, ObjectState, SlotHint};
 pub use load::LoadEstimator;
 pub use params::{Params, ParamsError};
-pub use redirector::{Redirector, ReplicaInfo};
+pub use redirector::{Fig2Pass, Redirector, ReplicaInfo};
 pub use types::{CreateObjRequest, CreateObjResponse, ObjectId, RelocationKind};

@@ -39,7 +39,8 @@ impl ReplicaInfo {
 ///
 /// The redirector is Fig. 2's distribution rule
 /// ([`choose_replica`](Self::choose_replica),
-/// [`choose_among_into`](Self::choose_among_into)) over a replica
+/// [`choose_among_into`](Self::choose_among_into), both one
+/// [`Fig2Pass`] and [`serve`](Self::serve)) over a replica
 /// [`Directory`], which owns the per-object replica sets, request
 /// counts, and affinities. Membership changes go to the directory
 /// itself ([`directory_mut`](Self::directory_mut)); see that type for
@@ -123,39 +124,24 @@ impl Redirector {
         gateway: NodeId,
         routes: &RoutingTable,
     ) -> Option<NodeId> {
-        let candidates: Vec<(u32, u32)> = self
-            .directory
-            .replicas(object)
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i as u32, routes.distance(e.host, gateway)))
-            .collect();
-        self.choose_among_into(object, &candidates, None, None)
+        let row = routes.distances_to(gateway);
+        let mut pass = Fig2Pass::new(None);
+        for (i, e) in self.directory.replicas(object).iter().enumerate() {
+            pass.offer(i, e, row[e.host.index()]);
+        }
+        self.serve(object, pass)
     }
 
-    /// Fig. 2 over a pre-filtered candidate list — the single decision
-    /// path, behind [`choose_replica`](Self::choose_replica) and the
-    /// entry point for redirect engines that build the list themselves.
-    /// Each candidate is `(entry_index, distance)`: the replica's index
-    /// in [`Directory::replicas`] and its precomputed hop distance to the
-    /// requesting gateway. The caller guarantees the list matches the
-    /// object's *current* replica set; usability filtering has already
-    /// happened.
+    /// Fig. 2 over a pre-filtered candidate list, for callers that build
+    /// the list themselves. Each candidate is `(entry_index, distance)`:
+    /// the replica's index in [`Directory::replicas`] and its hop
+    /// distance to the requesting gateway, in ascending index order. The
+    /// caller guarantees the list matches the object's *current* replica
+    /// set; usability filtering has already happened.
     ///
-    /// Identifies `p` (closest) and `q` (least unit request count) among
-    /// `candidates`, picks the branch, and increments the winner's
-    /// request count. `closest` optionally names the entry index of `p`
-    /// (minimum `(distance, host)`). Unlike request counts, `p` is a pure
-    /// function of the candidate list, so callers can note it while
-    /// building the list; `None` scans for it here.
-    ///
-    /// When `record` is `Some`, the full Fig. 2 input and outcome are
-    /// written into the caller-owned flight-recorder decision — the
-    /// allocation-free tracing entry point: `chosen`, `branch`,
-    /// `constant`, `closest`, `least`, both unit counts and the
-    /// candidate buffer (cleared and refilled in place) are only
-    /// meaningful when the call returns `Some`; `object` and `gateway`
-    /// are the caller's to set. `None` skips the snapshot entirely.
+    /// A [`Fig2Pass`] over the list, then [`serve`](Self::serve). `closest`
+    /// may name the entry index of `p` (minimum `(distance, host)`); the
+    /// pass finds `p` itself, so the hint is only checked in debug builds.
     ///
     /// Returns `None` for an empty candidate list.
     ///
@@ -170,71 +156,127 @@ impl Redirector {
         closest: Option<u32>,
         record: Option<&mut DecisionEvent>,
     ) -> Option<NodeId> {
-        let constant = self.constant;
-        let entries = self.directory.replicas_mut(object);
-        if candidates.is_empty() {
+        debug_assert!(
+            candidates.windows(2).all(|w| w[0].0 < w[1].0),
+            "candidates out of replica-set order"
+        );
+        let entries = self.directory.replicas(object);
+        let mut pass = Fig2Pass::new(record);
+        for &(i, dist) in candidates {
+            pass.offer(i as usize, &entries[i as usize], dist);
+        }
+        debug_assert!(
+            candidates.is_empty() || closest.is_none_or(|c| c as usize == pass.p),
+            "closest hint {closest:?} is not the closest candidate"
+        );
+        self.serve(object, pass)
+    }
+
+    /// Fig. 2's branch over a finished [`Fig2Pass`] of `object`'s
+    /// replicas: serve from the closest candidate `p` unless
+    /// `unit_rcnt(p) / constant > unit_rcnt(q)`, else from the least
+    /// requested `q`; increment the winner's request count and return its
+    /// host. When the pass carries a decision record, the outcome is
+    /// written into it (the candidates are already there); `object` and
+    /// `gateway` are the caller's to set. Returns `None`, touching no
+    /// count and no record field but the candidate list, when the pass
+    /// saw no candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pass's indices are out of range for `object`'s
+    /// replica set — the symptom of a pass over another object.
+    pub fn serve(&mut self, object: ObjectId, pass: Fig2Pass<'_>) -> Option<NodeId> {
+        if pass.p == Fig2Pass::NONE {
             return None;
         }
-        let (p_idx, q_idx) = match *candidates {
-            // A sole candidate is both p and q.
-            [(only, _)] => (closest.unwrap_or(only), only),
-            _ => (
-                // p: closest usable replica to the gateway (noted by the
-                // caller while building the candidate list — it does not
-                // depend on request counts).
-                closest.unwrap_or_else(|| {
-                    candidates
-                        .iter()
-                        .min_by_key(|&&(i, dist)| (dist, entries[i as usize].host))
-                        .expect("non-empty candidate set")
-                        .0
-                }),
-                // q: usable replica with the smallest unit request count.
-                candidates
-                    .iter()
-                    .min_by(|&&(a, _), &&(b, _)| {
-                        let (ea, eb) = (&entries[a as usize], &entries[b as usize]);
-                        ea.unit_rcnt()
-                            .partial_cmp(&eb.unit_rcnt())
-                            .expect("unit request counts are finite")
-                            .then(ea.host.cmp(&eb.host))
-                    })
-                    .expect("non-empty candidate set")
-                    .0,
-            ),
-        };
-        let unit = |i: u32| entries[i as usize].unit_rcnt();
-        // Fig. 2's test `unit(p)/constant > unit(q)` is false whenever
-        // p = q (x/constant ≤ x for finite x ≥ 0 and constant > 1), so a
-        // sole candidate is served as the closest without a division.
-        let (chosen, branch) = if p_idx != q_idx && unit(p_idx) / constant > unit(q_idx) {
-            (q_idx as usize, DecisionBranch::LeastRequested)
+        let constant = self.constant;
+        // The test is false whenever p = q (x/constant ≤ x for finite
+        // x ≥ 0 and constant > 1), so a sole candidate is served as the
+        // closest without a division.
+        let (chosen, branch) = if pass.p != pass.q && pass.p_unit / constant > pass.q_unit {
+            (pass.q, DecisionBranch::LeastRequested)
         } else {
-            (p_idx as usize, DecisionBranch::Closest)
+            (pass.p, DecisionBranch::Closest)
         };
-        if let Some(out) = record {
-            let host = |i: usize| entries[i].host.index() as u16;
-            out.chosen = host(chosen);
+        let entry = &mut self.directory.replicas_mut(object)[chosen];
+        if let Some(out) = pass.record {
+            out.chosen = entry.host.index() as u16;
             out.branch = branch;
             out.constant = constant;
-            out.closest = Some(host(p_idx as usize));
-            out.least = Some(host(q_idx as usize));
-            out.unit_closest = Some(unit(p_idx));
-            out.unit_least = Some(unit(q_idx));
-            out.candidates.clear();
-            out.candidates.extend(candidates.iter().map(|&(i, dist)| {
-                let e = &entries[i as usize];
-                CandidateSnapshot {
-                    host: e.host.index() as u16,
-                    rcnt: e.rcnt,
-                    aff: e.aff,
-                    unit: e.unit_rcnt(),
-                    distance: dist,
-                }
-            }));
+            out.closest = Some(pass.p_host.index() as u16);
+            out.least = Some(pass.q_host.index() as u16);
+            out.unit_closest = Some(pass.p_unit);
+            out.unit_least = Some(pass.q_unit);
         }
-        entries[chosen].rcnt += 1;
-        Some(entries[chosen].host)
+        entry.rcnt += 1;
+        Some(entry.host)
+    }
+}
+
+/// One pass of Fig. 2 over an object's candidate replicas, offered in
+/// replica-set order (ascending host): it keeps the closest candidate
+/// `p`, minimum `(distance, host)`, and the least requested `q`, minimum
+/// `(unit_rcnt, host)`, dividing once per candidate. Hosts ascend, so a
+/// strict `<` keeps the lowest host among equals. With a decision record
+/// it snapshots each candidate as it is offered, before any count moves.
+/// [`Redirector::serve`] then takes the branch.
+#[derive(Debug)]
+pub struct Fig2Pass<'r> {
+    record: Option<&'r mut DecisionEvent>,
+    /// Entry index, distance, host and unit count of `p`; `p` is
+    /// [`NONE`](Self::NONE) until a candidate is offered.
+    p: usize,
+    p_dist: u64,
+    p_host: NodeId,
+    p_unit: f64,
+    /// Entry index, host and unit count of `q`.
+    q: usize,
+    q_host: NodeId,
+    q_unit: f64,
+}
+
+impl<'r> Fig2Pass<'r> {
+    const NONE: usize = usize::MAX;
+
+    /// An empty pass; `record`'s candidate list is cleared for refilling.
+    pub fn new(mut record: Option<&'r mut DecisionEvent>) -> Self {
+        if let Some(out) = record.as_deref_mut() {
+            out.candidates.clear();
+        }
+        Self {
+            record,
+            p: Self::NONE,
+            p_dist: u64::MAX,
+            p_host: NodeId::new(0),
+            p_unit: 0.0,
+            q: Self::NONE,
+            q_host: NodeId::new(0),
+            q_unit: f64::INFINITY,
+        }
+    }
+
+    /// Offers replica entry `index`, `entry`, at hop distance `distance`
+    /// from the requesting gateway.
+    #[inline]
+    pub fn offer(&mut self, index: usize, entry: &ReplicaInfo, distance: u32) {
+        let unit = entry.unit_rcnt();
+        if u64::from(distance) < self.p_dist {
+            (self.p, self.p_dist, self.p_host, self.p_unit) =
+                (index, u64::from(distance), entry.host, unit);
+        }
+        if unit < self.q_unit {
+            (self.q, self.q_host, self.q_unit) = (index, entry.host, unit);
+        }
+        if let Some(out) = self.record.as_deref_mut() {
+            out.candidates.push(CandidateSnapshot {
+                host: entry.host.index() as u16,
+                rcnt: entry.rcnt,
+                aff: entry.aff,
+                unit,
+                distance,
+            });
+        }
     }
 }
 
@@ -497,9 +539,8 @@ mod tests {
         for i in 0..200 {
             let gw = NodeId::new(if i % 3 == 0 { 1 } else { 0 });
             let cands = candidates(&r2, gw, &routes, &|_| true);
-            // Alternate between scanning for p here and letting
-            // choose_among_into scan — the precomputed hint must be a
-            // pure optimization.
+            // Alternate between passing p, scanned for here, and not:
+            // the hint must not change the decision.
             let closest = (i % 2 == 0).then(|| {
                 cands
                     .iter()

@@ -3,11 +3,11 @@
 //!
 //! All routing questions (distances, preference paths, reachability) go
 //! through the platform's [`radar_simnet::RoutingView`]; replica
-//! decisions go through the [`crate::redirect::RedirectEngine`] (Fig. 2)
+//! decisions go through [`crate::redirect::choose`] (Fig. 2)
 //! unless a baseline [`crate::selection::SelectionPolicy`] is plugged
 //! in; both serve only a replica [`crate::redirect::usable`] admits.
 
-use radar_core::ObjectId;
+use radar_core::{ObjectId, SlotHint};
 use radar_obs::{DecisionBranch, EventKind as ObsEventKind, FailReason};
 use radar_simcore::{SimDuration, SimTime};
 use radar_simnet::NodeId;
@@ -15,7 +15,7 @@ use radar_simnet::NodeId;
 use crate::config::{NetworkParams, MAX_CLOCK_SECS};
 use crate::observer::RequestRecord;
 use crate::platform::{Event, Simulation};
-use crate::redirect::usable;
+use crate::redirect::{self, usable};
 use crate::trace::TraceEntry;
 
 impl Simulation {
@@ -165,7 +165,7 @@ impl Simulation {
             // fills the platform's reused decision record in place.
             None => {
                 let record = self.events.tracing.then_some(&mut self.decision);
-                self.redirect.choose(
+                redirect::choose(
                     object,
                     gateway,
                     rnode,
@@ -291,7 +291,7 @@ impl Simulation {
         }
         // Record the preference path (host → gateway) for placement.
         let path = self.view.path(host, gateway);
-        self.hosts[i].record_access(object, path);
+        let slot = self.hosts[i].record_access(object, path);
         // FIFO service.
         let outcome = self.servers[i].offer(t);
         // Latency breakdown: the redirect leg is everything before host
@@ -308,6 +308,7 @@ impl Simulation {
                 host,
                 t0,
                 epoch: self.host_epoch[i],
+                slot,
                 cause,
             },
         );
@@ -322,6 +323,7 @@ impl Simulation {
         host: NodeId,
         t0: SimTime,
         epoch: u32,
+        slot: SlotHint,
         cause: u64,
     ) {
         let i = host.index();
@@ -331,7 +333,7 @@ impl Simulation {
             self.fail_request(t, object, gateway, FailReason::CrashedMidService, cause);
             return;
         }
-        self.hosts[i].record_serviced(t.as_secs(), object);
+        self.hosts[i].record_serviced_hinted(t.as_secs(), object, slot);
         let size = self.scenario.catalog.object_size();
         let Some(hops) = self.metrics.charge(&self.view, host, gateway, size) else {
             // The response has nowhere to go: a partition opened while

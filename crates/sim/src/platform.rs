@@ -7,8 +7,8 @@
 //!   paths, and reachability over the live links);
 //! * directory — [`radar_core::Directory`], held by the [`Redirector`]
 //!   (replica sets, affinities, request counts, batched epoch updates);
-//! * redirect — [`crate::redirect::RedirectEngine`] (the usable-replica
-//!   filter feeding the Fig. 2 decision);
+//! * redirect — [`crate::redirect::choose`] (Fig. 2 in one pass over
+//!   the usable replicas);
 //! * request lifecycle — `lifecycle.rs` (arrival → redirect → service
 //!   → delivery handlers);
 //! * placement — `env.rs` (the [`radar_core::placement::PlacementEnv`]
@@ -16,7 +16,7 @@
 //! * health — `health.rs` (fault transitions, declare-dead,
 //!   re-replication).
 
-use radar_core::{HostState, ObjectId, Redirector};
+use radar_core::{HostState, ObjectId, Redirector, SlotHint};
 use radar_obs::{DecisionEvent, HandlerCounter, LedgerConfig, ObjectLedger, SharedObjectLedger};
 use radar_simcore::{EventQueue, FifoServer, SimDuration, SimRng, SimTime};
 use radar_simnet::{NodeId, RoutingView};
@@ -29,7 +29,6 @@ use crate::faults::{FaultState, FaultTransition};
 use crate::metrics::Metrics;
 use crate::observer::Observer;
 use crate::placement_policy::PlacementPolicy;
-use crate::redirect::RedirectEngine;
 use crate::report::{FinalReplicas, RunReport};
 use crate::selection::SelectionPolicy;
 use crate::sink::EventSink;
@@ -62,13 +61,15 @@ pub(crate) enum Event {
     },
     /// The host finishes serving; the response departs. `epoch` is the
     /// host's crash epoch when the request entered service — a mismatch
-    /// at completion means the host crashed underneath it.
+    /// at completion means the host crashed underneath it. `slot` is
+    /// where the host's table held the object at arrival.
     ServiceComplete {
         object: ObjectId,
         gateway: NodeId,
         host: NodeId,
         t0: SimTime,
         epoch: u32,
+        slot: SlotHint,
         cause: u64,
     },
     /// Periodic load measurement sampling (Fig. 8a / 8b).
@@ -152,7 +153,7 @@ pub struct Simulation {
     pub(crate) node_regions: Vec<radar_simnet::Region>,
     pub(crate) workload: Box<dyn Workload + Send>,
     /// A baseline replica-selection policy; `None` runs the paper's
-    /// Fig. 2 through [`redirect`](Self::redirect).
+    /// Fig. 2 through [`crate::redirect::choose`].
     pub(crate) selection: Option<Box<dyn SelectionPolicy + Send>>,
     /// A baseline replica-placement policy; `None` runs the paper's
     /// Figs. 3–5 ([`radar_core::placement::run_placement_into`]).
@@ -160,9 +161,6 @@ pub struct Simulation {
     pub(crate) hosts: Vec<HostState>,
     pub(crate) servers: Vec<FifoServer>,
     pub(crate) redirector: Redirector,
-    /// Decision layer: Fig. 2 over the usable replicas (engaged unless a
-    /// baseline selection policy is plugged in).
-    pub(crate) redirect: RedirectEngine,
     pub(crate) metrics: Metrics,
     pub(crate) rng: SimRng,
     pub(crate) queue: EventQueue<Event>,
@@ -311,7 +309,6 @@ impl Simulation {
             hosts,
             servers,
             redirector,
-            redirect: RedirectEngine::default(),
             metrics,
             rng,
             queue: EventQueue::new(),
@@ -606,8 +603,9 @@ impl Simulation {
                 host,
                 t0,
                 epoch,
+                slot,
                 cause,
-            } => self.on_service_complete(t, object, gateway, host, t0, epoch, cause),
+            } => self.on_service_complete(t, object, gateway, host, t0, epoch, slot, cause),
             Event::LoadSample => self.on_load_sample(t),
             Event::Placement { host } => self.on_placement(t, host),
             Event::ProviderUpdate => self.on_provider_update(t),
@@ -742,6 +740,15 @@ mod tests {
     use radar_workload::{ArrivalProcess, ZipfReeds};
 
     #[test]
+    fn an_event_is_32_bytes() {
+        // The wheel's nodes hold an event each; a request's completion
+        // carries the most fields, and a `u32` slot hint there grows
+        // every node from 48 to 56 bytes (hot_sites_backlog peak RSS
+        // 15.9 → 17.2 MB).
+        assert_eq!(std::mem::size_of::<Event>(), 32);
+    }
+
+    #[test]
     fn every_event_kind_indexes_its_own_profile_row() {
         let (object, node, t0) = (ObjectId::new(1), NodeId::new(2), SimTime::ZERO);
         // Each variant, its label and whether its clock reads are
@@ -776,6 +783,7 @@ mod tests {
                     host: node,
                     t0,
                     epoch: 0,
+                    slot: SlotHint::NONE,
                     cause: 0,
                 },
                 "service-complete",

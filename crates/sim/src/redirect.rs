@@ -1,19 +1,23 @@
 //! The redirect engine: the per-request decision layer between the
 //! event loop and the [`Redirector`].
 //!
-//! Every redirect (1) filters the object's replicas down to the
-//! *usable* ones — host up, redirector→host and host→gateway routes
-//! intact — with their hop distances to the gateway, noting the closest
-//! on the way, then (2) runs the Fig. 2 decision over that list
-//! ([`Redirector::choose_among_into`]). An object has a handful of
-//! replicas, so step (1) is a few array reads; the engine keeps nothing
-//! between requests but the list's allocation, and its memory does not
-//! grow with the catalogue or the number of gateways. While every host
-//! and every link is up ([`FaultState::all_up`]) the filter is vacuous —
-//! topologies are validated connected — and only the distance lookups
-//! remain.
+//! Every redirect walks the object's replica set once
+//! ([`choose`]), skipping the replicas that are not *usable* — host
+//! down, redirector→host or host→gateway route cut — and offering the
+//! rest, with their hop distances read from the gateway's row of the
+//! routing table, to one [`Fig2Pass`]; [`Redirector::serve`] then takes
+//! Fig. 2's branch. At paper scale a set is not small: in the
+//! `paper_zipf` run (10 000 objects, Zipf, seed 1) at t = 3 000 s a
+//! request's object holds 25 replicas on average, weighted by request
+//! share, 47 % of requests go to objects with 20 or more, and 15
+//! objects sit on all 53 nodes. So the walk does each step once per
+//! replica — one distance read, one unit-count division, two compares
+//! — keeps nothing between requests, and its memory does not grow with
+//! the catalogue or the number of gateways. While every host and every
+//! link is up ([`FaultState::all_up`]) the usability test is vacuous —
+//! topologies are validated connected — and is skipped.
 
-use radar_core::{ObjectId, Redirector};
+use radar_core::{Fig2Pass, ObjectId, Redirector};
 use radar_obs::DecisionEvent;
 use radar_simnet::{NodeId, RoutingView};
 
@@ -34,65 +38,42 @@ pub(crate) fn usable(
         && !view.path(host, gateway).is_empty()
 }
 
-/// The Fig. 2 decision over the currently usable replicas; one engine
-/// serves every request.
-#[derive(Default)]
-pub(crate) struct RedirectEngine {
-    /// `(entry_index, distance)` of the usable replicas of the request
-    /// being decided, in replica-set order; refilled per request.
-    candidates: Vec<(u32, u32)>,
-}
-
-impl RedirectEngine {
-    /// Chooses the replica of `object` serving a request entering at
-    /// `gateway`, through redirector node `rnode`. Passing `record`
-    /// requests the Fig. 2 decision for the flight recorder, filled into
-    /// the caller's reused event so tracing allocates nothing per
-    /// request.
-    ///
-    /// Returns `None` when no usable replica exists — the platform then
-    /// runs its primary-fallback path.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn choose(
-        &mut self,
-        object: ObjectId,
-        gateway: NodeId,
-        rnode: NodeId,
-        redirector: &mut Redirector,
-        view: &RoutingView,
-        fault_state: &FaultState,
-        record: Option<&mut DecisionEvent>,
-    ) -> Option<NodeId> {
-        let reachable = |h: NodeId| usable(fault_state, view, rnode, h, gateway);
-        let all_up = fault_state.all_up();
-        // The closest candidate `p`: minimum `(distance, host)`; zero and
-        // unused when nothing is usable.
-        self.candidates.clear();
-        let mut closest = 0u32;
-        let mut best = (u32::MAX, NodeId::new(u16::MAX));
-        for (i, e) in redirector.directory().replicas(object).iter().enumerate() {
-            debug_assert!(
-                !all_up || reachable(e.host),
-                "all up, yet {} is unusable",
-                e.host
-            );
-            if all_up || reachable(e.host) {
-                let dist = view.distance(e.host, gateway);
-                self.candidates.push((i as u32, dist));
-                if (dist, e.host) < best {
-                    best = (dist, e.host);
-                    closest = i as u32;
-                }
-            }
+/// Chooses the replica of `object` serving a request entering at
+/// `gateway`, through redirector node `rnode`, by Fig. 2 over the
+/// usable replicas. Passing `record` requests the Fig. 2 decision for
+/// the flight recorder, filled into the caller's reused event so
+/// tracing allocates nothing per request; traced or not, the decision
+/// is the same pass.
+///
+/// Returns `None` when no usable replica exists — the platform then
+/// runs its primary-fallback path.
+pub(crate) fn choose(
+    object: ObjectId,
+    gateway: NodeId,
+    rnode: NodeId,
+    redirector: &mut Redirector,
+    view: &RoutingView,
+    fault_state: &FaultState,
+    record: Option<&mut DecisionEvent>,
+) -> Option<NodeId> {
+    let all_up = fault_state.all_up();
+    let row = view.table().distances_to(gateway);
+    let mut pass = Fig2Pass::new(record);
+    for (i, e) in redirector.directory().replicas(object).iter().enumerate() {
+        let reachable = || usable(fault_state, view, rnode, e.host, gateway);
+        debug_assert!(!all_up || reachable(), "all up, yet {} is unusable", e.host);
+        if all_up || reachable() {
+            pass.offer(i, e, row[e.host.index()]);
         }
-        redirector.choose_among_into(object, &self.candidates, Some(closest), record)
     }
+    redirector.serve(object, pass)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::{Fault, FaultTransition};
+    use radar_obs::{CandidateSnapshot, DecisionBranch};
     use radar_simcore::SimRng;
     use radar_simnet::builders;
 
@@ -121,17 +102,91 @@ mod tests {
         }
     }
 
+    /// Fig. 2 as the engine decided it before the one-pass walk: the
+    /// usable replicas collected into an `(entry index, distance)` list,
+    /// `p` = min `(distance, host)` and `q` = min `(unit_rcnt, host)` by
+    /// two scans of that list, then the published test. Returns the
+    /// chosen entry index and the decision record, or `None` when no
+    /// replica is usable.
+    fn listed_rule(
+        r: &Redirector,
+        constant: f64,
+        object: ObjectId,
+        gateway: NodeId,
+        rnode: NodeId,
+        view: &RoutingView,
+        fault_state: &FaultState,
+    ) -> Option<(usize, DecisionEvent)> {
+        let entries = r.replicas(object);
+        let candidates: Vec<(usize, u32)> = entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| {
+                fault_state.host_up(e.host.index() as u16)
+                    && !view.path(rnode, e.host).is_empty()
+                    && !view.path(e.host, gateway).is_empty()
+            })
+            .map(|(i, e)| (i, view.distance(e.host, gateway)))
+            .collect();
+        let p = candidates
+            .iter()
+            .min_by_key(|&&(i, dist)| (dist, entries[i].host))?
+            .0;
+        let q = candidates
+            .iter()
+            .min_by(|&&(a, _), &&(b, _)| {
+                let (ea, eb) = (&entries[a], &entries[b]);
+                ea.unit_rcnt()
+                    .partial_cmp(&eb.unit_rcnt())
+                    .expect("unit request counts are finite")
+                    .then(ea.host.cmp(&eb.host))
+            })?
+            .0;
+        let unit = |i: usize| entries[i].unit_rcnt();
+        let (chosen, branch) = if unit(p) / constant > unit(q) {
+            (q, DecisionBranch::LeastRequested)
+        } else {
+            (p, DecisionBranch::Closest)
+        };
+        let host = |i: usize| entries[i].host.index() as u16;
+        let record = DecisionEvent {
+            chosen: host(chosen),
+            branch,
+            constant,
+            closest: Some(host(p)),
+            least: Some(host(q)),
+            unit_closest: Some(unit(p)),
+            unit_least: Some(unit(q)),
+            candidates: candidates
+                .iter()
+                .map(|&(i, distance)| CandidateSnapshot {
+                    host: host(i),
+                    rcnt: entries[i].rcnt,
+                    aff: entries[i].aff,
+                    unit: unit(i),
+                    distance,
+                })
+                .collect(),
+            ..DecisionEvent::default()
+        };
+        Some((chosen, record))
+    }
+
     #[test]
-    fn decisions_match_the_filtered_redirector_under_random_faults() {
-        // The engine against a naively filtered candidate list decided
-        // by `Redirector::choose_among_into` on a cloned redirector,
-        // which scans for the closest replica itself, over random host
-        // and link outages that start all-up, pass through overlapping
-        // faults (including states where no replica is usable) and
-        // return to all-up.
-        let mut rng = SimRng::seed_from(0x5eed_0013);
+    fn one_pass_matches_the_listed_rule_under_random_faults() {
+        // The one-pass walk, traced and untraced on two redirectors in
+        // lockstep, against the listed rule on the state each decision
+        // was made in, over the 53-node backbone: replica sets of every
+        // size up to all 53 nodes, affinities 1–4 (so units like 2/2 and
+        // 1/1 tie), request counts reset now and then (every unit ties
+        // again), and random host and link outages that start all-up,
+        // overlap (including states where no replica is usable) and end
+        // all-up.
+        const CONSTANT: f64 = 2.0;
+        let mut rng = SimRng::seed_from(0x5eed_0049);
         let mut view = RoutingView::new(builders::uunet());
         let n = view.topology().len() as u16;
+        assert_eq!(n, 53);
         let links: Vec<(u16, u16)> = view
             .topology()
             .links()
@@ -139,18 +194,27 @@ mod tests {
             .map(|&(a, b)| (a.index() as u16, b.index() as u16))
             .collect();
         let mut fault_state = FaultState::new(n as usize);
-        let objects = 8u32;
-        let mut engine_side = Redirector::new(objects, 2.0);
+        let objects = 24u32;
+        let mut untraced = Redirector::new(objects, CONSTANT);
         for i in 0..objects {
-            for _ in 0..1 + rng.index(4) {
-                engine_side.install(ObjectId::new(i), NodeId::new(rng.index(n as usize) as u16));
+            // Sizes spread over 1..=53, with the last objects on every node.
+            let size = match i {
+                0..=19 => 1 + rng.index(n as usize),
+                _ => n as usize,
+            };
+            let mut hosts: Vec<u16> = (0..n).collect();
+            for k in 0..size {
+                let pick = k + rng.index(hosts.len() - k);
+                hosts.swap(k, pick);
+                untraced.install(ObjectId::new(i), NodeId::new(hosts[k]));
             }
         }
-        let mut oracle_side = engine_side.clone();
-        let mut engine = RedirectEngine::default();
+        let mut traced = untraced.clone();
+        let mut record = DecisionEvent::default();
         let rnode = view.table().centroid();
         let mut active: Vec<Fault> = Vec::new();
-        let (mut empty_sets, mut all_up_rounds, mut faulted_rounds) = (0, 0, 0);
+        let (mut empty_sets, mut shed, mut full_sets) = (0, 0, 0);
+        let (mut all_up_rounds, mut faulted_rounds, mut unit_ties) = (0, 0, 0);
         for round in 0..400 {
             // Rounds 0..150 open faults more often than they close them,
             // 150..300 mostly close, and the tail closes whatever is left.
@@ -161,15 +225,7 @@ mod tests {
             };
             if open {
                 let fault = if rng.chance(0.5) {
-                    // Crash a host that holds a replica half of the time.
-                    let o = ObjectId::new(rng.index(objects as usize) as u32);
-                    let replicas = engine_side.replicas(o);
-                    if rng.chance(0.5) && !replicas.is_empty() {
-                        let host = replicas[rng.index(replicas.len())].host;
-                        crash(host.index() as u16)
-                    } else {
-                        crash(rng.index(n as usize) as u16)
-                    }
+                    crash(rng.index(n as usize) as u16)
                 } else {
                     let (a, b) = links[rng.index(links.len())];
                     Fault::LinkDown {
@@ -191,38 +247,72 @@ mod tests {
             } else {
                 faulted_rounds += 1;
             }
-            for _ in 0..40 {
+            // An affinity change resets the object's counts to 1.
+            for _ in 0..2 {
+                let o = ObjectId::new(rng.index(objects as usize) as u32);
+                let replicas = untraced.replicas(o);
+                let host = replicas[rng.index(replicas.len())].host;
+                let aff = 1 + rng.index(4) as u32;
+                untraced.notify_affinity(o, host, aff);
+                traced.notify_affinity(o, host, aff);
+            }
+            for _ in 0..60 {
                 let object = ObjectId::new(rng.index(objects as usize) as u32);
                 let gw = NodeId::new(rng.index(n as usize) as u16);
-                let usable = |h: NodeId| {
-                    fault_state.host_up(h.index() as u16)
-                        && !view.path(rnode, h).is_empty()
-                        && !view.path(h, gw).is_empty()
-                };
-                let candidates: Vec<(u32, u32)> = oracle_side
-                    .replicas(object)
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| usable(e.host))
-                    .map(|(i, e)| (i as u32, view.table().distance(e.host, gw)))
-                    .collect();
-                let expect = oracle_side.choose_among_into(object, &candidates, None, None);
-                let got = engine.choose(
+                let before = untraced.replicas(object).to_vec();
+                let expect =
+                    listed_rule(&untraced, CONSTANT, object, gw, rnode, &view, &fault_state);
+                let got = choose(object, gw, rnode, &mut untraced, &view, &fault_state, None);
+                let got_traced = choose(
                     object,
                     gw,
                     rnode,
-                    &mut engine_side,
+                    &mut traced,
                     &view,
                     &fault_state,
-                    None,
+                    Some(&mut record),
                 );
-                assert_eq!(got, expect, "round {round}, {object} from {gw}");
-                empty_sets += u32::from(got.is_none());
+                let at = format!("round {round}, {object} from {gw}");
+                assert_eq!(got, got_traced, "{at}");
+                let mut after = before.clone();
+                match expect {
+                    None => {
+                        assert_eq!(got, None, "{at}");
+                        empty_sets += 1;
+                    }
+                    Some((chosen, want)) => {
+                        assert_eq!(got, Some(before[chosen].host), "{at}");
+                        after[chosen].rcnt += 1;
+                        let (object, gateway) = (record.object, record.gateway);
+                        assert_eq!(
+                            record,
+                            DecisionEvent {
+                                object,
+                                gateway,
+                                ..want.clone()
+                            },
+                            "{at}"
+                        );
+                        shed += usize::from(want.branch == DecisionBranch::LeastRequested);
+                        full_sets += usize::from(want.candidates.len() == n as usize);
+                        let mut units: Vec<f64> = want.candidates.iter().map(|c| c.unit).collect();
+                        units.sort_by(f64::total_cmp);
+                        unit_ties += usize::from(units.windows(2).any(|w| w[0] == w[1]));
+                    }
+                }
+                assert_eq!(untraced.replicas(object), &after[..], "{at}");
             }
+            assert_eq!(untraced, traced, "round {round}");
         }
-        assert_eq!(engine_side, oracle_side, "identical request counts");
         assert!(fault_state.all_up() && all_up_rounds > 50 && faulted_rounds > 200);
-        assert!(empty_sets > 0, "no round left an object without a replica");
+        assert!(
+            empty_sets > 0,
+            "no round left an object without a usable replica"
+        );
+        assert!(
+            shed > 1_000 && full_sets > 1_000 && unit_ties > 10_000,
+            "{shed} shed, {full_sets} over all 53 nodes, {unit_ties} with tied units"
+        );
     }
 
     #[test]
@@ -231,13 +321,12 @@ mod tests {
         let fault_state = FaultState::new(view.topology().len());
         let mut r = Redirector::new(1, 2.0);
         r.install(x(), NodeId::new(1));
-        let mut engine = RedirectEngine::default();
         let gw = NodeId::new(2);
         let rnode = NodeId::new(0);
-        let first = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
+        let first = choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(first, Some(NodeId::new(1)));
         r.directory_mut().notify_created(x(), gw);
-        let second = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
+        let second = choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(second, Some(gw), "the new, much closer replica wins");
     }
 
@@ -248,13 +337,12 @@ mod tests {
         let mut r = Redirector::new(1, 2.0);
         r.install(x(), NodeId::new(1));
         r.install(x(), NodeId::new(3));
-        let mut engine = RedirectEngine::default();
         let gw = NodeId::new(1);
         let rnode = NodeId::new(0);
-        let first = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
+        let first = choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(first, Some(NodeId::new(1)), "local replica wins");
         apply(&mut fault_state, &mut view, crash(1), true);
-        let second = engine.choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
+        let second = choose(x(), gw, rnode, &mut r, &view, &fault_state, None);
         assert_eq!(second, Some(NodeId::new(3)));
     }
 }

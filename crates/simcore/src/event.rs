@@ -11,12 +11,13 @@ const WORDS: usize = SLOTS / 64;
 /// End-of-list link.
 const NIL: u32 = u32::MAX;
 
-/// First and last node of one slot's FIFO list; meaningful only while
-/// the slot's occupancy bit is set.
+/// First and last node of one slot's FIFO list and the earliest time
+/// in it; meaningful only while the slot's occupancy bit is set.
 #[derive(Clone, Copy)]
 struct Slot {
     head: u32,
     tail: u32,
+    min: u64,
 }
 
 /// One slab entry: a pending event linked into its slot's list, or —
@@ -50,9 +51,10 @@ struct Node<E> {
 /// events nor depends on how many are pending. When level 0 runs dry,
 /// `pop` takes the earliest occupied slot of the lowest occupied level —
 /// every event in it precedes every event elsewhere — advances `now` to
-/// the earliest time in it and re-files its events, in list order,
-/// relative to the new `now`; each lands on a lower level, so an event
-/// is re-filed at most once per level.
+/// the earliest time in it (each slot keeps its minimum as events are
+/// filed, so finding it walks nothing) and re-files its events, in list
+/// order, relative to the new `now`; each lands on a lower level, so an
+/// event is re-filed at most once per level.
 ///
 /// **Equal times share a slot.** An event at level *k* ≥ 1 agrees with
 /// `now` on every byte above *k* and exceeds it in byte *k*, and stays so
@@ -106,6 +108,7 @@ impl<E> EventQueue<E> {
                 [Slot {
                     head: NIL,
                     tail: NIL,
+                    min: u64::MAX,
                 }; LEVELS * SLOTS],
             ),
             occupied: [0; LEVELS * WORDS],
@@ -149,7 +152,8 @@ impl<E> EventQueue<E> {
         self.len += 1;
     }
 
-    /// Appends node `index` to the slot its time names relative to `now`.
+    /// Appends node `index` to the slot its time names relative to `now`,
+    /// keeping the slot's earliest time.
     fn file(&mut self, index: u32) {
         let node = &mut self.nodes[index as usize];
         node.next = NIL;
@@ -157,31 +161,29 @@ impl<E> EventQueue<E> {
         let level = (63 - ((time ^ self.now.as_micros()) | 1).leading_zeros() as usize) / 8;
         let slot = level * SLOTS + (time >> (8 * level)) as usize % SLOTS;
         let bit = 1 << (slot % 64);
+        let entry = &mut self.slots[slot];
         if self.occupied[slot / 64] & bit == 0 {
             self.occupied[slot / 64] |= bit;
-            self.slots[slot].head = index;
+            entry.head = index;
+            entry.min = time;
         } else {
-            self.nodes[self.slots[slot].tail as usize].next = index;
+            self.nodes[entry.tail as usize].next = index;
+            entry.min = entry.min.min(time);
         }
-        self.slots[slot].tail = index;
+        entry.tail = index;
     }
 
-    /// The slot holding the earliest event, and that event's time. On
-    /// level 0 the slot is the time; above it the slot's list is walked.
+    /// The slot holding the earliest event, and that event's time: on
+    /// level 0 the slot is the time, above it the slot's kept minimum.
+    /// An upper slot only ever gains events until it is re-filed whole,
+    /// so its minimum never has to be recomputed.
     fn earliest(&self) -> Option<(usize, u64)> {
         let word = self.occupied.iter().position(|&bits| bits != 0)?;
         let slot = word * 64 + self.occupied[word].trailing_zeros() as usize;
         if slot < SLOTS {
             return Some((slot, (self.now.as_micros() & !0xff) | slot as u64));
         }
-        let mut at = self.slots[slot].head;
-        let mut min = u64::MAX;
-        while at != NIL {
-            let node = &self.nodes[at as usize];
-            min = min.min(node.time);
-            at = node.next;
-        }
-        Some((slot, min))
+        Some((slot, self.slots[slot].min))
     }
 
     /// Removes and returns the earliest event, advancing the clock to its

@@ -246,6 +246,37 @@ fn event_queue_keeps_equal_times_together_across_a_refile() {
 }
 
 #[test]
+fn event_queue_keeps_the_minimum_of_a_slot_filed_in_decreasing_order() {
+    // Each upper slot keeps its earliest time as events are filed. Here
+    // every event is earlier than all before it in its slot, so a kept
+    // minimum that failed to drop would show in `peek_time`, which the
+    // model checks after every operation.
+    let mut d = Differential::new();
+    // One level-1 slot: 511 down to 256, seen from time 0.
+    for t in (256..512).rev() {
+        d.schedule(t);
+    }
+    // One level-2 slot: 2^17 + 256·257 down to 2^17, in strides of 257.
+    let base = 2 << 16;
+    for k in (0..=256).rev() {
+        d.schedule(base + k * 257);
+    }
+    // The first pop re-files the level-1 slot around now = 256.
+    assert!(d.pop());
+    assert_eq!(d.now, 256);
+    // More of the level-2 slot, decreasing, below and between the rest.
+    for k in (0..64).rev() {
+        d.schedule(base + 100 + k * 3);
+    }
+    // Draining re-files the level-2 slot into level-1 slots, whose
+    // minima are kept by re-filing alone.
+    while d.pop() {}
+    assert_eq!(d.now, base + 256 * 257);
+    // Every event filed and popped, checked after each step.
+    assert_eq!(d.steps, 2 * (256 + 257 + 64) + 1);
+}
+
+#[test]
 fn event_queue_survives_a_flood_on_one_microsecond() {
     // 200 000 events for the same instant, beside sparse neighbours.
     // Quadratic under any design that scans a slot per pop.

@@ -150,6 +150,12 @@ impl RoutingTable {
         self.dist[to.index()][from.index()]
     }
 
+    /// Every node's hop distance to `to`, by node index: `distance(u, to)`
+    /// is `distances_to(to)[u.index()]`, one row read for many sources.
+    pub fn distances_to(&self, to: NodeId) -> &[u32] {
+        &self.dist[to.index()]
+    }
+
     /// The neighbor `from` forwards to when sending toward `to`
     /// (`to` itself if `from == to`).
     ///

@@ -10,20 +10,27 @@ echo "== clippy (workspace, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests (debug) =="
 cargo test --workspace
-echo "== the benchmark package builds against the workspace =="
+echo "== the benchmark package builds against the workspace and passes its tests =="
 # benchmark/ is an outside consumer of the workspace API (it drives
-# HostState, Simulation and the CLI's JSON directly), so a signature it
-# relies on cannot change unnoticed. Cargo rewrites its lock file when
+# HostState, the Redirector, Simulation and the CLI's JSON directly), so
+# a signature it relies on cannot change unnoticed, and its own tests
+# (estimator, digest, spans, JSON, fault generator, allocation budget)
+# run against the workspace as it is. Cargo rewrites its lock file when
 # the workspace's dependency graph has moved on; the lock is restored
 # byte for byte, pass or fail, so this script leaves the tree as found.
 lock="$(mktemp)"
 cp benchmark/Cargo.lock "$lock"
 status=0
 CARGO_TARGET_DIR=target/benchmark \
-  cargo build --release --offline --manifest-path benchmark/Cargo.toml || status=$?
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml || status=1
+if [ "$status" -eq 0 ]; then
+  CARGO_TARGET_DIR=target/benchmark \
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml || status=2
+fi
 cp "$lock" benchmark/Cargo.lock
 rm -f "$lock"
-[ "$status" -eq 0 ] || { echo "FAIL: the benchmark package does not build"; exit 1; }
+[ "$status" -ne 1 ] || { echo "FAIL: the benchmark package does not build"; exit 1; }
+[ "$status" -ne 2 ] || { echo "FAIL: the benchmark package's tests fail"; exit 1; }
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== examples build and run =="
