@@ -60,6 +60,56 @@ fn simulate_json_report() {
     assert!(value["final_replicas"].as_array().unwrap().len() == 60);
 }
 
+/// The JSON report of a 200-object, 600-s, seed-1 `simulate` run with
+/// `extra` flags.
+fn report_with(extra: &[&str]) -> Value {
+    let base = [
+        "simulate",
+        "--objects",
+        "200",
+        "--duration",
+        "600",
+        "--seed",
+        "1",
+        "--json",
+    ];
+    let out = run(&args(&[&base[..], extra].concat())).unwrap();
+    Value::parse(&out).expect("valid JSON")
+}
+
+#[test]
+fn simulate_storage_limit_caps_objects_per_host() {
+    // Without the flag the busiest host ends with 69 distinct objects.
+    let value = report_with(&["--storage-limit", "5"]);
+    let final_replicas = value["final_replicas"].as_array().unwrap();
+    assert_eq!(final_replicas.len(), 200);
+    let mut per_host = std::collections::BTreeMap::<u64, usize>::new();
+    for replicas in final_replicas {
+        for replica in replicas.as_array().unwrap() {
+            let host = replica.as_array().unwrap()[0].as_u64().unwrap();
+            *per_host.entry(host).or_default() += 1;
+        }
+    }
+    let busiest = per_host.values().copied().max().unwrap();
+    assert!(busiest <= 5, "a host holds {busiest} objects");
+}
+
+#[test]
+fn simulate_redirectors_partition_the_requests() {
+    let value = report_with(&["--redirectors", "4"]);
+    let Value::Obj(homes) = &value["redirector_requests"] else {
+        panic!("redirector_requests is an object");
+    };
+    assert_eq!(homes.len(), 4, "{homes:?}");
+}
+
+#[test]
+fn simulate_static_never_relocates() {
+    let value = report_with(&["--static"]);
+    assert!(matches!(value["dynamic_placement"], Value::Bool(false)));
+    assert!(value["relocation_log"].as_array().unwrap().is_empty());
+}
+
 #[test]
 fn simulate_record_then_replay_round_trip() {
     let trace_path = std::env::temp_dir().join("radar-cli-roundtrip.trace");

@@ -195,6 +195,20 @@ fn an_update_rate_below_zero_names_the_accepted_range() {
 }
 
 #[test]
+fn a_zero_storage_limit_or_redirector_count_names_its_field() {
+    for (flag, field) in [
+        ("--storage-limit", "storage_limit"),
+        ("--redirectors", "num_redirectors"),
+    ] {
+        let stderr = rejected(&[&SIMULATE[..], &[flag, "0"]].concat());
+        assert!(
+            stderr.contains(&format!("{field} must be positive")),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn events_watch_rejects_bin_interval_and_duration_it_cannot_fold() {
     let log = concat!(
         env!("CARGO_MANIFEST_DIR"),

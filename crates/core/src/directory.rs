@@ -1,5 +1,5 @@
 //! The replica directory: ownership of replica sets, affinities, and
-//! request counts, with batched application of placement-epoch updates.
+//! request counts.
 //!
 //! The paper splits the platform into a redirector (the Fig. 2 decision
 //! rule) and a *distributed directory* of replica locations the
@@ -8,23 +8,9 @@
 //! membership protocol — creation notifications *after* the copy
 //! exists, drop arbitration *before* deletion, affinity updates, crash
 //! purges — while [`crate::Redirector`] holds only the decision rule.
-//!
-//! # Batched updates
-//!
 //! Every replica-set change resets the object's request counts to 1
-//! (Fig. 2's accompanying rule; the precondition of Theorem 5). Within
-//! one placement epoch a host may touch the same object several times —
-//! drop one replica, create another, adjust affinity — and resetting
-//! after each mutation is wasted work: counts are only ever *read* by
-//! redirect decisions, and no decision runs in the middle of a
-//! placement epoch. [`begin_batch`](Directory::begin_batch) therefore
-//! defers the resets: membership and affinity changes still apply
-//! immediately (drop arbitration and replication caps must see live
-//! membership), but each touched object is reset exactly once at
-//! [`commit_batch`](Directory::commit_batch). Because a reset-to-1 is
-//! idempotent and no reader runs between the mutations, the observable
-//! state at the first post-commit read is identical to the unbatched
-//! protocol — seeded simulations stay byte-identical.
+//! where it happens (Fig. 2's accompanying rule; the precondition of
+//! Theorem 5).
 
 use radar_simnet::NodeId;
 
@@ -77,8 +63,8 @@ impl ReplicaSet {
 }
 
 /// The distributed directory of replica locations: per-object replica
-/// sets with request counts and affinities, membership notifications,
-/// and batched placement-epoch updates.
+/// sets with request counts and affinities, and membership
+/// notifications.
 ///
 /// See the module docs for the layering rationale; [`crate::Redirector`]
 /// wraps a `Directory` and adds the Fig. 2 decision rule.
@@ -88,15 +74,6 @@ pub struct Directory {
     /// Count of replica-set change notifications processed, exposed for
     /// overhead accounting.
     notifications: u64,
-    /// Objects touched by the active batch (unsorted, may repeat);
-    /// `None` when updates apply immediately.
-    batch: Option<Vec<ObjectId>>,
-    /// Retired batch buffer, reused by the next `begin_batch` so
-    /// steady-state epochs allocate nothing.
-    batch_spare: Vec<ObjectId>,
-    /// Total object-level count resets applied, for tests asserting the
-    /// exactly-once batching contract.
-    resets_applied: u64,
     /// Running count of physical replicas across all objects (one per
     /// `(object, host)` entry, regardless of affinity). Maintained
     /// incrementally so platform-wide censuses never rescan every
@@ -114,9 +91,6 @@ impl Directory {
         Self {
             sets: vec![ReplicaSet::default(); num_objects as usize],
             notifications: 0,
-            batch: None,
-            batch_spare: Vec::new(),
-            resets_applied: 0,
             total_replicas: 0,
             update_versions: vec![0; num_objects as usize],
         }
@@ -179,62 +153,14 @@ impl Directory {
         self.update_versions[object.index()]
     }
 
-    /// Total object-level count resets applied since construction. A
-    /// batched epoch contributes exactly one per touched object.
-    pub fn resets_applied(&self) -> u64 {
-        self.resets_applied
-    }
+    /// Does nothing: every change resets its object's counts at once.
+    /// Kept because `benchmark/src/layers.rs` calls it.
+    pub fn begin_batch(&mut self) {}
 
-    /// Starts a placement-epoch batch: membership and affinity changes
-    /// keep applying immediately, but count resets are deferred until
-    /// [`commit_batch`](Self::commit_batch) and coalesced to one per
-    /// touched object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch is already active (epochs never nest).
-    pub fn begin_batch(&mut self) {
-        assert!(self.batch.is_none(), "placement-epoch batches never nest");
-        self.batch = Some(std::mem::take(&mut self.batch_spare));
-    }
-
-    /// `true` while a placement-epoch batch is active.
-    pub fn batching(&self) -> bool {
-        self.batch.is_some()
-    }
-
-    /// Commits the active batch: every object touched since
-    /// [`begin_batch`](Self::begin_batch) has its request counts reset
-    /// to 1 exactly once (ascending object order, for determinism).
-    /// Returns the number of objects reset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is active.
+    /// Does nothing and returns 0: no reset is ever deferred. Kept
+    /// because `benchmark/src/layers.rs` calls it.
     pub fn commit_batch(&mut self) -> usize {
-        let mut touched = self.batch.take().expect("no active batch to commit");
-        touched.sort_unstable();
-        touched.dedup();
-        for &object in &touched {
-            self.sets[object.index()].reset_counts();
-            self.resets_applied += 1;
-        }
-        let n = touched.len();
-        touched.clear();
-        self.batch_spare = touched;
-        n
-    }
-
-    /// Routes one object's count reset: immediate outside a batch,
-    /// deferred (once per object) inside one.
-    fn touch(&mut self, object: ObjectId) {
-        match &mut self.batch {
-            Some(touched) => touched.push(object),
-            None => {
-                self.sets[object.index()].reset_counts();
-                self.resets_applied += 1;
-            }
-        }
+        0
     }
 
     /// Installs an initial replica (bootstrap placement). Equivalent to a
@@ -254,23 +180,24 @@ impl Directory {
     /// incremented its affinity). Sent *after* the copy exists, so the
     /// redirector never directs requests at a replica that is not there.
     /// Resets all request counts of the object to 1 per Fig. 2's
-    /// accompanying rule (deferred under an active batch).
+    /// accompanying rule.
     ///
     /// # Panics
     ///
     /// Panics if `object` is out of range.
     pub fn notify_created(&mut self, object: ObjectId, host: NodeId) {
         self.notifications += 1;
-        if self.sets[object.index()].add(host) {
+        let set = &mut self.sets[object.index()];
+        if set.add(host) {
             self.total_replicas += 1;
         }
-        self.touch(object);
+        set.reset_counts();
     }
 
     /// Notification that `host` reduced the affinity of its replica of
     /// `object` to `new_aff` (which must remain ≥ 1; a reduction to zero
     /// goes through [`request_drop`](Self::request_drop) instead).
-    /// Resets request counts (deferred under an active batch).
+    /// Resets the object's request counts.
     ///
     /// # Panics
     ///
@@ -286,15 +213,14 @@ impl Directory {
             .find(host)
             .unwrap_or_else(|| panic!("affinity notification for unknown replica {object}@{host}"));
         set.entries[i].aff = new_aff;
-        self.touch(object);
+        set.reset_counts();
     }
 
     /// A host's *intention to drop* its replica of `object` (the
     /// `ReduceAffinity` handshake, Fig. 3). The directory arbitrates:
     /// the last remaining replica may never be dropped. On approval the
     /// replica is removed from the set *before* the host deletes it,
-    /// preserving the subset invariant; request counts reset (deferred
-    /// under an active batch).
+    /// preserving the subset invariant; request counts reset.
     ///
     /// Returns `true` if the drop was approved.
     ///
@@ -311,8 +237,8 @@ impl Directory {
         }
         self.notifications += 1;
         set.entries.remove(i);
+        set.reset_counts();
         self.total_replicas -= 1;
-        self.touch(object);
         true
     }
 
@@ -327,13 +253,11 @@ impl Directory {
         for (i, set) in self.sets.iter_mut().enumerate() {
             if let Some(pos) = set.find(host) {
                 set.entries.remove(pos);
+                set.reset_counts();
                 self.total_replicas -= 1;
                 self.notifications += 1;
                 affected.push(ObjectId::new(i as u32));
             }
-        }
-        for &object in &affected {
-            self.touch(object);
         }
         affected
     }
@@ -386,88 +310,33 @@ mod tests {
     }
 
     #[test]
-    fn batch_defers_resets_until_commit() {
+    fn every_change_resets_counts_immediately() {
+        // Each membership or affinity change resets the object's counts
+        // on the spot; no reset waits for a later call.
         let mut d = Directory::new(1);
-        d.install(x(), node(0));
-        d.install(x(), node(1));
-        d.replicas_mut(x())[0].rcnt = 50;
-        d.begin_batch();
-        d.notify_created(x(), node(2));
-        assert_eq!(d.replicas(x())[0].rcnt, 50, "reset deferred while batching");
-        assert_eq!(d.resets_applied(), 0);
-        assert_eq!(d.commit_batch(), 1);
-        assert!(d.replicas(x()).iter().all(|e| e.rcnt == 1));
-        assert_eq!(d.resets_applied(), 1);
-    }
-
-    #[test]
-    fn unbatched_resets_apply_immediately() {
-        let mut d = Directory::new(1);
-        d.install(x(), node(0));
-        d.install(x(), node(1));
-        d.replicas_mut(x())[0].rcnt = 50;
-        d.notify_created(x(), node(2));
-        assert!(d.replicas(x()).iter().all(|e| e.rcnt == 1));
-        assert_eq!(d.resets_applied(), 1);
-    }
-
-    #[test]
-    fn drop_and_create_same_epoch_reset_exactly_once() {
-        // The Theorem 5 precondition: one placement epoch that both
-        // drops and creates replicas of the same object applies the
-        // membership atomically and resets counts to 1 exactly once.
-        let mut d = Directory::new(1);
-        d.install(x(), node(0));
-        d.install(x(), node(1));
-        d.replicas_mut(x())[0].rcnt = 40;
-        d.replicas_mut(x())[1].rcnt = 7;
-
-        d.begin_batch();
-        assert!(d.request_drop(x(), node(0)));
-        d.notify_created(x(), node(2));
-        // Membership applied immediately — arbitration and replica caps
-        // see live state mid-epoch.
-        let hosts: Vec<NodeId> = d.replicas(x()).iter().map(|e| e.host).collect();
-        assert_eq!(hosts, vec![node(1), node(2)]);
-        assert_eq!(d.resets_applied(), 0, "no reset before commit");
-        assert_eq!(d.commit_batch(), 1, "one object touched twice, reset once");
-        assert_eq!(d.resets_applied(), 1);
-        assert!(d.replicas(x()).iter().all(|e| e.rcnt == 1));
-    }
-
-    #[test]
-    fn commit_resets_in_ascending_object_order() {
-        let mut d = Directory::new(3);
-        for i in 0..3 {
-            d.install(ObjectId::new(i), node(0));
-            d.install(ObjectId::new(i), node(1));
+        for h in 0..3 {
+            d.install(x(), node(h));
         }
-        d.begin_batch();
-        // Touch out of order, with a repeat.
-        d.notify_created(ObjectId::new(2), node(2));
-        d.notify_created(ObjectId::new(0), node(2));
-        d.notify_created(ObjectId::new(2), node(3));
-        assert_eq!(d.commit_batch(), 2);
-        assert_eq!(d.resets_applied(), 2);
+        let all_one = |d: &Directory| d.replicas(x()).iter().all(|e| e.rcnt == 1);
+        d.replicas_mut(x())[0].rcnt = 50;
+        d.notify_created(x(), node(3));
+        assert!(all_one(&d), "after a creation");
+        d.replicas_mut(x())[1].rcnt = 40;
+        d.notify_affinity(x(), node(3), 2);
+        assert!(all_one(&d), "after an affinity change");
+        d.replicas_mut(x())[2].rcnt = 30;
+        assert!(d.request_drop(x(), node(0)));
+        assert!(all_one(&d), "after a drop");
+        let hosts: Vec<NodeId> = d.replicas(x()).iter().map(|e| e.host).collect();
+        assert_eq!(hosts, vec![node(1), node(2), node(3)]);
+        d.replicas_mut(x())[0].rcnt = 20;
+        assert_eq!(d.purge_host(node(3)), vec![x()]);
+        assert!(all_one(&d), "after a purge");
+        assert_eq!(d.notifications(), 4);
     }
 
     #[test]
-    #[should_panic(expected = "never nest")]
-    fn nested_batches_panic() {
-        let mut d = Directory::new(1);
-        d.begin_batch();
-        d.begin_batch();
-    }
-
-    #[test]
-    #[should_panic(expected = "no active batch")]
-    fn commit_without_batch_panics() {
-        let mut d = Directory::new(1);
-        d.commit_batch();
-    }
-
-    #[test]
-    fn purge_inside_and_outside_batches() {
+    fn purge_resets_survivors_and_removes_last_replicas() {
         let mut d = Directory::new(2);
         d.install(x(), node(0));
         d.install(x(), node(1));
@@ -481,7 +350,7 @@ mod tests {
 
     #[test]
     fn total_replica_counter_matches_per_object_sum() {
-        // Randomized create/drop/purge/batch sequences: after every
+        // Randomized create/drop/purge sequences: after every
         // mutation the incremental census equals the per-object rescan
         // it replaces.
         use radar_simcore::SimRng;
@@ -500,10 +369,10 @@ mod tests {
                 d.install(ObjectId::new(i), node(rng.index(num_hosts as usize) as u16));
             }
             check(&d);
-            for step in 0..400 {
+            for _ in 0..400 {
                 let object = ObjectId::new(rng.index(num_objects as usize) as u32);
                 let host = node(rng.index(num_hosts as usize) as u16);
-                match rng.index(5) {
+                match rng.index(4) {
                     0 => d.install(object, host),
                     1 => d.notify_created(object, host),
                     2 => {
@@ -511,7 +380,7 @@ mod tests {
                         // copy); the counter must be untouched then.
                         let _ = d.request_drop(object, host);
                     }
-                    3 => {
+                    _ => {
                         let purged = d.purge_host(host);
                         // Re-seed purged-empty objects so the run keeps
                         // exercising drops.
@@ -521,17 +390,8 @@ mod tests {
                             }
                         }
                     }
-                    _ => {
-                        d.begin_batch();
-                        d.notify_created(object, host);
-                        let victim = node(rng.index(num_hosts as usize) as u16);
-                        let _ = d.request_drop(object, victim);
-                        check(&d);
-                        d.commit_batch();
-                    }
                 }
                 check(&d);
-                let _ = step;
             }
         }
     }
@@ -548,34 +408,6 @@ mod tests {
         d.notify_created(x(), node(1));
         assert_eq!(d.update_version(x()), 2);
         assert_eq!(d.bump_update_version(ObjectId::new(1)), 1);
-    }
-
-    #[test]
-    fn batched_state_equals_unbatched_state() {
-        // The byte-identity argument in miniature: the same mutation
-        // sequence applied batched and unbatched converges to identical
-        // directory state at commit (nothing reads counts in between).
-        let script = |d: &mut Directory| {
-            assert!(d.request_drop(x(), node(0)));
-            d.notify_created(x(), node(3));
-            d.notify_affinity(x(), node(3), 2);
-        };
-        let setup = || {
-            let mut d = Directory::new(1);
-            for h in 0..3 {
-                d.install(x(), node(h));
-            }
-            d.replicas_mut(x())[1].rcnt = 17;
-            d
-        };
-        let mut batched = setup();
-        let mut unbatched = setup();
-        batched.begin_batch();
-        script(&mut batched);
-        batched.commit_batch();
-        script(&mut unbatched);
-        assert_eq!(batched.replicas(x()), unbatched.replicas(x()));
-        assert_eq!(batched.notifications(), unbatched.notifications());
     }
 
     #[test]

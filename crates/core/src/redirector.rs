@@ -83,7 +83,7 @@ impl Redirector {
     }
 
     /// The replica directory behind this redirector, for membership
-    /// changes (replica creation, drops, affinity, purges, batches).
+    /// changes (replica creation, drops, affinity, purges).
     pub fn directory_mut(&mut self) -> &mut Directory {
         &mut self.directory
     }

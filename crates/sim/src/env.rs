@@ -2,13 +2,10 @@
 //! ([`SimEnv`]) and the periodic handlers (placement epochs, load
 //! sampling, provider updates).
 //!
-//! Placement epochs run inside a directory batch
-//! ([`radar_core::Directory::begin_batch`]): replica-set membership
-//! changes apply immediately (drop arbitration and replication caps
-//! read live state), while the accompanying request-count resets
-//! coalesce to one per touched object at commit. No redirect runs
-//! between the mutations of one epoch, so the observable decision
-//! stream is identical to unbatched resets.
+//! A placement epoch applies each replica-set change to the
+//! [`radar_core::Directory`] as it is made: membership and the
+//! accompanying request-count reset take effect at once, so drop
+//! arbitration and replication caps read live state.
 
 use radar_core::placement::{handle_create_obj, run_placement_into, PlacementEnv};
 use radar_core::{
@@ -80,19 +77,16 @@ impl Simulation {
             }
             return;
         }
-        // Swap the deciding host out of the vector (into the persistent
-        // spare slot) so the environment can borrow the rest mutably —
-        // no fresh placeholder `HostState` per epoch.
-        std::mem::swap(&mut self.hosts[i], &mut self.spare_host);
-        // One placement epoch = one directory batch: count resets for
-        // objects this epoch touches apply once, at commit.
+        // Take the deciding host out of the vector so the environment
+        // can borrow the rest mutably; the empty placeholder allocates
+        // nothing.
+        let placeholder = HostState::new(node, *self.hosts[i].params());
+        let mut host = std::mem::replace(&mut self.hosts[i], placeholder);
         let queue_depth = self.depth();
-        let directory = self.redirector.directory_mut();
-        directory.begin_batch();
         let mut env = SimEnv {
             self_index: i,
             hosts: &mut self.hosts,
-            directory,
+            directory: self.redirector.directory_mut(),
             metrics: &mut self.metrics,
             view: &self.view,
             catalog: &self.scenario.catalog,
@@ -103,16 +97,11 @@ impl Simulation {
             events: &mut self.events,
             queue_depth,
         };
-        let (host, scratch, out) = (
-            &mut self.spare_host,
-            &mut self.placement_scratch,
-            &mut self.placement_outcome,
-        );
+        let (scratch, out) = (&mut self.placement_scratch, &mut self.placement_outcome);
         match &mut self.placement_policy {
-            Some(policy) => policy.run_epoch(host, now, &mut env, scratch, out),
-            None => run_placement_into(host, now, &mut env, scratch, out),
+            Some(policy) => policy.run_epoch(&mut host, now, &mut env, scratch, out),
+            None => run_placement_into(&mut host, now, &mut env, scratch, out),
         }
-        env.directory.commit_batch();
         if self.events.tracing {
             // One flight-recorder event per placement decision, carrying
             // the threshold comparison that triggered it.
@@ -123,7 +112,7 @@ impl Simulation {
             }
         }
         self.metrics.record_placement(now, &self.placement_outcome);
-        std::mem::swap(&mut self.hosts[i], &mut self.spare_host);
+        self.hosts[i] = host;
         self.debug_check_invariants();
         let next = t + SimDuration::from_secs(self.scenario.params.placement_period);
         if next.as_secs() <= self.scenario.duration {
@@ -286,24 +275,16 @@ const OFFLOAD_PROBES: usize = 5;
 
 /// Ranks offload candidates `(headroom, host index)` — highest headroom
 /// first, lowest index breaking ties — and returns the leading `probes`
-/// entries in that order. A partial selection places the leaders and
-/// then sorts only them, instead of fully sorting every candidate to
-/// examine five. The index tiebreak makes the order total, so the probe
-/// prefix is identical to what the previous full stable sort (no
-/// tiebreak, insertion order = ascending index) produced.
+/// entries in that order. The index tiebreak makes the order total, so
+/// the probe prefix is the same as a stable sort by headroom alone over
+/// candidates in ascending index order.
 fn select_probe_candidates(candidates: &mut [(f64, usize)], probes: usize) -> &[(f64, usize)] {
-    fn cmp(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    candidates.sort_unstable_by(|a, b| {
         b.0.partial_cmp(&a.0)
             .expect("finite headroom")
             .then(a.1.cmp(&b.1))
-    }
-    let k = candidates.len().min(probes);
-    if candidates.len() > k && k > 0 {
-        candidates.select_nth_unstable_by(k - 1, cmp);
-    }
-    let lead = &mut candidates[..k];
-    lead.sort_unstable_by(cmp);
-    lead
+    });
+    &candidates[..candidates.len().min(probes)]
 }
 
 /// The placement environment the simulator exposes to a deciding host:
@@ -334,10 +315,8 @@ struct SimEnv<'a> {
 
 impl SimEnv<'_> {
     /// Emits a `CountsReset` flight-recorder event (replica-set change →
-    /// "request counts are re-initialized to 1", §4.1). Emission stays
-    /// per-mutation even though the batched directory applies the
-    /// actual resets once per object at epoch commit — the recorded
-    /// protocol chatter is unchanged by batching.
+    /// "request counts are re-initialized to 1", §4.1), one per
+    /// directory mutation.
     fn emit_counts_reset(&mut self, object: ObjectId, cause: ResetCause) {
         if !self.events.tracing {
             return;
@@ -408,7 +387,7 @@ impl PlacementEnv for SimEnv<'_> {
         // herds onto the same stale best candidate and offloading
         // starves. Candidates are ranked by board headroom against their
         // *own* low watermarks (hosts may be heterogeneous); the first
-        // few are probed, so only those few are ever ordered.
+        // few are probed.
         let SimEnv {
             self_index,
             hosts,
@@ -463,9 +442,8 @@ mod tests {
     use super::select_probe_candidates;
     use radar_simcore::SimRng;
 
-    /// The pre-optimization ranking: full stable sort, descending
-    /// headroom, *no* tiebreak — ties keep insertion (ascending index)
-    /// order.
+    /// The oracle: full stable sort, descending headroom, *no*
+    /// tiebreak — ties keep insertion (ascending index) order.
     fn reference_probes(mut candidates: Vec<(f64, usize)>, probes: usize) -> Vec<(f64, usize)> {
         candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite headroom"));
         candidates.truncate(probes);
@@ -495,7 +473,7 @@ mod tests {
         assert!(select_probe_candidates(&mut empty, 5).is_empty());
         let mut one = vec![(3.0, 7)];
         assert_eq!(select_probe_candidates(&mut one, 5), &[(3.0, 7)]);
-        // Exactly `probes` candidates: no selection step, just the sort.
+        // Exactly `probes` candidates: all of them, sorted.
         let mut exact = vec![(1.0, 4), (9.0, 1), (1.0, 0), (9.0, 3), (5.0, 2)];
         assert_eq!(
             select_probe_candidates(&mut exact, 5),

@@ -1,5 +1,5 @@
 //! Fault handling and platform-health maintenance: applying scheduled
-//! fault transitions (with incremental routing repair), the
+//! fault transitions (a link change rebuilds the routing view), the
 //! declare-dead sweep, and re-replication back to the replica floor.
 
 use radar_core::{HostState, ObjectId};
@@ -69,8 +69,6 @@ impl Simulation {
             }
             Fault::LinkDown { a, b, .. } => {
                 if routes_dirty {
-                    // Incremental repair: only destinations whose BFS
-                    // the changed link could move are recomputed.
                     let up = !transition.opens;
                     self.view.set_link(NodeId::new(a), NodeId::new(b), up);
                 }

@@ -348,9 +348,10 @@ impl Simulation {
         self.metrics
             .record_response(t.as_secs(), delivered.as_secs(), latency, bytes_hops);
         self.metrics.response_travel.record(travel);
+        let topology = &self.scenario.topology;
         let (from, to) = (
-            self.node_regions[host.index()].index(),
-            self.node_regions[gateway.index()].index(),
+            topology.region(host).index(),
+            topology.region(gateway).index(),
         );
         self.metrics.region_matrix[from][to] += bytes_hops;
         if self.events.tracing {

@@ -18,8 +18,8 @@ use radar_core::HostState;
 /// Decides replica placement for one host, once per placement epoch.
 ///
 /// The platform calls [`run_epoch`](Self::run_epoch) for each host on
-/// its placement timer, inside a directory batch (count resets coalesce
-/// at commit). Implementations interact with the rest of the platform
+/// its placement timer; each directory change an epoch makes resets
+/// counts at once. Implementations interact with the rest of the platform
 /// exclusively through the [`PlacementEnv`] they are handed: `create_obj`
 /// for migrations/replications (the env performs the transfer accounting
 /// and the notify-*after*-create protocol), `request_drop` /

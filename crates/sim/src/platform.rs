@@ -3,10 +3,10 @@
 //! [`Simulation`] only owns state and sequences events; the actual
 //! work lives in the layer modules:
 //!
-//! * routing — [`radar_simnet::RoutingView`] (incremental distances,
-//!   paths, and reachability over the live links);
+//! * routing — [`radar_simnet::RoutingView`] (distances, paths, and
+//!   reachability over the live links, rebuilt on each link change);
 //! * directory — [`radar_core::Directory`], held by the [`Redirector`]
-//!   (replica sets, affinities, request counts, batched epoch updates);
+//!   (replica sets, affinities, request counts);
 //! * redirect — [`crate::redirect::choose`] (Fig. 2 in one pass over
 //!   the usable replicas);
 //! * request lifecycle — `lifecycle.rs` (arrival → redirect → service
@@ -145,12 +145,10 @@ impl Event {
 /// placement)` — the scenario carries the RNG seed.
 pub struct Simulation {
     pub(crate) scenario: Scenario,
-    /// Routing layer: incremental distances/paths over the live links.
+    /// Routing layer: distances and paths over the live links.
     pub(crate) view: RoutingView,
     /// Homes of the hash-partitioned redirectors, most central first.
     pub(crate) redirector_nodes: Vec<NodeId>,
-    /// Region of each node, by node index.
-    pub(crate) node_regions: Vec<radar_simnet::Region>,
     pub(crate) workload: Box<dyn Workload + Send>,
     /// A baseline replica-selection policy; `None` runs the paper's
     /// Fig. 2 through [`crate::redirect::choose`].
@@ -215,9 +213,6 @@ pub struct Simulation {
     pub(crate) offload_probe_scratch: Vec<(f64, usize)>,
     /// Reusable provider-update target buffer.
     pub(crate) update_targets: Vec<NodeId>,
-    /// Persistent placeholder swapped into the deciding host's slot for
-    /// the duration of a placement epoch.
-    pub(crate) spare_host: HostState,
     /// The flight-recorder decision the redirect path fills when
     /// tracing and the event sink copies into its hand-off batch; its
     /// candidate buffer is reused, so traced decisions allocate nothing
@@ -265,11 +260,6 @@ impl Simulation {
             .into_iter()
             .take(scenario.num_redirectors as usize)
             .collect();
-        let node_regions: Vec<radar_simnet::Region> = scenario
-            .topology
-            .nodes()
-            .map(|n| scenario.topology.region(n))
-            .collect();
         let hosts = scenario
             .topology
             .nodes()
@@ -302,7 +292,6 @@ impl Simulation {
             scenario,
             view,
             redirector_nodes,
-            node_regions,
             workload,
             selection,
             placement_policy,
@@ -331,7 +320,6 @@ impl Simulation {
             placement_outcome: radar_core::placement::PlacementOutcome::default(),
             offload_probe_scratch: Vec::new(),
             update_targets: Vec::new(),
-            spare_host: HostState::new(NodeId::new(0), radar_core::Params::paper()),
             decision: DecisionEvent::default(),
         }
     }

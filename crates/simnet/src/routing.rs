@@ -33,13 +33,10 @@ use crate::{NodeId, Topology};
 pub struct RoutingTable {
     n: usize,
     /// `dist[d][u]` = hops from `u` to destination `d`.
-    ///
-    /// Crate-visible so [`crate::RoutingView`] can swap single
-    /// destination rows during incremental rebuilds.
-    pub(crate) dist: Vec<Vec<u32>>,
+    dist: Vec<Vec<u32>>,
     /// `next_hop[d][u]` = the neighbor `u` forwards to when sending to
     /// `d`; `u == d` maps to itself.
-    pub(crate) next_hop: Vec<Vec<NodeId>>,
+    next_hop: Vec<Vec<NodeId>>,
     /// Eccentricity-minimal node (lowest id among ties): the paper
     /// co-locates the redirector with "a node whose average distance in
     /// hops to other nodes is minimum".
@@ -86,14 +83,12 @@ impl RoutingTable {
         table
     }
 
-    /// Recomputes the centroid and diameter from the distance matrix —
-    /// called after construction and after an incremental per-destination
-    /// rebuild ([`crate::RoutingView`]) replaces distance rows.
+    /// Computes the centroid and diameter from the distance matrix.
     ///
     /// Centroid: minimal total distance to all other nodes, lowest id
     /// breaking ties. Unreachable pairs saturate so a partitioned node
     /// never wins. Diameter ignores unreachable pairs.
-    pub(crate) fn refresh_metadata(&mut self) {
+    fn refresh_metadata(&mut self) {
         let mut centroid = NodeId::new(0);
         let mut best: u64 = u64::MAX;
         for u in 0..self.n {
@@ -240,10 +235,7 @@ impl RoutingTable {
 /// BFS from destination `d` over links passing the `link_up` mask; for
 /// each node, record distance to `d` and the lowest-id neighbor one hop
 /// closer. Nodes cut off by the mask keep `u32::MAX`.
-///
-/// Crate-visible so [`crate::RoutingView`] can rebuild single
-/// destinations during incremental link-event updates.
-pub(crate) fn bfs_to_destination(
+fn bfs_to_destination(
     topology: &Topology,
     d: NodeId,
     link_up: &dyn Fn(NodeId, NodeId) -> bool,

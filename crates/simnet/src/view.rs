@@ -1,45 +1,18 @@
-//! An incrementally maintained view of routing state: distances, paths,
-//! and link liveness.
+//! Routing state over the live links: distances, paths, and link
+//! liveness.
 //!
 //! [`RoutingView`] is the routing layer of the simulator's layered
 //! engine: it owns a [`Topology`], the live [`RoutingTable`] over the
 //! currently-up links, and the materialized preference paths the
-//! protocol consumes. Link up/down transitions are applied with
-//! [`set_link`](RoutingView::set_link), which rebuilds **only the
-//! destinations whose BFS could actually change** instead of re-running
-//! the full O(n³) all-pairs construction.
-//!
-//! # Why the dirty rule is exact
-//!
-//! Routing is one BFS per destination `d` with a deterministic
-//! discovery-order tie-break. For a link event on edge `(a, b)`,
-//! destination `d` needs recomputation **iff the pre-event distances
-//! `dist[d][a]` and `dist[d][b]` differ** (treating two unreachable
-//! endpoints as equal):
-//!
-//! * Every present edge connects nodes whose depths from `d` differ by
-//!   at most one, so equal depths mean depth difference zero.
-//! * BFS enqueues all depth-`k` nodes while processing depth `k-1`,
-//!   before any depth-`k` node is dequeued. When the first endpoint of
-//!   an equal-depth edge is dequeued, the other endpoint is therefore
-//!   already discovered, so scanning that edge is a no-op. Removing or
-//!   adding such an edge removes or adds only no-op scans: the entire
-//!   BFS trace — distances, parent (next-hop) assignments, and queue
-//!   order — is unchanged.
-//! * An edge connecting different depths (or a reachable endpoint to an
-//!   unreachable one) can shorten paths or change the deterministic
-//!   parent assignment; those destinations are rebuilt by re-running
-//!   the same per-destination BFS a from-scratch build uses.
-//!
-//! Dirty destinations are thus recomputed exactly and clean ones are
-//! provably identical, so the incremental view always equals a full
-//! rebuild (property-tested in `tests/routing_view_incremental.rs`).
+//! protocol consumes. A link up/down transition
+//! ([`set_link`](RoutingView::set_link)) flips the link's bit and
+//! rebuilds the table and the paths over the surviving links, the same
+//! way [`RoutingView::new`] builds them.
 
-use crate::routing::bfs_to_destination;
 use crate::{NodeId, RoutingTable, Topology};
 
-/// Incrementally maintained routing state over a [`Topology`] with
-/// per-link liveness and materialized paths.
+/// Routing state over a [`Topology`] with per-link liveness and
+/// materialized paths.
 ///
 /// # Examples
 ///
@@ -73,15 +46,8 @@ impl RoutingView {
     /// Builds the view over `topology` with every link up.
     pub fn new(topology: Topology) -> Self {
         let table = topology.routes();
+        let paths = materialize(&topology, &table);
         let n = topology.len();
-        let mut paths = Vec::with_capacity(n);
-        for d in topology.nodes() {
-            let mut row = Vec::with_capacity(n);
-            for u in topology.nodes() {
-                row.push(table.path(u, d));
-            }
-            paths.push(row);
-        }
         let mut link_index = vec![NO_LINK; n * n];
         for (i, &(a, b)) in topology.links().iter().enumerate() {
             link_index[a.index() * n + b.index()] = i as u32;
@@ -119,8 +85,7 @@ impl RoutingView {
 
     /// The materialized path from `from` to `to` (the paper's preference
     /// path), or an empty slice when unreachable. No allocation — the
-    /// paths are kept materialized and patched per destination on link
-    /// events.
+    /// paths are kept materialized and rebuilt on link events.
     pub fn path(&self, from: NodeId, to: NodeId) -> &[NodeId] {
         &self.paths[to.index()][from.index()]
     }
@@ -143,9 +108,9 @@ impl RoutingView {
         (id != NO_LINK).then_some(id as usize)
     }
 
-    /// Applies a link up/down transition and incrementally rebuilds the
-    /// affected destinations (see the module docs for why the dirty set
-    /// is exact). Returns `true` when the transition changed anything.
+    /// Applies a link up/down transition and rebuilds the table and the
+    /// paths over the links now up. Returns `true` when the transition
+    /// changed anything.
     ///
     /// # Panics
     ///
@@ -156,38 +121,25 @@ impl RoutingView {
             return false;
         }
         self.link_up[id] = up;
-
-        let RoutingView {
-            ref topology,
-            ref link_up,
-            ref link_index,
-            ref mut table,
-            ref mut paths,
-            ..
-        } = *self;
-        let n = topology.len();
-        let mask = |x: NodeId, y: NodeId| link_up[link_index[x.index() * n + y.index()] as usize];
-        for (d, dest_paths) in paths.iter_mut().enumerate() {
-            // Pre-event depths: `table.dist` still holds the old BFS for
-            // this destination at this point.
-            let da = table.dist[d][a.index()];
-            let db = table.dist[d][b.index()];
-            if da == db {
-                continue;
-            }
-            let (dv, nv) = bfs_to_destination(topology, NodeId::new(d as u16), &mask);
-            table.dist[d] = dv;
-            table.next_hop[d] = nv;
-            let dest = NodeId::new(d as u16);
-            for (u, path) in dest_paths.iter_mut().enumerate() {
-                *path = table
-                    .try_path(NodeId::new(u as u16), dest)
-                    .unwrap_or_default();
-            }
-        }
-        table.refresh_metadata();
+        self.table =
+            RoutingTable::for_topology_masked(&self.topology, &|x, y| self.link_is_up(x, y));
+        self.paths = materialize(&self.topology, &self.table);
         true
     }
+}
+
+/// `paths[d][u]` for every pair: the table's path from `u` to `d`, empty
+/// when unreachable.
+fn materialize(topology: &Topology, table: &RoutingTable) -> Vec<Vec<Vec<NodeId>>> {
+    topology
+        .nodes()
+        .map(|d| {
+            topology
+                .nodes()
+                .map(|u| table.try_path(u, d).unwrap_or_default())
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

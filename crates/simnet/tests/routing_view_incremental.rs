@@ -1,12 +1,12 @@
-//! Property test: the incremental [`RoutingView`] equals a from-scratch
-//! rebuild after any sequence of link-down/link-up events.
+//! Property test: after any sequence of link-down/link-up events, the
+//! [`RoutingView`] equals a from-scratch masked table over the same
+//! surviving links.
 //!
-//! The view's dirty-destination rule (recompute destination `d` iff the
-//! flipped edge's endpoints sit at different pre-event depths from `d`)
-//! claims exactness, not approximation — so the check here is strict
-//! equality of distances, next-hop-derived paths, reachability, and the
-//! centroid/diameter metadata, against `RoutingTable::for_topology_masked`
-//! over the same surviving links.
+//! `set_link` rebuilds the view on every transition, so the check here
+//! is strict equality of distances, next-hop-derived paths,
+//! reachability, and the centroid/diameter metadata, against
+//! `RoutingTable::for_topology_masked` built independently from the
+//! view's link state.
 //!
 //! Sequences are drawn from a seeded [`SimRng`] stream, so every case is
 //! deterministic and a failing seed reproduces exactly.
@@ -21,7 +21,7 @@ fn assert_matches_scratch(view: &RoutingView, context: &str) {
     assert_eq!(
         *view.table(),
         scratch,
-        "incremental table diverged from scratch rebuild ({context})"
+        "view table diverged from scratch rebuild ({context})"
     );
     assert_eq!(view.table().centroid(), scratch.centroid(), "{context}");
     assert_eq!(view.table().diameter(), scratch.diameter(), "{context}");

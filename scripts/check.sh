@@ -68,9 +68,10 @@ echo "simulate --objects 1000000: peak RSS $((peak / 1024)) MB (sampled every 50
 echo "== a crash below the replica floor (release) =="
 # One host stays down past declare-dead-after, so the re-replication
 # sweep copies every object up to min-replicas 2 and the placement
-# runs drop most copies again. Peak RSS is printed, with no threshold.
+# runs drop most copies again. A link cut and its repair rebuild the
+# routing view twice mid-run. Peak RSS is printed, with no threshold.
 mkdir -p target
-printf 'min-replicas 2\ndeclare-dead-after 30\nhost-down 5 60\n' > target/flood-faults.txt
+printf 'min-replicas 2\ndeclare-dead-after 30\nhost-down 5 60\nlink-down 3 4 100 200\n' > target/flood-faults.txt
 sample_peak_rss target/release/radar simulate --objects 10000 --duration 300 --seed 1 \
   --faults target/flood-faults.txt \
   || { echo "FAIL: simulate with a crash below the replica floor exited non-zero"; exit 1; }
