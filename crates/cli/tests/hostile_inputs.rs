@@ -209,6 +209,25 @@ fn a_zero_storage_limit_or_redirector_count_names_its_field() {
 }
 
 #[test]
+fn a_replica_floor_above_the_node_count_names_both_numbers() {
+    // These used to exit 0 after copying every object to every live host
+    // once the crash was declared dead.
+    for floor in ["54", "65535"] {
+        let faults = TempFile::new(
+            &format!("floor-{floor}"),
+            &format!("min-replicas {floor}\nhost-down 3 1\n"),
+        );
+        let stderr = rejected(&[&SIMULATE[..], &["--faults", faults.path()]].concat());
+        assert!(
+            stderr.contains(&format!(
+                "min-replicas {floor} exceeds the topology's 53 nodes"
+            )),
+            "{floor}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn events_watch_rejects_bin_interval_and_duration_it_cannot_fold() {
     let log = concat!(
         env!("CARGO_MANIFEST_DIR"),

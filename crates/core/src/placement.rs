@@ -716,9 +716,9 @@ mod tests {
         // path through the whole topology picks up a count, producing a
         // wide candidate set with plenty of equal-distance ties.
         for g in 0..topo.len() as u16 {
-            let path: Vec<NodeId> = env.routes.path(n(20), n(g));
+            let path = env.routes.path(n(20), n(g));
             for _ in 0..1 + (g % 3) {
-                host.record_access(x(0), &path);
+                host.record_access(x(0), path);
             }
         }
         let o = host.object(x(0)).unwrap();

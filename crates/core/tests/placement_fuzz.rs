@@ -72,7 +72,7 @@ impl MiniPlatform {
             };
             let path = self.routes.path(host, gateway);
             let h = &mut self.hosts[host.index()];
-            h.record_access(object, &path);
+            h.record_access(object, path);
             h.record_serviced(t, object);
         }
     }

@@ -308,7 +308,7 @@ impl FaultSpec {
     /// Checks every window, factor, and topology reference.
     ///
     /// `links` are the topology's undirected edges (either endpoint
-    /// order); `num_nodes` bounds host indices.
+    /// order); `num_nodes` bounds host indices and the replica floor.
     pub fn validate(&self, num_nodes: usize, links: &[(u16, u16)]) -> Result<(), FaultError> {
         if !(self.declare_dead_after.is_finite() && self.declare_dead_after > 0.0) {
             return Err(FaultError::BadPolicy(format!(
@@ -320,6 +320,12 @@ impl FaultSpec {
             return Err(FaultError::BadPolicy(
                 "min-replicas must be at least 1".into(),
             ));
+        }
+        if self.min_replicas as usize > num_nodes {
+            return Err(FaultError::BadPolicy(format!(
+                "min-replicas {} exceeds the topology's {num_nodes} nodes",
+                self.min_replicas
+            )));
         }
         let has_link = |a: u16, b: u16| {
             links
@@ -868,6 +874,14 @@ mod tests {
         assert_eq!(
             bad_factor.validate(3, &links),
             Err(FaultError::BadFactor(0, 0.5))
+        );
+        let floor = FaultSpec::new().with_min_replicas(3);
+        assert_eq!(floor.validate(3, &links), Ok(()), "a copy on every node");
+        assert_eq!(
+            floor.validate(2, &links),
+            Err(FaultError::BadPolicy(
+                "min-replicas 3 exceeds the topology's 2 nodes".into()
+            ))
         );
     }
 

@@ -119,11 +119,11 @@ impl Simulation {
         if self.fault_state.host_up(p.index() as u16) {
             return Some(p);
         }
-        let c = self
+        let c = *self
             .view
             .table()
             .nodes_by_centrality()
-            .into_iter()
+            .iter()
             .find(|n| self.fault_state.host_up(n.index() as u16))?;
         self.scenario.catalog.set_primary(object, c);
         Some(c)

@@ -1,11 +1,12 @@
 //! Request-lifecycle handlers: arrival → redirect → host arrival →
 //! service completion, plus the network-delay helpers they share.
 //!
-//! All routing questions (distances, preference paths, reachability) go
-//! through the platform's [`radar_simnet::RoutingView`]; replica
-//! decisions go through [`crate::redirect::choose`] (Fig. 2)
-//! unless a baseline [`crate::selection::SelectionPolicy`] is plugged
-//! in; both serve only a replica [`crate::redirect::usable`] admits.
+//! Routing questions go to the platform's [`radar_simnet::RoutingView`]:
+//! distances, preference paths and reachability (a compare of component
+//! labels) are reads of its one table. Replica decisions go through
+//! [`crate::redirect::choose`] (Fig. 2) unless a baseline
+//! [`crate::selection::SelectionPolicy`] is plugged in; both serve only
+//! a replica [`crate::redirect::usable`] admits.
 
 use radar_core::{ObjectId, SlotHint};
 use radar_obs::{DecisionBranch, EventKind as ObsEventKind, FailReason};
@@ -19,16 +20,10 @@ use crate::redirect::{self, usable};
 use crate::trace::TraceEntry;
 
 impl Simulation {
-    /// `true` when nodes `a` and `b` can currently exchange traffic
-    /// (always true until a link partition severs them).
-    pub(crate) fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        !self.view.path(a, b).is_empty()
-    }
-
     /// Propagation-only delay over the current route, honoring per-link
     /// degradation factors (a degraded route slower than the clock's
     /// range arrives at its end, after any run). Callers must have
-    /// checked [`connected`](Self::connected).
+    /// checked that `to` is reachable from `from`.
     pub(crate) fn propagation(&self, from: NodeId, to: NodeId) -> SimDuration {
         if !self.fault_state.any_link_degraded() {
             return self.propagation_by_hops[self.view.distance(from, to) as usize];
@@ -134,7 +129,7 @@ impl Simulation {
             0
         };
         let rnode = self.redirector_node_of(object);
-        if !self.connected(gateway, rnode) {
+        if !self.view.reachable(gateway, rnode) {
             self.fail_request(t, object, gateway, FailReason::Unreachable, cause);
             return;
         }

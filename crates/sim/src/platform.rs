@@ -254,12 +254,8 @@ impl Simulation {
         // distance in hops to other nodes is minimum" (§6.1); with more
         // than one redirector the URL namespace is hash-partitioned over
         // the most central nodes (§2).
-        let redirector_nodes: Vec<NodeId> = view
-            .table()
-            .nodes_by_centrality()
-            .into_iter()
-            .take(scenario.num_redirectors as usize)
-            .collect();
+        let k = (scenario.num_redirectors as usize).min(n);
+        let redirector_nodes = view.table().nodes_by_centrality()[..k].to_vec();
         let hosts = scenario
             .topology
             .nodes()

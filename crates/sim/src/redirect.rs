@@ -1,21 +1,22 @@
 //! The redirect engine: the per-request decision layer between the
 //! event loop and the [`Redirector`].
 //!
-//! Every redirect walks the object's replica set once
-//! ([`choose`]), skipping the replicas that are not *usable* — host
-//! down, redirector→host or host→gateway route cut — and offering the
-//! rest, with their hop distances read from the gateway's row of the
-//! routing table, to one [`Fig2Pass`]; [`Redirector::serve`] then takes
-//! Fig. 2's branch. At paper scale a set is not small: in the
-//! `paper_zipf` run (10 000 objects, Zipf, seed 1) at t = 3 000 s a
-//! request's object holds 25 replicas on average, weighted by request
-//! share, 47 % of requests go to objects with 20 or more, and 15
-//! objects sit on all 53 nodes. So the walk does each step once per
-//! replica — one distance read, one unit-count division, two compares
-//! — keeps nothing between requests, and its memory does not grow with
-//! the catalogue or the number of gateways. While every host and every
-//! link is up ([`FaultState::all_up`]) the usability test is vacuous —
-//! topologies are validated connected — and is skipped.
+//! Every redirect walks the object's replica set once ([`choose`]),
+//! skipping the replicas that are not *usable* — host down, or cut off
+//! from the redirector or the gateway (a compare of component labels) —
+//! and offering the rest, with their hop distances read from the
+//! gateway's row of the routing table, to one [`Fig2Pass`];
+//! [`Redirector::serve`] then takes Fig. 2's branch. At paper scale a
+//! set is not small: in the `paper_zipf` run (10 000 objects, Zipf,
+//! seed 1) at t = 3 000 s a request's object holds 25 replicas on
+//! average, weighted by request share, 47 % of requests go to objects
+//! with 20 or more, and 15 objects sit on all 53 nodes. So the walk
+//! does each step once per replica — one distance read, one unit-count
+//! division, two compares — keeps nothing between requests, and its
+//! memory does not grow with the catalogue or the number of gateways.
+//! While every host and every link is up ([`FaultState::all_up`]) the
+//! usability test is vacuous — topologies are validated connected — and
+//! is skipped.
 
 use radar_core::{Fig2Pass, ObjectId, Redirector};
 use radar_obs::DecisionEvent;
@@ -34,8 +35,8 @@ pub(crate) fn usable(
     gateway: NodeId,
 ) -> bool {
     fault_state.host_up(host.index() as u16)
-        && !view.path(rnode, host).is_empty()
-        && !view.path(host, gateway).is_empty()
+        && view.reachable(rnode, host)
+        && view.reachable(host, gateway)
 }
 
 /// Chooses the replica of `object` serving a request entering at

@@ -4,18 +4,24 @@ use std::collections::VecDeque;
 
 use crate::{NodeId, Topology};
 
-/// All-pairs hop-count distances and next-hop forwarding state.
+/// All-pairs hop-count distances, the chosen path of every node pair, and
+/// a connected-component label per node.
 ///
 /// For each destination `d`, a breadth-first search assigns every node `u`
 /// its hop distance to `d` and a *next hop*: the lowest-id neighbor of `u`
-/// that is one hop closer to `d`. This mimics destination-based IP
-/// forwarding and satisfies the paper's simulation rule that "when there
-/// are equidistant paths between nodes i and j, one path is chosen for all
-/// requests from i to j" — the chosen path is a function of `(u, d)` only.
+/// that is one hop closer to `d`. Following next hops from `u` gives the
+/// path to `d`. This mimics destination-based IP forwarding and satisfies
+/// the paper's simulation rule that "when there are equidistant paths
+/// between nodes i and j, one path is chosen for all requests from i to
+/// j" — the chosen path is a function of `(u, d)` only.
 ///
 /// Distances are symmetric (the graph is undirected); the chosen *paths*
 /// need not be (just as real forward/reverse IP routes need not be), and
 /// the protocol only ever uses host→gateway paths, so this is faithful.
+///
+/// Storage is flat: an `n × n` distance matrix and one path arena with
+/// an offset per node pair, both indexed by `d · n + u`, so a table is a
+/// handful of heap blocks whatever the node count.
 ///
 /// # Examples
 ///
@@ -26,21 +32,24 @@ use crate::{NodeId, Topology};
 /// assert_eq!(routes.distance(NodeId::new(0), NodeId::new(3)), 3);
 /// assert_eq!(
 ///     routes.path(NodeId::new(0), NodeId::new(2)),
-///     vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]
+///     [NodeId::new(0), NodeId::new(1), NodeId::new(2)]
 /// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
     n: usize,
-    /// `dist[d][u]` = hops from `u` to destination `d`.
-    dist: Vec<Vec<u32>>,
-    /// `next_hop[d][u]` = the neighbor `u` forwards to when sending to
-    /// `d`; `u == d` maps to itself.
-    next_hop: Vec<Vec<NodeId>>,
-    /// Eccentricity-minimal node (lowest id among ties): the paper
-    /// co-locates the redirector with "a node whose average distance in
-    /// hops to other nodes is minimum".
-    centroid: NodeId,
+    /// `dist[d * n + u]` = hops from `u` to destination `d`.
+    dist: Vec<u32>,
+    /// Every pair's path, back to back: the path from `u` to `d` is
+    /// `nodes[spans[d * n + u]..spans[d * n + u + 1]]`, empty when `d` is
+    /// unreachable from `u`.
+    nodes: Vec<NodeId>,
+    spans: Vec<u32>,
+    /// `component[u]` = the lowest node id in `u`'s connected component.
+    component: Vec<NodeId>,
+    /// All nodes by increasing total distance to every node, lowest id
+    /// breaking ties.
+    by_centrality: Vec<NodeId>,
     diameter: u32,
 }
 
@@ -56,8 +65,7 @@ impl RoutingTable {
     ///
     /// Unlike [`for_topology`](Self::for_topology), the masked subgraph
     /// may be disconnected: unreachable pairs report
-    /// [`UNREACHABLE`](Self::UNREACHABLE) distance and must be screened
-    /// with [`reachable`](Self::reachable) before asking for a path.
+    /// [`UNREACHABLE`](Self::UNREACHABLE) distance and an empty path.
     /// The predicate is queried once per directed link traversal; it must
     /// be symmetric (links are undirected).
     pub fn for_topology_masked(
@@ -65,64 +73,71 @@ impl RoutingTable {
         link_up: &dyn Fn(NodeId, NodeId) -> bool,
     ) -> Self {
         let n = topology.len();
-        let mut dist = Vec::with_capacity(n);
-        let mut next_hop = Vec::with_capacity(n);
-        for d in topology.nodes() {
-            let (dv, nv) = bfs_to_destination(topology, d, link_up);
-            dist.push(dv);
-            next_hop.push(nv);
-        }
-        let mut table = Self {
-            n,
-            dist,
-            next_hop,
-            centroid: NodeId::new(0),
-            diameter: 0,
-        };
-        table.refresh_metadata();
-        table
-    }
-
-    /// Computes the centroid and diameter from the distance matrix.
-    ///
-    /// Centroid: minimal total distance to all other nodes, lowest id
-    /// breaking ties. Unreachable pairs saturate so a partitioned node
-    /// never wins. Diameter ignores unreachable pairs.
-    fn refresh_metadata(&mut self) {
-        let mut centroid = NodeId::new(0);
-        let mut best: u64 = u64::MAX;
-        for u in 0..self.n {
-            let total: u64 = (0..self.n)
-                .map(|d| {
-                    let x = self.dist[d][u];
-                    if x == u32::MAX {
-                        u32::MAX as u64
-                    } else {
-                        x as u64
+        let mut dist = vec![Self::UNREACHABLE; n * n];
+        let mut nodes = Vec::new();
+        let mut spans = Vec::with_capacity(n * n + 1);
+        spans.push(0);
+        let mut component: Vec<NodeId> = topology.nodes().collect();
+        let mut next = vec![NodeId::new(0); n];
+        let mut queue = VecDeque::with_capacity(n);
+        for (d, row) in topology.nodes().zip(dist.chunks_exact_mut(n)) {
+            bfs_to_destination(topology, d, link_up, row, &mut next, &mut queue);
+            for (u, &hops) in topology.nodes().zip(row.iter()) {
+                if hops != Self::UNREACHABLE {
+                    // `d` reaches `u` exactly when they share a
+                    // component, so the least such `d` is its label.
+                    component[u.index()] = component[u.index()].min(d);
+                    let mut cur = u;
+                    nodes.push(cur);
+                    while cur != d {
+                        cur = next[cur.index()];
+                        nodes.push(cur);
                     }
-                })
-                .sum();
-            if total < best {
-                best = total;
-                centroid = NodeId::new(u as u16);
+                }
+                spans.push(u32::try_from(nodes.len()).expect("path arena within u32"));
             }
         }
-        self.centroid = centroid;
-        self.diameter = self
-            .dist
+        // A node's total distance to every node, unreachable pairs
+        // counting u32::MAX, so a partitioned node ranks behind every
+        // connected one.
+        let mut totals = vec![0u64; n];
+        for row in dist.chunks_exact(n) {
+            for (total, &hops) in totals.iter_mut().zip(row) {
+                *total += u64::from(hops);
+            }
+        }
+        let mut by_centrality: Vec<NodeId> = topology.nodes().collect();
+        by_centrality.sort_unstable_by_key(|u| (totals[u.index()], *u));
+        let diameter = dist
             .iter()
-            .flat_map(|row| row.iter().copied())
-            .filter(|&x| x != u32::MAX)
+            .copied()
+            .filter(|&x| x != Self::UNREACHABLE)
             .max()
             .unwrap_or(0);
+        Self {
+            n,
+            dist,
+            nodes,
+            spans,
+            component,
+            by_centrality,
+            diameter,
+        }
     }
 
     /// Sentinel distance for pairs with no surviving path.
     pub const UNREACHABLE: u32 = u32::MAX;
 
-    /// `true` when a path currently exists between the two nodes.
+    /// `true` when a path currently exists between the two nodes: both lie
+    /// in the same connected component.
     pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        self.dist[to.index()][from.index()] != Self::UNREACHABLE
+        self.component[from.index()] == self.component[to.index()]
+    }
+
+    /// The lowest node id in `node`'s connected component: two nodes
+    /// reach each other exactly when their labels are equal.
+    pub fn component(&self, node: NodeId) -> NodeId {
+        self.component[node.index()]
     }
 
     /// Number of nodes covered by the table.
@@ -136,86 +151,53 @@ impl RoutingTable {
         self.n == 0
     }
 
-    /// Hop distance between two nodes (0 for a node to itself).
+    /// Hop distance between two nodes (0 for a node to itself,
+    /// [`UNREACHABLE`](Self::UNREACHABLE) across a partition).
     ///
     /// # Panics
     ///
     /// Panics if either node is out of range.
     pub fn distance(&self, from: NodeId, to: NodeId) -> u32 {
-        self.dist[to.index()][from.index()]
+        self.dist[to.index() * self.n + from.index()]
     }
 
     /// Every node's hop distance to `to`, by node index: `distance(u, to)`
     /// is `distances_to(to)[u.index()]`, one row read for many sources.
     pub fn distances_to(&self, to: NodeId) -> &[u32] {
-        &self.dist[to.index()]
+        &self.dist[to.index() * self.n..][..self.n]
     }
 
-    /// The neighbor `from` forwards to when sending toward `to`
-    /// (`to` itself if `from == to`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range.
-    pub fn next_hop(&self, from: NodeId, to: NodeId) -> NodeId {
-        self.next_hop[to.index()][from.index()]
-    }
-
-    /// The full path from `from` to `to`, inclusive of both endpoints.
-    /// A node's path to itself is `[from]`.
+    /// The path from `from` to `to`, inclusive of both endpoints, or an
+    /// empty slice when `to` is unreachable (possible only on masked
+    /// tables). A node's path to itself is `[from]`; the second node is
+    /// `from`'s next hop toward `to`.
     ///
     /// This is the paper's *preference path*: every node on it is a
     /// candidate location that would have shortened the response route.
     ///
     /// # Panics
     ///
-    /// Panics if either node is out of range, or if `to` is unreachable
-    /// from `from` (possible only on masked tables — check
-    /// [`reachable`](Self::reachable) first, or use
-    /// [`try_path`](Self::try_path)).
-    pub fn path(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
-        self.try_path(from, to)
-            .unwrap_or_else(|| panic!("no path from {from} to {to}"))
-    }
-
-    /// The full path from `from` to `to`, or `None` when the (masked)
-    /// table has no surviving route between them.
-    pub fn try_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        if !self.reachable(from, to) {
-            return None;
-        }
-        let mut path = Vec::with_capacity(self.distance(from, to) as usize + 1);
-        let mut cur = from;
-        path.push(cur);
-        while cur != to {
-            cur = self.next_hop(cur, to);
-            path.push(cur);
-        }
-        Some(path)
+    /// Panics if either node is out of range.
+    pub fn path(&self, from: NodeId, to: NodeId) -> &[NodeId] {
+        let pair = to.index() * self.n + from.index();
+        &self.nodes[self.spans[pair] as usize..self.spans[pair + 1] as usize]
     }
 
     /// The node with minimal average distance to all nodes (lowest id on
     /// ties) — where the paper's simulation places the redirector.
     pub fn centroid(&self) -> NodeId {
-        self.centroid
+        self.by_centrality[0]
     }
 
     /// All nodes ordered by increasing total distance to every other
     /// node (most central first; lowest id breaks ties). The first `k`
     /// entries are the natural homes for `k` hash-partitioned
     /// redirectors.
-    pub fn nodes_by_centrality(&self) -> Vec<NodeId> {
-        let mut scored: Vec<(u64, NodeId)> = (0..self.n)
-            .map(|u| {
-                let total: u64 = (0..self.n).map(|d| self.dist[d][u] as u64).sum();
-                (total, NodeId::new(u as u16))
-            })
-            .collect();
-        scored.sort_unstable();
-        scored.into_iter().map(|(_, n)| n).collect()
+    pub fn nodes_by_centrality(&self) -> &[NodeId] {
+        &self.by_centrality
     }
 
-    /// The graph diameter in hops.
+    /// The graph diameter in hops (unreachable pairs ignored).
     pub fn diameter(&self) -> u32 {
         self.diameter
     }
@@ -232,22 +214,23 @@ impl RoutingTable {
     }
 }
 
-/// BFS from destination `d` over links passing the `link_up` mask; for
-/// each node, record distance to `d` and the lowest-id neighbor one hop
-/// closer. Nodes cut off by the mask keep `u32::MAX`.
+/// BFS from destination `d` over links passing the `link_up` mask into
+/// `dist` (all [`RoutingTable::UNREACHABLE`] on entry): each reached node
+/// gets its distance to `d` and, in `next`, the lowest-id neighbor one hop
+/// closer (`next` is written only for reached nodes).
 fn bfs_to_destination(
     topology: &Topology,
     d: NodeId,
     link_up: &dyn Fn(NodeId, NodeId) -> bool,
-) -> (Vec<u32>, Vec<NodeId>) {
-    let n = topology.len();
-    let mut dist = vec![u32::MAX; n];
-    let mut next = vec![d; n];
+    dist: &mut [u32],
+    next: &mut [NodeId],
+    queue: &mut VecDeque<NodeId>,
+) {
     dist[d.index()] = 0;
-    let mut queue = VecDeque::from([d]);
+    queue.push_back(d);
     while let Some(u) = queue.pop_front() {
         for &v in topology.neighbors(u) {
-            if dist[v.index()] == u32::MAX && link_up(u, v) {
+            if dist[v.index()] == RoutingTable::UNREACHABLE && link_up(u, v) {
                 dist[v.index()] = dist[u.index()] + 1;
                 // `u` is one hop closer to d than v. Because BFS dequeues
                 // nodes of equal distance in ascending discovery order and
@@ -258,7 +241,6 @@ fn bfs_to_destination(
             }
         }
     }
-    (dist, next)
 }
 
 #[cfg(test)]
@@ -406,7 +388,11 @@ mod tests {
         assert!(!masked.reachable(node(2), node(1)));
         assert!(masked.reachable(node(0), node(1)));
         assert_eq!(masked.distance(node(0), node(2)), RoutingTable::UNREACHABLE);
-        assert_eq!(masked.try_path(node(0), node(2)), None);
+        assert!(masked.path(node(0), node(2)).is_empty());
+        assert_eq!(
+            [0, 1, 2].map(|i| masked.component(node(i))),
+            [node(0), node(0), node(2)]
+        );
         // A node always reaches itself, even when fully cut off.
         assert!(masked.reachable(node(2), node(2)));
         // Diameter ignores unreachable pairs; centroid stays connected.
@@ -415,11 +401,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no path")]
-    fn path_panics_when_unreachable() {
+    fn path_is_empty_when_unreachable() {
         let topo = builders::line(2);
         let masked = RoutingTable::for_topology_masked(&topo, &|_, _| false);
-        let _ = masked.path(node(0), node(1));
+        assert!(masked.path(node(0), node(1)).is_empty());
+        assert_eq!(masked.path(node(1), node(1)), [node(1)]);
+        assert_ne!(masked.component(node(0)), masked.component(node(1)));
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //! liveness.
 //!
 //! [`RoutingView`] is the routing layer of the simulator's layered
-//! engine: it owns a [`Topology`], the live [`RoutingTable`] over the
-//! currently-up links, and the materialized preference paths the
-//! protocol consumes. A link up/down transition
-//! ([`set_link`](RoutingView::set_link)) flips the link's bit and
-//! rebuilds the table and the paths over the surviving links, the same
-//! way [`RoutingView::new`] builds them.
+//! engine: it owns a [`Topology`], its link liveness, and the live
+//! [`RoutingTable`] over the currently-up links — the one store of
+//! distances, preference paths and component labels. A link up/down
+//! transition ([`set_link`](RoutingView::set_link)) flips the link's bit
+//! and rebuilds the table over the surviving links, the same way
+//! [`RoutingView::new`] builds it.
 
 use crate::{NodeId, RoutingTable, Topology};
 
-/// Routing state over a [`Topology`] with per-link liveness and
-/// materialized paths.
+/// Routing state over a [`Topology`] with per-link liveness.
 ///
 /// # Examples
 ///
@@ -29,9 +28,6 @@ use crate::{NodeId, RoutingTable, Topology};
 pub struct RoutingView {
     topology: Topology,
     table: RoutingTable,
-    /// `paths[d][u]` = materialized path from `u` to destination `d`
-    /// (empty when unreachable; `[u]` for `u == d`).
-    paths: Vec<Vec<Vec<NodeId>>>,
     /// Liveness per link id (parallel to `topology.links()`).
     link_up: Vec<bool>,
     /// Row-major `n × n` link ids (both orientations filled);
@@ -46,7 +42,6 @@ impl RoutingView {
     /// Builds the view over `topology` with every link up.
     pub fn new(topology: Topology) -> Self {
         let table = topology.routes();
-        let paths = materialize(&topology, &table);
         let n = topology.len();
         let mut link_index = vec![NO_LINK; n * n];
         for (i, &(a, b)) in topology.links().iter().enumerate() {
@@ -57,7 +52,6 @@ impl RoutingView {
             link_up: vec![true; topology.links().len()],
             topology,
             table,
-            paths,
             link_index,
         }
     }
@@ -78,16 +72,17 @@ impl RoutingView {
         self.table.distance(from, to)
     }
 
-    /// `true` when a path currently exists between the two nodes.
+    /// `true` when a path currently exists between the two nodes (their
+    /// component labels are equal).
     pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
         self.table.reachable(from, to)
     }
 
-    /// The materialized path from `from` to `to` (the paper's preference
-    /// path), or an empty slice when unreachable. No allocation — the
-    /// paths are kept materialized and rebuilt on link events.
+    /// The path from `from` to `to` over the currently-up links (the
+    /// paper's preference path), or an empty slice when unreachable. No
+    /// allocation — a slice of the table's path arena.
     pub fn path(&self, from: NodeId, to: NodeId) -> &[NodeId] {
-        &self.paths[to.index()][from.index()]
+        self.table.path(from, to)
     }
 
     /// Current liveness of the link between `a` and `b`.
@@ -108,9 +103,8 @@ impl RoutingView {
         (id != NO_LINK).then_some(id as usize)
     }
 
-    /// Applies a link up/down transition and rebuilds the table and the
-    /// paths over the links now up. Returns `true` when the transition
-    /// changed anything.
+    /// Applies a link up/down transition and rebuilds the table over the
+    /// links now up. Returns `true` when the transition changed anything.
     ///
     /// # Panics
     ///
@@ -123,23 +117,8 @@ impl RoutingView {
         self.link_up[id] = up;
         self.table =
             RoutingTable::for_topology_masked(&self.topology, &|x, y| self.link_is_up(x, y));
-        self.paths = materialize(&self.topology, &self.table);
         true
     }
-}
-
-/// `paths[d][u]` for every pair: the table's path from `u` to `d`, empty
-/// when unreachable.
-fn materialize(topology: &Topology, table: &RoutingTable) -> Vec<Vec<Vec<NodeId>>> {
-    topology
-        .nodes()
-        .map(|d| {
-            topology
-                .nodes()
-                .map(|u| table.try_path(u, d).unwrap_or_default())
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -164,7 +143,7 @@ mod tests {
         assert_eq!(*view.table(), topo.routes());
         for a in topo.nodes() {
             for b in topo.nodes() {
-                assert_eq!(view.path(a, b), topo.routes().path(a, b).as_slice());
+                assert_eq!(view.path(a, b), topo.routes().path(a, b));
             }
         }
     }

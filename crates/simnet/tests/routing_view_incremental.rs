@@ -1,21 +1,45 @@
 //! Property test: after any sequence of link-down/link-up events, the
-//! [`RoutingView`] equals a from-scratch masked table over the same
-//! surviving links.
+//! [`RoutingView`] answers every routing question as a plain
+//! breadth-first search over its live links does.
 //!
-//! `set_link` rebuilds the view on every transition, so the check here
-//! is strict equality of distances, next-hop-derived paths,
-//! reachability, and the centroid/diameter metadata, against
-//! `RoutingTable::for_topology_masked` built independently from the
-//! view's link state.
+//! The oracle ([`live_hops`]) is written here, independent of
+//! `RoutingTable`'s builder: for every pair it gives the hop count over
+//! the links `link_is_up` reports, or `None` across a partition. The view
+//! must agree on reachability and component labels, on distance, and on
+//! paths (a chain of live links of `distance + 1` nodes from source to
+//! destination, empty when unreachable). The view's table must also
+//! equal `RoutingTable::for_topology_masked` over the same links, so a
+//! rebuild after a link change lands on the table a fresh build gives,
+//! centroid and diameter included.
 //!
 //! Sequences are drawn from a seeded [`SimRng`] stream, so every case is
 //! deterministic and a failing seed reproduces exactly.
 
+use std::collections::VecDeque;
+
 use radar_simcore::SimRng;
 use radar_simnet::{builders, NodeId, RoutingTable, RoutingView, Topology};
 
-/// Asserts full equivalence between the view and a from-scratch masked
-/// rebuild over the view's current link state.
+/// Hop counts from `from` to every node over the view's live links,
+/// by node index (`None` when unreachable).
+fn live_hops(view: &RoutingView, from: NodeId) -> Vec<Option<u32>> {
+    let topo = view.topology();
+    let mut hops = vec![None; topo.len()];
+    hops[from.index()] = Some(0);
+    let mut queue = VecDeque::from([from]);
+    while let Some(u) = queue.pop_front() {
+        for &v in topo.neighbors(u) {
+            if hops[v.index()].is_none() && view.link_is_up(u, v) {
+                hops[v.index()] = hops[u.index()].map(|h| h + 1);
+                queue.push_back(v);
+            }
+        }
+    }
+    hops
+}
+
+/// Asserts the view against the BFS oracle and against a from-scratch
+/// masked rebuild over the view's current link state.
 fn assert_matches_scratch(view: &RoutingView, context: &str) {
     let scratch = RoutingTable::for_topology_masked(view.topology(), &|a, b| view.link_is_up(a, b));
     assert_eq!(
@@ -23,23 +47,42 @@ fn assert_matches_scratch(view: &RoutingView, context: &str) {
         scratch,
         "view table diverged from scratch rebuild ({context})"
     );
-    assert_eq!(view.table().centroid(), scratch.centroid(), "{context}");
-    assert_eq!(view.table().diameter(), scratch.diameter(), "{context}");
+    let table = view.table();
+    let mut diameter = 0;
     for from in view.topology().nodes() {
+        let hops = live_hops(view, from);
         for to in view.topology().nodes() {
+            let expect = hops[to.index()];
+            let pair = format!("{from}->{to} ({context})");
+            assert_eq!(view.reachable(from, to), expect.is_some(), "reach {pair}");
             assert_eq!(
-                view.reachable(from, to),
-                scratch.reachable(from, to),
-                "reachability {from}->{to} ({context})"
+                table.component(from) == table.component(to),
+                expect.is_some(),
+                "labels {pair}"
             );
-            let expect = scratch.try_path(from, to).unwrap_or_default();
             assert_eq!(
-                view.path(from, to),
-                expect.as_slice(),
-                "path {from}->{to} ({context})"
+                view.distance(from, to),
+                expect.unwrap_or(RoutingTable::UNREACHABLE),
+                "distance {pair}"
             );
+            let path = view.path(from, to);
+            match expect {
+                None => assert!(path.is_empty(), "path {pair}"),
+                Some(h) => {
+                    diameter = diameter.max(h);
+                    assert_eq!(path.len() as u32, h + 1, "path length {pair}");
+                    assert_eq!((path[0], path[path.len() - 1]), (from, to), "ends {pair}");
+                    assert!(
+                        path.windows(2)
+                            .all(|w| view.link_id(w[0], w[1]).is_some()
+                                && view.link_is_up(w[0], w[1])),
+                        "path {path:?} not a chain of live links {pair}"
+                    );
+                }
+            }
         }
     }
+    assert_eq!(table.diameter(), diameter, "{context}");
 }
 
 /// Drives `steps` random link flips over `topo`, checking equivalence

@@ -76,6 +76,33 @@ sample_peak_rss target/release/radar simulate --objects 10000 --duration 300 --s
   --faults target/flood-faults.txt \
   || { echo "FAIL: simulate with a crash below the replica floor exited non-zero"; exit 1; }
 echo "simulate --objects 10000 with one crash: peak RSS $((peak / 1024)) MB (sampled every 50 ms)"
+echo "== a faulted run at scale is byte-identical (release) =="
+# Paper scale for 300 s under the generated schedule benchmark/ uses
+# (five link cuts open and three close, each rebuilding the routing
+# view), with mixed-consistency updates and four redirectors. The
+# SHA-256 of the report and of the event log must equal the digests
+# below; the ~360 MB log is hashed through a FIFO, never stored (if
+# the run fails before opening it, a read-write open releases the
+# hasher). A change meant to move an output byte re-records both
+# digests.
+faulted_report_sha=f854b9181ff3a9fd1762e241440b5aa3c456b120f3f21b6da8d94179f3f4e635
+faulted_log_sha=96bac1f5118cee9003534ae88225661ef1c77f6e224b4ced03efe71f1f5f23c9
+fifo=target/faulted-events.fifo
+rm -f "$fifo"
+mkfifo "$fifo"
+sha256sum < "$fifo" > target/faulted-log.sha &
+hasher=$!
+target/release/radar simulate --objects 10000 --rate 40 --seed 1 --duration 300 \
+  --faults benchmark/results/seed1-a.faults --consistency mixed --update-rate 200 \
+  --redirectors 4 --ledger --events "$fifo" --json | sha256sum > target/faulted-report.sha \
+  || { : 3<> "$fifo"; wait "$hasher"; rm -f "$fifo"; echo "FAIL: the faulted run exited non-zero"; exit 1; }
+wait "$hasher"
+rm -f "$fifo"
+[ "$(cut -d' ' -f1 target/faulted-report.sha)" = "$faulted_report_sha" ] \
+  || { echo "FAIL: the faulted run's report digest moved"; exit 1; }
+[ "$(cut -d' ' -f1 target/faulted-log.sha)" = "$faulted_log_sha" ] \
+  || { echo "FAIL: the faulted run's event-log digest moved"; exit 1; }
+echo "faulted run: report and event log equal the recorded digests"
 echo "== the protocol-health ledger on a long cold run (release) =="
 # The ledger keeps no history, so its memory follows the objects and
 # the live replicas, not the run length (~32 MB today). A per-object
