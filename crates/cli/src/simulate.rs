@@ -2,8 +2,7 @@
 
 use radar_core::{Catalog, ConsistencyMix};
 use radar_sim::obs::{SharedMetrics, SharedObjectLedger};
-use radar_sim::{PlacementMode, RunReport, Scenario, Simulation, Trace};
-use radar_simnet::Topology;
+use radar_sim::{FaultSpec, PlacementMode, RunReport, Scenario, ScenarioError, Simulation, Trace};
 
 use crate::args::{ArgError, Parsed};
 use crate::render;
@@ -119,14 +118,7 @@ impl SimulateArgs {
             .update_rate(update_rate);
         // The topology is resolved before build() because the §5 catalog
         // below round-robins primaries over its node count.
-        let topology = match parsed.get("topology") {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read topology {path}: {e}"))?;
-                Topology::from_spec(&text).map_err(|e| format!("{path}: {e}"))?
-            }
-            None => radar_simnet::builders::uunet(),
-        };
+        let topology = crate::topology::load(parsed.get("topology").unwrap_or("uunet"))?;
         let nodes = topology.len() as u16;
         builder = builder.topology(topology);
         let consistency = match parsed.get("consistency") {
@@ -160,34 +152,24 @@ impl SimulateArgs {
         if parsed.has("static") {
             builder = builder.placement(PlacementMode::Static);
         }
-        let mut faults = None;
-        if let Some(path) = parsed.get("faults") {
+        let faults = parsed.get("faults");
+        if let Some(path) = faults {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read fault schedule {path}: {e}"))?;
-            let spec = radar_sim::FaultSpec::from_text(&text).map_err(|e| e.to_string())?;
+            let spec = FaultSpec::from_text(&text).map_err(|e| format!("{path}: {e}"))?;
             builder = builder.faults(spec);
-            faults = Some((path, text));
         }
-        let scenario = builder.build().map_err(|e| match (&e, &faults) {
-            (radar_sim::ScenarioError::Faults(e), Some((path, text))) => {
-                format!("invalid fault schedule: {path}: {}", e.located_in(text))
-            }
-            _ => e.to_string(),
+        // The schedule is validated against the topology here.
+        let scenario = builder.build().map_err(|e| match (e, faults) {
+            (ScenarioError::Faults(e), Some(path)) => format!("{path}: {e}"),
+            (e, _) => e.to_string(),
         })?;
 
-        let replay = match parsed.get("replay") {
-            None => None,
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read trace {path}: {e}"))?;
-                let located = |e: radar_sim::TraceError| format!("{path}: {}", e.located_in(&text));
-                let trace = Trace::from_text(&text).map_err(located)?;
-                trace
-                    .check_ids(scenario.topology.len() as u32, scenario.num_objects)
-                    .map_err(located)?;
-                Some(trace)
-            }
-        };
+        let ids = (scenario.topology.len() as u32, scenario.num_objects);
+        let replay = parsed
+            .get("replay")
+            .map(|path| crate::tracecmd::load(path, Some(ids)))
+            .transpose()?;
         let workload = parsed.get("workload");
         let policy = parsed.get("policy").unwrap_or("radar").to_string();
         let placement = parsed.get("placement").unwrap_or("radar").to_string();
@@ -384,7 +366,7 @@ fn help() -> String {
      \x20 --duration S        simulated seconds (default 600)\n\
      \x20 --seed N            RNG seed (default 1)\n\
      \x20 --watermarks L,H    low/high watermarks in req/s (default 80,90)\n\
-     \x20 --topology FILE     backbone spec file (default: built-in 53-node UUNET)\n\
+     \x20 --topology FILE     backbone spec file, or uunet (built-in 53-node default)\n\
      \x20 --redirectors N     hash-partitioned redirectors (default 1)\n\
      \x20 --update-rate R     provider updates/second across all objects (default 0)\n\
      \x20 --storage-limit N   max objects per host (default unbounded)\n\

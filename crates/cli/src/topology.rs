@@ -31,7 +31,9 @@ pub(crate) fn command(args: &[&str]) -> Result<String, String> {
     Ok(stats(source, &topo))
 }
 
-fn load(source: &str) -> Result<Topology, String> {
+/// The topology named by `source`: `uunet` for the built-in backbone,
+/// else a spec file.
+pub(crate) fn load(source: &str) -> Result<Topology, String> {
     if source == "uunet" {
         return Ok(builders::uunet());
     }

@@ -11,7 +11,7 @@ pub(crate) fn command(args: &[&str]) -> Result<String, String> {
     }
     match parsed.positionals.as_slice() {
         [sub, path] if sub == "validate" => {
-            let trace = load(path)?;
+            let trace = load(path, None)?;
             Ok(format!(
                 "{path}: valid, {} requests over {:.1}s\n",
                 trace.len(),
@@ -19,24 +19,26 @@ pub(crate) fn command(args: &[&str]) -> Result<String, String> {
             ))
         }
         [sub, path] if sub == "stats" => {
-            let trace = load(path)?;
+            let trace = load(path, None)?;
             Ok(stats(path, &trace))
         }
         [sub, path] if sub == "objects" => {
             let top: usize = parsed
                 .get_parsed("top", TOP_ROWS, "a row count")
                 .map_err(|e| e.to_string())?;
-            let trace = load(path)?;
+            let trace = load(path, None)?;
             Ok(objects(path, &trace, top))
         }
         _ => Err(help()),
     }
 }
 
-fn load(path: &str) -> Result<Trace, String> {
+/// The trace in the file at `path`, its ids checked against `(gateways,
+/// objects)` when given.
+pub(crate) fn load(path: &str, ids: Option<(u32, u32)>) -> Result<Trace, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
-    Trace::from_text(&text).map_err(|e| format!("{path}: {}", e.located_in(&text)))
+    Trace::from_text_checked(&text, ids).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Rows listed per share table before the remainder is folded into a

@@ -164,21 +164,34 @@ fn workloads_too_small_for_their_constructor_are_rejected() {
 
 #[test]
 fn a_topology_beyond_16_bit_node_ids_names_its_line() {
-    // The 65 537th node used to panic in `TopologyBuilder::add_node`.
+    // The 65 537th node used to panic in `TopologyBuilder::add_node`; a
+    // self-loop and a duplicate link used to name no line.
     let spec: String = (0..=65_536).map(|i| format!("node n{i} eu\n")).collect();
-    let topology = TempFile::new("too-many-nodes", &spec);
-    for args in [
-        vec!["topology", topology.path()],
-        vec!["simulate", "--topology", topology.path()],
+    let pair = "node a eu\nnode b eu\n# links\n";
+    for (stem, spec, wanted) in [
+        ("too-many-nodes", spec, "line 65537: more than 65536 nodes"),
+        (
+            "self-loop",
+            format!("{pair}link a a\n"),
+            "line 4: self-loop",
+        ),
+        (
+            "duplicate-link",
+            format!("{pair}link a b\nlink b a\n"),
+            "line 5: duplicate of the link on line 4",
+        ),
     ] {
-        let stderr = rejected(&args);
-        assert!(
-            stderr.contains(&format!(
-                "{}: line 65537: more than 65536 nodes",
-                topology.path()
-            )),
-            "{args:?}: {stderr}"
-        );
+        let topology = TempFile::new(stem, &spec);
+        for args in [
+            vec!["topology", topology.path()],
+            vec!["simulate", "--topology", topology.path()],
+        ] {
+            let stderr = rejected(&args);
+            assert!(
+                stderr.contains(&format!("{}: {wanted}", topology.path())),
+                "{args:?}: {stderr}"
+            );
+        }
     }
 }
 
@@ -212,16 +225,25 @@ fn a_zero_storage_limit_or_redirector_count_names_its_field() {
 fn a_replica_floor_above_the_node_count_names_both_numbers() {
     // These used to exit 0 after copying every object to every live host
     // once the crash was declared dead.
-    for floor in ["54", "65535"] {
+    for (floor, head) in [
+        ("54", ""),
+        ("65535", ""),
+        ("60", "host-down 3 1\n# floor\n"),
+    ] {
         let faults = TempFile::new(
             &format!("floor-{floor}"),
-            &format!("min-replicas {floor}\nhost-down 3 1\n"),
+            &format!("{head}min-replicas {floor}\nhost-down 3 1\n"),
         );
         let stderr = rejected(&[&SIMULATE[..], &["--faults", faults.path()]].concat());
         assert!(
             stderr.contains(&format!(
                 "min-replicas {floor} exceeds the topology's 53 nodes"
             )),
+            "{floor}: {stderr}"
+        );
+        let line = head.lines().count() + 1;
+        assert!(
+            stderr.contains(&format!("{}: line {line}: ", faults.path())),
             "{floor}: {stderr}"
         );
     }
@@ -295,6 +317,11 @@ fn fault_schedule_validation_names_the_line_of_the_fault() {
         ("host-down 99 10", "unknown host 99"),
         ("link-down 0 52 10", "unknown link 0-52"),
         ("link-slow 0 1 0.5 10", "factor must be finite and > 1"),
+        // Quoted without its comment.
+        (
+            "host-down x 10  # bad",
+            "malformed directive \"host-down x 10\"",
+        ),
     ] {
         // The knob, the comment and the blank line count: the bad fault,
         // the second of the schedule, is on line 5.

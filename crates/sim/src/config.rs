@@ -651,6 +651,7 @@ impl Default for ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultErrorKind;
 
     #[test]
     fn defaults_match_table_1() {
@@ -1065,7 +1066,10 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            ScenarioError::Faults(FaultError::UnknownHost(0, 99))
+            ScenarioError::Faults(FaultError {
+                line: 3,
+                kind: FaultErrorKind::UnknownHost(99)
+            })
         ));
         // Link that is not a UUNET edge.
         let err = Scenario::builder()
@@ -1074,7 +1078,10 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            ScenarioError::Faults(FaultError::UnknownLink(0, 0, 52))
+            ScenarioError::Faults(FaultError {
+                line: 3,
+                kind: FaultErrorKind::UnknownLink(0, 52)
+            })
         ));
         // A valid schedule builds.
         let s = Scenario::builder()

@@ -18,8 +18,9 @@
 //! when *no* crash window covers the current time, and concurrent
 //! degradations multiply their factors.
 //!
-//! The textual format (one directive per line, `#` comments) is shared
-//! by the CLI's `--faults` flag and `docs/simulation-manual.md`:
+//! The textual format (one directive per line, read by
+//! [`radar_simnet::text::lines`]) is shared by the CLI's `--faults` flag
+//! and `docs/simulation-manual.md`:
 //!
 //! ```text
 //! # policy knobs
@@ -31,7 +32,7 @@
 //! link-slow 3 12 4.0 200 600
 //! ```
 
-use crate::trace::content_of;
+use radar_simnet::text::{self, LineError};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -84,103 +85,52 @@ impl Fault {
     }
 }
 
-/// Errors from building, parsing, or validating a [`FaultSpec`].
+/// What is wrong with a directive of a [`FaultSpec`]; [`FaultError`]
+/// adds its line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultError {
-    /// A line of the textual format did not parse.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-        /// The offending content.
-        content: String,
-    },
+pub enum FaultErrorKind {
+    /// The line did not parse; holds it without its comment.
+    Malformed(String),
     /// A fault window is empty or has non-finite/negative times.
     BadWindow {
-        /// Position of the fault in [`FaultSpec::faults`].
-        index: usize,
         /// Window start.
         from: f64,
         /// Window end, when given.
         until: Option<f64>,
     },
     /// A degradation factor was not finite and > 1.
-    BadFactor(
-        /// Position of the fault in [`FaultSpec::faults`].
-        usize,
-        /// The offending factor.
-        f64,
-    ),
+    BadFactor(f64),
     /// A fault referenced a host outside the topology.
-    UnknownHost(
-        /// Position of the fault in [`FaultSpec::faults`].
-        usize,
-        /// The offending node index.
-        u16,
-    ),
+    UnknownHost(u16),
     /// A fault referenced a link that is not in the topology.
-    UnknownLink(
-        /// Position of the fault in [`FaultSpec::faults`].
-        usize,
-        /// The offending endpoint pair.
-        u16,
-        /// Second endpoint.
-        u16,
-    ),
+    UnknownLink(u16, u16),
     /// A policy knob had a nonsensical value.
-    BadPolicy(
-        /// Description of the problem.
-        String,
-    ),
+    BadPolicy(String),
 }
 
-impl fmt::Display for FaultError {
+impl fmt::Display for FaultErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultError::Malformed { line, content } => {
-                write!(f, "fault spec line {line} is malformed: {content:?}")
-            }
-            FaultError::BadWindow { from, until, .. } => {
+            FaultErrorKind::Malformed(content) => write!(f, "malformed directive {content:?}"),
+            FaultErrorKind::BadWindow { from, until } => {
                 write!(f, "bad fault window: from={from} until={until:?}")
             }
-            FaultError::BadFactor(_, v) => {
+            FaultErrorKind::BadFactor(v) => {
                 write!(f, "degradation factor must be finite and > 1, got {v}")
             }
-            FaultError::UnknownHost(_, h) => write!(f, "fault references unknown host {h}"),
-            FaultError::UnknownLink(_, a, b) => {
+            FaultErrorKind::UnknownHost(h) => write!(f, "fault references unknown host {h}"),
+            FaultErrorKind::UnknownLink(a, b) => {
                 write!(f, "fault references unknown link {a}-{b}")
             }
-            FaultError::BadPolicy(msg) => write!(f, "bad fault policy: {msg}"),
+            FaultErrorKind::BadPolicy(msg) => write!(f, "bad fault policy: {msg}"),
         }
     }
 }
 
-impl std::error::Error for FaultError {}
-
-impl FaultError {
-    /// The error as a message naming the 1-based line of `text` — the
-    /// text the spec was parsed from — that holds the offending fault.
-    pub fn located_in(&self, text: &str) -> String {
-        let index = match *self {
-            FaultError::BadWindow { index, .. }
-            | FaultError::BadFactor(index, _)
-            | FaultError::UnknownHost(index, _)
-            | FaultError::UnknownLink(index, ..) => index,
-            FaultError::Malformed { .. } | FaultError::BadPolicy(_) => return self.to_string(),
-        };
-        // Fault directives, in order; comments, blanks and policy knobs
-        // hold no fault but count as lines.
-        let line = text
-            .lines()
-            .enumerate()
-            .filter(|(_, raw)| {
-                let directive = content_of(raw).split_whitespace().next();
-                matches!(directive, Some("host-down" | "link-down" | "link-slow"))
-            })
-            .nth(index)
-            .map_or(0, |(i, _)| i + 1);
-        format!("line {line}: {self}")
-    }
-}
+/// An error in a [`FaultSpec`], on the line of the offending directive:
+/// its line in the parsed text or, for a directive set in code, the
+/// line [`FaultSpec::to_text`] writes it on.
+pub type FaultError = LineError<FaultErrorKind>;
 
 /// One compiled, timestamped fault transition: the window of `fault`
 /// opens (`opens`) or closes at `t`. Its [`Display`](fmt::Display) is
@@ -209,15 +159,25 @@ impl fmt::Display for FaultTransition {
 }
 
 /// A declarative schedule of faults plus the recovery-policy knobs.
+///
+/// Each directive keeps the line it came from, for [`FaultError`]s: its
+/// line in the text [`from_text`](Self::from_text) parsed or, when set
+/// in code, the line [`to_text`](Self::to_text) writes it on
+/// (`min-replicas` 1, `declare-dead-after` 2, fault `i` at `i + 3`), so
+/// a spec built in code equals its own text read back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     faults: Vec<Fault>,
+    /// The line of each fault, beside it.
+    fault_lines: Vec<usize>,
     /// Seconds a host may stay crashed before the platform declares it
     /// dead, purges its replicas, and re-replicates (default 60).
     declare_dead_after: f64,
     /// Replica floor the re-replication sweep restores objects to
     /// (default 1).
     min_replicas: u32,
+    /// The lines of `min-replicas` and `declare-dead-after`.
+    knob_lines: [usize; 2],
 }
 
 impl Default for FaultSpec {
@@ -231,8 +191,10 @@ impl FaultSpec {
     pub fn new() -> Self {
         Self {
             faults: Vec::new(),
+            fault_lines: Vec::new(),
             declare_dead_after: 60.0,
             min_replicas: 1,
+            knob_lines: [1, 2],
         }
     }
 
@@ -256,112 +218,116 @@ impl FaultSpec {
         self.min_replicas
     }
 
-    /// Sets the declare-dead timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is not strictly positive and finite.
+    /// Sets the declare-dead timeout; [`validate`](Self::validate)
+    /// requires it positive and finite.
     pub fn with_declare_dead_after(mut self, secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs > 0.0,
-            "declare-dead timeout must be positive and finite, got {secs}"
-        );
         self.declare_dead_after = secs;
+        self.knob_lines[1] = 2;
         self
     }
 
-    /// Sets the replica floor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
+    /// Sets the replica floor; [`validate`](Self::validate) requires it
+    /// between 1 and the topology's node count.
     pub fn with_min_replicas(mut self, n: u32) -> Self {
-        assert!(n >= 1, "minimum replica count must be at least 1");
         self.min_replicas = n;
+        self.knob_lines[0] = 1;
+        self
+    }
+
+    /// Schedules `fault` on the line [`to_text`](Self::to_text) writes
+    /// it on.
+    fn with(mut self, fault: Fault) -> Self {
+        self.fault_lines.push(self.faults.len() + 3);
+        self.faults.push(fault);
         self
     }
 
     /// Schedules a host crash over `[from, until)` (`None` = forever).
-    pub fn host_down(mut self, host: u16, from: f64, until: Option<f64>) -> Self {
-        self.faults.push(Fault::HostDown { host, from, until });
-        self
+    pub fn host_down(self, host: u16, from: f64, until: Option<f64>) -> Self {
+        self.with(Fault::HostDown { host, from, until })
     }
 
     /// Schedules a link partition over `[from, until)` (`None` = forever).
-    pub fn link_down(mut self, a: u16, b: u16, from: f64, until: Option<f64>) -> Self {
-        self.faults.push(Fault::LinkDown { a, b, from, until });
-        self
+    pub fn link_down(self, a: u16, b: u16, from: f64, until: Option<f64>) -> Self {
+        self.with(Fault::LinkDown { a, b, from, until })
     }
 
     /// Schedules a link delay degradation by `factor` over `[from, until)`.
-    pub fn link_slow(mut self, a: u16, b: u16, factor: f64, from: f64, until: Option<f64>) -> Self {
-        self.faults.push(Fault::LinkSlow {
+    pub fn link_slow(self, a: u16, b: u16, factor: f64, from: f64, until: Option<f64>) -> Self {
+        self.with(Fault::LinkSlow {
             a,
             b,
             factor,
             from,
             until,
-        });
-        self
+        })
     }
 
-    /// Checks every window, factor, and topology reference.
+    /// Checks both knobs and every window, factor, and topology
+    /// reference; this is the one place each rule is checked.
     ///
     /// `links` are the topology's undirected edges (either endpoint
     /// order); `num_nodes` bounds host indices and the replica floor.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation, on its directive's line.
     pub fn validate(&self, num_nodes: usize, links: &[(u16, u16)]) -> Result<(), FaultError> {
-        if !(self.declare_dead_after.is_finite() && self.declare_dead_after > 0.0) {
-            return Err(FaultError::BadPolicy(format!(
-                "declare-dead-after must be positive and finite, got {}",
-                self.declare_dead_after
-            )));
-        }
-        if self.min_replicas == 0 {
-            return Err(FaultError::BadPolicy(
-                "min-replicas must be at least 1".into(),
-            ));
-        }
-        if self.min_replicas as usize > num_nodes {
-            return Err(FaultError::BadPolicy(format!(
-                "min-replicas {} exceeds the topology's {num_nodes} nodes",
-                self.min_replicas
-            )));
+        let (floor, dead) = (self.min_replicas, self.declare_dead_after);
+        // The knob at fault, as an index into `knob_lines`, and why.
+        let knob = if !(dead.is_finite() && dead > 0.0) {
+            Some((
+                1,
+                format!("declare-dead-after must be positive and finite, got {dead}"),
+            ))
+        } else if floor == 0 {
+            Some((0, "min-replicas must be at least 1".to_string()))
+        } else if floor as usize > num_nodes {
+            Some((
+                0,
+                format!("min-replicas {floor} exceeds the topology's {num_nodes} nodes"),
+            ))
+        } else {
+            None
+        };
+        if let Some((knob, why)) = knob {
+            let kind = FaultErrorKind::BadPolicy(why);
+            return Err(LineError {
+                line: self.knob_lines[knob],
+                kind,
+            });
         }
         let has_link = |a: u16, b: u16| {
             links
                 .iter()
                 .any(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a))
         };
-        for (index, fault) in self.faults.iter().enumerate() {
+        for (fault, &line) in self.faults.iter().zip(&self.fault_lines) {
             let (from, until) = fault.window();
             let ok_from = from.is_finite() && from >= 0.0;
             let ok_until = match until {
                 None => true,
                 Some(u) => u.is_finite() && u > from,
             };
-            if !ok_from || !ok_until {
-                return Err(FaultError::BadWindow { index, from, until });
-            }
-            match *fault {
-                Fault::HostDown { host, .. } => {
-                    if host as usize >= num_nodes {
-                        return Err(FaultError::UnknownHost(index, host));
+            let kind = if !ok_from || !ok_until {
+                FaultErrorKind::BadWindow { from, until }
+            } else {
+                match *fault {
+                    Fault::HostDown { host, .. } if host as usize >= num_nodes => {
+                        FaultErrorKind::UnknownHost(host)
                     }
+                    Fault::LinkSlow { factor, .. } if !(factor.is_finite() && factor > 1.0) => {
+                        FaultErrorKind::BadFactor(factor)
+                    }
+                    Fault::LinkDown { a, b, .. } | Fault::LinkSlow { a, b, .. }
+                        if !has_link(a, b) =>
+                    {
+                        FaultErrorKind::UnknownLink(a, b)
+                    }
+                    _ => continue,
                 }
-                Fault::LinkDown { a, b, .. } => {
-                    if !has_link(a, b) {
-                        return Err(FaultError::UnknownLink(index, a, b));
-                    }
-                }
-                Fault::LinkSlow { a, b, factor, .. } => {
-                    if !(factor.is_finite() && factor > 1.0) {
-                        return Err(FaultError::BadFactor(index, factor));
-                    }
-                    if !has_link(a, b) {
-                        return Err(FaultError::UnknownLink(index, a, b));
-                    }
-                }
-            }
+            };
+            return Err(LineError { line, kind });
         }
         Ok(())
     }
@@ -388,84 +354,74 @@ impl FaultSpec {
         out
     }
 
-    /// Parses the textual format (see the module docs).
+    /// Parses the textual format (see the module docs). Values are
+    /// checked by [`validate`](Self::validate), against the topology.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`FaultErrorKind::Malformed`] error naming the first
+    /// line that is not a directive.
     pub fn from_text(text: &str) -> Result<Self, FaultError> {
         let mut spec = FaultSpec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
-            let content = content_of(raw);
-            if content.is_empty() {
-                continue;
-            }
-            let malformed = || FaultError::Malformed {
-                line,
-                content: raw.trim().to_string(),
-            };
-            let mut parts = content.split_whitespace();
-            let directive = parts.next().ok_or_else(malformed)?;
-            let rest: Vec<&str> = parts.collect();
-            let f64_at = |i: usize| -> Result<f64, FaultError> {
-                rest.get(i)
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .ok_or_else(malformed)
-            };
-            let u16_at = |i: usize| -> Result<u16, FaultError> {
-                rest.get(i)
-                    .and_then(|s| s.parse::<u16>().ok())
-                    .ok_or_else(malformed)
-            };
-            let until_at = |i: usize| -> Result<Option<f64>, FaultError> {
-                match rest.get(i) {
-                    None => Ok(None),
-                    Some(s) => s.parse::<f64>().map(Some).map_err(|_| malformed()),
-                }
-            };
-            match directive {
-                "min-replicas" => {
-                    let n = rest
-                        .first()
-                        .and_then(|s| s.parse::<u32>().ok())
-                        .ok_or_else(malformed)?;
-                    if rest.len() != 1 || n == 0 {
-                        return Err(malformed());
-                    }
-                    spec.min_replicas = n;
-                }
-                "declare-dead-after" => {
-                    let secs = f64_at(0)?;
-                    if rest.len() != 1 || !(secs.is_finite() && secs > 0.0) {
-                        return Err(malformed());
-                    }
-                    spec.declare_dead_after = secs;
-                }
-                "host-down" => {
-                    if rest.len() < 2 || rest.len() > 3 {
-                        return Err(malformed());
-                    }
-                    spec = spec.host_down(u16_at(0)?, f64_at(1)?, until_at(2)?);
-                }
-                "link-down" => {
-                    if rest.len() < 3 || rest.len() > 4 {
-                        return Err(malformed());
-                    }
-                    spec = spec.link_down(u16_at(0)?, u16_at(1)?, f64_at(2)?, until_at(3)?);
-                }
-                "link-slow" => {
-                    if rest.len() < 4 || rest.len() > 5 {
-                        return Err(malformed());
-                    }
-                    spec = spec.link_slow(
-                        u16_at(0)?,
-                        u16_at(1)?,
-                        f64_at(2)?,
-                        f64_at(3)?,
-                        until_at(4)?,
-                    );
-                }
-                _ => return Err(malformed()),
-            }
+        for line in text::lines(text) {
+            let words: Vec<&str> = line.words().collect();
+            spec.read(&words, line.number)
+                .ok_or_else(|| line.error(FaultErrorKind::Malformed(line.content.to_string())))?;
         }
         Ok(spec)
+    }
+
+    /// Applies the directive `words` from `line`; `None` when they are
+    /// not one.
+    fn read(&mut self, words: &[&str], line: usize) -> Option<()> {
+        let num = |i: usize| words.get(i)?.parse::<f64>().ok();
+        let node = |i: usize| words.get(i)?.parse::<u16>().ok();
+        // `<from> [<until>]`, the line's last words from word `i` on.
+        let window = |i: usize| match words.len().checked_sub(i)? {
+            1 => Some((num(i)?, None)),
+            2 => Some((num(i)?, Some(num(i + 1)?))),
+            _ => None,
+        };
+        let fault = match words[0] {
+            "min-replicas" if words.len() == 2 => {
+                self.min_replicas = words[1].parse().ok()?;
+                self.knob_lines[0] = line;
+                return Some(());
+            }
+            "declare-dead-after" if words.len() == 2 => {
+                self.declare_dead_after = num(1)?;
+                self.knob_lines[1] = line;
+                return Some(());
+            }
+            "host-down" => {
+                let (from, until) = window(2)?;
+                Fault::HostDown {
+                    host: node(1)?,
+                    from,
+                    until,
+                }
+            }
+            "link-down" => {
+                let (from, until) = window(3)?;
+                let (a, b) = (node(1)?, node(2)?);
+                Fault::LinkDown { a, b, from, until }
+            }
+            "link-slow" => {
+                let (from, until) = window(4)?;
+                let (a, b, factor) = (node(1)?, node(2)?, num(3)?);
+                Fault::LinkSlow {
+                    a,
+                    b,
+                    factor,
+                    from,
+                    until,
+                }
+            }
+            _ => return None,
+        };
+        self.faults.push(fault);
+        self.fault_lines.push(line);
+        Some(())
     }
 
     /// Serializes to the [`from_text`](Self::from_text) line format.
@@ -851,38 +807,58 @@ mod tests {
     #[test]
     fn validation_rejects_bad_references_and_windows() {
         let links = [(0u16, 1u16)];
+        // Built in code, a fault sits on the line `to_text` writes it on:
+        // the first one on line 3, after the two knobs.
+        let at = |line, kind| Err(FaultError { line, kind });
         let bad_host = FaultSpec::new().host_down(9, 0.0, None);
         assert_eq!(
             bad_host.validate(3, &links),
-            Err(FaultError::UnknownHost(0, 9))
+            at(3, FaultErrorKind::UnknownHost(9))
         );
-        let bad_link = FaultSpec::new().link_down(0, 2, 0.0, None);
+        let bad_link = FaultSpec::new()
+            .host_down(0, 0.0, None)
+            .link_down(0, 2, 0.0, None);
         assert_eq!(
             bad_link.validate(3, &links),
-            Err(FaultError::UnknownLink(0, 0, 2))
+            at(4, FaultErrorKind::UnknownLink(0, 2))
         );
         let empty_window = FaultSpec::new().host_down(0, 50.0, Some(50.0));
         assert_eq!(
             empty_window.validate(3, &links),
-            Err(FaultError::BadWindow {
-                index: 0,
-                from: 50.0,
-                until: Some(50.0)
-            })
+            at(
+                3,
+                FaultErrorKind::BadWindow {
+                    from: 50.0,
+                    until: Some(50.0)
+                }
+            )
         );
         let bad_factor = FaultSpec::new().link_slow(0, 1, 0.5, 0.0, None);
         assert_eq!(
             bad_factor.validate(3, &links),
-            Err(FaultError::BadFactor(0, 0.5))
+            at(3, FaultErrorKind::BadFactor(0.5))
         );
         let floor = FaultSpec::new().with_min_replicas(3);
         assert_eq!(floor.validate(3, &links), Ok(()), "a copy on every node");
         assert_eq!(
             floor.validate(2, &links),
-            Err(FaultError::BadPolicy(
-                "min-replicas 3 exceeds the topology's 2 nodes".into()
-            ))
+            at(
+                1,
+                FaultErrorKind::BadPolicy("min-replicas 3 exceeds the topology's 2 nodes".into())
+            )
         );
+        // Parsed, a knob's error names its line; the parser leaves the
+        // values to this check.
+        for (text, line) in [
+            ("min-replicas 0", 1),
+            ("# floor\n\ndeclare-dead-after -3", 3),
+        ] {
+            let err = FaultSpec::from_text(text).unwrap().validate(3, &links);
+            assert!(
+                matches!(err, Err(FaultError { line: l, kind: FaultErrorKind::BadPolicy(_) }) if l == line),
+                "{text:?} should be rejected on line {line}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -911,13 +887,22 @@ mod tests {
             "link-down 1 2",
             "link-slow 1 2 10",
             "warp-core-breach 1",
-            "min-replicas 0",
-            "declare-dead-after -3",
         ] {
             assert!(
-                matches!(FaultSpec::from_text(bad), Err(FaultError::Malformed { .. })),
+                matches!(
+                    FaultSpec::from_text(bad),
+                    Err(FaultError {
+                        line: 1,
+                        kind: FaultErrorKind::Malformed(_)
+                    })
+                ),
                 "{bad:?} should be rejected"
             );
         }
+        let err = FaultSpec::from_text("min-replicas 2\nhost-down x 10  # bad\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2: malformed directive \"host-down x 10\""
+        );
     }
 }

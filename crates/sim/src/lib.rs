@@ -77,7 +77,7 @@ pub use config::{
     check_object_count, InitialPlacement, NetworkParams, PlacementMode, Scenario, ScenarioBuilder,
     ScenarioError, MAX_OBJECTS, SERVER_CAPACITY,
 };
-pub use faults::{Fault, FaultError, FaultSpec};
+pub use faults::{Fault, FaultError, FaultErrorKind, FaultSpec};
 pub use json::protocol_health_json;
 pub use metrics::{LoadEstimateSample, Metrics, RelocationEvent, RelocationIter, RelocationLog};
 pub use observer::{Observer, RequestRecord};
@@ -85,7 +85,7 @@ pub use placement_policy::PlacementPolicy;
 pub use platform::Simulation;
 pub use report::{FinalReplicas, FinalReplicasIter, ReplicaCensus, RunReport};
 pub use selection::SelectionPolicy;
-pub use trace::{Trace, TraceEntry, TraceError};
+pub use trace::{Trace, TraceEntry, TraceError, TraceErrorKind};
 
 /// The flight-recorder crate, re-exported so observers can name its
 /// event types without a separate dependency declaration.

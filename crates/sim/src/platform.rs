@@ -328,8 +328,9 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::OutOfRange`] naming the first entry whose
-    /// gateway or object the scenario does not have.
+    /// Returns a [`TraceErrorKind::OutOfRange`](crate::TraceErrorKind)
+    /// error on the first entry whose gateway or object the scenario
+    /// does not have (its line is the entry's index + 1).
     pub fn replay(scenario: Scenario, trace: Trace) -> Result<Self, TraceError> {
         trace.check_ids(scenario.topology.len() as u32, scenario.num_objects)?;
         let mut sim = Self::new(scenario, Box::new(NullWorkload));

@@ -9,6 +9,7 @@
 //! against candidate parameters.
 
 use crate::config::MAX_CLOCK_SECS;
+use radar_simnet::text::{self, LineError};
 use std::fmt;
 
 /// One request arrival.
@@ -22,34 +23,52 @@ pub struct TraceEntry {
     pub object: u32,
 }
 
-/// Errors from trace parsing and validation.
+impl TraceEntry {
+    /// Checks the time against the clock and against `prev`, the time
+    /// of the entry before.
+    fn check_time(&self, prev: f64) -> Result<(), TraceErrorKind> {
+        if !(0.0..=MAX_CLOCK_SECS).contains(&self.t) {
+            return Err(TraceErrorKind::BadTime(self.t));
+        }
+        if self.t < prev {
+            return Err(TraceErrorKind::Unsorted);
+        }
+        Ok(())
+    }
+
+    /// Checks the ids against a scenario with `gateways` nodes and
+    /// `objects` objects.
+    fn check_ids(&self, gateways: u32, objects: u32) -> Result<(), TraceErrorKind> {
+        for (field, value, count) in [
+            ("gateway", u32::from(self.gateway), gateways),
+            ("object", self.object, objects),
+        ] {
+            if value >= count {
+                return Err(TraceErrorKind::OutOfRange {
+                    field,
+                    value,
+                    count,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// What is wrong with a trace entry; [`TraceError`] adds its line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TraceError {
-    /// A line did not parse as `time gateway object`.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-        /// The offending content.
-        content: String,
-    },
-    /// Entries are not sorted by time.
-    Unsorted {
-        /// Index of the first out-of-order entry.
-        index: usize,
-    },
+pub enum TraceErrorKind {
+    /// A line did not parse as `time gateway object`; holds it without
+    /// its comment.
+    Malformed(String),
+    /// The entry is earlier than the one before it.
+    Unsorted,
     /// A timestamp was negative, not finite or beyond the microsecond
     /// clock (2^53 µs).
-    BadTime {
-        /// Index of the offending entry.
-        index: usize,
-        /// The rejected value.
-        t: f64,
-    },
+    BadTime(f64),
     /// An entry names a gateway or object the replaying scenario does
     /// not have.
     OutOfRange {
-        /// Index of the offending entry.
-        index: usize,
         /// `"gateway"` or `"object"`.
         field: &'static str,
         /// The rejected id.
@@ -59,65 +78,34 @@ pub enum TraceError {
     },
 }
 
-impl TraceError {
-    /// The error as a message naming the 1-based line of `text` — the
-    /// text the trace was parsed from — that holds the offending entry.
-    pub fn located_in(&self, text: &str) -> String {
-        let index = match *self {
-            TraceError::Malformed { .. } => return self.to_string(),
-            TraceError::Unsorted { index }
-            | TraceError::BadTime { index, .. }
-            | TraceError::OutOfRange { index, .. } => index,
-        };
-        let line = text
-            .lines()
-            .enumerate()
-            .filter(|(_, raw)| !content_of(raw).is_empty())
-            .nth(index)
-            .map_or(0, |(i, _)| i + 1);
-        format!("line {line}: {self}")
-    }
-}
-
-/// A trace or fault-schedule line without its `#` comment and
-/// surrounding blanks.
-pub(crate) fn content_of(raw: &str) -> &str {
-    raw.split('#').next().unwrap_or("").trim()
-}
-
-impl fmt::Display for TraceError {
+impl fmt::Display for TraceErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::Malformed { line, content } => {
-                write!(
-                    f,
-                    "line {line}: expected `time gateway object`, got {content:?}"
-                )
+            TraceErrorKind::Malformed(content) => {
+                write!(f, "expected `time gateway object`, got {content:?}")
             }
-            TraceError::Unsorted { index } => {
-                write!(f, "trace entries must be sorted by time (entry {index})")
-            }
-            TraceError::BadTime { index, t } => {
-                write!(
-                    f,
-                    "entry {index}: time must be finite, non-negative and at most \
-                     {MAX_CLOCK_SECS} s (2^53 µs), got {t:e}"
-                )
-            }
-            TraceError::OutOfRange {
-                index,
+            TraceErrorKind::Unsorted => f.write_str("trace entries must be sorted by time"),
+            TraceErrorKind::BadTime(t) => write!(
+                f,
+                "time must be finite, non-negative and at most {MAX_CLOCK_SECS} s \
+                 (2^53 µs), got {t:e}"
+            ),
+            TraceErrorKind::OutOfRange {
                 field,
                 value,
                 count,
             } => write!(
                 f,
-                "entry {index}: {field} {value} is out of range, the scenario has {count}"
+                "{field} {value} is out of range, the scenario has {count}"
             ),
         }
     }
 }
 
-impl std::error::Error for TraceError {}
+/// An error in a trace, on the line of the offending entry: its line in
+/// the parsed text or, for a trace built in code, the line
+/// [`Trace::to_text`] writes it on (its index + 1).
+pub type TraceError = LineError<TraceErrorKind>;
 
 /// A time-ordered request trace.
 ///
@@ -143,53 +131,61 @@ impl Trace {
     /// Returns [`TraceError`] on unsorted timestamps and on ones that
     /// are negative, not finite or beyond the 2^53 µs clock.
     pub fn new(entries: Vec<TraceEntry>) -> Result<Self, TraceError> {
+        let mut prev = 0.0;
         for (index, e) in entries.iter().enumerate() {
-            if !(0.0..=MAX_CLOCK_SECS).contains(&e.t) {
-                return Err(TraceError::BadTime { index, t: e.t });
-            }
-            if index > 0 && e.t < entries[index - 1].t {
-                return Err(TraceError::Unsorted { index });
-            }
+            e.check_time(prev).map_err(|kind| LineError {
+                line: index + 1,
+                kind,
+            })?;
+            prev = e.t;
         }
         Ok(Self { entries })
     }
 
     /// Parses the line format `time gateway object` (whitespace
-    /// separated; `#` comments and blank lines ignored) — the shape a
-    /// sanitized access log reduces to.
+    /// separated words, read by [`radar_simnet::text::lines`]) — the
+    /// shape a sanitized access log reduces to.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] on malformed lines or ordering violations.
+    /// Returns [`TraceError`] naming the first malformed, unsorted or
+    /// out-of-clock line.
     pub fn from_text(text: &str) -> Result<Self, TraceError> {
+        Self::from_text_checked(text, None)
+    }
+
+    /// [`from_text`](Self::from_text) that, given `ids = (gateways,
+    /// objects)`, also checks each entry's ids as
+    /// [`check_ids`](Self::check_ids) does, so that a foreign id's error
+    /// names its line.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_text`](Self::from_text), plus
+    /// [`TraceErrorKind::OutOfRange`].
+    pub fn from_text_checked(text: &str, ids: Option<(u32, u32)>) -> Result<Self, TraceError> {
         let mut entries = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = i + 1;
-            let content = content_of(raw);
-            if content.is_empty() {
-                continue;
-            }
-            let mut words = content.split_whitespace();
+        let mut prev = 0.0;
+        for line in text::lines(text) {
+            let mut words = line.words();
             let parsed = (|| {
                 let t: f64 = words.next()?.parse().ok()?;
                 let gateway: u16 = words.next()?.parse().ok()?;
                 let object: u32 = words.next()?.parse().ok()?;
-                if words.next().is_some() {
-                    return None;
-                }
-                Some(TraceEntry { t, gateway, object })
+                words
+                    .next()
+                    .is_none()
+                    .then_some(TraceEntry { t, gateway, object })
             })();
-            match parsed {
-                Some(e) => entries.push(e),
-                None => {
-                    return Err(TraceError::Malformed {
-                        line,
-                        content: content.to_string(),
-                    })
-                }
-            }
+            let e = parsed
+                .ok_or_else(|| line.error(TraceErrorKind::Malformed(line.content.to_string())))?;
+            e.check_time(prev)
+                .and_then(|()| ids.map_or(Ok(()), |(g, o)| e.check_ids(g, o)))
+                .map_err(|kind| line.error(kind))?;
+            prev = e.t;
+            entries.push(e);
         }
-        Self::new(entries)
+        Ok(Self { entries })
     }
 
     /// Checks every entry's ids against a scenario with `gateways` nodes
@@ -198,22 +194,13 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::OutOfRange`] naming the first foreign id.
+    /// Returns [`TraceErrorKind::OutOfRange`] naming the first foreign id.
     pub fn check_ids(&self, gateways: u32, objects: u32) -> Result<(), TraceError> {
         for (index, e) in self.entries.iter().enumerate() {
-            for (field, value, count) in [
-                ("gateway", u32::from(e.gateway), gateways),
-                ("object", e.object, objects),
-            ] {
-                if value >= count {
-                    return Err(TraceError::OutOfRange {
-                        index,
-                        field,
-                        value,
-                        count,
-                    });
-                }
-            }
+            e.check_ids(gateways, objects).map_err(|kind| LineError {
+                line: index + 1,
+                kind,
+            })?;
         }
         Ok(())
     }
@@ -272,22 +259,35 @@ mod tests {
         assert_eq!(trace.duration(), 2.5);
         let reparsed = Trace::from_text(&trace.to_text()).unwrap();
         assert_eq!(reparsed, trace);
+        // Paper-scale replays hold 6.36 M entries; no line is kept in one.
+        assert_eq!(std::mem::size_of::<TraceEntry>(), 16);
+    }
+
+    fn error_of(text: &str) -> (usize, TraceErrorKind) {
+        let err = Trace::from_text(text).unwrap_err();
+        (err.line, err.kind)
     }
 
     #[test]
     fn malformed_lines_rejected() {
-        let err = Trace::from_text("0 0\n").unwrap_err();
-        assert!(matches!(err, TraceError::Malformed { line: 1, .. }));
-        let err = Trace::from_text("0 0 1 extra\n").unwrap_err();
-        assert!(matches!(err, TraceError::Malformed { .. }));
-        let err = Trace::from_text("zero 0 1\n").unwrap_err();
-        assert!(matches!(err, TraceError::Malformed { .. }));
+        let short = error_of("0 0  # short\n");
+        assert_eq!(short, (1, TraceErrorKind::Malformed("0 0".into())));
+        assert!(matches!(
+            error_of("0 0 1 extra\n").1,
+            TraceErrorKind::Malformed(_)
+        ));
+        assert!(matches!(
+            error_of("zero 0 1\n").1,
+            TraceErrorKind::Malformed(_)
+        ));
     }
 
     #[test]
     fn ordering_and_time_validated() {
-        let err = Trace::from_text("1.0 0 0\n0.5 0 0\n").unwrap_err();
-        assert!(matches!(err, TraceError::Unsorted { index: 1 }));
+        assert_eq!(
+            error_of("1.0 0 0\n0.5 0 0\n"),
+            (2, TraceErrorKind::Unsorted)
+        );
         for t in [f64::NAN, -1.0, f64::INFINITY, 1e300, MAX_CLOCK_SECS * 1.01] {
             let err = Trace::new(vec![TraceEntry {
                 t,
@@ -295,23 +295,28 @@ mod tests {
                 object: 0,
             }])
             .unwrap_err();
-            assert!(matches!(err, TraceError::BadTime { index: 0, .. }), "{t}");
+            assert!(
+                matches!(err.kind, TraceErrorKind::BadTime(_)) && err.line == 1,
+                "{t}"
+            );
         }
         assert!(Trace::from_text(&format!("{MAX_CLOCK_SECS} 0 0\n")).is_ok());
     }
 
     #[test]
-    fn located_in_counts_comment_and_blank_lines() {
+    fn errors_name_the_line_counting_comment_and_blank_lines() {
         let text = "# header\n0 0 0\n\n  # note\n1 0 0 # fine\n1e300 0 0\n";
-        let err = Trace::from_text(text).unwrap_err();
-        assert!(matches!(err, TraceError::BadTime { index: 2, .. }));
-        let message = err.located_in(text);
-        assert!(
-            message.starts_with("line 6: entry 2: time must be"),
-            "{message}"
+        let message = Trace::from_text(text).unwrap_err().to_string();
+        assert!(message.starts_with("line 6: time must be"), "{message}");
+        let text = "# header\n0 0 0\n\n1 53 0\n";
+        let err = Trace::from_text_checked(text, Some((53, 1))).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 4: gateway 53 is out of range, the scenario has 53"
         );
-        let malformed = Trace::from_text("0 0 0\nnope\n").unwrap_err();
-        assert!(malformed.located_in("0 0 0\nnope\n").starts_with("line 2:"));
+        // Built in code, an entry's line is the one `to_text` writes.
+        let trace = Trace::from_text(text).unwrap();
+        assert_eq!(trace.check_ids(53, 1).unwrap_err().line, 2);
     }
 
     #[test]
@@ -323,22 +328,19 @@ mod tests {
 
     #[test]
     fn error_display_nonempty() {
-        let errs = [
-            TraceError::Malformed {
-                line: 1,
-                content: "x".into(),
-            },
-            TraceError::Unsorted { index: 2 },
-            TraceError::BadTime { index: 0, t: -1.0 },
-            TraceError::OutOfRange {
-                index: 3,
+        let kinds = [
+            TraceErrorKind::Malformed("x".into()),
+            TraceErrorKind::Unsorted,
+            TraceErrorKind::BadTime(-1.0),
+            TraceErrorKind::OutOfRange {
                 field: "gateway",
                 value: 99,
                 count: 53,
             },
         ];
-        for e in errs {
-            assert!(!e.to_string().is_empty());
+        for kind in kinds {
+            let e = TraceError { line: 3, kind };
+            assert!(e.to_string().starts_with("line 3: "), "{e}");
         }
     }
 }

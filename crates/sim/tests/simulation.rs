@@ -571,7 +571,7 @@ fn trace_round_trips_through_text() {
 
 #[test]
 fn replay_rejects_foreign_objects_and_gateways() {
-    use radar_sim::{Trace, TraceEntry, TraceError};
+    use radar_sim::{Trace, TraceEntry, TraceError, TraceErrorKind};
     let scenario = || small_scenario().num_objects(10).build().unwrap();
     let entry = |gateway, object| TraceEntry {
         t: 0.0,
@@ -583,17 +583,19 @@ fn replay_rejects_foreign_objects_and_gateways() {
     let err = replay(vec![entry(0, 0), entry(0, 99)]).err().unwrap();
     assert_eq!(
         err,
-        TraceError::OutOfRange {
-            index: 1,
-            field: "object",
-            value: 99,
-            count: 10
+        TraceError {
+            line: 2,
+            kind: TraceErrorKind::OutOfRange {
+                field: "object",
+                value: 99,
+                count: 10
+            }
         }
     );
     let err = replay(vec![entry(99, 0)]).err().unwrap();
     assert_eq!(
         err.to_string(),
-        "entry 0: gateway 99 is out of range, the scenario has 53"
+        "line 1: gateway 99 is out of range, the scenario has 53"
     );
 }
 

@@ -23,7 +23,9 @@
 //! * [`builders`] — topology constructors, including [`builders::uunet`],
 //!   a 53-node, four-region stand-in for the 1998 UUNET backbone used as
 //!   the paper's testbed (the original map is no longer published; see
-//!   DESIGN.md for the substitution argument).
+//!   DESIGN.md for the substitution argument);
+//! * [`text`] — the line reader under the topology spec, the fault
+//!   schedule and the request trace.
 //!
 //! # Examples
 //!
@@ -48,9 +50,10 @@ pub mod builders;
 mod graph;
 mod routing;
 mod spec;
+pub mod text;
 mod view;
 
 pub use graph::{NodeId, Region, Topology, TopologyBuilder, TopologyError};
 pub use routing::RoutingTable;
-pub use spec::SpecError;
+pub use spec::{SpecError, SpecErrorKind};
 pub use view::RoutingView;

@@ -11,85 +11,78 @@
 //! # Format
 //!
 //! ```text
-//! # comment lines and blank lines are ignored
 //! node <name> <region>     # region ∈ {wna, ena, eu, pac}
 //! link <name-a> <name-b>
 //! ```
 //!
+//! Lines are read by [`crate::text::lines`] (comments, blank lines and
+//! line numbers as `docs/simulation-manual.md`, "Text inputs", states).
 //! Nodes must be declared before links that use them. Node ids are
 //! assigned in declaration order.
 
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::text::{self, LineError};
 use crate::{NodeId, Region, Topology, TopologyError};
+
+/// What is wrong with a line of a topology spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecErrorKind {
+    /// The line is not `node <name> <region>` or `link <a> <b>`; holds
+    /// it without its comment.
+    Malformed(String),
+    /// An unknown region keyword.
+    UnknownRegion(String),
+    /// A link names a node that no earlier line declares.
+    UnknownNode(String),
+    /// A node name declared a second time.
+    DuplicateNode(String),
+    /// A node declared after the 65 536th, which no 16-bit node id can
+    /// name.
+    TooManyNodes,
+    /// A link joins the named node to itself.
+    SelfLoop(String),
+    /// A link joins the two nodes the link on this earlier line joins.
+    DuplicateLink(usize),
+}
+
+impl fmt::Display for SpecErrorKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecErrorKind::Malformed(content) => write!(f, "malformed entry {content:?}"),
+            SpecErrorKind::UnknownRegion(region) => {
+                write!(f, "unknown region {region:?} (use wna/ena/eu/pac)")
+            }
+            SpecErrorKind::UnknownNode(name) => {
+                write!(f, "link references undeclared node {name:?}")
+            }
+            SpecErrorKind::DuplicateNode(name) => write!(f, "node {name:?} declared twice"),
+            SpecErrorKind::TooManyNodes => {
+                f.write_str("more than 65536 nodes (node ids are 16-bit)")
+            }
+            SpecErrorKind::SelfLoop(name) => write!(f, "self-loop on node {name:?}"),
+            SpecErrorKind::DuplicateLink(first) => {
+                write!(f, "duplicate of the link on line {first}")
+            }
+        }
+    }
+}
 
 /// Errors from parsing a topology spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
-    /// A line did not match `node <name> <region>` or `link <a> <b>`.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-        /// The offending content.
-        content: String,
-    },
-    /// An unknown region keyword.
-    UnknownRegion {
-        /// 1-based line number.
-        line: usize,
-        /// The offending keyword.
-        region: String,
-    },
-    /// A link referenced an undeclared node name.
-    UnknownNode {
-        /// 1-based line number.
-        line: usize,
-        /// The undeclared name.
-        name: String,
-    },
-    /// A node name was declared twice.
-    DuplicateNode {
-        /// 1-based line number.
-        line: usize,
-        /// The duplicated name.
-        name: String,
-    },
-    /// A node declared after the 65 536th, which no 16-bit node id can
-    /// name.
-    TooManyNodes {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// The assembled graph failed topology validation.
+    /// A line is wrong on its own or against the lines before it.
+    Line(LineError<SpecErrorKind>),
+    /// The whole graph is invalid: it has no nodes or is disconnected.
     Topology(TopologyError),
 }
 
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SpecError::Malformed { line, content } => {
-                write!(f, "line {line}: malformed entry {content:?}")
-            }
-            SpecError::UnknownRegion { line, region } => {
-                write!(
-                    f,
-                    "line {line}: unknown region {region:?} (use wna/ena/eu/pac)"
-                )
-            }
-            SpecError::UnknownNode { line, name } => {
-                write!(f, "line {line}: link references undeclared node {name:?}")
-            }
-            SpecError::DuplicateNode { line, name } => {
-                write!(f, "line {line}: node {name:?} declared twice")
-            }
-            SpecError::TooManyNodes { line } => {
-                write!(
-                    f,
-                    "line {line}: more than 65536 nodes (node ids are 16-bit)"
-                )
-            }
-            SpecError::Topology(e) => write!(f, "invalid topology: {e}"),
+            SpecError::Line(e) => e.fmt(f),
+            SpecError::Topology(e) => e.fmt(f),
         }
     }
 }
@@ -98,7 +91,7 @@ impl std::error::Error for SpecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SpecError::Topology(e) => Some(e),
-            _ => None,
+            SpecError::Line(_) => None,
         }
     }
 }
@@ -133,9 +126,10 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] on malformed lines, unknown names/regions,
-    /// duplicates, more than 65 536 nodes, or an invalid graph
-    /// (disconnected, self-loops, …).
+    /// Returns [`SpecError`] naming the line of a malformed entry, an
+    /// unknown name or region, a duplicate node or link, a self-loop or
+    /// the 65 537th node, or, for the whole file, a graph that is empty
+    /// or disconnected.
     ///
     /// # Examples
     ///
@@ -151,50 +145,38 @@ impl Topology {
     /// ```
     pub fn from_spec(spec: &str) -> Result<Topology, SpecError> {
         let mut builder = Topology::builder();
-        let mut ids: HashMap<String, NodeId> = HashMap::new();
-        for (i, raw) in spec.lines().enumerate() {
-            let line = i + 1;
-            let text = raw.split('#').next().unwrap_or("").trim();
-            if text.is_empty() {
-                continue;
-            }
-            let words: Vec<&str> = text.split_whitespace().collect();
-            match words.as_slice() {
+        let mut ids: HashMap<&str, NodeId> = HashMap::new();
+        // Each link, lower id first, with the line that declared it.
+        let mut links: HashMap<(NodeId, NodeId), usize> = HashMap::new();
+        for entry in text::lines(spec) {
+            let fail = |kind| Err(SpecError::Line(entry.error(kind)));
+            match entry.words().collect::<Vec<_>>().as_slice() {
                 ["node", name, region] => {
-                    let region = parse_region(region).ok_or_else(|| SpecError::UnknownRegion {
-                        line,
-                        region: region.to_string(),
-                    })?;
-                    if ids.contains_key(*name) {
-                        return Err(SpecError::DuplicateNode {
-                            line,
-                            name: name.to_string(),
-                        });
+                    let Some(region) = parse_region(region) else {
+                        return fail(SpecErrorKind::UnknownRegion(region.to_string()));
+                    };
+                    if ids.contains_key(name) {
+                        return fail(SpecErrorKind::DuplicateNode(name.to_string()));
                     }
                     if ids.len() > usize::from(u16::MAX) {
-                        return Err(SpecError::TooManyNodes { line });
+                        return fail(SpecErrorKind::TooManyNodes);
                     }
-                    let id = builder.add_node(*name, region);
-                    ids.insert(name.to_string(), id);
+                    ids.insert(*name, builder.add_node(*name, region));
                 }
                 ["link", a, b] => {
-                    let resolve = |name: &str| {
-                        ids.get(name)
-                            .copied()
-                            .ok_or_else(|| SpecError::UnknownNode {
-                                line,
-                                name: name.to_string(),
-                            })
+                    let (Some(&x), Some(&y)) = (ids.get(a), ids.get(b)) else {
+                        let unknown = if ids.contains_key(a) { b } else { a };
+                        return fail(SpecErrorKind::UnknownNode(unknown.to_string()));
                     };
-                    let (a, b) = (resolve(a)?, resolve(b)?);
-                    builder.add_link(a, b);
+                    if x == y {
+                        return fail(SpecErrorKind::SelfLoop(a.to_string()));
+                    }
+                    if let Some(first) = links.insert((x.min(y), x.max(y)), entry.number) {
+                        return fail(SpecErrorKind::DuplicateLink(first));
+                    }
+                    builder.add_link(x, y);
                 }
-                _ => {
-                    return Err(SpecError::Malformed {
-                        line,
-                        content: text.to_string(),
-                    })
-                }
+                _ => return fail(SpecErrorKind::Malformed(entry.content.to_string())),
             }
         }
         Ok(builder.build()?)
@@ -293,32 +275,48 @@ mod tests {
     #[test]
     fn malformed_line_rejected() {
         let err = Topology::from_spec("node a eu\nbogus line here\n").unwrap_err();
-        assert!(matches!(err, SpecError::Malformed { line: 2, .. }));
+        assert_eq!(
+            err.to_string(),
+            "line 2: malformed entry \"bogus line here\""
+        );
     }
 
     #[test]
     fn unknown_region_rejected() {
         let err = Topology::from_spec("node a mars\n").unwrap_err();
-        assert!(matches!(err, SpecError::UnknownRegion { line: 1, .. }));
+        assert!(err
+            .to_string()
+            .starts_with("line 1: unknown region \"mars\""));
     }
 
     #[test]
     fn unknown_node_in_link_rejected() {
         let err = Topology::from_spec("node a eu\nlink a ghost\n").unwrap_err();
-        assert!(matches!(err, SpecError::UnknownNode { line: 2, .. }));
+        assert_eq!(
+            err.to_string(),
+            "line 2: link references undeclared node \"ghost\""
+        );
     }
 
     #[test]
     fn duplicate_node_rejected() {
         let err = Topology::from_spec("node a eu\nnode a eu\n").unwrap_err();
-        assert!(matches!(err, SpecError::DuplicateNode { line: 2, .. }));
+        assert_eq!(err.to_string(), "line 2: node \"a\" declared twice");
+        let spec = "node a eu\nnode b eu\nlink a b\n# again\nlink b a\n";
+        let err = Topology::from_spec(spec).unwrap_err();
+        let kind = SpecErrorKind::DuplicateLink(3);
+        assert_eq!(err, SpecError::Line(LineError { line: 5, kind }));
+        assert_eq!(err.to_string(), "line 5: duplicate of the link on line 3");
+        let err = Topology::from_spec("node a eu\nlink a a\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: self-loop on node \"a\"");
     }
 
     #[test]
     fn node_beyond_16_bit_ids_rejected() {
         let spec: String = (0..=65_536).map(|i| format!("node n{i} eu\n")).collect();
         let err = Topology::from_spec(&spec).unwrap_err();
-        assert_eq!(err, SpecError::TooManyNodes { line: 65_537 });
+        let kind = SpecErrorKind::TooManyNodes;
+        assert_eq!(err, SpecError::Line(LineError { line: 65_537, kind }));
         assert!(err.to_string().starts_with("line 65537: "), "{err}");
     }
 

@@ -65,6 +65,30 @@ cargo build -q --release -p radar-cli --bin radar
 sample_peak_rss target/release/radar simulate --objects 1000000 --duration 1 --rate 1 --seed 1 \
   || { echo "FAIL: simulate --objects 1000000 exited non-zero"; exit 1; }
 echo "simulate --objects 1000000: peak RSS $((peak / 1024)) MB (sampled every 50 ms)"
+echo "== shipped text inputs parse (release) =="
+# The manual's §5 example schedule, the committed benchmark schedules
+# (read only), the built-in backbone's spec and a recorded trace go back
+# through their readers, so a doc example that drifts from the grammar
+# fails here.
+mkdir -p target
+awk '/^## 5\./ { in5 = 1 } /^## 6\./ { in5 = 0 }
+  in5 && fence && /^```$/ { exit }
+  in5 && fence { print }
+  in5 && /^```text$/ { fence = 1 }' docs/simulation-manual.md > target/manual-example.faults
+[ -s target/manual-example.faults ] \
+  || { echo "FAIL: no example schedule between the text fences of manual §5"; exit 1; }
+for faults in target/manual-example.faults benchmark/results/*.faults; do
+  target/release/radar simulate --duration 1 --faults "$faults" > /dev/null \
+    || { echo "FAIL: radar simulate rejects $faults"; exit 1; }
+done
+target/release/radar topology uunet --spec > target/uunet.spec
+target/release/radar topology target/uunet.spec > /dev/null \
+  || { echo "FAIL: radar topology rejects the spec of the built-in backbone"; exit 1; }
+target/release/radar simulate --objects 100 --duration 30 --seed 1 \
+  --record-trace target/recorded.trace > /dev/null
+target/release/radar trace validate target/recorded.trace > /dev/null \
+  || { echo "FAIL: radar trace validate rejects a recorded trace"; exit 1; }
+echo "shipped text inputs: the manual's schedule, $(ls benchmark/results/*.faults | wc -l) benchmark schedules, the uunet spec and a recorded trace parse"
 echo "== a crash below the replica floor (release) =="
 # One host stays down past declare-dead-after, so the re-replication
 # sweep copies every object up to min-replicas 2 and the placement
