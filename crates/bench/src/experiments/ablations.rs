@@ -3,10 +3,9 @@
 
 use std::fmt::Write as _;
 
-use radar_core::Params;
+use radar_core::{Params, OBJECT_SIZE};
 use radar_sim::{InitialPlacement, RunReport, Simulation};
 use radar_simnet::NodeId;
-use radar_stats::EquilibriumSpec;
 use radar_workload::DemandShift;
 
 use crate::{fmt_bw, LocalSwamp};
@@ -254,7 +253,7 @@ pub fn updates(h: &mut Harness) -> String {
             if let Some(max_replicas) = cap {
                 let kinds = vec![ObjectKind::NonCommuting { max_replicas }; objects as usize];
                 let primaries = (0..objects).map(|i| NodeId::new((i % 53) as u16)).collect();
-                builder = builder.catalog(Catalog::from_parts(kinds, 12 * 1024, primaries));
+                builder = builder.catalog(Catalog::from_parts(kinds, OBJECT_SIZE, primaries));
             }
             let simulation = simulation(builder, "zipf", "radar", "radar");
             (format!("updates  {label}"), simulation)
@@ -315,7 +314,7 @@ pub fn policies(h: &mut Harness) -> String {
         for placement in placements {
             let mut builder = h.cfg.scenario();
             if mix != ConsistencyMix::ReadOnly {
-                let catalog = Catalog::with_mix(h.cfg.num_objects, 12 * 1024, 53, mix);
+                let catalog = Catalog::with_mix(h.cfg.num_objects, OBJECT_SIZE, 53, mix);
                 builder = builder.update_rate(update_rate).catalog(catalog);
             }
             let label = format!("placement {placement} / {mix}");
@@ -602,10 +601,7 @@ pub fn variance(h: &mut Harness) -> String {
             workload.to_string(),
             stat(&|r| Some(r.equilibrium_bandwidth_rate() / 1e6), 1),
             stat(&|r| Some(r.equilibrium_avg_replicas()), 2),
-            stat(
-                &|r| Some(r.adjustment(EquilibriumSpec::default())?.adjustment_time / 60.0),
-                0,
-            ),
+            stat(&|r| Some(r.adjustment()?.adjustment_time / 60.0), 0),
         ]);
     }
     let headers = [

@@ -19,7 +19,7 @@ use std::sync::Mutex;
 use radar_sim::{
     NetworkParams, PlacementMode, RunReport, ScenarioBuilder, Simulation, SERVER_CAPACITY,
 };
-use radar_stats::{BinSpec, EquilibriumSpec};
+use radar_stats::BinSpec;
 
 use crate::{fmt_bw, fmt_ms, format_table, reduction_percent, ExpConfig, WORKLOADS};
 
@@ -191,7 +191,7 @@ const SETTLED_PEAK: Column = ("peak load (final quarter)", &|r| {
 });
 /// Minutes until the run settles at its equilibrium.
 const ADJUSTMENT: Column = ("adjustment (min)", &|r| {
-    r.adjustment(EquilibriumSpec::default()).map_or_else(
+    r.adjustment().map_or_else(
         || "n/a".into(),
         |a| format!("{:.0}", a.adjustment_time / 60.0),
     )
@@ -256,7 +256,7 @@ pub fn table1(h: &mut Harness) -> String {
         ),
         (
             "MIGR_RATIO / REPL_RATIO",
-            format!("{} / {:.4}", p.migration_ratio, p.replication_ratio),
+            format!("{} / {:.4}", radar_core::MIGR_RATIO, radar_core::REPL_RATIO),
         ),
         (
             "Distribution constant",

@@ -111,15 +111,6 @@ impl Parsed {
     }
 }
 
-/// `--object-size` in bytes, `default` when absent. A size of 0 would
-/// price every copy and every response at nothing, so it is rejected.
-pub(crate) fn object_size(parsed: &Parsed, default: u64) -> Result<u64, String> {
-    match parsed.get_parsed("object-size", default, "bytes") {
-        Ok(0) => Err("flag --object-size: expected a whole number of bytes >= 1, got 0".into()),
-        size => size.map_err(|e| e.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,7 @@ use radar_obs::{
     MetricsObserver, ObjectLedger, EVENT_TYPES,
 };
 
-use crate::args::{object_size, Parsed};
+use crate::args::Parsed;
 use crate::dashboard;
 
 pub(crate) fn command(args: &[&str]) -> Result<String, String> {
@@ -328,7 +328,7 @@ static MISSING: Event = Event {
 const MAX_WATCH_BINS: f64 = 1e6;
 
 fn watch(args: &[&str]) -> Result<String, String> {
-    const OPTIONS: &[&str] = &["top", "object-size", "bin", "interval", "duration"];
+    const OPTIONS: &[&str] = &["top", "duration"];
     let parsed = Parsed::parse(args, OPTIONS, &["help"]).map_err(|e| e.to_string())?;
     if parsed.has("help") {
         return Ok(help());
@@ -337,28 +337,9 @@ fn watch(args: &[&str]) -> Result<String, String> {
     let top: usize = parsed
         .get_parsed("top", 8, "a row count")
         .map_err(|e| e.to_string())?;
-    let cfg = MetricsConfig {
-        object_size: object_size(&parsed, MetricsConfig::default().object_size)?,
-        bandwidth_bin: parsed
-            .get_parsed("bin", MetricsConfig::default().bandwidth_bin, "seconds")
-            .map_err(|e| e.to_string())?,
-        load_interval: parsed
-            .get_parsed(
-                "interval",
-                MetricsConfig::default().load_interval,
-                "seconds",
-            )
-            .map_err(|e| e.to_string())?,
-        ..MetricsConfig::default()
-    };
-    let widths = [("bin", cfg.bandwidth_bin), ("interval", cfg.load_interval)];
-    for (flag, width) in widths {
-        if !(width.is_finite() && width > 0.0) {
-            return Err(format!(
-                "flag --{flag}: expected a finite number of seconds > 0, got {width}"
-            ));
-        }
-    }
+    // Every `radar simulate` log has the default object size, bandwidth
+    // bin and load interval.
+    let cfg = MetricsConfig::default();
     let events = load(&path)?;
     if events.is_empty() {
         return Ok("no events\n".to_string());
@@ -373,14 +354,12 @@ fn watch(args: &[&str]) -> Result<String, String> {
     }
     // The fold records one bin per width up to the horizon.
     let horizon = events.iter().map(|e| e.t).fold(t_end, f64::max);
-    for (flag, width) in widths {
-        let bins = horizon / width;
-        if bins > MAX_WATCH_BINS {
-            return Err(format!(
-                "flag --{flag}: {bins:.3e} bins over the {horizon}-s replay, \
-                 more than {MAX_WATCH_BINS:.0}"
-            ));
-        }
+    let bins = horizon / cfg.bandwidth_bin.min(cfg.load_interval);
+    if bins > MAX_WATCH_BINS {
+        return Err(format!(
+            "flag --duration: {bins:.3e} bins over the {horizon}-s replay, \
+             more than {MAX_WATCH_BINS:.0}"
+        ));
     }
     let mut m = MetricsObserver::new(cfg);
     let mut ledger = ObjectLedger::default();
@@ -583,9 +562,8 @@ fn help() -> String {
      \x20                                           metrics fold and object ledger and\n\
      \x20                                           render the dashboard (animated on\n\
      \x20                                           a TTY)\n\
-     \x20         [--object-size B] [--bin S] [--interval S] [--duration S]\n\
-     \x20                                           match the run's scenario so\n\
-     \x20                                           aggregates line up with the report\n\
+     \x20         [--duration S]                    fold up to S seconds (default: the\n\
+     \x20                                           last event's time)\n\
      \x20 radar events diff A B                     compare two logs; report the first\n\
      \x20                                           diverging event with its causal\n\
      \x20                                           chain (exit 2 on divergence)\n\

@@ -12,9 +12,9 @@
 
 use std::fmt::Write as _;
 
-use radar_obs::{Event, LedgerConfig, ObjectLedger, ReplicaChange};
+use radar_obs::{Event, ObjectLedger, ReplicaChange};
 
-use crate::args::{object_size, Parsed};
+use crate::args::Parsed;
 use crate::events::{stream, Causality, Extent};
 
 /// Steps `objects timeline` lists: the latest ones, after a count of
@@ -37,36 +37,17 @@ pub(crate) fn command(args: &[&str]) -> Result<String, String> {
     }
 }
 
-/// Ledger configuration from the shared `--object-size` / `--window`
-/// flags (defaults match [`LedgerConfig::default`], which mirrors the
-/// default scenario). A NaN or negative window would count no churn
-/// and an infinite one every reversal, so both are rejected.
-fn ledger_config(parsed: &Parsed) -> Result<LedgerConfig, String> {
-    let defaults = LedgerConfig::default();
-    let churn_window = parsed
-        .get_parsed("window", defaults.churn_window, "seconds")
-        .map_err(|e| e.to_string())?;
-    if !(churn_window.is_finite() && churn_window >= 0.0) {
-        return Err(format!(
-            "flag --window: expected a finite number of seconds >= 0, got {churn_window}"
-        ));
-    }
-    Ok(LedgerConfig {
-        object_size: object_size(parsed, defaults.object_size)?,
-        churn_window,
-    })
-}
-
 /// Folds a log file through a fresh ledger line by line, handing each
 /// event and the replica-set change it made, if any, to `each`. The log
 /// itself is never held: memory is the ledger's per-object state plus
-/// what `each` keeps.
+/// what `each` keeps. The ledger prices copies and counts churn with
+/// [`radar_obs::LedgerConfig::default`], the values of every
+/// `radar simulate` run.
 fn fold_file(
     path: &str,
-    cfg: LedgerConfig,
     mut each: impl FnMut(Event, Option<ReplicaChange>),
 ) -> Result<(ObjectLedger, Extent), String> {
-    let mut ledger = ObjectLedger::new(cfg);
+    let mut ledger = ObjectLedger::default();
     let extent = stream(path, |e| {
         let change = ledger.fold(&e);
         each(e, change);
@@ -78,8 +59,7 @@ fn fold_file(
 }
 
 fn timeline(args: &[&str]) -> Result<String, String> {
-    const OPTIONS: &[&str] = &["object-size", "window"];
-    let parsed = Parsed::parse(args, OPTIONS, &["help"]).map_err(|e| e.to_string())?;
+    let parsed = Parsed::parse(args, &[], &["help"]).map_err(|e| e.to_string())?;
     if parsed.has("help") {
         return Ok(help());
     }
@@ -93,7 +73,7 @@ fn timeline(args: &[&str]) -> Result<String, String> {
     // changes with the indices of the events that made them.
     let mut events = Vec::new();
     let mut steps = Vec::new();
-    let (ledger, _) = fold_file(path, ledger_config(&parsed)?, |event, change| {
+    let (ledger, _) = fold_file(path, |event, change| {
         if let Some(change) = change.filter(|_| event.object() == Some(object)) {
             steps.push((events.len(), change));
         }
@@ -170,8 +150,7 @@ fn timeline(args: &[&str]) -> Result<String, String> {
 }
 
 fn churn(args: &[&str]) -> Result<String, String> {
-    const OPTIONS: &[&str] = &["top", "object-size", "window"];
-    let parsed = Parsed::parse(args, OPTIONS, &["help"]).map_err(|e| e.to_string())?;
+    let parsed = Parsed::parse(args, &["top"], &["help"]).map_err(|e| e.to_string())?;
     if parsed.has("help") {
         return Ok(help());
     }
@@ -184,7 +163,7 @@ fn churn(args: &[&str]) -> Result<String, String> {
     let top: usize = parsed
         .get_parsed("top", 10, "a row count")
         .map_err(|e| e.to_string())?;
-    let (ledger, extent) = fold_file(path, ledger_config(&parsed)?, |_, _| ())?;
+    let (ledger, extent) = fold_file(path, |_, _| ())?;
     if extent.events == 0 {
         return Ok("no events\n".to_string());
     }
@@ -250,7 +229,7 @@ fn audit(args: &[&str]) -> Result<String, String> {
             help()
         ));
     };
-    let (ledger, extent) = fold_file(path, LedgerConfig::default(), |_, _| ())?;
+    let (ledger, extent) = fold_file(path, |_, _| ())?;
     let auditor = ledger.auditor();
     let events = auditor.events_seen();
     let caveat = extent.gap_note().unwrap_or_default();
@@ -309,11 +288,9 @@ fn help() -> String {
      \x20                                   directory/host disagreement (exit 2 with\n\
      \x20                                   the offending event seqs on violations)\n\
      \n\
-     OPTIONS (timeline / churn):\n\
-     \x20 --object-size B   bytes per object copy, for relocation pricing\n\
-     \x20                   (default 12288 — the default scenario's size)\n\
-     \x20 --window S        churn hysteresis window in seconds (default 200 —\n\
-     \x20                   two of the default scenario's placement periods)\n"
+     Relocations are priced at 12288 bytes per copy and churn is counted\n\
+     over a 200-s window (two placement periods), the values of every\n\
+     `radar simulate` run.\n"
         .to_string()
 }
 
@@ -425,9 +402,9 @@ mod tests {
     #[test]
     fn churn_prices_relocations_per_object_and_node() {
         let (_g, path) = write_log(&replication_log());
-        let out = churn(&[path.as_str(), "--object-size", "1000"]).unwrap();
+        let out = churn(&[path.as_str()]).unwrap();
         assert!(out.contains("protocol health"), "{out}");
-        assert!(out.contains("bytes moved 1000"), "{out}");
+        assert!(out.contains("bytes moved 12288"), "{out}");
         assert!(out.contains("[ok]"), "{out}");
         // Node table: host 1 shipped the copy out, host 2 received it.
         assert!(out.contains("bytes-in"), "{out}");

@@ -1,7 +1,6 @@
 //! Human-readable run summaries.
 
 use radar_sim::RunReport;
-use radar_stats::EquilibriumSpec;
 
 /// Renders the headline numbers of a finished run.
 pub fn summary(report: &RunReport) -> String {
@@ -106,7 +105,7 @@ pub fn summary(report: &RunReport) -> String {
             report.restore_time.mean,
         ));
     }
-    match report.adjustment(EquilibriumSpec::default()) {
+    match report.adjustment() {
         Some(adj) => out.push_str(&format!(
             "adjustment time    {:>9.1} min\n",
             adj.adjustment_time / 60.0

@@ -1,6 +1,6 @@
 //! `radar simulate` — configure and run one simulation.
 
-use radar_core::{Catalog, ConsistencyMix};
+use radar_core::{Catalog, ConsistencyMix, OBJECT_SIZE};
 use radar_sim::obs::{SharedMetrics, SharedObjectLedger};
 use radar_sim::{FaultSpec, PlacementMode, RunReport, Scenario, ScenarioError, Simulation, Trace};
 
@@ -128,9 +128,9 @@ impl SimulateArgs {
             })?,
         };
         if consistency != ConsistencyMix::ReadOnly {
-            // 12 KiB matches the default uniform catalog's object size
-            // (paper §6.1), so the mixes differ only in §5 kinds.
-            builder = builder.catalog(Catalog::with_mix(objects, 12 * 1024, nodes, consistency));
+            // The default catalog's object size, so the mixes differ only
+            // in §5 kinds.
+            builder = builder.catalog(Catalog::with_mix(objects, OBJECT_SIZE, nodes, consistency));
         }
         if let Some(spec) = parsed.get("watermarks") {
             let (lw, hw) = spec

@@ -21,6 +21,47 @@ fn help_paths() {
     assert!(err.contains("unknown argument \"--shards\"") && err.contains("--seed N"));
     let out = run(&args(&[])).unwrap();
     assert!(out.contains("radar simulate"));
+    // Every `--flag` a help text lists outside backquotes (which quote
+    // other commands) parses for the command or one of its subcommands.
+    // Followed by two unknown flags, an option takes the first as its
+    // value and a switch takes none, so the parser stops at an unknown
+    // one, never at the listed flag, and nothing runs.
+    let unknown = "--no-such-flag";
+    for (command, subs) in [
+        ("simulate", &[][..]),
+        (
+            "events",
+            &["tail", "filter", "explain", "summary", "watch", "diff"][..],
+        ),
+        ("objects", &["timeline", "churn", "audit"][..]),
+        ("trace", &[][..]),
+        ("topology", &[][..]),
+    ] {
+        let help = run(&args(&[command, "--help"])).unwrap_or_else(|help| help);
+        let unquoted: String = help.split('`').step_by(2).collect();
+        let flags: Vec<&str> = unquoted
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.len() > 2 && word.starts_with("--"))
+            .collect();
+        assert!(!flags.is_empty(), "{command} --help lists no flags");
+        let choices: Vec<Vec<&str>> = if subs.is_empty() {
+            vec![vec![command]]
+        } else {
+            subs.iter().map(|&sub| vec![command, sub]).collect()
+        };
+        for flag in flags {
+            let rejected = format!("unknown argument \"{flag}\"");
+            let parses = choices.iter().any(|line| {
+                let line = [&line[..], &[flag, unknown, unknown]].concat();
+                let err = run(&args(&line)).expect_err("an unknown flag stops the parser");
+                !err.contains(&rejected)
+            });
+            assert!(
+                parses,
+                "{command} --help lists {flag}, which nothing parses"
+            );
+        }
+    }
 }
 
 #[test]

@@ -322,9 +322,13 @@ fn fault_schedule_validation_names_the_line_of_the_fault() {
             "host-down x 10  # bad",
             "malformed directive \"host-down x 10\"",
         ),
+        (
+            "min-replicas 53",
+            "min-replicas given twice (first on line 1)",
+        ),
     ] {
-        // The knob, the comment and the blank line count: the bad fault,
-        // the second of the schedule, is on line 5.
+        // The knob, the comment and the blank line count: the bad
+        // directive, after the schedule's first fault, is on line 5.
         let faults = TempFile::new(
             "faults",
             &format!("min-replicas 2\nhost-down 3 10 20\n# then\n\n{bad_line}\n"),

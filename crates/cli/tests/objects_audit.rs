@@ -245,37 +245,51 @@ fn ledger_does_not_perturb_the_event_stream() {
 }
 
 /// `objects churn` replays a log through a ledger with the default
-/// window, which must be the one the simulator's ledger used on the
-/// default scenario (two 100 s placement periods): the replay then
-/// counts the churn the report counted. This run's churn depends on
-/// the window: a 120 s one counts ping-pong 1 and replicate-then-drop 3.
+/// window and object size, which must be the ones the simulator's
+/// ledger used (two 100 s placement periods, the catalog's 12 KiB
+/// copies, with or without §5 updates): the replay then counts the
+/// churn and the bytes moved the report counted. The first run's churn
+/// depends on the window: a 120 s one counts ping-pong 1 and
+/// replicate-then-drop 3.
 #[test]
 fn churn_replay_counts_what_the_report_counted() {
-    let (_g, log) = temp("churn", "jsonl");
-    let report = run(&args(&[
-        "simulate",
-        "--objects",
-        "200",
-        "--rate",
-        "0.1",
-        "--duration",
-        "500",
-        "--seed",
-        "3",
-        "--ledger",
-        "--json",
-        "--events",
-        &log,
-    ]))
-    .expect("scenario runs");
-    let health = &Value::parse(&report).expect("valid JSON")["protocol_health"];
-    let count = |key: &str| health[key].as_u64().expect("a count");
-    let (ping_pong, replicate_drop) = (count("ping_pong"), count("replicate_drop"));
-    assert!(
-        ping_pong > 0 && replicate_drop > 0,
-        "the run churns: {health}"
-    );
-    let churn = run(&args(&["objects", "churn", &log])).expect("the log replays");
-    let want = format!("ping-pong {ping_pong} · replicate-then-drop {replicate_drop}");
-    assert!(churn.contains(&want), "report: {want}; replay:\n{churn}");
+    let updates: &[&str] = &["--consistency", "mixed", "--update-rate", "1"];
+    for (rate, extra) in [("0.1", &[][..]), ("0.2", updates)] {
+        let (_g, log) = temp("churn", "jsonl");
+        let mut a = vec![
+            "simulate",
+            "--objects",
+            "200",
+            "--rate",
+            rate,
+            "--duration",
+            "500",
+            "--seed",
+            "3",
+            "--ledger",
+            "--json",
+            "--events",
+            &log,
+        ];
+        a.extend_from_slice(extra);
+        let report = run(&args(&a)).expect("scenario runs");
+        let health = &Value::parse(&report).expect("valid JSON")["protocol_health"];
+        let count = |key: &str| health[key].as_u64().expect("a count");
+        let (ping_pong, replicate_drop) = (count("ping_pong"), count("replicate_drop"));
+        let bytes_moved = count("bytes_moved");
+        assert!(
+            ping_pong > 0 && replicate_drop > 0 && bytes_moved > 0,
+            "{extra:?}: the run churns: {health}"
+        );
+        let churn = run(&args(&["objects", "churn", &log])).expect("the log replays");
+        for want in [
+            format!("ping-pong {ping_pong} · replicate-then-drop {replicate_drop}"),
+            format!("bytes moved {bytes_moved} ("),
+        ] {
+            assert!(
+                churn.contains(&want),
+                "{extra:?}: report: {want}; replay:\n{churn}"
+            );
+        }
+    }
 }

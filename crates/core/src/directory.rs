@@ -137,15 +137,9 @@ impl Directory {
         self.notifications
     }
 
-    /// The object's provider-update version (§5): how many provider
-    /// updates have been issued against its primary copy. Replica churn
-    /// never bumps it.
-    pub fn update_version(&self, object: ObjectId) -> u64 {
-        self.update_versions[object.index()]
-    }
-
     /// Records one provider update against `object`'s primary copy and
-    /// returns the new update version. The caller (the platform's §5
+    /// returns the new update version (§5): how many provider updates
+    /// have been issued against it. Replica churn never bumps it. The caller (the platform's §5
     /// propagation machinery) schedules per-replica delivery of this
     /// version asynchronously.
     pub fn bump_update_version(&mut self, object: ObjectId) -> u64 {
@@ -400,13 +394,11 @@ mod tests {
     fn update_versions_independent_of_membership() {
         let mut d = Directory::new(2);
         d.install(x(), node(0));
-        assert_eq!(d.update_version(x()), 0);
         assert_eq!(d.bump_update_version(x()), 1);
         assert_eq!(d.bump_update_version(x()), 2);
-        assert_eq!(d.update_version(x()), 2);
         // Membership churn leaves the update version alone.
         d.notify_created(x(), node(1));
-        assert_eq!(d.update_version(x()), 2);
+        assert_eq!(d.bump_update_version(x()), 3);
         assert_eq!(d.bump_update_version(ObjectId::new(1)), 1);
     }
 

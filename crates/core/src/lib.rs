@@ -79,6 +79,6 @@ pub use catalog::{Catalog, ConsistencyMix, ObjectKind};
 pub use directory::Directory;
 pub use host::{HostState, ObjectState, SlotHint};
 pub use load::LoadEstimator;
-pub use params::{Params, ParamsError};
+pub use params::{Params, ParamsError, MIGR_RATIO, OBJECT_SIZE, REPL_RATIO};
 pub use redirector::{Fig2Pass, Redirector, ReplicaInfo};
 pub use types::{CreateObjRequest, CreateObjResponse, ObjectId, RelocationKind};

@@ -2,6 +2,25 @@
 
 use std::fmt;
 
+/// `MIGR_RATIO` (Figs. 3–5): the fraction of an object's preference
+/// paths a candidate must lie on to attract a geo-migration.
+pub const MIGR_RATIO: f64 = 0.6;
+
+/// `REPL_RATIO` (Figs. 3–5): the fraction required to attract a
+/// geo-replication.
+pub const REPL_RATIO: f64 = 1.0 / 6.0;
+
+// §4.2: `MIGR_RATIO > 0.5` keeps two nodes from each seeing a majority
+// and ping-ponging an object between them, and `REPL_RATIO < MIGR_RATIO`
+// is needed "for replication to ever take place".
+const _: () = assert!(MIGR_RATIO > 0.5 && REPL_RATIO < MIGR_RATIO);
+
+/// Bytes per object (Table 1's 12-KB objects): the size of the default
+/// scenario's catalog. The `LedgerConfig` and `MetricsConfig` defaults in
+/// `radar-obs`, a crate below this one, repeat the literal, and the log
+/// readers price copies with them.
+pub const OBJECT_SIZE: u64 = 12 * 1024;
+
 /// All tunable parameters of the protocol, with the constraints the paper
 /// derives for stability.
 ///
@@ -11,21 +30,18 @@ use std::fmt;
 /// | `high_watermark` | hw | 90 req/s (50 in the high-load runs) |
 /// | `deletion_threshold` | u | 0.03 req/s |
 /// | `replication_threshold` | m | 6u = 0.18 req/s |
-/// | `migration_ratio` | MIGR_RATIO | 0.6 |
-/// | `replication_ratio` | REPL_RATIO | 1/6 |
 /// | `distribution_constant` | the "2" in Fig. 2 | 2.0 |
 /// | `placement_period` | inter-placement time | 100 s |
 /// | `measurement_interval` | load measurement interval | 20 s |
 ///
-/// Constraints checked by [`Params::check`], which the simulator's
-/// scenario builder calls on every run's parameters:
+/// The two path-share ratios of Figs. 3–5 are the constants
+/// [`MIGR_RATIO`] and [`REPL_RATIO`]. Constraints checked by
+/// [`Params::check`], which the simulator's scenario builder calls on
+/// every run's parameters:
 ///
 /// * `4u < m` — Theorem 5's stability condition: replicas created by a
 ///   replication can never immediately fall below the deletion threshold,
 ///   so replicate→delete cycles cannot occur;
-/// * `MIGR_RATIO > 0.5` — prevents two nodes from each seeing a majority
-///   and ping-ponging an object between them;
-/// * `REPL_RATIO < MIGR_RATIO` — "for replication to ever take place";
 /// * `lw < hw`, and all rates/periods positive.
 ///
 /// # Examples
@@ -52,11 +68,6 @@ pub struct Params {
     pub deletion_threshold: f64,
     /// Replication threshold `m` (requests/second per affinity unit).
     pub replication_threshold: f64,
-    /// `MIGR_RATIO`: the fraction of an object's requests a candidate must
-    /// appear on (as a preference-path node) to attract a geo-migration.
-    pub migration_ratio: f64,
-    /// `REPL_RATIO`: the fraction required to attract a geo-replication.
-    pub replication_ratio: f64,
     /// The constant of the request distribution algorithm (Fig. 2): the
     /// closest replica keeps receiving requests until its unit request
     /// count exceeds `constant ×` the minimum unit request count.
@@ -76,8 +87,6 @@ impl Params {
             high_watermark: 90.0,
             deletion_threshold: 0.03,
             replication_threshold: 0.18,
-            migration_ratio: 0.6,
-            replication_ratio: 1.0 / 6.0,
             distribution_constant: 2.0,
             placement_period: 100.0,
             measurement_interval: 20.0,
@@ -106,8 +115,6 @@ impl Params {
             ("high_watermark", p.high_watermark),
             ("deletion_threshold", p.deletion_threshold),
             ("replication_threshold", p.replication_threshold),
-            ("migration_ratio", p.migration_ratio),
-            ("replication_ratio", p.replication_ratio),
             ("distribution_constant", p.distribution_constant),
             ("placement_period", p.placement_period),
             ("measurement_interval", p.measurement_interval),
@@ -127,15 +134,6 @@ impl Params {
             return Err(ParamsError::ThresholdsUnstable {
                 deletion: p.deletion_threshold,
                 replication: p.replication_threshold,
-            });
-        }
-        if p.migration_ratio <= 0.5 {
-            return Err(ParamsError::MigrationRatioTooLow(p.migration_ratio));
-        }
-        if p.replication_ratio >= p.migration_ratio {
-            return Err(ParamsError::ReplicationRatioTooHigh {
-                replication: p.replication_ratio,
-                migration: p.migration_ratio,
             });
         }
         if p.distribution_constant <= 1.0 {
@@ -178,15 +176,6 @@ pub enum ParamsError {
         /// Replication threshold `m`.
         replication: f64,
     },
-    /// `MIGR_RATIO ≤ 0.5`, allowing migration ping-pong.
-    MigrationRatioTooLow(f64),
-    /// `REPL_RATIO ≥ MIGR_RATIO`, so replication could never be chosen.
-    ReplicationRatioTooHigh {
-        /// Replication ratio.
-        replication: f64,
-        /// Migration ratio.
-        migration: f64,
-    },
     /// Distribution constant must exceed 1 (at 1 the closest replica
     /// never gets preference).
     DistributionConstantTooLow(f64),
@@ -208,19 +197,6 @@ impl fmt::Display for ParamsError {
                 f,
                 "stability requires 4·u < m (theorem 5), got u={deletion}, m={replication}"
             ),
-            ParamsError::MigrationRatioTooLow(v) => {
-                write!(
-                    f,
-                    "migration ratio must exceed 0.5 to prevent ping-pong, got {v}"
-                )
-            }
-            ParamsError::ReplicationRatioTooHigh {
-                replication,
-                migration,
-            } => write!(
-                f,
-                "replication ratio {replication} must be below migration ratio {migration}"
-            ),
             ParamsError::DistributionConstantTooLow(v) => {
                 write!(f, "distribution constant must exceed 1, got {v}")
             }
@@ -241,8 +217,6 @@ mod tests {
         assert_eq!(p.high_watermark, 90.0);
         assert_eq!(p.deletion_threshold, 0.03);
         assert_eq!(p.replication_threshold, 0.18);
-        assert_eq!(p.migration_ratio, 0.6);
-        assert!((p.replication_ratio - 1.0 / 6.0).abs() < 1e-12);
         assert_eq!(p.distribution_constant, 2.0);
         assert_eq!(p.placement_period, 100.0);
         assert_eq!(p.measurement_interval, 20.0);
@@ -287,14 +261,6 @@ mod tests {
         }
     }
 
-    fn ratios(migration_ratio: f64, replication_ratio: f64) -> Params {
-        Params {
-            migration_ratio,
-            replication_ratio,
-            ..Params::paper()
-        }
-    }
-
     fn constant(distribution_constant: f64) -> Params {
         Params {
             distribution_constant,
@@ -309,18 +275,6 @@ mod tests {
         // Exactly 4u == m is also rejected (strict inequality).
         let err = thresholds(0.05, 0.05 * 4.0).check().unwrap_err();
         assert!(matches!(err, ParamsError::ThresholdsUnstable { .. }));
-    }
-
-    #[test]
-    fn migration_ratio_must_exceed_half() {
-        let err = ratios(0.5, 0.1).check().unwrap_err();
-        assert!(matches!(err, ParamsError::MigrationRatioTooLow(_)));
-    }
-
-    #[test]
-    fn replication_ratio_below_migration_ratio() {
-        let err = ratios(0.6, 0.7).check().unwrap_err();
-        assert!(matches!(err, ParamsError::ReplicationRatioTooHigh { .. }));
     }
 
     #[test]
@@ -360,12 +314,7 @@ mod tests {
             high_watermark: 80.0,
             ..Params::paper()
         };
-        for p in [
-            inverted,
-            thresholds(1.0, 1.0),
-            ratios(0.4, 0.1),
-            constant(0.5),
-        ] {
+        for p in [inverted, thresholds(1.0, 1.0), constant(0.5)] {
             assert!(!p.check().unwrap_err().to_string().is_empty());
         }
     }

@@ -36,7 +36,10 @@ use radar_simnet::NodeId;
 
 pub use radar_obs::{PlacementActionEvent, PlacementActionKind};
 
-use crate::{bounds, CreateObjRequest, CreateObjResponse, HostState, ObjectId, RelocationKind};
+use crate::{
+    bounds, CreateObjRequest, CreateObjResponse, HostState, ObjectId, RelocationKind, MIGR_RATIO,
+    REPL_RATIO,
+};
 
 /// The platform services the placement algorithm needs. Implemented by
 /// the simulator (`radar-sim`) over real hosts/redirectors, and by mock
@@ -358,7 +361,7 @@ pub fn run_placement_into(
                 &scratch.counts,
                 s,
                 cnt_s,
-                params.migration_ratio,
+                MIGR_RATIO,
                 env,
                 &mut scratch.candidates,
             );
@@ -385,7 +388,7 @@ pub fn run_placement_into(
                         Some(p),
                         unit_rate,
                         Some(share),
-                        Some(params.migration_ratio),
+                        Some(MIGR_RATIO),
                     ));
                     moved = true;
                     break;
@@ -399,7 +402,7 @@ pub fn run_placement_into(
                 &scratch.counts,
                 s,
                 cnt_s,
-                params.replication_ratio,
+                REPL_RATIO,
                 env,
                 &mut scratch.candidates,
             );
@@ -418,7 +421,7 @@ pub fn run_placement_into(
                         Some(p),
                         unit_rate,
                         Some(share),
-                        Some(params.replication_ratio),
+                        Some(REPL_RATIO),
                     ));
                     moved = true;
                     break;
@@ -935,7 +938,7 @@ mod tests {
             .expect("replication decision recorded");
         assert_eq!(repl.action, A::GeoReplicate);
         assert_eq!(repl.target, Some(2));
-        assert_eq!(repl.ratio, Some(params.replication_ratio));
+        assert_eq!(repl.ratio, Some(REPL_RATIO));
         // Node 2 lies on 20 of 60 preference paths.
         let share = repl.share.expect("geo decision carries a share");
         assert!((share - 1.0 / 3.0).abs() < 1e-9, "share = {share}");

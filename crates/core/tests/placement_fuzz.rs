@@ -19,7 +19,7 @@ use radar_core::placement::{
 };
 use radar_core::{
     bounds, CreateObjRequest, CreateObjResponse, Directory, HostState, ObjectId, Params,
-    Redirector, RelocationKind,
+    Redirector, RelocationKind, MIGR_RATIO, REPL_RATIO,
 };
 use radar_simcore::SimRng;
 use radar_simnet::{builders, NodeId, RoutingTable, Topology};
@@ -418,7 +418,7 @@ fn snapshot_walk_placement(
         }
         let mut migrated = false;
         if cnt_s > 0 {
-            for (p, share) in snapshot_candidates(host, x, cnt_s, params.migration_ratio, env) {
+            for (p, share) in snapshot_candidates(host, x, cnt_s, MIGR_RATIO, env) {
                 let req = CreateObjRequest {
                     kind: RelocationKind::Migrate,
                     object: x,
@@ -433,7 +433,7 @@ fn snapshot_walk_placement(
                         Some(p),
                         unit_rate,
                         Some(share),
-                        Some(params.migration_ratio),
+                        Some(MIGR_RATIO),
                     ));
                     migrated = true;
                     break;
@@ -441,7 +441,7 @@ fn snapshot_walk_placement(
             }
         }
         if !migrated && unit_rate > params.replication_threshold && env.may_replicate(x) {
-            for (p, share) in snapshot_candidates(host, x, cnt_s, params.replication_ratio, env) {
+            for (p, share) in snapshot_candidates(host, x, cnt_s, REPL_RATIO, env) {
                 let req = CreateObjRequest {
                     kind: RelocationKind::Replicate,
                     object: x,
@@ -455,7 +455,7 @@ fn snapshot_walk_placement(
                         Some(p),
                         unit_rate,
                         Some(share),
-                        Some(params.replication_ratio),
+                        Some(REPL_RATIO),
                     ));
                     break;
                 }

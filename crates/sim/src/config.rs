@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use radar_core::{Catalog, Params};
+use radar_core::{Catalog, Params, OBJECT_SIZE};
 use radar_simnet::Topology;
 
 use crate::faults::{FaultError, FaultSpec};
@@ -495,7 +495,7 @@ impl ScenarioBuilder {
         check_object_count(s.num_objects)?;
         if s.catalog.is_empty() {
             // Table 1: 12 KB objects.
-            s.catalog = Catalog::uniform(s.num_objects, 12 * 1024, s.topology.len() as u16);
+            s.catalog = Catalog::uniform(s.num_objects, OBJECT_SIZE, s.topology.len() as u16);
         }
         let positives = [
             ("node_request_rate", s.node_request_rate),
@@ -780,7 +780,7 @@ mod tests {
             set(&mut params);
             Scenario::builder().params(params).build().unwrap_err()
         };
-        let cases: [(Edit, E); 8] = [
+        let cases: [(Edit, E); 6] = [
             (
                 |p| p.low_watermark = 95.0,
                 E::WatermarksInverted {
@@ -807,14 +807,6 @@ mod tests {
                 E::ThresholdsUnstable {
                     deletion: 0.03,
                     replication: 0.1,
-                },
-            ),
-            (|p| p.migration_ratio = 0.5, E::MigrationRatioTooLow(0.5)),
-            (
-                |p| p.replication_ratio = 0.6,
-                E::ReplicationRatioTooHigh {
-                    replication: 0.6,
-                    migration: 0.6,
                 },
             ),
             (

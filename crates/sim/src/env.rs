@@ -32,12 +32,12 @@ impl Simulation {
             if !self.fault_state.host_up(i as u16) {
                 // A crashed host publishes nothing; an infinite report
                 // keeps it off everyone's offload candidate list.
-                self.load_reports[i] = (now, f64::INFINITY);
+                self.load_reports[i] = f64::INFINITY;
                 continue;
             }
             host.advance(now);
             // Publish this measurement round's load report.
-            self.load_reports[i] = (now, host.load_upper());
+            self.load_reports[i] = host.load_upper();
             if host.measured_load() > max {
                 max = host.measured_load();
                 max_host = i as u16;
@@ -297,7 +297,7 @@ struct SimEnv<'a> {
     metrics: &'a mut Metrics,
     view: &'a RoutingView,
     catalog: &'a Catalog,
-    load_reports: &'a [(f64, f64)],
+    load_reports: &'a [f64],
     /// Host liveness: crashed hosts accept nothing and are skipped
     /// during offload-recipient discovery.
     faults: &'a FaultState,
@@ -406,8 +406,7 @@ impl PlacementEnv for SimEnv<'_> {
                     j != *self_index && j != requester.index() && faults.host_up(j as u16)
                 })
                 .filter_map(|(j, host)| {
-                    let (_, reported) = load_reports[j];
-                    let headroom = host.params().low_watermark - reported;
+                    let headroom = host.params().low_watermark - load_reports[j];
                     (headroom > 0.0).then_some((headroom, j))
                 }),
         );

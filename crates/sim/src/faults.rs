@@ -106,6 +106,13 @@ pub enum FaultErrorKind {
     UnknownLink(u16, u16),
     /// A policy knob had a nonsensical value.
     BadPolicy(String),
+    /// A policy knob was given a second time.
+    Repeated {
+        /// The knob's directive.
+        knob: &'static str,
+        /// The line that gave it first.
+        first: usize,
+    },
 }
 
 impl fmt::Display for FaultErrorKind {
@@ -123,6 +130,9 @@ impl fmt::Display for FaultErrorKind {
                 write!(f, "fault references unknown link {a}-{b}")
             }
             FaultErrorKind::BadPolicy(msg) => write!(f, "bad fault policy: {msg}"),
+            FaultErrorKind::Repeated { knob, first } => {
+                write!(f, "{knob} given twice (first on line {first})")
+            }
         }
     }
 }
@@ -360,13 +370,23 @@ impl FaultSpec {
     /// # Errors
     ///
     /// Returns a [`FaultErrorKind::Malformed`] error naming the first
-    /// line that is not a directive.
+    /// line that is not a directive, or [`FaultErrorKind::Repeated`] on
+    /// the second line to give a knob.
     pub fn from_text(text: &str) -> Result<Self, FaultError> {
+        const KNOBS: [&str; 2] = ["min-replicas", "declare-dead-after"];
         let mut spec = FaultSpec::new();
+        // The line each knob was first given on, in `knob_lines` order.
+        let mut given = [None; 2];
         for line in text::lines(text) {
             let words: Vec<&str> = line.words().collect();
             spec.read(&words, line.number)
                 .ok_or_else(|| line.error(FaultErrorKind::Malformed(line.content.to_string())))?;
+            if let Some(k) = KNOBS.iter().position(|&knob| knob == words[0]) {
+                if let Some(first) = given[k].replace(line.number) {
+                    let knob = KNOBS[k];
+                    return Err(line.error(FaultErrorKind::Repeated { knob, first }));
+                }
+            }
         }
         Ok(spec)
     }
@@ -899,10 +919,22 @@ mod tests {
                 "{bad:?} should be rejected"
             );
         }
-        let err = FaultSpec::from_text("min-replicas 2\nhost-down x 10  # bad\n").unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "line 2: malformed directive \"host-down x 10\""
-        );
+        for (text, message) in [
+            (
+                "min-replicas 2\nhost-down x 10  # bad\n",
+                "line 2: malformed directive \"host-down x 10\"",
+            ),
+            (
+                "min-replicas 2\nmin-replicas 53\n",
+                "line 2: min-replicas given twice (first on line 1)",
+            ),
+            (
+                "declare-dead-after 5\n# again\ndeclare-dead-after 9\n",
+                "line 3: declare-dead-after given twice (first on line 1)",
+            ),
+        ] {
+            let err = FaultSpec::from_text(text).unwrap_err();
+            assert_eq!(err.to_string(), message);
+        }
     }
 }

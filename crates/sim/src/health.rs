@@ -196,7 +196,7 @@ impl Simulation {
                         .filter(|&j| !replicas.iter().any(|r| r.host.index() == j))
                         .map(|j| {
                             (
-                                self.hosts[j].params().low_watermark - self.load_reports[j].1,
+                                self.hosts[j].params().low_watermark - self.load_reports[j],
                                 j,
                             )
                         })

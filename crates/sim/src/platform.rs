@@ -180,12 +180,11 @@ pub struct Simulation {
     pub(crate) object_ledger: Option<SharedObjectLedger>,
     /// The load-report board (§4.2.2 / the TR's recipient discovery):
     /// "hosts periodically exchange load reports, so that each host
-    /// knows a few probable candidates." Each entry is `(time, load)`:
-    /// when the host last published and the upper-estimate load it
-    /// published; offload
+    /// knows a few probable candidates." Each entry is the upper-estimate
+    /// load the host last published (infinite while it is down); offload
     /// recipient discovery reads these possibly-stale reports, while
     /// `CreateObj` admission remains authoritative at the recipient.
-    pub(crate) load_reports: Vec<(f64, f64)>,
+    pub(crate) load_reports: Vec<f64>,
     /// Replay source: when set, arrivals come from this trace instead of
     /// the arrival processes + workload.
     pub(crate) replay: Option<Trace>,
@@ -303,7 +302,7 @@ impl Simulation {
             events: EventSink::new(),
             profile: None,
             object_ledger: None,
-            load_reports: vec![(0.0, 0.0); n],
+            load_reports: vec![0.0; n],
             replay: None,
             recorded: None,
             fault_schedule,

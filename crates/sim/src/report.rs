@@ -1,9 +1,7 @@
 //! Finalized run results and the derived paper metrics.
 
 use radar_obs::PlacementActionKind;
-use radar_stats::{
-    adjustment_time, equilibrium_mean, AdjustmentOutcome, EquilibriumSpec, Summary, TimeSeries,
-};
+use radar_stats::{adjustment_time, equilibrium_mean, AdjustmentOutcome, Summary, TimeSeries};
 
 use crate::metrics::{LoadEstimateSample, Metrics, RelocationLog};
 use crate::trace::Trace;
@@ -397,24 +395,27 @@ impl RunReport {
             .collect()
     }
 
-    /// The paper's Table 2 adjustment time over the *total* bandwidth
-    /// series, or `None` if the run never settles.
-    pub fn adjustment(&self, spec: EquilibriumSpec) -> Option<AdjustmentOutcome> {
+    /// Client, overhead and update bandwidth summed per bin, over the
+    /// complete bins.
+    fn total_bandwidth(&self) -> TimeSeries {
         let mut total = self.client_bandwidth.clone();
         total.merge(&self.overhead_bandwidth);
         total.merge(&self.update_bandwidth);
         total.truncate(self.complete_bins());
-        adjustment_time(&total, spec)
+        total
+    }
+
+    /// The paper's Table 2 adjustment time over the *total* bandwidth
+    /// series, or `None` if the run never settles.
+    pub fn adjustment(&self) -> Option<AdjustmentOutcome> {
+        adjustment_time(&self.total_bandwidth())
     }
 
     /// Equilibrium total bandwidth rate (bytes×hops/second), averaged
     /// over the trailing quarter of the run.
     pub fn equilibrium_bandwidth_rate(&self) -> f64 {
-        let mut total = self.client_bandwidth.clone();
-        total.merge(&self.overhead_bandwidth);
-        total.merge(&self.update_bandwidth);
-        total.truncate(self.complete_bins());
-        equilibrium_mean(&total, 0.25).unwrap_or(0.0) / total.spec().width()
+        let total = self.total_bandwidth();
+        equilibrium_mean(&total).unwrap_or(0.0) / total.spec().width()
     }
 
     /// Bandwidth rate of the first bin (the unadjusted initial
@@ -542,7 +543,7 @@ mod tests {
             &[100.0, 60.0, 11.0, 10.0, 10.0, 10.0, 10.0, 10.0],
             &[0.0; 8],
         );
-        let adj = r.adjustment(EquilibriumSpec::default()).unwrap();
+        let adj = r.adjustment().unwrap();
         assert_eq!(adj.adjustment_time, 200.0);
         assert!((r.equilibrium_bandwidth_rate() - 0.1).abs() < 1e-12);
         assert_eq!(r.initial_bandwidth_rate(), 1.0);

@@ -44,7 +44,9 @@ mod rate;
 mod summary;
 mod timeseries;
 
-pub use equilibrium::{adjustment_time, equilibrium_mean, AdjustmentOutcome, EquilibriumSpec};
+pub use equilibrium::{
+    adjustment_time, equilibrium_mean, AdjustmentOutcome, ADJUSTMENT_MARGIN, EQUILIBRIUM_TAIL,
+};
 pub use histogram::Histogram;
 pub use quantile::P2Quantile;
 pub use rate::WindowedRate;

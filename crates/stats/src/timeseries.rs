@@ -1,7 +1,7 @@
 //! Fixed-width time-binned accumulation.
 
 /// Specification of the binning grid for a [`TimeSeries`]: bins of equal
-/// `width` seconds starting at time `origin`.
+/// `width` seconds starting at time zero.
 ///
 /// # Examples
 ///
@@ -14,7 +14,6 @@
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinSpec {
-    origin: f64,
     width: f64,
 }
 
@@ -25,25 +24,11 @@ impl BinSpec {
     ///
     /// Panics if `width` is not strictly positive and finite.
     pub fn new(width: f64) -> Self {
-        Self::with_origin(0.0, width)
-    }
-
-    /// Creates a grid of bins of `width` seconds starting at `origin`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not strictly positive and finite, or `origin`
-    /// is not finite.
-    pub fn with_origin(origin: f64, width: f64) -> Self {
         assert!(
             width.is_finite() && width > 0.0,
             "bin width must be positive and finite, got {width}"
         );
-        assert!(
-            origin.is_finite(),
-            "bin origin must be finite, got {origin}"
-        );
-        Self { origin, width }
+        Self { width }
     }
 
     /// Width of each bin in seconds.
@@ -51,15 +36,10 @@ impl BinSpec {
         self.width
     }
 
-    /// Start time of the first bin.
-    pub fn origin(&self) -> f64 {
-        self.origin
-    }
-
-    /// Index of the bin containing time `t`. Times before the origin clamp
-    /// to bin 0.
+    /// Index of the bin containing time `t`. Negative times clamp to
+    /// bin 0.
     pub fn bin_index(&self, t: f64) -> usize {
-        let rel = (t - self.origin) / self.width;
+        let rel = t / self.width;
         if rel <= 0.0 {
             0
         } else {
@@ -69,7 +49,7 @@ impl BinSpec {
 
     /// Start time of bin `i`.
     pub fn bin_start(&self, i: usize) -> f64 {
-        self.origin + i as f64 * self.width
+        i as f64 * self.width
     }
 }
 
@@ -80,7 +60,8 @@ impl BinSpec {
 /// * **extensive quantities** (bytes×hops transferred, requests served):
 ///   read [`bin_sum`](Self::bin_sum) or [`sums`](Self::sums);
 /// * **intensive quantities** (response latency): record each sample and
-///   read [`bin_mean`](Self::bin_mean) or [`means`](Self::means).
+///   read [`bin_mean`](Self::bin_mean) or
+///   [`means_filled`](Self::means_filled).
 ///
 /// Bins are created lazily; recording at time `t` grows the vector to cover
 /// `t`. Missing trailing bins read as zero sum / zero count.
@@ -168,11 +149,6 @@ impl TimeSeries {
         &self.counts
     }
 
-    /// Per-bin means, with empty bins reported as `None`.
-    pub fn means(&self) -> Vec<Option<f64>> {
-        (0..self.len()).map(|i| self.bin_mean(i)).collect()
-    }
-
     /// Per-bin means with empty bins carried forward from the previous
     /// non-empty bin (and `0.0` before the first sample). Convenient for
     /// plotting continuous lines.
@@ -204,16 +180,6 @@ impl TimeSeries {
     /// Total sample count across bins.
     pub fn total_count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Overall mean across every recorded sample, or `None` if empty.
-    pub fn overall_mean(&self) -> Option<f64> {
-        let c = self.total_count();
-        if c == 0 {
-            None
-        } else {
-            Some(self.total() / c as f64)
-        }
     }
 
     /// Discards all bins at index `bins` and beyond. Useful to drop a
@@ -258,19 +224,19 @@ mod tests {
     }
 
     #[test]
-    fn bin_index_clamps_before_origin() {
-        let spec = BinSpec::with_origin(50.0, 10.0);
+    fn bin_index_clamps_negative_times() {
+        let spec = BinSpec::new(10.0);
+        assert_eq!(spec.bin_index(-1e300), 0);
+        assert_eq!(spec.bin_index(-5.0), 0);
         assert_eq!(spec.bin_index(0.0), 0);
-        assert_eq!(spec.bin_index(49.0), 0);
-        assert_eq!(spec.bin_index(50.0), 0);
-        assert_eq!(spec.bin_index(60.0), 1);
+        assert_eq!(spec.bin_index(10.0), 1);
     }
 
     #[test]
-    fn bin_start_and_mid() {
-        let spec = BinSpec::with_origin(10.0, 20.0);
-        assert_eq!(spec.bin_start(0), 10.0);
-        assert_eq!(spec.bin_start(2), 50.0);
+    fn bin_start_is_index_times_width() {
+        let spec = BinSpec::new(20.0);
+        assert_eq!(spec.bin_start(0), 0.0);
+        assert_eq!(spec.bin_start(2), 40.0);
     }
 
     #[test]
@@ -300,7 +266,6 @@ mod tests {
         assert_eq!(ts.bin_sum(2), 7.0);
         assert_eq!(ts.total(), 15.0);
         assert_eq!(ts.total_count(), 3);
-        assert_eq!(ts.overall_mean(), Some(5.0));
     }
 
     #[test]
@@ -310,7 +275,6 @@ mod tests {
         assert_eq!(ts.bin_count(100), 0);
         assert_eq!(ts.bin_mean(100), None);
         assert!(ts.is_empty());
-        assert_eq!(ts.overall_mean(), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! cargo run --release --example consistency_caps
 //! ```
 
-use radar::core::{Catalog, ObjectId, ObjectKind};
+use radar::core::{Catalog, ObjectId, ObjectKind, OBJECT_SIZE};
 use radar::sim::{Scenario, Simulation};
 use radar::simcore::SimRng;
 use radar::simnet::NodeId;
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     let primaries = (0..OBJECTS).map(|i| NodeId::new((i % 53) as u16)).collect();
-    let catalog = Catalog::from_parts(kinds, 12 * 1024, primaries);
+    let catalog = Catalog::from_parts(kinds, OBJECT_SIZE, primaries);
 
     let scenario = Scenario::builder()
         .num_objects(OBJECTS)
